@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		}
 		var e *xrank.Engine
 		fresh := false
-		if _, err := os.Stat(filepath.Join(*dir, "engine.json")); os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(*dir, "segments.json")); os.IsNotExist(err) {
 			fresh = true
 			e = xrank.NewEngine(&xrank.Config{IndexDir: *dir, Shards: *shards, BlockPostings: *block})
 		} else if err != nil {

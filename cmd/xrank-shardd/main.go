@@ -21,6 +21,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,15 +67,11 @@ func (f *mountFlag) Set(s string) error {
 	return nil
 }
 
-// bootstrapped reports whether dir already holds an openable engine
-// (either layout's commit point exists), so a restart skips the fetch.
+// bootstrapped reports whether dir already holds a committed engine
+// (segments.json, the commit point, exists), so a restart skips the fetch.
 func bootstrapped(dir string) bool {
-	for _, f := range []string{"engine.json", "segments.json"} {
-		if _, err := os.Stat(dir + string(os.PathSeparator) + f); err == nil {
-			return true
-		}
-	}
-	return false
+	_, err := os.Stat(filepath.Join(dir, "segments.json"))
+	return err == nil
 }
 
 func main() {

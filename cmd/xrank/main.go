@@ -57,7 +57,6 @@ func cmdIndex(args []string) error {
 	dir := fs.String("dir", "", "index directory (required)")
 	decay := fs.Float64("decay", 0.75, "per-level rank decay in (0,1]")
 	skipNaive := fs.Bool("skip-naive", true, "omit the naive baseline indexes")
-	compress := fs.Bool("compress", false, "prefix-compress Dewey postings")
 	block := fs.Bool("block", false, "block-encode postings with per-block skip indexes (enables block-max pruning)")
 	shards := fs.Int("shards", 1, "partition the index into N document shards queried in parallel")
 	answerTags := fs.String("answer-tags", "", "comma-separated answer-node tags (empty: all elements)")
@@ -68,7 +67,7 @@ func cmdIndex(args []string) error {
 	if *shards < 1 {
 		return fmt.Errorf("index: -shards must be >= 1")
 	}
-	cfg := &xrank.Config{IndexDir: *dir, Decay: *decay, SkipNaive: *skipNaive, CompressDewey: *compress, BlockPostings: *block, Shards: *shards}
+	cfg := &xrank.Config{IndexDir: *dir, Decay: *decay, SkipNaive: *skipNaive, BlockPostings: *block, Shards: *shards}
 	if *answerTags != "" {
 		cfg.AnswerTags = splitComma(*answerTags)
 	}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"xrank/internal/index"
 	"xrank/internal/storage"
 )
 
@@ -50,96 +49,49 @@ func (e *Engine) CompactOnce(budgetPages int64) (CompactionStats, error) {
 		return cs, nil
 	}
 
-	fs := e.fs()
-	dir := e.cfg.IndexDir
-	segID := e.nextSeg
-	segDirName := segmentDirName(segID)
-	segPath := filepath.Join(dir, segDirName)
-	if err := fs.MkdirAll(segPath); err != nil {
-		return cs, err
-	}
 	buildFS := e.cfg.FS
 	if budgetPages > 0 {
 		ec := storage.NewExecContext(nil)
 		ec.SetBudget(budgetPages)
 		buildFS = storage.NewBudgetFS(e.cfg.FS, ec)
 	}
-	st, err := index.BuildSharded(e.col, e.ranks, segPath, index.BuildOptions{
-		RankFraction:  e.cfg.RankFraction,
-		MaxPositions:  e.cfg.MaxPositions,
-		SkipNaive:     e.cfg.SkipNaive,
-		CompressDewey: e.cfg.CompressDewey,
-		BlockPostings: e.cfg.BlockPostings,
-		FS:            buildFS,
-	}, e.cfg.Shards)
+	// The merged segment — postings and suggest dictionary alike — covers
+	// the whole collection (tombstones included, which keeps it
+	// score-neutral) at the current rank version.
+	newSeg, st, err := e.buildSegment(e.nextSeg, e.rankVer, e.col, e.ranks, allDocIDs(e.col.NumDocs()), buildFS)
 	if err != nil {
 		return cs, fmt.Errorf("xrank: compaction: %w", err)
 	}
-	six, err := index.OpenSharded(segPath, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
-	if err != nil {
-		return cs, fmt.Errorf("xrank: compaction: %w", err)
-	}
-
-	allIDs := make([]uint32, e.col.NumDocs())
-	for i := range allIDs {
-		allIDs[i] = uint32(i)
-	}
-	// The merged suggest dictionary covers the same whole collection
-	// (tombstones included — score-neutral, like the postings merge),
-	// rebuilt at the current rank version, written before the commit.
-	var sug *suggestTrie
-	if !e.cfg.SuggestDisabled {
-		sug = buildSegmentSuggest(e.col, e.ranks, allIDs)
-		if err := e.writeSegmentSuggest(segPath, sug); err != nil {
-			six.Close()
-			return cs, err
-		}
-	}
-	newSeg := &engineSegment{id: segID, dir: segDirName, rankVer: e.rankVer, docs: allIDs, ix: six, sug: sug}
-	sm := &segmentsManifest{
-		NextSeg:  segID + 1,
-		RankVer:  e.rankVer,
-		Docs:     e.docs,
-		Segments: []segmentEntry{{ID: segID, Dir: segDirName, RankVer: e.rankVer, Docs: allIDs}},
-	}
-	// Commit point: after this write a reopen sees only the merged
-	// segment; before it, only the old ones.
-	if err := e.writeSegmentsManifest(sm); err != nil {
-		six.Close()
+	// After this commit a reopen sees only the merged segment; before it,
+	// only the old ones.
+	if err := e.commitSegments(newSeg.id+1, e.rankVer, e.docs, []*engineSegment{newSeg}); err != nil {
+		newSeg.ix.Close()
 		return cs, err
 	}
 
 	old := e.segs
 	e.snapMu.Lock()
 	e.segs = []*engineSegment{newSeg}
-	e.ix = six
-	e.nextSeg = segID + 1
-	e.segmented = true
+	e.nextSeg = newSeg.id + 1
 	e.updateSuggestGauge()
 	e.snapMu.Unlock()
 
 	// Retirement: the write lock above drained every query that could
-	// pin cursors into the old segments, so their files can go. All
+	// pin cursors into the old segments, so their directories can go. All
 	// best-effort — the manifest no longer references them, so leftover
-	// files after a crash are mere orphans. Segment 0 lives directly in
-	// IndexDir next to engine.json, segments.json, docs/ and the ranks
-	// blob; RemoveFiles only touches the index files named in its
-	// manifests, so those survive.
+	// files after a crash are mere orphans.
+	fs := e.fs()
 	for _, s := range old {
+		dir := filepath.Join(e.cfg.IndexDir, s.dir)
 		s.ix.RemoveFiles(fs)
 		s.ix.Close()
-		// The retired segment's suggest dictionary goes with its index
-		// files (the base segment's lives directly in IndexDir, which
-		// stays; only the now-unreferenced blob is removed).
-		fs.Remove(filepath.Join(s.path(dir), fileSuggest))
-		if s.dir != baseSegmentDir {
-			fs.Remove(filepath.Join(dir, s.dir))
-		}
+		fs.Remove(filepath.Join(dir, fileSuggest))
+		fs.Remove(dir)
 	}
 
 	cs.Compacted = true
 	cs.SegmentsAfter = 1
-	cs.Dir = segDirName
+	cs.Dir = newSeg.dir
 	cs.Bytes = st.DILList + st.RDILList + st.RDILIndex + st.HDILRank + st.HDILIndex +
 		st.NaiveIDList + st.NaiveRankList + st.NaiveIndex
 	e.met.compactions.Inc()
@@ -150,7 +102,7 @@ func (e *Engine) CompactOnce(budgetPages int64) (CompactionStats, error) {
 
 // StartCompactor runs a background goroutine that checks every interval
 // whether the engine has accumulated more than maxSegments live
-// segments (or a stale base segment) and, if so, compacts them with the
+// segments and, if so, compacts them with the
 // given write budget. interval <= 0 defaults to one second; maxSegments
 // < 1 is treated as 1. Errors are dropped — the next tick retries.
 // Close stops the compactor and waits for it to exit; starting a second

@@ -3,6 +3,7 @@ package xrank
 import (
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,13 +13,17 @@ import (
 	"xrank/internal/storage"
 )
 
-// Crash-simulation harness: each test sizes a workload by running it
-// once through a fault-free FaultFS (counting its write boundaries),
-// then replays it once per boundary with a simulated crash armed there.
-// After every crash the index directory must open as exactly the
-// pre-operation or the post-operation engine — scores bit-identical to
-// the corresponding clean build — or refuse to open; a third state is a
-// durability bug.
+// Crash-simulation harness. Every mutation commits the same way — write
+// everything new under fresh names, then atomically replace segments.json
+// — so one table of operations drives one replay: size the operation by
+// running it once through a fault-free FaultFS (counting its write
+// boundaries), then replay it once per boundary, each time on a pristine
+// copy of the pre-state directory with a simulated crash armed there.
+// After every crash the target directory must reopen as exactly the
+// pre-operation or the post-operation engine — search scores and
+// suggestions bit-identical to the corresponding clean run, same segment
+// count, same tombstones — and an operation that reported success must
+// have reached the post-state. A third state is a durability bug.
 
 // crashCorpus is a small multi-document collection with enough term
 // overlap that queries rank across documents.
@@ -90,210 +95,284 @@ func crashStride(n int64, t *testing.T) int64 {
 	return s
 }
 
-// TestCrashMatrixBuild kills a fresh Build at every write boundary. A
-// build into an empty directory has no "old" state, so after each crash
-// the directory must either refuse to open or open as the complete new
-// index.
-func TestCrashMatrixBuild(t *testing.T) {
-	docs := crashCorpus()
-
-	ref := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2})
-	addCorpus(t, ref, docs)
-	if _, err := ref.Build(); err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := crashSig(t, ref)
-
-	// Sizing run: the same build through a fault-free FaultFS must be
-	// byte-equivalent, and tells us how many boundaries the matrix has.
-	sizing := storage.NewFaultFS(nil, 1)
-	se := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2, FS: sizing})
-	addCorpus(t, se, docs)
-	if _, err := se.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if got := crashSig(t, se); !reflect.DeepEqual(got, want) {
-		t.Fatal("fault-free FaultFS build differs from the plain build")
-	}
-	se.Close()
-	n := sizing.WriteOps()
-	if n < 20 {
-		t.Fatalf("build counted only %d write boundaries", n)
-	}
-
-	for k := int64(1); k <= n; k += crashStride(n, t) {
-		dir := t.TempDir()
-		ffs := storage.NewFaultFS(nil, k) // vary the seed: different torn prefixes
-		ffs.CrashAtWriteOp(k)
-		e := NewEngine(&Config{IndexDir: dir, Shards: 2, FS: ffs})
-		addCorpus(t, e, docs)
-		if _, err := e.Build(); err == nil {
-			t.Fatalf("crash at op %d/%d: Build reported success", k, n)
-		}
-		re, err := OpenEngine(dir)
+// copyDir recursively copies a committed index directory so a crash
+// replay can mutate it destructively.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d iofs.DirEntry, err error) error {
 		if err != nil {
-			continue // pre-state: the directory never committed
+			return err
 		}
-		got := crashSig(t, re)
-		re.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("crash at op %d/%d: reopened index differs from the clean build", k, n)
+		rel, rerr := filepath.Rel(src, path)
+		if rerr != nil {
+			return rerr
 		}
+		target := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return rerr
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestCrashMatrixUpdate kills an Update at every write boundary. The
-// update targets a new directory, so after each crash the original
-// index must be untouched and the target must either refuse to open or
-// equal the clean post-update index.
-func TestCrashMatrixUpdate(t *testing.T) {
-	docs := crashCorpus()
-	newDoc := `<book id="9"><title>new xml search material</title><p>fresh keyword text</p></book>`
-	readers := func() map[string]io.Reader {
-		return map[string]io.Reader{"new.xml": strings.NewReader(newDoc)}
-	}
-
-	dirA := t.TempDir()
-	base := NewEngine(&Config{IndexDir: dirA, Shards: 2})
-	addCorpus(t, base, docs)
-	if _, err := base.Build(); err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	baseWant := crashSig(t, base)
-
-	refEng, err := base.Update(filepath.Join(t.TempDir(), "upd"), readers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := crashSig(t, refEng)
-	refEng.Close()
-
-	sizing := storage.NewFaultFS(nil, 9)
-	sb, err := OpenEngineFS(dirA, sizing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	su, err := sb.Update(filepath.Join(t.TempDir(), "upd"), readers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := crashSig(t, su); !reflect.DeepEqual(got, want) {
-		t.Fatal("fault-free FaultFS update differs from the plain update")
-	}
-	su.Close()
-	sb.Close()
-	n := sizing.WriteOps()
-
-	for k := int64(1); k <= n; k += crashStride(n, t) {
-		ffs := storage.NewFaultFS(nil, 9+k)
-		bk, err := OpenEngineFS(dirA, ffs)
+// suggestCrashSig is the suggestion-side signature: full top-50
+// completions for a spread of prefixes. Exact score-and-order equality
+// is the bit-identical bar the search-side crashSig sets.
+func suggestCrashSig(t *testing.T, e *Engine) [][]Suggestion {
+	t.Helper()
+	var sig [][]Suggestion
+	for _, prefix := range []string{"", "x", "k", "ch", "s"} {
+		got, _, err := e.Suggest(prefix, 50)
 		if err != nil {
-			t.Fatalf("crash replay %d: reopen base: %v", k, err)
+			t.Fatalf("signature suggest %q: %v", prefix, err)
 		}
-		ffs.CrashAtWriteOp(k)
-		dirK := filepath.Join(t.TempDir(), "upd")
-		if _, uerr := bk.Update(dirK, readers()); uerr == nil {
-			t.Fatalf("crash at op %d/%d: Update reported success", k, n)
-		}
-		bk.Close()
+		sig = append(sig, got)
+	}
+	return sig
+}
 
-		// The original index must be wholly unaffected.
-		chk, err := OpenEngine(dirA)
-		if err != nil {
-			t.Fatalf("crash at op %d/%d corrupted the ORIGINAL index: %v", k, n, err)
-		}
-		if got := crashSig(t, chk); !reflect.DeepEqual(got, baseWant) {
-			t.Fatalf("crash at op %d/%d changed the original index's results", k, n)
-		}
-		chk.Close()
+// crashState is everything a reopen can observe about which side of an
+// operation a directory is on.
+type crashState struct {
+	search  [][]SearchResult
+	suggest [][]Suggestion
+	segs    int
+	deleted []string
+}
 
-		// The target is either not-yet-committed or complete.
-		re, err := OpenEngine(dirK)
-		if err != nil {
-			continue
-		}
-		got := crashSig(t, re)
-		re.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("crash at op %d/%d: target opened as a third state", k, n)
-		}
+// observeCrashState reopens dir through the real file system; nil means
+// the directory refuses to open.
+func observeCrashState(t *testing.T, dir string) *crashState {
+	t.Helper()
+	e, err := OpenEngine(dir)
+	if err != nil {
+		return nil
+	}
+	defer e.Close()
+	return &crashState{
+		search:  crashSig(t, e),
+		suggest: suggestCrashSig(t, e),
+		segs:    e.SegmentCount(),
+		deleted: e.DeletedDocs(),
 	}
 }
 
-// TestCrashMatrixDeleteDoc kills the tombstone's manifest rewrite at
-// every boundary: the directory must afterwards open with the document
-// either still present or fully deleted.
-func TestCrashMatrixDeleteDoc(t *testing.T) {
-	docs := crashCorpus()
-	const victim = "doc2.xml"
+const segCrashDoc = `<book id="7"><title>incremental xml search addition</title>
+ <chapter><t>keyword retrieval appendix</t><p>the xql language appendix</p></chapter>
+ <cite ref="2">see also</cite></book>`
 
-	dirA := t.TempDir()
-	base := NewEngine(&Config{IndexDir: dirA, Shards: 2})
-	addCorpus(t, base, docs)
-	if _, err := base.Build(); err != nil {
-		t.Fatal(err)
-	}
-	preSig := crashSig(t, base)
-	base.Close()
+// crashOp is one row of the matrix.
+type crashOp struct {
+	name string
+	// prepare turns a freshly built crashCorpus engine into the
+	// operation's pre-state (nil: the Build output is the pre-state).
+	prepare func(t *testing.T, e *Engine)
+	// run performs the operation on e, whose file system is the faulty
+	// one. out is an empty directory for operations that write a new
+	// index instead of mutating e's own.
+	run func(e *Engine, out string) error
+	// build marks Build itself: e is a fresh unbuilt engine over
+	// crashCorpus with IndexDir out, and there is no pre-state.
+	build bool
+	// toOut marks operations whose result lands in out (Build, Update):
+	// out may refuse to open after a crash, and e's own directory must
+	// not change.
+	toOut bool
+	// retires marks operations that end with best-effort retirement
+	// after their commit (AddDocs drops the superseded ranks blob,
+	// CompactOnce the merged-away segments): a crash landing there
+	// leaves the operation reporting success. The others have no write
+	// after the commit, so a crash at any boundary must fail them.
+	retires bool
+	// minOps guards the sizing run against silently counting nothing.
+	minOps int64
+}
 
-	manPath := filepath.Join(dirA, "engine.json")
-	pristine, err := os.ReadFile(manPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restore := func() {
-		if err := os.WriteFile(manPath, pristine, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		os.Remove(storage.TempPath(manPath))
-	}
+var crashOps = []crashOp{
+	{
+		name: "Build", build: true, toOut: true, minOps: 20,
+		run: func(e *Engine, _ string) error {
+			_, err := e.Build()
+			return err
+		},
+	},
+	{
+		// Update targets a new directory: the original must be untouched.
+		name: "Update", toOut: true, minOps: 20,
+		run: func(e *Engine, out string) error {
+			ne, err := e.Update(out, map[string]io.Reader{"new.xml": strings.NewReader(
+				`<book id="9"><title>new xml search material</title><p>fresh keyword text</p></book>`)})
+			if err == nil {
+				ne.Close()
+			}
+			return err
+		},
+	},
+	{
+		name: "DeleteDoc", minOps: 1,
+		run: func(e *Engine, _ string) error { return e.DeleteDoc("doc2.xml") },
+	},
+	{
+		// The delta-segment flush: document-store files, the versioned
+		// ranks blob, the segment directory, and the segments.json swap.
+		name: "AddDocs", retires: true, minOps: 10,
+		run: func(e *Engine, _ string) error { return e.AddDoc("doc7.xml", strings.NewReader(segCrashDoc)) },
+	},
+	{
+		// Compaction is score-neutral: both sides share the search
+		// signature and differ in segment count (and in suggestion
+		// weights, which the merge rebakes at the current rank version).
+		name: "Compact", retires: true, minOps: 10,
+		prepare: func(t *testing.T, e *Engine) {
+			if err := e.AddDoc("doc7.xml", strings.NewReader(segCrashDoc)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		run: func(e *Engine, _ string) error {
+			cs, err := e.CompactOnce(0)
+			if err == nil && !cs.Compacted {
+				err = fmt.Errorf("nothing to compact")
+			}
+			return err
+		},
+	},
+}
 
-	// Clean delete: sizes the matrix and captures the post-state.
-	sizing := storage.NewFaultFS(nil, 5)
-	se, err := OpenEngineFS(dirA, sizing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := se.DeleteDoc(victim); err != nil {
-		t.Fatal(err)
-	}
-	n := sizing.WriteOps()
-	postSig := crashSig(t, se)
-	se.Close()
-	restore()
-	if reflect.DeepEqual(preSig, postSig) {
-		t.Fatal("deleting the victim does not change any signature query; the matrix would prove nothing")
-	}
+// runCrashMatrix replays every crashOp under cfg (IndexDir and FS are
+// the harness's).
+func runCrashMatrix(t *testing.T, cfg Config) {
+	for _, op := range crashOps {
+		t.Run(op.name, func(t *testing.T) {
+			// attempt runs the operation once over a copy of the pre-state
+			// through fs, with arm called once the engine is up, and
+			// returns the operation's outcome and the two directories.
+			var pristine string
+			attempt := func(fs storage.FS, arm func()) (src, out string, err error) {
+				src, out = filepath.Join(t.TempDir(), "src"), filepath.Join(t.TempDir(), "out")
+				var e *Engine
+				if op.build {
+					c := cfg
+					c.IndexDir, c.FS = out, fs
+					e = NewEngine(&c)
+					addCorpus(t, e, crashCorpus())
+				} else {
+					copyDir(t, pristine, src)
+					var oerr error
+					if e, oerr = OpenEngineFS(src, fs); oerr != nil {
+						t.Fatalf("open pre-state: %v", oerr)
+					}
+				}
+				arm()
+				err = op.run(e, out)
+				e.Close()
+				return src, out, err
+			}
+			target := func(src, out string) string {
+				if op.toOut {
+					return out
+				}
+				return src
+			}
 
-	for k := int64(1); k <= n; k++ {
-		ffs := storage.NewFaultFS(nil, 5+k)
-		e, err := OpenEngineFS(dirA, ffs)
-		if err != nil {
-			t.Fatalf("crash replay %d: reopen: %v", k, err)
-		}
-		ffs.CrashAtWriteOp(k)
-		if derr := e.DeleteDoc(victim); derr == nil {
-			t.Fatalf("crash at op %d/%d: DeleteDoc reported success", k, n)
-		}
-		e.Close()
+			var pre *crashState
+			if !op.build {
+				pristine = t.TempDir()
+				c := cfg
+				c.IndexDir = pristine
+				b := NewEngine(&c)
+				addCorpus(t, b, crashCorpus())
+				if _, err := b.Build(); err != nil {
+					t.Fatal(err)
+				}
+				if op.prepare != nil {
+					op.prepare(t, b)
+				}
+				b.Close()
+				if pre = observeCrashState(t, pristine); pre == nil {
+					t.Fatal("pre-state does not reopen")
+				}
+			}
 
-		re, err := OpenEngine(dirA)
-		if err != nil {
-			t.Fatalf("crash at op %d/%d left the directory unopenable: %v", k, n, err)
-		}
-		got := crashSig(t, re)
-		deleted := re.DeletedDocs()
-		re.Close()
-		switch {
-		case len(deleted) == 0 && reflect.DeepEqual(got, preSig):
-			// old state
-		case len(deleted) == 1 && deleted[0] == victim && reflect.DeepEqual(got, postSig):
-			// new state
-		default:
-			t.Fatalf("crash at op %d/%d: third state (deleted=%v)", k, n, deleted)
-		}
-		restore()
+			// Clean reference run, then the sizing run: the same operation
+			// through a fault-free FaultFS must land in the same state.
+			src, out, err := attempt(nil, func() {})
+			if err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			post := observeCrashState(t, target(src, out))
+			if post == nil {
+				t.Fatal("clean run's result does not reopen")
+			}
+			if len(post.suggest[0]) == 0 {
+				t.Fatal("the post-state suggests nothing; the suggest side of the matrix would prove nothing")
+			}
+			if !op.toOut && reflect.DeepEqual(pre, post) {
+				t.Fatal("the operation changes nothing observable; the matrix would prove nothing")
+			}
+			sizing := storage.NewFaultFS(nil, 1)
+			if src, out, err = attempt(sizing, func() {}); err != nil {
+				t.Fatalf("sizing run: %v", err)
+			}
+			if got := observeCrashState(t, target(src, out)); !reflect.DeepEqual(got, post) {
+				t.Fatal("fault-free FaultFS run differs from the plain run")
+			}
+			n := sizing.WriteOps()
+			if n < op.minOps {
+				t.Fatalf("counted only %d write boundaries", n)
+			}
+
+			for k := int64(1); k <= n; k += crashStride(n, t) {
+				ffs := storage.NewFaultFS(nil, 1+k) // vary the seed: different torn prefixes
+				src, out, err := attempt(ffs, func() { ffs.CrashAtWriteOp(k) })
+				if err == nil && !op.retires {
+					t.Fatalf("crash at op %d/%d: the operation reported success", k, n)
+				}
+				if op.toOut && !op.build {
+					if got := observeCrashState(t, src); !reflect.DeepEqual(got, pre) {
+						t.Fatalf("crash at op %d/%d changed the ORIGINAL index", k, n)
+					}
+				}
+				got := observeCrashState(t, target(src, out))
+				switch {
+				case reflect.DeepEqual(got, post):
+					// New state; a failed final directory fsync can report an
+					// error with the manifest already durable.
+				case got == nil && op.toOut:
+					// A new directory that never committed.
+				case got != nil && !op.toOut && reflect.DeepEqual(got, pre):
+					if err == nil {
+						t.Fatalf("crash at op %d/%d: success reported but the reopen shows the old state", k, n)
+					}
+				case got == nil:
+					// The pre-state was fully committed before the crash armed.
+					t.Fatalf("crash at op %d/%d left the directory unopenable", k, n)
+				default:
+					t.Fatalf("crash at op %d/%d: third state (segments=%d deleted=%v, op err=%v)",
+						k, n, got.segs, got.deleted, err)
+				}
+			}
+		})
 	}
+}
+
+// TestCrashMatrix kills Build, Update, DeleteDoc, AddDocs and CompactOnce
+// at every write boundary, suggest.bin's included.
+func TestCrashMatrix(t *testing.T) {
+	runCrashMatrix(t, Config{Shards: 2})
+}
+
+// TestCrashMatrixBlock is the matrix over the block postings format,
+// whose segment writes gain the per-term skip indexes (dil.skip,
+// rdil.skip, hdilrank.skip, between the postings files and the lexicons):
+// a reopen must never serve from a skip index that disagrees with its
+// postings.
+func TestCrashMatrixBlock(t *testing.T) {
+	runCrashMatrix(t, Config{Shards: 2, BlockPostings: true})
 }

@@ -3,7 +3,9 @@ package xrank
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"xrank/internal/index"
@@ -208,4 +210,84 @@ func TestFlatIndexFaultIsFatal(t *testing.T) {
 	if h := e.ShardHealth(); len(h) != 1 || h[0].Failures == 0 {
 		t.Fatalf("flat shard health not recorded: %+v", h)
 	}
+}
+
+// TestDeltaSegmentFaultInShardHealth: health is tracked per segment, and
+// ShardHealth reports a shard as its worst segment — a device fault under
+// a delta segment's shard directory must surface, not hide behind the
+// healthy first segment.
+func TestDeltaSegmentFaultInShardHealth(t *testing.T) {
+	ffs := storage.NewFaultFS(nil, 24)
+	e, _ := buildDegradedEngine(t, ffs, 3)
+	batch := make(map[string]io.Reader)
+	for n, doc := range degradedCorpus(12) {
+		if n >= "doc8.xml" { // doc8, doc9: names the base corpus lacks
+			batch[n] = strings.NewReader(doc)
+		}
+	}
+	if err := e.AddDocs(batch); err != nil {
+		t.Fatal(err)
+	}
+	segs := e.Segments()
+	if len(segs) != 2 {
+		t.Fatalf("%d segments after AddDocs, want 2", len(segs))
+	}
+	fail := index.ShardOf(8, 3) // the batch's first document
+	inDelta := shardPred(fail)
+	ffs.FailReads(func(path string) bool {
+		return strings.Contains(path, segs[1].Dir) && inDelta(path)
+	}, storage.ErrInjected, -1)
+	if err := e.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // the default failure threshold
+		if _, stats, err := e.SearchDetailed("common", SearchOptions{Algorithm: AlgoDIL}); err != nil || !stats.Degraded {
+			t.Fatalf("query %d: degraded=%v err=%v", i, stats != nil && stats.Degraded, err)
+		}
+	}
+	h := e.ShardHealth()
+	if len(h) != 3 || h[fail].Healthy || h[fail].Failures < 3 {
+		t.Fatalf("delta-segment fault invisible in ShardHealth: %+v", h)
+	}
+	e.ResetShardHealth()
+	if h := e.ShardHealth(); !h[fail].Healthy || h[fail].Failures != 0 {
+		t.Fatalf("ResetShardHealth left the delta segment's shard marked: %+v", h[fail])
+	}
+}
+
+// TestShardHealthDuringCompaction (run with -race) polls the shard
+// health and I/O accessors while AddDocs and CompactOnce keep swapping
+// the segment set under them.
+func TestShardHealthDuringCompaction(t *testing.T) {
+	e, _ := buildDegradedEngine(t, storage.NewFaultFS(nil, 25), 2)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if h := e.ShardHealth(); len(h) != 2 {
+				t.Errorf("ShardHealth has %d shards, want 2", len(h))
+				return
+			}
+			e.ResetShardHealth()
+			e.ShardIOStats()
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		name := fmt.Sprintf("extra%d.xml", i)
+		if err := e.AddDoc(name, strings.NewReader(degradedCorpus(1)["doc0.xml"])); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CompactOnce(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -9,10 +9,11 @@ import (
 // FuzzSegmentsManifest drives the segments.json structural validator
 // with arbitrary JSON: it must never panic, and any manifest it accepts
 // must actually satisfy the invariants the engine relies on downstream —
-// at least one segment, segment directories that cannot escape the index
-// directory, and the segments partitioning the document list exactly
-// (openSegmentedEngine indexes documents and segment directories off
-// these without re-checking).
+// at least one segment, segment directories that are proper children of
+// the index directory (never the index directory itself, nor an escape
+// from it), and the segments partitioning the document list exactly
+// (OpenEngineFS indexes documents and segment directories off these
+// without re-checking).
 func FuzzSegmentsManifest(f *testing.F) {
 	valid := segmentsManifest{
 		NextSeg: 3,
@@ -23,7 +24,7 @@ func FuzzSegmentsManifest(f *testing.F) {
 			{Name: "a.xml", File: "000002.xml", Size: 12, CRC32: 3},
 		},
 		Segments: []segmentEntry{
-			{ID: 0, Dir: ".", RankVer: 0, Docs: []uint32{0, 1}},
+			{ID: 0, Dir: "seg-000000", RankVer: 0, Docs: []uint32{0, 1}},
 			{ID: 2, Dir: "seg-000002", RankVer: 1, Docs: []uint32{2}},
 		},
 	}
@@ -35,7 +36,8 @@ func FuzzSegmentsManifest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"next_seg":-1,"segments":[{"id":-1}]}`))
 	f.Add([]byte(`{"next_seg":1,"rank_ver":0,"docs":[{"name":"a","file":"f"}],"segments":[{"id":0,"dir":"../evil","rank_ver":0,"docs":[0]}]}`))
-	f.Add([]byte(`{"next_seg":1,"rank_ver":0,"docs":[{"name":"a","file":"f"}],"segments":[{"id":0,"dir":".","rank_ver":0,"docs":[0,0]}]}`))
+	f.Add([]byte(`{"next_seg":1,"rank_ver":0,"docs":[{"name":"a","file":"f"}],"segments":[{"id":0,"dir":".","rank_ver":0,"docs":[0]}]}`))
+	f.Add([]byte(`{"next_seg":1,"rank_ver":0,"docs":[{"name":"a","file":"f"}],"segments":[{"id":0,"dir":"seg-000000","rank_ver":0,"docs":[0,0]}]}`))
 	f.Add([]byte(`{"next_seg":2,"rank_ver":0,"docs":[],"segments":[{"id":1,"dir":"seg-000001","rank_ver":0,"docs":[4294967295]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,9 +60,8 @@ func FuzzSegmentsManifest(f *testing.F) {
 					seg.ID, sm.NextSeg, seen[seg.ID], data)
 			}
 			seen[seg.ID] = true
-			if seg.Dir != baseSegmentDir &&
-				(seg.Dir != filepath.Base(seg.Dir) || seg.Dir == "..") {
-				t.Fatalf("validator accepted escaping segment dir %q: %s", seg.Dir, data)
+			if seg.Dir != filepath.Base(seg.Dir) || seg.Dir == "." || seg.Dir == ".." {
+				t.Fatalf("validator accepted segment dir %q: %s", seg.Dir, data)
 			}
 			for _, d := range seg.Docs {
 				if int(d) >= len(sm.Docs) {

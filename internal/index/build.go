@@ -52,18 +52,12 @@ type BuildOptions struct {
 	// SkipNaive omits the two naive baselines (they dominate build time
 	// and space on big corpora, exactly as the paper argues).
 	SkipNaive bool
-	// CompressDewey prefix-compresses the Dewey IDs in all Dewey-ordered
-	// and rank-ordered postings (an extension beyond the paper; see
-	// AppendDeweyEntryCompressed). Query results are identical; lists
-	// shrink further.
-	CompressDewey bool
 	// BlockPostings writes the Dewey-family lists (dil.post, rdil.post,
 	// hdil.rank) in the block-encoded format (see block.go): delta-coded
 	// blocks of up to 128 entries plus per-term skip indexes recording
 	// each block's max ElemRank and Dewey range, which query loops use to
 	// skip whole blocks. Naive lists and both B+-trees are unchanged.
-	// Query results are bit-identical to the v1 format; CompressDewey is
-	// ignored for block lists (blocks always delta-code internally).
+	// Query results are bit-identical to the v1 format.
 	BlockPostings bool
 	// DocFilter, when non-nil, restricts the index to the documents for
 	// which it returns true (doc is the document's position in the
@@ -96,15 +90,18 @@ func (o *BuildOptions) fill() {
 // file is synced, and records each file's size and CRC-32C in Files so
 // Open can verify the whole directory before trusting any of it.
 type Meta struct {
-	NumDocs       int     `json:"num_docs"`
-	NumElements   int     `json:"num_elements"`
-	Terms         int     `json:"terms"`
-	DeweyEntries  int     `json:"dewey_entries"`
-	NaiveEntries  int     `json:"naive_entries"`
-	RankFraction  float64 `json:"rank_fraction"`
-	MaxPositions  int     `json:"max_positions"`
-	HasNaive      bool    `json:"has_naive"`
-	CompressDewey bool    `json:"compress_dewey,omitempty"`
+	NumDocs      int     `json:"num_docs"`
+	NumElements  int     `json:"num_elements"`
+	Terms        int     `json:"terms"`
+	DeweyEntries int     `json:"dewey_entries"`
+	NaiveEntries int     `json:"naive_entries"`
+	RankFraction float64 `json:"rank_fraction"`
+	MaxPositions int     `json:"max_positions"`
+	HasNaive     bool    `json:"has_naive"`
+	// CompressDewey is never written. It marks indexes built with the
+	// retired page-local prefix compression of v1 lists, which this build
+	// cannot decode: Open refuses them.
+	CompressDewey bool `json:"compress_dewey,omitempty"`
 	// PostingsFormat is the Dewey-list wire format: 0 (absent) is the
 	// per-entry v1 layout, BlockPostingsFormat (2) the block-encoded
 	// layout with skip indexes. Open rejects formats it does not know.
@@ -200,13 +197,12 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 	defer b.closeAll()
 
 	meta := Meta{
-		NumDocs:       c.NumDocs(),
-		NumElements:   c.NumElements(),
-		Terms:         len(sorted),
-		RankFraction:  opts.RankFraction,
-		MaxPositions:  opts.MaxPositions,
-		HasNaive:      !opts.SkipNaive,
-		CompressDewey: opts.CompressDewey,
+		NumDocs:      c.NumDocs(),
+		NumElements:  c.NumElements(),
+		Terms:        len(sorted),
+		RankFraction: opts.RankFraction,
+		MaxPositions: opts.MaxPositions,
+		HasNaive:     !opts.SkipNaive,
 	}
 	if opts.BlockPostings {
 		meta.PostingsFormat = BlockPostingsFormat
@@ -492,14 +488,10 @@ func (b *variantBuilders) writeBlockList(w *postWriter, posts []Posting, perm []
 // writeDeweyList writes postings (in the order given by perm, or natural
 // order when perm is nil) as Dewey entries, returning the list location
 // and the page boundaries (first key of the term's entries on each page).
-// With CompressDewey, an entry that stays on the current page stores only
-// its suffix relative to the previous entry; entries that open a page are
-// self-contained.
 func (b *variantBuilders) writeDeweyList(w *postWriter, posts []Posting, perm []int) (Loc, []pageBoundary, error) {
 	var loc Loc
 	var bounds []pageBoundary
 	lastPage := storage.InvalidPage
-	var prev dewey.ID
 	n := len(posts)
 	if perm != nil {
 		n = len(perm)
@@ -509,16 +501,7 @@ func (b *variantBuilders) writeDeweyList(w *postWriter, posts []Posting, perm []
 		if perm != nil {
 			p = &posts[perm[i]]
 		}
-		if b.opts.CompressDewey {
-			b.buf = AppendDeweyEntryCompressed(b.buf[:0], prev, p.ID, p.Rank, p.Positions)
-			if len(b.buf) > w.remaining() {
-				// The entry opens a new page: it must not reference prev.
-				b.buf = AppendDeweyEntryCompressed(b.buf[:0], nil, p.ID, p.Rank, p.Positions)
-			}
-			prev = append(prev[:0], p.ID...)
-		} else {
-			b.buf = AppendDeweyEntry(b.buf[:0], p)
-		}
+		b.buf = AppendDeweyEntry(b.buf[:0], p)
 		page, off, err := w.writeEntry(b.buf)
 		if err != nil {
 			return loc, nil, err

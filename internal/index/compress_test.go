@@ -11,7 +11,8 @@ import (
 	"xrank/internal/xmldoc"
 )
 
-// Tests for the prefix-compressed Dewey entry extension.
+// Tests for the prefix-compressed Dewey entry encoding and the block
+// lists built from it.
 
 func TestCompressedEntryCodec(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -65,9 +66,9 @@ func TestCompressedCorrupt(t *testing.T) {
 	}
 }
 
-// TestCompressionEquivalenceAndSavings builds the same corpus with and
-// without CompressDewey: every cursor and prober must yield identical
-// postings, and the compressed list must be smaller.
+// TestCompressionEquivalenceAndSavings builds the same corpus as v1 and
+// as block lists: every cursor and prober must yield identical postings,
+// and the prefix-compressed block list must be smaller.
 func TestCompressionEquivalenceAndSavings(t *testing.T) {
 	// A deep corpus (nested groups, like XMark): sibling entries share
 	// long Dewey prefixes, which is where prefix compression pays.
@@ -90,9 +91,9 @@ func TestCompressionEquivalenceAndSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(compress bool) (*Index, *BuildStats) {
+	open := func(block bool) (*Index, *BuildStats) {
 		dir := t.TempDir()
-		stats, err := Build(c, res.Scores, dir, BuildOptions{CompressDewey: compress, MinRankPrefix: 8})
+		stats, err := Build(c, res.Scores, dir, BuildOptions{BlockPostings: block, MinRankPrefix: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,22 +104,28 @@ func TestOpenDetectsTruncation(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsMissingChecksum: a meta.json that lists no checksum for
-// a required file (a hand-edited or older manifest) is corrupt, not
-// trusted.
-func TestOpenRejectsMissingChecksum(t *testing.T) {
-	dir := buildIndexDir(t)
-	var meta Meta
-	if err := storage.ReadManifest(nil, filepath.Join(dir, fileMeta), &meta); err != nil {
-		t.Fatal(err)
-	}
-	delete(meta.Files, fileDILPost)
-	if err := storage.WriteManifestAtomic(nil, filepath.Join(dir, fileMeta), &meta); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(dir, OpenOptions{})
-	if !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("missing checksum entry: %v (want ErrCorrupt)", err)
+// TestOpenRejectsEditedMeta: a meta.json that validly envelopes something
+// this build cannot serve is corrupt, not trusted — no checksum for a
+// required file (a hand-edited manifest), or the retired prefix-compressed
+// v1 lists, which would otherwise misdecode as plain v1 entries.
+func TestOpenRejectsEditedMeta(t *testing.T) {
+	for name, edit := range map[string]func(*Meta){
+		"missing checksum": func(m *Meta) { delete(m.Files, fileDILPost) },
+		"compress_dewey":   func(m *Meta) { m.CompressDewey = true },
+	} {
+		dir := buildIndexDir(t)
+		var meta Meta
+		if err := storage.ReadManifest(nil, filepath.Join(dir, fileMeta), &meta); err != nil {
+			t.Fatal(err)
+		}
+		edit(&meta)
+		if err := storage.WriteManifestAtomic(nil, filepath.Join(dir, fileMeta), &meta); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, OpenOptions{})
+		if !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: %v (want ErrCorrupt)", name, err)
+		}
 	}
 }
 

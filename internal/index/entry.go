@@ -69,12 +69,10 @@ func AppendDeweyEntry(buf []byte, p *Posting) []byte {
 
 // AppendDeweyEntryCompressed appends a prefix-compressed Dewey entry: the
 // ID is stored as (number of leading components shared with prev, encoded
-// suffix). Compression chains reset at page boundaries and at the start
-// of each term's list (pass prev = nil), keeping every page
-// self-decodable — which is what lets HDIL treat postings pages as
-// B+-tree leaves even when compressed. Enabled by
-// BuildOptions.CompressDewey; an optional space extension beyond the
-// paper (its Section 4.2.1 space argument, taken one step further).
+// suffix). It is the entry encoding inside block-format lists (block.go):
+// the chain resets at the start of each block (pass prev = nil), keeping
+// every block self-decodable. An extension beyond the paper (its Section
+// 4.2.1 space argument, taken one step further).
 //
 // Body layout: u8 lcp, uvarint suffixLen, suffix, f32 rank, posList.
 func AppendDeweyEntryCompressed(buf []byte, prev, id dewey.ID, rank float32, positions []uint32) []byte {

@@ -150,20 +150,6 @@ func (sh *Sharded) Health() []ShardHealth {
 	return out
 }
 
-// UnhealthyCount returns how many shards are currently excluded.
-func (sh *Sharded) UnhealthyCount() int {
-	n := 0
-	for i := range sh.health {
-		h := &sh.health[i]
-		h.mu.Lock()
-		if h.unhealthy {
-			n++
-		}
-		h.mu.Unlock()
-	}
-	return n
-}
-
 // ResetHealth returns every shard to the healthy state with a zero
 // failure streak.
 func (sh *Sharded) ResetHealth() {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"path/filepath"
 
-	"xrank/internal/dewey"
 	"xrank/internal/storage"
 )
 
@@ -79,6 +78,10 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	ix := &Index{Dir: dir}
 	if err := storage.ReadManifest(fs, filepath.Join(dir, fileMeta), &ix.Meta); err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
+	}
+	if ix.Meta.CompressDewey {
+		return nil, fmt.Errorf("index: open %s: %w meta.json: prefix-compressed v1 postings (compress_dewey) are no longer supported; rebuild the index",
+			dir, storage.ErrCorrupt)
 	}
 	if f := ix.Meta.PostingsFormat; f != 0 && f != BlockPostingsFormat {
 		return nil, fmt.Errorf("index: open %s: %w meta.json: postings format %d, this build understands 0 and %d",
@@ -330,13 +333,10 @@ func (ix *Index) DILCount(term string) int { return int(ix.dil[term].Loc.Count) 
 // instead of the per-entry postCursor; naive lists always use the
 // latter.
 type ListCursor struct {
-	pc         *postCursor
-	blk        *blockCursor
-	dewey      bool
-	compressed bool
-	post       Posting
-	prev       dewey.ID
-	prevPage   storage.PageID
+	pc    *postCursor
+	blk   *blockCursor
+	dewey bool
+	post  Posting
 }
 
 func (lc *ListCursor) Next() (*Posting, bool, error) {
@@ -347,18 +347,9 @@ func (lc *ListCursor) Next() (*Posting, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	switch {
-	case lc.dewey && lc.compressed:
-		// Compression chains reset at page boundaries; so does prev.
-		if lc.pc.page != lc.prevPage {
-			lc.prev = lc.prev[:0]
-			lc.prevPage = lc.pc.page
-		}
-		err = DecodeDeweyEntryCompressed(lc.pc.body, lc.prev, &lc.post)
-		lc.prev = append(lc.prev[:0], lc.post.ID...)
-	case lc.dewey:
+	if lc.dewey {
 		err = DecodeDeweyEntry(lc.pc.body, &lc.post)
-	default:
+	} else {
 		err = DecodeNaiveEntry(lc.pc.body, &lc.post)
 	}
 	if err != nil {
@@ -458,12 +449,7 @@ func (ix *Index) deweyCursor(pool *storage.BufferPool, loc Loc, refs []BlockRef,
 	if ix.blockFormat() {
 		return &ListCursor{blk: newBlockCursor(pool, refs, loc.Count, ec), dewey: true}
 	}
-	return &ListCursor{
-		pc:         newPostCursor(pool, loc, ec),
-		dewey:      true,
-		compressed: ix.Meta.CompressDewey,
-		prevPage:   storage.InvalidPage,
-	}
+	return &ListCursor{pc: newPostCursor(pool, loc, ec), dewey: true}
 }
 
 // DILCursor returns a Dewey-ordered scan of the term's DIL list; ok is

@@ -34,12 +34,6 @@ func (w *postWriter) pos() (storage.PageID, uint16) {
 	return storage.PageID(w.pf.NumPages()), uint16(w.used)
 }
 
-// remaining returns how many bytes fit in the current page before the
-// next entry would be pushed to a fresh page. Prefix-compressing writers
-// use it to decide whether the next entry stays on the page (and may
-// reference the previous entry) or must be self-contained.
-func (w *postWriter) remaining() int { return storage.PageSize - w.used }
-
 // writeEntry writes one encoded entry (including its length prefix) and
 // returns its location.
 func (w *postWriter) writeEntry(entry []byte) (storage.PageID, uint16, error) {

@@ -139,7 +139,6 @@ type HDILProber struct {
 	ec      *storage.ExecContext
 	scratch dewey.ID
 	post    Posting
-	prev    dewey.ID // per-page compression chain during scans
 }
 
 // HDILProber returns the prober for term; ok is false for unknown terms.
@@ -172,9 +171,8 @@ type pageVisit func(p *Posting) (stop bool, err error)
 // visit with each decoded entry. Entries outside the term's byte range
 // are never visited because the range is contiguous: the scan starts at
 // the term's start offset on its first page and stops at the end offset
-// on its last page. Prefix-compression chains reset per page (and the
-// term's first entry is self-contained), so a mid-list page scan always
-// decodes correctly.
+// on its last page. Every v1 entry is self-contained, so a mid-list page
+// scan always decodes correctly.
 func (h *HDILProber) scanLeafPage(page storage.PageID, visit pageVisit) (stopped bool, err error) {
 	if page > h.meta.EndPage {
 		return false, nil
@@ -192,8 +190,6 @@ func (h *HDILProber) scanLeafPage(page storage.PageID, visit pageVisit) (stopped
 	if page == h.meta.EndPage {
 		end = int(h.meta.EndOff)
 	}
-	compressed := h.ix.Meta.CompressDewey
-	h.prev = h.prev[:0]
 	for off+entryLenSize <= end {
 		ln := binary.LittleEndian.Uint16(fr.Data[off:])
 		if ln == padEntry {
@@ -207,14 +203,7 @@ func (h *HDILProber) scanLeafPage(page storage.PageID, visit pageVisit) (stopped
 		if stop > end {
 			break
 		}
-		body := fr.Data[start:stop]
-		if compressed {
-			err = DecodeDeweyEntryCompressed(body, h.prev, &h.post)
-			h.prev = append(h.prev[:0], h.post.ID...)
-		} else {
-			err = DecodeDeweyEntry(body, &h.post)
-		}
-		if err != nil {
+		if err := DecodeDeweyEntry(fr.Data[start:stop], &h.post); err != nil {
 			return false, fmt.Errorf("index: entry at page %d off %d: %w", page, off, err)
 		}
 		stopScan, err := visit(&h.post)

@@ -8,8 +8,7 @@ import (
 
 // RemoveFiles best-effort deletes the index's on-disk files — every
 // pagefile and lexicon named in each shard's manifest, the per-shard
-// meta.json commit points, and (for a sharded layout) shards.json and
-// the shard directories. Errors are ignored: retirement runs after a
+// meta.json commit points, shards.json and the shard directories. Errors are ignored: retirement runs after a
 // manifest swap has already committed, so a crash mid-removal merely
 // leaves orphan files that no manifest references. Call before Close
 // (Close drops the shard handles); on POSIX unlinking open files is
@@ -26,10 +25,8 @@ func (sh *Sharded) RemoveFiles(fs storage.FS) {
 		}
 		fsys.Remove(filepath.Join(ix.Dir, fileMeta))
 	}
-	if len(sh.shards) > 1 {
-		fsys.Remove(filepath.Join(sh.Dir, fileShards))
-		for s := range sh.shards {
-			fsys.Remove(shardDir(sh.Dir, s))
-		}
+	fsys.Remove(filepath.Join(sh.Dir, fileShards))
+	for s := range sh.shards {
+		fsys.Remove(shardDir(sh.Dir, s))
 	}
 }

@@ -1,9 +1,7 @@
 package index
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"xrank/internal/storage"
@@ -54,13 +52,11 @@ func shardDir(dir string, s int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard%03d", s))
 }
 
-// Sharded is an opened index partitioned across one or more shards. A
-// flat (unsharded) directory opens as a single-shard Sharded, so every
-// caller goes through the same type regardless of layout.
+// Sharded is an opened index partitioned across one or more shards.
 type Sharded struct {
 	Dir string
 	// Meta aggregates across shards: NumDocs, NumElements, RankFraction,
-	// MaxPositions, HasNaive and CompressDewey are shard-invariant and
+	// MaxPositions, HasNaive and PostingsFormat are shard-invariant and
 	// copied from shard 0; Terms is the distinct-term union; DeweyEntries,
 	// NaiveEntries and BuildMillis are sums.
 	Meta Meta
@@ -69,21 +65,20 @@ type Sharded struct {
 	health []shardHealth
 }
 
-// BuildSharded constructs the index in dir partitioned into shards
-// partitions (shards ≤ 1 builds the flat single-directory layout, which
-// OpenSharded also accepts). Each shard holds the complete per-term
-// structures — DIL/RDIL/HDIL postfiles, B+-trees and naive baselines —
-// restricted to its documents.
+// BuildSharded constructs the index in dir as shardNNN/ directories under
+// a shards.json manifest (shards < 1 is one shard). Each shard holds the
+// complete per-term structures — DIL/RDIL/HDIL postfiles, B+-trees and
+// naive baselines — restricted to its documents.
 func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions, shards int) (*BuildStats, error) {
-	if shards <= 1 {
-		return Build(c, ranks, dir, opts)
+	if shards < 1 {
+		shards = 1
 	}
 	fs := storage.DefaultFS(opts.FS)
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("index: mkdir %s: %w", dir, err)
 	}
-	// A caller DocFilter (a segmented engine restricting the build to a
-	// delta's documents) composes with the shard placement predicate.
+	// A caller DocFilter (the engine restricting the build to a delta
+	// segment's documents) composes with the shard placement predicate.
 	base := opts.DocFilter
 	var total BuildStats
 	for s := 0; s < shards; s++ {
@@ -113,7 +108,7 @@ func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildO
 		total.NaiveIndex += st.NaiveIndex
 	}
 	total.Meta.Terms = countDistinctTerms(c, base)
-	// shards.json is the sharded layout's commit point: every shard
+	// shards.json is the directory's commit point: every shard
 	// directory above is fully durable (each ends with its own atomic
 	// meta.json), so once this manifest lands the whole index opens.
 	sm := ShardMeta{NumShards: shards, Hash: shardHashName}
@@ -141,23 +136,11 @@ func countDistinctTerms(c *xmldoc.Collection, filter func(doc uint32) bool) int 
 	return len(seen)
 }
 
-// OpenSharded opens dir as a sharded index. A directory without
-// shards.json is a flat index and opens as one shard, so indexes built
-// before sharding existed keep working.
+// OpenSharded opens a directory written by BuildSharded.
 func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	fs := storage.DefaultFS(opts.FS)
 	var sm ShardMeta
-	err := storage.ReadManifest(fs, filepath.Join(dir, fileShards), &sm)
-	if err != nil && errors.Is(err, os.ErrNotExist) {
-		ix, err := Open(dir, opts)
-		if err != nil {
-			return nil, err
-		}
-		sh := &Sharded{Dir: dir, Meta: ix.Meta, shards: []*Index{ix}}
-		sh.initHealth()
-		return sh, nil
-	}
-	if err != nil {
+	if err := storage.ReadManifest(fs, filepath.Join(dir, fileShards), &sm); err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
 	if sm.NumShards < 1 {
@@ -191,7 +174,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	return sh, nil
 }
 
-// NumShards returns the number of partitions (1 for a flat index).
+// NumShards returns the number of partitions.
 func (sh *Sharded) NumShards() int { return len(sh.shards) }
 
 // Shards returns the per-shard indexes, in shard order. Callers must not
@@ -262,7 +245,7 @@ func (sh *Sharded) HasTerm(term string) bool {
 }
 
 // DILCount returns the term's global document-frequency surrogate: the
-// total DIL entries across shards (equal to the flat index's DILCount).
+// total DIL entries across shards (equal to a one-shard index's DILCount).
 func (sh *Sharded) DILCount(term string) int {
 	n := 0
 	for _, ix := range sh.shards {

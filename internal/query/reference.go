@@ -191,7 +191,7 @@ func BruteForceDisjunctive(c *xmldoc.Collection, ranks []float64, keywords []str
 	}
 
 	// df = elements directly containing the keyword, exactly the inverted
-	// list length the index-based processor uses on a flat index.
+	// list length the index-based processor uses on a one-shard index.
 	idfs := make([]float64, n)
 	if opts.Scoring == ScoreTFIDF {
 		dfs := make([]int, n)

@@ -125,7 +125,7 @@ func runSharded(sh *index.Sharded, opts Options, workers int,
 	shards := sh.Shards()
 	threshold := opts.failureThreshold()
 	if len(shards) == 1 {
-		// A flat index has nothing to degrade to: retry transient faults,
+		// A one-shard index has nothing to degrade to: retry transient faults,
 		// then surface the error. Health is still recorded so /api/shards
 		// shows the failing device, but the shard is never skipped.
 		rs, err, retries := runShardAttempts(0, shards[0], opts, run)

@@ -1,0 +1,126 @@
+package xrank
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"xrank/internal/storage"
+)
+
+// buildLayoutDir commits crashCorpus as a one-shard, one-segment index.
+func buildLayoutDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	e := NewEngine(&Config{IndexDir: dir})
+	addCorpus(t, e, crashCorpus())
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// hoist moves every entry of dir/sub up into dir and removes sub.
+func hoist(t *testing.T, dir, sub string) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, sub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if err := os.Rename(filepath.Join(dir, sub, ent.Name()), filepath.Join(dir, ent.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, sub)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// editSegments rewrites segments.json through its checksummed envelope,
+// so the edit reaches the validator instead of tripping the CRC.
+func editSegments(t *testing.T, dir string, edit func(*segmentsManifest)) {
+	t.Helper()
+	path := filepath.Join(dir, fileSegments)
+	var sm segmentsManifest
+	if err := storage.ReadManifest(nil, path, &sm); err != nil {
+		t.Fatal(err)
+	}
+	edit(&sm)
+	if err := storage.WriteManifestAtomic(nil, path, &sm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesOtherShapes: an index directory has exactly one shape.
+// Directories laid out any other way — engine.json as the only manifest,
+// index files directly in the index directory, an unsharded segment
+// directory, a segment that is the index directory itself — and
+// segments.json contents that disagree with the document store are all
+// refused with ErrCorrupt, never opened partially and never a panic; a
+// refused shape tells the operator to rebuild.
+func TestOpenRefusesOtherShapes(t *testing.T) {
+	seg := segmentDirName(0)
+	for _, tc := range []struct {
+		name   string
+		hint   bool // the refusal must point at `xrank index`
+		mutate func(t *testing.T, dir string)
+	}{
+		{"engine.json without segments.json", true, func(t *testing.T, dir string) {
+			os.Remove(filepath.Join(dir, fileSegments))
+		}},
+		{"index files in the index directory", true, func(t *testing.T, dir string) {
+			os.Remove(filepath.Join(dir, fileSegments))
+			hoist(t, dir, seg)
+			os.Remove(filepath.Join(dir, "shards.json"))
+			hoist(t, dir, "shard000")
+		}},
+		{"segment directory without shards.json", true, func(t *testing.T, dir string) {
+			os.Remove(filepath.Join(dir, seg, "shards.json"))
+			hoist(t, filepath.Join(dir, seg), "shard000")
+		}},
+		{`segment dir "."`, true, func(t *testing.T, dir string) {
+			hoist(t, dir, seg)
+			editSegments(t, dir, func(sm *segmentsManifest) { sm.Segments[0].Dir = "." })
+		}},
+		{"segment directory missing", false, func(t *testing.T, dir string) {
+			os.RemoveAll(filepath.Join(dir, seg))
+		}},
+		{"document missing from the store", false, func(t *testing.T, dir string) {
+			os.Remove(filepath.Join(dir, "docs", "000002.xml"))
+		}},
+		{"document list shorter than the segment's", false, func(t *testing.T, dir string) {
+			editSegments(t, dir, func(sm *segmentsManifest) { sm.Docs = sm.Docs[:len(sm.Docs)-1] })
+		}},
+		{"document list longer than the segment's", false, func(t *testing.T, dir string) {
+			editSegments(t, dir, func(sm *segmentsManifest) { sm.Docs = append(sm.Docs, sm.Docs[0]) })
+		}},
+		{"document checksum disagrees", false, func(t *testing.T, dir string) {
+			editSegments(t, dir, func(sm *segmentsManifest) { sm.Docs[1].CRC32++ })
+		}},
+		{"no segments", false, func(t *testing.T, dir string) {
+			editSegments(t, dir, func(sm *segmentsManifest) { sm.Segments = nil })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := buildLayoutDir(t)
+			tc.mutate(t, dir)
+			e, err := OpenEngine(dir)
+			if err == nil {
+				e.Close()
+				t.Fatal("opened")
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%v (want ErrCorrupt)", err)
+			}
+			if tc.hint && !strings.Contains(err.Error(), "xrank index") {
+				t.Fatalf("refusal does not point at `xrank index`: %v", err)
+			}
+		})
+	}
+}

@@ -2,81 +2,52 @@ package xrank
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
-	"xrank/internal/index"
 	"xrank/internal/storage"
 )
 
-// Engine persistence. Build writes, next to the index files:
+// Engine persistence. An index directory always has one shape:
 //
-//	engine.json — config + document manifest (checksummed envelope)
-//	ranks.bin   — float64 ElemRanks by global element index (checksummed blob)
-//	docs/       — the raw source documents (sizes/CRCs in the manifest)
+//	engine.json      — the Config (checksummed envelope), written once by Build
+//	segments.json    — document manifest, tombstones, rank version and the
+//	                   live segment set: the commit point of every mutation
+//	ranks-NNNNNN.bin — float64 ElemRanks by global element index for the
+//	                   current rank version (checksummed blob)
+//	docs/            — the raw source documents (sizes/CRCs in segments.json)
+//	seg-NNNNNN/      — one immutable segment each: shards.json, shardNNN/
+//	                   index directories, suggest.bin
 //
 // Everything goes through the atomic-write protocol (temp file → fsync →
-// rename → parent-dir fsync), and engine.json — the open entry point — is
-// written last, after the index, the document store and ranks.bin are all
-// durable. A crash anywhere in Build therefore leaves either no
-// engine.json (the directory doesn't open; the previous index directory,
-// if any, is untouched) or a complete consistent one.
+// rename → parent-dir fsync), and segments.json is written last, after
+// everything it references is durable. A crash anywhere therefore leaves
+// the previous segments.json — the previous engine state, or for a first
+// Build a directory that does not open — never a half-committed one.
 //
-// OpenEngine reloads all three, verifying every checksum up front;
+// OpenEngine reloads all of it, verifying every checksum up front;
 // parsing is deterministic, so the rebuilt in-memory collection has
 // identical Dewey IDs and global indexes.
 
-// ranksMagic identifies ranks.bin's blob type ("XRNK").
+// fileEngine holds the engine's Config.
+const fileEngine = "engine.json"
+
+// rebuildHint ends the refusal of a directory this build cannot serve.
+const rebuildHint = "rebuild with `xrank index` (the sources are in docs/)"
+
+// ranksMagic identifies a ranks blob's type ("XRNK").
 const ranksMagic = 0x584b4e52
 
 type engineManifest struct {
-	Config Config     `json:"config"`
-	Docs   []docEntry `json:"docs"`
-}
-
-func (e *Engine) persist(dir string) error {
-	fs := e.fs()
-	docsDir := filepath.Join(dir, "docs")
-	if err := fs.MkdirAll(docsDir); err != nil {
-		return err
-	}
-	for i := range e.docs {
-		d := &e.docs[i]
-		ext := ".xml"
-		if d.HTML {
-			ext = ".html"
-		}
-		d.File = fmt.Sprintf("%06d%s", i, ext)
-		if err := storage.WriteFileAtomic(fs, filepath.Join(docsDir, d.File), d.raw); err != nil {
-			return err
-		}
-		d.Size = int64(len(d.raw))
-		d.CRC32 = storage.Checksum(d.raw)
-		d.raw = nil // the store owns the bytes now
-	}
-
-	if err := storage.WriteBlobAtomic(fs, filepath.Join(dir, ranksFile(0)), ranksMagic, encodeRanks(e.ranks)); err != nil {
-		return err
-	}
-
-	// engine.json last: it is the commit point OpenEngine keys off.
-	return e.persistManifest(dir)
-}
-
-// persistManifest writes (or atomically rewrites, after DeleteDoc)
-// engine.json.
-func (e *Engine) persistManifest(dir string) error {
-	return storage.WriteManifestAtomic(e.fs(), filepath.Join(dir, "engine.json"),
-		engineManifest{Config: e.cfg, Docs: e.docs})
+	Config Config `json:"config"`
 }
 
 // OpenEngine reopens an engine previously built with IndexDir set (or a
 // still-existing temporary directory). The source documents are reparsed
 // from the directory's document store. Every persisted artifact —
-// manifest, ranks, documents, index files — is checksum-verified before
+// manifests, ranks, documents, index files — is checksum-verified before
 // use: a torn or corrupted directory fails with a precise
 // "xrank: corrupt <file>" error rather than opening silently wrong.
 func OpenEngine(dir string) (*Engine, error) {
@@ -87,107 +58,22 @@ func OpenEngine(dir string) (*Engine, error) {
 // system) — the seam the fault-injection and crash-recovery tests use.
 func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 	fs = storage.DefaultFS(fs)
-	// segments.json supersedes engine.json's document list once the
-	// engine has gone segmented (first AddDocs); its presence selects
-	// the layout.
-	if _, serr := fs.Stat(filepath.Join(dir, fileSegments)); serr == nil {
-		return openSegmentedEngine(dir, fs)
-	} else if !os.IsNotExist(serr) {
-		return nil, fmt.Errorf("xrank: open %s: %w", dir, serr)
-	}
 	var man engineManifest
-	if err := storage.ReadManifest(fs, filepath.Join(dir, "engine.json"), &man); err != nil {
-		return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
-	}
-	man.Config.IndexDir = dir
-	man.Config.FS = fs
-	e := NewEngine(&man.Config)
-	for _, d := range man.Docs {
-		data, err := fs.ReadFile(filepath.Join(dir, "docs", d.File))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, fmt.Errorf("xrank: %w engine.json: document store is missing %s (document %q)",
-					storage.ErrCorrupt, d.File, d.Name)
-			}
-			return nil, fmt.Errorf("xrank: open document %s: %w", d.File, err)
-		}
-		if int64(len(data)) != d.Size || storage.Checksum(data) != d.CRC32 {
-			return nil, fmt.Errorf("xrank: %w docs/%s: size %d crc %08x, manifest says size %d crc %08x",
-				storage.ErrCorrupt, d.File, len(data), storage.Checksum(data), d.Size, d.CRC32)
-		}
-		if d.HTML {
-			_, err = e.col.AddHTML(d.Name, bytes.NewReader(data), nil)
-		} else {
-			_, err = e.col.AddXML(d.Name, bytes.NewReader(data), nil)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xrank: reparse %s: %w", d.File, err)
-		}
-	}
-	e.docs = man.Docs
-	for _, d := range man.Docs {
-		if !d.Deleted {
-			continue
-		}
-		doc := e.col.DocByName(d.Name)
-		if doc == nil {
-			// A hand-edited manifest can tombstone a name the store never
-			// produced; surface that instead of dereferencing nil.
-			return nil, fmt.Errorf("xrank: %w engine.json: deleted document %q is not in the collection",
-				storage.ErrCorrupt, d.Name)
-		}
-		if e.deleted == nil {
-			e.deleted = make(map[uint32]bool)
-		}
-		e.deleted[doc.ID] = true
-	}
-
-	rb, err := storage.ReadBlob(fs, filepath.Join(dir, "ranks.bin"), ranksMagic)
-	if err != nil {
-		return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
-	}
-	if len(rb) != 8*e.col.NumElements() {
-		return nil, fmt.Errorf("xrank: %w ranks.bin: %d payload bytes for %d elements",
-			storage.ErrCorrupt, len(rb), e.col.NumElements())
-	}
-	e.ranks = make([]float64, e.col.NumElements())
-	for i := range e.ranks {
-		e.ranks[i] = math.Float64frombits(binary.LittleEndian.Uint64(rb[i*8:]))
-	}
-
-	ix, err := index.OpenSharded(dir, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
-	if err != nil {
-		return nil, err
-	}
-	var sug *suggestTrie
-	if !e.cfg.SuggestDisabled {
-		if sug, err = loadSegmentSuggest(fs, dir); err != nil {
-			ix.Close()
-			return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
-		}
-	}
-	e.initBaseSegment(ix, sug)
-	e.built = true
-	e.met.shards.Set(int64(ix.NumShards()))
-	return e, nil
-}
-
-// openSegmentedEngine reopens a directory whose commit point is
-// segments.json: engine.json supplies only the Config (its document
-// list froze at the last pre-segmentation write), while the segments
-// manifest carries the authoritative document manifest, tombstones,
-// rank version and segment set.
-func openSegmentedEngine(dir string, fs storage.FS) (*Engine, error) {
-	var man engineManifest
-	if err := storage.ReadManifest(fs, filepath.Join(dir, "engine.json"), &man); err != nil {
+	if err := storage.ReadManifest(fs, filepath.Join(dir, fileEngine), &man); err != nil {
 		return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
 	}
 	var sm segmentsManifest
 	if err := storage.ReadManifest(fs, filepath.Join(dir, fileSegments), &sm); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			// engine.json alone is a Build that never committed, or a
+			// directory from before segments.json was the commit point.
+			return nil, fmt.Errorf("xrank: open %s: %w: %s without %s; %s",
+				dir, storage.ErrCorrupt, fileEngine, fileSegments, rebuildHint)
+		}
 		return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
 	}
 	if err := validateSegmentsManifest(&sm); err != nil {
-		return nil, fmt.Errorf("xrank: %w %s: %v", storage.ErrCorrupt, fileSegments, err)
+		return nil, fmt.Errorf("xrank: %w %s: %v; %s", storage.ErrCorrupt, fileSegments, err, rebuildHint)
 	}
 	man.Config.IndexDir = dir
 	man.Config.FS = fs
@@ -237,36 +123,42 @@ func openSegmentedEngine(dir string, fs storage.FS) (*Engine, error) {
 	e.ranks = decodeRanks(rb)
 
 	for _, se := range sm.Segments {
-		segPath := dir
-		if se.Dir != baseSegmentDir {
-			segPath = filepath.Join(dir, se.Dir)
-		}
-		ix, err := index.OpenSharded(segPath, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
+		seg, err := e.openSegment(se)
 		if err != nil {
 			for _, s := range e.segs {
 				s.ix.Close()
 			}
 			return nil, fmt.Errorf("xrank: open segment %d (%s): %w", se.ID, se.Dir, err)
 		}
-		var sug *suggestTrie
-		if !e.cfg.SuggestDisabled {
-			if sug, err = loadSegmentSuggest(fs, segPath); err != nil {
-				ix.Close()
-				for _, s := range e.segs {
-					s.ix.Close()
-				}
-				return nil, fmt.Errorf("xrank: open segment %d (%s): %w", se.ID, se.Dir, err)
-			}
-		}
-		e.segs = append(e.segs, &engineSegment{id: se.ID, dir: se.Dir, rankVer: se.RankVer, docs: se.Docs, ix: ix, sug: sug})
+		e.segs = append(e.segs, seg)
 	}
-	e.ix = e.segs[0].ix
 	e.rankVer = sm.RankVer
 	e.nextSeg = sm.NextSeg
-	e.segmented = true
 	e.built = true
-	e.met.shards.Set(int64(e.ix.NumShards()))
+	e.met.shards.Set(int64(e.segs[0].ix.NumShards()))
 	e.met.segments.Set(int64(len(e.segs)))
 	e.updateSuggestGauge()
 	return e, nil
+}
+
+// openSegment opens one committed segment's index and suggest dictionary.
+func (e *Engine) openSegment(se segmentEntry) (*engineSegment, error) {
+	path := filepath.Join(e.cfg.IndexDir, se.Dir)
+	ix, err := e.openSegmentIndex(path)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			// The manifest committed this segment, so a missing piece of it
+			// (the directory, or the shards.json every segment has) is damage.
+			return nil, fmt.Errorf("%w: %v; %s", storage.ErrCorrupt, err, rebuildHint)
+		}
+		return nil, err
+	}
+	seg := &engineSegment{id: se.ID, dir: se.Dir, rankVer: se.RankVer, docs: se.Docs, ix: ix}
+	if !e.cfg.SuggestDisabled {
+		if seg.sug, err = loadSegmentSuggest(e.fs(), path); err != nil {
+			ix.Close()
+			return nil, err
+		}
+	}
+	return seg, nil
 }

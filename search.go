@@ -471,7 +471,7 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 	stats.FailedShards = report.FailedShards()
 	stats.Retries = report.Retries()
 	stats.Probes = report.Probes()
-	e.met.unhealthy.Set(int64(e.ix.UnhealthyCount()))
+	e.met.unhealthy.Set(int64(e.unhealthyShards()))
 	if err == nil && stats.Degraded && e.cfg.FailOnDegraded {
 		// Strict mode: a partial answer is an error. Decided before
 		// queryFinished so the metrics and slow log see the failure.
@@ -548,16 +548,16 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 // the per-segment top-m's (see runSegmented).
 func (e *Engine) runQuery(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, bool, error) {
 	stats.Segments = len(e.segs)
-	stats.Shards = e.ix.NumShards()
+	stats.Shards = e.segs[0].ix.NumShards()
 	if len(e.segs) == 1 && e.segs[0].rankVer == e.rankVer {
-		return e.runOn(e.ix, keywords, opts, qopts, stats)
+		return e.runOn(e.segs[0].ix, keywords, opts, qopts, stats)
 	}
 	return e.runSegmented(keywords, opts, qopts, stats)
 }
 
 // runOn runs one query processor against one segment's index. Every
-// processor goes through its sharded executor: on a flat (1-shard)
-// index that is a direct call on this goroutine; on a partitioned index
+// processor goes through its sharded executor: on a one-shard index
+// that is a direct call on this goroutine; on a partitioned index
 // it fans out one merge per shard under the engine's worker-pool bound,
 // with per-shard child execution contexts derived from qopts.Exec.
 func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, bool, error) {

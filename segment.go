@@ -16,8 +16,8 @@ import (
 )
 
 // Segment-based incremental indexing. The paper handles additions by
-// rebuilding (Section 4.5); this layer amortizes that: the index built
-// by Build becomes segment 0, and each AddDocs batch goes into a small
+// rebuilding (Section 4.5); this layer amortizes that: Build commits the
+// whole collection as segment 0, and each AddDocs batch goes into a small
 // immutable delta segment built over just the new documents. Queries
 // merge the per-segment top-m's (every scoring decision is
 // intra-document and every document lives in exactly one segment, so
@@ -35,36 +35,27 @@ import (
 // algorithms are unsound there; stale segments route RDIL/HDIL to DIL
 // and Naive-Rank to Naive-ID.
 //
-// Durability: document-store files, the versioned ranks blob and the
-// delta segment's index files are all written first (inert orphans
-// until referenced); segments.json is then atomically replaced and is
-// the sole commit point. A crash anywhere leaves the previous manifest
-// — and thus the previous engine state — fully intact.
+// Durability: every mutation — Build, AddDocs, CompactOnce, DeleteDoc —
+// writes its document-store files, versioned ranks blob and segment
+// directory first, all under fresh names (inert orphans until
+// referenced); segments.json is then atomically replaced and is the sole
+// commit point. A crash anywhere leaves the previous manifest — and thus
+// the previous engine state, or for Build no engine at all — fully
+// intact.
 
-// fileSegments is the segmented layout's manifest and commit point.
+// fileSegments is the index directory's manifest and commit point.
 const fileSegments = "segments.json"
-
-// baseSegmentDir marks the segment living directly in the index
-// directory (the original Build output).
-const baseSegmentDir = "."
 
 // engineSegment is one live immutable segment.
 type engineSegment struct {
 	id      int
-	dir     string // baseSegmentDir or "seg-NNNNNN", relative to IndexDir
+	dir     string // "seg-NNNNNN", relative to IndexDir
 	rankVer int    // ElemRank version the postings were baked under
 	docs    []uint32
 	ix      *index.Sharded
 	// sug is the segment's autosuggest dictionary (nil when suggest is
 	// disabled or the segment predates the artifact); see suggest.go.
 	sug *suggestTrie
-}
-
-func (s *engineSegment) path(indexDir string) string {
-	if s.dir == baseSegmentDir {
-		return indexDir
-	}
-	return filepath.Join(indexDir, s.dir)
 }
 
 // segmentEntry is one segment in the persisted manifest.
@@ -75,9 +66,9 @@ type segmentEntry struct {
 	Docs    []uint32 `json:"docs"`
 }
 
-// segmentsManifest is the segments.json payload. Once it exists it
-// supersedes engine.json's document list (engine.json keeps supplying
-// the Config, which never changes after Build).
+// segmentsManifest is the segments.json payload: everything about the
+// engine that changes after Build (engine.json holds the Config, which
+// never does).
 type segmentsManifest struct {
 	NextSeg  int            `json:"next_seg"`
 	RankVer  int            `json:"rank_ver"`
@@ -106,8 +97,7 @@ func validateSegmentsManifest(sm *segmentsManifest) error {
 			return fmt.Errorf("duplicate segment id %d", seg.ID)
 		}
 		ids[seg.ID] = true
-		if seg.Dir != baseSegmentDir &&
-			(seg.Dir == "" || seg.Dir == ".." || strings.ContainsAny(seg.Dir, `/\`)) {
+		if seg.Dir == "" || seg.Dir == "." || seg.Dir == ".." || strings.ContainsAny(seg.Dir, `/\`) {
 			return fmt.Errorf("segment %d: invalid dir %q", seg.ID, seg.Dir)
 		}
 		if seg.RankVer < 0 || seg.RankVer > sm.RankVer {
@@ -131,48 +121,101 @@ func validateSegmentsManifest(sm *segmentsManifest) error {
 	return nil
 }
 
-// ranksFile names the ElemRank blob for one rank version. Version 0 is
-// the legacy Build output; later versions are written by AddDocs, each
-// under a fresh name so the previous blob stays intact until the
-// manifest referencing the new one has committed.
-func ranksFile(ver int) string {
-	if ver == 0 {
-		return "ranks.bin"
-	}
-	return fmt.Sprintf("ranks-%06d.bin", ver)
-}
+// ranksFile names the ElemRank blob for one rank version. Build writes
+// version 0 and every AddDocs batch the next one, each under a fresh name
+// so the previous blob stays intact until the manifest referencing the
+// new one has committed.
+func ranksFile(ver int) string { return fmt.Sprintf("ranks-%06d.bin", ver) }
 
 func segmentDirName(id int) string { return fmt.Sprintf("seg-%06d", id) }
 
-// initBaseSegment registers ix — a freshly built or reopened
-// whole-collection index living directly in IndexDir — as segment 0,
-// with its suggest dictionary (nil when disabled or absent).
-func (e *Engine) initBaseSegment(ix *index.Sharded, sug *suggestTrie) {
-	ids := make([]uint32, e.col.NumDocs())
+// allDocIDs lists the documents of an n-document collection.
+func allDocIDs(n int) []uint32 {
+	ids := make([]uint32, n)
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
-	e.ix = ix
-	e.segs = []*engineSegment{{id: 0, dir: baseSegmentDir, rankVer: 0, docs: ids, ix: ix, sug: sug}}
-	e.rankVer = 0
-	e.nextSeg = 1
-	e.met.segments.Set(1)
-	e.updateSuggestGauge()
+	return ids
 }
 
-// writeSegmentsManifest atomically replaces segments.json with sm.
-func (e *Engine) writeSegmentsManifest(sm *segmentsManifest) error {
-	return storage.WriteManifestAtomic(e.fs(), filepath.Join(e.cfg.IndexDir, fileSegments), sm)
+// writeStore persists what a new rank version needs besides its segment:
+// the document-store files of docs[from:] (filling in their manifest
+// entries) and the ranks blob of version rankVer.
+func (e *Engine) writeStore(docs []docEntry, from int, ranks []float64, rankVer int) error {
+	fs := e.fs()
+	docsDir := filepath.Join(e.cfg.IndexDir, "docs")
+	if err := fs.MkdirAll(docsDir); err != nil {
+		return err
+	}
+	for i := from; i < len(docs); i++ {
+		d := &docs[i]
+		ext := ".xml"
+		if d.HTML {
+			ext = ".html"
+		}
+		d.File = fmt.Sprintf("%06d%s", i, ext)
+		if err := storage.WriteFileAtomic(fs, filepath.Join(docsDir, d.File), d.raw); err != nil {
+			return err
+		}
+		d.Size = int64(len(d.raw))
+		d.CRC32 = storage.Checksum(d.raw)
+		d.raw = nil // the store owns the bytes now
+	}
+	return storage.WriteBlobAtomic(fs, filepath.Join(e.cfg.IndexDir, ranksFile(rankVer)), ranksMagic, encodeRanks(ranks))
 }
 
-// persistSegments rewrites segments.json from the engine's current
-// state (the DeleteDoc path). Callers hold updateMu.
-func (e *Engine) persistSegments() error {
-	sm := &segmentsManifest{NextSeg: e.nextSeg, RankVer: e.rankVer, Docs: e.docs}
-	for _, s := range e.segs {
+// buildSegment is the one segment writer: it builds segment id's sharded
+// index over docs (document IDs of col, baked at ranks/rankVer) through
+// buildFS, opens it, and builds and persists its suggest dictionary.
+// Everything lands inside the fresh seg-NNNNNN directory, an orphan until
+// a commitSegments names it.
+func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []float64, docs []uint32, buildFS storage.FS) (*engineSegment, *index.BuildStats, error) {
+	seg := &engineSegment{id: id, dir: segmentDirName(id), rankVer: rankVer, docs: docs}
+	path := filepath.Join(e.cfg.IndexDir, seg.dir)
+	opts := index.BuildOptions{
+		RankFraction:  e.cfg.RankFraction,
+		MaxPositions:  e.cfg.MaxPositions,
+		SkipNaive:     e.cfg.SkipNaive,
+		BlockPostings: e.cfg.BlockPostings,
+		FS:            buildFS,
+	}
+	if len(docs) < col.NumDocs() {
+		in := make(map[uint32]bool, len(docs))
+		for _, d := range docs {
+			in[d] = true
+		}
+		opts.DocFilter = func(doc uint32) bool { return in[doc] }
+	}
+	st, err := index.BuildSharded(col, ranks, path, opts, e.cfg.Shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	if seg.ix, err = e.openSegmentIndex(path); err != nil {
+		return nil, nil, err
+	}
+	if !e.cfg.SuggestDisabled {
+		seg.sug = buildSegmentSuggest(col, ranks, docs)
+		if err := e.writeSegmentSuggest(path, seg.sug); err != nil {
+			seg.ix.Close()
+			return nil, nil, err
+		}
+	}
+	return seg, st, nil
+}
+
+func (e *Engine) openSegmentIndex(path string) (*index.Sharded, error) {
+	return index.OpenSharded(path, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
+}
+
+// commitSegments atomically replaces segments.json — the commit point of
+// every mutation. Before this write a reopen sees the old state; after
+// it, the given one.
+func (e *Engine) commitSegments(nextSeg, rankVer int, docs []docEntry, segs []*engineSegment) error {
+	sm := &segmentsManifest{NextSeg: nextSeg, RankVer: rankVer, Docs: docs}
+	for _, s := range segs {
 		sm.Segments = append(sm.Segments, segmentEntry{ID: s.id, Dir: s.dir, RankVer: s.rankVer, Docs: s.docs})
 	}
-	return e.writeSegmentsManifest(sm)
+	return storage.WriteManifestAtomic(e.fs(), filepath.Join(e.cfg.IndexDir, fileSegments), sm)
 }
 
 // encodeRanks serializes ElemRanks for a versioned ranks blob.
@@ -232,7 +275,6 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	col2 := e.col.Clone()
 	docs2 := append([]docEntry(nil), e.docs...)
 	var shadowed []uint32
-	newIDs := make(map[uint32]bool, len(names))
 	var segDocs []uint32
 	for _, n := range names {
 		raw, err := io.ReadAll(add[n])
@@ -252,7 +294,6 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 		if err != nil {
 			return err
 		}
-		newIDs[d.ID] = true
 		segDocs = append(segDocs, d.ID)
 		docs2 = append(docs2, docEntry{Name: n, HTML: html, raw: raw})
 	}
@@ -265,79 +306,22 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	rankVer2 := e.rankVer + 1
 
 	// Durable but uncommitted: document-store files, the new ranks blob
-	// and the delta segment. All land under fresh names, so until
-	// segments.json flips they are invisible orphans.
-	fs := e.fs()
-	dir := e.cfg.IndexDir
-	docsDir := filepath.Join(dir, "docs")
-	if err := fs.MkdirAll(docsDir); err != nil {
+	// and the delta segment — which covers just the batch, at the batch's
+	// rank version. All land under fresh names, so until segments.json
+	// flips they are invisible orphans.
+	if err := e.writeStore(docs2, len(e.docs), ranks2, rankVer2); err != nil {
 		return err
 	}
-	for i := len(e.docs); i < len(docs2); i++ {
-		d := &docs2[i]
-		ext := ".xml"
-		if d.HTML {
-			ext = ".html"
-		}
-		d.File = fmt.Sprintf("%06d%s", i, ext)
-		if err := storage.WriteFileAtomic(fs, filepath.Join(docsDir, d.File), d.raw); err != nil {
-			return err
-		}
-		d.Size = int64(len(d.raw))
-		d.CRC32 = storage.Checksum(d.raw)
-		d.raw = nil
-	}
-	if err := storage.WriteBlobAtomic(fs, filepath.Join(dir, ranksFile(rankVer2)), ranksMagic, encodeRanks(ranks2)); err != nil {
-		return err
-	}
-
-	segID := e.nextSeg
-	segDirName := segmentDirName(segID)
-	segPath := filepath.Join(dir, segDirName)
-	if err := fs.MkdirAll(segPath); err != nil {
-		return err
-	}
-	if _, err := index.BuildSharded(col2, ranks2, segPath, index.BuildOptions{
-		RankFraction:  e.cfg.RankFraction,
-		MaxPositions:  e.cfg.MaxPositions,
-		SkipNaive:     e.cfg.SkipNaive,
-		CompressDewey: e.cfg.CompressDewey,
-		BlockPostings: e.cfg.BlockPostings,
-		DocFilter:     func(doc uint32) bool { return newIDs[doc] },
-		FS:            e.cfg.FS,
-	}, e.cfg.Shards); err != nil {
-		return fmt.Errorf("xrank: delta segment: %w", err)
-	}
-	six, err := index.OpenSharded(segPath, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
+	newSeg, _, err := e.buildSegment(e.nextSeg, rankVer2, col2, ranks2, segDocs, e.cfg.FS)
 	if err != nil {
 		return fmt.Errorf("xrank: delta segment: %w", err)
 	}
-
-	// The delta segment's suggest dictionary covers just the batch,
-	// weighted by the batch's rank version, and lands inside the
-	// still-unreferenced segment directory before the manifest commit.
-	var sug *suggestTrie
-	if !e.cfg.SuggestDisabled {
-		sug = buildSegmentSuggest(col2, ranks2, segDocs)
-		if err := e.writeSegmentSuggest(segPath, sug); err != nil {
-			six.Close()
-			return err
-		}
-	}
-
 	for _, id := range shadowed {
 		docs2[id].Deleted = true
 	}
-	newSeg := &engineSegment{id: segID, dir: segDirName, rankVer: rankVer2, docs: segDocs, ix: six, sug: sug}
 	segs2 := append(append([]*engineSegment(nil), e.segs...), newSeg)
-	sm := &segmentsManifest{NextSeg: segID + 1, RankVer: rankVer2, Docs: docs2}
-	for _, s := range segs2 {
-		sm.Segments = append(sm.Segments, segmentEntry{ID: s.id, Dir: s.dir, RankVer: s.rankVer, Docs: s.docs})
-	}
-	// Commit point. Before this write the old state is intact; after it
-	// a reopen sees the batch.
-	if err := e.writeSegmentsManifest(sm); err != nil {
-		six.Close()
+	if err := e.commitSegments(newSeg.id+1, rankVer2, docs2, segs2); err != nil {
+		newSeg.ix.Close()
 		return err
 	}
 
@@ -357,10 +341,9 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	e.col = col2
 	e.ranks = ranks2
 	e.rankVer = rankVer2
-	e.nextSeg = segID + 1
+	e.nextSeg = newSeg.id + 1
 	e.docs = docs2
 	e.segs = segs2
-	e.segmented = true
 	e.updateSuggestGauge()
 	e.snapMu.Unlock()
 
@@ -369,7 +352,7 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	e.gen.Add(1)
 	// Best-effort retirement of the superseded ranks blob; a crash here
 	// leaves an orphan, not an inconsistency.
-	fs.Remove(filepath.Join(dir, ranksFile(oldRankVer)))
+	e.fs().Remove(filepath.Join(e.cfg.IndexDir, ranksFile(oldRankVer)))
 	e.met.segments.Set(int64(len(segs2)))
 	return nil
 }

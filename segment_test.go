@@ -305,8 +305,8 @@ func TestAddDocsIncremental(t *testing.T) {
 	}
 	after := snapshot()
 	for rel, content := range before {
-		if rel == ranksFile(0) {
-			continue // retired: superseded by the versioned blob
+		if rel == ranksFile(0) || rel == fileSegments {
+			continue // superseded by the next version's blob; the commit point
 		}
 		got, ok := after[rel]
 		if !ok {
@@ -316,8 +316,8 @@ func TestAddDocsIncremental(t *testing.T) {
 			t.Fatalf("AddDocs rewrote base file %s — the full index must not be rebuilt", rel)
 		}
 	}
-	if _, ok := after[fileSegments]; !ok {
-		t.Fatal("AddDocs committed no segments.json")
+	if after[fileSegments] == before[fileSegments] {
+		t.Fatal("AddDocs committed no new segments.json")
 	}
 
 	if got := e.SegmentCount(); got != 2 {

@@ -61,8 +61,8 @@ var ErrSuggestDisabled = errors.New("xrank: suggest is disabled")
 // Suggestion is one autosuggest completion.
 type Suggestion = suggest.Suggestion
 
-// suggestTrie aliases the trie type so sibling files (segment.go,
-// compact.go, xrank.go) can carry it without importing the package.
+// suggestTrie aliases the trie type so segment.go can carry it without
+// importing the package.
 type suggestTrie = suggest.Trie
 
 // SuggestStats describes one Suggest call.

@@ -3,6 +3,7 @@ package xrank
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -222,7 +223,7 @@ func TestSuggestMissingArtifactCompat(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.fs().Remove(dir + "/suggest.bin"); err != nil {
+	if err := e.fs().Remove(filepath.Join(dir, segmentDirName(0), fileSuggest)); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenEngine(dir)

@@ -23,7 +23,7 @@ import (
 
 // DeleteDoc tombstones a document: its elements disappear from all query
 // results immediately, without touching the index files. The tombstone is
-// persisted in the engine manifest. Space is reclaimed at the next
+// persisted in segments.json. Space is reclaimed at the next
 // Update/rebuild. Under name shadowing (AddDocs replacing a document) the
 // newest version of the name is deleted.
 //
@@ -59,10 +59,7 @@ func (e *Engine) DeleteDoc(name string) error {
 	// on filters the document. A store racing with the eviction is
 	// caught by the serve-time liveness check (docsLive in search.go).
 	e.invalidateDocResults(name)
-	if e.segmented {
-		return e.persistSegments()
-	}
-	return e.persistManifest(e.cfg.IndexDir)
+	return e.commitSegments(e.nextSeg, e.rankVer, e.docs, e.segs)
 }
 
 // invalidateDocResults drops every result-cache entry whose result set

@@ -73,11 +73,6 @@ type Config struct {
 	MaxPositions int
 	// SkipNaive omits the naive baseline indexes (smaller, faster builds).
 	SkipNaive bool
-	// CompressDewey prefix-compresses Dewey IDs inside the postings (an
-	// extension beyond the paper): each entry stores only the suffix
-	// relative to its page-local predecessor. Identical query results,
-	// smaller lists.
-	CompressDewey bool
 	// BlockPostings selects the block postings format (format version 2):
 	// the Dewey-family inverted lists are written as fixed-size blocks of
 	// delta-coded entries with a per-term skip index recording each
@@ -97,7 +92,7 @@ type Config struct {
 	// index.ShardOf(doc, Shards), and queries run one merge per shard in
 	// parallel, combining the per-shard top-m's. Results — scores, order,
 	// tie-breaks — are identical for every shard count; see DESIGN.md.
-	// Zero or one builds the flat single-directory layout.
+	// Zero means one shard.
 	Shards int
 	// ShardWorkers bounds the per-query worker pool for sharded
 	// execution. Zero means one worker per shard (clamped to GOMAXPROCS).
@@ -242,13 +237,12 @@ type Engine struct {
 	cfg     Config
 	col     *xmldoc.Collection
 	ranks   []float64
-	ix      *index.Sharded // base segment's index (segs[0].ix)
 	tempDir bool
 	built   bool
 	docs    []docEntry // document store manifest
 	met     *engineMetrics
 
-	// snapMu guards the queryable snapshot: col, ranks, ix, docs, segs,
+	// snapMu guards the queryable snapshot: col, ranks, docs, segs,
 	// rankVer and nextSeg. Queries hold the read lock for their entire
 	// execution; AddDocs and CompactOnce take the write lock only for
 	// the in-memory field swap after their manifest has committed, so
@@ -260,18 +254,14 @@ type Engine struct {
 	// against each other without blocking queries.
 	updateMu sync.Mutex
 
-	// segs are the live immutable index segments in commit order;
-	// segs[0] is the original Build output. See segment.go.
+	// segs are the live immutable index segments in commit order (never
+	// empty once built). See segment.go.
 	segs []*engineSegment
 	// rankVer is the global ElemRank version; each AddDocs batch
 	// recomputes every element's rank and bumps it.
 	rankVer int
 	// nextSeg is the next unused segment ID.
 	nextSeg int
-	// segmented reports segments.json exists and is the commit point
-	// (true after the first AddDocs or after reopening a segmented
-	// layout); until then engine.json alone describes the engine.
-	segmented bool
 
 	// compactStop/compactDone manage the background compactor goroutine
 	// (see StartCompactor).
@@ -419,9 +409,11 @@ func (e *Engine) computeRanks(col *xmldoc.Collection) (*elemrank.Result, xmldoc.
 	return res, linkStats, nil
 }
 
-// Build computes ElemRanks and constructs all disk indexes. The collection
-// is sealed afterwards; incremental AddDocs batches land in delta
-// segments on top of the index Build produces (segment 0).
+// Build computes ElemRanks and commits the whole collection as segment 0:
+// documents, ranks and the segment directory first, then engine.json and
+// finally segments.json, the commit point. The collection is sealed
+// afterwards; incremental AddDocs batches land in delta segments beside
+// segment 0.
 func (e *Engine) Build() (*BuildInfo, error) {
 	if e.built {
 		return nil, fmt.Errorf("xrank: already built")
@@ -452,15 +444,11 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	info.ElemRankConverged = res.Converged
 	e.ranks = res.Scores
 
+	if err := e.writeStore(e.docs, 0, e.ranks, 0); err != nil {
+		return nil, err
+	}
 	t1 := time.Now()
-	stats, err := index.BuildSharded(e.col, e.ranks, dir, index.BuildOptions{
-		RankFraction:  e.cfg.RankFraction,
-		MaxPositions:  e.cfg.MaxPositions,
-		SkipNaive:     e.cfg.SkipNaive,
-		CompressDewey: e.cfg.CompressDewey,
-		BlockPostings: e.cfg.BlockPostings,
-		FS:            e.cfg.FS,
-	}, e.cfg.Shards)
+	seg, stats, err := e.buildSegment(0, 0, e.col, e.ranks, allDocIDs(e.col.NumDocs()), e.cfg.FS)
 	if err != nil {
 		return nil, err
 	}
@@ -468,31 +456,20 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	info.Sizes = *stats
 	info.Terms = stats.Meta.Terms
 
-	// The suggest dictionary lands before engine.json (the commit
-	// point), so a crash mid-write leaves an unreferenced orphan and a
-	// committed directory always has a matching trie.
-	var sug *suggestTrie
-	if !e.cfg.SuggestDisabled {
-		ids := make([]uint32, e.col.NumDocs())
-		for i := range ids {
-			ids[i] = uint32(i)
-		}
-		sug = buildSegmentSuggest(e.col, e.ranks, ids)
-		if err := e.writeSegmentSuggest(dir, sug); err != nil {
-			return nil, err
-		}
+	segs := []*engineSegment{seg}
+	err = storage.WriteManifestAtomic(e.fs(), filepath.Join(dir, fileEngine), engineManifest{Config: e.cfg})
+	if err == nil {
+		err = e.commitSegments(1, 0, e.docs, segs)
 	}
-
-	if err := e.persist(dir); err != nil {
-		return nil, err
-	}
-	ix, err := index.OpenSharded(dir, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
 	if err != nil {
+		seg.ix.Close()
 		return nil, err
 	}
-	e.initBaseSegment(ix, sug)
+	e.segs, e.rankVer, e.nextSeg = segs, 0, 1
 	e.built = true
-	e.met.shards.Set(int64(ix.NumShards()))
+	e.met.shards.Set(int64(seg.ix.NumShards()))
+	e.met.segments.Set(1)
+	e.updateSuggestGauge()
 	e.gen.Add(1) // anything cached against the pre-build engine is void
 	return info, nil
 }
@@ -507,10 +484,7 @@ func (e *Engine) Close() error {
 			err = cerr
 		}
 	}
-	if len(e.segs) == 0 && e.ix != nil {
-		err = e.ix.Close()
-	}
-	e.segs, e.ix = nil, nil
+	e.segs = nil
 	if e.tempDir {
 		os.RemoveAll(e.cfg.IndexDir)
 	}
@@ -525,7 +499,7 @@ func (e *Engine) Close() error {
 func (e *Engine) ColdCache() error {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
-	if e.ix == nil {
+	if len(e.segs) == 0 {
 		return fmt.Errorf("xrank: not built")
 	}
 	// A cold measurement must not be answered from the result cache
@@ -562,48 +536,82 @@ func (e *Engine) NumDocs() int { return e.col.NumDocs() }
 // NumElements returns the number of element nodes.
 func (e *Engine) NumElements() int { return e.col.NumElements() }
 
-// NumShards returns the number of index partitions (1 for a flat index,
-// 0 before Build).
+// NumShards returns the number of index partitions every segment is
+// split into (0 before Build).
 func (e *Engine) NumShards() int {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
-	if e.ix == nil {
+	if len(e.segs) == 0 {
 		return 0
 	}
-	return e.ix.NumShards()
+	return e.segs[0].ix.NumShards()
 }
 
-// ShardIOStats returns cumulative page-level I/O statistics per shard
-// of the base segment since the last ColdCache, in shard order (nil
-// before Build). Like IOStats, these are engine-global counters summed
-// over every query.
+// ShardIOStats returns cumulative page-level I/O statistics per shard,
+// summed over the live segments, since the last ColdCache, in shard
+// order (nil before Build). Like IOStats, these are engine-global
+// counters summed over every query.
 func (e *Engine) ShardIOStats() []storage.Stats {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
-	if e.ix == nil {
-		return nil
+	var out []storage.Stats
+	for _, s := range e.segs {
+		for i, st := range s.ix.ShardIOStats() {
+			if i == len(out) {
+				out = append(out, storage.Stats{})
+			}
+			out[i].Add(st)
+		}
 	}
-	return e.ix.ShardIOStats()
+	return out
 }
 
 // ShardHealth returns every shard's availability snapshot, in shard
 // order (nil before Build): whether it serves queries, its
-// consecutive-failure streak, and the last error that excluded it.
+// consecutive-failure streak, and the last error that excluded it. Each
+// segment tracks its own shards; a shard reads as its worst segment
+// (unhealthy before healthy, then the longer failure streak).
 func (e *Engine) ShardHealth() []index.ShardHealth {
-	if e.ix == nil {
-		return nil
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
+	var out []index.ShardHealth
+	for _, s := range e.segs {
+		for i, h := range s.ix.Health() {
+			if i == len(out) {
+				out = append(out, h)
+			} else if w := &out[i]; (w.Healthy && !h.Healthy) || (w.Healthy == h.Healthy && h.Failures > w.Failures) {
+				*w = h
+			}
+		}
 	}
-	return e.ix.Health()
+	return out
 }
 
-// ResetShardHealth returns every shard to the healthy state — the
-// operator's lever after replacing or remounting a failed device.
+// ResetShardHealth returns every shard of every segment to the healthy
+// state — the operator's lever after replacing or remounting a failed
+// device.
 func (e *Engine) ResetShardHealth() {
-	if e.ix == nil {
-		return
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
+	for _, s := range e.segs {
+		s.ix.ResetHealth()
 	}
-	e.ix.ResetHealth()
 	e.met.unhealthy.Set(0)
+}
+
+// unhealthyShards counts the shards excluded from queries in at least
+// one segment. Callers hold snapMu.
+func (e *Engine) unhealthyShards() int {
+	n := 0
+	for sh := 0; sh < e.segs[0].ix.NumShards(); sh++ {
+		for _, s := range e.segs {
+			if !s.ix.ShardHealthy(sh) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // SetFailOnDegraded flips Config.FailOnDegraded at runtime (the serve
