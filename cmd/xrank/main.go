@@ -149,6 +149,11 @@ func cmdSearch(args []string) error {
 		if qs.IO.BlocksDecoded > 0 || qs.IO.BlocksSkipped > 0 {
 			fmt.Printf("blocks: %d decoded, %d skipped\n", qs.IO.BlocksDecoded, qs.IO.BlocksSkipped)
 		}
+		if qs.SwitchedToDIL {
+			fmt.Printf("hdil: switched to DIL (%s) after %d ranked entries\n", qs.SwitchReason, qs.RankedEntriesRead)
+		} else if qs.Algorithm == xrank.AlgoHDIL {
+			fmt.Printf("hdil: stayed ranked, %d entries read\n", qs.RankedEntriesRead)
+		}
 	}
 	return nil
 }

@@ -187,7 +187,14 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 			"shards":     stats.Shards,
 			"degraded":   stats.Degraded,
 			"cached":     stats.Cached,
-			"results":    results,
+			// HDIL's adaptive strategy: whether any shard fell back to a
+			// DIL scan (and below, why), after how many rank-list entries.
+			"switched":       stats.SwitchedToDIL,
+			"ranked_entries": stats.RankedEntriesRead,
+			"results":        results,
+		}
+		if stats.SwitchedToDIL {
+			resp["switch_reason"] = stats.SwitchReason
 		}
 		if stats.Coalesced {
 			resp["coalesced"] = true

@@ -379,8 +379,8 @@ func readSkipIndex(fs storage.FS, path string, ordered bool) (map[string][]Block
 // the on-page length prefix against the skip ref (the cheap structural
 // guard that catches a skip index pointing into the wrong bytes).
 // Callers release fr after they finish with the body.
-func blockBody(pool *storage.BufferPool, ec *storage.ExecContext, ref *BlockRef) (*storage.Frame, []byte, error) {
-	fr, err := pool.GetExec(ec, ref.Page)
+func blockBody(pool *storage.BufferPool, ec *storage.ExecContext, ref *BlockRef, scan bool) (*storage.Frame, []byte, error) {
+	fr, err := getPage(pool, ec, ref.Page, scan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -408,17 +408,19 @@ func blockBody(pool *storage.BufferPool, ec *storage.ExecContext, ref *BlockRef)
 type blockCursor struct {
 	pool  *storage.BufferPool
 	ec    *storage.ExecContext
+	scan  bool // full-list scan: pages enter the pool cold
 	refs  []BlockRef
 	count uint32 // total entries across all blocks
 
 	bi    int // next ref to load
 	frame *storage.Frame
 	rd    blockReader
+	told  int // entries of the loaded block already reported to ec.CountPostings
 	post  Posting
 }
 
-func newBlockCursor(pool *storage.BufferPool, refs []BlockRef, count uint32, ec *storage.ExecContext) *blockCursor {
-	return &blockCursor{pool: pool, refs: refs, count: count, ec: ec}
+func newBlockCursor(pool *storage.BufferPool, refs []BlockRef, count uint32, ec *storage.ExecContext, scan bool) *blockCursor {
+	return &blockCursor{pool: pool, refs: refs, count: count, ec: ec, scan: scan}
 }
 
 func (c *blockCursor) next() (*Posting, bool, error) {
@@ -441,14 +443,12 @@ func (c *blockCursor) next() (*Posting, bool, error) {
 }
 
 func (c *blockCursor) loadBlock(ref *BlockRef) error {
-	if c.frame != nil {
-		c.frame.Release()
-		c.frame = nil
-	}
-	fr, body, err := blockBody(c.pool, c.ec, ref)
+	c.close()
+	fr, body, err := blockBody(c.pool, c.ec, ref, c.scan)
 	if err != nil {
 		return err
 	}
+	c.told = 0
 	if err := c.rd.init(body); err != nil {
 		fr.Release()
 		return err
@@ -491,9 +491,14 @@ func (c *blockCursor) exhausted() bool {
 	return c.bi >= len(c.refs) && c.rd.i >= c.rd.n
 }
 
+// close releases the pinned page and reports the entries decoded since
+// the last report (once per block, so the entry loop stays lock-free).
+// Safe to call repeatedly.
 func (c *blockCursor) close() {
 	if c.frame != nil {
 		c.frame.Release()
 		c.frame = nil
 	}
+	c.ec.CountPostings(int64(c.rd.i - c.told))
+	c.told = c.rd.i
 }

@@ -124,6 +124,10 @@ type BuildStats struct {
 	NaiveIDList   int64
 	NaiveRankList int64
 	NaiveIndex    int64 // naiverank.hash
+	// PageWrites counts the pages written to the component files above
+	// (appends and B+-tree/hash rewrites alike); the engine folds it into
+	// its IOStats.
+	PageWrites int64
 }
 
 // termData accumulates one term's direct postings during the scan phase.
@@ -244,6 +248,9 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 		stats.NaiveRankList = b.naiveRankPF.Size()
 		stats.NaiveIndex = b.naiveHashPF.Size()
 	}
+	for _, pf := range b.pageFiles() {
+		stats.PageWrites += pf.Stats().Writes
+	}
 	return stats, nil
 }
 
@@ -339,14 +346,23 @@ func newVariantBuilders(fs storage.FS, dir string, opts BuildOptions) (*variantB
 	return b, nil
 }
 
-func (b *variantBuilders) closeAll() {
+// pageFiles lists the component files this build created.
+func (b *variantBuilders) pageFiles() []*storage.PageFile {
+	var out []*storage.PageFile
 	for _, pf := range []*storage.PageFile{
 		b.dilPF, b.rdilPF, b.rdilTreePF, b.hdilRankPF, b.hdilTreePF,
 		b.naiveIDPF, b.naiveRankPF, b.naiveHashPF,
 	} {
 		if pf != nil {
-			pf.Close()
+			out = append(out, pf)
 		}
+	}
+	return out
+}
+
+func (b *variantBuilders) closeAll() {
+	for _, pf := range b.pageFiles() {
+		pf.Close()
 	}
 }
 

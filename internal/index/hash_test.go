@@ -165,7 +165,7 @@ func TestPostWriterPaddingBoundaries(t *testing.T) {
 	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
-	c := newPostCursor(pool, loc, nil)
+	c := newPostCursor(pool, loc, nil, false)
 	for i, n := range sizes {
 		ok, err := c.next()
 		if err != nil || !ok {

@@ -8,12 +8,13 @@ import (
 
 	"xrank/internal/dewey"
 	"xrank/internal/elemrank"
+	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
 )
 
 // buildTestIndex parses the given documents, computes ElemRanks, builds
 // all index variants in a temp dir and opens the result.
-func buildTestIndex(t *testing.T, docs map[string]string, opts BuildOptions) (*xmldoc.Collection, []float64, *Index) {
+func buildTestIndex(t testing.TB, docs map[string]string, opts BuildOptions) (*xmldoc.Collection, []float64, *Index) {
 	t.Helper()
 	c := xmldoc.NewCollection()
 	names := make([]string, 0, len(docs))
@@ -160,6 +161,66 @@ func bigCorpus(n int) map[string]string {
 	}
 	b.WriteString("</root>")
 	return map[string]string{"big": b.String()}
+}
+
+// scanDIL reads term's whole DIL list under ec and returns its length.
+func scanDIL(t testing.TB, ix *Index, ec *storage.ExecContext, term string) int {
+	t.Helper()
+	cur, ok := ix.DILCursorExec(ec, term)
+	if !ok {
+		t.Fatalf("no DIL list for %q", term)
+	}
+	defer cur.Close()
+	n := 0
+	for {
+		_, more, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			return n
+		}
+		n++
+	}
+}
+
+// TestPostingsCounted pins the cost model's CPU term: a full scan
+// attributes exactly the list's length to the query in either postings
+// format, and a probe attributes what it decoded (at most one block or
+// leaf page), not the list.
+func TestPostingsCounted(t *testing.T) {
+	for _, block := range []bool{false, true} {
+		_, _, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.05, BlockPostings: block})
+		ec := storage.NewExecContext(nil)
+		n := scanDIL(t, ix, ec, "common")
+		if got := ec.Stats().Postings; n != 3000 || got != 3000 {
+			t.Errorf("block=%v: scan of %d entries counted %d postings", block, n, got)
+		}
+		ec = storage.NewExecContext(nil)
+		prober, _ := ix.HDILProberExec(ec, "common")
+		if _, err := prober.ProbeLCP(dewey.ID{0, 1500, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if got := ec.Stats().Postings; got < 1 || got > 400 {
+			t.Errorf("block=%v: one probe counted %d postings", block, got)
+		}
+	}
+}
+
+// BenchmarkDILScanPerPosting is the sequential-scan cost the serving cost
+// model charges per posting (storage.CostModel.Posting): page fetch,
+// block decode and Dewey decode of a warm block-format list, reported per
+// posting (the merge above the cursor is not in it).
+func BenchmarkDILScanPerPosting(b *testing.B) {
+	_, _, ix := buildTestIndex(b, bigCorpus(20000), BuildOptions{BlockPostings: true, SkipNaive: true})
+	ec := storage.NewExecContext(nil)
+	n := scanDIL(b, ix, ec, "common")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanDIL(b, ix, ec, "common")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/posting")
 }
 
 func TestMultiPageListAndProbers(t *testing.T) {

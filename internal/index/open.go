@@ -420,7 +420,7 @@ func (lc *ListCursor) DecodeBlockMaxRank(ref BlockRef) (float32, error) {
 	if lc.blk == nil {
 		return 0, fmt.Errorf("index: not a block cursor")
 	}
-	fr, body, err := blockBody(lc.blk.pool, lc.blk.ec, &ref)
+	fr, body, err := blockBody(lc.blk.pool, lc.blk.ec, &ref, false)
 	if err != nil {
 		return 0, err
 	}
@@ -445,11 +445,14 @@ func (lc *ListCursor) DecodeBlockMaxRank(ref BlockRef) (float32, error) {
 	}
 }
 
-func (ix *Index) deweyCursor(pool *storage.BufferPool, loc Loc, refs []BlockRef, ec *storage.ExecContext) *ListCursor {
+// deweyCursor opens a Dewey-family list in the directory's postings
+// format. scan marks a cursor that reads the whole list once (see
+// storage.BufferPool.GetScanExec).
+func (ix *Index) deweyCursor(pool *storage.BufferPool, loc Loc, refs []BlockRef, ec *storage.ExecContext, scan bool) *ListCursor {
 	if ix.blockFormat() {
-		return &ListCursor{blk: newBlockCursor(pool, refs, loc.Count, ec), dewey: true}
+		return &ListCursor{blk: newBlockCursor(pool, refs, loc.Count, ec, scan), dewey: true}
 	}
-	return &ListCursor{pc: newPostCursor(pool, loc, ec), dewey: true}
+	return &ListCursor{pc: newPostCursor(pool, loc, ec, scan), dewey: true}
 }
 
 // DILCursor returns a Dewey-ordered scan of the term's DIL list; ok is
@@ -460,13 +463,16 @@ func (ix *Index) DILCursor(term string) (*ListCursor, bool) {
 
 // DILCursorExec is DILCursor under a per-query execution context: every
 // page the scan touches is attributed to ec and honours its cancellation,
-// deadline and read budget. A nil ec is DILCursor.
+// deadline and read budget. A nil ec is DILCursor. The scan is the one
+// access pattern that can be longer than the pool and shares it (dil.post
+// is also what HDIL's and the block format's probes read), so its pages
+// enter the pool cold and cannot evict the probe working set.
 func (ix *Index) DILCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
 	m, ok := ix.dil[term]
 	if !ok {
 		return nil, false
 	}
-	return ix.deweyCursor(ix.dilPool, m.Loc, ix.dilSkip[term], ec), true
+	return ix.deweyCursor(ix.dilPool, m.Loc, ix.dilSkip[term], ec, true), true
 }
 
 // RDILRankCursor returns a rank-ordered scan of the term's RDIL list.
@@ -481,7 +487,7 @@ func (ix *Index) RDILRankCursorExec(ec *storage.ExecContext, term string) (*List
 	if !ok {
 		return nil, false
 	}
-	return ix.deweyCursor(ix.rdilPool, m.RankLoc, ix.rdilSkip[term], ec), true
+	return ix.deweyCursor(ix.rdilPool, m.RankLoc, ix.rdilSkip[term], ec, false), true
 }
 
 // HDILRankCursor returns the rank-ordered *prefix* scan of the term's
@@ -497,7 +503,7 @@ func (ix *Index) HDILRankCursorExec(ec *storage.ExecContext, term string) (*List
 	if !ok {
 		return nil, false
 	}
-	return ix.deweyCursor(ix.hdilRankPool, m.RankLoc, ix.hdilRankSkip[term], ec), true
+	return ix.deweyCursor(ix.hdilRankPool, m.RankLoc, ix.hdilRankSkip[term], ec, false), true
 }
 
 // NaiveIDCursor returns an element-ID-ordered scan of the term's naive
@@ -512,7 +518,7 @@ func (ix *Index) NaiveIDCursorExec(ec *storage.ExecContext, term string) (*ListC
 	if !ok {
 		return nil, false
 	}
-	return &ListCursor{pc: newPostCursor(ix.naiveIDPool, m.Loc, ec), dewey: false}, true
+	return &ListCursor{pc: newPostCursor(ix.naiveIDPool, m.Loc, ec, false), dewey: false}, true
 }
 
 // NaiveRankCursor returns a rank-ordered scan of the term's naive list.
@@ -527,7 +533,7 @@ func (ix *Index) NaiveRankCursorExec(ec *storage.ExecContext, term string) (*Lis
 	if !ok {
 		return nil, false
 	}
-	return &ListCursor{pc: newPostCursor(ix.naiveRankPool, m.Loc, ec), dewey: false}, true
+	return &ListCursor{pc: newPostCursor(ix.naiveRankPool, m.Loc, ec, false), dewey: false}, true
 }
 
 // NaiveLookup probes the term's hash index for an element ID, decoding the

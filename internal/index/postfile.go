@@ -80,16 +80,27 @@ type postCursor struct {
 	pool *storage.BufferPool
 	loc  Loc
 	ec   *storage.ExecContext // per-query attribution/cancellation; may be nil
+	scan bool                 // full-list scan: pages enter the pool cold
 
 	frame *storage.Frame
 	page  storage.PageID
 	off   int
 	read  uint32 // entries consumed so far
+	told  uint32 // of those, how many ec.CountPostings has been told about
 	body  []byte // current entry body (aliases the pinned frame)
 }
 
-func newPostCursor(pool *storage.BufferPool, loc Loc, ec *storage.ExecContext) *postCursor {
-	return &postCursor{pool: pool, loc: loc, ec: ec, page: loc.Page, off: int(loc.Off)}
+func newPostCursor(pool *storage.BufferPool, loc Loc, ec *storage.ExecContext, scan bool) *postCursor {
+	return &postCursor{pool: pool, loc: loc, ec: ec, scan: scan, page: loc.Page, off: int(loc.Off)}
+}
+
+// getPage pins page id for a cursor: cold for a full-list scan, LRU
+// otherwise.
+func getPage(pool *storage.BufferPool, ec *storage.ExecContext, id storage.PageID, scan bool) (*storage.Frame, error) {
+	if scan {
+		return pool.GetScanExec(ec, id)
+	}
+	return pool.GetExec(ec, id)
 }
 
 // next advances to the next entry, returning false at the end of the list.
@@ -102,7 +113,7 @@ func (c *postCursor) next() (bool, error) {
 	}
 	for {
 		if c.frame == nil {
-			fr, err := c.pool.GetExec(c.ec, c.page)
+			fr, err := getPage(c.pool, c.ec, c.page, c.scan)
 			if err != nil {
 				return false, err
 			}
@@ -131,20 +142,21 @@ func (c *postCursor) next() (bool, error) {
 }
 
 func (c *postCursor) advancePage() {
-	if c.frame != nil {
-		c.frame.Release()
-		c.frame = nil
-	}
+	c.close()
 	c.page++
 	c.off = 0
 }
 
-// close releases the pinned page. Safe to call repeatedly.
+// close releases the pinned page and reports the entries consumed since
+// the last report (once per page, so the entry loop stays lock-free).
+// Safe to call repeatedly.
 func (c *postCursor) close() {
 	if c.frame != nil {
 		c.frame.Release()
 		c.frame = nil
 	}
+	c.ec.CountPostings(int64(c.read - c.told))
+	c.told = c.read
 }
 
 // exhausted reports whether the cursor has consumed its whole list.

@@ -41,6 +41,7 @@ func lcpAgainst(target dewey.ID, enc []byte, scratch *dewey.ID) (int, error) {
 // RDILProber probes one term's RDIL B+-tree.
 type RDILProber struct {
 	tree    *btree.Tree
+	ec      *storage.ExecContext
 	scratch dewey.ID
 	post    Posting
 }
@@ -65,7 +66,7 @@ func (ix *Index) RDILProberExec(ec *storage.ExecContext, term string) (DeweyProb
 	if ix.blockFormat() {
 		return ix.newBlockProber(ec, term), true
 	}
-	return &RDILProber{tree: btree.NewTreeExec(ix.rdilTreePool, m.Root, ec)}, true
+	return &RDILProber{tree: btree.NewTreeExec(ix.rdilTreePool, m.Root, ec), ec: ec}, true
 }
 
 // ProbeLCP implements DeweyProber. The successor (smallest entry >= d) and
@@ -110,7 +111,10 @@ func (r *RDILProber) ScanPrefix(prefix dewey.ID, fn func(p *Posting) error) erro
 	if err != nil {
 		return err
 	}
+	n := int64(0)
+	defer func() { r.ec.CountPostings(n) }()
 	for c.Valid() && bytes.HasPrefix(c.Key(), encPrefix) {
+		n++
 		id, err := dewey.DecodeInto(r.post.ID, c.Key())
 		if err != nil {
 			return err
@@ -182,6 +186,8 @@ func (h *HDILProber) scanLeafPage(page storage.PageID, visit pageVisit) (stopped
 		return false, err
 	}
 	defer fr.Release()
+	n := int64(0)
+	defer func() { h.ec.CountPostings(n) }()
 	off := 0
 	if page == h.meta.DilLoc.Page {
 		off = int(h.meta.DilLoc.Off)
@@ -206,6 +212,7 @@ func (h *HDILProber) scanLeafPage(page storage.PageID, visit pageVisit) (stopped
 		if err := DecodeDeweyEntry(fr.Data[start:stop], &h.post); err != nil {
 			return false, fmt.Errorf("index: entry at page %d off %d: %w", page, off, err)
 		}
+		n++
 		stopScan, err := visit(&h.post)
 		if err != nil || stopScan {
 			return stopScan, err
@@ -315,6 +322,7 @@ type blockProber struct {
 	refs    []BlockRef
 	ec      *storage.ExecContext
 	key     []byte
+	rd      blockReader
 	post    Posting
 	scratch dewey.ID
 }
@@ -325,15 +333,16 @@ func (ix *Index) newBlockProber(ec *storage.ExecContext, term string) *blockProb
 
 // scanBlock decodes ref's block, calling visit with each entry.
 func (bp *blockProber) scanBlock(ref *BlockRef, visit pageVisit) error {
-	fr, body, err := blockBody(bp.pool, bp.ec, ref)
+	fr, body, err := blockBody(bp.pool, bp.ec, ref, false)
 	if err != nil {
 		return err
 	}
 	defer fr.Release()
-	var rd blockReader
+	rd := &bp.rd
 	if err := rd.init(body); err != nil {
 		return err
 	}
+	defer func() { bp.ec.CountPostings(int64(rd.i)) }()
 	if rd.n != int(ref.Count) {
 		return fmt.Errorf("index: %w block at page %d off %d: %d entries, skip ref says %d",
 			storage.ErrCorrupt, ref.Page, ref.Off, rd.n, ref.Count)

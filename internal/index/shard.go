@@ -106,6 +106,7 @@ func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildO
 		total.NaiveIDList += st.NaiveIDList
 		total.NaiveRankList += st.NaiveRankList
 		total.NaiveIndex += st.NaiveIndex
+		total.PageWrites += st.PageWrites
 	}
 	total.Meta.Terms = countDistinctTerms(c, base)
 	// shards.json is the directory's commit point: every shard

@@ -14,11 +14,16 @@ type SlowLogEntry struct {
 	Wall      time.Duration `json:"wall_ns"`
 	Reads     int64         `json:"io_reads"`
 	CacheHits int64         `json:"cache_hits"`
-	Degraded  bool          `json:"degraded,omitempty"` // served with shards excluded
-	Cached    bool          `json:"cached,omitempty"`   // served from the result cache
+	Degraded  bool          `json:"degraded,omitempty"`  // served with shards excluded
+	Cached    bool          `json:"cached,omitempty"`    // served from the result cache
 	Coalesced bool          `json:"coalesced,omitempty"` // shared another caller's execution
-	Err       string        `json:"error,omitempty"`
-	Spans     []Span        `json:"spans,omitempty"`
+	// SwitchReason is why an HDIL query left the ranked strategy for a DIL
+	// scan ("estimate", "prefix-exhausted"; empty if it did not), and
+	// RankedEntries how many rank-list entries it consumed first.
+	SwitchReason  string `json:"switch_reason,omitempty"`
+	RankedEntries int    `json:"ranked_entries,omitempty"`
+	Err           string `json:"error,omitempty"`
+	Spans         []Span `json:"spans,omitempty"`
 }
 
 // SlowLog is a bounded ring buffer of the slowest-path evidence: every

@@ -18,7 +18,6 @@ import (
 	"xrank/internal/datagen/xmark"
 	"xrank/internal/elemrank"
 	"xrank/internal/index"
-	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
 )
 
@@ -132,7 +131,6 @@ func truncated(rs []Result, m int) []Result {
 // count, and the naive pair must be shard-count-invariant and mutually
 // consistent.
 func TestShardedDifferentialAllAlgorithms(t *testing.T) {
-	cm := storage.DefaultCostModel()
 	for seed := int64(0); seed < 2; seed++ {
 		fx := newShardedFixture(t, datagenCorpus(seed),
 			index.BuildOptions{MinRankPrefix: 4, RankFraction: 0.2}, shardCounts)
@@ -190,11 +188,13 @@ func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 				}
 				sameResults(t, name("RDIL"), got, want, 1e-9)
 
-				got, _, err = HDILSharded(sh, q, opts, 0, cm)
-				if err != nil {
-					t.Fatal(err)
+				for _, m := range costModels {
+					got, _, err = HDILSharded(sh, q, opts, 0, m.cm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, name("HDIL/"+m.name), got, want, 1e-9)
 				}
-				sameResults(t, name("HDIL"), got, want, 1e-9)
 
 				got, err = DisjunctiveSharded(sh, q, opts, 0)
 				if err != nil {

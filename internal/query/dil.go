@@ -104,7 +104,9 @@ func DIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 	}
 	endMerge := opts.Exec.StartSpan("dil.merge")
 	if err := m.run(func(id dewey.ID, score float64) {
-		h.offer(Result{ID: id, Score: score})
+		if h.accepts(id, score) {
+			h.offer(Result{ID: id.Clone(), Score: score})
+		}
 	}); err != nil {
 		return nil, err
 	}

@@ -22,18 +22,30 @@ type HDILTrace struct {
 	RankedEntriesRead int
 }
 
-// estimateCheckInterval is how many consumed entries pass between
-// re-estimations of RDIL's remaining time (Section 4.4.2 "periodically
-// monitor its performance").
-const estimateCheckInterval = 8
+// The switch estimator's two budgets, as divisors of the a-priori DIL
+// estimate. With no result above the threshold there is no rate to
+// extrapolate, so the ranked strategy gets a fixed allowance: past
+// estimate/noProgressShare it switches. With a rate, the extrapolation
+// is trusted only once estimate/extrapolateShare has been spent — before
+// that the one-time costs of a cold start (first touches of the rank
+// lists and the upper levels of the probe structures) dominate t and
+// project several times the real total.
+const (
+	noProgressShare  = 4
+	extrapolateShare = 2
+)
 
 // HDIL evaluates the query with the hybrid strategy of Section 4.4: start
 // with the RDIL algorithm over the short rank-ordered prefix lists, and
-// periodically compare the estimated remaining time (m-r)*t/r against the
-// a-priori DIL estimate; switch to DIL when RDIL looks slower (or when a
-// rank prefix runs out). Cost is measured with the simulated disk model
-// over the index's I/O statistics, matching the paper's cold-cache
-// setting.
+// after every round compare the time spent so far t plus the estimated
+// remaining time (m-r)*t/r against the a-priori DIL estimate; switch to
+// DIL when the ranked strategy looks slower (or when a rank prefix runs
+// out). Both sides are priced by cm over page and posting counts — t from
+// this query's own ExecContext stats, the DIL estimate from the keywords'
+// list sizes — so the comparison is deterministic and describes whatever
+// device cm models: pass storage.DefaultCostModel() when serving from
+// the OS page cache, storage.PaperDiskCostModel() for the paper's
+// cold-cache protocol.
 func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel) ([]Result, *HDILTrace, error) {
 	trace := &HDILTrace{}
 	if err := opts.fill(); err != nil {
@@ -54,6 +66,11 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 	}
 	if err := opts.checkWeights(len(keywords)); err != nil {
 		return nil, trace, err
+	}
+	if opts.Exec == nil {
+		// The estimator meters this query's own page and posting counts;
+		// the index-global counters would mix in every concurrent query.
+		opts.Exec = storage.NewExecContext(nil)
 	}
 	if len(keywords) == 1 {
 		cur, ok := ix.HDILRankCursorExec(opts.Exec, keywords[0])
@@ -83,7 +100,11 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 		}
 	}()
 	endOpen := opts.Exec.StartSpan("hdil.open")
-	dilPages := int64(0)
+	// A-priori DIL cost: one sequential pass over every keyword's full
+	// list (Section 4.4.2: "the expected time for DIL is relatively easy
+	// to compute a priori ... it mainly depends on ... the size of each
+	// query keyword inverted list").
+	var dil storage.Stats
 	for _, kw := range keywords {
 		cur, okc := ix.HDILRankCursorExec(opts.Exec, kw)
 		if !okc {
@@ -101,26 +122,12 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 		if err := cs.advance(); err != nil {
 			return nil, trace, err
 		}
-		dilPages += ix.DILListBytes(kw)/storage.PageSize + 1
+		dil.SeqReads += ix.DILListBytes(kw)/storage.PageSize + 1
+		dil.Postings += int64(ix.DILCount(kw))
 	}
 	endOpen()
-	// A-priori DIL cost: a sequential scan of every keyword's full list
-	// (Section 4.4.2: "the expected time for DIL is relatively easy to
-	// compute a priori ... it mainly depends on ... the size of each query
-	// keyword inverted list").
-	dilEstimate := time.Duration(dilPages) * cm.SeqRead
-
-	// The adaptive estimator monitors this query's own I/O. With an
-	// execution context that is its private accumulator — under
-	// concurrency the engine-global counters mix every query's traffic
-	// and would make the switch decision depend on unrelated load.
-	ioStats := func() storage.Stats {
-		if opts.Exec != nil {
-			return opts.Exec.Stats()
-		}
-		return ix.IOStats()
-	}
-	startStats := ioStats()
+	dilEstimate := cm.SimulatedTime(dil)
+	startStats := opts.Exec.Stats()
 	ta := newTAState(opts, sources)
 	endRounds := opts.Exec.StartSpan("hdil.rounds")
 	switchToDIL := func(reason string) ([]Result, *HDILTrace, error) {
@@ -152,18 +159,13 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 		if ta.done() {
 			break
 		}
-		if ta.entriesRead%estimateCheckInterval == 0 && ta.entriesRead > 0 {
-			t := cm.SimulatedTime(ioStats().Sub(startStats))
-			r := ta.resultsAboveThreshold()
-			var estRemaining time.Duration
-			if r == 0 {
-				estRemaining = math.MaxInt64 // no progress signal yet
-			} else {
-				estRemaining = t * time.Duration(opts.TopM-r) / time.Duration(r)
-			}
-			if estRemaining > dilEstimate && ta.entriesRead >= 2*estimateCheckInterval {
+		t := cm.SimulatedTime(opts.Exec.Stats().Sub(startStats))
+		if r := time.Duration(ta.resultsAboveThreshold()); r == 0 {
+			if t*noProgressShare > dilEstimate {
 				return switchToDIL("estimate")
 			}
+		} else if t*extrapolateShare > dilEstimate && t+t*(time.Duration(opts.TopM)-r)/r > dilEstimate {
+			return switchToDIL("estimate")
 		}
 	}
 	// Threshold stop (the loop's only other exits switch to DIL): the

@@ -151,6 +151,13 @@ func newMerger(streams []postingStream, opts Options) *merger {
 	}
 }
 
+// reset readies the merger for another run over the same (refilled)
+// streams, keeping its pooled stack nodes.
+func (m *merger) reset() {
+	m.free = append(m.free, m.stack...)
+	m.stack, m.curID = m.stack[:0], m.curID[:0]
+}
+
 func (m *merger) node() *mnode {
 	if k := len(m.free); k > 0 {
 		nd := m.free[k-1]
@@ -170,7 +177,8 @@ func (m *merger) node() *mnode {
 const cancelCheckInterval = 64
 
 // run performs the merge, calling emit for every result element in
-// post-order (descendants before ancestors within a path).
+// post-order (descendants before ancestors within a path). The ID passed
+// to emit is the merger's own stack and valid only during the call.
 func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 	// lastDoc is the document of the most recently consumed posting; the
 	// document leapfrog below may only discard postings in documents
@@ -309,7 +317,7 @@ func (m *merger) popTop(emit func(id dewey.ID, score float64)) {
 	switch {
 	case all:
 		nd.containsAll = true
-		emit(m.curID[:depth].Clone(), m.score(nd))
+		emit(m.curID[:depth], m.score(nd))
 	case !nd.containsAll && parent != nil:
 		for i := 0; i < m.n; i++ {
 			if len(nd.pos[i]) == 0 {

@@ -240,8 +240,17 @@ func randomCorpus(r *rand.Rand, nd int) []string {
 	return docs
 }
 
+// costModels are the two devices HDIL's estimator is run with: whichever
+// way a model tips the switch, the results must not change.
+var costModels = []struct {
+	name string
+	cm   storage.CostModel
+}{
+	{"serving", storage.DefaultCostModel()},
+	{"paper-disk", storage.PaperDiskCostModel()},
+}
+
 func TestAllAlgorithmsAgreeOnRandomCorpora(t *testing.T) {
-	cm := storage.DefaultCostModel()
 	for seed := int64(0); seed < 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		fx := newFixture(t, randomCorpus(r, 3), index.BuildOptions{MinRankPrefix: 4, RankFraction: 0.2})
@@ -274,11 +283,13 @@ func TestAllAlgorithmsAgreeOnRandomCorpora(t *testing.T) {
 			}
 			sameResults(t, fmt.Sprintf("seed%d RDIL(%v)", seed, q), gotRDIL, want, 1e-9)
 
-			gotHDIL, _, err := HDIL(fx.ix, q, opts, cm)
-			if err != nil {
-				t.Fatal(err)
+			for _, m := range costModels {
+				gotHDIL, _, err := HDIL(fx.ix, q, opts, m.cm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, fmt.Sprintf("seed%d HDIL/%s(%v)", seed, m.name, q), gotHDIL, want, 1e-9)
 			}
-			sameResults(t, fmt.Sprintf("seed%d HDIL(%v)", seed, q), gotHDIL, want, 1e-9)
 		}
 	}
 }
@@ -506,14 +517,16 @@ func TestHDILSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, trace, err := HDIL(fx.ix, []string{"alpha", "beta"}, opts, storage.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range costModels {
+		got, trace, err := HDIL(fx.ix, []string{"alpha", "beta"}, opts, m.cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !trace.SwitchedToDIL || trace.SwitchReason == "" {
+			t.Errorf("%s model: HDIL should have switched on uncorrelated keywords (trace %+v)", m.name, trace)
+		}
+		sameResults(t, "HDIL switched/"+m.name, got, want, 1e-9)
 	}
-	if !trace.SwitchedToDIL {
-		t.Errorf("HDIL should have switched on uncorrelated keywords (trace %+v)", trace)
-	}
-	sameResults(t, "HDIL switched", got, want, 1e-9)
 }
 
 // TestRDILStopsEarly verifies the point of RDIL: on highly correlated

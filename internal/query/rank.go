@@ -282,14 +282,20 @@ func (h *resultHeap) Pop() interface{} {
 	return it
 }
 
+// accepts reports whether offer would keep a result with this ID and
+// score, so a caller holding a borrowed ID clones it only when it counts.
+func (h *resultHeap) accepts(id dewey.ID, score float64) bool {
+	return len(h.items) < h.m || h.items[0].Score < score ||
+		(h.items[0].Score == score && dewey.Compare(h.items[0].ID, id) > 0)
+}
+
 // offer inserts a result, evicting the weakest if the heap is full.
 func (h *resultHeap) offer(r Result) {
 	if len(h.items) < h.m {
 		heap.Push(h, r)
 		return
 	}
-	if h.items[0].Score < r.Score ||
-		(h.items[0].Score == r.Score && dewey.Compare(h.items[0].ID, r.ID) > 0) {
+	if h.accepts(r.ID, r.Score) {
 		h.items[0] = r
 		heap.Fix(h, 0)
 	}

@@ -26,20 +26,64 @@ type taState struct {
 	opts    Options
 	sources []*rankedSource
 	heap    *resultHeap
-	seen    map[string]bool
-	// aboveThreshold counts results currently at or above the threshold —
-	// the r of the HDIL estimator (Section 4.4.2).
+	// seen holds the encoded Dewey IDs already evaluated as deepest common
+	// ancestors.
+	seen        map[string]bool
 	entriesRead int
 	exhausted   bool // some source ran out of ranked entries
+
+	// Per-query scratch, reused by every step so the loop allocates only
+	// for what it keeps (a new seen key, a result entering the heap).
+	key    []byte       // encoded Dewey ID for seen lookups
+	lcp    dewey.ID     // the candidate ancestor being narrowed
+	under  []postingBuf // per source: the postings below the candidate
+	merger *merger      // evaluates one candidate over under
 }
 
 func newTAState(opts Options, sources []*rankedSource) *taState {
-	return &taState{
+	ta := &taState{
 		opts:    opts,
 		sources: sources,
 		heap:    newResultHeap(opts.TopM),
 		seen:    make(map[string]bool),
+		under:   make([]postingBuf, len(sources)),
 	}
+	streams := make([]postingStream, len(sources))
+	for j := range ta.under {
+		ta.under[j].collect = ta.under[j].add
+		streams[j] = &ta.under[j].sliceStream
+	}
+	ta.merger = newMerger(streams, opts)
+	return ta
+}
+
+// postingBuf holds one keyword's postings below a candidate ancestor,
+// copied out of the prober's reused Posting into arenas that survive from
+// one evaluation to the next.
+type postingBuf struct {
+	sliceStream
+	ids     []uint32
+	pos     []uint32
+	collect func(p *index.Posting) error // add, bound once
+}
+
+func (b *postingBuf) reset() {
+	b.posts, b.i, b.ids, b.pos = b.posts[:0], 0, b.ids[:0], b.pos[:0]
+}
+
+// add copies p. An arena that grows mid-evaluation leaves the earlier
+// postings pointing into the old array, which stays intact: arenas are
+// only ever appended to until the next reset.
+func (b *postingBuf) add(p *index.Posting) error {
+	i0, p0 := len(b.ids), len(b.pos)
+	b.ids = append(b.ids, p.ID...)
+	b.pos = append(b.pos, p.Positions...)
+	b.posts = append(b.posts, index.Posting{
+		ID:        dewey.ID(b.ids[i0:len(b.ids):len(b.ids)]),
+		Rank:      p.Rank,
+		Positions: b.pos[p0:len(b.pos):len(b.pos)],
+	})
+	return nil
 }
 
 // threshold is the weighted sum of the last ElemRanks consumed per list
@@ -142,13 +186,14 @@ func (ta *taState) step(i int) (bool, error) {
 	// that is itself a known lcp is that ID (all lists have entries under
 	// it, and no prefix of it is longer). On correlated keywords this
 	// skips the probes for every list after the first.
-	ownKey := string(dewey.Encode(p.ID))
-	if ta.seen[ownKey] {
+	ta.key = dewey.Append(ta.key[:0], p.ID)
+	if ta.seen[string(ta.key)] {
 		return true, src.stream.advance()
 	}
 	// Find the longest prefix of p.ID containing all query keywords
 	// (lines 11-16).
-	lcp := p.ID.Clone()
+	lcp := append(ta.lcp[:0], p.ID...)
+	ta.lcp = lcp
 	for j := range ta.sources {
 		if j == i {
 			continue
@@ -168,17 +213,17 @@ func (ta *taState) step(i int) (bool, error) {
 	if len(lcp) == 0 {
 		return true, nil
 	}
-	key := string(dewey.Encode(lcp))
-	if ta.seen[key] {
+	ta.key = dewey.Append(ta.key[:0], lcp)
+	if ta.seen[string(ta.key)] {
 		return true, nil
 	}
-	ta.seen[key] = true
+	ta.seen[string(ta.key)] = true
 	score, isResult, err := ta.evaluate(lcp)
 	if err != nil {
 		return false, err
 	}
-	if isResult {
-		ta.heap.offer(Result{ID: lcp, Score: score})
+	if isResult && ta.heap.accepts(lcp, score) {
+		ta.heap.offer(Result{ID: lcp.Clone(), Score: score})
 	}
 	return true, nil
 }
@@ -189,30 +234,22 @@ func (ta *taState) step(i int) (bool, error) {
 // and its overall rank. This reuses the Dewey-stack merge: run it over the
 // in-memory posting sets under lcp and keep the emission whose ID is lcp.
 func (ta *taState) evaluate(lcp dewey.ID) (float64, bool, error) {
-	streams := make([]postingStream, len(ta.sources))
 	for j, src := range ta.sources {
-		var posts []index.Posting
-		if err := src.prober.ScanPrefix(lcp, func(p *index.Posting) error {
-			posts = append(posts, index.Posting{
-				ID:        p.ID.Clone(),
-				Rank:      p.Rank,
-				Positions: append([]uint32(nil), p.Positions...),
-			})
-			return nil
-		}); err != nil {
+		b := &ta.under[j]
+		b.reset()
+		if err := src.prober.ScanPrefix(lcp, b.collect); err != nil {
 			return 0, false, err
 		}
-		if len(posts) == 0 {
+		if len(b.posts) == 0 {
 			// Probes guaranteed entries under lcp for every list; an empty
 			// scan means lcp was only the *probe* lcp for another list.
 			return 0, false, nil
 		}
-		streams[j] = &sliceStream{posts: posts}
 	}
 	var score float64
 	found := false
-	m := newMerger(streams, ta.opts)
-	err := m.run(func(id dewey.ID, s float64) {
+	ta.merger.reset()
+	err := ta.merger.run(func(id dewey.ID, s float64) {
 		if dewey.Equal(id, lcp) {
 			score, found = s, true
 		}

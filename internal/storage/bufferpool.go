@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -15,7 +14,12 @@ type Frame struct {
 
 	pool *BufferPool
 	pins int
-	elem *list.Element // position in the LRU list when unpinned
+	// prev and next link the frame into one of the pool's two LRU rings
+	// while it is unpinned; both are nil while it is pinned.
+	prev, next *Frame
+	// cold marks a page that a sequential scan brought in and no point
+	// access has touched since; see BufferPool.
+	cold bool
 }
 
 // Release unpins the frame, making it eligible for eviction once no other
@@ -24,17 +28,27 @@ func (fr *Frame) Release() {
 	fr.pool.release(fr)
 }
 
-// BufferPool caches pages of a PageFile with LRU replacement and pin
-// counting. A pinned page is never evicted; queries pin the pages they are
-// actively merging (a DIL scan page, the B+-tree path of an RDIL probe)
-// and release them as the cursor moves on.
+// BufferPool caches pages of a PageFile with scan-resistant LRU
+// replacement and pin counting. A pinned page is never evicted; queries
+// pin the pages they are actively merging (a DIL scan page, the B+-tree
+// path of an RDIL probe) and release them as the cursor moves on.
+//
+// Unpinned pages wait in one of two LRU rings. Pages touched by point
+// accesses (Get/GetExec: probes, tree descents, hash lookups) are hot;
+// a page first brought in by a sequential scan (GetScanExec) is cold
+// until a point access promotes it. Eviction takes the least recently
+// used cold page, and a hot page only when no cold one is left: a scan
+// longer than the pool recycles the cold frames — in plain LRU order, so
+// a pool that only ever scans behaves exactly as it did under one ring —
+// and leaves the probe working set resident.
 type BufferPool struct {
-	mu       sync.Mutex
-	pf       *PageFile
-	capacity int
-	frames   map[PageID]*Frame
-	lru      *list.List // of *Frame; front = most recently used
-	hits     int64
+	mu        sync.Mutex
+	pf        *PageFile
+	capacity  int
+	frames    map[PageID]*Frame
+	hot, cold Frame // ring sentinels: next is the most recently used frame, prev the least
+	hits      int64
+	spare     []byte // the last evicted frame's buffer, reused by the next miss
 }
 
 // NewBufferPool wraps pf with a pool of the given page capacity
@@ -43,12 +57,31 @@ func NewBufferPool(pf *PageFile, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		pf:       pf,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame, capacity),
-		lru:      list.New(),
 	}
+	bp.emptyRings()
+	return bp
+}
+
+func (bp *BufferPool) emptyRings() {
+	bp.hot.prev, bp.hot.next = &bp.hot, &bp.hot
+	bp.cold.prev, bp.cold.next = &bp.cold, &bp.cold
+}
+
+// link inserts the unpinned frame fr into an LRU ring right after at.
+func link(at, fr *Frame) {
+	fr.prev, fr.next = at, at.next
+	at.next.prev = fr
+	at.next = fr
+}
+
+// unlink takes fr out of its LRU ring.
+func unlink(fr *Frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
 }
 
 // Get returns a pinned frame for page id, reading it from the file on a
@@ -64,51 +97,70 @@ func (bp *BufferPool) Get(id PageID) (*Frame, error) {
 // uniform cancellation checkpoint for disk-backed cursors, B+-tree probes
 // and hash lookups alike. A nil ec behaves exactly like Get.
 func (bp *BufferPool) GetExec(ec *ExecContext, id PageID) (*Frame, error) {
+	return bp.get(ec, id, false)
+}
+
+// GetScanExec is GetExec for a sequential scan that will not come back to
+// the page: on a miss the page enters the pool cold (see BufferPool). The
+// accounting and the checkpoints are GetExec's.
+func (bp *BufferPool) GetScanExec(ec *ExecContext, id PageID) (*Frame, error) {
+	return bp.get(ec, id, true)
+}
+
+func (bp *BufferPool) get(ec *ExecContext, id PageID, scan bool) (*Frame, error) {
 	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	if fr, ok := bp.frames[id]; ok {
 		if err := ec.cacheHit(); err != nil {
-			bp.mu.Unlock()
 			return nil, err
 		}
 		bp.hits++
-		bp.pf.mu.Lock()
-		bp.pf.stats.CacheHits++
-		bp.pf.mu.Unlock()
+		bp.pf.cacheHits.Add(1)
 		fr.pins++
-		if fr.elem != nil {
-			bp.lru.Remove(fr.elem)
-			fr.elem = nil
+		if fr.next != nil {
+			unlink(fr)
 		}
-		bp.mu.Unlock()
+		if !scan {
+			fr.cold = false
+		}
 		return fr, nil
 	}
-	// Miss: evict if full, then read outside the lock would race on the
-	// frame map; the pool is not performance-critical enough in this
-	// system to justify a lock-free design, so read under the lock.
+	// Miss: evict if full, then read under the lock — reading outside it
+	// would race on the frame map, and a miss served from the OS page
+	// cache is too short to be worth a second synchronization scheme.
 	if len(bp.frames) >= bp.capacity {
 		if err := bp.evictLocked(); err != nil {
-			bp.mu.Unlock()
 			return nil, err
 		}
 	}
-	fr := &Frame{ID: id, Data: make([]byte, PageSize), pool: bp, pins: 1}
-	if err := bp.pf.ReadPageExec(ec, id, fr.Data); err != nil {
-		bp.mu.Unlock()
+	buf := bp.spare
+	bp.spare = nil
+	if buf == nil {
+		buf = make([]byte, PageSize)
+	}
+	if err := bp.pf.ReadPageExec(ec, id, buf); err != nil {
+		bp.spare = buf
 		return nil, err
 	}
+	fr := &Frame{ID: id, Data: buf, pool: bp, pins: 1, cold: scan}
 	bp.frames[id] = fr
-	bp.mu.Unlock()
 	return fr, nil
 }
 
+// evictLocked drops the least recently used cold page, or hot page if
+// there is no cold one, keeping its buffer for the miss that asked for
+// the room.
 func (bp *BufferPool) evictLocked() error {
-	back := bp.lru.Back()
-	if back == nil {
+	fr := bp.cold.prev
+	if fr == &bp.cold {
+		fr = bp.hot.prev
+	}
+	if fr == &bp.hot {
 		return fmt.Errorf("storage: buffer pool of %d pages exhausted (all pinned)", bp.capacity)
 	}
-	fr := back.Value.(*Frame)
-	bp.lru.Remove(back)
+	unlink(fr)
 	delete(bp.frames, fr.ID)
+	bp.spare, fr.Data = fr.Data, nil
 	return nil
 }
 
@@ -120,7 +172,11 @@ func (bp *BufferPool) release(fr *Frame) {
 	}
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = bp.lru.PushFront(fr)
+		if fr.cold {
+			link(&bp.cold, fr)
+		} else {
+			link(&bp.hot, fr)
+		}
 	}
 }
 
@@ -143,7 +199,7 @@ func (bp *BufferPool) Reset() error {
 		}
 	}
 	bp.frames = make(map[PageID]*Frame, bp.capacity)
-	bp.lru.Init()
+	bp.emptyRings()
 	bp.hits = 0
 	return nil
 }

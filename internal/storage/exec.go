@@ -222,6 +222,19 @@ func (ec *ExecContext) CountBlocks(decoded, skipped int64) {
 	ec.mu.Unlock()
 }
 
+// CountPostings attributes n decoded inverted-list entries to this query
+// (the cost model's CPU term). Cursors and probers batch their counts —
+// per block, page or probe — so the posting loop itself never takes the
+// lock. A nil receiver is a no-op.
+func (ec *ExecContext) CountPostings(n int64) {
+	if ec == nil || n == 0 {
+		return
+	}
+	ec.mu.Lock()
+	ec.stats.Postings += n
+	ec.mu.Unlock()
+}
+
 // pageRead accounts one device page read against this query, enforcing
 // cancellation and the family-wide read budget. Called by
 // PageFile.ReadPageExec before the read reaches the device.

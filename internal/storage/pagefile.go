@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the fixed size of every page in a PageFile.
@@ -44,6 +45,9 @@ type PageFile struct {
 	path     string
 	numPages uint32
 	stats    Stats
+	// cacheHits is Stats.CacheHits, kept outside mu so a buffer-pool hit
+	// never contends with the device reads mu serializes.
+	cacheHits atomic.Int64
 }
 
 // CreatePageFile creates (truncating) a page file at path on the real
@@ -170,7 +174,9 @@ func (pf *PageFile) AppendPage(buf []byte) (PageID, error) {
 func (pf *PageFile) Stats() Stats {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
-	return pf.stats
+	st := pf.stats
+	st.CacheHits = pf.cacheHits.Load()
+	return st
 }
 
 // ResetStats zeroes the I/O statistics (the sequential-read tracker too).
@@ -178,6 +184,7 @@ func (pf *PageFile) ResetStats() {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	pf.stats = Stats{}
+	pf.cacheHits.Store(0)
 }
 
 // Size returns the file size in bytes.

@@ -200,13 +200,26 @@ func TestCostModel(t *testing.T) {
 	if got := m.SimulatedTime(s); got != 25*time.Millisecond {
 		t.Errorf("SimulatedTime = %v", got)
 	}
-	// A scan-heavy workload must be cheaper than an equally sized
-	// probe-heavy one under the default model.
-	def := DefaultCostModel()
+	// On the paper's disk a scan-heavy workload must be cheaper than an
+	// equally sized probe-heavy one, and CPU is free.
+	paper := PaperDiskCostModel()
 	scan := Stats{SeqReads: 100, RandReads: 1}
 	probe := Stats{RandReads: 101}
-	if def.SimulatedTime(scan) >= def.SimulatedTime(probe) {
+	if paper.SimulatedTime(scan) >= paper.SimulatedTime(probe) {
 		t.Errorf("sequential scan should be cheaper than random probes")
+	}
+	if paper.Posting != 0 {
+		t.Errorf("the paper's disk model charges CPU: Posting = %v", paper.Posting)
+	}
+	// Served from the page cache there is no seek to pay: the two kinds of
+	// read cost the same, and decoding a page's worth of postings costs
+	// more than fetching the page.
+	def := DefaultCostModel()
+	if def.SimulatedTime(scan) != def.SimulatedTime(probe) {
+		t.Errorf("serving model prices a seek: scan %v, probe %v", def.SimulatedTime(scan), def.SimulatedTime(probe))
+	}
+	if got, want := def.SimulatedTime(Stats{Postings: 1000}), 1000*def.Posting; got != want || want == 0 {
+		t.Errorf("SimulatedTime of 1000 postings = %v, want %v > 0", got, want)
 	}
 }
 
@@ -290,6 +303,101 @@ func TestBufferPoolReset(t *testing.T) {
 	fr2.Release()
 	if pf.Stats().Reads != 1 {
 		t.Errorf("after Reset, Get should reach the device")
+	}
+}
+
+// TestPoolScanResistance is the replacement policy's contract: a
+// sequential scan five times the pool evicts only its own pages, so the
+// probe working set is still resident afterwards — while a point access
+// to a scanned page promotes it, Reset still empties everything, and a
+// fully pinned pool still refuses. The scanner and the prober run
+// concurrently so -race covers the shared LRU list.
+func TestPoolScanResistance(t *testing.T) {
+	const capacity, probeSet = 16, 8
+	pf := newTestFile(t)
+	for i := 0; i < probeSet+5*capacity; i++ {
+		if _, err := pf.AppendPage(pageFilled(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool(pf, capacity)
+	touch := func(get func(*ExecContext, PageID) (*Frame, error), id PageID) {
+		t.Helper()
+		fr, err := get(nil, id)
+		if err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if fr.Data[0] != byte(id) {
+			t.Errorf("page %d holds %d", id, fr.Data[0])
+		}
+		fr.Release()
+	}
+	for id := PageID(0); id < probeSet; id++ {
+		touch(bp.GetExec, id)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the scan: every page past the probe set, once
+		defer wg.Done()
+		for id := PageID(probeSet); id < PageID(pf.NumPages()); id++ {
+			touch(bp.GetScanExec, id)
+		}
+	}()
+	go func() { // probes keep arriving while the scan runs
+		defer wg.Done()
+		for i := 0; i < 10*probeSet; i++ {
+			touch(bp.GetExec, PageID(i%probeSet))
+		}
+	}()
+	wg.Wait()
+
+	pf.ResetStats()
+	for id := PageID(0); id < probeSet; id++ {
+		touch(bp.GetExec, id)
+	}
+	if st := pf.Stats(); st.Reads != 0 || st.CacheHits != probeSet {
+		t.Errorf("after a scan of %d pages through a %d-page pool the %d probe pages cost %d reads, %d hits; want 0 and %d",
+			5*capacity, capacity, probeSet, st.Reads, st.CacheHits, probeSet)
+	}
+
+	// A point access promotes a scanned page: it then outlives a second scan.
+	last := PageID(pf.NumPages() - 1)
+	touch(bp.GetExec, last)
+	for id := PageID(probeSet); id < last; id++ {
+		touch(bp.GetScanExec, id)
+	}
+	pf.ResetStats()
+	touch(bp.GetExec, last)
+	if st := pf.Stats(); st.Reads != 0 {
+		t.Errorf("a probed page was evicted by a scan (%d reads)", st.Reads)
+	}
+
+	// Reset and the all-pinned error are what they were under plain LRU.
+	if err := bp.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	pf.ResetStats()
+	touch(bp.GetExec, 0)
+	if st := pf.Stats(); st.Reads != 1 {
+		t.Errorf("after Reset page 0 cost %d reads, want 1", st.Reads)
+	}
+	var pinned []*Frame
+	for id := PageID(0); id < capacity; id++ {
+		fr, err := bp.GetScanExec(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, fr)
+	}
+	if _, err := bp.GetScanExec(nil, capacity); err == nil {
+		t.Errorf("Get with every frame pinned should fail")
+	}
+	if err := bp.Reset(); err == nil {
+		t.Errorf("Reset with pinned pages should fail")
+	}
+	for _, fr := range pinned {
+		fr.Release()
 	}
 }
 

@@ -88,6 +88,9 @@ func TestOpenRefusesOtherShapes(t *testing.T) {
 			hoist(t, dir, seg)
 			editSegments(t, dir, func(sm *segmentsManifest) { sm.Segments[0].Dir = "." })
 		}},
+		{"segment without its suggest.bin", false, func(t *testing.T, dir string) {
+			os.Remove(filepath.Join(dir, seg, fileSuggest))
+		}},
 		{"segment directory missing", false, func(t *testing.T, dir string) {
 			os.RemoveAll(filepath.Join(dir, seg))
 		}},

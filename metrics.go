@@ -32,7 +32,6 @@ type engineMetrics struct {
 	blocksRead   *obs.Counter
 	blocksSkip   *obs.Counter
 	slowTotal    *obs.Counter
-	switches     *obs.Counter
 	degraded     *obs.Counter
 	shardRetries *obs.Counter
 	shardProbes  *obs.Counter
@@ -71,11 +70,13 @@ const (
 	metricQueryErrors = "xrank_query_errors_total"
 	metricLatency     = "xrank_query_latency_seconds"
 	metricStage       = "xrank_query_stage_seconds"
+	metricSwitches    = "xrank_hdil_switches_total"
 
 	helpQueries     = "Queries served, by algorithm (including failed ones)."
 	helpQueryErrors = "Queries that ended in an error, by algorithm."
 	helpLatency     = "End-to-end wall time of successful queries, by algorithm."
 	helpStage       = "Per-stage time within queries, by span name."
+	helpSwitches    = "HDIL queries where at least one shard switched to DIL, by the first switching shard's reason."
 )
 
 func newEngineMetrics(cfg *Config) *engineMetrics {
@@ -91,7 +92,7 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		size = defaultSlowLogSize
 	}
 	r := obs.NewRegistry()
-	return &engineMetrics{
+	m := &engineMetrics{
 		reg:          r,
 		slow:         obs.NewSlowLog(size, threshold),
 		pageReads:    r.Counter("xrank_page_reads_total", "Device page reads attributed to queries."),
@@ -101,7 +102,6 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		blocksRead:   r.Counter("xrank_blocks_decoded_total", "Posting blocks decoded by queries (block postings format only)."),
 		blocksSkip:   r.Counter("xrank_blocks_skipped_total", "Posting blocks skipped whole by pruning (block postings format only)."),
 		slowTotal:    r.Counter("xrank_slow_queries_total", "Queries at or above the slow-query threshold."),
-		switches:     r.Counter("xrank_hdil_switches_total", "HDIL queries where at least one shard switched to DIL."),
 		degraded:     r.Counter("xrank_degraded_queries_total", "Queries served with at least one shard excluded."),
 		shardRetries: r.Counter("xrank_shard_retries_total", "Shard executions retried after a transient device fault."),
 		shardProbes:  r.Counter("xrank_shard_probes_total", "Half-open trial executions granted to unhealthy shards."),
@@ -126,6 +126,12 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		suggestNodes:   r.Counter("xrank_suggest_nodes_visited_total", "Radix-trie nodes expanded by best-first completion searches."),
 		suggestTerms:   r.Gauge("xrank_suggest_terms", "Distinct terms in the live segments' suggest dictionaries (summed per segment)."),
 	}
+	// Both switch reasons exist from the start, so a scrape shows 0
+	// rather than a missing series.
+	for _, reason := range []string{"estimate", "prefix-exhausted"} {
+		r.Counter(metricSwitches, helpSwitches, "reason", reason)
+	}
+	return m
 }
 
 // algoLabel is the metrics label for one query's strategy. Disjunctive
@@ -154,7 +160,7 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 	m.blocksRead.Add(stats.IO.BlocksDecoded)
 	m.blocksSkip.Add(stats.IO.BlocksSkipped)
 	if stats.SwitchedToDIL {
-		m.switches.Inc()
+		m.reg.Counter(metricSwitches, helpSwitches, "reason", stats.SwitchReason).Inc()
 	}
 	if stats.Degraded {
 		m.degraded.Inc()
@@ -186,6 +192,9 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 		Cached:    stats.Cached,
 		Coalesced: stats.Coalesced,
 		Spans:     stats.Trace,
+
+		SwitchReason:  stats.SwitchReason,
+		RankedEntries: stats.RankedEntriesRead,
 	}
 	if err != nil {
 		entry.Err = err.Error()

@@ -56,7 +56,9 @@ type SearchOptions struct {
 	// Algorithm selects the processor (default AlgoHDIL).
 	Algorithm Algorithm
 	// ColdCache empties the buffer pools before the query, mimicking the
-	// paper's measurement protocol. The pools and their counters are
+	// paper's measurement protocol; HDIL's switch estimator then prices
+	// the query with the paper's disk (storage.PaperDiskCostModel) instead
+	// of the serving model. The pools and their counters are
 	// engine-global, so ColdCache is a single-tenant measurement knob:
 	// emptying them while other queries are in flight is safe (the race
 	// detector is clean) but yanks cached pages out from under those
@@ -116,10 +118,16 @@ type QueryStats struct {
 	Keywords      []string
 	WallTime      time.Duration
 	IO            storage.Stats
-	SimulatedTime time.Duration // under the default cost model
+	SimulatedTime time.Duration // under the paper's disk model (storage.PaperDiskCostModel)
 	SwitchedToDIL bool          // HDIL only: true if any shard switched
-	Shards        int           // index partitions the query fanned out over
-	Segments      int           // live index segments merged by the query
+	// SwitchReason is why the first switching shard left the ranked
+	// strategy ("estimate" or "prefix-exhausted"; empty without a switch),
+	// and RankedEntriesRead how many rank-list entries the HDIL shards
+	// consumed in total before stopping or switching.
+	SwitchReason      string
+	RankedEntriesRead int
+	Shards            int // index partitions the query fanned out over
+	Segments          int // live index segments merged by the query
 
 	// Cached reports the results were served from the engine's result
 	// cache: no index I/O happened on behalf of this call, and IO,
@@ -465,7 +473,7 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 	// log.
 	stats.WallTime = time.Since(start)
 	stats.IO = ec.Stats()
-	stats.SimulatedTime = storage.DefaultCostModel().SimulatedTime(stats.IO)
+	stats.SimulatedTime = storage.PaperDiskCostModel().SimulatedTime(stats.IO)
 	stats.Trace = trace.Spans()
 	stats.Degraded = report.Degraded()
 	stats.FailedShards = report.FailedShards()
@@ -576,11 +584,18 @@ func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions,
 	case AlgoRDIL:
 		rs, err = query.RDILSharded(ix, keywords, qopts, workers)
 	case AlgoHDIL:
-		var trace *query.HDILTrace
-		rs, trace, err = query.HDILSharded(ix, keywords, qopts, workers, storage.DefaultCostModel())
-		if trace != nil {
-			stats.SwitchedToDIL = stats.SwitchedToDIL || trace.SwitchedToDIL
+		// The estimator prices the device the query is served from: the OS
+		// page cache normally, the paper's disk under its cold protocol.
+		cm := storage.DefaultCostModel()
+		if opts.ColdCache {
+			cm = storage.PaperDiskCostModel()
 		}
+		var trace *query.HDILTrace
+		rs, trace, err = query.HDILSharded(ix, keywords, qopts, workers, cm)
+		if trace.SwitchedToDIL && !stats.SwitchedToDIL {
+			stats.SwitchedToDIL, stats.SwitchReason = true, trace.SwitchReason
+		}
+		stats.RankedEntriesRead += trace.RankedEntriesRead
 	case AlgoNaiveID:
 		rs, err = query.NaiveIDSharded(ix, keywords, qopts, workers)
 	case AlgoNaiveRank:

@@ -190,6 +190,7 @@ func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []f
 	if err != nil {
 		return nil, nil, err
 	}
+	e.pageWrites.Add(st.PageWrites)
 	if seg.ix, err = e.openSegmentIndex(path); err != nil {
 		return nil, nil, err
 	}

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"xrank/internal/storage"
 )
 
 // The segment differential harness: an engine mutated through
@@ -369,5 +371,46 @@ func TestAddDocsIncremental(t *testing.T) {
 	}
 	if cs.Compacted {
 		t.Fatalf("CompactOnce on a fully compacted engine did work: %+v", cs)
+	}
+}
+
+// TestIOStatsCountsIndexWrites: every segment build — Build, an AddDocs
+// delta, a compaction — advances Engine.IOStats().Writes by the pages it
+// wrote, and the total equals the page files the builds produced.
+func TestIOStatsCountsIndexWrites(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(11))
+	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+	for n := 0; n < 3; n++ {
+		if err := e.AddXML(fmt.Sprintf("doc%02d", n), strings.NewReader(diffDoc(rng, n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := e.IOStats().Writes; w != 0 {
+		t.Fatalf("Writes = %d before Build", w)
+	}
+	info, err := e.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sz := info.Sizes
+	built := e.IOStats().Writes
+	if want := (sz.DILList + sz.RDILList + sz.RDILIndex + sz.HDILRank + sz.HDILIndex +
+		sz.NaiveIDList + sz.NaiveRankList + sz.NaiveIndex) / storage.PageSize; built < want || want == 0 {
+		t.Fatalf("Writes = %d after Build, whose page files hold %d pages", built, want)
+	}
+	if err := e.AddDoc("doc03", strings.NewReader(diffDoc(rng, 3))); err != nil {
+		t.Fatal(err)
+	}
+	added := e.IOStats().Writes
+	if added <= built {
+		t.Fatalf("Writes = %d after AddDocs, %d before", added, built)
+	}
+	if cs, err := e.CompactOnce(0); err != nil || !cs.Compacted {
+		t.Fatalf("CompactOnce: %+v, %v", cs, err)
+	}
+	if compacted := e.IOStats().Writes; compacted <= added {
+		t.Fatalf("Writes = %d after CompactOnce, %d before", compacted, added)
 	}
 }

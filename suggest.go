@@ -181,15 +181,14 @@ func (e *Engine) writeSegmentSuggest(segPath string, tr *suggest.Trie) error {
 }
 
 // loadSegmentSuggest reopens a segment's trie, verifying the blob
-// envelope and every structural invariant. A missing file is not an
-// error — directories built before the suggest subsystem (or with it
-// disabled) simply contribute no completions — but a present-and-bad
-// file is corruption like any other.
+// envelope and every structural invariant. Every segment of an engine
+// with suggestions enabled is committed with its suggest.bin, so a
+// missing file is corruption like a damaged one.
 func loadSegmentSuggest(fs storage.FS, segPath string) (*suggest.Trie, error) {
 	payload, err := storage.ReadBlob(fs, filepath.Join(segPath, fileSuggest), suggestMagic)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
 		}
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package xrank
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -207,39 +206,6 @@ func TestSuggestDisabled(t *testing.T) {
 	defer re.Close()
 	if _, _, err := re.Suggest("x", 5); !errors.Is(err, ErrSuggestDisabled) {
 		t.Fatalf("Suggest after reopen: %v", err)
-	}
-}
-
-// TestSuggestMissingArtifactCompat: a directory whose segments predate
-// the suggest artifact (no suggest.bin) must open cleanly and simply
-// contribute no completions.
-func TestSuggestMissingArtifactCompat(t *testing.T) {
-	dir := t.TempDir()
-	e := NewEngine(&Config{IndexDir: dir})
-	addCorpus(t, e, crashCorpus())
-	if _, err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.fs().Remove(filepath.Join(dir, segmentDirName(0), fileSuggest)); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenEngine(dir)
-	if err != nil {
-		t.Fatalf("open without suggest.bin: %v", err)
-	}
-	defer re.Close()
-	got, st, err := re.Suggest("x", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 || st.Terms != 0 {
-		t.Fatalf("pre-suggest layout produced completions: %v (terms=%d)", got, st.Terms)
-	}
-	if re.SuggestTerms() != 0 {
-		t.Fatalf("SuggestTerms = %d", re.SuggestTerms())
 	}
 }
 

@@ -288,6 +288,10 @@ type Engine struct {
 	// flights coalesces concurrent identical queries when
 	// Config.CoalesceQueries is set.
 	flights cache.Group
+
+	// pageWrites counts the index pages every segment build so far wrote
+	// (Build, AddDocs, compaction); IOStats reports it as Writes.
+	pageWrites atomic.Int64
 }
 
 type docEntry struct {
@@ -514,10 +518,12 @@ func (e *Engine) ColdCache() error {
 	return err
 }
 
-// IOStats returns cumulative page-level I/O statistics since the last
-// ColdCache, summed across every query served. For a single query's I/O
-// under concurrency, use the QueryStats returned by SearchContext
-// instead of diffing IOStats snapshots.
+// IOStats returns cumulative page-level I/O statistics: reads and hits
+// since the last ColdCache, summed across every query served, and as
+// Writes the index pages written by every segment build (Build, AddDocs,
+// compaction) over the engine's lifetime. For a single query's I/O under
+// concurrency, use the QueryStats returned by SearchContext instead of
+// diffing IOStats snapshots.
 func (e *Engine) IOStats() storage.Stats {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
@@ -525,6 +531,7 @@ func (e *Engine) IOStats() storage.Stats {
 	for _, s := range e.segs {
 		st.Add(s.ix.IOStats())
 	}
+	st.Writes += e.pageWrites.Load()
 	return st
 }
 
