@@ -63,7 +63,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "jim gray") {
 		t.Fatalf("search output missing anecdote results: %s", out)
 	}
-	if !strings.Contains(out, "page reads") {
+	if !strings.Contains(out, "page reads") || !strings.Contains(out, "postings: ") {
 		t.Fatalf("search -stats output missing stats: %s", out)
 	}
 

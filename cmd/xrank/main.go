@@ -147,7 +147,9 @@ func cmdSearch(args []string) error {
 		fmt.Printf("\n%s: %v wall, %d page reads (%d seq, %d random), %v simulated cold-disk\n",
 			qs.Algorithm, qs.WallTime.Round(1e3), qs.IO.Reads, qs.IO.SeqReads, qs.IO.RandReads, qs.SimulatedTime.Round(1e5))
 		if qs.IO.BlocksDecoded > 0 || qs.IO.BlocksSkipped > 0 {
-			fmt.Printf("blocks: %d decoded, %d skipped\n", qs.IO.BlocksDecoded, qs.IO.BlocksSkipped)
+			fmt.Printf("blocks: %d decoded, %d skipped; postings: %d\n", qs.IO.BlocksDecoded, qs.IO.BlocksSkipped, qs.IO.Postings)
+		} else if qs.IO.Postings > 0 {
+			fmt.Printf("postings: %d\n", qs.IO.Postings)
 		}
 		if qs.SwitchedToDIL {
 			fmt.Printf("hdil: switched to DIL (%s) after %d ranked entries\n", qs.SwitchReason, qs.RankedEntriesRead)

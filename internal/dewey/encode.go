@@ -115,6 +115,19 @@ func DecodeInto(dst ID, buf []byte) (ID, error) {
 // where a stored suffix extends a shared prefix.
 func AppendDecoded(dst ID, buf []byte) (ID, error) {
 	for len(buf) > 0 {
+		// One- and two-byte components — small sibling ordinals and
+		// document numbers — inline.
+		b0 := buf[0]
+		if b0 < 0x80 {
+			dst = append(dst, uint32(b0))
+			buf = buf[1:]
+			continue
+		}
+		if b0 < 0xC0 && len(buf) >= 2 {
+			dst = append(dst, lim1+(uint32(b0&0x3F)<<8|uint32(buf[1])))
+			buf = buf[2:]
+			continue
+		}
 		c, n, err := decodeComponent(buf)
 		if err != nil {
 			return dst, err

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"xrank/internal/dewey"
 	"xrank/internal/storage"
@@ -62,48 +64,173 @@ type BlockRef struct {
 	LastDoc uint32
 }
 
-// blockReader iterates the entries of one block body.
-type blockReader struct {
-	body []byte
-	n    int
-	i    int
-	prev dewey.ID
+// blockDecoder is the one decoder of block bodies. It decodes entries
+// into reusable columnar buffers — every entry's full Dewey ID back to
+// back in comps, its rank, its posList back to back in pos — so a decoded
+// entry is read as a view (at) that stays valid until the next init, and
+// the ID prefix an entry shares with its predecessor is copied once,
+// within comps. Entries are decoded on demand (next), so a consumer that
+// stops early, like a probe, pays only for what it reads.
+type blockDecoder struct {
+	body  []byte // the undecoded remainder
+	n     int    // entries in the block
+	comps []uint32
+	ranks []float32
+	pos   []uint32
+	// Entry i's ID is comps[off[i].id:off[i+1].id] and its posList
+	// pos[off[i].pos:off[i+1].pos].
+	off []entryOff
 }
 
-func (r *blockReader) init(body []byte) error {
+type entryOff struct{ id, pos int32 }
+
+// init starts decoding a block body.
+func (d *blockDecoder) init(body []byte) error {
+	d.comps, d.ranks, d.pos = d.comps[:0], d.ranks[:0], d.pos[:0]
+	d.off = append(d.off[:0], entryOff{})
+	d.n, d.body = 0, nil
 	if len(body) < 2 {
 		return fmt.Errorf("index: %w block body too short", storage.ErrCorrupt)
 	}
-	r.n = int(binary.LittleEndian.Uint16(body))
-	r.body = body[2:]
-	r.i = 0
-	r.prev = r.prev[:0]
+	d.n = int(binary.LittleEndian.Uint16(body))
+	d.body = body[2:]
+	// Size the per-entry columns for the whole block, and the others for
+	// one position and one component per entry, so a cursor's buffers
+	// reach their working size in a few steps. The count is trusted only
+	// as far as the body could hold that many entries.
+	n := min(d.n, len(body)/minBlockEntry)
+	d.ranks = slices.Grow(d.ranks, n)
+	d.off = slices.Grow(d.off, n)
+	d.pos = slices.Grow(d.pos, n)
+	d.comps = slices.Grow(d.comps, n)
 	return nil
 }
 
-func (r *blockReader) next(p *Posting) (bool, error) {
-	if r.i >= r.n {
-		if len(r.body) != 0 {
+// minBlockEntry is the smallest encoded entry: length prefix, lcp, suffix
+// length, rank and posList count.
+const minBlockEntry = entryLenSize + 1 + 1 + 4 + 1
+
+// decoded is the number of entries decoded so far.
+func (d *blockDecoder) decoded() int { return len(d.ranks) }
+
+// next decodes the following entry, returning false once all n are. A
+// failed entry leaves no partial state visible: decoded() is unchanged.
+func (d *blockDecoder) next() (bool, error) {
+	i := len(d.ranks)
+	if i >= d.n {
+		if len(d.body) != 0 {
 			return false, fmt.Errorf("index: %w block has %d trailing bytes after %d entries",
-				storage.ErrCorrupt, len(r.body), r.n)
+				storage.ErrCorrupt, len(d.body), d.n)
 		}
 		return false, nil
 	}
-	if len(r.body) < entryLenSize {
-		return false, fmt.Errorf("index: %w block truncated at entry %d/%d", storage.ErrCorrupt, r.i, r.n)
+	if len(d.body) < entryLenSize {
+		return false, fmt.Errorf("index: %w block truncated at entry %d/%d", storage.ErrCorrupt, i, d.n)
 	}
-	ln := int(binary.LittleEndian.Uint16(r.body))
-	if ln == padEntry || entryLenSize+ln > len(r.body) {
+	ln := int(binary.LittleEndian.Uint16(d.body))
+	if ln == padEntry || entryLenSize+ln > len(d.body) {
 		return false, fmt.Errorf("index: %w block entry %d/%d has bad length %d",
-			storage.ErrCorrupt, r.i, r.n, ln)
+			storage.ErrCorrupt, i, d.n, ln)
 	}
-	if err := DecodeDeweyEntryCompressed(r.body[entryLenSize:entryLenSize+ln], r.prev, p); err != nil {
-		return false, err
+	if err := d.entry(d.body[entryLenSize : entryLenSize+ln]); err != nil {
+		d.comps, d.pos = d.comps[:d.off[i].id], d.pos[:d.off[i].pos]
+		return false, fmt.Errorf("index: %w block entry %d/%d: %v", storage.ErrCorrupt, i, d.n, err)
 	}
-	r.prev = append(r.prev[:0], p.ID...)
-	r.body = r.body[entryLenSize+ln:]
-	r.i++
+	d.body = d.body[entryLenSize+ln:]
 	return true, nil
+}
+
+// uvarint is binary.Uvarint with the one-byte case inline, the common
+// case for suffix lengths and posList counts.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
+}
+
+// entry decodes one compressed entry body (the AppendDeweyEntryCompressed
+// layout) onto the columns, its ID prefix taken from the previous entry.
+func (d *blockDecoder) entry(e []byte) error {
+	if len(e) < 2 {
+		return fmt.Errorf("compressed dewey entry too short")
+	}
+	lcp := int(e[0])
+	sl, k := uvarint(e[1:])
+	if k <= 0 {
+		return fmt.Errorf("compressed dewey entry suffix length corrupt")
+	}
+	e = e[1+k:]
+	i := len(d.ranks)
+	prevStart := 0
+	if i > 0 {
+		prevStart = int(d.off[i-1].id)
+	}
+	if prevLen := int(d.off[i].id) - prevStart; lcp > prevLen {
+		return fmt.Errorf("compressed entry lcp %d exceeds previous ID length %d", lcp, prevLen)
+	}
+	if sl > uint64(len(e)) || len(e)-int(sl) < 4 {
+		return fmt.Errorf("compressed dewey entry truncated")
+	}
+	suffixLen := int(sl)
+	end := len(d.comps)
+	d.comps = slices.Grow(d.comps, lcp)[:end+lcp]
+	for j := range lcp { // a few components: cheaper than a memmove call
+		d.comps[end+j] = d.comps[prevStart+j]
+	}
+	var err error
+	if d.comps, err = dewey.AppendDecoded(d.comps, e[:suffixLen]); err != nil {
+		return err
+	}
+	e = e[suffixLen:]
+	rank := math.Float32frombits(binary.LittleEndian.Uint32(e))
+	e = e[4:]
+	nPos, k := uvarint(e)
+	if k <= 0 {
+		return fmt.Errorf("posList count corrupt")
+	}
+	e = e[k:]
+	if nPos > uint64(len(e)) { // every position takes at least one byte
+		return fmt.Errorf("posList of %d positions in %d bytes", nPos, len(e))
+	}
+	start := len(d.pos)
+	d.pos = slices.Grow(d.pos, int(nPos))[:start+int(nPos)]
+	ps := d.pos[start:]
+	// Deltas accumulate in uint32: truncating the uint64 sum once, as the
+	// v1 decoder does, gives the same value.
+	prev := uint32(0)
+	for j := range ps {
+		if len(e) > 0 && e[0] < 0x80 {
+			prev += uint32(e[0])
+			e = e[1:]
+		} else if len(e) > 1 && e[1] < 0x80 { // a posList's first, absolute position
+			prev += uint32(e[0]&0x7F) | uint32(e[1])<<7
+			e = e[2:]
+		} else {
+			delta, k := binary.Uvarint(e)
+			if k <= 0 {
+				return fmt.Errorf("posList truncated at %d/%d", j, nPos)
+			}
+			prev += uint32(delta)
+			e = e[k:]
+		}
+		ps[j] = prev
+	}
+	d.ranks = append(d.ranks, rank)
+	d.off = append(d.off, entryOff{int32(len(d.comps)), int32(len(d.pos))})
+	return nil
+}
+
+// at points p at decoded entry i. The ID and posList are views into the
+// columns, capacity-capped so an append by the caller cannot overwrite a
+// neighbour; they stay valid until the decoder is started on another
+// block or handed back to decoders.
+func (d *blockDecoder) at(i int, p *Posting) {
+	a, b := d.off[i], d.off[i+1]
+	p.ID = dewey.ID(d.comps[a.id:b.id:b.id])
+	p.Positions = d.pos[a.pos:b.pos:b.pos]
+	p.Rank = d.ranks[i]
+	p.Elem = -1
 }
 
 // encodeBlock builds a standalone block body from posts (tests and fuzz
@@ -375,28 +502,39 @@ func readSkipIndex(fs storage.FS, path string, ordered bool) (map[string][]Block
 	return refs, nil
 }
 
-// blockBody pins ref's page and returns the block body, cross-checking
-// the on-page length prefix against the skip ref (the cheap structural
-// guard that catches a skip index pointing into the wrong bytes).
-// Callers release fr after they finish with the body.
-func blockBody(pool *storage.BufferPool, ec *storage.ExecContext, ref *BlockRef, scan bool) (*storage.Frame, []byte, error) {
+// openBlock pins ref's page and starts dec on the block body, checking
+// the on-page length prefix and the entry count against the skip ref (the
+// cheap structural guards that catch a skip index pointing into the wrong
+// bytes). Callers release fr once they have finished with dec.
+func openBlock(pool *storage.BufferPool, ec *storage.ExecContext, ref *BlockRef, scan bool, dec *blockDecoder) (*storage.Frame, error) {
 	fr, err := getPage(pool, ec, ref.Page, scan)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	off := int(ref.Off)
 	if off+entryLenSize > storage.PageSize {
 		fr.Release()
-		return nil, nil, fmt.Errorf("index: %w block ref beyond page %d", storage.ErrCorrupt, ref.Page)
+		return nil, fmt.Errorf("index: %w block ref beyond page %d", storage.ErrCorrupt, ref.Page)
 	}
 	ln := int(binary.LittleEndian.Uint16(fr.Data[off:]))
 	if ln != int(ref.Bytes) || off+entryLenSize+ln > storage.PageSize {
 		fr.Release()
-		return nil, nil, fmt.Errorf("index: %w block at page %d off %d: length %d does not match skip ref %d",
+		return nil, fmt.Errorf("index: %w block at page %d off %d: length %d does not match skip ref %d",
 			storage.ErrCorrupt, ref.Page, ref.Off, ln, ref.Bytes)
 	}
 	ec.CountBlocks(1, 0)
-	return fr, fr.Data[off+entryLenSize : off+entryLenSize+ln], nil
+	if err := dec.init(fr.Data[off+entryLenSize : off+entryLenSize+ln]); err != nil {
+		fr.Release()
+		return nil, err
+	}
+	if dec.n != int(ref.Count) {
+		n := dec.n
+		dec.n = 0
+		fr.Release()
+		return nil, fmt.Errorf("index: %w block at page %d off %d: %d entries, skip ref says %d",
+			storage.ErrCorrupt, ref.Page, ref.Off, n, ref.Count)
+	}
+	return fr, nil
 }
 
 // blockCursor iterates a block-encoded list through its in-memory skip
@@ -412,19 +550,30 @@ type blockCursor struct {
 	refs  []BlockRef
 	count uint32 // total entries across all blocks
 
-	bi    int // next ref to load
+	bi int // next ref to load
+	// frame pins the loaded block's page until the next load or close,
+	// which keeps the buffer pool's replacement decisions — and so every
+	// page count the HDIL estimator reads — independent of how the block
+	// is decoded.
 	frame *storage.Frame
-	rd    blockReader
-	told  int // entries of the loaded block already reported to ec.CountPostings
+	dec   *blockDecoder // from decoders while the cursor is open
+	told  int           // entries of the loaded block already reported to ec.CountPostings
 	post  Posting
 }
+
+// decoders recycles block decoders, whose columns grow to a block's size,
+// across cursors and probes: a query opens several of each.
+var decoders = sync.Pool{New: func() any { return new(blockDecoder) }}
 
 func newBlockCursor(pool *storage.BufferPool, refs []BlockRef, count uint32, ec *storage.ExecContext, scan bool) *blockCursor {
 	return &blockCursor{pool: pool, refs: refs, count: count, ec: ec, scan: scan}
 }
 
+// inBlock reports whether the loaded block has entries left.
+func (c *blockCursor) inBlock() bool { return c.dec != nil && c.dec.decoded() < c.dec.n }
+
 func (c *blockCursor) next() (*Posting, bool, error) {
-	for c.rd.i >= c.rd.n {
+	for !c.inBlock() {
 		if c.bi >= len(c.refs) {
 			c.close()
 			return nil, false, nil
@@ -435,28 +584,24 @@ func (c *blockCursor) next() (*Posting, bool, error) {
 		}
 		c.bi++
 	}
-	if _, err := c.rd.next(&c.post); err != nil {
+	if _, err := c.dec.next(); err != nil {
 		c.close()
 		return nil, false, err
 	}
+	c.dec.at(c.dec.decoded()-1, &c.post)
 	return &c.post, true, nil
 }
 
+// loadBlock pins ref's page and starts decoding its block.
 func (c *blockCursor) loadBlock(ref *BlockRef) error {
-	c.close()
-	fr, body, err := blockBody(c.pool, c.ec, ref, c.scan)
+	c.unpin()
+	if c.dec == nil {
+		c.dec = decoders.Get().(*blockDecoder)
+	}
+	fr, err := openBlock(c.pool, c.ec, ref, c.scan, c.dec)
+	c.told = c.dec.decoded() // 0 unless the page could not be read
 	if err != nil {
 		return err
-	}
-	c.told = 0
-	if err := c.rd.init(body); err != nil {
-		fr.Release()
-		return err
-	}
-	if c.rd.n != int(ref.Count) {
-		fr.Release()
-		return fmt.Errorf("index: %w block at page %d off %d: %d entries, skip ref says %d",
-			storage.ErrCorrupt, ref.Page, ref.Off, c.rd.n, ref.Count)
 	}
 	c.frame = fr
 	return nil
@@ -488,17 +633,28 @@ func (c *blockCursor) skipRemainingBlocks() {
 }
 
 func (c *blockCursor) exhausted() bool {
-	return c.bi >= len(c.refs) && c.rd.i >= c.rd.n
+	return c.bi >= len(c.refs) && !c.inBlock()
 }
 
-// close releases the pinned page and reports the entries decoded since
+// unpin releases the pinned page and reports the entries decoded since
 // the last report (once per block, so the entry loop stays lock-free).
-// Safe to call repeatedly.
-func (c *blockCursor) close() {
+func (c *blockCursor) unpin() {
 	if c.frame != nil {
 		c.frame.Release()
 		c.frame = nil
 	}
-	c.ec.CountPostings(int64(c.rd.i - c.told))
-	c.told = c.rd.i
+	if c.dec != nil {
+		c.ec.CountPostings(int64(c.dec.decoded() - c.told))
+		c.told = c.dec.decoded()
+	}
+}
+
+// close unpins and hands the decoder back, ending the last posting's
+// views. Safe to call repeatedly.
+func (c *blockCursor) close() {
+	c.unpin()
+	if c.dec != nil {
+		decoders.Put(c.dec)
+		c.dec, c.told = nil, 0
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"xrank/internal/dewey"
@@ -20,27 +21,51 @@ func fuzzPosts() []Posting {
 	}
 }
 
-// FuzzBlockDecode feeds arbitrary bytes to the block reader: it must
+// decodeBlock decodes a whole block body into postings that own their
+// slices.
+func decodeBlock(body []byte) ([]Posting, error) {
+	var dec blockDecoder
+	if err := dec.init(body); err != nil {
+		return nil, err
+	}
+	var out []Posting
+	for {
+		ok, err := dec.next()
+		if err != nil || !ok {
+			return out, err
+		}
+		var p Posting
+		dec.at(dec.decoded()-1, &p)
+		out = append(out, Posting{ID: p.ID.Clone(), Rank: p.Rank, Positions: append([]uint32(nil), p.Positions...)})
+	}
+}
+
+// FuzzBlockDecode feeds arbitrary bytes to the block decoder: it must
 // never panic and never loop forever — every input either decodes as a
-// well-formed block or errors out.
+// well-formed block or errors out — and every decoded entry must read
+// back as a view of exactly the columns' contents.
 func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 0, 3, 0, 0, 0, 0})
 	f.Add(encodeBlock(fuzzPosts()))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var rd blockReader
-		if err := rd.init(body); err != nil {
+		var dec blockDecoder
+		if err := dec.init(body); err != nil {
 			return
 		}
 		var p Posting
 		for i := 0; i <= len(body)+2; i++ {
-			ok, err := rd.next(&p)
+			ok, err := dec.next()
 			if err != nil || !ok {
 				return
 			}
+			dec.at(dec.decoded()-1, &p)
+			if cap(p.ID) != len(p.ID) || cap(p.Positions) != len(p.Positions) {
+				t.Fatalf("entry %d: view capacity not capped", i)
+			}
 		}
-		t.Fatalf("block reader yielded more entries than the input has bytes")
+		t.Fatalf("block decoder yielded more entries than the input has bytes")
 	})
 }
 
@@ -123,61 +148,22 @@ func writeSkipIndexBytes(terms []string, refs map[string][]BlockRef) ([]byte, er
 }
 
 // TestBlockRoundTrip pins encode→decode identity for a block: every
-// posting comes back bit-identical, in order.
+// posting comes back bit-identical, in order, and nothing follows.
 func TestBlockRoundTrip(t *testing.T) {
 	posts := fuzzPosts()
-	body := encodeBlock(posts)
-	var rd blockReader
-	if err := rd.init(body); err != nil {
+	got, err := decodeBlock(encodeBlock(posts))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var p Posting
+	if len(got) != len(posts) {
+		t.Fatalf("decoded %d entries, want %d", len(got), len(posts))
+	}
 	for i := range posts {
-		ok, err := rd.next(&p)
-		if err != nil || !ok {
-			t.Fatalf("entry %d: ok=%v err=%v", i, ok, err)
+		if !dewey.Equal(got[i].ID, posts[i].ID) || got[i].Rank != posts[i].Rank {
+			t.Fatalf("entry %d decoded %v/%v, want %v/%v", i, got[i].ID, got[i].Rank, posts[i].ID, posts[i].Rank)
 		}
-		if !dewey.Equal(p.ID, posts[i].ID) || p.Rank != posts[i].Rank {
-			t.Fatalf("entry %d decoded %v/%v, want %v/%v", i, p.ID, p.Rank, posts[i].ID, posts[i].Rank)
-		}
-		if len(p.Positions) != len(posts[i].Positions) {
-			t.Fatalf("entry %d posList %v, want %v", i, p.Positions, posts[i].Positions)
-		}
-		for j := range p.Positions {
-			if p.Positions[j] != posts[i].Positions[j] {
-				t.Fatalf("entry %d posList %v, want %v", i, p.Positions, posts[i].Positions)
-			}
-		}
-	}
-	if ok, err := rd.next(&p); ok || err != nil {
-		t.Fatalf("trailing entry: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestDecodeDeweyEntryCompressedResetsOnError is the regression test for
-// the partial-write bug: on any decode error the out-posting must come
-// back zeroed, because callers chain decoded IDs as the next entry's
-// prev — a partially-written ID would corrupt every later entry on the
-// page instead of surfacing the error's true position.
-func TestDecodeDeweyEntryCompressedResetsOnError(t *testing.T) {
-	prev := dewey.ID{1, 2, 3}
-	good := AppendDeweyEntryCompressed(nil, prev, dewey.ID{1, 2, 4}, 0.5, []uint32{9})
-	body := good[entryLenSize:]
-
-	cases := map[string][]byte{
-		"too short":     {3},
-		"lcp too long":  {255, 1, 0x80},
-		"truncated":     body[:len(body)-3],
-		"bad posList":   append(append([]byte{}, body[:len(body)-1]...), 0xFF),
-		"bad suffixLen": {1, 0xFF},
-	}
-	for name, mut := range cases {
-		p := Posting{ID: dewey.ID{9, 9, 9}, Elem: 7, Rank: 3.5, Positions: []uint32{1, 2}}
-		if err := DecodeDeweyEntryCompressed(mut, prev, &p); err == nil {
-			t.Fatalf("%s: decode accepted corrupt body", name)
-		}
-		if len(p.ID) != 0 || len(p.Positions) != 0 || p.Elem != 0 || p.Rank != 0 {
-			t.Fatalf("%s: error path left a partial posting: %+v", name, p)
+		if !slices.Equal(got[i].Positions, posts[i].Positions) {
+			t.Fatalf("entry %d posList %v, want %v", i, got[i].Positions, posts[i].Positions)
 		}
 	}
 }

@@ -92,52 +92,6 @@ func AppendDeweyEntryCompressed(buf []byte, prev, id dewey.ID, rank float32, pos
 	return buf
 }
 
-// DecodeDeweyEntryCompressed decodes a compressed entry body into p,
-// reconstructing the full ID from prev (the previous entry's ID on the
-// same page, or nil for the first entry of a page or list). On error, p
-// is reset to a zero posting (slices keep their capacity): callers chain
-// decoded IDs as the next entry's prev, so a partially-written posting
-// must never escape.
-func DecodeDeweyEntryCompressed(body []byte, prev dewey.ID, p *Posting) error {
-	if err := decodeDeweyEntryCompressed(body, prev, p); err != nil {
-		p.ID = p.ID[:0]
-		p.Positions = p.Positions[:0]
-		p.Elem = 0
-		p.Rank = 0
-		return err
-	}
-	return nil
-}
-
-func decodeDeweyEntryCompressed(body []byte, prev dewey.ID, p *Posting) error {
-	if len(body) < 2 {
-		return fmt.Errorf("index: compressed dewey entry too short")
-	}
-	lcp := int(body[0])
-	sl, n := binary.Uvarint(body[1:])
-	if n <= 0 {
-		return fmt.Errorf("index: compressed dewey entry suffix length corrupt")
-	}
-	suffixLen := int(sl)
-	body = body[1+n:]
-	if lcp > len(prev) {
-		return fmt.Errorf("index: compressed entry lcp %d exceeds previous ID length %d", lcp, len(prev))
-	}
-	if len(body) < suffixLen+4 {
-		return fmt.Errorf("index: compressed dewey entry truncated")
-	}
-	p.ID = append(p.ID[:0], prev[:lcp]...)
-	var err error
-	p.ID, err = dewey.AppendDecoded(p.ID, body[:suffixLen])
-	if err != nil {
-		return err
-	}
-	body = body[suffixLen:]
-	p.Rank = math.Float32frombits(binary.LittleEndian.Uint32(body))
-	p.Elem = -1
-	return decodePositions(body[4:], p)
-}
-
 // AppendNaiveEntry appends the encoded naive entry to buf.
 func AppendNaiveEntry(buf []byte, p *Posting) []byte {
 	start := len(buf)

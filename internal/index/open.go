@@ -339,6 +339,9 @@ type ListCursor struct {
 	post  Posting
 }
 
+// Next returns the list's next posting, or ok=false at its end. The
+// posting, its ID and its posList are only valid until the following
+// Next or Close.
 func (lc *ListCursor) Next() (*Posting, bool, error) {
 	if lc.blk != nil {
 		return lc.blk.next()
@@ -420,29 +423,28 @@ func (lc *ListCursor) DecodeBlockMaxRank(ref BlockRef) (float32, error) {
 	if lc.blk == nil {
 		return 0, fmt.Errorf("index: not a block cursor")
 	}
-	fr, body, err := blockBody(lc.blk.pool, lc.blk.ec, &ref, false)
+	var dec blockDecoder
+	fr, err := openBlock(lc.blk.pool, lc.blk.ec, &ref, false, &dec)
 	if err != nil {
 		return 0, err
 	}
 	defer fr.Release()
-	var rd blockReader
-	if err := rd.init(body); err != nil {
-		return 0, err
-	}
-	var p Posting
-	max := float32(math.Inf(-1))
 	for {
-		ok, err := rd.next(&p)
+		ok, err := dec.next()
 		if err != nil {
 			return 0, err
 		}
 		if !ok {
-			return max, nil
-		}
-		if p.Rank > max {
-			max = p.Rank
+			break
 		}
 	}
+	max := float32(math.Inf(-1))
+	for _, r := range dec.ranks {
+		if r > max {
+			max = r
+		}
+	}
+	return max, nil
 }
 
 // deweyCursor opens a Dewey-family list in the directory's postings

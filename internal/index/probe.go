@@ -322,7 +322,6 @@ type blockProber struct {
 	refs    []BlockRef
 	ec      *storage.ExecContext
 	key     []byte
-	rd      blockReader
 	post    Posting
 	scratch dewey.ID
 }
@@ -333,25 +332,20 @@ func (ix *Index) newBlockProber(ec *storage.ExecContext, term string) *blockProb
 
 // scanBlock decodes ref's block, calling visit with each entry.
 func (bp *blockProber) scanBlock(ref *BlockRef, visit pageVisit) error {
-	fr, body, err := blockBody(bp.pool, bp.ec, ref, false)
+	dec := decoders.Get().(*blockDecoder)
+	defer decoders.Put(dec)
+	fr, err := openBlock(bp.pool, bp.ec, ref, false, dec)
 	if err != nil {
 		return err
 	}
 	defer fr.Release()
-	rd := &bp.rd
-	if err := rd.init(body); err != nil {
-		return err
-	}
-	defer func() { bp.ec.CountPostings(int64(rd.i)) }()
-	if rd.n != int(ref.Count) {
-		return fmt.Errorf("index: %w block at page %d off %d: %d entries, skip ref says %d",
-			storage.ErrCorrupt, ref.Page, ref.Off, rd.n, ref.Count)
-	}
+	defer func() { bp.ec.CountPostings(int64(dec.decoded())) }()
 	for {
-		ok, err := rd.next(&bp.post)
+		ok, err := dec.next()
 		if err != nil || !ok {
 			return err
 		}
+		dec.at(dec.decoded()-1, &bp.post)
 		stop, err := visit(&bp.post)
 		if err != nil || stop {
 			return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"xrank/internal/dewey"
 	"xrank/internal/index"
 )
 
@@ -67,13 +66,12 @@ func DIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 	if err := opts.checkWeights(len(keywords)); err != nil {
 		return nil, err
 	}
-	streams := make([]postingStream, len(keywords))
-	curs := make([]*cursorStream, 0, len(keywords))
+	streams := make([]*postingStream, 0, len(keywords))
 	// Any exit — absent keyword, cancellation, budget exhaustion, I/O
 	// error — must unpin whatever pages the opened cursors still hold.
 	defer func() {
-		for _, cs := range curs {
-			cs.close()
+		for _, s := range streams {
+			s.close()
 		}
 	}()
 	// Spans: open (cursor setup + first advance per list) and merge (the
@@ -89,25 +87,25 @@ func DIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 			return nil, nil
 		}
 		dfs[i] = cur.Count()
-		cs := &cursorStream{cur: cur}
-		curs = append(curs, cs)
-		streams[i] = cs
-		if err := cs.advance(); err != nil {
+		s := &postingStream{cur: cur}
+		streams = append(streams, s)
+		if err := s.advance(); err != nil {
 			return nil, err
 		}
 	}
 	endOpen()
 	h := newResultHeap(opts.TopM)
-	m := newMerger(streams, opts)
+	m := mergerPool.Get().(*merger)
+	m.init(streams, opts)
+	defer func() {
+		m.init(nil, Options{}) // drop the query's streams and options
+		mergerPool.Put(m)
+	}()
 	if opts.Scoring == ScoreTFIDF {
 		m.base = tfidfBase(opts.numElements(ix.Meta.NumElements), opts.dfsOr(dfs))
 	}
 	endMerge := opts.Exec.StartSpan("dil.merge")
-	if err := m.run(func(id dewey.ID, score float64) {
-		if h.accepts(id, score) {
-			h.offer(Result{ID: id.Clone(), Score: score})
-		}
-	}); err != nil {
+	if err := m.run(h.offerCopy); err != nil {
 		return nil, err
 	}
 	endMerge()

@@ -28,7 +28,7 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 		return nil, err
 	}
 	n := len(keywords)
-	streams := make([]*cursorStream, 0, n)
+	streams := make([]*postingStream, 0, n)
 	// A cancellation, budget, or I/O error can abandon streams mid-list
 	// with pages pinned; close is idempotent, so the drained ones are fine.
 	defer func() {
@@ -49,10 +49,10 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 		} else {
 			dfs = append(dfs, cur.Count())
 		}
-		cs := &cursorStream{cur: cur}
-		streams = append(streams, cs)
+		s := &postingStream{cur: cur}
+		streams = append(streams, s)
 		weights = append(weights, opts.weight(i))
-		if err := cs.advance(); err != nil {
+		if err := s.advance(); err != nil {
 			return nil, err
 		}
 	}
@@ -70,7 +70,15 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 	}
 
 	h := newResultHeap(opts.TopM)
-	prox := make([][]uint32, 0, len(streams))
+	// Per-element scratch, reused across the whole merge: the element's ID
+	// (heads are invalidated by advance), and the matching keywords'
+	// posLists back to back in pos, the k-th ending at ends[k].
+	var (
+		id   dewey.ID
+		pos  []uint32
+		ends = make([]int, 0, len(streams))
+		prox = make([][]uint32, 0, len(streams))
+	)
 	// The merge runs until the function returns, so a deferred end covers it.
 	defer opts.Exec.StartSpan("disj.merge")()
 	for iter := 0; ; iter++ {
@@ -82,35 +90,37 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 		// Smallest head ID across the still-live streams.
 		var minID dewey.ID
 		for _, s := range streams {
-			p, ok := s.head()
-			if !ok {
-				continue
-			}
-			if minID == nil || dewey.Compare(p.ID, minID) < 0 {
-				minID = p.ID
+			if s.p != nil && (minID == nil || dewey.Compare(s.p.ID, minID) < 0) {
+				minID = s.p.ID
 			}
 		}
 		if minID == nil {
 			break
 		}
-		minID = minID.Clone() // heads are invalidated by advance below
+		id = append(id[:0], minID...)
 		score := 0.0
-		prox = prox[:0]
+		pos, ends = pos[:0], ends[:0]
 		for si, s := range streams {
-			p, ok := s.head()
-			if !ok || !dewey.Equal(p.ID, minID) {
+			if s.p == nil || !dewey.Equal(s.p.ID, id) {
 				continue
 			}
-			score += weights[si] * base(si, p)
-			prox = append(prox, append([]uint32(nil), p.Positions...))
+			score += weights[si] * base(si, s.p)
+			pos = append(pos, s.p.Positions...)
+			ends = append(ends, len(pos))
 			if err := s.advance(); err != nil {
 				return nil, err
 			}
 		}
-		if opts.UseProximity && len(prox) > 1 {
+		if opts.UseProximity && len(ends) > 1 {
+			prox = prox[:0]
+			start := 0
+			for _, end := range ends {
+				prox = append(prox, pos[start:end])
+				start = end
+			}
 			score *= Proximity(prox)
 		}
-		h.offer(Result{ID: minID, Score: score})
+		h.offerCopy(id, score)
 	}
 	return h.sorted(), nil
 }

@@ -8,6 +8,16 @@ import (
 	"xrank/internal/index"
 )
 
+// memStreams wraps in-memory posting lists as primed merge streams.
+func memStreams(lists ...[]index.Posting) []*postingStream {
+	streams := make([]*postingStream, len(lists))
+	for i, posts := range lists {
+		streams[i] = &postingStream{posts: posts}
+		_ = streams[i].advance() // an in-memory stream cannot fail
+	}
+	return streams
+}
+
 // TestFigure6WalkThrough replays the paper's Section 4.2.2 worked example
 // on the exact Figure 4 data: the query 'XQL Ricardo' over the DIL with
 //
@@ -36,10 +46,8 @@ func TestFigure6WalkThrough(t *testing.T) {
 	if err := opts.fill(); err != nil {
 		t.Fatal(err)
 	}
-	m := newMerger([]postingStream{
-		&sliceStream{posts: xql},
-		&sliceStream{posts: ricardo},
-	}, opts)
+	m := new(merger)
+	m.init(memStreams(xql, ricardo), opts)
 	var got []Result
 	if err := m.run(func(id dewey.ID, score float64) {
 		got = append(got, Result{ID: id.Clone(), Score: score})
@@ -80,10 +88,8 @@ func TestFigure6NoSpuriousAncestors(t *testing.T) {
 	if err := opts.fill(); err != nil {
 		t.Fatal(err)
 	}
-	m := newMerger([]postingStream{
-		&sliceStream{posts: xql},
-		&sliceStream{posts: ricardo},
-	}, opts)
+	m := new(merger)
+	m.init(memStreams(xql, ricardo), opts)
 	var ids []string
 	if err := m.run(func(id dewey.ID, _ float64) {
 		ids = append(ids, id.String())

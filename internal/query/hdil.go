@@ -117,9 +117,9 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 			endOpen()
 			return nil, trace, nil
 		}
-		cs := &cursorStream{cur: cur}
-		sources = append(sources, &rankedSource{stream: cs, prober: prober, lastRank: math.Inf(1)})
-		if err := cs.advance(); err != nil {
+		s := &postingStream{cur: cur}
+		sources = append(sources, &rankedSource{stream: s, prober: prober, lastRank: math.Inf(1)})
+		if err := s.advance(); err != nil {
 			return nil, trace, err
 		}
 		dil.SeqReads += ix.DILListBytes(kw)/storage.PageSize + 1
@@ -129,6 +129,7 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 	dilEstimate := cm.SimulatedTime(dil)
 	startStats := opts.Exec.Stats()
 	ta := newTAState(opts, sources)
+	defer ta.release()
 	endRounds := opts.Exec.StartSpan("hdil.rounds")
 	switchToDIL := func(reason string) ([]Result, *HDILTrace, error) {
 		endRounds()

@@ -132,11 +132,11 @@ func benchSources(b *testing.B, ix *index.Index, ec *storage.ExecContext, q []st
 			b.Fatalf("no rank list for %q", kw)
 		}
 		prober, _ := ix.HDILProberExec(ec, kw)
-		cs := &cursorStream{cur: cur}
-		if err := cs.advance(); err != nil {
+		s := &postingStream{cur: cur}
+		if err := s.advance(); err != nil {
 			b.Fatal(err)
 		}
-		sources[i] = &rankedSource{stream: cs, prober: prober, lastRank: math.Inf(1)}
+		sources[i] = &rankedSource{stream: s, prober: prober, lastRank: math.Inf(1)}
 	}
 	return sources
 }

@@ -1,42 +1,41 @@
 package query
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"xrank/internal/dewey"
 	"xrank/internal/index"
 )
 
-// postingStream is a Dewey-ordered stream of one keyword's postings. The
-// head posting stays valid until the stream is advanced.
-type postingStream interface {
-	// head returns the current posting, or ok=false when exhausted.
-	head() (*index.Posting, bool)
-	// advance consumes the current posting.
-	advance() error
+// postingStream is a Dewey-ordered stream of one keyword's postings: a
+// disk-backed list cursor, or — with cur nil — an in-memory posting slice
+// (RDIL/HDIL's evaluation of the postings below one candidate ancestor).
+// The head p stays valid until the stream is advanced; nil means the
+// stream is exhausted (or not yet primed by its first advance).
+type postingStream struct {
+	cur   *index.ListCursor
+	p     *index.Posting
+	posts []index.Posting // in-memory postings, when cur is nil
+	next  int             // index of the in-memory posting after p
 }
 
-// cursorStream adapts an index.ListCursor (disk-backed list).
-type cursorStream struct {
-	cur  *index.ListCursor
-	p    *index.Posting
-	done bool
-}
-
-func (s *cursorStream) head() (*index.Posting, bool) { return s.p, !s.done }
-
-// close releases the cursor's pinned page. Safe to call repeatedly, and
-// required on every exit path once a stream exists: a cancellation or
-// budget error can abandon a stream mid-list with a page still pinned.
-func (s *cursorStream) close() { s.cur.Close() }
-
-func (s *cursorStream) advance() error {
+// advance consumes the current posting.
+func (s *postingStream) advance() error {
+	if s.cur == nil {
+		if s.next < len(s.posts) {
+			s.p = &s.posts[s.next]
+			s.next++
+		} else {
+			s.p = nil
+		}
+		return nil
+	}
 	p, ok, err := s.cur.Next()
 	if err != nil {
 		return err
 	}
 	if !ok {
-		s.done = true
 		s.p = nil
 		s.cur.Close()
 		return nil
@@ -45,17 +44,23 @@ func (s *cursorStream) advance() error {
 	return nil
 }
 
-// skipToDoc moves the stream forward until its head posting's document is
-// >= doc (or the list ends). Block-format cursors first drop every whole
-// block whose document range ends before doc without decoding it; the
-// remainder of the current block is stepped through entry by entry, so the
-// stream observes exactly the same postings a plain advance loop would.
-func (s *cursorStream) skipToDoc(doc uint32) error {
-	if s.done {
+// close releases the cursor's pinned page. Safe to call repeatedly, and
+// required on every exit path once a cursor stream exists: a cancellation
+// or budget error can abandon a stream mid-list with a page still pinned.
+func (s *postingStream) close() { s.cur.Close() }
+
+// skipToDoc moves a cursor stream forward until its head posting's
+// document is >= doc (or the list ends). Block-format cursors first drop
+// every whole block whose document range ends before doc without decoding
+// it; the remainder of the current block is stepped through entry by
+// entry, so the stream observes exactly the same postings a plain advance
+// loop would.
+func (s *postingStream) skipToDoc(doc uint32) error {
+	if s.p == nil {
 		return nil
 	}
 	s.cur.SkipBlocksBelowDoc(doc)
-	for !s.done && s.p != nil && s.p.ID.Doc() < doc {
+	for s.p != nil && s.p.ID.Doc() < doc {
 		if err := s.advance(); err != nil {
 			return err
 		}
@@ -63,57 +68,17 @@ func (s *cursorStream) skipToDoc(doc uint32) error {
 	return nil
 }
 
-// terminate abandons the remainder of the list: the caller has proved no
-// further posting from this stream can contribute to a result. Block-format
-// cursors record the dropped blocks as skipped; the pinned page is
-// released either way.
-func (s *cursorStream) terminate() {
-	if s.done {
+// terminate abandons the remainder of a cursor stream's list: the caller
+// has proved no further posting from it can contribute to a result.
+// Block-format cursors record the dropped blocks as skipped; the pinned
+// page is released either way.
+func (s *postingStream) terminate() {
+	if s.p == nil {
 		return
 	}
 	s.cur.SkipRemainingBlocks()
-	s.done = true
 	s.p = nil
 	s.cur.Close()
-}
-
-// sliceStream adapts an in-memory posting slice (used by RDIL to evaluate
-// the postings under one candidate ancestor).
-type sliceStream struct {
-	posts []index.Posting
-	i     int
-}
-
-func (s *sliceStream) head() (*index.Posting, bool) {
-	if s.i >= len(s.posts) {
-		return nil, false
-	}
-	return &s.posts[s.i], true
-}
-
-func (s *sliceStream) advance() error { s.i++; return nil }
-
-// mnode is one Dewey-stack level during the merge (Figure 6): the
-// aggregated per-keyword ranks and posLists of the element identified by
-// the stack prefix ending at this component.
-type mnode struct {
-	ranks       []float64
-	pos         [][]uint32
-	containsAll bool
-}
-
-func (nd *mnode) reset(n int) {
-	if cap(nd.ranks) < n {
-		nd.ranks = make([]float64, n)
-		nd.pos = make([][]uint32, n)
-	}
-	nd.ranks = nd.ranks[:n]
-	nd.pos = nd.pos[:n]
-	for i := 0; i < n; i++ {
-		nd.ranks[i] = 0
-		nd.pos[i] = nd.pos[i][:0]
-	}
-	nd.containsAll = false
 }
 
 // merger runs the single-pass Dewey-stack merge of Figure 5 over n
@@ -121,53 +86,58 @@ func (nd *mnode) reset(n int) {
 // rank. It is the DIL query processor's engine, and — run over the small
 // in-memory posting sets below a candidate ancestor — the result
 // evaluator inside RDIL/HDIL.
+//
+// The stack (Figure 6) is flat: curID holds its Dewey components, and
+// level d's per-keyword state is ranks[d*n+i] and starts[d*n+i]. The
+// posLists live in one arena per keyword, pos[i]: postings arrive in
+// Dewey order, so the positions below the element at level d are exactly
+// pos[i][starts[d*n+i]:] while that level is on the stack. A popped
+// element that propagates to its parent leaves its positions in place —
+// they are already the tail of the parent's segment — and one that does
+// not (a result, or an element containing a result) truncates the arena
+// back to its start, so nothing is ever copied up the Dewey path.
 type merger struct {
 	opts    Options
 	n       int
-	streams []postingStream
-	// base computes an occurrence's undecayed rank from its entry; the
-	// default is the stored ElemRank, and the tf-idf scoring mode plugs in
-	// a different function.
+	streams []*postingStream
+	// base computes an occurrence's undecayed rank from its entry; nil
+	// means the stored ElemRank. Options.Rank and the tf-idf scoring mode
+	// plug in a different function.
 	base func(stream int, p *index.Posting) float64
 
-	stack []*mnode
-	curID dewey.ID
-	free  []*mnode
+	curID       dewey.ID
+	ranks       []float64
+	starts      []int
+	containsAll []bool // per level: some sub-element contains every keyword
+	pos         [][]uint32
 
 	proxBuf [][]uint32
 }
 
-func newMerger(streams []postingStream, opts Options) *merger {
-	base := func(_ int, p *index.Posting) float64 { return float64(p.Rank) }
+// mergerPool recycles DIL's mergers, so the stack and the positions
+// arenas reach their working size once per process instead of growing
+// from empty in every query.
+var mergerPool = sync.Pool{New: func() any { return new(merger) }}
+
+// init readies m for a merge over streams, keeping its buffers.
+func (m *merger) init(streams []*postingStream, opts Options) {
+	m.opts, m.n, m.streams, m.base = opts, len(streams), streams, nil
 	if opts.Rank != nil {
 		rank := opts.Rank
-		base = func(_ int, p *index.Posting) float64 { return rank(p) }
+		m.base = func(_ int, p *index.Posting) float64 { return rank(p) }
 	}
-	return &merger{
-		opts:    opts,
-		n:       len(streams),
-		streams: streams,
-		base:    base,
-	}
+	m.pos = slices.Grow(m.pos[:0], m.n)[:m.n]
+	m.proxBuf = slices.Grow(m.proxBuf[:0], m.n)[:m.n]
+	m.reset()
 }
 
 // reset readies the merger for another run over the same (refilled)
-// streams, keeping its pooled stack nodes.
+// streams, keeping its buffers.
 func (m *merger) reset() {
-	m.free = append(m.free, m.stack...)
-	m.stack, m.curID = m.stack[:0], m.curID[:0]
-}
-
-func (m *merger) node() *mnode {
-	if k := len(m.free); k > 0 {
-		nd := m.free[k-1]
-		m.free = m.free[:k-1]
-		nd.reset(m.n)
-		return nd
+	m.curID, m.ranks, m.starts, m.containsAll = m.curID[:0], m.ranks[:0], m.starts[:0], m.containsAll[:0]
+	for i := range m.pos {
+		m.pos[i] = m.pos[i][:0]
 	}
-	nd := &mnode{}
-	nd.reset(m.n)
-	return nd
 }
 
 // cancelCheckInterval throttles merge-loop cancellation checks: page
@@ -201,8 +171,8 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 		live := 0
 		var dmax uint32
 		for i, s := range m.streams {
-			p, ok := s.head()
-			if !ok {
+			p := s.p
+			if p == nil {
 				exhausted = true
 				continue
 			}
@@ -229,19 +199,18 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 		//     there), so streams heading into that gap may leap to dmax.
 		//
 		// Either way the discarded postings could only ever have filled
-		// stack nodes that pop without emitting, so the emitted elements
+		// stack levels that pop without emitting, so the emitted elements
 		// and scores are bit-identical to the plain merge. Block-format
 		// cursors turn the leap into whole-block skips.
 		if m.n >= 2 {
 			if exhausted {
 				closed := false
 				for _, s := range m.streams {
-					cs, ok := s.(*cursorStream)
-					if !ok || cs.done {
+					if s.cur == nil || s.p == nil {
 						continue
 					}
-					if !lastDocSet || cs.p.ID.Doc() > lastDoc {
-						cs.terminate()
+					if !lastDocSet || s.p.ID.Doc() > lastDoc {
+						s.terminate()
 						closed = true
 					}
 				}
@@ -251,12 +220,11 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 			} else if bd := best.ID.Doc(); bd < dmax && (!lastDocSet || bd > lastDoc) {
 				skipped := false
 				for _, s := range m.streams {
-					cs, ok := s.(*cursorStream)
-					if !ok || cs.done {
+					if s.cur == nil || s.p == nil {
 						continue
 					}
-					if d := cs.p.ID.Doc(); d < dmax && (!lastDocSet || d > lastDoc) {
-						if err := cs.skipToDoc(dmax); err != nil {
+					if d := s.p.ID.Doc(); d < dmax && (!lastDocSet || d > lastDoc) {
+						if err := s.skipToDoc(dmax); err != nil {
 							return err
 						}
 						skipped = true
@@ -270,18 +238,34 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 		// Longest common prefix with the current stack (lines 10-11).
 		lcp := dewey.CommonPrefixLen(m.curID, best.ID)
 		// Pop non-matching components (lines 12-24).
-		for len(m.stack) > lcp {
-			m.popTop(emit)
+		for len(m.curID) > lcp {
+			m.pop(emit)
 		}
 		// Push the new components (lines 25-28).
-		for len(m.stack) < len(best.ID) {
-			m.stack = append(m.stack, m.node())
-			m.curID = append(m.curID, best.ID[len(m.curID)])
+		if need := len(best.ID) * m.n; cap(m.ranks) < need {
+			m.ranks = slices.Grow(m.ranks, need-len(m.ranks))
+			m.starts = slices.Grow(m.starts, need-len(m.starts))
+		}
+		for d := len(m.curID); d < len(best.ID); d++ {
+			m.curID = append(m.curID, best.ID[d])
+			m.containsAll = append(m.containsAll, false)
+			lvl := d * m.n
+			m.ranks, m.starts = m.ranks[:lvl+m.n], m.starts[:lvl+m.n]
+			for i, ps := range m.pos {
+				m.ranks[lvl+i] = 0
+				m.starts[lvl+i] = len(ps)
+			}
 		}
 		// Record the entry at the top (lines 29-31).
-		top := m.stack[len(m.stack)-1]
-		top.ranks[bestIdx] = m.opts.Agg.combine(top.ranks[bestIdx], m.base(bestIdx, best))
-		top.pos[bestIdx] = append(top.pos[bestIdx], best.Positions...)
+		var r float64
+		if m.base == nil {
+			r = float64(best.Rank)
+		} else {
+			r = m.base(bestIdx, best)
+		}
+		top := (len(m.curID)-1)*m.n + bestIdx
+		m.ranks[top] = m.opts.Agg.combine(m.ranks[top], r)
+		m.pos[bestIdx] = append(m.pos[bestIdx], best.Positions...)
 		doc := best.ID.Doc()
 		if err := m.streams[bestIdx].advance(); err != nil {
 			return err
@@ -289,72 +273,74 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 		lastDoc, lastDocSet = doc, true
 	}
 	// Drain the stack (line 33).
-	for len(m.stack) > 0 {
-		m.popTop(emit)
+	for len(m.curID) > 0 {
+		m.pop(emit)
 	}
 	return nil
 }
 
-// popTop pops the deepest stack component, emitting it if it is a result
-// and otherwise propagating its decayed ranks and posLists to its parent
+// pop pops the deepest stack level, emitting it if it is a result and
+// otherwise propagating its decayed ranks and posLists to its parent
 // (Figure 5 lines 13-24).
-func (m *merger) popTop(emit func(id dewey.ID, score float64)) {
-	depth := len(m.stack)
-	nd := m.stack[depth-1]
-	m.stack = m.stack[:depth-1]
-	var parent *mnode
-	if depth >= 2 {
-		parent = m.stack[depth-2]
-	}
-
-	all := true
-	for i := 0; i < m.n; i++ {
-		if len(nd.pos[i]) == 0 {
-			all = false
+func (m *merger) pop(emit func(id dewey.ID, score float64)) {
+	d := len(m.curID) - 1
+	lvl := d * m.n
+	pos, starts := m.pos, m.starts[lvl:lvl+m.n]
+	result := true
+	for i, st := range starts {
+		if len(pos[i]) == st {
+			result = false
 			break
 		}
 	}
+	containsAll := m.containsAll[d]
 	switch {
-	case all:
-		nd.containsAll = true
-		emit(m.curID[:depth], m.score(nd))
-	case !nd.containsAll && parent != nil:
-		for i := 0; i < m.n; i++ {
-			if len(nd.pos[i]) == 0 {
-				continue
+	case result:
+		containsAll = true
+		emit(m.curID, m.score(d))
+	case !containsAll && d > 0:
+		ranks, parent := m.ranks[lvl:lvl+m.n], m.ranks[lvl-m.n:lvl]
+		for i, st := range starts {
+			if len(pos[i]) != st {
+				parent[i] = m.opts.Agg.combine(parent[i], ranks[i]*m.opts.Decay)
 			}
-			parent.ranks[i] = m.opts.Agg.combine(parent.ranks[i], nd.ranks[i]*m.opts.Decay)
-			parent.pos[i] = append(parent.pos[i], nd.pos[i]...)
 		}
+		m.popLevel(d)
+		return
 	}
-	if nd.containsAll && parent != nil {
-		parent.containsAll = true
+	// Not propagated: the element's positions leave with it.
+	for i, st := range starts {
+		pos[i] = pos[i][:st]
 	}
-	m.curID = m.curID[:depth-1]
-	m.free = append(m.free, nd)
+	if containsAll && d > 0 {
+		m.containsAll[d-1] = true
+	}
+	m.popLevel(d)
 }
 
-// score computes the overall rank of Section 2.3.2.2 for a node whose
-// posLists are all non-empty.
-func (m *merger) score(nd *mnode) float64 {
+func (m *merger) popLevel(d int) {
+	m.curID, m.ranks, m.starts, m.containsAll = m.curID[:d], m.ranks[:d*m.n], m.starts[:d*m.n], m.containsAll[:d]
+}
+
+// score computes the overall rank of Section 2.3.2.2 for the element at
+// stack level d, whose posLists are all non-empty.
+func (m *merger) score(d int) float64 {
+	lvl := d * m.n
 	sum := 0.0
 	for i := 0; i < m.n; i++ {
-		sum += m.opts.weight(i) * nd.ranks[i]
+		sum += m.opts.weight(i) * m.ranks[lvl+i]
 	}
 	if !m.opts.UseProximity || m.n == 1 {
 		return sum
 	}
-	// posLists may be unsorted after propagation (a parent's direct text
-	// interleaves with its children's in document order); sort before the
-	// window sweep.
-	if cap(m.proxBuf) < m.n {
-		m.proxBuf = make([][]uint32, m.n)
-	}
-	m.proxBuf = m.proxBuf[:m.n]
+	// A posList may be unsorted (an element's direct text interleaves
+	// with its children's in document order); sort before the window
+	// sweep. The segment is about to be truncated, so sorting in place
+	// disturbs nothing.
 	for i := 0; i < m.n; i++ {
-		ps := nd.pos[i]
-		if !sort.SliceIsSorted(ps, func(a, b int) bool { return ps[a] < ps[b] }) {
-			sort.Slice(ps, func(a, b int) bool { return ps[a] < ps[b] })
+		ps := m.pos[i][m.starts[lvl+i]:]
+		if !slices.IsSorted(ps) {
+			slices.Sort(ps)
 		}
 		m.proxBuf[i] = ps
 	}

@@ -301,6 +301,20 @@ func (h *resultHeap) offer(r Result) {
 	}
 }
 
+// offerCopy offers a result whose ID the caller is only lending: an
+// accepted ID is copied, into the evicted result's array when it fits, so
+// a full heap takes new results without allocating.
+func (h *resultHeap) offerCopy(id dewey.ID, score float64) {
+	if len(h.items) < h.m {
+		heap.Push(h, Result{ID: id.Clone(), Score: score})
+		return
+	}
+	if h.accepts(id, score) {
+		h.items[0] = Result{ID: append(h.items[0].ID[:0], id...), Score: score}
+		heap.Fix(h, 0)
+	}
+}
+
 // kthScore returns the m-th best score so far, or -1 if fewer than m
 // results are held (so any positive threshold keeps the scan going).
 func (h *resultHeap) kthScore() float64 {
@@ -337,29 +351,51 @@ func Proximity(perKeyword [][]uint32) float64 {
 		return 1
 	}
 	// Classic smallest-window sweep: repeatedly advance the keyword whose
-	// current position is smallest; every state covers all keywords, so
-	// the window max-min+1 is a candidate.
-	idx := make([]int, n)
+	// current head is smallest; every state covers all keywords, so the
+	// window max-min+1 is a candidate, and the smallest candidate is the
+	// smallest window. Heads only move forward, so the window's high end
+	// only grows and is kept as it goes.
+	var inline [8]int
+	var idx []int
+	if n <= len(inline) {
+		idx = inline[:n]
+	} else {
+		idx = make([]int, n)
+	}
+	hi := uint32(0)
+	for _, ps := range perKeyword {
+		hi = max(hi, ps[0])
+	}
 	best := ^uint32(0)
 	for {
-		lo, hi := uint32(^uint32(0)), uint32(0)
+		// The smallest head (lo, in list loK) and the next smallest (lo2).
 		loK := 0
-		for k := 0; k < n; k++ {
-			p := perKeyword[k][idx[k]]
-			if p < lo {
-				lo, loK = p, k
-			}
-			if p > hi {
-				hi = p
+		lo, lo2 := perKeyword[0][idx[0]], ^uint32(0)
+		for k := 1; k < n; k++ {
+			if p := perKeyword[k][idx[k]]; p < lo {
+				lo, lo2, loK = p, lo, k
+			} else if p < lo2 {
+				lo2 = p
 			}
 		}
-		if w := hi - lo + 1; w < best {
+		// Advancing loK through heads <= lo2 keeps it the smallest and
+		// leaves hi alone, so of that run only the last head can give the
+		// smallest window: jump to it.
+		ps, i := perKeyword[loK], idx[loK]
+		for i+1 < len(ps) && ps[i+1] <= lo2 {
+			i++
+		}
+		if w := hi - ps[i] + 1; w < best {
 			best = w
+			if best <= uint32(n) {
+				break // the clamp below makes any smaller window the same
+			}
 		}
-		idx[loK]++
-		if idx[loK] >= len(perKeyword[loK]) {
+		if i++; i >= len(ps) {
 			break
 		}
+		idx[loK] = i
+		hi = max(hi, ps[i])
 	}
 	if best < uint32(n) {
 		// Overlapping positions (the same token counted for two keywords

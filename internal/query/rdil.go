@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"xrank/internal/dewey"
 	"xrank/internal/index"
@@ -13,7 +15,7 @@ import (
 // HDIL's rank prefix over the shared Dewey file. The threshold loop below
 // is written against this so RDIL and HDIL share it.
 type rankedSource struct {
-	stream *cursorStream
+	stream *postingStream
 	prober index.DeweyProber
 	// lastRank is the rank of the most recently consumed entry; +Inf until
 	// the first entry is read, so the threshold cannot trigger early.
@@ -40,35 +42,54 @@ type taState struct {
 	merger *merger      // evaluates one candidate over under
 }
 
+// taStates recycles threshold-algorithm states across RDIL and HDIL
+// queries, so the evaluation scratch — the postings copied below each
+// candidate, the merger's stack and arenas, the seen set — reaches its
+// working size once rather than growing from empty in every query.
+var taStates = sync.Pool{New: func() any {
+	return &taState{heap: new(resultHeap), seen: make(map[string]bool), merger: new(merger)}
+}}
+
+// newTAState returns a state for one query over sources; release hands it
+// back once the query is done with it.
 func newTAState(opts Options, sources []*rankedSource) *taState {
-	ta := &taState{
-		opts:    opts,
-		sources: sources,
-		heap:    newResultHeap(opts.TopM),
-		seen:    make(map[string]bool),
-		under:   make([]postingBuf, len(sources)),
-	}
-	streams := make([]postingStream, len(sources))
+	ta := taStates.Get().(*taState)
+	ta.opts, ta.sources, ta.entriesRead, ta.exhausted = opts, sources, 0, false
+	ta.heap.items, ta.heap.m = ta.heap.items[:0], opts.TopM
+	clear(ta.seen)
+	ta.under = slices.Grow(ta.under[:0], len(sources))[:len(sources)]
+	streams := make([]*postingStream, len(sources))
 	for j := range ta.under {
-		ta.under[j].collect = ta.under[j].add
-		streams[j] = &ta.under[j].sliceStream
+		b := &ta.under[j]
+		b.reset()
+		b.collect = b.add
+		streams[j] = &b.postingStream
 	}
-	ta.merger = newMerger(streams, opts)
+	ta.merger.init(streams, opts)
 	return ta
+}
+
+// release hands the state back for reuse; nothing it returned is
+// affected (results are copied out of the heap).
+func (ta *taState) release() {
+	clear(ta.heap.items)
+	ta.opts, ta.sources = Options{}, nil
+	ta.merger.init(nil, Options{})
+	taStates.Put(ta)
 }
 
 // postingBuf holds one keyword's postings below a candidate ancestor,
 // copied out of the prober's reused Posting into arenas that survive from
 // one evaluation to the next.
 type postingBuf struct {
-	sliceStream
+	postingStream
 	ids     []uint32
 	pos     []uint32
 	collect func(p *index.Posting) error // add, bound once
 }
 
 func (b *postingBuf) reset() {
-	b.posts, b.i, b.ids, b.pos = b.posts[:0], 0, b.ids[:0], b.pos[:0]
+	b.posts, b.p, b.next, b.ids, b.pos = b.posts[:0], nil, 0, b.ids[:0], b.pos[:0]
 }
 
 // add copies p. An arena that grows mid-evaluation leaves the earlier
@@ -137,7 +158,7 @@ var DebugBlockSkip func(info BlockSkipInfo)
 // done() is true.
 func (ta *taState) finish() {
 	for i, src := range ta.sources {
-		if DebugBlockSkip != nil && !src.stream.done {
+		if DebugBlockSkip != nil && src.stream.p != nil {
 			DebugBlockSkip(BlockSkipInfo{
 				Source:    i,
 				Cursor:    src.stream.cur,
@@ -174,8 +195,8 @@ func (ta *taState) step(i int) (bool, error) {
 		return false, err
 	}
 	src := ta.sources[i]
-	p, ok := src.stream.head()
-	if !ok {
+	p := src.stream.p
+	if p == nil {
 		ta.exhausted = true
 		return false, nil
 	}
@@ -245,6 +266,7 @@ func (ta *taState) evaluate(lcp dewey.ID) (float64, bool, error) {
 			// scan means lcp was only the *probe* lcp for another list.
 			return 0, false, nil
 		}
+		_ = b.advance() // primes the head; an in-memory stream cannot fail
 	}
 	var score float64
 	found := false
@@ -346,14 +368,15 @@ func RDIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 			endOpen()
 			return nil, nil
 		}
-		cs := &cursorStream{cur: cur}
-		sources = append(sources, &rankedSource{stream: cs, prober: prober, lastRank: math.Inf(1)})
-		if err := cs.advance(); err != nil {
+		s := &postingStream{cur: cur}
+		sources = append(sources, &rankedSource{stream: s, prober: prober, lastRank: math.Inf(1)})
+		if err := s.advance(); err != nil {
 			return nil, err
 		}
 	}
 	endOpen()
 	ta := newTAState(opts, sources)
+	defer ta.release()
 	endRounds := opts.Exec.StartSpan("rdil.rounds")
 	for !ta.exhausted && !ta.done() {
 		for i := range sources {

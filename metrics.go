@@ -31,6 +31,7 @@ type engineMetrics struct {
 	cacheHits    *obs.Counter
 	blocksRead   *obs.Counter
 	blocksSkip   *obs.Counter
+	postings     *obs.Counter
 	slowTotal    *obs.Counter
 	degraded     *obs.Counter
 	shardRetries *obs.Counter
@@ -101,6 +102,7 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		cacheHits:    r.Counter("xrank_cache_hits_total", "Query page accesses absorbed by a buffer pool."),
 		blocksRead:   r.Counter("xrank_blocks_decoded_total", "Posting blocks decoded by queries (block postings format only)."),
 		blocksSkip:   r.Counter("xrank_blocks_skipped_total", "Posting blocks skipped whole by pruning (block postings format only)."),
+		postings:     r.Counter("xrank_postings_decoded_total", "Inverted-list entries decoded by queries' cursors and probes."),
 		slowTotal:    r.Counter("xrank_slow_queries_total", "Queries at or above the slow-query threshold."),
 		degraded:     r.Counter("xrank_degraded_queries_total", "Queries served with at least one shard excluded."),
 		shardRetries: r.Counter("xrank_shard_retries_total", "Shard executions retried after a transient device fault."),
@@ -159,6 +161,7 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 	m.cacheHits.Add(stats.IO.CacheHits)
 	m.blocksRead.Add(stats.IO.BlocksDecoded)
 	m.blocksSkip.Add(stats.IO.BlocksSkipped)
+	m.postings.Add(stats.IO.Postings)
 	if stats.SwitchedToDIL {
 		m.reg.Counter(metricSwitches, helpSwitches, "reason", stats.SwitchReason).Inc()
 	}
