@@ -8,8 +8,9 @@
 // The dump is parsed with a streaming token loop (one <doc> resident at
 // a time), so memory stays bounded on multi-gigabyte inputs. Documents
 // commit in batches — a fresh directory's first batch builds the engine,
-// every later batch lands as a delta segment through AddDocs — and a
-// checkpoint is durably written after each committed batch, so a killed
+// every later batch lands through AddDocs, whose folds keep the segment
+// count bounded — and a checkpoint is durably written after each
+// committed batch, so a killed
 // ingest resumes exactly after the last committed document (seekable
 // inputs seek to the recorded offset; gzip inputs re-read and skip by
 // count). Document names are deterministic (wiki-NNNNNNNN.xml), so a
@@ -53,7 +54,6 @@ func run(args []string, out io.Writer) error {
 	limit := fl.Int64("limit", 0, "stop after this many total documents (0 = whole dump)")
 	shards := fl.Int("shards", 0, "index shards when creating a fresh directory (0 = engine default)")
 	block := fl.Bool("block", false, "block postings format when creating a fresh directory")
-	compactOver := fl.Int("compact-segments", 8, "compact when more than this many segments accumulate (0 disables)")
 	if err := fl.Parse(args); err != nil {
 		return err
 	}
@@ -117,15 +117,7 @@ func run(args []string, out io.Writer) error {
 			for name, doc := range b {
 				add[name] = bytes.NewReader(doc)
 			}
-			if err := e.AddDocs(add); err != nil {
-				return err
-			}
-			if *compactOver > 0 && e.SegmentCount() > *compactOver {
-				if _, err := e.CompactOnce(0); err != nil {
-					return fmt.Errorf("compact: %w", err)
-				}
-			}
-			return nil
+			return e.AddDocs(add)
 		}
 		done = func() error {
 			fmt.Fprintf(out, "index: %d docs, %d segments, %d suggest terms\n",

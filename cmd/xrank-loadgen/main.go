@@ -278,11 +278,6 @@ func startInproc(c inprocConfig) (url string, info *xrank.BuildInfo, cleanup fun
 	}
 	e.ConfigureResultCache(c.cacheBytes)
 	e.SetCoalesceQueries(c.coalesce)
-	// The updates arm appends segments; the compactor keeps the segment
-	// count bounded like a real serve deployment would.
-	if err := e.StartCompactor(time.Second, 4, 0); err != nil {
-		return fail(err)
-	}
 	var adm *cache.Admission
 	if c.maxInflight > 0 {
 		adm = cache.NewAdmission(c.maxInflight, c.admissionQueue)

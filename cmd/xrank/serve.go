@@ -41,9 +41,7 @@ func cmdServe(args []string) error {
 	coalesce := fs.Bool("coalesce", true, "coalesce concurrent identical queries into a single execution")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing /api/search requests (0 = engine config; negative disables admission control)")
 	admissionQueue := fs.Int("admission-queue", 0, "admission wait-queue length (0 = engine config or 2x max-inflight; negative disables queueing)")
-	maxSegments := fs.Int("max-segments", 0, "compact when more than this many index segments accumulate (0 = engine config or 4; negative disables the compactor)")
-	compactInterval := fs.Int("compact-interval-ms", 0, "background compactor check interval in milliseconds (0 = engine config or 1000)")
-	compactBudget := fs.Int64("compact-budget-pages", 0, "max pages of write I/O one compaction may issue (0 = engine config or unmetered)")
+	maxSegments := fs.Int("max-segments", 0, "live index segments AddDocs may leave before folding more (0 = engine config or 4; negative sets no count bound)")
 	suggestMaxK := fs.Int("suggest-max-k", 0, "max completions one /api/suggest request may ask for (0 = engine config or 50)")
 	fs.Parse(args)
 	if *dir == "" {
@@ -87,25 +85,8 @@ func cmdServe(args []string) error {
 	if inflight > 0 {
 		adm = cache.NewAdmission(inflight, queue)
 	}
-	segLimit := *maxSegments
-	if segLimit == 0 {
-		segLimit = cfg.MaxSegments
-		if segLimit == 0 {
-			segLimit = 4
-		}
-	}
-	if segLimit > 0 {
-		interval := *compactInterval
-		if interval == 0 {
-			interval = cfg.CompactIntervalMillis
-		}
-		budgetPages := *compactBudget
-		if budgetPages == 0 {
-			budgetPages = cfg.CompactBudgetPages
-		}
-		if err := e.StartCompactor(time.Duration(interval)*time.Millisecond, segLimit, budgetPages); err != nil {
-			return err
-		}
+	if *maxSegments != 0 {
+		e.SetMaxSegments(*maxSegments)
 	}
 	log.Printf("xrank: serving on %s (index %s)", *addr, *dir)
 	return http.ListenAndServe(*addr, newMux(e, muxOptions{

@@ -3,10 +3,14 @@ package xrank
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"xrank/internal/storage"
+	"xrank/internal/xmldoc"
 )
+
+// defaultMaxSegments is the live-segment bound AddDocs enforces when
+// Config.MaxSegments is zero.
+const defaultMaxSegments = 4
 
 // CompactionStats reports what one CompactOnce call did.
 type CompactionStats struct {
@@ -20,10 +24,10 @@ type CompactionStats struct {
 	Dir   string `json:"dir"`
 }
 
-// CompactOnce merges every live segment into one fresh segment built at
-// the current ElemRank version, swaps the manifest atomically, and
-// retires the old segments' files. The merged segment covers the whole
-// collection — including tombstoned documents, whose space is only
+// CompactOnce folds every live segment into one fresh segment built at
+// the current ElemRank version: the fold AddDocs runs on its trailing
+// segments, with all of them selected. The merged segment covers the
+// whole collection — including tombstoned documents, whose space is only
 // reclaimed by a full Update/rebuild, matching the paper's Section 4.5
 // treatment of deletions; keeping them preserves every term's document
 // frequency, so compaction is score-neutral and invalidates no cached
@@ -33,8 +37,7 @@ type CompactionStats struct {
 // and the half-built segment is an orphan.
 //
 // Queries run concurrently with the build; they only block for the
-// brief snapshot swap. Acquiring the write lock also guarantees no
-// in-flight query still holds cursors into the retired segments.
+// brief snapshot swap.
 func (e *Engine) CompactOnce(budgetPages int64) (CompactionStats, error) {
 	var cs CompactionStats
 	if !e.built {
@@ -55,99 +58,108 @@ func (e *Engine) CompactOnce(budgetPages int64) (CompactionStats, error) {
 		ec.SetBudget(budgetPages)
 		buildFS = storage.NewBudgetFS(e.cfg.FS, ec)
 	}
-	// The merged segment — postings and suggest dictionary alike — covers
-	// the whole collection (tombstones included, which keeps it
-	// score-neutral) at the current rank version.
-	newSeg, st, err := e.buildSegment(e.nextSeg, e.rankVer, e.col, e.ranks, allDocIDs(e.col.NumDocs()), buildFS)
+	seg, bytes, err := e.fold(0, nil, e.col, e.ranks, e.rankVer, e.docs, buildFS, func() {})
 	if err != nil {
-		return cs, fmt.Errorf("xrank: compaction: %w", err)
-	}
-	// After this commit a reopen sees only the merged segment; before it,
-	// only the old ones.
-	if err := e.commitSegments(newSeg.id+1, e.rankVer, e.docs, []*engineSegment{newSeg}); err != nil {
-		newSeg.ix.Close()
 		return cs, err
 	}
+	cs.Compacted = true
+	cs.SegmentsAfter = 1
+	cs.Dir = seg.dir
+	cs.Bytes = bytes
+	return cs, nil
+}
 
-	old := e.segs
+// SetMaxSegments overrides Config.MaxSegments at runtime (the serve
+// command's -max-segments flag): the live-segment bound later AddDocs
+// batches enforce.
+func (e *Engine) SetMaxSegments(n int) {
+	e.updateMu.Lock()
+	e.cfg.MaxSegments = n
+	e.updateMu.Unlock()
+}
+
+// foldPoint returns how many leading segments survive an AddDocs batch of
+// batchBytes XML bytes; the rest fold into the batch's segment. Walking
+// back from the newest, a segment is folded while it is no larger — in
+// XML bytes of its documents — than what the new segment already holds,
+// and while keeping it would leave more than the MaxSegments bound (zero
+// selects defaultMaxSegments, negative sets no count bound). Equal
+// batches therefore fold like a binary counter, and the base is
+// rewritten only once the deltas together reach its size. Callers hold
+// updateMu.
+func (e *Engine) foldPoint(batchBytes int64) int {
+	limit := e.cfg.MaxSegments
+	if limit == 0 {
+		limit = defaultMaxSegments
+	}
+	held := batchBytes
+	keep := len(e.segs)
+	for ; keep > 0; keep-- {
+		var size int64
+		for _, d := range e.segs[keep-1].docs {
+			size += e.docs[d].Size
+		}
+		if size > held && (limit < 0 || keep+1 <= limit) {
+			break
+		}
+		held += size
+	}
+	return keep
+}
+
+// fold is the one merge-and-retire routine: it builds, through buildFS,
+// one segment over the documents of the trailing segments e.segs[keep:]
+// followed by add (documents of col, baked at ranks/rankVer), commits
+// segments.json with e.segs[:keep] plus that segment over docs/rankVer,
+// and publishes the new segment set — running swap, for the caller's own
+// fields, under the same snapshot write lock. Queries hold the read lock
+// for their whole execution, so acquiring it drains every cursor into the
+// folded segments, whose directories are then retired. On error the
+// engine is unchanged. It returns the new segment and its index bytes.
+// Callers hold updateMu.
+func (e *Engine) fold(keep int, add []uint32, col *xmldoc.Collection, ranks []float64, rankVer int, docs []docEntry, buildFS storage.FS, swap func()) (*engineSegment, int64, error) {
+	folded := e.segs[keep:]
+	var segDocs []uint32
+	for _, s := range folded {
+		segDocs = append(segDocs, s.docs...)
+	}
+	segDocs = append(segDocs, add...)
+	seg, st, err := e.buildSegment(e.nextSeg, rankVer, col, ranks, segDocs, buildFS)
+	if err != nil {
+		return nil, 0, fmt.Errorf("xrank: build %s: %w", segmentDirName(e.nextSeg), err)
+	}
+	segs := append(append([]*engineSegment(nil), e.segs[:keep]...), seg)
+	// After this commit a reopen sees only the new segment set; before
+	// it, only the old one.
+	if err := e.commitSegments(seg.id+1, rankVer, docs, segs); err != nil {
+		seg.ix.Close()
+		return nil, 0, err
+	}
+
 	e.snapMu.Lock()
-	e.segs = []*engineSegment{newSeg}
-	e.nextSeg = newSeg.id + 1
+	swap()
+	e.segs = segs
+	e.nextSeg = seg.id + 1
 	e.updateSuggestGauge()
 	e.snapMu.Unlock()
+	e.met.segments.Set(int64(len(segs)))
 
-	// Retirement: the write lock above drained every query that could
-	// pin cursors into the old segments, so their directories can go. All
-	// best-effort — the manifest no longer references them, so leftover
-	// files after a crash are mere orphans.
+	bytes := st.DILList + st.RDILList + st.RDILIndex + st.HDILRank + st.HDILIndex +
+		st.NaiveIDList + st.NaiveRankList + st.NaiveIndex
+	if len(folded) == 0 {
+		return seg, bytes, nil
+	}
+	// Retirement, all best-effort: the manifest no longer references the
+	// folded segments, so leftover files after a crash are mere orphans.
 	fs := e.fs()
-	for _, s := range old {
+	for _, s := range folded {
 		dir := filepath.Join(e.cfg.IndexDir, s.dir)
 		s.ix.RemoveFiles(fs)
 		s.ix.Close()
 		fs.Remove(filepath.Join(dir, fileSuggest))
 		fs.Remove(dir)
 	}
-
-	cs.Compacted = true
-	cs.SegmentsAfter = 1
-	cs.Dir = newSeg.dir
-	cs.Bytes = st.DILList + st.RDILList + st.RDILIndex + st.HDILRank + st.HDILIndex +
-		st.NaiveIDList + st.NaiveRankList + st.NaiveIndex
 	e.met.compactions.Inc()
-	e.met.compactionBytes.Add(cs.Bytes)
-	e.met.segments.Set(1)
-	return cs, nil
-}
-
-// StartCompactor runs a background goroutine that checks every interval
-// whether the engine has accumulated more than maxSegments live
-// segments and, if so, compacts them with the
-// given write budget. interval <= 0 defaults to one second; maxSegments
-// < 1 is treated as 1. Errors are dropped — the next tick retries.
-// Close stops the compactor and waits for it to exit; starting a second
-// compactor on an engine whose first is still running is an error.
-func (e *Engine) StartCompactor(interval time.Duration, maxSegments int, budgetPages int64) error {
-	if !e.built {
-		return fmt.Errorf("xrank: StartCompactor before Build")
-	}
-	if e.compactStop != nil {
-		return fmt.Errorf("xrank: compactor already running")
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if maxSegments < 1 {
-		maxSegments = 1
-	}
-	e.compactStop = make(chan struct{})
-	e.compactDone = make(chan struct{})
-	stop, done := e.compactStop, e.compactDone
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if e.SegmentCount() > maxSegments {
-					e.CompactOnce(budgetPages)
-				}
-			}
-		}
-	}()
-	return nil
-}
-
-// stopCompactor halts the background compactor if one is running and
-// waits for it to finish any in-flight compaction.
-func (e *Engine) stopCompactor() {
-	if e.compactStop == nil {
-		return
-	}
-	close(e.compactStop)
-	<-e.compactDone
-	e.compactStop, e.compactDone = nil, nil
+	e.met.compactionBytes.Add(bytes)
+	return seg, bytes, nil
 }

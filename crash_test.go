@@ -226,6 +226,25 @@ var crashOps = []crashOp{
 		run: func(e *Engine, _ string) error { return e.AddDoc("doc7.xml", strings.NewReader(segCrashDoc)) },
 	},
 	{
+		// A flush that folds: the second document is as large as the
+		// first delta, so its segment absorbs that one, whose directory
+		// is retired after the commit.
+		name: "AddDocsFold", retires: true, minOps: 10,
+		prepare: func(t *testing.T, e *Engine) {
+			if err := e.AddDoc("doc7.xml", strings.NewReader(segCrashDoc)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		run: func(e *Engine, _ string) error {
+			before := e.Segments()
+			err := e.AddDoc("doc8.xml", strings.NewReader(strings.Replace(segCrashDoc, `id="7"`, `id="8"`, 1)))
+			if after := e.Segments(); err == nil && (len(after) != 2 || after[1].Dir == before[1].Dir) {
+				err = fmt.Errorf("segments %+v -> %+v: the batch folded nothing", before, after)
+			}
+			return err
+		},
+	},
+	{
 		// Compaction is score-neutral: both sides share the search
 		// signature and differ in segment count (and in suggestion
 		// weights, which the merge rebakes at the current rank version).

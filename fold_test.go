@@ -1,0 +1,288 @@
+package xrank
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	iofs "io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"xrank/internal/datagen/xmark"
+	"xrank/internal/storage"
+)
+
+// foldUnit is the exact byte size of every document TestTieredFoldLayout
+// adds, so a segment's size is its document count.
+const foldUnit = 256
+
+func foldDoc(n int) string {
+	c := fmt.Sprintf("<doc><t>fold alpha word%d</t><p>beta uniq%d</p></doc>", n%7, n)
+	return c + strings.Repeat(" ", foldUnit-len(c))
+}
+
+// TestTieredFoldLayout pins the size-tiered fold rule: one equal-sized
+// document per batch over a 9-document base, so the live segments'
+// document counts after each batch are the table's. A segment that stays
+// live keeps its files byte-identical (the base until it is folded);
+// a folded segment's directory is gone; and every batch that folded
+// counts once in xrank_compactions_total and adds its segment's bytes to
+// xrank_compaction_bytes_total.
+func TestTieredFoldLayout(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+	for n := 0; n < 9; n++ {
+		if err := e.AddXML(fmt.Sprintf("base%02d", n), strings.NewReader(foldDoc(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	steps := []struct {
+		maxSegments int // SetMaxSegments before the batch
+		want        string
+	}{
+		{0, "9 1"},
+		{0, "9 2"},
+		{0, "9 2 1"},
+		{0, "9 4"},
+		{0, "9 4 1"},
+		{0, "9 4 2"},
+		{0, "9 4 2 1"},
+		{0, "9 8"},
+		{0, "9 8 1"},
+		{0, "9 8 2"},
+		{0, "9 8 2 1"},
+		{0, "9 8 4"},
+		{0, "9 8 4 1"},
+		{0, "9 8 4 2"},
+		{0, "9 8 4 3"},    // the count bound folds a segment the size rule keeps
+		{-1, "9 8 4 3 1"}, // no count bound
+		{2, "26"},         // count bound 2: the deltas outgrow the base, which folds too
+		{1, "27"},
+	}
+	for i, st := range steps {
+		before := e.Segments()
+		files := map[string]map[string]string{}
+		for _, s := range before {
+			files[s.Dir] = readTree(t, filepath.Join(dir, s.Dir))
+		}
+		compactions, bytes := e.met.compactions.Value(), e.met.compactionBytes.Value()
+
+		e.SetMaxSegments(st.maxSegments)
+		if err := e.AddDoc(fmt.Sprintf("add%02d", i), strings.NewReader(foldDoc(100+i))); err != nil {
+			t.Fatal(err)
+		}
+		after := e.Segments()
+		var layout []string
+		live := map[string]bool{}
+		for _, s := range after {
+			layout = append(layout, fmt.Sprint(s.Docs))
+			live[s.Dir] = true
+		}
+		if got := strings.Join(layout, " "); got != st.want {
+			t.Fatalf("batch %d: layout %q, want %q", i+1, got, st.want)
+		}
+		for _, s := range before {
+			if !live[s.Dir] {
+				if _, err := os.Stat(filepath.Join(dir, s.Dir)); !errors.Is(err, iofs.ErrNotExist) {
+					t.Fatalf("batch %d: folded %s still on disk (%v)", i+1, s.Dir, err)
+				}
+				continue
+			}
+			if got := readTree(t, filepath.Join(dir, s.Dir)); !reflect.DeepEqual(got, files[s.Dir]) {
+				t.Fatalf("batch %d: live segment %s was rewritten", i+1, s.Dir)
+			}
+		}
+		folded := len(before)+1-len(after) > 0
+		dc, db := e.met.compactions.Value()-compactions, e.met.compactionBytes.Value()-bytes
+		if folded && (dc != 1 || db <= 0) || !folded && (dc != 0 || db != 0) {
+			t.Fatalf("batch %d (folded=%v): compactions +%d, compaction bytes +%d", i+1, folded, dc, db)
+		}
+	}
+	if rs, err := e.Search("uniq117"); err != nil || len(rs) == 0 {
+		t.Fatalf("last batch not searchable after a full fold: %d results, %v", len(rs), err)
+	}
+}
+
+// steadyStateWrites builds an 8-document XMark base and runs the spine's
+// ingest.mixed writer policy over it: batches of 4 small documents, one
+// DeleteDoc of an earlier addition every 5 batches, and CompactOnce
+// whenever more than 4 segments are live. It returns the index pages the
+// loop wrote, how many times the policy compacted, and the loop's time.
+func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions int, elapsed time.Duration) {
+	tb.Helper()
+	e := NewEngine(&Config{IndexDir: tb.TempDir(), Shards: 2, BlockPostings: true, SkipNaive: true})
+	defer e.Close()
+	doc := func(seed int64, scale float64) string {
+		return xmark.Generate(xmark.Params{
+			Seed: seed, Items: int(300 * scale), People: int(180 * scale), OpenAuctions: int(200 * scale),
+			ClosedAuctions: int(120 * scale), Categories: 1 + int(20*scale), VocabSize: 500,
+		})
+	}
+	for d := 0; d < 8; d++ {
+		if err := e.AddXML(fmt.Sprintf("base-%d.xml", d), strings.NewReader(doc(int64(d), 0.1))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var added []string
+	start, t0 := e.IOStats().Writes, time.Now()
+	for b := 0; b < batches; b++ {
+		add := map[string]io.Reader{}
+		for j := 0; j < 4; j++ {
+			name := fmt.Sprintf("add-%03d-%d.xml", b, j)
+			add[name] = strings.NewReader(doc(int64(1000+4*b+j), 0.01))
+			added = append(added, name)
+		}
+		if err := e.AddDocs(add); err != nil {
+			tb.Fatal(err)
+		}
+		if (b+1)%5 == 0 {
+			i := rng.Intn(len(added) - 4)
+			if err := e.DeleteDoc(added[i]); err != nil {
+				tb.Fatal(err)
+			}
+			added = append(added[:i], added[i+1:]...)
+		}
+		if e.SegmentCount() > 4 {
+			if _, err := e.CompactOnce(0); err != nil {
+				tb.Fatal(err)
+			}
+			compactions++
+		}
+	}
+	return e.IOStats().Writes - start, compactions, time.Since(t0)
+}
+
+// TestAddDocsNeverNeedsCompaction: under the spine's writer policy AddDocs
+// alone keeps the segment count within bounds, so the policy's CompactOnce
+// never fires, and the folds write at most half the index pages that
+// appending one delta per batch and compacting everything past 4 segments
+// did: that engine wrote 6969 index pages over this 48-batch loop and
+// compacted 12 times.
+func TestAddDocsNeverNeedsCompaction(t *testing.T) {
+	const parentWrites = 6969
+	writes, compactions, _ := steadyStateWrites(t, 48)
+	if compactions != 0 {
+		t.Fatalf("the writer policy compacted %d times", compactions)
+	}
+	if writes*2 > parentWrites {
+		t.Fatalf("the loop wrote %d index pages, more than half of %d", writes, parentWrites)
+	}
+	t.Logf("%d index pages written over 48 batches", writes)
+}
+
+// TestOpenIgnoresRetiredConfigFields: an engine.json whose Config still
+// carries the background compactor's retired knobs opens and answers
+// exactly like the directory did before.
+func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+	addCorpus(t, e, crashCorpus())
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	want := crashSig(t, e)
+	e.Close()
+
+	path := filepath.Join(dir, fileEngine)
+	var man map[string]map[string]any
+	if err := storage.ReadManifest(nil, path, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["config"]["CompactIntervalMillis"] = 250
+	man["config"]["CompactBudgetPages"] = 64
+	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil || !strings.Contains(string(raw), "CompactBudgetPages") {
+		t.Fatalf("engine.json does not carry the retired fields: %v", err)
+	}
+
+	e, err = OpenEngine(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := crashSig(t, e); !reflect.DeepEqual(got, want) {
+		t.Fatal("reopened engine answers differently")
+	}
+	if b, err := json.Marshal(e.Config()); err != nil || strings.Contains(string(b), "Compact") {
+		t.Fatalf("Config still has compactor fields: %s (%v)", b, err)
+	}
+}
+
+// BenchmarkAddDocsSteadyState is the write path's steady state: 64
+// batches of 4 small XMark documents over an 8-document base under the
+// spine's writer policy, per batch.
+func BenchmarkAddDocsSteadyState(b *testing.B) {
+	const batches = 64
+	var writes int64
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		w, _, d := steadyStateWrites(b, batches)
+		writes += w
+		elapsed += d
+	}
+	n := float64(b.N * batches)
+	b.ReportMetric(float64(elapsed.Milliseconds())/n, "ms/batch")
+	b.ReportMetric(float64(writes)/n, "pages/batch")
+}
+
+// BenchmarkStaleSegmentDIL prices the rank override a stale segment pays
+// per posting: DIL over a base made stale by one AddDocs, against the
+// same engine compacted (one segment, ranks baked in).
+func BenchmarkStaleSegmentDIL(b *testing.B) {
+	e := NewEngine(&Config{IndexDir: b.TempDir(), Shards: 1, BlockPostings: true, SkipNaive: true})
+	defer e.Close()
+	for d := 0; d < 4; d++ {
+		doc := xmark.Generate(xmark.Params{Seed: int64(d), Items: 150, People: 90, OpenAuctions: 100,
+			ClosedAuctions: 60, Categories: 10, VocabSize: 500})
+		if err := e.AddXML(fmt.Sprintf("base-%d.xml", d), strings.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		b.Fatal(err)
+	}
+	small := xmark.Generate(xmark.Params{Seed: 99, Items: 3, People: 2, OpenAuctions: 2,
+		ClosedAuctions: 1, Categories: 1, VocabSize: 500})
+	if err := e.AddDoc("delta.xml", strings.NewReader(small)); err != nil {
+		b.Fatal(err)
+	}
+	queries := []string{"w0 w1", "w2 w5", "w1 w3 w4", "w7 w9", "w0 w12"}
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		var postings int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, q := range queries {
+				_, st, err := e.SearchDetailed(q, SearchOptions{Algorithm: AlgoDIL})
+				if err != nil {
+					b.Fatal(err)
+				}
+				postings += st.IO.Postings
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+	}
+	b.Run("stale", run)
+	if _, err := e.CompactOnce(0); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("compacted", run)
+}

@@ -95,6 +95,7 @@ func ParseHTML(docID uint32, name string, r io.Reader, opts *ParseOptions) (*Doc
 		root.Text = strings.Join(textParts, " ")
 	}
 	doc.NumTokens = pos
+	doc.buildKidTable()
 	return doc, nil
 }
 

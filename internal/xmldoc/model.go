@@ -116,6 +116,27 @@ type Document struct {
 	// NumTokens is the total number of tokens assigned positions in this
 	// document; positions are in [0, NumTokens).
 	NumTokens uint32
+
+	// kidOff and kids are the child-offset table IndexAt walks: the
+	// children of Elements[i], in ordinal order, are the elements indexed
+	// by kids[kidOff[i]:kidOff[i+1]]. Built once at parse time (8 bytes
+	// per element, no pointers), so resolving a Dewey ID never touches an
+	// Element.
+	kidOff []int32
+	kids   []int32
+}
+
+// buildKidTable fills the child-offset table from the parsed tree.
+func (d *Document) buildKidTable() {
+	d.kidOff = make([]int32, len(d.Elements)+1)
+	d.kids = make([]int32, 0, len(d.Elements))
+	for i, e := range d.Elements {
+		d.kidOff[i] = int32(len(d.kids))
+		for _, c := range e.Children {
+			d.kids = append(d.kids, c.Index)
+		}
+	}
+	d.kidOff[len(d.Elements)] = int32(len(d.kids))
 }
 
 // NumElements returns N_de for the document: the number of element nodes
@@ -137,20 +158,31 @@ func (e *Element) DeweyID() dewey.ID {
 	return id
 }
 
+// IndexAt resolves a Dewey ID to the index in Elements of the element it
+// names, or -1 when the ID does not belong to this document or names no
+// element. Its collection-wide index is Base + IndexAt(id).
+func (d *Document) IndexAt(id dewey.ID) int {
+	if len(id) == 0 || id[0] != d.ID || len(d.kidOff) == 0 {
+		return -1
+	}
+	i := int32(0) // the root is Elements[0]
+	for _, ord := range id[1:] {
+		lo, hi := d.kidOff[i], d.kidOff[i+1]
+		if ord >= uint32(hi-lo) {
+			return -1
+		}
+		i = d.kids[lo+int32(ord)]
+	}
+	return int(i)
+}
+
 // ElementAt resolves a Dewey ID (which must belong to this document) to its
 // element, or nil if the path does not exist.
 func (d *Document) ElementAt(id dewey.ID) *Element {
-	if len(id) == 0 || id[0] != d.ID || d.Root == nil {
-		return nil
+	if i := d.IndexAt(id); i >= 0 {
+		return d.Elements[i]
 	}
-	e := d.Root
-	for _, ord := range id[1:] {
-		if int(ord) >= len(e.Children) {
-			return nil
-		}
-		e = e.Children[int(ord)]
-	}
-	return e
+	return nil
 }
 
 // IsAncestorOrSelf reports whether a is e or one of e's ancestors.

@@ -171,5 +171,6 @@ func ParseXML(docID uint32, name string, r io.Reader, opts *ParseOptions) (*Docu
 		return nil, fmt.Errorf("xmldoc: parse %s: no root element", name)
 	}
 	doc.NumTokens = pos
+	doc.buildKidTable()
 	return doc, nil
 }

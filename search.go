@@ -671,7 +671,9 @@ func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query
 
 // rankOverride returns the posting-rank substitute for stale segments:
 // the current global ElemRank of the posting's element, rounded through
-// float32 exactly as index building would bake it.
+// float32 exactly as index building would bake it. Dewey postings resolve
+// through the documents' child-offset tables (xmldoc.Document.IndexAt),
+// never through Element pointers: this runs once per posting scanned.
 func (e *Engine) rankOverride(naive bool) func(p *index.Posting) float64 {
 	col, ranks := e.col, e.ranks
 	if naive {
@@ -686,15 +688,12 @@ func (e *Engine) rankOverride(naive bool) func(p *index.Posting) float64 {
 		if len(p.ID) == 0 || int(p.ID[0]) >= len(col.Docs) {
 			return 0
 		}
-		el := col.Docs[p.ID[0]].ElementAt(p.ID)
-		if el == nil {
+		d := col.Docs[p.ID[0]]
+		i := d.IndexAt(p.ID)
+		if i < 0 {
 			return 0
 		}
-		g := col.GlobalIndex(el)
-		if g < 0 || g >= len(ranks) {
-			return 0
-		}
-		return float64(float32(ranks[g]))
+		return float64(float32(ranks[d.Base+i]))
 	}
 }
 

@@ -17,12 +17,12 @@ import (
 
 // Segment-based incremental indexing. The paper handles additions by
 // rebuilding (Section 4.5); this layer amortizes that: Build commits the
-// whole collection as segment 0, and each AddDocs batch goes into a small
-// immutable delta segment built over just the new documents. Queries
+// whole collection as segment 0, and each AddDocs batch goes into one
+// immutable segment built over the new documents plus the small trailing
+// segments it folds (size-tiered, see foldPoint in compact.go). Queries
 // merge the per-segment top-m's (every scoring decision is
 // intra-document and every document lives in exactly one segment, so
-// the merge is exact), and a compactor periodically folds the segments
-// back into one (see compact.go).
+// the merge is exact).
 //
 // ElemRank is global: adding any document changes N_d and the link
 // graph, so every element's rank moves with each batch. Each segment
@@ -243,9 +243,11 @@ func isHTMLName(name string) bool {
 
 // AddDocs incrementally adds documents to a built engine: the batch is
 // parsed into the collection, global ElemRanks are recomputed (adding
-// any document moves every element's rank), and a delta segment
-// covering just the new documents is built and committed via
-// segments.json — the full index is NOT rebuilt. A name that already
+// any document moves every element's rank), and one segment covering the
+// new documents plus the trailing segments the size-tiered rule folds
+// (see foldPoint; at most Config.MaxSegments stay live) is built and
+// committed via segments.json — the full index is rebuilt only once the
+// deltas together reach the base's size. A name that already
 // exists replaces that document: the old version is tombstoned and the
 // new one takes over its name. Names ending in .html/.htm parse as
 // HTML. On error the engine is unchanged (half-written files are
@@ -307,46 +309,40 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	rankVer2 := e.rankVer + 1
 
 	// Durable but uncommitted: document-store files, the new ranks blob
-	// and the delta segment — which covers just the batch, at the batch's
-	// rank version. All land under fresh names, so until segments.json
-	// flips they are invisible orphans.
+	// and the batch's segment — which covers the batch plus the trailing
+	// segments it folds, at the batch's rank version. All land under fresh
+	// names, so until segments.json flips they are invisible orphans.
 	if err := e.writeStore(docs2, len(e.docs), ranks2, rankVer2); err != nil {
 		return err
 	}
-	newSeg, _, err := e.buildSegment(e.nextSeg, rankVer2, col2, ranks2, segDocs, e.cfg.FS)
-	if err != nil {
-		return fmt.Errorf("xrank: delta segment: %w", err)
+	var batchBytes int64
+	for _, d := range docs2[len(e.docs):] {
+		batchBytes += d.Size
 	}
 	for _, id := range shadowed {
 		docs2[id].Deleted = true
 	}
-	segs2 := append(append([]*engineSegment(nil), e.segs...), newSeg)
-	if err := e.commitSegments(newSeg.id+1, rankVer2, docs2, segs2); err != nil {
-		newSeg.ix.Close()
+	oldRankVer := e.rankVer
+	_, _, err = e.fold(e.foldPoint(batchBytes), segDocs, col2, ranks2, rankVer2, docs2, e.cfg.FS, func() {
+		// Queries hold the snapshot read lock end to end, so no query
+		// observes a torn mix of old and new fields (or a tombstone-free
+		// shadowed version).
+		e.mu.Lock()
+		if e.deleted == nil && len(shadowed) > 0 {
+			e.deleted = make(map[uint32]bool)
+		}
+		for _, id := range shadowed {
+			e.deleted[id] = true
+		}
+		e.mu.Unlock()
+		e.col = col2
+		e.ranks = ranks2
+		e.rankVer = rankVer2
+		e.docs = docs2
+	})
+	if err != nil {
 		return err
 	}
-
-	// Swap the queryable snapshot. Queries hold the read lock end to
-	// end, so acquiring the write lock means no query observes a torn
-	// mix of old and new fields (or a tombstone-free shadowed version).
-	e.snapMu.Lock()
-	e.mu.Lock()
-	if e.deleted == nil && len(shadowed) > 0 {
-		e.deleted = make(map[uint32]bool)
-	}
-	for _, id := range shadowed {
-		e.deleted[id] = true
-	}
-	e.mu.Unlock()
-	oldRankVer := e.rankVer
-	e.col = col2
-	e.ranks = ranks2
-	e.rankVer = rankVer2
-	e.nextSeg = newSeg.id + 1
-	e.docs = docs2
-	e.segs = segs2
-	e.updateSuggestGauge()
-	e.snapMu.Unlock()
 
 	// Every element's ElemRank changed, so every cached score is wrong:
 	// this is the one update that still voids the whole result cache.
@@ -354,7 +350,6 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	// Best-effort retirement of the superseded ranks blob; a crash here
 	// leaves an orphan, not an inconsistency.
 	e.fs().Remove(filepath.Join(e.cfg.IndexDir, ranksFile(oldRankVer)))
-	e.met.segments.Set(int64(len(segs2)))
 	return nil
 }
 

@@ -74,190 +74,323 @@ func assertSegmentsAgree(t *testing.T, tag string, seg, scratch *Engine) {
 	}
 }
 
+// segUnit is the byte size the fold script pads its documents to a
+// multiple of: with sizes fixed, which segments each batch folds is a
+// function of the script alone.
+const segUnit = 512
+
+type segVersion struct {
+	name    string
+	content string
+}
+
+// segRun is one scripted differential run: the engine under test and the
+// full version history its from-scratch reference replays.
+type segRun struct {
+	t       *testing.T
+	shards  int
+	base    string
+	rng     *rand.Rand
+	cur     *Engine
+	history []segVersion   // document ID == slice index, as the engine assigns them
+	liveID  map[string]int // name -> newest live version's ID
+	dead    []int          // tombstoned version IDs, any order
+
+	nextName, nextUniq, scratchN int
+	// folds records, per AddDocs that folded, how many existing segments
+	// it folded; baseFolds counts the ones that folded the first segment.
+	folds     []int
+	baseFolds int
+}
+
+// newSegRun builds the base engine over one document per entry of
+// baseUnits (its padded size in segUnits; 0 leaves it as generated).
+func newSegRun(t *testing.T, shards int, seed int64, baseUnits []int) *segRun {
+	h := &segRun{t: t, shards: shards, base: t.TempDir(), rng: rand.New(rand.NewSource(seed)), liveID: map[string]int{}}
+	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: shards})
+	for _, units := range baseUnits {
+		name, c := h.freshName(), h.content(units)
+		if err := h.cur.AddXML(name, strings.NewReader(c)); err != nil {
+			t.Fatal(err)
+		}
+		h.history = append(h.history, segVersion{name, c})
+		h.liveID[name] = len(h.history) - 1
+	}
+	if _, err := h.cur.Build(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.cur.Close() })
+	h.check("initial build")
+	return h
+}
+
+func (h *segRun) freshName() string {
+	name := fmt.Sprintf("doc%02d", h.nextName)
+	h.nextName++
+	return name
+}
+
+// content generates the next document, padded with trailing whitespace
+// (outside the root element, so it indexes nothing) to units segUnits.
+func (h *segRun) content(units int) string {
+	c := diffDoc(h.rng, h.nextUniq)
+	h.nextUniq++
+	if units == 0 {
+		return c
+	}
+	if len(c) > units*segUnit {
+		h.t.Fatalf("generated document of %d bytes exceeds %d units", len(c), units)
+	}
+	return c + strings.Repeat(" ", units*segUnit-len(c))
+}
+
+func (h *segRun) liveNames() []string {
+	names := make([]string, 0, len(h.liveID))
+	for n := range h.liveID {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// check compares the engine against a from-scratch build over the same
+// history, and checks no tombstoned name comes back.
+func (h *segRun) check(tag string) {
+	h.t.Helper()
+	h.scratchN++
+	s := NewEngine(&Config{
+		IndexDir: filepath.Join(h.base, fmt.Sprintf("scratch%d", h.scratchN)),
+		Shards:   h.shards,
+	})
+	for _, v := range h.history {
+		if err := s.addVersion(v.name, []byte(v.content), false); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	if _, err := s.Build(); err != nil {
+		h.t.Fatal(err)
+	}
+	for _, id := range h.dead {
+		s.deleteDocID(uint32(id))
+	}
+	assertSegmentsAgree(h.t, tag, h.cur, s)
+	s.Close()
+	gone := map[string]bool{}
+	for _, v := range h.history {
+		if _, ok := h.liveID[v.name]; !ok {
+			gone[v.name] = true
+		}
+	}
+	assertDocsAbsent(h.t, tag, h.cur, gone)
+}
+
+// addBatch adds count documents of units segUnits each in one AddDocs
+// call; shadow makes the first an existing live name (replacement)
+// instead of a fresh one. It asserts the fold invariant: at most the
+// default MaxSegments live, the batch's documents in the last segment,
+// and the segments still partitioning the documents.
+func (h *segRun) addBatch(tag string, count, units int, shadow bool) {
+	h.t.Helper()
+	batch := map[string]string{}
+	if shadow {
+		names := h.liveNames()
+		batch[names[h.rng.Intn(len(names))]] = h.content(units)
+	}
+	for len(batch) < count {
+		batch[h.freshName()] = h.content(units)
+	}
+	readers := make(map[string]io.Reader, len(batch))
+	for n, c := range batch {
+		readers[n] = strings.NewReader(c)
+	}
+	before, firstID := len(h.cur.segs), h.cur.segs[0].id
+	if err := h.cur.AddDocs(readers); err != nil {
+		h.t.Fatalf("%s: %v", tag, err)
+	}
+	// Mirror in AddDocs's order: batch names sorted.
+	bn := make([]string, 0, len(batch))
+	for n := range batch {
+		bn = append(bn, n)
+	}
+	sort.Strings(bn)
+	var added []int
+	for _, n := range bn {
+		if id, ok := h.liveID[n]; ok {
+			h.dead = append(h.dead, id)
+		}
+		h.history = append(h.history, segVersion{n, batch[n]})
+		h.liveID[n] = len(h.history) - 1
+		added = append(added, len(h.history)-1)
+	}
+
+	segs := h.cur.segs
+	if len(segs) > defaultMaxSegments {
+		h.t.Fatalf("%s: %d live segments, bound %d", tag, len(segs), defaultMaxSegments)
+	}
+	owner := make([]int, len(h.history))
+	for _, s := range segs {
+		for _, d := range s.docs {
+			owner[d]++
+		}
+	}
+	for id, n := range owner {
+		if n != 1 {
+			h.t.Fatalf("%s: document %d owned by %d segments", tag, id, n)
+		}
+	}
+	last := map[uint32]bool{}
+	for _, d := range segs[len(segs)-1].docs {
+		last[d] = true
+	}
+	for _, id := range added {
+		if !last[uint32(id)] {
+			h.t.Fatalf("%s: batch document %d is not in the last segment", tag, id)
+		}
+	}
+	if folded := before + 1 - len(segs); folded > 0 {
+		h.folds = append(h.folds, folded)
+	}
+	if segs[0].id != firstID {
+		h.baseFolds++
+	}
+}
+
+func (h *segRun) deleteOne(tag string) {
+	h.t.Helper()
+	names := h.liveNames()
+	victim := names[h.rng.Intn(len(names))]
+	if err := h.cur.DeleteDoc(victim); err != nil {
+		h.t.Fatalf("%s: %v", tag, err)
+	}
+	h.dead = append(h.dead, h.liveID[victim])
+	delete(h.liveID, victim)
+}
+
+func (h *segRun) compact(tag string) {
+	h.t.Helper()
+	cs, err := h.cur.CompactOnce(0)
+	if err != nil {
+		h.t.Fatalf("%s: %v", tag, err)
+	}
+	if !cs.Compacted {
+		h.t.Fatalf("%s: CompactOnce was a no-op over %d segments", tag, cs.SegmentsBefore)
+	}
+	if got := h.cur.SegmentCount(); got != 1 {
+		h.t.Fatalf("%s: %d segments after compaction", tag, got)
+	}
+}
+
+func (h *segRun) reopen(tag string) {
+	h.t.Helper()
+	h.cur.Close()
+	var err error
+	if h.cur, err = OpenEngine(filepath.Join(h.base, "seg")); err != nil {
+		h.t.Fatalf("%s: reopen: %v", tag, err)
+	}
+}
+
+type segOp struct {
+	name string
+	run  func(h *segRun, tag string)
+}
+
+// run applies the script, checking against the reference after each step.
+func (h *segRun) run(ops []segOp) {
+	for i, op := range ops {
+		tag := fmt.Sprintf("op %d (%s)", i, op.name)
+		op.run(h, tag)
+		h.check(tag)
+	}
+}
+
+func addOp(name string, count, units int, shadow bool) segOp {
+	return segOp{name, func(h *segRun, tag string) { h.addBatch(tag, count, units, shadow) }}
+}
+
+var (
+	deleteOp  = segOp{"delete", (*segRun).deleteOne}
+	compactOp = segOp{"compact", (*segRun).compact}
+	reopenOp  = segOp{"reopen", (*segRun).reopen}
+)
+
 func TestSegmentDifferential(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(20030609*2 + shards)))
-			base := t.TempDir()
-			segDir := filepath.Join(base, "seg")
-
-			// The full version history: document ID == slice index, exactly
-			// as the engine's collection assigns them.
-			type version struct {
-				name    string
-				content string
-			}
-			var history []version
-			liveID := map[string]int{} // name -> newest live version's ID
-			var dead []int             // tombstoned version IDs, any order
-			nextUniq := 0
-			newContent := func() string {
-				c := diffDoc(rng, nextUniq)
-				nextUniq++
-				return c
-			}
-			liveNames := func() []string {
-				names := make([]string, 0, len(liveID))
-				for n := range liveID {
-					names = append(names, n)
-				}
-				sort.Strings(names)
-				return names
-			}
-
-			cur := NewEngine(&Config{IndexDir: segDir, Shards: shards})
-			nextName := 0
-			for i := 0; i < 5; i++ {
-				name := fmt.Sprintf("doc%02d", nextName)
-				nextName++
-				c := newContent()
-				if err := cur.AddXML(name, strings.NewReader(c)); err != nil {
-					t.Fatal(err)
-				}
-				history = append(history, version{name, c})
-				liveID[name] = len(history) - 1
-			}
-			if _, err := cur.Build(); err != nil {
-				t.Fatal(err)
-			}
-			defer func() { cur.Close() }()
-
-			scratchN := 0
-			buildScratch := func() *Engine {
-				scratchN++
-				s := NewEngine(&Config{
-					IndexDir: filepath.Join(base, fmt.Sprintf("scratch%d", scratchN)),
-					Shards:   shards,
-				})
-				for _, v := range history {
-					if err := s.addVersion(v.name, []byte(v.content), false); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := s.Build(); err != nil {
-					t.Fatal(err)
-				}
-				for _, id := range dead {
-					s.deleteDocID(uint32(id))
-				}
-				return s
-			}
-			check := func(tag string) {
-				t.Helper()
-				scratch := buildScratch()
-				assertSegmentsAgree(t, tag, cur, scratch)
-				scratch.Close()
-				gone := map[string]bool{}
-				for _, v := range history {
-					if _, ok := liveID[v.name]; !ok {
-						gone[v.name] = true
-					}
-				}
-				assertDocsAbsent(t, tag, cur, gone)
-			}
-			check("initial build")
-
-			// addBatch adds count documents in one AddDocs call; shadow picks
-			// an existing live name (replacement) instead of a fresh one.
-			addBatch := func(tag string, count int, shadow bool) {
-				t.Helper()
-				batch := map[string]string{}
-				if shadow {
-					names := liveNames()
-					batch[names[rng.Intn(len(names))]] = newContent()
-				}
-				for len(batch) < count {
-					name := fmt.Sprintf("doc%02d", nextName)
-					nextName++
-					batch[name] = newContent()
-				}
-				readers := make(map[string]io.Reader, len(batch))
-				for n, c := range batch {
-					readers[n] = strings.NewReader(c)
-				}
-				before := cur.SegmentCount()
-				if err := cur.AddDocs(readers); err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if got := cur.SegmentCount(); got != before+1 {
-					t.Fatalf("%s: segment count %d -> %d, want one delta segment appended", tag, before, got)
-				}
-				// Mirror in AddDocs's order: batch names sorted.
-				bn := make([]string, 0, len(batch))
-				for n := range batch {
-					bn = append(bn, n)
-				}
-				sort.Strings(bn)
-				for _, n := range bn {
-					if id, ok := liveID[n]; ok {
-						dead = append(dead, id)
-					}
-					history = append(history, version{n, batch[n]})
-					liveID[n] = len(history) - 1
-				}
-			}
-			deleteOne := func(tag string) {
-				t.Helper()
-				names := liveNames()
-				victim := names[rng.Intn(len(names))]
-				if err := cur.DeleteDoc(victim); err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				dead = append(dead, liveID[victim])
-				delete(liveID, victim)
-			}
-			compact := func(tag string) {
-				t.Helper()
-				cs, err := cur.CompactOnce(0)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if !cs.Compacted {
-					t.Fatalf("%s: CompactOnce was a no-op over %d segments", tag, cs.SegmentsBefore)
-				}
-				if got := cur.SegmentCount(); got != 1 {
-					t.Fatalf("%s: %d segments after compaction", tag, got)
-				}
-			}
-			reopen := func(tag string) {
-				t.Helper()
-				cur.Close()
-				var err error
-				cur, err = OpenEngine(segDir)
-				if err != nil {
-					t.Fatalf("%s: reopen: %v", tag, err)
-				}
-			}
-
 			// A fixed operation script (content randomized by the seed)
 			// guaranteeing coverage: stacked delta segments, tombstones both
 			// before and after segmentation boundaries, name shadowing,
 			// compaction over tombstones, and reopens from every layout.
-			ops := []struct {
-				name string
-				run  func(tag string)
-			}{
-				{"add2", func(tag string) { addBatch(tag, 2, false) }},
-				{"add1", func(tag string) { addBatch(tag, 1, false) }},
-				{"delete", deleteOne},
-				{"shadow", func(tag string) { addBatch(tag, 1, true) }},
-				{"reopen", reopen},
-				{"compact", compact},
-				{"add2b", func(tag string) { addBatch(tag, 2, false) }},
-				{"delete2", deleteOne},
-				{"shadow2", func(tag string) { addBatch(tag, 2, true) }},
-				{"reopen2", reopen},
-				{"compact2", compact},
-				{"add1b", func(tag string) { addBatch(tag, 1, false) }},
-				{"reopen3", reopen},
-			}
-			for i, op := range ops {
-				tag := fmt.Sprintf("op %d (%s)", i, op.name)
-				op.run(tag)
-				check(tag)
-			}
+			t.Run("mixed", func(t *testing.T) {
+				h := newSegRun(t, shards, int64(20030609*2+shards), []int{0, 0, 0, 0, 0})
+				h.run([]segOp{
+					addOp("add2", 2, 0, false),
+					addOp("add1", 1, 0, false),
+					deleteOp,
+					addOp("shadow", 1, 0, true),
+					reopenOp,
+					compactOp,
+					addOp("add2b", 2, 0, false),
+					deleteOp,
+					addOp("shadow2", 2, 0, true),
+					reopenOp,
+					compactOp,
+					addOp("add1b", 1, 0, false),
+					reopenOp,
+				})
+			})
+			// Single-document batches of fixed sizes over a 9-unit base:
+			// folds of 1, 2 and 3 delta segments, then a base fold, with a
+			// shadowing, a tombstone and a reopen in between.
+			t.Run("folds", func(t *testing.T) {
+				h := newSegRun(t, shards, int64(20030609*3+shards), []int{3, 3, 3})
+				h.run([]segOp{
+					addOp("b1", 1, 1, false), // 9 1
+					addOp("b2", 1, 1, false), // 9 2
+					addOp("b3", 1, 1, false), // 9 2 1
+					addOp("b4", 1, 1, false), // 9 4
+					addOp("b5", 1, 1, true),  // 9 4 1
+					addOp("b6", 1, 1, false), // 9 4 2
+					addOp("b7", 1, 1, false), // 9 4 2 1
+					deleteOp,
+					addOp("b8", 1, 1, false), // 9 8
+					reopenOp,
+					addOp("b9", 1, 2, false),  // 9 8 2
+					addOp("b10", 1, 1, false), // 9 8 2 1
+					addOp("b11", 1, 1, false), // 9 8 4
+					addOp("b12", 1, 5, false), // 26
+				})
+				seen := map[int]bool{}
+				for _, n := range h.folds {
+					seen[n] = true
+				}
+				if !seen[1] || !seen[2] || !seen[3] || h.baseFolds == 0 {
+					t.Fatalf("folds %v and %d base folds: the script must fold 1, 2 and 3 segments and the base", h.folds, h.baseFolds)
+				}
+			})
 		})
 	}
+}
+
+// readTree reads every file under dir, keyed by its path relative to dir.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestAddDocsIncremental pins the core acceptance criterion directly:
@@ -278,34 +411,12 @@ func TestAddDocsIncremental(t *testing.T) {
 	}
 	defer e.Close()
 
-	snapshot := func() map[string]string {
-		files := map[string]string{}
-		err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			rel, rerr := filepath.Rel(dir, path)
-			if rerr != nil {
-				return rerr
-			}
-			data, rerr := os.ReadFile(path)
-			if rerr != nil {
-				return rerr
-			}
-			files[rel] = string(data)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-	before := snapshot()
+	before := readTree(t, dir)
 
 	if err := e.AddDoc("doc03", strings.NewReader(diffDoc(rng, 3))); err != nil {
 		t.Fatal(err)
 	}
-	after := snapshot()
+	after := readTree(t, dir)
 	for rel, content := range before {
 		if rel == ranksFile(0) || rel == fileSegments {
 			continue // superseded by the next version's blob; the commit point

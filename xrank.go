@@ -180,17 +180,13 @@ type Config struct {
 	// request (k above it is clamped). Zero selects the default (50).
 	SuggestMaxK int
 
-	// MaxSegments, CompactIntervalMillis and CompactBudgetPages are the
-	// background compactor's serve-command defaults (see
-	// Engine.StartCompactor): when more than MaxSegments live segments
-	// have accumulated from incremental AddDocs batches, they are merged
-	// back into one, issuing at most CompactBudgetPages pages of write
-	// I/O per compaction (0 = unmetered). The engine itself never starts
-	// the compactor; CompactOnce is always available for explicit
-	// control. Zero MaxSegments selects the serve default (4).
-	MaxSegments           int
-	CompactIntervalMillis int
-	CompactBudgetPages    int64
+	// MaxSegments bounds the live segments AddDocs leaves behind: each
+	// batch folds the trailing segments that are no larger than its new
+	// segment already holds, and as many more as it takes to keep at most
+	// MaxSegments live (see DESIGN.md, "Folds"). Zero selects 4; negative
+	// sets no count bound, leaving the size rule alone. CompactOnce folds
+	// every segment into one on demand.
+	MaxSegments int
 
 	// FS is the file system every persisted artifact goes through (nil =
 	// the real file system). Fault-injection and crash-simulation tests
@@ -262,11 +258,6 @@ type Engine struct {
 	rankVer int
 	// nextSeg is the next unused segment ID.
 	nextSeg int
-
-	// compactStop/compactDone manage the background compactor goroutine
-	// (see StartCompactor).
-	compactStop chan struct{}
-	compactDone chan struct{}
 
 	// mu guards deleted. Queries may run concurrently; DeleteDoc may run
 	// concurrently with them.
@@ -478,10 +469,9 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	return info, nil
 }
 
-// Close stops the background compactor, releases every segment's index
-// files, and removes the index directory if it was a temporary one.
+// Close releases every segment's index files and removes the index
+// directory if it was a temporary one.
 func (e *Engine) Close() error {
-	e.stopCompactor()
 	var err error
 	for _, s := range e.segs {
 		if cerr := s.ix.Close(); err == nil {
