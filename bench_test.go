@@ -163,8 +163,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(stats.NaiveIDList), "naiveID-bytes")
 	b.ReportMetric(float64(stats.DILList), "dil-bytes")
-	b.ReportMetric(float64(stats.RDILIndex), "rdil-index-bytes")
-	b.ReportMetric(float64(stats.HDILIndex), "hdil-index-bytes")
+	b.ReportMetric(float64(stats.DILSkip+stats.RDILSkip+stats.HDILSkip), "skip-index-bytes")
 }
 
 // benchQueries measures one algorithm on one query set, reporting the

@@ -5,31 +5,30 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// The block-postings differential harness: an engine using the block
-// postings format (format v2 — delta-coded blocks plus a skip index, with
-// whole-block pruning in every Dewey-family query processor) must stay
-// BIT-IDENTICAL — exact struct equality, scores included — to an engine
-// on the v1 per-entry format over the same document history and the same
-// mutation script. Both engines replay identical AddDocs / DeleteDoc /
-// CompactOnce / reopen sequences; any divergence in results, scores or
-// tie-break order indicates an unsound block skip or a block codec bug.
+// The block-pruning differential harness: over an AddDocs / DeleteDoc /
+// CompactOnce / reopen script, every top-m answer must be BIT-IDENTICAL —
+// exact struct equality, scores and tie-break order included — to the
+// first m results of an exhaustive evaluation on the same engine (a
+// top-m large enough that no threshold is ever reached, so no rank block
+// can be pruned). RDIL and HDIL abandon whole rank-ordered blocks once
+// their threshold passes the blocks' MaxRank, and small m makes them do
+// so often; any divergence indicates an unsound block skip, a skip ref
+// that disagrees with its block, or a block codec bug.
 func TestBlockPostingsDifferential(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(20030609*5 + shards)))
-			base := t.TempDir()
-			v1Dir := filepath.Join(base, "v1")
-			v2Dir := filepath.Join(base, "v2")
-			v1 := NewEngine(&Config{IndexDir: v1Dir, Shards: shards})
-			v2 := NewEngine(&Config{IndexDir: v2Dir, Shards: shards, BlockPostings: true})
-			defer func() { v1.Close(); v2.Close() }()
+			dir := filepath.Join(t.TempDir(), "idx")
+			e := NewEngine(&Config{IndexDir: dir, Shards: shards})
+			defer func() { e.Close() }()
 
-			// Enough documents that the common vocabulary terms span several
+			// Enough documents that the vocabulary terms' lists span several
 			// blocks at shards=1, so pruning decisions have real targets.
 			live := map[string]bool{}
 			nextName, nextUniq := 0, 0
@@ -41,127 +40,145 @@ func TestBlockPostingsDifferential(t *testing.T) {
 				sort.Strings(names)
 				return names
 			}
-			addBoth := func(tag string, count int, shadow bool) {
+			add := func(tag string, count int, shadow bool) {
 				t.Helper()
-				batch := map[string]string{}
+				batch := map[string]io.Reader{}
 				if shadow {
 					names := liveNames()
-					batch[names[rng.Intn(len(names))]] = diffDoc(rng, nextUniq)
+					batch[names[rng.Intn(len(names))]] = strings.NewReader(diffDoc(rng, nextUniq))
 					nextUniq++
 				}
 				for len(batch) < count {
-					batch[fmt.Sprintf("doc%02d", nextName)] = diffDoc(rng, nextUniq)
+					name := fmt.Sprintf("doc%02d", nextName)
+					batch[name] = strings.NewReader(diffDoc(rng, nextUniq))
 					nextName++
 					nextUniq++
 				}
-				for _, e := range []*Engine{v1, v2} {
-					readers := make(map[string]io.Reader, len(batch))
-					for n, c := range batch {
-						readers[n] = strings.NewReader(c)
-					}
-					if err := e.AddDocs(readers); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
+				if err := e.AddDocs(batch); err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
 				for n := range batch {
 					live[n] = true
 				}
 			}
 
-			for i := 0; i < 24; i++ {
+			for i := 0; i < 160; i++ {
 				name := fmt.Sprintf("doc%02d", nextName)
 				nextName++
-				c := diffDoc(rng, nextUniq)
+				if err := e.AddXML(name, strings.NewReader(diffDoc(rng, nextUniq))); err != nil {
+					t.Fatal(err)
+				}
 				nextUniq++
-				if err := v1.AddXML(name, strings.NewReader(c)); err != nil {
-					t.Fatal(err)
-				}
-				if err := v2.AddXML(name, strings.NewReader(c)); err != nil {
-					t.Fatal(err)
-				}
 				live[name] = true
 			}
-			if _, err := v1.Build(); err != nil {
+			if _, err := e.Build(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := v2.Build(); err != nil {
-				t.Fatal(err)
-			}
+
+			var skipped int64
 			check := func(tag string) {
 				t.Helper()
-				assertEnginesAgree(t, tag, v2, v1)
+				skipped += assertPrunedMatchesExhaustive(t, tag, e)
 			}
 			check("initial build")
+			assertDecodesBlocks(t, "initial build", e)
 
-			// The v2 engine must actually be decoding blocks — otherwise this
-			// test silently compares v1 against itself.
-			if _, st, err := v2.SearchDetailed("alpha beta", SearchOptions{Algorithm: AlgoDIL, TopM: 10}); err != nil {
-				t.Fatal(err)
-			} else if st.IO.BlocksDecoded == 0 {
-				t.Fatal("block-format engine decoded no blocks; format 2 not in effect")
-			}
-			if _, st, err := v1.SearchDetailed("alpha beta", SearchOptions{Algorithm: AlgoDIL, TopM: 10}); err != nil {
-				t.Fatal(err)
-			} else if st.IO.BlocksDecoded != 0 || st.IO.BlocksSkipped != 0 {
-				t.Fatalf("v1 engine reported block counters: %+v", st.IO)
-			}
-
-			deleteBoth := func(tag string) {
-				t.Helper()
+			deleteOne := func(tag string) {
 				names := liveNames()
 				victim := names[rng.Intn(len(names))]
-				for _, e := range []*Engine{v1, v2} {
-					if err := e.DeleteDoc(victim); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
+				if err := e.DeleteDoc(victim); err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
 				delete(live, victim)
 			}
-			compactBoth := func(tag string) {
-				t.Helper()
-				for _, e := range []*Engine{v1, v2} {
-					if _, err := e.CompactOnce(0); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
+			compact := func(tag string) {
+				if _, err := e.CompactOnce(0); err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
 			}
-			reopenBoth := func(tag string) {
-				t.Helper()
-				v1.Close()
-				v2.Close()
+			reopen := func(tag string) {
+				e.Close()
 				var err error
-				if v1, err = OpenEngine(v1Dir); err != nil {
-					t.Fatalf("%s: reopen v1: %v", tag, err)
+				if e, err = OpenEngine(dir); err != nil {
+					t.Fatalf("%s: reopen: %v", tag, err)
 				}
-				if v2, err = OpenEngine(v2Dir); err != nil {
-					t.Fatalf("%s: reopen v2: %v", tag, err)
-				}
-				if !v2.Config().BlockPostings {
-					t.Fatalf("%s: reopened v2 engine lost Config.BlockPostings", tag)
-				}
+				assertDecodesBlocks(t, tag, e)
 			}
 
 			ops := []struct {
 				name string
 				run  func(tag string)
 			}{
-				{"add3", func(tag string) { addBoth(tag, 3, false) }},
-				{"delete", deleteBoth},
-				{"shadow", func(tag string) { addBoth(tag, 2, true) }},
-				{"reopen", reopenBoth},
-				{"compact", compactBoth},
-				{"add2", func(tag string) { addBoth(tag, 2, false) }},
-				{"delete2", deleteBoth},
-				{"reopen2", reopenBoth},
-				{"compact2", compactBoth},
-				{"add1", func(tag string) { addBoth(tag, 1, false) }},
-				{"reopen3", reopenBoth},
+				{"add3", func(tag string) { add(tag, 3, false) }},
+				{"delete", deleteOne},
+				{"shadow", func(tag string) { add(tag, 2, true) }},
+				{"reopen", reopen},
+				{"compact", compact},
+				{"add2", func(tag string) { add(tag, 2, false) }},
+				{"delete2", deleteOne},
+				{"reopen2", reopen},
+				{"compact2", compact},
+				{"add1", func(tag string) { add(tag, 1, false) }},
+				{"reopen3", reopen},
 			}
 			for i, op := range ops {
 				tag := fmt.Sprintf("op %d (%s)", i, op.name)
 				op.run(tag)
 				check(tag)
 			}
+			t.Logf("blocks skipped by the pruned runs: %d", skipped)
+			if shards == 1 && skipped == 0 {
+				t.Fatal("no query skipped a block; the harness compared nothing that pruning decides")
+			}
 		})
 	}
+}
+
+// assertPrunedMatchesExhaustive checks every threshold processor at
+// several small top-m against the prefix of the exhaustive DIL (and, for
+// Disjunctive, exhaustive Disjunctive) answer, and returns the blocks the
+// pruned runs skipped.
+func assertPrunedMatchesExhaustive(t *testing.T, tag string, e *Engine) int64 {
+	t.Helper()
+	const all = 1 << 20
+	var skipped int64
+	for _, q := range diffQueries {
+		for _, disj := range []bool{false, true} {
+			full, _, err := e.SearchDetailed(q, SearchOptions{Algorithm: AlgoDIL, Disjunctive: disj, TopM: all})
+			if err != nil {
+				t.Fatalf("%s %q exhaustive: %v", tag, q, err)
+			}
+			algos := []SearchOptions{{Disjunctive: true}}
+			if !disj {
+				algos = []SearchOptions{
+					{Algorithm: AlgoDIL},
+					{Algorithm: AlgoRDIL},
+					{Algorithm: AlgoHDIL},
+					{Algorithm: AlgoHDIL, ColdCache: true},
+				}
+			}
+			for _, opts := range algos {
+				for _, m := range []int{1, 3, 10} {
+					opts.TopM = m
+					got, st, err := e.SearchDetailed(q, opts)
+					if err != nil {
+						t.Fatalf("%s %s %q m=%d: %v", tag, searchLabel(opts), q, m, err)
+					}
+					want := full
+					if len(want) > m {
+						want = want[:m]
+					}
+					if len(got) == 0 && len(want) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s %q m=%d (cold=%v):\n got %+v\nwant %+v",
+							tag, searchLabel(opts), q, m, opts.ColdCache, got, want)
+					}
+					skipped += st.IO.BlocksSkipped
+				}
+			}
+		}
+	}
+	return skipped
 }

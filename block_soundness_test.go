@@ -27,7 +27,7 @@ import (
 // several blocks, and the test fails if the hook never fires or never
 // sees an unread block — a vacuous pass is a failure.
 func TestBlockPruningSoundness(t *testing.T) {
-	e := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2, BlockPostings: true})
+	e := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2})
 	defer e.Close()
 
 	// ~600 docs, every one holding alpha and beta at varying depths so the
@@ -104,7 +104,7 @@ func TestBlockPruningSoundness(t *testing.T) {
 			t.Fatalf("%q returned no results", qc.q)
 		}
 		if st.IO.BlocksDecoded == 0 {
-			t.Fatalf("%q decoded no blocks on a block-format index", qc.q)
+			t.Fatalf("%q decoded no blocks", qc.q)
 		}
 	}
 

@@ -6,16 +6,14 @@
 //	xrank-bench -exp fig10,fig11 -perfblocks 400000
 //	xrank-bench -exp crossover -sweep 50000,200000,800000
 //
-// Experiments: elemrank (E1), space (E2 + E2b), fig10 (E3), fig11 (E4),
+// Experiments: elemrank (E1), space (E2), fig10 (E3), fig11 (E4),
 // topm (E5), quality (E6), ablation (E7a-d), crossover (E8), warm (E9),
 // shard (E10, also written to -shardjson for CI trend tracking), cache
 // (E11, the result-cache hit-ratio/hot-cold experiment, written to
 // -cachejson), ingest (E12, incremental segment-ingestion throughput vs
-// a full rebuild, written to -ingestjson), block (E13, the block-max
-// pruning experiment comparing the v1 and block postings formats,
-// written to -blockjson), suggest (E15, autosuggest latency and trie
-// memory vs dictionary size plus ingest throughput over the committed
-// abstracts fixture, written to -suggestjson).
+// a full rebuild, written to -ingestjson), suggest (E15, autosuggest
+// latency and trie memory vs dictionary size plus ingest throughput over
+// the committed abstracts fixture, written to -suggestjson).
 //
 // E1/E2/E6/E7 run on the DBLP-shaped and XMark-shaped corpora; E3/E4/E5
 // run on the long-list performance corpus (see internal/datagen/perfgen),
@@ -59,9 +57,6 @@ func main() {
 		ingestScale   = flag.Float64("ingestscale", 2.0, "ingest-experiment corpus scale factor")
 		ingestJSON    = flag.String("ingestjson", "BENCH_ingest.json", "where the ingest experiment writes its JSON report (empty: skip)")
 
-		blockBlocks = flag.Int("blockblocks", 200000, "performance-corpus size (records) for the block-pruning experiment")
-		blockJSON   = flag.String("blockjson", "BENCH_block.json", "where the block-pruning experiment writes its JSON report (empty: skip)")
-
 		suggestSizes   = flag.String("suggestsizes", "1000,10000,50000", "comma-separated dictionary sizes for the suggest experiment")
 		suggestK       = flag.Int("suggestk", 8, "completions per suggest query")
 		suggestFixture = flag.String("suggestfixture", "internal/ingest/testdata/abstracts.xml", "committed abstracts fixture the suggest experiment ingests (empty: skip the fixture section)")
@@ -74,7 +69,7 @@ func main() {
 		want[strings.TrimSpace(e)] = true
 	}
 	if want["all"] {
-		for _, e := range []string{"elemrank", "space", "fig10", "fig11", "topm", "quality", "ablation", "crossover", "warm", "shard", "cache", "ingest", "block", "suggest"} {
+		for _, e := range []string{"elemrank", "space", "fig10", "fig11", "topm", "quality", "ablation", "crossover", "warm", "shard", "cache", "ingest", "suggest"} {
 			want[e] = true
 		}
 	}
@@ -126,11 +121,6 @@ func main() {
 	}
 	if want["space"] {
 		bench.E2Space(es).Render(os.Stdout)
-		t, err := bench.E2bCompression(ws, *scale, *seed, es)
-		if err != nil {
-			fail(err)
-		}
-		t.Render(os.Stdout)
 	}
 	if want["fig10"] {
 		t, err := bench.E3Fig10(perf, "perf corpus", *topM)
@@ -257,21 +247,6 @@ func main() {
 				fail(err)
 			}
 			fmt.Printf("wrote %s\n", *cacheJSON)
-		}
-	}
-	if want["block"] {
-		t, rep, err := bench.E13BlockPruning(ws+"/blockexp", *blockBlocks, *seed)
-		if err != nil {
-			fail(err)
-		}
-		t.Render(os.Stdout)
-		fmt.Printf("block pruning: RDIL %.2fx, HDIL %.2fx wall p50 at hicorr top-10 over the v1 format\n",
-			rep.RDILTop10Speedup, rep.HDILTop10Speedup)
-		if *blockJSON != "" {
-			if err := rep.WriteJSON(*blockJSON); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *blockJSON)
 		}
 	}
 	if want["suggest"] {

@@ -53,7 +53,6 @@ func run(args []string, out io.Writer) error {
 	batch := fl.Int("batch", 1000, "documents per committed batch")
 	limit := fl.Int64("limit", 0, "stop after this many total documents (0 = whole dump)")
 	shards := fl.Int("shards", 0, "index shards when creating a fresh directory (0 = engine default)")
-	block := fl.Bool("block", false, "block postings format when creating a fresh directory")
 	if err := fl.Parse(args); err != nil {
 		return err
 	}
@@ -84,7 +83,7 @@ func run(args []string, out io.Writer) error {
 		fresh := false
 		if _, err := os.Stat(filepath.Join(*dir, "segments.json")); os.IsNotExist(err) {
 			fresh = true
-			e = xrank.NewEngine(&xrank.Config{IndexDir: *dir, Shards: *shards, BlockPostings: *block})
+			e = xrank.NewEngine(&xrank.Config{IndexDir: *dir, Shards: *shards})
 		} else if err != nil {
 			return err
 		} else if e, err = xrank.OpenEngine(*dir); err != nil {

@@ -5,9 +5,9 @@
 //	xrank search -dir ./idx -m 10 -algo hdil "xql language"
 //	xrank serve  -dir ./idx -addr :8080
 //
-// The index directory is self-contained (inverted lists, B+-trees,
-// ElemRanks and a document store), so search/serve reopen it without the
-// original files.
+// The index directory is self-contained (inverted lists, their skip
+// indexes, ElemRanks and a document store), so search/serve reopen it
+// without the original files.
 package main
 
 import (
@@ -57,7 +57,6 @@ func cmdIndex(args []string) error {
 	dir := fs.String("dir", "", "index directory (required)")
 	decay := fs.Float64("decay", 0.75, "per-level rank decay in (0,1]")
 	skipNaive := fs.Bool("skip-naive", true, "omit the naive baseline indexes")
-	block := fs.Bool("block", false, "block-encode postings with per-block skip indexes (enables block-max pruning)")
 	shards := fs.Int("shards", 1, "partition the index into N document shards queried in parallel")
 	answerTags := fs.String("answer-tags", "", "comma-separated answer-node tags (empty: all elements)")
 	fs.Parse(args)
@@ -67,7 +66,7 @@ func cmdIndex(args []string) error {
 	if *shards < 1 {
 		return fmt.Errorf("index: -shards must be >= 1")
 	}
-	cfg := &xrank.Config{IndexDir: *dir, Decay: *decay, SkipNaive: *skipNaive, BlockPostings: *block, Shards: *shards}
+	cfg := &xrank.Config{IndexDir: *dir, Decay: *decay, SkipNaive: *skipNaive, Shards: *shards}
 	if *answerTags != "" {
 		cfg.AnswerTags = splitComma(*answerTags)
 	}
@@ -85,9 +84,9 @@ func cmdIndex(args []string) error {
 	fmt.Printf("indexed %d documents, %d elements, %d terms\n", info.NumDocs, info.NumElements, info.Terms)
 	fmt.Printf("ElemRank: %d iterations in %v (links: %d resolved, %d dangling)\n",
 		info.ElemRankIterations, info.ElemRankTime.Round(1e6), info.ResolvedLinks, info.DanglingLinks)
-	fmt.Printf("index size: DIL %.2fMB, RDIL %.2fMB+%.2fMB trees, HDIL +%.2fMB prefix +%.2fMB trees\n",
-		mb(info.Sizes.DILList), mb(info.Sizes.RDILList), mb(info.Sizes.RDILIndex),
-		mb(info.Sizes.HDILRank), mb(info.Sizes.HDILIndex))
+	sz := info.Sizes
+	fmt.Printf("index size: DIL %.2fMB, RDIL %.2fMB, HDIL +%.2fMB prefix, skip indexes %.2fMB\n",
+		mb(sz.DILList), mb(sz.RDILList), mb(sz.HDILRank), mb(sz.DILSkip+sz.RDILSkip+sz.HDILSkip))
 	return nil
 }
 
@@ -146,11 +145,7 @@ func cmdSearch(args []string) error {
 	if *stats {
 		fmt.Printf("\n%s: %v wall, %d page reads (%d seq, %d random), %v simulated cold-disk\n",
 			qs.Algorithm, qs.WallTime.Round(1e3), qs.IO.Reads, qs.IO.SeqReads, qs.IO.RandReads, qs.SimulatedTime.Round(1e5))
-		if qs.IO.BlocksDecoded > 0 || qs.IO.BlocksSkipped > 0 {
-			fmt.Printf("blocks: %d decoded, %d skipped; postings: %d\n", qs.IO.BlocksDecoded, qs.IO.BlocksSkipped, qs.IO.Postings)
-		} else if qs.IO.Postings > 0 {
-			fmt.Printf("postings: %d\n", qs.IO.Postings)
-		}
+		fmt.Printf("blocks: %d decoded, %d skipped; postings: %d\n", qs.IO.BlocksDecoded, qs.IO.BlocksSkipped, qs.IO.Postings)
 		if qs.SwitchedToDIL {
 			fmt.Printf("hdil: switched to DIL (%s) after %d ranked entries\n", qs.SwitchReason, qs.RankedEntriesRead)
 		} else if qs.Algorithm == xrank.AlgoHDIL {

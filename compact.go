@@ -19,7 +19,8 @@ type CompactionStats struct {
 	Compacted      bool `json:"compacted"`
 	SegmentsBefore int  `json:"segments_before"`
 	SegmentsAfter  int  `json:"segments_after"`
-	// Bytes is the total size of the merged segment's index files.
+	// Bytes is the total size of the merged segment's index files: every
+	// file its shards' meta.json manifests record.
 	Bytes int64  `json:"bytes"`
 	Dir   string `json:"dir"`
 }
@@ -144,8 +145,7 @@ func (e *Engine) fold(keep int, add []uint32, col *xmldoc.Collection, ranks []fl
 	e.snapMu.Unlock()
 	e.met.segments.Set(int64(len(segs)))
 
-	bytes := st.DILList + st.RDILList + st.RDILIndex + st.HDILRank + st.HDILIndex +
-		st.NaiveIDList + st.NaiveRankList + st.NaiveIndex
+	bytes := st.IndexBytes()
 	if len(folded) == 0 {
 		return seg, bytes, nil
 	}

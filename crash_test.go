@@ -265,8 +265,8 @@ var crashOps = []crashOp{
 }
 
 // runCrashMatrix replays every crashOp under cfg (IndexDir and FS are
-// the harness's).
-func runCrashMatrix(t *testing.T, cfg Config) {
+// the harness's) over the documents of corpus.
+func runCrashMatrix(t *testing.T, cfg Config, corpus func() map[string]string) {
 	for _, op := range crashOps {
 		t.Run(op.name, func(t *testing.T) {
 			// attempt runs the operation once over a copy of the pre-state
@@ -280,7 +280,7 @@ func runCrashMatrix(t *testing.T, cfg Config) {
 					c := cfg
 					c.IndexDir, c.FS = out, fs
 					e = NewEngine(&c)
-					addCorpus(t, e, crashCorpus())
+					addCorpus(t, e, corpus())
 				} else {
 					copyDir(t, pristine, src)
 					var oerr error
@@ -306,7 +306,7 @@ func runCrashMatrix(t *testing.T, cfg Config) {
 				c := cfg
 				c.IndexDir = pristine
 				b := NewEngine(&c)
-				addCorpus(t, b, crashCorpus())
+				addCorpus(t, b, corpus())
 				if _, err := b.Build(); err != nil {
 					t.Fatal(err)
 				}
@@ -382,16 +382,49 @@ func runCrashMatrix(t *testing.T, cfg Config) {
 }
 
 // TestCrashMatrix kills Build, Update, DeleteDoc, AddDocs and CompactOnce
-// at every write boundary, suggest.bin's included.
+// at every write boundary: postings files, the skip indexes (dil.skip,
+// rdil.skip, hdilrank.skip, between the postings files and the
+// lexicons), lexicons, meta.json, suggest.bin and the manifests. A reopen
+// must never serve from a skip index that disagrees with its postings.
 func TestCrashMatrix(t *testing.T) {
-	runCrashMatrix(t, Config{Shards: 2})
+	runCrashMatrix(t, Config{Shards: 2}, crashCorpus)
 }
 
-// TestCrashMatrixBlock is the matrix over the block postings format,
-// whose segment writes gain the per-term skip indexes (dil.skip,
-// rdil.skip, hdilrank.skip, between the postings files and the lexicons):
-// a reopen must never serve from a skip index that disagrees with its
-// postings.
+// crashCorpusBlocks is crashCorpus with forty chapters per book, so that
+// on one shard the signature queries' lists hold ~200 postings each.
+func crashCorpusBlocks() map[string]string {
+	docs := make(map[string]string)
+	for i := 0; i < 5; i++ {
+		var b strings.Builder
+		fmt.Fprintf(&b, `<book id="%d"><title>xml ranked search volume %d</title>`, i, i)
+		for c := 0; c < 40; c++ {
+			fmt.Fprintf(&b, `<chapter><t>keyword retrieval %d</t><p>xml search in the xql language, chapter %d.%d</p></chapter>`, c, i, c)
+		}
+		fmt.Fprintf(&b, `<cite ref="%d">see also</cite></book>`, (i+1)%5)
+		docs[fmt.Sprintf("doc%d.xml", i)] = b.String()
+	}
+	return docs
+}
+
+// TestCrashMatrixBlock is the matrix over lists that span several
+// blocks, so every skip index holds more than one ref per term and RDIL's
+// and HDIL's probes land inside a list rather than on its only block: a
+// skip index torn or left over from another build would misdirect them.
 func TestCrashMatrixBlock(t *testing.T) {
-	runCrashMatrix(t, Config{Shards: 2, BlockPostings: true})
+	e := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 1})
+	addCorpus(t, e, crashCorpusBlocks())
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"xml search", "keyword retrieval", "xql language"} {
+		_, st, err := e.SearchDetailed(q, SearchOptions{Algorithm: AlgoDIL, TopM: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.IO.BlocksDecoded < 4 {
+			t.Fatalf("%q decoded %d blocks; its lists do not span several blocks", q, st.IO.BlocksDecoded)
+		}
+	}
+	e.Close()
+	runCrashMatrix(t, Config{Shards: 1}, crashCorpusBlocks)
 }

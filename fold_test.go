@@ -32,8 +32,9 @@ func foldDoc(n int) string {
 // document counts after each batch are the table's. A segment that stays
 // live keeps its files byte-identical (the base until it is folded);
 // a folded segment's directory is gone; and every batch that folded
-// counts once in xrank_compactions_total and adds its segment's bytes to
-// xrank_compaction_bytes_total.
+// counts once in xrank_compactions_total and adds to
+// xrank_compaction_bytes_total exactly the bytes of the merged segment's
+// index files on disk.
 func TestTieredFoldLayout(t *testing.T) {
 	dir := t.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -108,10 +109,35 @@ func TestTieredFoldLayout(t *testing.T) {
 		if folded && (dc != 1 || db <= 0) || !folded && (dc != 0 || db != 0) {
 			t.Fatalf("batch %d (folded=%v): compactions +%d, compaction bytes +%d", i+1, folded, dc, db)
 		}
+		if onDisk := indexFileBytes(t, filepath.Join(dir, after[len(after)-1].Dir)); folded && db != onDisk {
+			t.Fatalf("batch %d: compaction bytes +%d, the merged segment's index files hold %d", i+1, db, onDisk)
+		}
 	}
 	if rs, err := e.Search("uniq117"); err != nil || len(rs) == 0 {
 		t.Fatalf("last batch not searchable after a full fold: %d results, %v", len(rs), err)
 	}
+}
+
+// indexFileBytes sums the sizes of a segment's index files: everything in
+// its shard directories but the meta.json manifests that record them.
+func indexFileBytes(t *testing.T, segDir string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.WalkDir(segDir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Dir(path) == segDir || d.Name() == "meta.json" {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		n += info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // steadyStateWrites builds an 8-document XMark base and runs the spine's
@@ -121,7 +147,7 @@ func TestTieredFoldLayout(t *testing.T) {
 // loop wrote, how many times the policy compacted, and the loop's time.
 func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions int, elapsed time.Duration) {
 	tb.Helper()
-	e := NewEngine(&Config{IndexDir: tb.TempDir(), Shards: 2, BlockPostings: true, SkipNaive: true})
+	e := NewEngine(&Config{IndexDir: tb.TempDir(), Shards: 2, SkipNaive: true})
 	defer e.Close()
 	doc := func(seed int64, scale float64) string {
 		return xmark.Generate(xmark.Params{
@@ -247,7 +273,7 @@ func BenchmarkAddDocsSteadyState(b *testing.B) {
 // per posting: DIL over a base made stale by one AddDocs, against the
 // same engine compacted (one segment, ranks baked in).
 func BenchmarkStaleSegmentDIL(b *testing.B) {
-	e := NewEngine(&Config{IndexDir: b.TempDir(), Shards: 1, BlockPostings: true, SkipNaive: true})
+	e := NewEngine(&Config{IndexDir: b.TempDir(), Shards: 1, SkipNaive: true})
 	defer e.Close()
 	for d := 0; d < 4; d++ {
 		doc := xmark.Generate(xmark.Params{Seed: int64(d), Items: 150, People: 90, OpenAuctions: 100,

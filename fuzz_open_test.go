@@ -18,13 +18,12 @@ import (
 // checksummed payload, e.g. whitespace inside a manifest envelope —
 // the opened engine is observably identical to the pristine one. The
 // pristine bytes are restored after each case so the shared directory
-// stays valid. The engine uses the block postings format, so the walked
-// file set includes the per-term skip indexes (dil.skip, rdil.skip,
-// hdilrank.skip) — a corrupted skip index must be rejected at open, never
-// silently steer queries into the wrong blocks.
+// stays valid. The walked file set includes the per-term skip indexes
+// (dil.skip, rdil.skip, hdilrank.skip) — a corrupted skip index must be
+// rejected at open, never silently steer queries into the wrong blocks.
 func FuzzOpenCorrupt(f *testing.F) {
 	dir := f.TempDir()
-	e := NewEngine(&Config{IndexDir: dir, Shards: 2, BlockPostings: true})
+	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
 	docs := map[string]string{
 		"a.xml": `<r><t>xml keyword search</t><p>fuzzable content one</p></r>`,
 		"b.xml": `<r><t>ranked retrieval</t><p>fuzzable content two</p></r>`,
@@ -65,9 +64,15 @@ func FuzzOpenCorrupt(f *testing.F) {
 		f.Fatalf("only %d persisted files found", len(files))
 	}
 
-	// Seed every file with one flip and one truncation.
-	for i := range files {
+	// Seed every file with a flip near its start, a flip of its last byte
+	// (page padding, a manifest envelope's tail) and a truncation.
+	for i, rel := range files {
+		st, err := os.Stat(filepath.Join(dir, rel))
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(uint32(i), uint32(3), byte(0x40), false)
+		f.Add(uint32(i), uint32(st.Size()-1), byte(0x01), false)
 		f.Add(uint32(i), uint32(7), byte(0x01), true)
 	}
 

@@ -160,25 +160,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestE2bCompression(t *testing.T) {
-	es := buildSmall(t)
-	tb, err := E2bCompression(t.TempDir(), 0.15, 7, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("E2b rows = %d", len(tb.Rows))
-	}
-	// XMark (deep) must compress at least as well as DBLP (shallow).
-	var save [2]float64
-	for i, r := range tb.Rows {
-		fmt.Sscanf(r[3], "%f%%", &save[i])
-	}
-	if save[1] < save[0] {
-		t.Errorf("deep corpus should compress better: dblp %.1f%% vs xmark %.1f%%", save[0], save[1])
-	}
-}
-
 func TestDsAblation(t *testing.T) {
 	tb, err := E7AblationDs(7)
 	if err != nil {

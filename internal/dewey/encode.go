@@ -10,7 +10,7 @@ import "fmt"
 // value ranges of the different lengths are disjoint, the encoding is
 // order-preserving: bytes.Compare on two encoded IDs equals Compare on the
 // IDs, and an encoded ancestor is a byte prefix of its encoded descendants.
-// This is what lets B+-tree pages and postings compare keys without
+// This is what lets skip indexes and postings compare keys without
 // decoding, and it keeps the common case (small sibling ordinals, as the
 // paper observes in Section 4.2.1) at one byte per component.
 //

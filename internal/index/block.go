@@ -12,19 +12,21 @@ import (
 	"xrank/internal/storage"
 )
 
-// Block-encoded postings (format 2).
+// The postings format.
 //
-// Instead of one length-prefixed entry per posting, a format-2 Dewey
-// list packs up to blockMaxEntries postings into one postings-file
-// entry (a "block"). Within a block every posting after the first is
-// delta-coded against its predecessor (the AppendDeweyEntryCompressed
-// wire format), and blocks never span pages, so any block is decodable
-// from its single page without context. A per-term skip index — built
-// alongside the lexicon and loaded fully into memory at Open — records
-// each block's location, entry count, byte length, maximum ElemRank and
-// first/last Dewey ID, which is what lets query loops skip whole blocks
-// (by document range, or the remainder of a rank-ordered list once the
-// threshold algorithm's stop condition holds) without reading them.
+// Every Dewey-family list (dil.post, rdil.post, hdil.rank) packs up to
+// blockMaxEntries postings into one postings-file entry (a "block").
+// Within a block every posting after the first is delta-coded against
+// its predecessor (the AppendDeweyEntryCompressed wire format), and
+// blocks never span pages, so any block is decodable from its single
+// page without context. A per-term skip index — built alongside the
+// lexicon and loaded fully into memory at Open — records each block's
+// location, entry count, byte length, maximum ElemRank and first/last
+// Dewey ID. That sparse index is the only Dewey-side access structure:
+// query loops skip whole blocks with it (by document range, or the
+// remainder of a rank-ordered list once the threshold algorithm's stop
+// condition holds), and RDIL's and HDIL's Dewey probes binary-search
+// dil.skip where the paper descends a B+-tree (see Prober).
 //
 // Block body layout (the bytes after the postings-file length prefix):
 //
@@ -33,9 +35,12 @@ import (
 //	        suffix, f32 rank, posList) — the first entry has lcp 0 and
 //	        carries the full ID
 const (
-	// BlockPostingsFormat is Meta.PostingsFormat for block-encoded
-	// directories. Zero (or absent) is the per-entry v1 format.
-	BlockPostingsFormat = 2
+	// PostingsFormat is the Meta.PostingsFormat of every directory this
+	// build writes, and the only one Open accepts: block lists plus skip
+	// indexes, no B+-trees. Retired formats are 0 (per-entry lists, with
+	// or without compress_dewey) and 2 (block lists beside rdil.btree and
+	// hdil.btree).
+	PostingsFormat = 3
 
 	// blockMaxEntries caps postings per block. 128 keeps the decode unit
 	// small enough that partially-needed blocks cost little, while the
@@ -196,8 +201,8 @@ func (d *blockDecoder) entry(e []byte) error {
 	start := len(d.pos)
 	d.pos = slices.Grow(d.pos, int(nPos))[:start+int(nPos)]
 	ps := d.pos[start:]
-	// Deltas accumulate in uint32: truncating the uint64 sum once, as the
-	// v1 decoder does, gives the same value.
+	// Deltas accumulate in uint32: truncating the uint64 sum once, as
+	// decodePositions does, gives the same value.
 	prev := uint32(0)
 	for j := range ps {
 		if len(e) > 0 && e[0] < 0x80 {
@@ -246,7 +251,7 @@ func encodeBlock(posts []Posting) []byte {
 }
 
 // blockListWriter streams one term's postings into blocks through a
-// postWriter, accumulating the skip refs and HDIL page boundaries.
+// postWriter, accumulating the skip refs.
 type blockListWriter struct {
 	w *postWriter
 
@@ -258,15 +263,9 @@ type blockListWriter struct {
 	lastDoc uint32
 	maxRank float32
 
-	refs     []BlockRef
-	bounds   []pageBoundary
-	lastPage storage.PageID
-	loc      Loc
-	scratch  []byte
-}
-
-func newBlockListWriter(w *postWriter) *blockListWriter {
-	return &blockListWriter{w: w, lastPage: storage.InvalidPage}
+	refs    []BlockRef
+	loc     Loc
+	scratch []byte
 }
 
 func (bw *blockListWriter) add(id dewey.ID, rank float32, positions []uint32) error {
@@ -312,10 +311,6 @@ func (bw *blockListWriter) flushBlock() error {
 	if len(bw.refs) == 0 {
 		bw.loc.Page, bw.loc.Off = page, off
 	}
-	if page != bw.lastPage {
-		bw.bounds = append(bw.bounds, pageBoundary{page: page, firstKey: append([]byte(nil), bw.first...)})
-		bw.lastPage = page
-	}
 	bw.refs = append(bw.refs, BlockRef{
 		Page:    page,
 		Off:     off,
@@ -332,11 +327,11 @@ func (bw *blockListWriter) flushBlock() error {
 	return nil
 }
 
-func (bw *blockListWriter) finish() (Loc, []pageBoundary, []BlockRef, error) {
+func (bw *blockListWriter) finish() (Loc, []BlockRef, error) {
 	if err := bw.flushBlock(); err != nil {
-		return Loc{}, nil, nil, err
+		return Loc{}, nil, err
 	}
-	return bw.loc, bw.bounds, bw.refs, nil
+	return bw.loc, bw.refs, nil
 }
 
 // Skip-index file format ("XSKP"):
@@ -538,11 +533,11 @@ func openBlock(pool *storage.BufferPool, ec *storage.ExecContext, ref *BlockRef,
 }
 
 // blockCursor iterates a block-encoded list through its in-memory skip
-// refs, one pinned page at a time. It is the format-2 counterpart of
-// postCursor + per-entry decode, with two extra moves the v1 cursor
-// cannot make: dropping every not-yet-loaded block whose document range
-// ends before a target doc, and dropping the whole remainder of the
-// list once a rank-ordered consumer's stop condition holds.
+// refs, one pinned page at a time. Beyond a sequential scan it makes two
+// moves the skip refs allow: dropping every not-yet-loaded block whose
+// document range ends before a target doc, and dropping the whole
+// remainder of the list once a rank-ordered consumer's stop condition
+// holds.
 type blockCursor struct {
 	pool  *storage.BufferPool
 	ec    *storage.ExecContext

@@ -1,15 +1,12 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"path/filepath"
 	"sort"
 	"time"
 
-	"xrank/internal/btree"
-	"xrank/internal/dewey"
 	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
 )
@@ -17,12 +14,13 @@ import (
 // File names inside an index directory.
 const (
 	fileDILPost       = "dil.post"
+	fileDILSkip       = "dil.skip"
 	fileDILLex        = "dil.lex"
 	fileRDILPost      = "rdil.post"
-	fileRDILTree      = "rdil.btree"
+	fileRDILSkip      = "rdil.skip"
 	fileRDILLex       = "rdil.lex"
 	fileHDILRank      = "hdil.rank"
-	fileHDILTree      = "hdil.btree"
+	fileHDILRankSkip  = "hdilrank.skip"
 	fileHDILLex       = "hdil.lex"
 	fileNaiveIDPost   = "naiveid.post"
 	fileNaiveIDLex    = "naiveid.lex"
@@ -30,11 +28,6 @@ const (
 	fileNaiveRankHash = "naiverank.hash"
 	fileNaiveRankLex  = "naiverank.lex"
 	fileMeta          = "meta.json"
-
-	// Block-format skip indexes (PostingsFormat == BlockPostingsFormat).
-	fileDILSkip      = "dil.skip"
-	fileRDILSkip     = "rdil.skip"
-	fileHDILRankSkip = "hdilrank.skip"
 )
 
 // BuildOptions configure index construction.
@@ -52,13 +45,6 @@ type BuildOptions struct {
 	// SkipNaive omits the two naive baselines (they dominate build time
 	// and space on big corpora, exactly as the paper argues).
 	SkipNaive bool
-	// BlockPostings writes the Dewey-family lists (dil.post, rdil.post,
-	// hdil.rank) in the block-encoded format (see block.go): delta-coded
-	// blocks of up to 128 entries plus per-term skip indexes recording
-	// each block's max ElemRank and Dewey range, which query loops use to
-	// skip whole blocks. Naive lists and both B+-trees are unchanged.
-	// Query results are bit-identical to the v1 format.
-	BlockPostings bool
 	// DocFilter, when non-nil, restricts the index to the documents for
 	// which it returns true (doc is the document's position in the
 	// collection, i.e. the first Dewey component). Sharded builds pass the
@@ -98,14 +84,9 @@ type Meta struct {
 	RankFraction float64 `json:"rank_fraction"`
 	MaxPositions int     `json:"max_positions"`
 	HasNaive     bool    `json:"has_naive"`
-	// CompressDewey is never written. It marks indexes built with the
-	// retired page-local prefix compression of v1 lists, which this build
-	// cannot decode: Open refuses them.
-	CompressDewey bool `json:"compress_dewey,omitempty"`
-	// PostingsFormat is the Dewey-list wire format: 0 (absent) is the
-	// per-entry v1 layout, BlockPostingsFormat (2) the block-encoded
-	// layout with skip indexes. Open rejects formats it does not know.
-	PostingsFormat int   `json:"postings_format,omitempty"`
+	// PostingsFormat is the directory's on-disk format; Open accepts only
+	// the package's PostingsFormat.
+	PostingsFormat int   `json:"postings_format"`
 	BuildMillis    int64 `json:"build_millis"`
 	// Files records the expected size and checksum of every data file in
 	// the directory, keyed by file name.
@@ -115,19 +96,54 @@ type Meta struct {
 // BuildStats reports per-component on-disk sizes in bytes, the data for
 // Table 1.
 type BuildStats struct {
-	Meta          Meta
-	DILList       int64 // dil.post — also the HDIL full list and B+-tree leaf level
-	RDILList      int64 // rdil.post
-	RDILIndex     int64 // rdil.btree
-	HDILRank      int64 // hdil.rank (rank-ordered prefix)
-	HDILIndex     int64 // hdil.btree (external inner nodes only)
+	Meta     Meta
+	DILList  int64 // dil.post — also HDIL's full list, which RDIL's Dewey probes read too
+	RDILList int64 // rdil.post
+	HDILRank int64 // hdil.rank (rank-ordered prefix)
+	// DILSkip, RDILSkip and HDILSkip are the sparse per-block skip indexes
+	// of the three lists above (dil.skip, rdil.skip, hdilrank.skip), the
+	// only Dewey-side access structures.
+	DILSkip       int64
+	RDILSkip      int64
+	HDILSkip      int64
 	NaiveIDList   int64
 	NaiveRankList int64
 	NaiveIndex    int64 // naiverank.hash
-	// PageWrites counts the pages written to the component files above
-	// (appends and B+-tree/hash rewrites alike); the engine folds it into
-	// its IOStats.
+	// PageWrites counts the pages written to the page files above
+	// (appends and hash rewrites alike); the engine folds it into its
+	// IOStats.
 	PageWrites int64
+
+	// shardFiles holds the Files record of every shard's meta.json.
+	shardFiles []map[string]storage.FileSum
+}
+
+// IndexBytes is the total size of the files the build's meta.json
+// manifests record: postings, skip indexes, lexicons and naive baselines
+// alike, summed over shards.
+func (s *BuildStats) IndexBytes() int64 {
+	var n int64
+	for _, files := range s.shardFiles {
+		for _, sum := range files {
+			n += sum.Size
+		}
+	}
+	return n
+}
+
+// add accumulates another shard's sizes and file records.
+func (s *BuildStats) add(o *BuildStats) {
+	s.DILList += o.DILList
+	s.RDILList += o.RDILList
+	s.HDILRank += o.HDILRank
+	s.DILSkip += o.DILSkip
+	s.RDILSkip += o.RDILSkip
+	s.HDILSkip += o.HDILSkip
+	s.NaiveIDList += o.NaiveIDList
+	s.NaiveRankList += o.NaiveRankList
+	s.NaiveIndex += o.NaiveIndex
+	s.PageWrites += o.PageWrites
+	s.shardFiles = append(s.shardFiles, o.shardFiles...)
 }
 
 // termData accumulates one term's direct postings during the scan phase.
@@ -201,15 +217,13 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 	defer b.closeAll()
 
 	meta := Meta{
-		NumDocs:      c.NumDocs(),
-		NumElements:  c.NumElements(),
-		Terms:        len(sorted),
-		RankFraction: opts.RankFraction,
-		MaxPositions: opts.MaxPositions,
-		HasNaive:     !opts.SkipNaive,
-	}
-	if opts.BlockPostings {
-		meta.PostingsFormat = BlockPostingsFormat
+		NumDocs:        c.NumDocs(),
+		NumElements:    c.NumElements(),
+		Terms:          len(sorted),
+		RankFraction:   opts.RankFraction,
+		MaxPositions:   opts.MaxPositions,
+		HasNaive:       !opts.SkipNaive,
+		PostingsFormat: PostingsFormat,
 	}
 	for _, term := range sorted {
 		td := terms[term]
@@ -235,80 +249,68 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 		return nil, err
 	}
 
+	size := func(name string) int64 { return files[name].Size }
 	stats := &BuildStats{
-		Meta:      meta,
-		DILList:   b.dilPF.Size(),
-		RDILList:  b.rdilPF.Size(),
-		RDILIndex: b.rdilTreePF.Size(),
-		HDILRank:  b.hdilRankPF.Size(),
-		HDILIndex: b.hdilTreePF.Size(),
+		Meta:          meta,
+		DILList:       size(fileDILPost),
+		RDILList:      size(fileRDILPost),
+		HDILRank:      size(fileHDILRank),
+		DILSkip:       size(fileDILSkip),
+		RDILSkip:      size(fileRDILSkip),
+		HDILSkip:      size(fileHDILRankSkip),
+		NaiveIDList:   size(fileNaiveIDPost),
+		NaiveRankList: size(fileNaiveRankPost),
+		NaiveIndex:    size(fileNaiveRankHash),
+		shardFiles:    []map[string]storage.FileSum{files},
 	}
-	if !opts.SkipNaive {
-		stats.NaiveIDList = b.naiveIDPF.Size()
-		stats.NaiveRankList = b.naiveRankPF.Size()
-		stats.NaiveIndex = b.naiveHashPF.Size()
-	}
-	for _, pf := range b.pageFiles() {
-		stats.PageWrites += pf.Stats().Writes
+	for _, f := range b.files {
+		stats.PageWrites += f.pf.Stats().Writes
 	}
 	return stats, nil
+}
+
+// listBuilder is one Dewey-family list under construction: its postings
+// file and, per term, the list's location and block refs, which finish
+// persists as the list's lexicon and skip index.
+type listBuilder struct {
+	skip, lex string // file names
+	w         *postWriter
+	locs      map[string]Loc
+	refs      map[string][]BlockRef
 }
 
 // variantBuilders holds the open files and per-term metadata accumulated
 // while streaming the index variants.
 type variantBuilders struct {
-	opts BuildOptions
-	fs   storage.FS
+	fs storage.FS
+	// files are the page files this build created, in creation order,
+	// which is also the fixed order finish syncs them in.
+	files []namedFile
 
-	dilPF      *storage.PageFile
-	rdilPF     *storage.PageFile
-	rdilTreePF *storage.PageFile
-	hdilRankPF *storage.PageFile
-	hdilTreePF *storage.PageFile
+	// dewey holds the Dewey-ordered list, the full rank-ordered list and
+	// HDIL's rank-ordered prefix, in that (fixed) order.
+	dewey [3]*listBuilder
 
-	naiveIDPF   *storage.PageFile
-	naiveRankPF *storage.PageFile
-	naiveHashPF *storage.PageFile
-
-	dilW       *postWriter
-	rdilW      *postWriter
-	hdilRankW  *postWriter
 	naiveIDW   *postWriter
 	naiveRankW *postWriter
+	hashB      *hashBuilder
 
-	rdilTreeW *btree.PageWriter
-	hdilTreeW *btree.PageWriter
-	hashB     *hashBuilder
-
-	dilMeta       map[string]DILMeta
-	rdilMeta      map[string]RDILMeta
-	hdilMeta      map[string]HDILMeta
-	naiveIDMeta   map[string]NaiveMeta
+	naiveIDMeta   map[string]Loc
 	naiveRankMeta map[string]NaiveRankMeta
-
-	// Per-term block refs (BlockPostings only), persisted as the skip
-	// indexes in finish.
-	dilSkip      map[string][]BlockRef
-	rdilSkip     map[string][]BlockRef
-	hdilRankSkip map[string][]BlockRef
 
 	buf []byte
 }
 
+type namedFile struct {
+	name string
+	pf   *storage.PageFile
+}
+
 func newVariantBuilders(fs storage.FS, dir string, opts BuildOptions) (*variantBuilders, error) {
 	b := &variantBuilders{
-		opts:          opts,
 		fs:            fs,
-		dilMeta:       make(map[string]DILMeta),
-		rdilMeta:      make(map[string]RDILMeta),
-		hdilMeta:      make(map[string]HDILMeta),
-		naiveIDMeta:   make(map[string]NaiveMeta),
+		naiveIDMeta:   make(map[string]Loc),
 		naiveRankMeta: make(map[string]NaiveRankMeta),
-	}
-	if opts.BlockPostings {
-		b.dilSkip = make(map[string][]BlockRef)
-		b.rdilSkip = make(map[string][]BlockRef)
-		b.hdilRankSkip = make(map[string][]BlockRef)
 	}
 	var err error
 	create := func(name string) *storage.PageFile {
@@ -316,53 +318,38 @@ func newVariantBuilders(fs storage.FS, dir string, opts BuildOptions) (*variantB
 			return nil
 		}
 		var pf *storage.PageFile
-		pf, err = storage.CreatePageFileFS(fs, filepath.Join(dir, name))
+		if pf, err = storage.CreatePageFileFS(fs, filepath.Join(dir, name)); err == nil {
+			b.files = append(b.files, namedFile{name, pf})
+		}
 		return pf
 	}
-	b.dilPF = create(fileDILPost)
-	b.rdilPF = create(fileRDILPost)
-	b.rdilTreePF = create(fileRDILTree)
-	b.hdilRankPF = create(fileHDILRank)
-	b.hdilTreePF = create(fileHDILTree)
+	for i, names := range [3][3]string{
+		{fileDILPost, fileDILSkip, fileDILLex},
+		{fileRDILPost, fileRDILSkip, fileRDILLex},
+		{fileHDILRank, fileHDILRankSkip, fileHDILLex},
+	} {
+		b.dewey[i] = &listBuilder{
+			skip: names[1], lex: names[2],
+			w:    newPostWriter(create(names[0])),
+			locs: make(map[string]Loc),
+			refs: make(map[string][]BlockRef),
+		}
+	}
 	if !opts.SkipNaive {
-		b.naiveIDPF = create(fileNaiveIDPost)
-		b.naiveRankPF = create(fileNaiveRankPost)
-		b.naiveHashPF = create(fileNaiveRankHash)
+		b.naiveIDW = newPostWriter(create(fileNaiveIDPost))
+		b.naiveRankW = newPostWriter(create(fileNaiveRankPost))
+		b.hashB = newHashBuilder(create(fileNaiveRankHash))
 	}
 	if err != nil {
 		b.closeAll()
 		return nil, err
 	}
-	b.dilW = newPostWriter(b.dilPF)
-	b.rdilW = newPostWriter(b.rdilPF)
-	b.hdilRankW = newPostWriter(b.hdilRankPF)
-	b.rdilTreeW = btree.NewPageWriter(b.rdilTreePF)
-	b.hdilTreeW = btree.NewPageWriter(b.hdilTreePF)
-	if !opts.SkipNaive {
-		b.naiveIDW = newPostWriter(b.naiveIDPF)
-		b.naiveRankW = newPostWriter(b.naiveRankPF)
-		b.hashB = newHashBuilder(b.naiveHashPF)
-	}
 	return b, nil
 }
 
-// pageFiles lists the component files this build created.
-func (b *variantBuilders) pageFiles() []*storage.PageFile {
-	var out []*storage.PageFile
-	for _, pf := range []*storage.PageFile{
-		b.dilPF, b.rdilPF, b.rdilTreePF, b.hdilRankPF, b.hdilTreePF,
-		b.naiveIDPF, b.naiveRankPF, b.naiveHashPF,
-	} {
-		if pf != nil {
-			out = append(out, pf)
-		}
-	}
-	return out
-}
-
 func (b *variantBuilders) closeAll() {
-	for _, pf := range b.pageFiles() {
-		pf.Close()
+	for _, f := range b.files {
+		f.pf.Close()
 	}
 }
 
@@ -370,37 +357,18 @@ func (b *variantBuilders) closeAll() {
 // number of naive entries produced (the ancestor closure size).
 func (b *variantBuilders) addTerm(term string, td *termData, opts BuildOptions, ranks []float64) (int, error) {
 	posts := td.posts
+	dil, rdil, hdil := b.dewey[0], b.dewey[1], b.dewey[2]
 
-	// --- DIL: Dewey order (the natural order postings were collected in).
-	dilLoc, boundaries, err := b.writeList(b.dilW, posts, nil, term, b.dilSkip)
-	if err != nil {
+	// DIL: Dewey order (the natural order postings were collected in).
+	if err := dil.add(term, posts, nil); err != nil {
 		return 0, err
 	}
-	endPage, endOff := b.dilW.pos()
-	b.dilMeta[term] = DILMeta{Loc: dilLoc}
-
-	// --- RDIL: rank order + per-term B+-tree keyed by Dewey ID.
+	// RDIL: the whole list in rank order.
 	byRank := rankOrder(posts)
-	rankLoc, _, err := b.writeList(b.rdilW, posts, byRank, term, b.rdilSkip)
-	if err != nil {
+	if err := rdil.add(term, posts, byRank); err != nil {
 		return 0, err
 	}
-	tb := btree.NewBuilder(b.rdilTreeW, 0)
-	var key, val []byte
-	for i := range posts {
-		key = dewey.Append(key[:0], posts[i].ID)
-		val = appendTreeValue(val[:0], posts[i].Rank, posts[i].Positions)
-		if err := tb.Add(key, val); err != nil {
-			return 0, err
-		}
-	}
-	rdilRoot, _, err := tb.Finish()
-	if err != nil {
-		return 0, err
-	}
-	b.rdilMeta[term] = RDILMeta{RankLoc: rankLoc, Root: rdilRoot}
-
-	// --- HDIL: rank-ordered prefix + external B+-tree over the DIL pages.
+	// HDIL: a rank-ordered prefix; its full list is the DIL list.
 	prefixLen := int(math.Ceil(opts.RankFraction * float64(len(posts))))
 	if prefixLen < opts.MinRankPrefix {
 		prefixLen = opts.MinRankPrefix
@@ -408,26 +376,8 @@ func (b *variantBuilders) addTerm(term string, td *termData, opts BuildOptions, 
 	if prefixLen > len(posts) {
 		prefixLen = len(posts)
 	}
-	hdilRankLoc, _, err := b.writeList(b.hdilRankW, posts, byRank[:prefixLen], term, b.hdilRankSkip)
-	if err != nil {
+	if err := hdil.add(term, posts, byRank[:prefixLen]); err != nil {
 		return 0, err
-	}
-	eb := btree.NewExternalBuilder(b.hdilTreeW, 0)
-	for _, bd := range boundaries {
-		if err := eb.AddLeafPage(bd.firstKey, bd.page); err != nil {
-			return 0, err
-		}
-	}
-	hdilRoot, _, err := eb.Finish()
-	if err != nil {
-		return 0, err
-	}
-	b.hdilMeta[term] = HDILMeta{
-		DilLoc:  dilLoc,
-		EndPage: endPage,
-		EndOff:  endOff,
-		RankLoc: hdilRankLoc,
-		Root:    hdilRoot,
 	}
 
 	if opts.SkipNaive {
@@ -441,7 +391,7 @@ func (b *variantBuilders) addTerm(term string, td *termData, opts BuildOptions, 
 	if err != nil {
 		return 0, err
 	}
-	b.naiveIDMeta[term] = NaiveMeta{Loc: idLoc}
+	b.naiveIDMeta[term] = idLoc
 
 	byRankN := naiveRankOrder(closure)
 	rankNLoc, locs, err := b.writeNaiveListLocs(b.naiveRankW, closure, byRankN)
@@ -460,31 +410,11 @@ func (b *variantBuilders) addTerm(term string, td *termData, opts BuildOptions, 
 	return len(closure), nil
 }
 
-type pageBoundary struct {
-	page     storage.PageID
-	firstKey []byte
-}
-
-// writeList dispatches between the v1 per-entry layout and the block
-// layout; with BlockPostings the term's block refs are recorded in skip
-// (which finish persists as the component's skip index).
-func (b *variantBuilders) writeList(w *postWriter, posts []Posting, perm []int, term string, skip map[string][]BlockRef) (Loc, []pageBoundary, error) {
-	if !b.opts.BlockPostings {
-		return b.writeDeweyList(w, posts, perm)
-	}
-	loc, bounds, refs, err := b.writeBlockList(w, posts, perm)
-	if err != nil {
-		return loc, nil, err
-	}
-	skip[term] = refs
-	return loc, bounds, nil
-}
-
-// writeBlockList writes postings (in the order given by perm, or natural
-// order when perm is nil) as delta-coded blocks, returning the list
-// location, the page boundaries, and the per-block skip refs.
-func (b *variantBuilders) writeBlockList(w *postWriter, posts []Posting, perm []int) (Loc, []pageBoundary, []BlockRef, error) {
-	bw := newBlockListWriter(w)
+// add writes term's postings (in the order given by perm, or natural
+// order when perm is nil) as delta-coded blocks, recording the list's
+// location and block refs.
+func (l *listBuilder) add(term string, posts []Posting, perm []int) error {
+	bw := blockListWriter{w: l.w}
 	n := len(posts)
 	if perm != nil {
 		n = len(perm)
@@ -495,44 +425,15 @@ func (b *variantBuilders) writeBlockList(w *postWriter, posts []Posting, perm []
 			p = &posts[perm[i]]
 		}
 		if err := bw.add(p.ID, p.Rank, p.Positions); err != nil {
-			return Loc{}, nil, nil, err
+			return err
 		}
 	}
-	return bw.finish()
-}
-
-// writeDeweyList writes postings (in the order given by perm, or natural
-// order when perm is nil) as Dewey entries, returning the list location
-// and the page boundaries (first key of the term's entries on each page).
-func (b *variantBuilders) writeDeweyList(w *postWriter, posts []Posting, perm []int) (Loc, []pageBoundary, error) {
-	var loc Loc
-	var bounds []pageBoundary
-	lastPage := storage.InvalidPage
-	n := len(posts)
-	if perm != nil {
-		n = len(perm)
+	loc, refs, err := bw.finish()
+	if err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		p := &posts[i]
-		if perm != nil {
-			p = &posts[perm[i]]
-		}
-		b.buf = AppendDeweyEntry(b.buf[:0], p)
-		page, off, err := w.writeEntry(b.buf)
-		if err != nil {
-			return loc, nil, err
-		}
-		if i == 0 {
-			loc.Page, loc.Off = page, off
-		}
-		if page != lastPage {
-			bounds = append(bounds, pageBoundary{page: page, firstKey: dewey.Encode(p.ID)})
-			lastPage = page
-		}
-		loc.Bytes += uint32(len(b.buf))
-	}
-	loc.Count = uint32(n)
-	return loc, bounds, nil
+	l.locs[term], l.refs[term] = loc, refs
+	return nil
 }
 
 func (b *variantBuilders) writeNaiveList(w *postWriter, posts []Posting, perm []int) (Loc, error) {
@@ -621,112 +522,57 @@ func naiveClosure(td *termData, maxPos int, ranks []float64) []Posting {
 	return out
 }
 
-// appendTreeValue encodes the B+-tree leaf value: rank + posList.
-func appendTreeValue(buf []byte, rank float32, pos []uint32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(rank))
-	return appendPositions(buf, pos)
-}
-
-// decodeTreeValue decodes a B+-tree leaf value into p (Rank, Positions).
-func decodeTreeValue(val []byte, p *Posting) error {
-	if len(val) < 4 {
-		return fmt.Errorf("index: tree value too short")
-	}
-	p.Rank = math.Float32frombits(binary.LittleEndian.Uint32(val))
-	return decodePositions(val[4:], p)
-}
-
-// finish flushes all writers, syncs every page file, persists the
-// lexicons atomically, and returns the size+checksum of every data file
-// for the meta.json commit record.
+// finish flushes all writers, syncs every page file, persists the skip
+// indexes and lexicons atomically, and returns the size+checksum of every
+// data file for the meta.json commit record. Fault injection numbers
+// write boundaries by execution order, so every step runs in a fixed
+// order: page files, then skip indexes, then lexicons.
 func (b *variantBuilders) finish(dir string, terms []string) (map[string]storage.FileSum, error) {
-	for _, w := range []*postWriter{b.dilW, b.rdilW, b.hdilRankW, b.naiveIDW, b.naiveRankW} {
-		if w == nil {
-			continue
-		}
-		if err := w.flush(); err != nil {
+	for _, l := range b.dewey {
+		if err := l.w.flush(); err != nil {
 			return nil, err
 		}
 	}
-	if err := b.rdilTreeW.Flush(); err != nil {
-		return nil, err
-	}
-	if err := b.hdilTreeW.Flush(); err != nil {
-		return nil, err
-	}
 	if b.hashB != nil {
+		for _, w := range []*postWriter{b.naiveIDW, b.naiveRankW} {
+			if err := w.flush(); err != nil {
+				return nil, err
+			}
+		}
 		if err := b.hashB.flush(); err != nil {
 			return nil, err
 		}
 	}
 	files := make(map[string]storage.FileSum)
-	// Fixed iteration order: fault injection numbers write boundaries by
-	// execution order, so the sync sequence must be deterministic.
-	pageFiles := []struct {
-		name string
-		pf   *storage.PageFile
-	}{
-		{fileDILPost, b.dilPF},
-		{fileRDILPost, b.rdilPF},
-		{fileRDILTree, b.rdilTreePF},
-		{fileHDILRank, b.hdilRankPF},
-		{fileHDILTree, b.hdilTreePF},
-		{fileNaiveIDPost, b.naiveIDPF},
-		{fileNaiveRankPost, b.naiveRankPF},
-		{fileNaiveRankHash, b.naiveHashPF},
-	}
-	for _, ent := range pageFiles {
-		name, pf := ent.name, ent.pf
-		if pf == nil {
-			continue
-		}
-		if err := pf.Sync(); err != nil {
+	for _, f := range b.files {
+		if err := f.pf.Sync(); err != nil {
 			return nil, err
 		}
-		sum, err := pf.Checksum()
+		sum, err := f.pf.Checksum()
 		if err != nil {
 			return nil, err
 		}
-		files[name] = sum
+		files[f.name] = sum
 	}
-	if b.opts.BlockPostings {
-		// Skip indexes land between the synced page files and the
-		// lexicons — more atomic whole-file writes under the meta.json
-		// commit point, in a fixed order for the fault matrix.
-		skips := []struct {
-			name string
-			refs map[string][]BlockRef
-		}{
-			{fileDILSkip, b.dilSkip},
-			{fileRDILSkip, b.rdilSkip},
-			{fileHDILRankSkip, b.hdilRankSkip},
+	for _, l := range b.dewey {
+		sum, err := writeSkipIndex(b.fs, filepath.Join(dir, l.skip), terms, l.refs)
+		if err != nil {
+			return nil, err
 		}
-		for _, sk := range skips {
-			sum, err := writeSkipIndex(b.fs, filepath.Join(dir, sk.name), terms, sk.refs)
-			if err != nil {
-				return nil, err
-			}
-			files[sk.name] = sum
-		}
+		files[l.skip] = sum
 	}
-	lexicons := []struct {
+	type lexicon struct {
 		name string
 		enc  func(t string, buf []byte) []byte
-	}{
-		{fileDILLex, func(t string, buf []byte) []byte { return b.dilMeta[t].encode(buf) }},
-		{fileRDILLex, func(t string, buf []byte) []byte { return b.rdilMeta[t].encode(buf) }},
-		{fileHDILLex, func(t string, buf []byte) []byte { return b.hdilMeta[t].encode(buf) }},
 	}
-	if b.naiveIDW != nil {
+	var lexicons []lexicon
+	for _, l := range b.dewey {
+		lexicons = append(lexicons, lexicon{l.lex, func(t string, buf []byte) []byte { return appendLoc(buf, l.locs[t]) }})
+	}
+	if b.hashB != nil {
 		lexicons = append(lexicons,
-			struct {
-				name string
-				enc  func(t string, buf []byte) []byte
-			}{fileNaiveIDLex, func(t string, buf []byte) []byte { return b.naiveIDMeta[t].encode(buf) }},
-			struct {
-				name string
-				enc  func(t string, buf []byte) []byte
-			}{fileNaiveRankLex, func(t string, buf []byte) []byte { return b.naiveRankMeta[t].encode(buf) }},
+			lexicon{fileNaiveIDLex, func(t string, buf []byte) []byte { return appendLoc(buf, b.naiveIDMeta[t]) }},
+			lexicon{fileNaiveRankLex, func(t string, buf []byte) []byte { return b.naiveRankMeta[t].encode(buf) }},
 		)
 	}
 	for _, lx := range lexicons {

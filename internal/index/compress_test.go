@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,9 +12,7 @@ import (
 	"testing"
 
 	"xrank/internal/dewey"
-	"xrank/internal/elemrank"
 	"xrank/internal/storage"
-	"xrank/internal/xmldoc"
 )
 
 // Tests for the prefix-compressed Dewey entry encoding and the block
@@ -131,9 +131,11 @@ func TestDecodeDeweyEntryCompressedResetsOnError(t *testing.T) {
 	}
 }
 
-// TestCompressionEquivalenceAndSavings builds the same corpus as v1 and
-// as block lists: every cursor and prober must yield identical postings,
-// and the prefix-compressed block list must be smaller.
+// TestCompressionEquivalenceAndSavings builds a deep corpus and checks,
+// for every term, that each list scans back as the reference postings in
+// its order, that its skip index summarizes its blocks exactly (entry
+// counts, first and last IDs, maximum rank, order), and that prefix
+// compression makes dil.post smaller than storing every ID in full.
 func TestCompressionEquivalenceAndSavings(t *testing.T) {
 	// A deep corpus (nested groups, like XMark): sibling entries share
 	// long Dewey prefixes, which is where prefix compression pays.
@@ -147,103 +149,73 @@ func TestCompressionEquivalenceAndSavings(t *testing.T) {
 		b.WriteString("</grp></zone></region>")
 	}
 	b.WriteString("</root>")
-	c := xmldoc.NewCollection()
-	if _, err := c.AddXML("big", strings.NewReader(b.String()), nil); err != nil {
-		t.Fatal(err)
-	}
-	g, _ := elemrank.BuildGraph(c)
-	res, err := elemrank.Compute(g, elemrank.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := func(block bool) (*Index, *BuildStats) {
-		dir := t.TempDir()
-		stats, err := Build(c, res.Scores, dir, BuildOptions{BlockPostings: block, MinRankPrefix: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Open(dir, OpenOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ix.Close() })
-		return ix, stats
-	}
-	plain, plainStats := open(false)
-	comp, compStats := open(true)
+	c, ranks, ix := buildTestIndex(t, map[string]string{"big": b.String()}, BuildOptions{MinRankPrefix: 8})
+	ref := referencePostings(c)
 
-	if compStats.DILList >= plainStats.DILList {
-		t.Errorf("compressed DIL (%d) not smaller than plain (%d)", compStats.DILList, plainStats.DILList)
-	}
-
-	// Every term's DIL scan must match entry for entry.
-	for _, term := range []string{"common", "filler", "w13", "name", "item"} {
-		a, okA := plain.DILCursor(term)
-		b, okB := comp.DILCursor(term)
-		if !okA || !okB {
-			t.Fatalf("term %q missing (%v %v)", term, okA, okB)
+	var fullIDs int64 // dil.post's size were every ID stored in full
+	for term, want := range ref {
+		for i := range want {
+			want[i].Rank = float32(ranks[want[i].Elem])
+			fullIDs += int64(entryLenSize + 2 + dewey.EncodedLen(want[i].ID) + 4 + len(appendPositions(nil, want[i].Positions)))
 		}
-		for {
-			pa, oka, err := a.Next()
-			if err != nil {
-				t.Fatal(err)
+		for _, l := range []struct {
+			name string
+			list *deweyList
+		}{{"dil", ix.dil}, {"rdil", ix.rdil}, {"hdil", ix.hdil}} {
+			refs := l.list.refs[term]
+			cur, ok := l.list.cursor(nil, term, false)
+			if !ok {
+				t.Fatalf("%s %q: no list", l.name, term)
 			}
-			pb, okb, err := b.Next()
-			if err != nil {
-				t.Fatal(err)
+			var got []Posting
+			for _, r := range refs {
+				if r.Count > blockMaxEntries {
+					t.Fatalf("%s %q: block of %d entries", l.name, term, r.Count)
+				}
+				first := len(got)
+				maxRank := float32(0)
+				for k := 0; k < int(r.Count); k++ {
+					p, ok, err := cur.Next()
+					if err != nil || !ok {
+						t.Fatalf("%s %q: list ends inside a block: %v", l.name, term, err)
+					}
+					got = append(got, Posting{ID: p.ID.Clone(), Rank: p.Rank, Positions: slices.Clone(p.Positions)})
+					maxRank = max(maxRank, p.Rank)
+				}
+				if !bytes.Equal(r.FirstID, dewey.Encode(got[first].ID)) || !bytes.Equal(r.LastID, dewey.Encode(got[len(got)-1].ID)) {
+					t.Fatalf("%s %q: skip ref range %v..%v, block holds %v..%v", l.name, term,
+						r.FirstID, r.LastID, got[first].ID, got[len(got)-1].ID)
+				}
+				if r.MaxRank != maxRank {
+					t.Fatalf("%s %q: skip ref MaxRank %g, block max %g", l.name, term, r.MaxRank, maxRank)
+				}
 			}
-			if oka != okb {
-				t.Fatalf("term %q: cursor lengths differ", term)
+			if _, more, _ := cur.Next(); more {
+				t.Fatalf("%s %q: entries beyond the skip index's blocks", l.name, term)
 			}
-			if !oka {
-				break
+			cur.Close()
+			// DIL holds the reference postings in Dewey order; RDIL the same
+			// set in rank order; HDIL a rank-ordered prefix of RDIL.
+			wantOrder := want
+			if l.name != "dil" {
+				wantOrder = slices.Clone(want)
+				slices.SortStableFunc(wantOrder, func(a, b Posting) int { return cmp.Compare(b.Rank, a.Rank) })
 			}
-			if !dewey.Equal(pa.ID, pb.ID) || pa.Rank != pb.Rank || len(pa.Positions) != len(pb.Positions) {
-				t.Fatalf("term %q: %v vs %v", term, pa, pb)
+			if l.name == "hdil" && len(got) < len(wantOrder) {
+				wantOrder = wantOrder[:len(got)]
+			}
+			if len(got) != len(wantOrder) {
+				t.Fatalf("%s %q: %d entries, want %d", l.name, term, len(got), len(wantOrder))
+			}
+			for i := range got {
+				w := wantOrder[i]
+				if !dewey.Equal(got[i].ID, w.ID) || got[i].Rank != w.Rank || !slices.Equal(got[i].Positions, w.Positions) {
+					t.Fatalf("%s %q entry %d: %v, want %v", l.name, term, i, got[i], w)
+				}
 			}
 		}
-		a.Close()
-		b.Close()
 	}
-
-	// Probers must agree on LCPs and prefix scans.
-	hpPlain, _ := plain.HDILProber("common")
-	hpComp, _ := comp.HDILProber("common")
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		target := dewey.ID{0, uint32(r.Intn(3000)), uint32(r.Intn(3))}
-		a, err := hpPlain.ProbeLCP(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := hpComp.ProbeLCP(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("ProbeLCP(%v): %d vs %d", target, a, b)
-		}
-	}
-	var idsA, idsB []string
-	prefix := dewey.ID{0}
-	if err := hpPlain.ScanPrefix(prefix, func(p *Posting) error {
-		idsA = append(idsA, fmt.Sprintf("%v@%d", p.ID, len(p.Positions)))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := hpComp.ScanPrefix(prefix, func(p *Posting) error {
-		idsB = append(idsB, fmt.Sprintf("%v@%d", p.ID, len(p.Positions)))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(idsA) == 0 || len(idsA) != len(idsB) {
-		t.Fatalf("ScanPrefix lengths: %d vs %d", len(idsA), len(idsB))
-	}
-	for i := range idsA {
-		if idsA[i] != idsB[i] {
-			t.Fatalf("ScanPrefix[%d]: %s vs %s", i, idsA[i], idsB[i])
-		}
+	if st := ix.Meta.Files[fileDILPost].Size; st >= fullIDs {
+		t.Errorf("prefix-compressed dil.post (%d bytes) not smaller than full IDs (%d)", st, fullIDs)
 	}
 }

@@ -106,12 +106,14 @@ func TestOpenDetectsTruncation(t *testing.T) {
 
 // TestOpenRejectsEditedMeta: a meta.json that validly envelopes something
 // this build cannot serve is corrupt, not trusted — no checksum for a
-// required file (a hand-edited manifest), or the retired prefix-compressed
-// v1 lists, which would otherwise misdecode as plain v1 entries.
+// required file (a hand-edited manifest), or a postings format other than
+// the one this build reads.
 func TestOpenRejectsEditedMeta(t *testing.T) {
 	for name, edit := range map[string]func(*Meta){
-		"missing checksum": func(m *Meta) { delete(m.Files, fileDILPost) },
-		"compress_dewey":   func(m *Meta) { m.CompressDewey = true },
+		"missing checksum":        func(m *Meta) { delete(m.Files, fileDILPost) },
+		"per-entry postings":      func(m *Meta) { m.PostingsFormat = 0 },
+		"postings with B+-trees":  func(m *Meta) { m.PostingsFormat = 2 },
+		"unknown postings format": func(m *Meta) { m.PostingsFormat = PostingsFormat + 1 },
 	} {
 		dir := buildIndexDir(t)
 		var meta Meta

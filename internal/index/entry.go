@@ -6,9 +6,10 @@
 //
 // On-disk inverted lists are streams of entries packed into fixed-size
 // pages (entries never span pages), so sequential scans touch consecutive
-// pages — the access pattern that makes DIL cheap — while B+-trees and
-// hash indexes provide the random entry points that RDIL and Naive-Rank
-// rely on.
+// pages — the access pattern that makes DIL cheap — while in-memory skip
+// indexes over the Dewey-family lists' blocks (block.go) and hash indexes
+// over the naive lists provide the random entry points that RDIL, HDIL
+// and Naive-Rank rely on.
 package index
 
 import (
@@ -40,8 +41,8 @@ type Posting struct {
 // body (everything after the length field), so scans can skip entries
 // without decoding them. A length of padEntry marks page padding.
 //
-//	dewey entry body:  u16 idLen, id bytes, f32 rank, uvarint nPos, uvarint pos deltas
 //	naive entry body:  uvarint elemID, f32 rank, uvarint nPos, uvarint pos deltas
+//	block body:        see block.go; its entries are AppendDeweyEntryCompressed's
 const (
 	entryLenSize = 2
 	padEntry     = 0xFFFF
@@ -54,25 +55,12 @@ const (
 // the paper.
 const MaxPositionsDefault = 1024
 
-// AppendDeweyEntry appends the encoded Dewey entry to buf.
-func AppendDeweyEntry(buf []byte, p *Posting) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0) // total length patch slot
-	idBytes := dewey.EncodedLen(p.ID)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(idBytes))
-	buf = dewey.Append(buf, p.ID)
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.Rank))
-	buf = appendPositions(buf, p.Positions)
-	binary.LittleEndian.PutUint16(buf[start:], uint16(len(buf)-start-entryLenSize))
-	return buf
-}
-
 // AppendDeweyEntryCompressed appends a prefix-compressed Dewey entry: the
 // ID is stored as (number of leading components shared with prev, encoded
-// suffix). It is the entry encoding inside block-format lists (block.go):
-// the chain resets at the start of each block (pass prev = nil), keeping
-// every block self-decodable. An extension beyond the paper (its Section
-// 4.2.1 space argument, taken one step further).
+// suffix). It is the entry encoding inside every Dewey-family block
+// (block.go): the chain resets at the start of each block (pass prev =
+// nil), keeping every block self-decodable. An extension beyond the paper
+// (its Section 4.2.1 space argument, taken one step further).
 //
 // Body layout: u8 lcp, uvarint suffixLen, suffix, f32 rank, posList.
 func AppendDeweyEntryCompressed(buf []byte, prev, id dewey.ID, rank float32, positions []uint32) []byte {
@@ -115,29 +103,6 @@ func appendPositions(buf []byte, pos []uint32) []byte {
 		prev = p
 	}
 	return buf
-}
-
-// DecodeDeweyEntry decodes a Dewey entry body (after the length prefix)
-// into p, reusing p's slices. It returns an error on corruption.
-func DecodeDeweyEntry(body []byte, p *Posting) error {
-	if len(body) < 2 {
-		return fmt.Errorf("index: dewey entry too short")
-	}
-	idLen := int(binary.LittleEndian.Uint16(body))
-	body = body[2:]
-	if len(body) < idLen+4 {
-		return fmt.Errorf("index: dewey entry truncated (idLen %d)", idLen)
-	}
-	var err error
-	p.ID, err = dewey.DecodeInto(p.ID, body[:idLen])
-	if err != nil {
-		return err
-	}
-	body = body[idLen:]
-	p.Rank = math.Float32frombits(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	p.Elem = -1
-	return decodePositions(body, p)
 }
 
 // DecodeNaiveEntry decodes a naive entry body into p.

@@ -14,9 +14,9 @@ import (
 // term's rank-ordered naive list.
 //
 // Layout: a table of nSlots 12-byte slots with linear probing at a load
-// factor <= 2/3. Small tables are packed into shared pages (like small
-// B+-trees); large tables are page-aligned, slotsPerPage slots per page,
-// so a slot never spans pages.
+// factor <= 2/3. Small tables are packed into shared pages; large tables
+// are page-aligned, slotsPerPage slots per page, so a slot never spans
+// pages.
 
 const (
 	hashSlotSize   = 12

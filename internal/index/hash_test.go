@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"xrank/internal/dewey"
 	"xrank/internal/storage"
 )
 
@@ -196,62 +198,35 @@ func TestEntryCodecsRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		want := Posting{
-			ID:   make([]uint32, 1+r.Intn(8)),
 			Elem: int32(r.Intn(1 << 30)),
 			Rank: r.Float32(),
-		}
-		for i := range want.ID {
-			want.ID[i] = uint32(r.Intn(1 << 16))
 		}
 		pos := uint32(0)
 		for i := 0; i < r.Intn(20); i++ {
 			pos += uint32(1 + r.Intn(500))
 			want.Positions = append(want.Positions, pos)
 		}
-		// Dewey entry.
-		enc := AppendDeweyEntry(nil, &want)
+		enc := AppendNaiveEntry(nil, &want)
 		var got Posting
-		if err := DecodeDeweyEntry(enc[entryLenSize:], &got); err != nil {
+		if err := DecodeNaiveEntry(enc[entryLenSize:], &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.ID.String() != want.ID.String() || got.Rank != want.Rank || len(got.Positions) != len(want.Positions) {
-			t.Fatalf("dewey round trip: %+v != %+v", got, want)
-		}
-		for i := range got.Positions {
-			if got.Positions[i] != want.Positions[i] {
-				t.Fatalf("dewey positions differ at %d", i)
-			}
-		}
-		// Naive entry.
-		encN := AppendNaiveEntry(nil, &want)
-		var gotN Posting
-		if err := DecodeNaiveEntry(encN[entryLenSize:], &gotN); err != nil {
-			t.Fatal(err)
-		}
-		if gotN.Elem != want.Elem || gotN.Rank != want.Rank || len(gotN.Positions) != len(want.Positions) {
-			t.Fatalf("naive round trip: %+v != %+v", gotN, want)
+		if got.Elem != want.Elem || got.Rank != want.Rank || !slices.Equal(got.Positions, want.Positions) {
+			t.Fatalf("naive round trip: %+v != %+v", got, want)
 		}
 	}
 }
 
 func TestDecodeCorruptEntries(t *testing.T) {
 	var p Posting
-	cases := [][]byte{
-		{},
-		{0x05},             // truncated idLen
-		{0xFF, 0xFF, 0x00}, // idLen beyond buffer
-		{0x01, 0x00},       // idLen=1 but no id bytes
-	}
-	for i, c := range cases {
-		if err := DecodeDeweyEntry(c, &p); err == nil {
-			t.Errorf("case %d: corrupt dewey entry accepted", i)
-		}
-	}
 	if err := DecodeNaiveEntry(nil, &p); err == nil {
 		t.Errorf("empty naive entry accepted")
 	}
 	if err := DecodeNaiveEntry([]byte{0x05, 0x00}, &p); err == nil {
 		t.Errorf("truncated naive entry accepted")
+	}
+	if err := DecodeNaiveEntry([]byte{0x05, 0, 0, 0, 0, 0x02, 0x01}, &p); err == nil {
+		t.Errorf("truncated posList accepted")
 	}
 }
 
@@ -282,11 +257,8 @@ func TestListCursorExhaustedAndCount(t *testing.T) {
 	cur.Close() // idempotent
 }
 
-func ExampleAppendDeweyEntry() {
-	p := Posting{ID: []uint32{5, 0, 3}, Rank: 0.5, Positions: []uint32{7, 9}}
-	enc := AppendDeweyEntry(nil, &p)
-	var out Posting
-	_ = DecodeDeweyEntry(enc[2:], &out)
-	fmt.Println(out.ID, out.Rank, out.Positions)
-	// Output: 5.0.3 0.5 [7 9]
+func ExampleAppendDeweyEntryCompressed() {
+	enc := AppendDeweyEntryCompressed(nil, dewey.ID{5, 0, 3}, dewey.ID{5, 0, 4, 1}, 0.5, []uint32{7, 9})
+	fmt.Println("shares", enc[entryLenSize], "components with the previous ID")
+	// Output: shares 2 components with the previous ID
 }

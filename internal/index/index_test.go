@@ -185,34 +185,31 @@ func scanDIL(t testing.TB, ix *Index, ec *storage.ExecContext, term string) int 
 }
 
 // TestPostingsCounted pins the cost model's CPU term: a full scan
-// attributes exactly the list's length to the query in either postings
-// format, and a probe attributes what it decoded (at most one block or
-// leaf page), not the list.
+// attributes exactly the list's length to the query, and a probe
+// attributes what it decoded (at most one block), not the list.
 func TestPostingsCounted(t *testing.T) {
-	for _, block := range []bool{false, true} {
-		_, _, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.05, BlockPostings: block})
-		ec := storage.NewExecContext(nil)
-		n := scanDIL(t, ix, ec, "common")
-		if got := ec.Stats().Postings; n != 3000 || got != 3000 {
-			t.Errorf("block=%v: scan of %d entries counted %d postings", block, n, got)
-		}
-		ec = storage.NewExecContext(nil)
-		prober, _ := ix.HDILProberExec(ec, "common")
-		if _, err := prober.ProbeLCP(dewey.ID{0, 1500, 0}); err != nil {
-			t.Fatal(err)
-		}
-		if got := ec.Stats().Postings; got < 1 || got > 400 {
-			t.Errorf("block=%v: one probe counted %d postings", block, got)
-		}
+	_, _, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.05})
+	ec := storage.NewExecContext(nil)
+	n := scanDIL(t, ix, ec, "common")
+	if got := ec.Stats().Postings; n != 3000 || got != 3000 {
+		t.Errorf("scan of %d entries counted %d postings", n, got)
+	}
+	ec = storage.NewExecContext(nil)
+	prober, _ := ix.ProberExec(ec, "common")
+	if _, err := prober.ProbeLCP(dewey.ID{0, 1500, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ec.Stats().Postings; got < 1 || got > blockMaxEntries {
+		t.Errorf("one probe counted %d postings", got)
 	}
 }
 
 // BenchmarkDILScanPerPosting is the sequential-scan cost the serving cost
 // model charges per posting (storage.CostModel.Posting): page fetch,
-// block decode and Dewey decode of a warm block-format list, reported per
-// posting (the merge above the cursor is not in it).
+// block decode and Dewey decode of a warm list, reported per posting (the
+// merge above the cursor is not in it).
 func BenchmarkDILScanPerPosting(b *testing.B) {
-	_, _, ix := buildTestIndex(b, bigCorpus(20000), BuildOptions{BlockPostings: true, SkipNaive: true})
+	_, _, ix := buildTestIndex(b, bigCorpus(20000), BuildOptions{SkipNaive: true})
 	ec := storage.NewExecContext(nil)
 	n := scanDIL(b, ix, ec, "common")
 	b.ReportAllocs()
@@ -257,9 +254,8 @@ func TestMultiPageListAndProbers(t *testing.T) {
 	}
 	hc.Close()
 
-	// Both probers must agree with the in-memory reference on LCP probes.
-	rp, _ := ix.RDILProber("common")
-	hp, _ := ix.HDILProber("common")
+	// The prober must agree with the in-memory reference on LCP probes.
+	prober, _ := ix.ProberExec(nil, "common")
 	refLCP := func(target dewey.ID) int {
 		best := 0
 		for i := range want {
@@ -284,16 +280,12 @@ func TestMultiPageListAndProbers(t *testing.T) {
 			target = dewey.ID{uint32(r.Intn(3) + 5), uint32(r.Intn(4))}
 		}
 		wantLCP := refLCP(target)
-		gotR, err := rp.ProbeLCP(target)
+		got, err := prober.ProbeLCP(target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotH, err := hp.ProbeLCP(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotR != wantLCP || gotH != wantLCP {
-			t.Fatalf("ProbeLCP(%v): rdil=%d hdil=%d want=%d", target, gotR, gotH, wantLCP)
+		if got != wantLCP {
+			t.Fatalf("ProbeLCP(%v) = %d, want %d", target, got, wantLCP)
 		}
 	}
 
@@ -308,25 +300,23 @@ func TestMultiPageListAndProbers(t *testing.T) {
 				wantIDs = append(wantIDs, want[i].ID.String())
 			}
 		}
-		for name, prober := range map[string]DeweyProber{"rdil": rp, "hdil": hp} {
-			var gotIDs []string
-			err := prober.ScanPrefix(prefix, func(p *Posting) error {
-				gotIDs = append(gotIDs, p.ID.String())
-				if len(p.Positions) == 0 {
-					return fmt.Errorf("empty posList")
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s ScanPrefix: %v", name, err)
+		var gotIDs []string
+		err := prober.ScanPrefix(prefix, func(p *Posting) error {
+			gotIDs = append(gotIDs, p.ID.String())
+			if len(p.Positions) == 0 {
+				return fmt.Errorf("empty posList")
 			}
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("%s ScanPrefix(%v): %d entries, want %d", name, prefix, len(gotIDs), len(wantIDs))
-			}
-			for i := range gotIDs {
-				if gotIDs[i] != wantIDs[i] {
-					t.Fatalf("%s ScanPrefix(%v)[%d]: %s != %s", name, prefix, i, gotIDs[i], wantIDs[i])
-				}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("ScanPrefix: %v", err)
+		}
+		if len(gotIDs) != len(wantIDs) {
+			t.Fatalf("ScanPrefix(%v): %d entries, want %d", prefix, len(gotIDs), len(wantIDs))
+		}
+		for i := range gotIDs {
+			if gotIDs[i] != wantIDs[i] {
+				t.Fatalf("ScanPrefix(%v)[%d]: %s != %s", prefix, i, gotIDs[i], wantIDs[i])
 			}
 		}
 	}
@@ -542,8 +532,10 @@ func TestSpaceShapeNaiveVsDIL(t *testing.T) {
 	if stats.NaiveIDList <= stats.DILList {
 		t.Errorf("naive list (%d) should exceed DIL (%d)", stats.NaiveIDList, stats.DILList)
 	}
-	if stats.HDILIndex >= stats.RDILIndex {
-		t.Errorf("HDIL external index (%d) should be smaller than RDIL full trees (%d)", stats.HDILIndex, stats.RDILIndex)
+	// HDIL's own index covers only the rank-ordered prefix, RDIL's the
+	// whole rank-ordered list (Table 1's "HDIL index tiny vs RDIL index").
+	if stats.HDILSkip >= stats.RDILSkip {
+		t.Errorf("HDIL prefix skip index (%d) should be smaller than RDIL's (%d)", stats.HDILSkip, stats.RDILSkip)
 	}
 	if stats.Meta.NaiveEntries <= stats.Meta.DeweyEntries {
 		t.Errorf("naive entries (%d) should exceed dewey entries (%d)", stats.Meta.NaiveEntries, stats.Meta.DeweyEntries)

@@ -6,43 +6,16 @@ import (
 	"fmt"
 	"io"
 
-	"xrank/internal/btree"
 	"xrank/internal/storage"
 )
 
 // Per-variant term metadata. Lexicons are loaded fully into memory at
 // open time, the standard arrangement for inverted-list engines (the
 // paper's size tables count inverted lists and indexes; lexicons are
-// negligible beside them).
-
-// DILMeta locates a term's Dewey-ordered inverted list.
-type DILMeta struct {
-	Loc Loc
-}
-
-// RDILMeta locates a term's rank-ordered inverted list and the root of
-// its Dewey-keyed B+-tree (Section 4.3.1).
-type RDILMeta struct {
-	RankLoc Loc
-	Root    btree.Ref
-}
-
-// HDILMeta describes a term in the hybrid layout (Section 4.4.1): the
-// full Dewey-ordered list (shared with DIL, reused as the B+-tree leaf
-// level), its end position, the short rank-ordered prefix, and the root
-// of the external-leaf B+-tree.
-type HDILMeta struct {
-	DilLoc  Loc
-	EndPage storage.PageID // position just after the last entry
-	EndOff  uint16
-	RankLoc Loc // rank-ordered prefix (RankLoc.Count <= DilLoc.Count)
-	Root    btree.Ref
-}
-
-// NaiveMeta locates a term's naive (ancestor-replicating) inverted list.
-type NaiveMeta struct {
-	Loc Loc
-}
+// negligible beside them). Every lexicon but Naive-Rank's maps a term to
+// the Loc of its list: the Dewey-ordered list (dil.lex), the full
+// rank-ordered list (rdil.lex), HDIL's rank-ordered prefix (hdil.lex; its
+// full list is the term's DIL list), or the naive list (naiveid.lex).
 
 // HashMeta locates a term's static hash table over element IDs
 // (Naive-Rank's random-lookup index).
@@ -164,56 +137,12 @@ func decodeLoc(buf []byte) Loc {
 	}
 }
 
-func (m DILMeta) encode(buf []byte) []byte { return appendLoc(buf, m.Loc) }
-
-func decodeDILMeta(buf []byte) (DILMeta, error) {
+// decodeLocMeta decodes a lexicon entry that is a single Loc.
+func decodeLocMeta(buf []byte) (Loc, error) {
 	if len(buf) != locSize {
-		return DILMeta{}, fmt.Errorf("index: bad DIL meta size %d", len(buf))
+		return Loc{}, fmt.Errorf("index: %w lexicon entry of %d bytes, want %d", storage.ErrCorrupt, len(buf), locSize)
 	}
-	return DILMeta{Loc: decodeLoc(buf)}, nil
-}
-
-func (m RDILMeta) encode(buf []byte) []byte {
-	buf = appendLoc(buf, m.RankLoc)
-	return m.Root.AppendTo(buf)
-}
-
-func decodeRDILMeta(buf []byte) (RDILMeta, error) {
-	if len(buf) != locSize+btree.RefSize {
-		return RDILMeta{}, fmt.Errorf("index: bad RDIL meta size %d", len(buf))
-	}
-	return RDILMeta{RankLoc: decodeLoc(buf), Root: btree.DecodeRef(buf[locSize:])}, nil
-}
-
-func (m HDILMeta) encode(buf []byte) []byte {
-	buf = appendLoc(buf, m.DilLoc)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.EndPage))
-	buf = binary.LittleEndian.AppendUint16(buf, m.EndOff)
-	buf = appendLoc(buf, m.RankLoc)
-	return m.Root.AppendTo(buf)
-}
-
-func decodeHDILMeta(buf []byte) (HDILMeta, error) {
-	if len(buf) != locSize+6+locSize+btree.RefSize {
-		return HDILMeta{}, fmt.Errorf("index: bad HDIL meta size %d", len(buf))
-	}
-	m := HDILMeta{DilLoc: decodeLoc(buf)}
-	buf = buf[locSize:]
-	m.EndPage = storage.PageID(binary.LittleEndian.Uint32(buf))
-	m.EndOff = binary.LittleEndian.Uint16(buf[4:])
-	buf = buf[6:]
-	m.RankLoc = decodeLoc(buf)
-	m.Root = btree.DecodeRef(buf[locSize:])
-	return m, nil
-}
-
-func (m NaiveMeta) encode(buf []byte) []byte { return appendLoc(buf, m.Loc) }
-
-func decodeNaiveMeta(buf []byte) (NaiveMeta, error) {
-	if len(buf) != locSize {
-		return NaiveMeta{}, fmt.Errorf("index: bad naive meta size %d", len(buf))
-	}
-	return NaiveMeta{Loc: decodeLoc(buf)}, nil
+	return decodeLoc(buf), nil
 }
 
 func (m NaiveRankMeta) encode(buf []byte) []byte {

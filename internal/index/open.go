@@ -31,45 +31,44 @@ type Index struct {
 	Meta Meta
 
 	files []*storage.PageFile
+	pools []*storage.BufferPool
 
-	dilPF       *storage.PageFile
-	rdilPF      *storage.PageFile
-	rdilTreePF  *storage.PageFile
-	hdilRankPF  *storage.PageFile
-	hdilTreePF  *storage.PageFile
-	naiveIDPF   *storage.PageFile
-	naiveRankPF *storage.PageFile
-	naiveHashPF *storage.PageFile
+	// dil, rdil and hdil are the Dewey-ordered list, the full rank-ordered
+	// list and HDIL's rank-ordered prefix.
+	dil, rdil, hdil *deweyList
 
-	dilPool       *storage.BufferPool
-	rdilPool      *storage.BufferPool
-	rdilTreePool  *storage.BufferPool
-	hdilRankPool  *storage.BufferPool
-	hdilTreePool  *storage.BufferPool
 	naiveIDPool   *storage.BufferPool
 	naiveRankPool *storage.BufferPool
 	naiveHashPool *storage.BufferPool
-
-	dil       map[string]DILMeta
-	rdil      map[string]RDILMeta
-	hdil      map[string]HDILMeta
-	naiveID   map[string]NaiveMeta
-	naiveRank map[string]NaiveRankMeta
-
-	// Per-term block skip refs (PostingsFormat == BlockPostingsFormat).
-	dilSkip      map[string][]BlockRef
-	rdilSkip     map[string][]BlockRef
-	hdilRankSkip map[string][]BlockRef
+	naiveID       map[string]Loc
+	naiveRank     map[string]NaiveRankMeta
 }
 
-// blockFormat reports whether the Dewey lists are block-encoded.
-func (ix *Index) blockFormat() bool { return ix.Meta.PostingsFormat == BlockPostingsFormat }
+// deweyList is an opened Dewey-family list: the buffer pool over its
+// postings file and, per term, the list's location and block refs.
+type deweyList struct {
+	pool *storage.BufferPool
+	locs map[string]Loc
+	refs map[string][]BlockRef
+}
+
+// cursor opens term's list (ok is false for unknown terms). scan marks a
+// cursor that reads the whole list once (see
+// storage.BufferPool.GetScanExec).
+func (l *deweyList) cursor(ec *storage.ExecContext, term string, scan bool) (*ListCursor, bool) {
+	loc, ok := l.locs[term]
+	if !ok {
+		return nil, false
+	}
+	return &ListCursor{blk: newBlockCursor(l.pool, l.refs[term], loc.Count, ec, scan)}, true
+}
 
 // Open opens an index directory produced by Build. The meta.json manifest
 // is read first (format and checksum verified), then every data file it
 // lists is verified against its recorded size and CRC-32C before any of
 // it is trusted: Open either succeeds on a consistent directory or fails
-// with a precise "corrupt <file>" error.
+// with a precise "corrupt <file>" error. A directory in any postings
+// format but PostingsFormat is refused as corrupt; it must be rebuilt.
 func Open(dir string, opts OpenOptions) (*Index, error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 128
@@ -79,21 +78,14 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	if err := storage.ReadManifest(fs, filepath.Join(dir, fileMeta), &ix.Meta); err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
-	if ix.Meta.CompressDewey {
-		return nil, fmt.Errorf("index: open %s: %w meta.json: prefix-compressed v1 postings (compress_dewey) are no longer supported; rebuild the index",
-			dir, storage.ErrCorrupt)
-	}
-	if f := ix.Meta.PostingsFormat; f != 0 && f != BlockPostingsFormat {
-		return nil, fmt.Errorf("index: open %s: %w meta.json: postings format %d, this build understands 0 and %d",
-			dir, storage.ErrCorrupt, f, BlockPostingsFormat)
+	if f := ix.Meta.PostingsFormat; f != PostingsFormat {
+		return nil, fmt.Errorf("index: open %s: %w meta.json: postings format %d, this build reads only format %d",
+			dir, storage.ErrCorrupt, f, PostingsFormat)
 	}
 	required := []string{
-		fileDILPost, fileDILLex,
-		fileRDILPost, fileRDILTree, fileRDILLex,
-		fileHDILRank, fileHDILTree, fileHDILLex,
-	}
-	if ix.blockFormat() {
-		required = append(required, fileDILSkip, fileRDILSkip, fileHDILRankSkip)
+		fileDILPost, fileDILSkip, fileDILLex,
+		fileRDILPost, fileRDILSkip, fileRDILLex,
+		fileHDILRank, fileHDILRankSkip, fileHDILLex,
 	}
 	if ix.Meta.HasNaive {
 		required = append(required,
@@ -114,137 +106,89 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 		}
 	}
 
-	var err error
-	open := func(name string) (*storage.PageFile, *storage.BufferPool, error) {
+	opened := false
+	defer func() {
+		if !opened {
+			ix.Close()
+		}
+	}()
+	open := func(name string) (*storage.BufferPool, error) {
 		pf, err := storage.OpenPageFileFS(fs, filepath.Join(dir, name))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ix.files = append(ix.files, pf)
-		return pf, storage.NewBufferPool(pf, opts.PoolPages), nil
+		bp := storage.NewBufferPool(pf, opts.PoolPages)
+		ix.pools = append(ix.pools, bp)
+		return bp, nil
 	}
-	if ix.dilPF, ix.dilPool, err = open(fileDILPost); err != nil {
-		return nil, err
-	}
-	if ix.rdilPF, ix.rdilPool, err = open(fileRDILPost); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if ix.rdilTreePF, ix.rdilTreePool, err = open(fileRDILTree); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if ix.hdilRankPF, ix.hdilRankPool, err = open(fileHDILRank); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if ix.hdilTreePF, ix.hdilTreePool, err = open(fileHDILTree); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if ix.Meta.HasNaive {
-		if ix.naiveIDPF, ix.naiveIDPool, err = open(fileNaiveIDPost); err != nil {
-			ix.Close()
-			return nil, err
-		}
-		if ix.naiveRankPF, ix.naiveRankPool, err = open(fileNaiveRankPost); err != nil {
-			ix.Close()
-			return nil, err
-		}
-		if ix.naiveHashPF, ix.naiveHashPool, err = open(fileNaiveRankHash); err != nil {
-			ix.Close()
-			return nil, err
-		}
-	}
-
-	ix.dil = make(map[string]DILMeta, ix.Meta.Terms)
-	if err := readLexicon(fs, filepath.Join(dir, fileDILLex), func(t string, m []byte) error {
-		dm, err := decodeDILMeta(m)
-		ix.dil[t] = dm
-		return err
-	}); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	ix.rdil = make(map[string]RDILMeta, ix.Meta.Terms)
-	if err := readLexicon(fs, filepath.Join(dir, fileRDILLex), func(t string, m []byte) error {
-		rm, err := decodeRDILMeta(m)
-		ix.rdil[t] = rm
-		return err
-	}); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	ix.hdil = make(map[string]HDILMeta, ix.Meta.Terms)
-	if err := readLexicon(fs, filepath.Join(dir, fileHDILLex), func(t string, m []byte) error {
-		hm, err := decodeHDILMeta(m)
-		ix.hdil[t] = hm
-		return err
-	}); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if ix.blockFormat() {
-		load := func(name string, ordered bool, nTerms int, want func(term string) (Loc, bool)) (map[string][]BlockRef, error) {
-			refs, err := readSkipIndex(fs, filepath.Join(dir, name), ordered)
-			if err != nil {
-				return nil, err
-			}
-			if len(refs) != nTerms {
-				return nil, fmt.Errorf("index: %w %s: %d terms, lexicon has %d",
-					storage.ErrCorrupt, name, len(refs), nTerms)
-			}
-			// The skip index must agree with the lexicon: same terms, and
-			// per term the block counts must sum to the list's entry
-			// count. A mismatch means the directory's artifacts are from
-			// different builds — refuse rather than serve wrong data.
-			for term, rs := range refs {
-				loc, ok := want(term)
-				if !ok {
-					return nil, fmt.Errorf("index: %w %s: term %q not in lexicon", storage.ErrCorrupt, name, term)
-				}
-				total := uint32(0)
-				for i := range rs {
-					total += uint32(rs[i].Count)
-				}
-				if total != loc.Count {
-					return nil, fmt.Errorf("index: %w %s: term %q has %d entries across blocks, lexicon says %d",
-						storage.ErrCorrupt, name, term, total, loc.Count)
-				}
-			}
-			return refs, nil
-		}
-		var err error
-		if ix.dilSkip, err = load(fileDILSkip, true, len(ix.dil), func(t string) (Loc, bool) {
-			m, ok := ix.dil[t]
-			return m.Loc, ok
-		}); err != nil {
-			ix.Close()
-			return nil, err
-		}
-		if ix.rdilSkip, err = load(fileRDILSkip, false, len(ix.rdil), func(t string) (Loc, bool) {
-			m, ok := ix.rdil[t]
-			return m.RankLoc, ok
-		}); err != nil {
-			ix.Close()
-			return nil, err
-		}
-		if ix.hdilRankSkip, err = load(fileHDILRankSkip, false, len(ix.hdil), func(t string) (Loc, bool) {
-			m, ok := ix.hdil[t]
-			return m.RankLoc, ok
-		}); err != nil {
-			ix.Close()
-			return nil, err
-		}
-	}
-	if ix.Meta.HasNaive {
-		ix.naiveID = make(map[string]NaiveMeta, ix.Meta.Terms)
-		if err := readLexicon(fs, filepath.Join(dir, fileNaiveIDLex), func(t string, m []byte) error {
-			nm, err := decodeNaiveMeta(m)
-			ix.naiveID[t] = nm
+	readLocs := func(name string) (map[string]Loc, error) {
+		locs := make(map[string]Loc, ix.Meta.Terms)
+		err := readLexicon(fs, filepath.Join(dir, name), func(t string, m []byte) error {
+			loc, err := decodeLocMeta(m)
+			locs[t] = loc
 			return err
-		}); err != nil {
-			ix.Close()
+		})
+		return locs, err
+	}
+	// openList opens one Dewey-family list. Its skip index must agree with
+	// its lexicon: same terms, and per term the block counts must sum to
+	// the list's entry count. A mismatch means the directory's artifacts
+	// are from different builds — refuse rather than serve wrong data.
+	// ordered is decodeSkipIndex's: the list is Dewey-ordered.
+	openList := func(post, skip, lex string, ordered bool) (*deweyList, error) {
+		l := &deweyList{}
+		var err error
+		if l.pool, err = open(post); err != nil {
+			return nil, err
+		}
+		if l.locs, err = readLocs(lex); err != nil {
+			return nil, err
+		}
+		if l.refs, err = readSkipIndex(fs, filepath.Join(dir, skip), ordered); err != nil {
+			return nil, err
+		}
+		if len(l.refs) != len(l.locs) {
+			return nil, fmt.Errorf("index: %w %s: %d terms, lexicon has %d",
+				storage.ErrCorrupt, skip, len(l.refs), len(l.locs))
+		}
+		for term, rs := range l.refs {
+			loc, ok := l.locs[term]
+			if !ok {
+				return nil, fmt.Errorf("index: %w %s: term %q not in lexicon", storage.ErrCorrupt, skip, term)
+			}
+			total := uint32(0)
+			for i := range rs {
+				total += uint32(rs[i].Count)
+			}
+			if total != loc.Count {
+				return nil, fmt.Errorf("index: %w %s: term %q has %d entries across blocks, lexicon says %d",
+					storage.ErrCorrupt, skip, term, total, loc.Count)
+			}
+		}
+		return l, nil
+	}
+	var err error
+	if ix.dil, err = openList(fileDILPost, fileDILSkip, fileDILLex, true); err != nil {
+		return nil, err
+	}
+	if ix.rdil, err = openList(fileRDILPost, fileRDILSkip, fileRDILLex, false); err != nil {
+		return nil, err
+	}
+	if ix.hdil, err = openList(fileHDILRank, fileHDILRankSkip, fileHDILLex, false); err != nil {
+		return nil, err
+	}
+	if ix.Meta.HasNaive {
+		if ix.naiveIDPool, err = open(fileNaiveIDPost); err != nil {
+			return nil, err
+		}
+		if ix.naiveRankPool, err = open(fileNaiveRankPost); err != nil {
+			return nil, err
+		}
+		if ix.naiveHashPool, err = open(fileNaiveRankHash); err != nil {
+			return nil, err
+		}
+		if ix.naiveID, err = readLocs(fileNaiveIDLex); err != nil {
 			return nil, err
 		}
 		ix.naiveRank = make(map[string]NaiveRankMeta, ix.Meta.Terms)
@@ -253,10 +197,10 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 			ix.naiveRank[t] = nm
 			return err
 		}); err != nil {
-			ix.Close()
 			return nil, err
 		}
 	}
+	opened = true
 	return ix, nil
 }
 
@@ -282,13 +226,7 @@ func (ix *Index) Close() error {
 // prefix of their I/O. Per-query measurement under concurrency uses
 // storage.ExecContext instead, which is unaffected by ColdCache.
 func (ix *Index) ColdCache() error {
-	for _, bp := range []*storage.BufferPool{
-		ix.dilPool, ix.rdilPool, ix.rdilTreePool, ix.hdilRankPool, ix.hdilTreePool,
-		ix.naiveIDPool, ix.naiveRankPool, ix.naiveHashPool,
-	} {
-		if bp == nil {
-			continue
-		}
+	for _, bp := range ix.pools {
 		if err := bp.Reset(); err != nil {
 			return err
 		}
@@ -315,28 +253,25 @@ func (ix *Index) IOStats() storage.Stats {
 
 // HasTerm reports whether term occurs anywhere in the collection.
 func (ix *Index) HasTerm(term string) bool {
-	_, ok := ix.dil[term]
+	_, ok := ix.dil.locs[term]
 	return ok
 }
 
 // DILListBytes returns the encoded byte size of the term's DIL list (used
 // for DIL cost estimation in the HDIL adaptive strategy).
 func (ix *Index) DILListBytes(term string) int64 {
-	return int64(ix.dil[term].Loc.Bytes)
+	return int64(ix.dil.locs[term].Bytes)
 }
 
 // DILCount returns the number of entries in the term's DIL list.
-func (ix *Index) DILCount(term string) int { return int(ix.dil[term].Loc.Count) }
+func (ix *Index) DILCount(term string) int { return int(ix.dil.locs[term].Count) }
 
-// ListCursor decodes a sequential inverted list (either entry family).
-// Dewey lists in a block-format index iterate through a blockCursor
-// instead of the per-entry postCursor; naive lists always use the
-// latter.
+// ListCursor decodes a sequential inverted list: a Dewey-family list
+// through its blocks, a naive list entry by entry.
 type ListCursor struct {
-	pc    *postCursor
-	blk   *blockCursor
-	dewey bool
-	post  Posting
+	blk  *blockCursor
+	pc   *postCursor
+	post Posting
 }
 
 // Next returns the list's next posting, or ok=false at its end. The
@@ -350,12 +285,7 @@ func (lc *ListCursor) Next() (*Posting, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if lc.dewey {
-		err = DecodeDeweyEntry(lc.pc.body, &lc.post)
-	} else {
-		err = DecodeNaiveEntry(lc.pc.body, &lc.post)
-	}
-	if err != nil {
+	if err := DecodeNaiveEntry(lc.pc.body, &lc.post); err != nil {
 		return nil, false, err
 	}
 	return &lc.post, true, nil
@@ -388,9 +318,9 @@ func (lc *ListCursor) Close() {
 }
 
 // SkipBlocksBelowDoc drops every not-yet-loaded block whose entries all
-// belong to documents before doc, without reading them. A no-op on v1
-// lists and on naive lists; the caller owns the exactness argument (see
-// the doc-leapfrog reasoning in internal/query/merge.go).
+// belong to documents before doc, without reading them. A no-op on naive
+// lists; the caller owns the exactness argument (see the doc-leapfrog
+// reasoning in internal/query/merge.go).
 func (lc *ListCursor) SkipBlocksBelowDoc(doc uint32) {
 	if lc.blk != nil {
 		lc.blk.skipBlocksBelowDoc(doc)
@@ -399,7 +329,7 @@ func (lc *ListCursor) SkipBlocksBelowDoc(doc uint32) {
 
 // SkipRemainingBlocks drops every not-yet-loaded block — the consumer
 // proved it will not read further (threshold-algorithm stop, top-m
-// cutoff). A no-op on v1 lists.
+// cutoff). A no-op on naive lists.
 func (lc *ListCursor) SkipRemainingBlocks() {
 	if lc.blk != nil {
 		lc.blk.skipRemainingBlocks()
@@ -407,7 +337,7 @@ func (lc *ListCursor) SkipRemainingBlocks() {
 }
 
 // RemainingBlockRefs returns the skip refs of the blocks not yet loaded
-// (nil on v1 lists). Debug/test instrumentation: the pruning-soundness
+// (nil on naive lists). Debug/test instrumentation: the pruning-soundness
 // check inspects what a skip call is about to drop.
 func (lc *ListCursor) RemainingBlockRefs() []BlockRef {
 	if lc.blk == nil {
@@ -447,16 +377,6 @@ func (lc *ListCursor) DecodeBlockMaxRank(ref BlockRef) (float32, error) {
 	return max, nil
 }
 
-// deweyCursor opens a Dewey-family list in the directory's postings
-// format. scan marks a cursor that reads the whole list once (see
-// storage.BufferPool.GetScanExec).
-func (ix *Index) deweyCursor(pool *storage.BufferPool, loc Loc, refs []BlockRef, ec *storage.ExecContext, scan bool) *ListCursor {
-	if ix.blockFormat() {
-		return &ListCursor{blk: newBlockCursor(pool, refs, loc.Count, ec, scan), dewey: true}
-	}
-	return &ListCursor{pc: newPostCursor(pool, loc, ec, scan), dewey: true}
-}
-
 // DILCursor returns a Dewey-ordered scan of the term's DIL list; ok is
 // false for unknown terms.
 func (ix *Index) DILCursor(term string) (*ListCursor, bool) {
@@ -467,14 +387,10 @@ func (ix *Index) DILCursor(term string) (*ListCursor, bool) {
 // page the scan touches is attributed to ec and honours its cancellation,
 // deadline and read budget. A nil ec is DILCursor. The scan is the one
 // access pattern that can be longer than the pool and shares it (dil.post
-// is also what HDIL's and the block format's probes read), so its pages
-// enter the pool cold and cannot evict the probe working set.
+// is also what the Dewey probes read), so its pages enter the pool cold
+// and cannot evict the probe working set.
 func (ix *Index) DILCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	m, ok := ix.dil[term]
-	if !ok {
-		return nil, false
-	}
-	return ix.deweyCursor(ix.dilPool, m.Loc, ix.dilSkip[term], ec, true), true
+	return ix.dil.cursor(ec, term, true)
 }
 
 // RDILRankCursor returns a rank-ordered scan of the term's RDIL list.
@@ -485,11 +401,7 @@ func (ix *Index) RDILRankCursor(term string) (*ListCursor, bool) {
 // RDILRankCursorExec is RDILRankCursor under a per-query execution
 // context.
 func (ix *Index) RDILRankCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	m, ok := ix.rdil[term]
-	if !ok {
-		return nil, false
-	}
-	return ix.deweyCursor(ix.rdilPool, m.RankLoc, ix.rdilSkip[term], ec, false), true
+	return ix.rdil.cursor(ec, term, false)
 }
 
 // HDILRankCursor returns the rank-ordered *prefix* scan of the term's
@@ -501,11 +413,7 @@ func (ix *Index) HDILRankCursor(term string) (*ListCursor, bool) {
 // HDILRankCursorExec is HDILRankCursor under a per-query execution
 // context.
 func (ix *Index) HDILRankCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	m, ok := ix.hdil[term]
-	if !ok {
-		return nil, false
-	}
-	return ix.deweyCursor(ix.hdilRankPool, m.RankLoc, ix.hdilRankSkip[term], ec, false), true
+	return ix.hdil.cursor(ec, term, false)
 }
 
 // NaiveIDCursor returns an element-ID-ordered scan of the term's naive
@@ -516,11 +424,11 @@ func (ix *Index) NaiveIDCursor(term string) (*ListCursor, bool) {
 
 // NaiveIDCursorExec is NaiveIDCursor under a per-query execution context.
 func (ix *Index) NaiveIDCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	m, ok := ix.naiveID[term]
+	loc, ok := ix.naiveID[term]
 	if !ok {
 		return nil, false
 	}
-	return &ListCursor{pc: newPostCursor(ix.naiveIDPool, m.Loc, ec, false), dewey: false}, true
+	return &ListCursor{pc: newPostCursor(ix.naiveIDPool, loc, ec, false)}, true
 }
 
 // NaiveRankCursor returns a rank-ordered scan of the term's naive list.
@@ -535,7 +443,7 @@ func (ix *Index) NaiveRankCursorExec(ec *storage.ExecContext, term string) (*Lis
 	if !ok {
 		return nil, false
 	}
-	return &ListCursor{pc: newPostCursor(ix.naiveRankPool, m.Loc, ec, false), dewey: false}, true
+	return &ListCursor{pc: newPostCursor(ix.naiveRankPool, m.Loc, ec, false)}, true
 }
 
 // NaiveLookup probes the term's hash index for an element ID, decoding the
@@ -572,4 +480,4 @@ func (ix *Index) NaiveLookupExec(ec *storage.ExecContext, term string, elem int3
 }
 
 // NaiveCount returns the entry count of the term's naive list.
-func (ix *Index) NaiveCount(term string) int { return int(ix.naiveID[term].Loc.Count) }
+func (ix *Index) NaiveCount(term string) int { return int(ix.naiveID[term].Count) }

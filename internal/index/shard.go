@@ -67,8 +67,8 @@ type Sharded struct {
 
 // BuildSharded constructs the index in dir as shardNNN/ directories under
 // a shards.json manifest (shards < 1 is one shard). Each shard holds the
-// complete per-term structures — DIL/RDIL/HDIL postfiles, B+-trees and
-// naive baselines — restricted to its documents.
+// complete per-term structures — DIL/RDIL/HDIL postfiles, their skip
+// indexes and the naive baselines — restricted to its documents.
 func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions, shards int) (*BuildStats, error) {
 	if shards < 1 {
 		shards = 1
@@ -98,15 +98,7 @@ func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildO
 		total.Meta.DeweyEntries += st.Meta.DeweyEntries
 		total.Meta.NaiveEntries += st.Meta.NaiveEntries
 		total.Meta.BuildMillis += st.Meta.BuildMillis
-		total.DILList += st.DILList
-		total.RDILList += st.RDILList
-		total.RDILIndex += st.RDILIndex
-		total.HDILRank += st.HDILRank
-		total.HDILIndex += st.HDILIndex
-		total.NaiveIDList += st.NaiveIDList
-		total.NaiveRankList += st.NaiveRankList
-		total.NaiveIndex += st.NaiveIndex
-		total.PageWrites += st.PageWrites
+		total.add(st)
 	}
 	total.Meta.Terms = countDistinctTerms(c, base)
 	// shards.json is the directory's commit point: every shard
@@ -163,7 +155,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	sh.Meta.Terms, sh.Meta.DeweyEntries, sh.Meta.NaiveEntries, sh.Meta.BuildMillis = 0, 0, 0, 0
 	vocab := make(map[string]struct{})
 	for _, ix := range sh.shards {
-		for t := range ix.dil {
+		for t := range ix.dil.locs {
 			vocab[t] = struct{}{}
 		}
 		sh.Meta.DeweyEntries += ix.Meta.DeweyEntries

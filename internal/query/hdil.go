@@ -111,7 +111,7 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 			endOpen()
 			return nil, trace, nil
 		}
-		prober, okp := ix.HDILProberExec(opts.Exec, kw)
+		prober, okp := ix.ProberExec(opts.Exec, kw)
 		if !okp {
 			cur.Close()
 			endOpen()

@@ -15,7 +15,7 @@ import (
 
 // perfSharded builds the Figure 10/11 corpus (perfgen: every record plants
 // one complete high-correlation keyword group in one element) as a
-// block-format sharded index opened with poolPages-page buffer pools.
+// sharded index opened with poolPages-page buffer pools.
 func perfSharded(tb testing.TB, blocks, shards, poolPages int) *index.Sharded {
 	tb.Helper()
 	c := xmldoc.NewCollection()
@@ -30,7 +30,7 @@ func perfSharded(tb testing.TB, blocks, shards, poolPages int) *index.Sharded {
 		tb.Fatalf("elemrank: %v", err)
 	}
 	dir := tb.TempDir()
-	if _, err := index.BuildSharded(c, res.Scores, dir, index.BuildOptions{BlockPostings: true, SkipNaive: true}, shards); err != nil {
+	if _, err := index.BuildSharded(c, res.Scores, dir, index.BuildOptions{SkipNaive: true}, shards); err != nil {
 		tb.Fatal(err)
 	}
 	sh, err := index.OpenSharded(dir, index.OpenOptions{PoolPages: poolPages})
@@ -131,7 +131,7 @@ func benchSources(b *testing.B, ix *index.Index, ec *storage.ExecContext, q []st
 		if !ok {
 			b.Fatalf("no rank list for %q", kw)
 		}
-		prober, _ := ix.HDILProberExec(ec, kw)
+		prober, _ := ix.ProberExec(ec, kw)
 		s := &postingStream{cur: cur}
 		if err := s.advance(); err != nil {
 			b.Fatal(err)

@@ -50,9 +50,9 @@ func (s *postingStream) advance() error {
 func (s *postingStream) close() { s.cur.Close() }
 
 // skipToDoc moves a cursor stream forward until its head posting's
-// document is >= doc (or the list ends). Block-format cursors first drop
-// every whole block whose document range ends before doc without decoding
-// it; the remainder of the current block is stepped through entry by
+// document is >= doc (or the list ends). The cursor first drops every
+// whole block whose document range ends before doc without decoding it;
+// the remainder of the current block is stepped through entry by
 // entry, so the stream observes exactly the same postings a plain advance
 // loop would.
 func (s *postingStream) skipToDoc(doc uint32) error {
@@ -70,8 +70,8 @@ func (s *postingStream) skipToDoc(doc uint32) error {
 
 // terminate abandons the remainder of a cursor stream's list: the caller
 // has proved no further posting from it can contribute to a result.
-// Block-format cursors record the dropped blocks as skipped; the pinned
-// page is released either way.
+// The cursor records the dropped blocks as skipped and releases its
+// pinned page.
 func (s *postingStream) terminate() {
 	if s.p == nil {
 		return
@@ -200,8 +200,8 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 		//
 		// Either way the discarded postings could only ever have filled
 		// stack levels that pop without emitting, so the emitted elements
-		// and scores are bit-identical to the plain merge. Block-format
-		// cursors turn the leap into whole-block skips.
+		// and scores are bit-identical to the plain merge. The cursors turn
+		// the leap into whole-block skips.
 		if m.n >= 2 {
 			if exhausted {
 				closed := false

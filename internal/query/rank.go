@@ -1,6 +1,6 @@
 // Package query implements XRANK's keyword query processors (Guo et al.,
 // SIGMOD 2003, Section 4): the single-pass DIL Dewey-stack merge
-// (Figure 5), the RDIL threshold algorithm with B+-tree probing
+// (Figure 5), the RDIL threshold algorithm with Dewey probing
 // (Figure 7), the adaptive HDIL strategy (Section 4.4.2), and the two
 // naive baselines (Section 4.1 / 5.1), together with the ranking
 // functions of Section 2.3.

@@ -10,13 +10,13 @@ import (
 	"xrank/internal/index"
 )
 
-// rankedSource abstracts "a rank-ordered entry stream plus a Dewey-ordered
-// probe structure" for one keyword — RDIL's per-term B+-tree'd list, or
-// HDIL's rank prefix over the shared Dewey file. The threshold loop below
-// is written against this so RDIL and HDIL share it.
+// rankedSource is "a rank-ordered entry stream plus a Dewey-ordered probe
+// structure" for one keyword — RDIL's full rank-ordered list or HDIL's
+// rank prefix, each probed through the term's DIL skip index. The
+// threshold loop below is written against this so RDIL and HDIL share it.
 type rankedSource struct {
 	stream *postingStream
-	prober index.DeweyProber
+	prober *index.Prober
 	// lastRank is the rank of the most recently consumed entry; +Inf until
 	// the first entry is read, so the threshold cannot trigger early.
 	lastRank float64
@@ -153,8 +153,8 @@ var DebugBlockSkip func(info BlockSkipInfo)
 
 // finish records the pruning outcome of a threshold-algorithm stop: every
 // block still unread in the ranked lists is provably unable to change the
-// top-m, so the lists are dropped wholesale — block-format cursors count
-// the unread blocks as skipped without decoding them. Call only when
+// top-m, so the lists are dropped wholesale — the cursors count the
+// unread blocks as skipped without decoding them. Call only when
 // done() is true.
 func (ta *taState) finish() {
 	for i, src := range ta.sources {
@@ -299,8 +299,8 @@ func singleKeywordTopM(cur *index.ListCursor, opts Options) ([]Result, error) {
 	}
 	if len(out) == opts.TopM {
 		// The list is rank-descending, so everything past the cutoff is
-		// provably outside the top-m; block-format cursors count the
-		// unread blocks as skipped without decoding them.
+		// provably outside the top-m; the cursor counts the unread blocks
+		// as skipped without decoding them.
 		if DebugBlockSkip != nil {
 			DebugBlockSkip(BlockSkipInfo{
 				Cursor:    cur,
@@ -316,9 +316,9 @@ func singleKeywordTopM(cur *index.ListCursor, opts Options) ([]Result, error) {
 }
 
 // RDIL evaluates the query with the Ranked Dewey Inverted List algorithm
-// (Figure 7): rank-ordered lists consumed round-robin, B+-tree probes to
-// find deepest common ancestors, and the threshold-algorithm stopping
-// rule. Requires AggMax (the threshold bound does not hold for AggSum).
+// (Figure 7): rank-ordered lists consumed round-robin, Dewey probes (the
+// paper's B+-tree lookups, answered from the DIL skip index) to find
+// deepest common ancestors, and the threshold-algorithm stopping rule. Requires AggMax (the threshold bound does not hold for AggSum).
 func RDIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -362,7 +362,7 @@ func RDIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 			endOpen()
 			return nil, nil
 		}
-		prober, okp := ix.RDILProberExec(opts.Exec, kw)
+		prober, okp := ix.ProberExec(opts.Exec, kw)
 		if !okp {
 			cur.Close()
 			endOpen()
@@ -390,8 +390,8 @@ func RDIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 		}
 	}
 	if ta.done() {
-		// Threshold stop: the unread tails (whole blocks, in the block
-		// format) are provably irrelevant to the top-m.
+		// Threshold stop: the unread tails (whole blocks) are provably
+		// irrelevant to the top-m.
 		ta.finish()
 	}
 	endRounds()

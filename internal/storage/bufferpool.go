@@ -30,8 +30,8 @@ func (fr *Frame) Release() {
 
 // BufferPool caches pages of a PageFile with scan-resistant LRU
 // replacement and pin counting. A pinned page is never evicted; queries
-// pin the pages they are actively merging (a DIL scan page, the B+-tree
-// path of an RDIL probe) and release them as the cursor moves on.
+// pin the pages they are actively merging (a DIL scan page, the block an
+// RDIL probe decodes) and release them as the cursor moves on.
 //
 // Unpinned pages wait in one of two LRU rings. Pages touched by point
 // accesses (Get/GetExec: probes, tree descents, hash lookups) are hot;
@@ -94,7 +94,7 @@ func (bp *BufferPool) Get(id PageID) (*Frame, error) {
 // misses are attributed to ec's private stats, and any page access fails
 // once ec is cancelled, past its deadline, or over its read budget.
 // Because every page a query touches flows through here, this is the
-// uniform cancellation checkpoint for disk-backed cursors, B+-tree probes
+// uniform cancellation checkpoint for disk-backed cursors, Dewey probes
 // and hash lookups alike. A nil ec behaves exactly like Get.
 func (bp *BufferPool) GetExec(ec *ExecContext, id PageID) (*Frame, error) {
 	return bp.get(ec, id, false)

@@ -13,7 +13,7 @@ import (
 var ErrBudgetExceeded = errors.New("storage: page-read budget exceeded")
 
 // ExecContext is the per-query execution context threaded from the engine
-// down through the query processors, cursors, B+-tree probes and buffer
+// down through the query processors, cursors, Dewey probes and buffer
 // pools to the page file. It owns three things:
 //
 //   - a context.Context checked at every page access (device read or
@@ -211,7 +211,8 @@ func (ec *ExecContext) Stats() Stats {
 // CountBlocks attributes posting-block outcomes to this query: decoded
 // blocks were materialized by a cursor, skipped blocks were pruned
 // without decoding (doc-range leapfrog or a threshold-algorithm early
-// stop). Format-v1 indexes never call this. A nil receiver is a no-op.
+// stop). Naive lists have no blocks and never call this. A nil receiver
+// is a no-op.
 func (ec *ExecContext) CountBlocks(decoded, skipped int64) {
 	if ec == nil || (decoded == 0 && skipped == 0) {
 		return

@@ -5,7 +5,7 @@
 // The paper's experiments (Section 5.1) run with a cold operating-system
 // cache on a 2003-era disk, so relative query costs are dominated by how
 // many pages are touched and whether access is sequential (inverted-list
-// scans in DIL) or random (B+-tree probes in RDIL). The Stats/CostModel
+// scans in DIL) or random (Dewey probes in RDIL). The Stats/CostModel
 // pair reproduces exactly that distinction: every page read is classified
 // as sequential or random, and SimulatedTime converts counts into a
 // device-independent time estimate so the experiment *shapes* (who wins,

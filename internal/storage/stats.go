@@ -4,7 +4,7 @@ import "time"
 
 // Stats counts page-level I/O, classifying reads as sequential or random.
 // The distinction drives the cost model: DIL scans inverted lists
-// sequentially while RDIL performs random B+-tree probes, and that
+// sequentially while RDIL performs random Dewey probes, and that
 // difference — not CPU time — is what separates them on the paper's
 // cold-cache hardware.
 //
@@ -20,12 +20,12 @@ type Stats struct {
 	Writes    int64 // page writes
 	CacheHits int64 // reads absorbed by a buffer pool (no device access)
 
-	// Posting-block accounting (format v2, see internal/index).
+	// Posting-block accounting (Dewey-family lists, see internal/index).
 	BlocksDecoded int64 // posting blocks materialized by a cursor
 	BlocksSkipped int64 // posting blocks pruned without decoding
 
 	// Postings counts inverted-list entries decoded by cursors and probers
-	// (either postings format): the CPU term of the cost model.
+	// (block and naive lists alike): the CPU term of the cost model.
 	Postings int64
 
 	heads   [maxStreams]PageID

@@ -57,13 +57,29 @@ func editSegments(t *testing.T, dir string, edit func(*segmentsManifest)) {
 	}
 }
 
+// editShardMeta rewrites the first segment's shard000/meta.json through
+// its checksummed envelope, as raw JSON fields.
+func editShardMeta(t *testing.T, dir string, edit func(map[string]any)) {
+	t.Helper()
+	path := filepath.Join(dir, segmentDirName(0), "shard000", "meta.json")
+	var meta map[string]any
+	if err := storage.ReadManifest(nil, path, &meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(meta)
+	if err := storage.WriteManifestAtomic(nil, path, meta); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpenRefusesOtherShapes: an index directory has exactly one shape.
 // Directories laid out any other way — engine.json as the only manifest,
 // index files directly in the index directory, an unsharded segment
-// directory, a segment that is the index directory itself — and
-// segments.json contents that disagree with the document store are all
-// refused with ErrCorrupt, never opened partially and never a panic; a
-// refused shape tells the operator to rebuild.
+// directory, a segment that is the index directory itself, a segment in a
+// retired postings format — and segments.json contents that disagree with
+// the document store are all refused with ErrCorrupt, never opened
+// partially and never a panic; a refused shape tells the operator to
+// rebuild.
 func TestOpenRefusesOtherShapes(t *testing.T) {
 	seg := segmentDirName(0)
 	for _, tc := range []struct {
@@ -87,6 +103,17 @@ func TestOpenRefusesOtherShapes(t *testing.T) {
 		{`segment dir "."`, true, func(t *testing.T, dir string) {
 			hoist(t, dir, seg)
 			editSegments(t, dir, func(sm *segmentsManifest) { sm.Segments[0].Dir = "." })
+		}},
+		{"segment in per-entry postings", true, func(t *testing.T, dir string) {
+			// What such a segment's meta.json records, with or without
+			// compress_dewey: no postings format.
+			editShardMeta(t, dir, func(m map[string]any) {
+				delete(m, "postings_format")
+				m["compress_dewey"] = true
+			})
+		}},
+		{"segment in block postings beside B+-trees", true, func(t *testing.T, dir string) {
+			editShardMeta(t, dir, func(m map[string]any) { m["postings_format"] = 2 })
 		}},
 		{"segment without its suggest.bin", false, func(t *testing.T, dir string) {
 			os.Remove(filepath.Join(dir, seg, fileSuggest))

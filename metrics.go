@@ -100,8 +100,8 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		seqReads:     r.Counter("xrank_seq_reads_total", "Query page reads classified sequential."),
 		randReads:    r.Counter("xrank_rand_reads_total", "Query page reads classified random."),
 		cacheHits:    r.Counter("xrank_cache_hits_total", "Query page accesses absorbed by a buffer pool."),
-		blocksRead:   r.Counter("xrank_blocks_decoded_total", "Posting blocks decoded by queries (block postings format only)."),
-		blocksSkip:   r.Counter("xrank_blocks_skipped_total", "Posting blocks skipped whole by pruning (block postings format only)."),
+		blocksRead:   r.Counter("xrank_blocks_decoded_total", "Posting blocks decoded by queries."),
+		blocksSkip:   r.Counter("xrank_blocks_skipped_total", "Posting blocks skipped whole by pruning."),
 		postings:     r.Counter("xrank_postings_decoded_total", "Inverted-list entries decoded by queries' cursors and probes."),
 		slowTotal:    r.Counter("xrank_slow_queries_total", "Queries at or above the slow-query threshold."),
 		degraded:     r.Counter("xrank_degraded_queries_total", "Queries served with at least one shard excluded."),

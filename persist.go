@@ -151,6 +151,11 @@ func (e *Engine) openSegment(se segmentEntry) (*engineSegment, error) {
 			// (the directory, or the shards.json every segment has) is damage.
 			return nil, fmt.Errorf("%w: %v; %s", storage.ErrCorrupt, err, rebuildHint)
 		}
+		if errors.Is(err, storage.ErrCorrupt) {
+			// A damaged segment, or one in a retired postings format: the
+			// document store was verified above, so a rebuild recovers.
+			return nil, fmt.Errorf("%w; %s", err, rebuildHint)
+		}
 		return nil, err
 	}
 	seg := &engineSegment{id: se.ID, dir: se.Dir, rankVer: se.RankVer, docs: se.Docs, ix: ix}

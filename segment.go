@@ -173,11 +173,10 @@ func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []f
 	seg := &engineSegment{id: id, dir: segmentDirName(id), rankVer: rankVer, docs: docs}
 	path := filepath.Join(e.cfg.IndexDir, seg.dir)
 	opts := index.BuildOptions{
-		RankFraction:  e.cfg.RankFraction,
-		MaxPositions:  e.cfg.MaxPositions,
-		SkipNaive:     e.cfg.SkipNaive,
-		BlockPostings: e.cfg.BlockPostings,
-		FS:            buildFS,
+		RankFraction: e.cfg.RankFraction,
+		MaxPositions: e.cfg.MaxPositions,
+		SkipNaive:    e.cfg.SkipNaive,
+		FS:           buildFS,
 	}
 	if len(docs) < col.NumDocs() {
 		in := make(map[uint32]bool, len(docs))

@@ -73,16 +73,10 @@ type Config struct {
 	MaxPositions int
 	// SkipNaive omits the naive baseline indexes (smaller, faster builds).
 	SkipNaive bool
-	// BlockPostings selects the block postings format (format version 2):
-	// the Dewey-family inverted lists are written as fixed-size blocks of
-	// delta-coded entries with a per-term skip index recording each
-	// block's entry count, max ElemRank and Dewey ID range. Queries use
-	// the summaries to skip whole blocks — threshold stops in RDIL/HDIL
-	// and document leapfrogs in DIL — without decoding them. Query
-	// results are bit-identical to the v1 format; indexes written with
-	// either format open with either setting (the format is recorded in
-	// the index metadata). Applies to Build, AddDocs segments and
-	// compaction output.
+	// Deprecated: BlockPostings is ignored. Every index is written and read
+	// in the one postings format, block-encoded lists with per-term skip
+	// indexes; the field remains so configurations that set it still
+	// decode.
 	BlockPostings bool
 	// PoolPages is the per-file buffer pool capacity in pages (default 128).
 	PoolPages int
