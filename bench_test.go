@@ -28,6 +28,9 @@ func TestMain(m *testing.M) {
 	if fixPerf != nil {
 		fixPerf.Close()
 	}
+	if fixNaive != nil {
+		fixNaive.Close()
+	}
 	if fixDBLP != nil {
 		fixDBLP.Close()
 	}
@@ -40,11 +43,12 @@ func TestMain(m *testing.M) {
 // Lazily built shared fixtures (building corpora per-benchmark would drown
 // the measurements).
 var (
-	fixOnce sync.Once
-	fixDir  string
-	fixPerf *xrank.Engine // long-list performance corpus
-	fixDBLP *xrank.Engine
-	fixErr  error
+	fixOnce  sync.Once
+	fixDir   string
+	fixPerf  *xrank.Engine   // long-list performance corpus
+	fixNaive *bench.Baseline // its naive baseline index
+	fixDBLP  *xrank.Engine
+	fixErr   error
 
 	graphOnce  sync.Once
 	graphDBLP  *elemrank.Graph
@@ -60,6 +64,10 @@ func perfEngines(b *testing.B) (*xrank.Engine, *xrank.Engine) {
 			return
 		}
 		fixPerf, _, fixErr = bench.BuildPerfEngine(fixDir+"/perf", 24000, 42)
+		if fixErr != nil {
+			return
+		}
+		fixNaive, fixErr = bench.BuildPerfBaseline(fixDir+"/perf-naive", 24000, 42)
 		if fixErr != nil {
 			return
 		}
@@ -138,7 +146,8 @@ func BenchmarkElemRank(b *testing.B) {
 }
 
 // BenchmarkIndexBuild regenerates E2 (Table 1): building all five index
-// variants, reporting the space shape as bytes-per-variant metrics.
+// variants (the engine's three Dewey lists and the naive baseline index),
+// reporting the space shape as bytes-per-variant metrics.
 func BenchmarkIndexBuild(b *testing.B) {
 	docs := dblp.Generate(dblp.Params{Seed: 1, Docs: 6, PapersPerDoc: 60})
 	c := xmldoc.NewCollection()
@@ -154,14 +163,18 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	var stats *index.BuildStats
+	var naive *index.NaiveStats
 	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		stats, err = index.Build(c, res.Scores, dir, index.BuildOptions{})
+		stats, err = index.Build(c, res.Scores, b.TempDir(), index.BuildOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		naive, err = index.BuildNaive(c, res.Scores, b.TempDir(), index.BuildOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(stats.NaiveIDList), "naiveID-bytes")
+	b.ReportMetric(float64(naive.NaiveIDList), "naiveID-bytes")
 	b.ReportMetric(float64(stats.DILList), "dil-bytes")
 	b.ReportMetric(float64(stats.DILSkip+stats.RDILSkip+stats.HDILSkip), "skip-index-bytes")
 }
@@ -170,10 +183,15 @@ func BenchmarkIndexBuild(b *testing.B) {
 // figure's series values.
 func benchQueries(b *testing.B, e *xrank.Engine, algo xrank.Algorithm, queries [][]string, topM int) {
 	b.Helper()
+	benchMeasure(b, func() (bench.Measurement, error) { return bench.MeasureQueries(e, algo, queries, topM) })
+}
+
+func benchMeasure(b *testing.B, measure func() (bench.Measurement, error)) {
+	b.Helper()
 	var m bench.Measurement
 	for i := 0; i < b.N; i++ {
 		var err error
-		m, err = bench.MeasureQueries(e, algo, queries, topM)
+		m, err = measure()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,9 +204,16 @@ func benchQueries(b *testing.B, e *xrank.Engine, algo xrank.Algorithm, queries [
 // algorithm and keyword count under high keyword correlation.
 func BenchmarkQueryHighCorr(b *testing.B) {
 	perf, _ := perfEngines(b)
-	for _, algo := range []xrank.Algorithm{
-		xrank.AlgoNaiveID, xrank.AlgoNaiveRank, xrank.AlgoDIL, xrank.AlgoRDIL, xrank.AlgoHDIL,
-	} {
+	for _, algo := range []bench.NaiveAlgo{bench.NaiveID, bench.NaiveRank} {
+		for k := 1; k <= 4; k++ {
+			b.Run(fmt.Sprintf("%s/k=%d", algo, k), func(b *testing.B) {
+				benchMeasure(b, func() (bench.Measurement, error) {
+					return bench.MeasureBaseline(fixNaive, algo, bench.HighCorrQueries(k, 3), 10)
+				})
+			})
+		}
+	}
+	for _, algo := range []xrank.Algorithm{xrank.AlgoDIL, xrank.AlgoRDIL, xrank.AlgoHDIL} {
 		for k := 1; k <= 4; k++ {
 			b.Run(fmt.Sprintf("%s/k=%d", algo, k), func(b *testing.B) {
 				benchQueries(b, perf, algo, bench.HighCorrQueries(k, 3), 10)

@@ -123,7 +123,12 @@ func main() {
 		bench.E2Space(es).Render(os.Stdout)
 	}
 	if want["fig10"] {
-		t, err := bench.E3Fig10(perf, "perf corpus", *topM)
+		naive, err := bench.BuildPerfBaseline(ws+"/perf-naive", *perfBlocks, *seed)
+		if err != nil {
+			fail(err)
+		}
+		defer naive.Close()
+		t, err := bench.E3Fig10(perf, naive, "perf corpus", *topM)
 		if err != nil {
 			fail(err)
 		}

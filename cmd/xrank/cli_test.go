@@ -51,7 +51,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("generated files: %v %v", files, err)
 	}
 
-	out = run(t, xrankBin, append([]string{"index", "-dir", idx, "-skip-naive=false"}, files...)...)
+	out = run(t, xrankBin, append([]string{"index", "-dir", idx}, files...)...)
 	if !strings.Contains(out, "indexed 6 documents") {
 		t.Fatalf("index output: %s", out)
 	}
@@ -68,7 +68,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// Algorithms and error paths.
-	for _, algo := range []string{"dil", "rdil", "hdil", "naiveid", "naiverank"} {
+	for _, algo := range []string{"dil", "rdil", "hdil"} {
 		out = run(t, xrankBin, "search", "-dir", idx, "-algo", algo, "gray")
 		if !strings.Contains(out, "1.") {
 			t.Fatalf("algo %s produced no results: %s", algo, out)

@@ -56,7 +56,6 @@ func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	dir := fs.String("dir", "", "index directory (required)")
 	decay := fs.Float64("decay", 0.75, "per-level rank decay in (0,1]")
-	skipNaive := fs.Bool("skip-naive", true, "omit the naive baseline indexes")
 	shards := fs.Int("shards", 1, "partition the index into N document shards queried in parallel")
 	answerTags := fs.String("answer-tags", "", "comma-separated answer-node tags (empty: all elements)")
 	fs.Parse(args)
@@ -66,7 +65,7 @@ func cmdIndex(args []string) error {
 	if *shards < 1 {
 		return fmt.Errorf("index: -shards must be >= 1")
 	}
-	cfg := &xrank.Config{IndexDir: *dir, Decay: *decay, SkipNaive: *skipNaive, Shards: *shards}
+	cfg := &xrank.Config{IndexDir: *dir, Decay: *decay, Shards: *shards}
 	if *answerTags != "" {
 		cfg.AnswerTags = splitComma(*answerTags)
 	}
@@ -94,10 +93,10 @@ func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	dir := fs.String("dir", "", "index directory (required)")
 	m := fs.Int("m", 10, "number of results")
-	algo := fs.String("algo", "hdil", "algorithm: dil, rdil, hdil, naiveid, naiverank")
+	algo := fs.String("algo", "hdil", "algorithm: dil, rdil, hdil")
 	stats := fs.Bool("stats", false, "print query cost statistics")
 	disjunctive := fs.Bool("or", false, "disjunctive semantics (match any keyword)")
-	tfidf := fs.Bool("tfidf", false, "tf-idf scoring instead of ElemRank (dil/naiveid only)")
+	tfidf := fs.Bool("tfidf", false, "tf-idf scoring instead of ElemRank (dil only)")
 	fragments := fs.Bool("frag", false, "print each result's XML fragment")
 	fs.Parse(args)
 	if *dir == "" || fs.NArg() == 0 {

@@ -30,7 +30,6 @@ func TestMetricsUnderConcurrentQueries(t *testing.T) {
 		"/api/search?q=xql+language&algo=dil",
 		"/api/search?q=xml+search&algo=rdil",
 		"/api/search?q=xml+systems&algo=hdil",
-		"/api/search?q=language&algo=naiveid",
 	}
 
 	var (

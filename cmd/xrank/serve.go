@@ -42,7 +42,6 @@ func cmdServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing /api/search requests (0 = engine config; negative disables admission control)")
 	admissionQueue := fs.Int("admission-queue", 0, "admission wait-queue length (0 = engine config or 2x max-inflight; negative disables queueing)")
 	maxSegments := fs.Int("max-segments", 0, "live index segments AddDocs may leave before folding more (0 = engine config or 4; negative sets no count bound)")
-	suggestMaxK := fs.Int("suggest-max-k", 0, "max completions one /api/suggest request may ask for (0 = engine config or 50)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("serve: -dir is required")
@@ -70,9 +69,6 @@ func cmdServe(args []string) error {
 	}
 	e.ConfigureResultCache(bytes)
 	e.SetCoalesceQueries(*coalesce)
-	if *suggestMaxK != 0 {
-		e.SetSuggestMaxK(*suggestMaxK)
-	}
 	inflight := *maxInflight
 	if inflight == 0 {
 		inflight = cfg.MaxInflightQueries

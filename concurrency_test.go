@@ -121,10 +121,9 @@ func TestConcurrentSearchContextAttribution(t *testing.T) {
 		{"shared topic", AlgoDIL},
 		{"alpha gamma", AlgoRDIL},
 		{"beta topic", AlgoRDIL},
-		{"alpha beta", AlgoNaiveID},
 		{"gamma shared", AlgoDIL},
 	}
-	// Solo baselines: the page-access sequence of DIL/RDIL/Naive-ID is
+	// Solo baselines: the page-access sequence of DIL/RDIL is
 	// deterministic, so accesses (reads + hits) are independent of cache
 	// state and of concurrency — only the read/hit split may move.
 	type baseline struct {

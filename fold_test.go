@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xrank/internal/datagen/xmark"
+	"xrank/internal/index"
 	"xrank/internal/storage"
 )
 
@@ -147,7 +148,7 @@ func indexFileBytes(t *testing.T, segDir string) int64 {
 // loop wrote, how many times the policy compacted, and the loop's time.
 func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions int, elapsed time.Duration) {
 	tb.Helper()
-	e := NewEngine(&Config{IndexDir: tb.TempDir(), Shards: 2, SkipNaive: true})
+	e := NewEngine(&Config{IndexDir: tb.TempDir(), Shards: 2})
 	defer e.Close()
 	doc := func(seed int64, scale float64) string {
 		return xmark.Generate(xmark.Params{
@@ -231,6 +232,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	}
 	man["config"]["CompactIntervalMillis"] = 250
 	man["config"]["CompactBudgetPages"] = 64
+	man["config"]["SuggestMaxK"] = 7
 	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +249,93 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	if got := crashSig(t, e); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened engine answers differently")
 	}
-	if b, err := json.Marshal(e.Config()); err != nil || strings.Contains(string(b), "Compact") {
-		t.Fatalf("Config still has compactor fields: %s (%v)", b, err)
+	if b, err := json.Marshal(e.Config()); err != nil || strings.Contains(string(b), "Compact") || strings.Contains(string(b), "SuggestMaxK") {
+		t.Fatalf("Config still has retired fields: %s (%v)", b, err)
+	}
+	// The retired SuggestMaxK no longer lowers the clamp.
+	if sug, _, err := e.Suggest("", 50); err != nil || len(sug) <= 7 {
+		t.Fatalf("Suggest(k=50) = %d completions (%v), want more than the retired cap of 7", len(sug), err)
+	}
+}
+
+// addRetiredNaiveFiles gives a built engine's segment 0 the shape
+// engines wrote while they still built the naive baselines: every shard
+// holds the five naive files beside its lists, and a meta.json that
+// records them (has_naive, naive_entries and their checksums).
+func addRetiredNaiveFiles(tb testing.TB, e *Engine) {
+	tb.Helper()
+	shards := e.NumShards()
+	for s := 0; s < shards; s++ {
+		shard := filepath.Join(e.cfg.IndexDir, segmentDirName(0), fmt.Sprintf("shard%03d", s))
+		naive, err := index.BuildNaive(e.col, e.ranks, shard, index.BuildOptions{
+			DocFilter: func(doc uint32) bool { return index.ShardOf(doc, shards) == s },
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(shard, "naive.json")); err != nil {
+			tb.Fatal(err)
+		}
+		metaPath := filepath.Join(shard, "meta.json")
+		var meta map[string]any
+		if err := storage.ReadManifest(nil, metaPath, &meta); err != nil {
+			tb.Fatal(err)
+		}
+		meta["has_naive"] = true
+		meta["naive_entries"] = naive.Meta.NaiveEntries
+		files := meta["files"].(map[string]any)
+		for name, sum := range naive.Meta.Files {
+			files[name] = sum
+		}
+		if err := storage.WriteManifestAtomic(nil, metaPath, meta); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestOpenSkipsRetiredNaiveFiles: a directory written while engines still
+// built the naive baselines must open and answer exactly as before, and
+// its next fold must leave no naive file behind.
+func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+	addCorpus(t, e, crashCorpus())
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	want := crashSig(t, e)
+	addRetiredNaiveFiles(t, e)
+	e.Close()
+	naiveFiles := func() []string {
+		var found []string
+		filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+			if err == nil && strings.HasPrefix(d.Name(), "naive") {
+				found = append(found, path)
+			}
+			return err
+		})
+		return found
+	}
+	if n := len(naiveFiles()); n != 10 {
+		t.Fatalf("parent-shaped segment holds %d naive files, want 10", n)
+	}
+
+	e, err := OpenEngine(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := crashSig(t, e); !reflect.DeepEqual(got, want) {
+		t.Fatal("parent-shaped directory answers differently")
+	}
+	if err := e.AddDocs(map[string]io.Reader{"late.xml": strings.NewReader(`<book><title>late xml search</title></book>`)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CompactOnce(0); err != nil {
+		t.Fatal(err)
+	}
+	if left := naiveFiles(); len(left) != 0 {
+		t.Fatalf("naive files survived the fold: %v", left)
 	}
 }
 
@@ -273,7 +360,7 @@ func BenchmarkAddDocsSteadyState(b *testing.B) {
 // per posting: DIL over a base made stale by one AddDocs, against the
 // same engine compacted (one segment, ranks baked in).
 func BenchmarkStaleSegmentDIL(b *testing.B) {
-	e := NewEngine(&Config{IndexDir: b.TempDir(), Shards: 1, SkipNaive: true})
+	e := NewEngine(&Config{IndexDir: b.TempDir(), Shards: 1})
 	defer e.Close()
 	for d := 0; d < 4; d++ {
 		doc := xmark.Generate(xmark.Params{Seed: int64(d), Items: 150, People: 90, OpenAuctions: 100,

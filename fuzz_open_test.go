@@ -20,7 +20,9 @@ import (
 // pristine bytes are restored after each case so the shared directory
 // stays valid. The walked file set includes the per-term skip indexes
 // (dil.skip, rdil.skip, hdilrank.skip) — a corrupted skip index must be
-// rejected at open, never silently steer queries into the wrong blocks.
+// rejected at open, never silently steer queries into the wrong blocks —
+// and, since the directory has the shape engines wrote while they still
+// built the naive baselines, the retired naive files, which open ignores.
 func FuzzOpenCorrupt(f *testing.F) {
 	dir := f.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -42,6 +44,7 @@ func FuzzOpenCorrupt(f *testing.F) {
 	if err != nil || len(want) == 0 {
 		f.Fatalf("reference query: %v results, %v", len(want), err)
 	}
+	addRetiredNaiveFiles(f, e)
 	e.Close()
 
 	var files []string

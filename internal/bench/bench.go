@@ -35,13 +35,27 @@ type CorpusSpec struct {
 	Seed  int64
 }
 
+// doc is one generated corpus document.
+type doc struct{ name, xml string }
+
 // BuildEngine generates the corpus and builds a fully indexed engine in
 // dir. The DBLP corpus is many shallow hyperlinked documents; the XMark
 // corpus is one deep document (Section 5.1's reasons for choosing them).
 func BuildEngine(spec CorpusSpec, dir string) (*xrank.Engine, *xrank.BuildInfo, error) {
-	e := xrank.NewEngine(&xrank.Config{IndexDir: dir})
-	if err := addCorpus(e, spec); err != nil {
+	docs, err := corpusDocs(spec)
+	if err != nil {
 		return nil, nil, err
+	}
+	return buildEngine(docs, dir)
+}
+
+// buildEngine builds an engine with the default Config over docs in dir.
+func buildEngine(docs []doc, dir string) (*xrank.Engine, *xrank.BuildInfo, error) {
+	e := xrank.NewEngine(&xrank.Config{IndexDir: dir})
+	for _, d := range docs {
+		if err := e.AddXML(d.name, strings.NewReader(d.xml)); err != nil {
+			return nil, nil, err
+		}
 	}
 	info, err := e.Build()
 	if err != nil {
@@ -50,14 +64,15 @@ func BuildEngine(spec CorpusSpec, dir string) (*xrank.Engine, *xrank.BuildInfo, 
 	return e, info, nil
 }
 
-// addCorpus generates spec's corpus and feeds it into e.
-func addCorpus(e *xrank.Engine, spec CorpusSpec) error {
+// corpusDocs generates spec's corpus.
+func corpusDocs(spec CorpusSpec) ([]doc, error) {
 	if spec.Scale <= 0 {
 		spec.Scale = 1.0
 	}
 	switch spec.Name {
 	case "dblp":
-		docs := dblp.Generate(dblp.Params{
+		var docs []doc
+		for _, d := range dblp.Generate(dblp.Params{
 			Seed:              spec.Seed,
 			Docs:              int(30 * spec.Scale),
 			PapersPerDoc:      int(120 * spec.Scale),
@@ -65,14 +80,12 @@ func addCorpus(e *xrank.Engine, spec CorpusSpec) error {
 			CorrelationWidth:  markerWidth,
 			PlantRate:         0.25,
 			PlantAnecdotes:    true,
-		})
-		for _, d := range docs {
-			if err := e.AddXML(d.Name, strings.NewReader(d.XML)); err != nil {
-				return err
-			}
+		}) {
+			docs = append(docs, doc{d.Name, d.XML})
 		}
+		return docs, nil
 	case "xmark":
-		doc := xmark.Generate(xmark.Params{
+		return []doc{{"xmark", xmark.Generate(xmark.Params{
 			Seed:              spec.Seed,
 			Items:             int(1200 * spec.Scale),
 			People:            int(700 * spec.Scale),
@@ -83,14 +96,10 @@ func addCorpus(e *xrank.Engine, spec CorpusSpec) error {
 			CorrelationWidth:  markerWidth,
 			PlantRate:         0.25,
 			PlantAnecdotes:    true,
-		})
-		if err := e.AddXML("xmark", strings.NewReader(doc)); err != nil {
-			return err
-		}
+		})}}, nil
 	default:
-		return fmt.Errorf("bench: unknown corpus %q", spec.Name)
+		return nil, fmt.Errorf("bench: unknown corpus %q", spec.Name)
 	}
-	return nil
 }
 
 // perfGroups is the marker-group count of the performance corpus.
@@ -101,18 +110,21 @@ const perfGroups = 3
 // marker inverted-list lengths: each high-correlation keyword occurs in
 // blocks/3 elements, each low-correlation keyword in blocks/4.
 func BuildPerfEngine(dir string, blocks int, seed int64) (*xrank.Engine, *xrank.BuildInfo, error) {
-	docs := perfgen.Generate(perfgen.Params{Seed: seed, Blocks: blocks, Groups: perfGroups, Width: markerWidth})
-	e := xrank.NewEngine(&xrank.Config{IndexDir: dir})
-	for _, d := range docs {
-		if err := e.AddXML(d.Name, strings.NewReader(d.XML)); err != nil {
-			return nil, nil, err
-		}
+	return buildEngine(perfDocs(blocks, seed), dir)
+}
+
+// BuildPerfBaseline builds the naive baseline index over the corpus
+// BuildPerfEngine(_, blocks, seed) indexes, in dir.
+func BuildPerfBaseline(dir string, blocks int, seed int64) (*Baseline, error) {
+	return buildBaseline(perfDocs(blocks, seed), dir)
+}
+
+func perfDocs(blocks int, seed int64) []doc {
+	var docs []doc
+	for _, d := range perfgen.Generate(perfgen.Params{Seed: seed, Blocks: blocks, Groups: perfGroups, Width: markerWidth}) {
+		docs = append(docs, doc{d.Name, d.XML})
 	}
-	info, err := e.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, info, nil
+	return docs
 }
 
 // HighCorrQueries returns count queries of k keywords each, drawn from the
@@ -146,54 +158,45 @@ func markerQueries(prefix string, k, count int) [][]string {
 
 // Measurement is the averaged cost of a query batch under one algorithm.
 type Measurement struct {
-	Algo      xrank.Algorithm
-	Keywords  int
-	Queries   int
-	SimTime   time.Duration // avg simulated cold-cache disk time (primary metric)
-	WallTime  time.Duration // avg wall time on this machine
-	Reads     int64         // avg device page reads
-	SeqReads  int64
-	RandReads int64
-	Results   float64 // avg result count
-	Switched  int     // HDIL: how many queries switched to DIL
+	Algo     string        // the algorithm's label
+	SimTime  time.Duration // avg simulated cold-cache disk time (primary metric)
+	Reads    int64         // avg device page reads
+	Switched int           // HDIL: how many queries switched to DIL
 }
 
 // MeasureQueries runs each query cold-cache under algo and averages.
 func MeasureQueries(e *xrank.Engine, algo xrank.Algorithm, queries [][]string, topM int) (Measurement, error) {
-	m := Measurement{Algo: algo, Queries: len(queries)}
-	if len(queries) == 0 {
-		return m, fmt.Errorf("bench: no queries")
-	}
-	m.Keywords = len(queries[0])
-	var simSum, wallSum time.Duration
-	var reads, seq, rnd int64
-	var results float64
-	for _, q := range queries {
-		rs, stats, err := e.SearchDetailed(strings.Join(q, " "), xrank.SearchOptions{
+	return measure(algo.String(), queries, func(q []string) (*xrank.QueryStats, error) {
+		_, stats, err := e.SearchDetailed(strings.Join(q, " "), xrank.SearchOptions{
 			TopM:      topM,
 			Algorithm: algo,
 			ColdCache: true,
 		})
+		return stats, err
+	})
+}
+
+// measure runs one per query and averages the costs it reports under the
+// label algo.
+func measure(algo string, queries [][]string, one func(q []string) (*xrank.QueryStats, error)) (Measurement, error) {
+	m := Measurement{Algo: algo}
+	if len(queries) == 0 {
+		return m, fmt.Errorf("bench: no queries")
+	}
+	var sim time.Duration
+	for _, q := range queries {
+		stats, err := one(q)
 		if err != nil {
-			return m, fmt.Errorf("bench: %v %v: %w", algo, q, err)
+			return m, fmt.Errorf("bench: %s %v: %w", algo, q, err)
 		}
-		simSum += stats.SimulatedTime
-		wallSum += stats.WallTime
-		reads += stats.IO.Reads
-		seq += stats.IO.SeqReads
-		rnd += stats.IO.RandReads
-		results += float64(len(rs))
+		sim += stats.SimulatedTime
+		m.Reads += stats.IO.Reads
 		if stats.SwitchedToDIL {
 			m.Switched++
 		}
 	}
-	n := time.Duration(len(queries))
-	m.SimTime = simSum / n
-	m.WallTime = wallSum / n
-	m.Reads = reads / int64(len(queries))
-	m.SeqReads = seq / int64(len(queries))
-	m.RandReads = rnd / int64(len(queries))
-	m.Results = results / float64(len(queries))
+	m.SimTime = sim / time.Duration(len(queries))
+	m.Reads /= int64(len(queries))
 	return m, nil
 }
 

@@ -49,6 +49,22 @@ func TestE1E2Tables(t *testing.T) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
 	}
+	// Table 1's shape: the naive lists repeat every entry at every
+	// ancestor, so they outweigh DIL and their closure outnumbers the
+	// direct postings.
+	for _, c := range []struct {
+		name  string
+		info  *xrank.BuildInfo
+		naive *Baseline
+	}{{"dblp", es.DBLPInfo, es.DBLPNaive}, {"xmark", es.XMarkInfo, es.XMarkNaive}} {
+		if c.info.Sizes.DILList == 0 || c.naive.Sizes.NaiveIDList < c.info.Sizes.DILList {
+			t.Errorf("%s: naive list %d bytes, DIL %d", c.name, c.naive.Sizes.NaiveIDList, c.info.Sizes.DILList)
+		}
+		if c.naive.Sizes.Meta.NaiveEntries <= c.info.Sizes.Meta.DeweyEntries {
+			t.Errorf("%s: naive closure %d entries should exceed the %d direct postings",
+				c.name, c.naive.Sizes.Meta.NaiveEntries, c.info.Sizes.Meta.DeweyEntries)
+		}
+	}
 }
 
 func TestPerfFiguresShape(t *testing.T) {
@@ -64,12 +80,17 @@ func TestPerfFiguresShape(t *testing.T) {
 	if info.NumElements < 20000 {
 		t.Fatalf("perf corpus too small: %+v", info)
 	}
-	f10, err := E3Fig10(e, "test", 10)
+	naive, err := BuildPerfBaseline(dir+"/naive", 12000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f10.Rows) != 4 {
-		t.Fatalf("fig10 rows = %d", len(f10.Rows))
+	defer naive.Close()
+	f10, err := E3Fig10(e, naive, "test", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f10.Rows) != 4 || len(f10.Header) != 11 || f10.Header[1] != "Naive-ID sim" {
+		t.Fatalf("fig10 rows = %d, header = %v", len(f10.Rows), f10.Header)
 	}
 	f11, err := E4Fig11(e, "test", 10)
 	if err != nil {

@@ -90,7 +90,6 @@ func E11Cache(baseDir string, docs int, scale float64, seed int64, topM int) (*T
 	e := xrank.NewEngine(&xrank.Config{
 		IndexDir:        baseDir,
 		Shards:          shards,
-		SkipNaive:       true,
 		CacheBytes:      cacheBytes,
 		CoalesceQueries: true,
 	})

@@ -12,37 +12,53 @@ import (
 	"xrank/internal/xmldoc"
 )
 
-// Engines bundles the two benchmark corpora.
+// Engines bundles the two benchmark corpora, each with its naive
+// baseline index beside it.
 type Engines struct {
-	DBLP      *xrank.Engine
-	DBLPInfo  *xrank.BuildInfo
-	XMark     *xrank.Engine
-	XMarkInfo *xrank.BuildInfo
+	DBLP, XMark           *xrank.Engine
+	DBLPInfo, XMarkInfo   *xrank.BuildInfo
+	DBLPNaive, XMarkNaive *Baseline
 }
 
-// BuildAll builds both corpora under baseDir at the given scale.
+// BuildAll builds both corpora and their baselines under baseDir at the
+// given scale.
 func BuildAll(baseDir string, scale float64, seed int64) (*Engines, error) {
 	es := &Engines{}
-	var err error
-	es.DBLP, es.DBLPInfo, err = BuildEngine(CorpusSpec{Name: "dblp", Scale: scale, Seed: seed}, baseDir+"/dblp")
-	if err != nil {
-		return nil, err
-	}
-	es.XMark, es.XMarkInfo, err = BuildEngine(CorpusSpec{Name: "xmark", Scale: scale, Seed: seed}, baseDir+"/xmark")
-	if err != nil {
-		es.DBLP.Close()
-		return nil, err
+	for _, c := range []struct {
+		name  string
+		e     **xrank.Engine
+		info  **xrank.BuildInfo
+		naive **Baseline
+	}{
+		{"dblp", &es.DBLP, &es.DBLPInfo, &es.DBLPNaive},
+		{"xmark", &es.XMark, &es.XMarkInfo, &es.XMarkNaive},
+	} {
+		docs, err := corpusDocs(CorpusSpec{Name: c.name, Scale: scale, Seed: seed})
+		if err == nil {
+			*c.e, *c.info, err = buildEngine(docs, baseDir+"/"+c.name)
+		}
+		if err == nil {
+			*c.naive, err = buildBaseline(docs, baseDir+"/"+c.name+"-naive")
+		}
+		if err != nil {
+			es.Close()
+			return nil, err
+		}
 	}
 	return es, nil
 }
 
-// Close releases both engines.
+// Close releases both engines and baselines.
 func (es *Engines) Close() {
-	if es.DBLP != nil {
-		es.DBLP.Close()
+	for _, e := range []*xrank.Engine{es.DBLP, es.XMark} {
+		if e != nil {
+			e.Close()
+		}
 	}
-	if es.XMark != nil {
-		es.XMark.Close()
+	for _, b := range []*Baseline{es.DBLPNaive, es.XMarkNaive} {
+		if b != nil {
+			b.Close()
+		}
 	}
 }
 
@@ -75,9 +91,10 @@ func E1ElemRank(es *Engines) *Table {
 }
 
 // E2Space reproduces Table 1: inverted list and index sizes for the five
-// approaches on both datasets. The index column is the access structure
-// each approach reads besides its lists: Naive-Rank's hash index, and for
-// the Dewey approaches the sparse per-block skip indexes.
+// approaches on both datasets, the naive rows from the baselines. The
+// index column is the access structure each approach reads besides its
+// lists: Naive-Rank's hash index, and for the Dewey approaches the sparse
+// per-block skip indexes.
 func E2Space(es *Engines) *Table {
 	t := &Table{
 		Title:  "E2 (Table 1): space requirements",
@@ -89,9 +106,10 @@ func E2Space(es *Engines) *Table {
 			"indexes it reads (DIL: dil.skip; RDIL: + rdil.skip; HDIL: + hdilrank.skip).",
 	}
 	d, x := es.DBLPInfo.Sizes, es.XMarkInfo.Sizes
+	dn, xn := es.DBLPNaive.Sizes, es.XMarkNaive.Sizes
 	t.Rows = [][]string{
-		{"Naive-ID", mb(d.NaiveIDList), "N/A", mb(x.NaiveIDList), "N/A"},
-		{"Naive-Rank", mb(d.NaiveRankList), mb(d.NaiveIndex), mb(x.NaiveRankList), mb(x.NaiveIndex)},
+		{"Naive-ID", mb(dn.NaiveIDList), "N/A", mb(xn.NaiveIDList), "N/A"},
+		{"Naive-Rank", mb(dn.NaiveRankList), mb(dn.NaiveIndex), mb(xn.NaiveRankList), mb(xn.NaiveIndex)},
 		{"DIL", mb(d.DILList), mb(d.DILSkip), mb(x.DILList), mb(x.DILSkip)},
 		{"RDIL", mb(d.RDILList), mb(d.DILSkip + d.RDILSkip), mb(x.RDILList), mb(x.DILSkip + x.RDILSkip)},
 		{"HDIL", mb(d.DILList + d.HDILRank), mb(d.DILSkip + d.HDILSkip), mb(x.DILList + x.HDILRank), mb(x.DILSkip + x.HDILSkip)},
@@ -99,40 +117,44 @@ func E2Space(es *Engines) *Table {
 	return t
 }
 
-var fig10Algos = []xrank.Algorithm{
-	xrank.AlgoNaiveID, xrank.AlgoNaiveRank, xrank.AlgoDIL, xrank.AlgoRDIL, xrank.AlgoHDIL,
-}
-
 var fig11Algos = []xrank.Algorithm{xrank.AlgoDIL, xrank.AlgoRDIL, xrank.AlgoHDIL}
 
 // E3Fig10 reproduces Figure 10: query time vs number of keywords under
-// high keyword correlation, on the given engine.
-func E3Fig10(e *xrank.Engine, corpus string, topM int) (*Table, error) {
-	return correlationFigure(e, corpus, topM, true)
+// high keyword correlation, on the given engine and its naive baseline.
+func E3Fig10(e *xrank.Engine, naive *Baseline, corpus string, topM int) (*Table, error) {
+	var series []func(queries [][]string) (Measurement, error)
+	for _, a := range []NaiveAlgo{NaiveID, NaiveRank} {
+		series = append(series, func(queries [][]string) (Measurement, error) {
+			return MeasureBaseline(naive, a, queries, topM)
+		})
+	}
+	return correlationFigure(e, corpus, topM, true, series)
 }
 
 // E4Fig11 reproduces Figure 11: query time vs number of keywords under
 // low keyword correlation.
 func E4Fig11(e *xrank.Engine, corpus string, topM int) (*Table, error) {
-	return correlationFigure(e, corpus, topM, false)
+	return correlationFigure(e, corpus, topM, false, nil)
 }
 
-func correlationFigure(e *xrank.Engine, corpus string, topM int, high bool) (*Table, error) {
-	algos := fig11Algos
+// correlationFigure measures the Dewey algorithms on e after the given
+// series, one column pair (simulated time, page reads) per algorithm.
+func correlationFigure(e *xrank.Engine, corpus string, topM int, high bool, series []func(queries [][]string) (Measurement, error)) (*Table, error) {
 	title := fmt.Sprintf("E4 (Figure 11): low keyword correlation, %s, top-%d", corpus, topM)
 	comment := "Paper shape: RDIL degrades sharply with more keywords (unsuccessful random probes);\n" +
 		"DIL stays near-flat (sequential scans); HDIL tracks DIL after switching."
 	if high {
-		algos = fig10Algos
 		title = fmt.Sprintf("E3 (Figure 10): high keyword correlation, %s, top-%d", corpus, topM)
 		comment = "Paper shape: RDIL ≈ HDIL ≪ DIL; Naive-ID worse than DIL and Naive-Rank worse than RDIL\n" +
 			"(ancestor entries inflate every scan); HDIL occasionally slightly above both at k=2."
 	}
+	for _, a := range fig11Algos {
+		series = append(series, func(queries [][]string) (Measurement, error) {
+			return MeasureQueries(e, a, queries, topM)
+		})
+	}
 	t := &Table{Title: title}
 	t.Header = []string{"#keywords"}
-	for _, a := range algos {
-		t.Header = append(t.Header, a.String()+" sim", a.String()+" reads")
-	}
 	for k := 1; k <= markerWidth; k++ {
 		var queries [][]string
 		if high {
@@ -141,13 +163,16 @@ func correlationFigure(e *xrank.Engine, corpus string, topM int, high bool) (*Ta
 			queries = LowCorrQueries(k, perfGroups)
 		}
 		row := []string{fmt.Sprintf("%d", k)}
-		for _, a := range algos {
-			m, err := MeasureQueries(e, a, queries, topM)
+		for _, measure := range series {
+			m, err := measure(queries)
 			if err != nil {
 				return nil, err
 			}
+			if k == 1 {
+				t.Header = append(t.Header, m.Algo+" sim", m.Algo+" reads")
+			}
 			label := ms(m.SimTime)
-			if a == xrank.AlgoHDIL && m.Switched > 0 {
+			if m.Switched > 0 {
 				label += fmt.Sprintf("(%d→DIL)", m.Switched)
 			}
 			row = append(row, label, fmt.Sprintf("%d", m.Reads))

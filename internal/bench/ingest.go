@@ -81,9 +81,8 @@ func E12Ingest(baseDir string, initialDocs, batches, batchSize int, scale float6
 	name := func(d int) string { return fmt.Sprintf("xmark%02d", d) }
 
 	e := xrank.NewEngine(&xrank.Config{
-		IndexDir:  baseDir + "/inc",
-		Shards:    shards,
-		SkipNaive: true,
+		IndexDir: baseDir + "/inc",
+		Shards:   shards,
 	})
 	for d := 0; d < initialDocs; d++ {
 		if err := e.AddXML(name(d), strings.NewReader(corpus[d])); err != nil {
@@ -160,9 +159,8 @@ func E12Ingest(baseDir string, initialDocs, batches, batchSize int, scale float6
 	// The Section 4.5 baseline: one from-scratch build over the final
 	// corpus, i.e. what every batch would have cost without segments.
 	rb := xrank.NewEngine(&xrank.Config{
-		IndexDir:  baseDir + "/rebuild",
-		Shards:    shards,
-		SkipNaive: true,
+		IndexDir: baseDir + "/rebuild",
+		Shards:   shards,
 	})
 	for d := 0; d < total; d++ {
 		if err := rb.AddXML(name(d), strings.NewReader(corpus[d])); err != nil {

@@ -141,7 +141,7 @@ func E10Shard(baseDir string, counts []int, docs int, scale float64, seed int64,
 
 	for _, sc := range counts {
 		dir := fmt.Sprintf("%s/shard%d", baseDir, sc)
-		e := xrank.NewEngine(&xrank.Config{IndexDir: dir, Shards: sc, SkipNaive: true})
+		e := xrank.NewEngine(&xrank.Config{IndexDir: dir, Shards: sc})
 		for d, x := range xmls {
 			if err := e.AddXML(fmt.Sprintf("xmark%02d", d), strings.NewReader(x)); err != nil {
 				return nil, nil, err

@@ -175,7 +175,7 @@ func E15Suggest(baseDir string, sizes []int, k int, seed int64, fixture string) 
 		return nil, nil, fmt.Errorf("bench: suggest fixture: %w", err)
 	}
 	defer f.Close()
-	e := xrank.NewEngine(&xrank.Config{IndexDir: baseDir + "/fixture", SkipNaive: true})
+	e := xrank.NewEngine(&xrank.Config{IndexDir: baseDir + "/fixture"})
 	defer e.Close()
 	t0 := time.Now()
 	p := ingest.NewParser(f)

@@ -37,7 +37,7 @@ func FuzzCacheKey(f *testing.F) {
 		for i := range weights {
 			weights[i] = float64(1 + rng.Intn(3))
 		}
-		algos := []string{"HDIL", "DIL", "RDIL", "Naive-ID", "Naive-Rank", "Disjunctive"}
+		algos := []string{"HDIL", "DIL", "RDIL", "Disjunctive"}
 		base := Spec{
 			Terms: terms, Weights: weights, Algo: algos[int(algoPick)%len(algos)],
 			TopM: topM, Decay: decay, Proximity: prox, SumAgg: sum, TFIDF: tfidf,

@@ -162,6 +162,21 @@ func TestEdgeTimeout504(t *testing.T) {
 	checkGolden(t, "edge_timeout_504.golden", envelope(rec))
 }
 
+// TestEdgeRetiredAlgo400: the paper's naive baselines are not served
+// (only the experiment harness builds them), so their algorithm names get
+// the plain unknown-algorithm 400 like any other typo.
+func TestEdgeRetiredAlgo400(t *testing.T) {
+	mux := NewMux(edgeEngine(t), Options{})
+	for _, algo := range []string{"naiveid", "naiverank"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/search?q=xql&algo="+algo, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("algo=%s: status %d, want 400: %s", algo, rec.Code, rec.Body)
+		}
+		checkGolden(t, "edge_unknown_algo_400_"+algo+".golden", envelope(rec))
+	}
+}
+
 // TestEdgeAdmissionAccountingRace cancels a swarm of queued requests
 // mid-wait (the shape a cancelled hedge duplicate produces) and checks
 // the books balance exactly: every request that entered the admission

@@ -452,10 +452,6 @@ func ParseAlgo(s string) (xrank.Algorithm, error) {
 		return xrank.AlgoDIL, nil
 	case "rdil":
 		return xrank.AlgoRDIL, nil
-	case "naiveid":
-		return xrank.AlgoNaiveID, nil
-	case "naiverank":
-		return xrank.AlgoNaiveRank, nil
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", s)
 	}

@@ -13,21 +13,16 @@ import (
 
 // File names inside an index directory.
 const (
-	fileDILPost       = "dil.post"
-	fileDILSkip       = "dil.skip"
-	fileDILLex        = "dil.lex"
-	fileRDILPost      = "rdil.post"
-	fileRDILSkip      = "rdil.skip"
-	fileRDILLex       = "rdil.lex"
-	fileHDILRank      = "hdil.rank"
-	fileHDILRankSkip  = "hdilrank.skip"
-	fileHDILLex       = "hdil.lex"
-	fileNaiveIDPost   = "naiveid.post"
-	fileNaiveIDLex    = "naiveid.lex"
-	fileNaiveRankPost = "naiverank.post"
-	fileNaiveRankHash = "naiverank.hash"
-	fileNaiveRankLex  = "naiverank.lex"
-	fileMeta          = "meta.json"
+	fileDILPost      = "dil.post"
+	fileDILSkip      = "dil.skip"
+	fileDILLex       = "dil.lex"
+	fileRDILPost     = "rdil.post"
+	fileRDILSkip     = "rdil.skip"
+	fileRDILLex      = "rdil.lex"
+	fileHDILRank     = "hdil.rank"
+	fileHDILRankSkip = "hdilrank.skip"
+	fileHDILLex      = "hdil.lex"
+	fileMeta         = "meta.json"
 )
 
 // BuildOptions configure index construction.
@@ -42,9 +37,6 @@ type BuildOptions struct {
 	// MaxPositions caps the posList stored per entry. Default
 	// MaxPositionsDefault.
 	MaxPositions int
-	// SkipNaive omits the two naive baselines (they dominate build time
-	// and space on big corpora, exactly as the paper argues).
-	SkipNaive bool
 	// DocFilter, when non-nil, restricts the index to the documents for
 	// which it returns true (doc is the document's position in the
 	// collection, i.e. the first Dewey component). Sharded builds pass the
@@ -80,10 +72,8 @@ type Meta struct {
 	NumElements  int     `json:"num_elements"`
 	Terms        int     `json:"terms"`
 	DeweyEntries int     `json:"dewey_entries"`
-	NaiveEntries int     `json:"naive_entries"`
 	RankFraction float64 `json:"rank_fraction"`
 	MaxPositions int     `json:"max_positions"`
-	HasNaive     bool    `json:"has_naive"`
 	// PostingsFormat is the directory's on-disk format; Open accepts only
 	// the package's PostingsFormat.
 	PostingsFormat int   `json:"postings_format"`
@@ -103,15 +93,11 @@ type BuildStats struct {
 	// DILSkip, RDILSkip and HDILSkip are the sparse per-block skip indexes
 	// of the three lists above (dil.skip, rdil.skip, hdilrank.skip), the
 	// only Dewey-side access structures.
-	DILSkip       int64
-	RDILSkip      int64
-	HDILSkip      int64
-	NaiveIDList   int64
-	NaiveRankList int64
-	NaiveIndex    int64 // naiverank.hash
-	// PageWrites counts the pages written to the page files above
-	// (appends and hash rewrites alike); the engine folds it into its
-	// IOStats.
+	DILSkip  int64
+	RDILSkip int64
+	HDILSkip int64
+	// PageWrites counts the pages written to the page files above; the
+	// engine folds it into its IOStats.
 	PageWrites int64
 
 	// shardFiles holds the Files record of every shard's meta.json.
@@ -119,8 +105,8 @@ type BuildStats struct {
 }
 
 // IndexBytes is the total size of the files the build's meta.json
-// manifests record: postings, skip indexes, lexicons and naive baselines
-// alike, summed over shards.
+// manifests record: postings, skip indexes and lexicons alike, summed over
+// shards.
 func (s *BuildStats) IndexBytes() int64 {
 	var n int64
 	for _, files := range s.shardFiles {
@@ -139,21 +125,14 @@ func (s *BuildStats) add(o *BuildStats) {
 	s.DILSkip += o.DILSkip
 	s.RDILSkip += o.RDILSkip
 	s.HDILSkip += o.HDILSkip
-	s.NaiveIDList += o.NaiveIDList
-	s.NaiveRankList += o.NaiveRankList
-	s.NaiveIndex += o.NaiveIndex
 	s.PageWrites += o.PageWrites
 	s.shardFiles = append(s.shardFiles, o.shardFiles...)
 }
 
-// termData accumulates one term's direct postings during the scan phase.
-type termData struct {
-	posts []Posting
-	els   []*xmldoc.Element
-}
-
-// Build constructs all index variants for the collection in dir, which is
-// created if needed. ranks holds ElemRank scores by global element index.
+// Build constructs the Dewey-family lists (DIL, RDIL and HDIL's
+// rank-ordered prefix) and their skip indexes for the collection in dir,
+// which is created if needed. ranks holds ElemRank scores by global
+// element index.
 func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions) (*BuildStats, error) {
 	opts.fill()
 	start := time.Now()
@@ -164,53 +143,10 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("index: mkdir %s: %w", dir, err)
 	}
+	terms, sorted := collectPostings(c, ranks, opts)
 
-	// Phase 1: collect direct postings per term.
-	terms := make(map[string]*termData)
-	perElem := make(map[string][]uint32, 16)
-	for di, d := range c.Docs {
-		if opts.DocFilter != nil && !opts.DocFilter(uint32(di)) {
-			continue
-		}
-		for _, e := range d.Elements {
-			if len(e.Tokens) == 0 {
-				continue
-			}
-			for k := range perElem {
-				delete(perElem, k)
-			}
-			for _, tok := range e.Tokens {
-				perElem[tok.Term] = append(perElem[tok.Term], tok.Pos)
-			}
-			g := int32(c.GlobalIndex(e))
-			id := e.DeweyID()
-			for term, positions := range perElem {
-				td := terms[term]
-				if td == nil {
-					td = &termData{}
-					terms[term] = td
-				}
-				if len(positions) > opts.MaxPositions {
-					positions = positions[:opts.MaxPositions]
-				}
-				td.posts = append(td.posts, Posting{
-					ID:        id,
-					Elem:      g,
-					Rank:      float32(ranks[g]),
-					Positions: append([]uint32(nil), positions...),
-				})
-				td.els = append(td.els, e)
-			}
-		}
-	}
-	sorted := make([]string, 0, len(terms))
-	for t := range terms {
-		sorted = append(sorted, t)
-	}
-	sort.Strings(sorted)
-
-	// Phase 2: stream every variant term by term.
-	b, err := newVariantBuilders(fs, dir, opts)
+	// Stream every variant term by term.
+	b, err := newVariantBuilders(fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -222,17 +158,14 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 		Terms:          len(sorted),
 		RankFraction:   opts.RankFraction,
 		MaxPositions:   opts.MaxPositions,
-		HasNaive:       !opts.SkipNaive,
 		PostingsFormat: PostingsFormat,
 	}
 	for _, term := range sorted {
-		td := terms[term]
-		nNaive, err := b.addTerm(term, td, opts, ranks)
-		if err != nil {
+		posts := terms[term]
+		if err := b.addTerm(term, posts, opts); err != nil {
 			return nil, fmt.Errorf("index: term %q: %w", term, err)
 		}
-		meta.DeweyEntries += len(td.posts)
-		meta.NaiveEntries += nNaive
+		meta.DeweyEntries += len(posts)
 		delete(terms, term) // release memory as we go
 	}
 	files, err := b.finish(dir, sorted)
@@ -251,17 +184,14 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 
 	size := func(name string) int64 { return files[name].Size }
 	stats := &BuildStats{
-		Meta:          meta,
-		DILList:       size(fileDILPost),
-		RDILList:      size(fileRDILPost),
-		HDILRank:      size(fileHDILRank),
-		DILSkip:       size(fileDILSkip),
-		RDILSkip:      size(fileRDILSkip),
-		HDILSkip:      size(fileHDILRankSkip),
-		NaiveIDList:   size(fileNaiveIDPost),
-		NaiveRankList: size(fileNaiveRankPost),
-		NaiveIndex:    size(fileNaiveRankHash),
-		shardFiles:    []map[string]storage.FileSum{files},
+		Meta:       meta,
+		DILList:    size(fileDILPost),
+		RDILList:   size(fileRDILPost),
+		HDILRank:   size(fileHDILRank),
+		DILSkip:    size(fileDILSkip),
+		RDILSkip:   size(fileRDILSkip),
+		HDILSkip:   size(fileHDILRankSkip),
+		shardFiles: []map[string]storage.FileSum{files},
 	}
 	for _, f := range b.files {
 		stats.PageWrites += f.pf.Stats().Writes
@@ -290,15 +220,6 @@ type variantBuilders struct {
 	// dewey holds the Dewey-ordered list, the full rank-ordered list and
 	// HDIL's rank-ordered prefix, in that (fixed) order.
 	dewey [3]*listBuilder
-
-	naiveIDW   *postWriter
-	naiveRankW *postWriter
-	hashB      *hashBuilder
-
-	naiveIDMeta   map[string]Loc
-	naiveRankMeta map[string]NaiveRankMeta
-
-	buf []byte
 }
 
 type namedFile struct {
@@ -306,12 +227,8 @@ type namedFile struct {
 	pf   *storage.PageFile
 }
 
-func newVariantBuilders(fs storage.FS, dir string, opts BuildOptions) (*variantBuilders, error) {
-	b := &variantBuilders{
-		fs:            fs,
-		naiveIDMeta:   make(map[string]Loc),
-		naiveRankMeta: make(map[string]NaiveRankMeta),
-	}
+func newVariantBuilders(fs storage.FS, dir string) (*variantBuilders, error) {
+	b := &variantBuilders{fs: fs}
 	var err error
 	create := func(name string) *storage.PageFile {
 		if err != nil {
@@ -335,11 +252,6 @@ func newVariantBuilders(fs storage.FS, dir string, opts BuildOptions) (*variantB
 			refs: make(map[string][]BlockRef),
 		}
 	}
-	if !opts.SkipNaive {
-		b.naiveIDW = newPostWriter(create(fileNaiveIDPost))
-		b.naiveRankW = newPostWriter(create(fileNaiveRankPost))
-		b.hashB = newHashBuilder(create(fileNaiveRankHash))
-	}
 	if err != nil {
 		b.closeAll()
 		return nil, err
@@ -353,20 +265,18 @@ func (b *variantBuilders) closeAll() {
 	}
 }
 
-// addTerm writes one term's postings into every variant. It returns the
-// number of naive entries produced (the ancestor closure size).
-func (b *variantBuilders) addTerm(term string, td *termData, opts BuildOptions, ranks []float64) (int, error) {
-	posts := td.posts
+// addTerm writes one term's postings into every variant.
+func (b *variantBuilders) addTerm(term string, posts []Posting, opts BuildOptions) error {
 	dil, rdil, hdil := b.dewey[0], b.dewey[1], b.dewey[2]
 
 	// DIL: Dewey order (the natural order postings were collected in).
 	if err := dil.add(term, posts, nil); err != nil {
-		return 0, err
+		return err
 	}
 	// RDIL: the whole list in rank order.
 	byRank := rankOrder(posts)
 	if err := rdil.add(term, posts, byRank); err != nil {
-		return 0, err
+		return err
 	}
 	// HDIL: a rank-ordered prefix; its full list is the DIL list.
 	prefixLen := int(math.Ceil(opts.RankFraction * float64(len(posts))))
@@ -376,38 +286,7 @@ func (b *variantBuilders) addTerm(term string, td *termData, opts BuildOptions, 
 	if prefixLen > len(posts) {
 		prefixLen = len(posts)
 	}
-	if err := hdil.add(term, posts, byRank[:prefixLen]); err != nil {
-		return 0, err
-	}
-
-	if opts.SkipNaive {
-		return 0, nil
-	}
-
-	// --- Naive closure: every ancestor repeats the entry (Section 4.1).
-	closure := naiveClosure(td, opts.MaxPositions, ranks)
-
-	idLoc, err := b.writeNaiveList(b.naiveIDW, closure, nil)
-	if err != nil {
-		return 0, err
-	}
-	b.naiveIDMeta[term] = idLoc
-
-	byRankN := naiveRankOrder(closure)
-	rankNLoc, locs, err := b.writeNaiveListLocs(b.naiveRankW, closure, byRankN)
-	if err != nil {
-		return 0, err
-	}
-	hashEntries := make([]hashEntry, len(closure))
-	for i, ci := range byRankN {
-		hashEntries[i] = hashEntry{elem: closure[ci].Elem, page: locs[i].page, off: locs[i].off}
-	}
-	hm, err := b.hashB.build(hashEntries)
-	if err != nil {
-		return 0, err
-	}
-	b.naiveRankMeta[term] = NaiveRankMeta{Loc: rankNLoc, Hash: hm}
-	return len(closure), nil
+	return hdil.add(term, posts, byRank[:prefixLen])
 }
 
 // add writes term's postings (in the order given by perm, or natural
@@ -436,43 +315,6 @@ func (l *listBuilder) add(term string, posts []Posting, perm []int) error {
 	return nil
 }
 
-func (b *variantBuilders) writeNaiveList(w *postWriter, posts []Posting, perm []int) (Loc, error) {
-	loc, _, err := b.writeNaiveListLocs(w, posts, perm)
-	return loc, err
-}
-
-type entryLoc struct {
-	page storage.PageID
-	off  uint16
-}
-
-func (b *variantBuilders) writeNaiveListLocs(w *postWriter, posts []Posting, perm []int) (Loc, []entryLoc, error) {
-	var loc Loc
-	n := len(posts)
-	if perm != nil {
-		n = len(perm)
-	}
-	locs := make([]entryLoc, 0, n)
-	for i := 0; i < n; i++ {
-		p := &posts[i]
-		if perm != nil {
-			p = &posts[perm[i]]
-		}
-		b.buf = AppendNaiveEntry(b.buf[:0], p)
-		page, off, err := w.writeEntry(b.buf)
-		if err != nil {
-			return loc, nil, err
-		}
-		if i == 0 {
-			loc.Page, loc.Off = page, off
-		}
-		locs = append(locs, entryLoc{page: page, off: off})
-		loc.Bytes += uint32(len(b.buf))
-	}
-	loc.Count = uint32(n)
-	return loc, locs, nil
-}
-
 // rankOrder returns the permutation of posts by descending rank, ties
 // broken by Dewey order for determinism.
 func rankOrder(posts []Posting) []int {
@@ -486,42 +328,6 @@ func rankOrder(posts []Posting) []int {
 	return perm
 }
 
-func naiveRankOrder(posts []Posting) []int { return rankOrder(posts) }
-
-// naiveClosure expands direct postings to every ancestor, merging
-// posLists, producing entries sorted by global element index (= document
-// order). Every entry carries the element's own ElemRank — the naive
-// approach does not decay ranks by specificity (Section 4.1, limitation 3).
-func naiveClosure(td *termData, maxPos int, ranks []float64) []Posting {
-	m := make(map[int32][]uint32, len(td.posts)*2)
-	for i := range td.posts {
-		p := &td.posts[i]
-		for e := td.els[i]; e != nil; e = e.Parent {
-			g := int32(e.Doc.Base + int(e.Index))
-			m[g] = append(m[g], p.Positions...)
-		}
-	}
-	keys := make([]int32, 0, len(m))
-	for g := range m {
-		keys = append(keys, g)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Posting, 0, len(keys))
-	for _, g := range keys {
-		pos := m[g]
-		sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-		if len(pos) > maxPos {
-			pos = pos[:maxPos]
-		}
-		out = append(out, Posting{
-			Elem:      g,
-			Rank:      float32(ranks[g]),
-			Positions: pos,
-		})
-	}
-	return out
-}
-
 // finish flushes all writers, syncs every page file, persists the skip
 // indexes and lexicons atomically, and returns the size+checksum of every
 // data file for the meta.json commit record. Fault injection numbers
@@ -533,18 +339,32 @@ func (b *variantBuilders) finish(dir string, terms []string) (map[string]storage
 			return nil, err
 		}
 	}
-	if b.hashB != nil {
-		for _, w := range []*postWriter{b.naiveIDW, b.naiveRankW} {
-			if err := w.flush(); err != nil {
-				return nil, err
-			}
-		}
-		if err := b.hashB.flush(); err != nil {
+	files, err := syncPageFiles(b.files)
+	if err != nil {
+		return nil, err
+	}
+	for _, l := range b.dewey {
+		sum, err := writeSkipIndex(b.fs, filepath.Join(dir, l.skip), terms, l.refs)
+		if err != nil {
 			return nil, err
 		}
+		files[l.skip] = sum
 	}
+	for _, l := range b.dewey {
+		sum, err := writeLexicon(b.fs, filepath.Join(dir, l.lex), terms, func(t string, buf []byte) []byte { return appendLoc(buf, l.locs[t]) })
+		if err != nil {
+			return nil, err
+		}
+		files[l.lex] = sum
+	}
+	return files, nil
+}
+
+// syncPageFiles syncs each page file in order and returns its size and
+// checksum for a manifest's Files record.
+func syncPageFiles(pfs []namedFile) (map[string]storage.FileSum, error) {
 	files := make(map[string]storage.FileSum)
-	for _, f := range b.files {
+	for _, f := range pfs {
 		if err := f.pf.Sync(); err != nil {
 			return nil, err
 		}
@@ -554,33 +374,48 @@ func (b *variantBuilders) finish(dir string, terms []string) (map[string]storage
 		}
 		files[f.name] = sum
 	}
-	for _, l := range b.dewey {
-		sum, err := writeSkipIndex(b.fs, filepath.Join(dir, l.skip), terms, l.refs)
-		if err != nil {
-			return nil, err
-		}
-		files[l.skip] = sum
-	}
-	type lexicon struct {
-		name string
-		enc  func(t string, buf []byte) []byte
-	}
-	var lexicons []lexicon
-	for _, l := range b.dewey {
-		lexicons = append(lexicons, lexicon{l.lex, func(t string, buf []byte) []byte { return appendLoc(buf, l.locs[t]) }})
-	}
-	if b.hashB != nil {
-		lexicons = append(lexicons,
-			lexicon{fileNaiveIDLex, func(t string, buf []byte) []byte { return appendLoc(buf, b.naiveIDMeta[t]) }},
-			lexicon{fileNaiveRankLex, func(t string, buf []byte) []byte { return b.naiveRankMeta[t].encode(buf) }},
-		)
-	}
-	for _, lx := range lexicons {
-		sum, err := writeLexicon(b.fs, filepath.Join(dir, lx.name), terms, lx.enc)
-		if err != nil {
-			return nil, err
-		}
-		files[lx.name] = sum
-	}
 	return files, nil
+}
+
+// collectPostings gathers every term's direct postings (Dewey order: the
+// order documents and their elements are walked in) from the documents
+// opts.DocFilter admits, and returns them with the sorted term list.
+func collectPostings(c *xmldoc.Collection, ranks []float64, opts BuildOptions) (map[string][]Posting, []string) {
+	terms := make(map[string][]Posting)
+	perElem := make(map[string][]uint32, 16)
+	for di, d := range c.Docs {
+		if opts.DocFilter != nil && !opts.DocFilter(uint32(di)) {
+			continue
+		}
+		for _, e := range d.Elements {
+			if len(e.Tokens) == 0 {
+				continue
+			}
+			for k := range perElem {
+				delete(perElem, k)
+			}
+			for _, tok := range e.Tokens {
+				perElem[tok.Term] = append(perElem[tok.Term], tok.Pos)
+			}
+			g := int32(c.GlobalIndex(e))
+			id := e.DeweyID()
+			for term, positions := range perElem {
+				if len(positions) > opts.MaxPositions {
+					positions = positions[:opts.MaxPositions]
+				}
+				terms[term] = append(terms[term], Posting{
+					ID:        id,
+					Elem:      g,
+					Rank:      float32(ranks[g]),
+					Positions: append([]uint32(nil), positions...),
+				})
+			}
+		}
+	}
+	sorted := make([]string, 0, len(terms))
+	for t := range terms {
+		sorted = append(sorted, t)
+	}
+	sort.Strings(sorted)
+	return terms, sorted
 }

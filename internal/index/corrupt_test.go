@@ -13,6 +13,13 @@ import (
 )
 
 func buildIndexDir(t *testing.T) string {
+	dir, _ := buildIndexDirs(t)
+	return dir
+}
+
+// buildIndexDirs builds one small collection's index and its naive
+// baseline index, each in a directory of its own.
+func buildIndexDirs(t *testing.T) (dir, naiveDir string) {
 	t.Helper()
 	c := xmldoc.NewCollection()
 	doc := `<w><t>xml keyword search engines</t><p><t>ranked retrieval</t><b>xml query language</b></p></w>`
@@ -24,30 +31,66 @@ func buildIndexDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	dir, naiveDir = t.TempDir(), t.TempDir()
 	if _, err := Build(c, res.Scores, dir, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	return dir
+	if _, err := BuildNaive(c, res.Scores, naiveDir, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return dir, naiveDir
+}
+
+// persistedFiles lists every file of both directories with the opener
+// that must reject it damaged: Open for the index, OpenNaive for the
+// naive baseline (whose file names are disjoint from the index's).
+func persistedFiles(t *testing.T) []corruptTarget {
+	dir, naiveDir := buildIndexDirs(t)
+	var out []corruptTarget
+	for _, d := range []corruptTarget{
+		{dir: dir, manifest: fileMeta, open: func() error {
+			ix, err := Open(dir, OpenOptions{})
+			if err == nil {
+				ix.Close()
+			}
+			return err
+		}},
+		{dir: naiveDir, manifest: fileNaiveMeta, open: func() error {
+			nx, err := OpenNaive(naiveDir, OpenOptions{})
+			if err == nil {
+				nx.Close()
+			}
+			return err
+		}},
+	} {
+		if _, err := os.Stat(filepath.Join(d.dir, d.manifest)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(d.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range entries {
+			if !ent.IsDir() {
+				d.name = ent.Name()
+				out = append(out, d)
+			}
+		}
+	}
+	return out
+}
+
+type corruptTarget struct {
+	dir, manifest, name string
+	open                func() error
 }
 
 // TestOpenDetectsCorruption flips one byte in every persisted index file
 // in turn: each mutation must fail Open with an ErrCorrupt-wrapping
 // error — never a panic, never a silent success over bad data.
 func TestOpenDetectsCorruption(t *testing.T) {
-	dir := buildIndexDir(t)
-	if _, err := os.Stat(filepath.Join(dir, fileMeta)); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
+	for _, f := range persistedFiles(t) {
+		dir, name := f.dir, f.name
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, name)
 			pristine, err := os.ReadFile(path)
@@ -60,10 +103,9 @@ func TestOpenDetectsCorruption(t *testing.T) {
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ix, err := Open(dir, OpenOptions{})
+			err = f.open()
 			if err == nil {
-				ix.Close()
-				t.Fatalf("Open succeeded over corrupted %s", name)
+				t.Fatalf("open succeeded over corrupted %s", name)
 			}
 			if !errors.Is(err, storage.ErrCorrupt) {
 				t.Fatalf("corrupted %s: %v (want ErrCorrupt)", name, err)
@@ -75,16 +117,11 @@ func TestOpenDetectsCorruption(t *testing.T) {
 // TestOpenDetectsTruncation truncates each data file to half its length;
 // size verification must reject every one.
 func TestOpenDetectsTruncation(t *testing.T) {
-	dir := buildIndexDir(t)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if ent.IsDir() || ent.Name() == fileMeta {
-			continue // meta truncation is covered by the corruption test
+	for _, f := range persistedFiles(t) {
+		if f.name == f.manifest {
+			continue // manifest truncation is covered by the corruption test
 		}
-		name := ent.Name()
+		dir, name := f.dir, f.name
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, name)
 			pristine, err := os.ReadFile(path)
@@ -95,10 +132,8 @@ func TestOpenDetectsTruncation(t *testing.T) {
 			if err := os.WriteFile(path, pristine[:len(pristine)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ix, err := Open(dir, OpenOptions{})
-			if err == nil {
-				ix.Close()
-				t.Fatalf("Open succeeded over truncated %s", name)
+			if f.open() == nil {
+				t.Fatalf("open succeeded over truncated %s", name)
 			}
 		})
 	}

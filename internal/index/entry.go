@@ -1,15 +1,15 @@
 // Package index implements XRANK's inverted-list index family (Guo et
-// al., SIGMOD 2003, Section 4): the naive element inverted lists
-// (Naive-ID, Naive-Rank), the Dewey Inverted List (DIL), the Ranked Dewey
-// Inverted List (RDIL) and the Hybrid Dewey Inverted List (HDIL), all
-// disk-resident over the storage substrate.
+// al., SIGMOD 2003, Section 4): the Dewey Inverted List (DIL), the Ranked
+// Dewey Inverted List (RDIL) and the Hybrid Dewey Inverted List (HDIL),
+// all disk-resident over the storage substrate, plus the paper's naive
+// element inverted lists (Naive-ID, Naive-Rank) as a standalone baseline
+// index that only the experiment harness builds (naive.go).
 //
 // On-disk inverted lists are streams of entries packed into fixed-size
 // pages (entries never span pages), so sequential scans touch consecutive
 // pages — the access pattern that makes DIL cheap — while in-memory skip
-// indexes over the Dewey-family lists' blocks (block.go) and hash indexes
-// over the naive lists provide the random entry points that RDIL, HDIL
-// and Naive-Rank rely on.
+// indexes over the Dewey-family lists' blocks (block.go) provide the
+// random entry points that RDIL and HDIL rely on.
 package index
 
 import (
@@ -27,8 +27,8 @@ type Posting struct {
 	// ID is the element's Dewey ID (Dewey-family indexes). nil for naive
 	// entries.
 	ID dewey.ID
-	// Elem is the element's collection-global index (naive-family indexes;
-	// also populated for Dewey entries at build time).
+	// Elem is the element's collection-global index: the key of naive
+	// entries, and set on Dewey postings at build time only.
 	Elem int32
 	// Rank is the element's ElemRank.
 	Rank float32
@@ -80,17 +80,6 @@ func AppendDeweyEntryCompressed(buf []byte, prev, id dewey.ID, rank float32, pos
 	return buf
 }
 
-// AppendNaiveEntry appends the encoded naive entry to buf.
-func AppendNaiveEntry(buf []byte, p *Posting) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0)
-	buf = binary.AppendUvarint(buf, uint64(p.Elem))
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.Rank))
-	buf = appendPositions(buf, p.Positions)
-	binary.LittleEndian.PutUint16(buf[start:], uint16(len(buf)-start-entryLenSize))
-	return buf
-}
-
 func appendPositions(buf []byte, pos []uint32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(pos)))
 	prev := uint32(0)
@@ -103,22 +92,6 @@ func appendPositions(buf []byte, pos []uint32) []byte {
 		prev = p
 	}
 	return buf
-}
-
-// DecodeNaiveEntry decodes a naive entry body into p.
-func DecodeNaiveEntry(body []byte, p *Posting) error {
-	elem, n := binary.Uvarint(body)
-	if n <= 0 {
-		return fmt.Errorf("index: naive entry elem id corrupt")
-	}
-	body = body[n:]
-	if len(body) < 4 {
-		return fmt.Errorf("index: naive entry truncated")
-	}
-	p.Elem = int32(elem)
-	p.ID = p.ID[:0]
-	p.Rank = math.Float32frombits(binary.LittleEndian.Uint32(body))
-	return decodePositions(body[4:], p)
 }
 
 func decodePositions(body []byte, p *Posting) error {

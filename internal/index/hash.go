@@ -25,6 +25,13 @@ const (
 	slotOccupied   = 1
 )
 
+// HashMeta locates a term's static hash table over element IDs.
+type HashMeta struct {
+	Page   storage.PageID
+	Off    uint16 // nonzero only for tables packed into a shared page
+	NSlots uint32
+}
+
 type hashEntry struct {
 	elem int32
 	page storage.PageID

@@ -3,6 +3,8 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,7 +211,7 @@ func TestPostingsCounted(t *testing.T) {
 // block decode and Dewey decode of a warm list, reported per posting (the
 // merge above the cursor is not in it).
 func BenchmarkDILScanPerPosting(b *testing.B) {
-	_, _, ix := buildTestIndex(b, bigCorpus(20000), BuildOptions{SkipNaive: true})
+	_, _, ix := buildTestIndex(b, bigCorpus(20000), BuildOptions{})
 	ec := storage.NewExecContext(nil)
 	n := scanDIL(b, ix, ec, "common")
 	b.ReportAllocs()
@@ -322,107 +324,6 @@ func TestMultiPageListAndProbers(t *testing.T) {
 	}
 }
 
-func TestNaiveClosureCorrectness(t *testing.T) {
-	c, _, ix := buildTestIndex(t, map[string]string{"lib": smallDoc}, BuildOptions{})
-	// An element is in term's naive list iff it contains* the term.
-	for _, term := range []string{"blue", "sky", "crimson"} {
-		wantSet := map[int32]bool{}
-		for _, d := range c.Docs {
-			for _, e := range d.Elements {
-				if xmldoc.ContainsTerm(e, term) {
-					wantSet[int32(c.GlobalIndex(e))] = true
-				}
-			}
-		}
-		cur, ok := ix.NaiveIDCursor(term)
-		if !ok {
-			t.Fatalf("no naive cursor for %q", term)
-		}
-		var gotElems []int32
-		for {
-			p, ok, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			gotElems = append(gotElems, p.Elem)
-			if !wantSet[p.Elem] {
-				t.Errorf("term %q: spurious naive entry for elem %d", term, p.Elem)
-			}
-			if p.Rank <= 0 {
-				t.Errorf("term %q elem %d: naive rank %g", term, p.Elem, p.Rank)
-			}
-			if len(p.Positions) == 0 {
-				t.Errorf("term %q elem %d: empty posList", term, p.Elem)
-			}
-		}
-		cur.Close()
-		if len(gotElems) != len(wantSet) {
-			t.Errorf("term %q: %d naive entries, want %d", term, len(gotElems), len(wantSet))
-		}
-		for i := 1; i < len(gotElems); i++ {
-			if gotElems[i] <= gotElems[i-1] {
-				t.Errorf("term %q: naive IDs out of order", term)
-			}
-		}
-	}
-}
-
-func TestNaiveLookup(t *testing.T) {
-	c, _, ix := buildTestIndex(t, bigCorpus(1500), BuildOptions{})
-	// Every element in the closure must be findable via the hash index.
-	term := "common"
-	cur, _ := ix.NaiveIDCursor(term)
-	var all []Posting
-	for {
-		p, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		all = append(all, Posting{Elem: p.Elem, Rank: p.Rank, Positions: append([]uint32(nil), p.Positions...)})
-	}
-	cur.Close()
-	if len(all) < 1500 {
-		t.Fatalf("closure too small: %d", len(all))
-	}
-	var probe Posting
-	for _, want := range all {
-		ok, err := ix.NaiveLookup(term, want.Elem, &probe)
-		if err != nil || !ok {
-			t.Fatalf("NaiveLookup(%d): %v %v", want.Elem, ok, err)
-		}
-		if probe.Rank != want.Rank || len(probe.Positions) != len(want.Positions) {
-			t.Fatalf("NaiveLookup(%d): wrong entry", want.Elem)
-		}
-	}
-	// Misses: element IDs not in the closure.
-	inClosure := map[int32]bool{}
-	for _, p := range all {
-		inClosure[p.Elem] = true
-	}
-	misses := 0
-	for g := 0; g < c.NumElements() && misses < 50; g++ {
-		if !inClosure[int32(g)] {
-			misses++
-			ok, err := ix.NaiveLookup(term, int32(g), &probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				t.Fatalf("NaiveLookup(%d) found an absent element", g)
-			}
-		}
-	}
-	if ok, err := ix.NaiveLookup("unknownterm", 0, &probe); ok || err != nil {
-		t.Errorf("lookup on unknown term: %v %v", ok, err)
-	}
-}
-
 func TestColdCacheAndStats(t *testing.T) {
 	_, _, ix := buildTestIndex(t, bigCorpus(2000), BuildOptions{})
 	if err := ix.ColdCache(); err != nil {
@@ -473,7 +374,10 @@ func TestColdCacheAndStats(t *testing.T) {
 	}
 }
 
-func TestSkipNaive(t *testing.T) {
+// TestBuildWritesOnlyDeweyFiles: a build writes the Dewey-family lists,
+// their skip indexes and lexicons, and meta.json; the naive baselines live
+// in a directory of their own (BuildNaive).
+func TestBuildWritesOnlyDeweyFiles(t *testing.T) {
 	c := xmldoc.NewCollection()
 	if _, err := c.AddXML("d", strings.NewReader(smallDoc), nil); err != nil {
 		t.Fatal(err)
@@ -481,25 +385,23 @@ func TestSkipNaive(t *testing.T) {
 	g, _ := elemrank.BuildGraph(c)
 	res, _ := elemrank.Compute(g, elemrank.DefaultParams())
 	dir := t.TempDir()
-	stats, err := Build(c, res.Scores, dir, BuildOptions{SkipNaive: true})
+	if _, err := Build(c, res.Scores, dir, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.NaiveIDList != 0 || stats.NaiveRankList != 0 {
-		t.Errorf("SkipNaive built naive lists: %+v", stats)
+	var got []string
+	for _, ent := range entries {
+		got = append(got, ent.Name())
 	}
-	ix, err := Open(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
+	want := []string{
+		fileDILLex, fileDILPost, fileDILSkip, fileHDILLex, fileHDILRank,
+		fileHDILRankSkip, fileMeta, fileRDILLex, fileRDILPost, fileRDILSkip,
 	}
-	defer ix.Close()
-	if _, ok := ix.NaiveIDCursor("blue"); ok {
-		t.Errorf("naive cursor on SkipNaive index")
-	}
-	if c, ok := ix.DILCursor("blue"); !ok {
-		t.Errorf("DIL missing on SkipNaive index")
-	} else {
-		c.Close()
+	if !slices.Equal(got, want) {
+		t.Errorf("build wrote %v, want %v", got, want)
 	}
 }
 
@@ -513,31 +415,35 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestSpaceShapeNaiveVsDIL(t *testing.T) {
-	// The Table 1 shape at miniature scale: naive lists replicate
-	// ancestors, so they must be strictly larger than DIL.
-	c := xmldoc.NewCollection()
-	docs := bigCorpus(2000)
-	for n, s := range docs {
-		if _, err := c.AddXML(n, strings.NewReader(s), nil); err != nil {
+func TestListCursorExhaustedAndCount(t *testing.T) {
+	_, _, ix := buildTestIndex(t, map[string]string{"d": smallDoc}, BuildOptions{})
+	cur, ok := ix.DILCursor("sky")
+	if !ok {
+		t.Fatal("no cursor")
+	}
+	if cur.Exhausted() {
+		t.Errorf("fresh cursor exhausted")
+	}
+	n := 0
+	for {
+		_, ok, err := cur.Next()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !ok {
+			break
+		}
+		n++
 	}
-	g, _ := elemrank.BuildGraph(c)
-	res, _ := elemrank.Compute(g, elemrank.DefaultParams())
-	stats, err := Build(c, res.Scores, t.TempDir(), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if n != cur.Count() || !cur.Exhausted() {
+		t.Errorf("consumed %d of %d, exhausted=%v", n, cur.Count(), cur.Exhausted())
 	}
-	if stats.NaiveIDList <= stats.DILList {
-		t.Errorf("naive list (%d) should exceed DIL (%d)", stats.NaiveIDList, stats.DILList)
-	}
-	// HDIL's own index covers only the rank-ordered prefix, RDIL's the
-	// whole rank-ordered list (Table 1's "HDIL index tiny vs RDIL index").
-	if stats.HDILSkip >= stats.RDILSkip {
-		t.Errorf("HDIL prefix skip index (%d) should be smaller than RDIL's (%d)", stats.HDILSkip, stats.RDILSkip)
-	}
-	if stats.Meta.NaiveEntries <= stats.Meta.DeweyEntries {
-		t.Errorf("naive entries (%d) should exceed dewey entries (%d)", stats.Meta.NaiveEntries, stats.Meta.DeweyEntries)
-	}
+	cur.Close()
+	cur.Close() // idempotent
+}
+
+func ExampleAppendDeweyEntryCompressed() {
+	enc := AppendDeweyEntryCompressed(nil, dewey.ID{5, 0, 3}, dewey.ID{5, 0, 4, 1}, 0.5, []uint32{7, 9})
+	fmt.Println("shares", enc[entryLenSize], "components with the previous ID")
+	// Output: shares 2 components with the previous ID
 }

@@ -15,22 +15,8 @@ import (
 // negligible beside them). Every lexicon but Naive-Rank's maps a term to
 // the Loc of its list: the Dewey-ordered list (dil.lex), the full
 // rank-ordered list (rdil.lex), HDIL's rank-ordered prefix (hdil.lex; its
-// full list is the term's DIL list), or the naive list (naiveid.lex).
-
-// HashMeta locates a term's static hash table over element IDs
-// (Naive-Rank's random-lookup index).
-type HashMeta struct {
-	Page   storage.PageID
-	Off    uint16 // nonzero only for tables packed into a shared page
-	NSlots uint32
-}
-
-// NaiveRankMeta locates a term's rank-ordered naive list and its hash
-// index.
-type NaiveRankMeta struct {
-	Loc  Loc
-	Hash HashMeta
-}
+// full list is the term's DIL list), or the baseline's naive list
+// (naiveid.lex, see naive.go).
 
 const lexMagic = 0x584C4558 // "XLEX"
 
@@ -137,30 +123,15 @@ func decodeLoc(buf []byte) Loc {
 	}
 }
 
-// decodeLocMeta decodes a lexicon entry that is a single Loc.
-func decodeLocMeta(buf []byte) (Loc, error) {
-	if len(buf) != locSize {
-		return Loc{}, fmt.Errorf("index: %w lexicon entry of %d bytes, want %d", storage.ErrCorrupt, len(buf), locSize)
-	}
-	return decodeLoc(buf), nil
-}
-
-func (m NaiveRankMeta) encode(buf []byte) []byte {
-	buf = appendLoc(buf, m.Loc)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Hash.Page))
-	buf = binary.LittleEndian.AppendUint16(buf, m.Hash.Off)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Hash.NSlots)
-	return buf
-}
-
-func decodeNaiveRankMeta(buf []byte) (NaiveRankMeta, error) {
-	if len(buf) != locSize+10 {
-		return NaiveRankMeta{}, fmt.Errorf("index: bad naive-rank meta size %d", len(buf))
-	}
-	m := NaiveRankMeta{Loc: decodeLoc(buf)}
-	buf = buf[locSize:]
-	m.Hash.Page = storage.PageID(binary.LittleEndian.Uint32(buf))
-	m.Hash.Off = binary.LittleEndian.Uint16(buf[4:])
-	m.Hash.NSlots = binary.LittleEndian.Uint32(buf[6:])
-	return m, nil
+// readLocs reads a lexicon whose entries are single Locs.
+func readLocs(fs storage.FS, path string, terms int) (map[string]Loc, error) {
+	locs := make(map[string]Loc, terms)
+	err := readLexicon(fs, path, func(t string, m []byte) error {
+		if len(m) != locSize {
+			return fmt.Errorf("index: %w lexicon entry of %d bytes, want %d", storage.ErrCorrupt, len(m), locSize)
+		}
+		locs[t] = decodeLoc(m)
+		return nil
+	})
+	return locs, err
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -29,19 +28,49 @@ type OpenOptions struct {
 type Index struct {
 	Dir  string
 	Meta Meta
-
-	files []*storage.PageFile
-	pools []*storage.BufferPool
+	pageFiles
 
 	// dil, rdil and hdil are the Dewey-ordered list, the full rank-ordered
 	// list and HDIL's rank-ordered prefix.
 	dil, rdil, hdil *deweyList
+}
 
-	naiveIDPool   *storage.BufferPool
-	naiveRankPool *storage.BufferPool
-	naiveHashPool *storage.BufferPool
-	naiveID       map[string]Loc
-	naiveRank     map[string]NaiveRankMeta
+// pageFiles are an opened index's page files, each behind its own buffer
+// pool.
+type pageFiles struct {
+	files []*storage.PageFile
+	pools []*storage.BufferPool
+}
+
+// open opens dir/name behind a new buffer pool of poolPages pages.
+func (p *pageFiles) open(fs storage.FS, dir, name string, poolPages int) (*storage.BufferPool, error) {
+	pf, err := storage.OpenPageFileFS(fs, filepath.Join(dir, name))
+	if err != nil {
+		return nil, err
+	}
+	p.files = append(p.files, pf)
+	bp := storage.NewBufferPool(pf, poolPages)
+	p.pools = append(p.pools, bp)
+	return bp, nil
+}
+
+// verifyFiles checks that the manifest's Files record holds a checksum
+// for every required file and, unless skip, that each file in dir matches
+// it.
+func verifyFiles(fs storage.FS, dir, manifest string, files map[string]storage.FileSum, required []string, skip bool) error {
+	for _, name := range required {
+		sum, ok := files[name]
+		if !ok {
+			return fmt.Errorf("%w %s: no checksum recorded for %s", storage.ErrCorrupt, manifest, name)
+		}
+		if skip {
+			continue
+		}
+		if err := storage.VerifyFile(fs, filepath.Join(dir, name), sum); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // deweyList is an opened Dewey-family list: the buffer pool over its
@@ -82,28 +111,16 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 		return nil, fmt.Errorf("index: open %s: %w meta.json: postings format %d, this build reads only format %d",
 			dir, storage.ErrCorrupt, f, PostingsFormat)
 	}
+	// Only the files this build reads are required and verified: a
+	// directory written with the retired naive lists beside them opens
+	// unchanged, and its next fold drops them.
 	required := []string{
 		fileDILPost, fileDILSkip, fileDILLex,
 		fileRDILPost, fileRDILSkip, fileRDILLex,
 		fileHDILRank, fileHDILRankSkip, fileHDILLex,
 	}
-	if ix.Meta.HasNaive {
-		required = append(required,
-			fileNaiveIDPost, fileNaiveIDLex,
-			fileNaiveRankPost, fileNaiveRankHash, fileNaiveRankLex)
-	}
-	for _, name := range required {
-		sum, ok := ix.Meta.Files[name]
-		if !ok {
-			return nil, fmt.Errorf("index: open %s: %w meta.json: no checksum recorded for %s",
-				dir, storage.ErrCorrupt, name)
-		}
-		if opts.SkipVerify {
-			continue
-		}
-		if err := storage.VerifyFile(fs, filepath.Join(dir, name), sum); err != nil {
-			return nil, fmt.Errorf("index: open %s: %w", dir, err)
-		}
+	if err := verifyFiles(fs, dir, fileMeta, ix.Meta.Files, required, opts.SkipVerify); err != nil {
+		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
 
 	opened := false
@@ -112,25 +129,6 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 			ix.Close()
 		}
 	}()
-	open := func(name string) (*storage.BufferPool, error) {
-		pf, err := storage.OpenPageFileFS(fs, filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		ix.files = append(ix.files, pf)
-		bp := storage.NewBufferPool(pf, opts.PoolPages)
-		ix.pools = append(ix.pools, bp)
-		return bp, nil
-	}
-	readLocs := func(name string) (map[string]Loc, error) {
-		locs := make(map[string]Loc, ix.Meta.Terms)
-		err := readLexicon(fs, filepath.Join(dir, name), func(t string, m []byte) error {
-			loc, err := decodeLocMeta(m)
-			locs[t] = loc
-			return err
-		})
-		return locs, err
-	}
 	// openList opens one Dewey-family list. Its skip index must agree with
 	// its lexicon: same terms, and per term the block counts must sum to
 	// the list's entry count. A mismatch means the directory's artifacts
@@ -139,10 +137,10 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	openList := func(post, skip, lex string, ordered bool) (*deweyList, error) {
 		l := &deweyList{}
 		var err error
-		if l.pool, err = open(post); err != nil {
+		if l.pool, err = ix.open(fs, dir, post, opts.PoolPages); err != nil {
 			return nil, err
 		}
-		if l.locs, err = readLocs(lex); err != nil {
+		if l.locs, err = readLocs(fs, filepath.Join(dir, lex), ix.Meta.Terms); err != nil {
 			return nil, err
 		}
 		if l.refs, err = readSkipIndex(fs, filepath.Join(dir, skip), ordered); err != nil {
@@ -178,41 +176,19 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	if ix.hdil, err = openList(fileHDILRank, fileHDILRankSkip, fileHDILLex, false); err != nil {
 		return nil, err
 	}
-	if ix.Meta.HasNaive {
-		if ix.naiveIDPool, err = open(fileNaiveIDPost); err != nil {
-			return nil, err
-		}
-		if ix.naiveRankPool, err = open(fileNaiveRankPost); err != nil {
-			return nil, err
-		}
-		if ix.naiveHashPool, err = open(fileNaiveRankHash); err != nil {
-			return nil, err
-		}
-		if ix.naiveID, err = readLocs(fileNaiveIDLex); err != nil {
-			return nil, err
-		}
-		ix.naiveRank = make(map[string]NaiveRankMeta, ix.Meta.Terms)
-		if err := readLexicon(fs, filepath.Join(dir, fileNaiveRankLex), func(t string, m []byte) error {
-			nm, err := decodeNaiveRankMeta(m)
-			ix.naiveRank[t] = nm
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
 	opened = true
 	return ix, nil
 }
 
 // Close closes all component files.
-func (ix *Index) Close() error {
+func (p *pageFiles) Close() error {
 	var first error
-	for _, pf := range ix.files {
+	for _, pf := range p.files {
 		if err := pf.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	ix.files = nil
+	p.files = nil
 	return first
 }
 
@@ -225,13 +201,13 @@ func (ix *Index) Close() error {
 // vanish mid-merge (correct but slow) and the global counters lose the
 // prefix of their I/O. Per-query measurement under concurrency uses
 // storage.ExecContext instead, which is unaffected by ColdCache.
-func (ix *Index) ColdCache() error {
-	for _, bp := range ix.pools {
+func (p *pageFiles) ColdCache() error {
+	for _, bp := range p.pools {
 		if err := bp.Reset(); err != nil {
 			return err
 		}
 	}
-	for _, pf := range ix.files {
+	for _, pf := range p.files {
 		pf.ResetStats()
 	}
 	return nil
@@ -243,9 +219,9 @@ func (ix *Index) ColdCache() error {
 // meaningful when the index serves one query at a time; concurrent
 // queries attribute their I/O through a per-query storage.ExecContext
 // passed to the *Exec cursor and prober constructors.
-func (ix *Index) IOStats() storage.Stats {
+func (p *pageFiles) IOStats() storage.Stats {
 	var s storage.Stats
-	for _, pf := range ix.files {
+	for _, pf := range p.files {
 		s.Add(pf.Stats())
 	}
 	return s
@@ -266,93 +242,46 @@ func (ix *Index) DILListBytes(term string) int64 {
 // DILCount returns the number of entries in the term's DIL list.
 func (ix *Index) DILCount(term string) int { return int(ix.dil.locs[term].Count) }
 
-// ListCursor decodes a sequential inverted list: a Dewey-family list
-// through its blocks, a naive list entry by entry.
+// ListCursor decodes a Dewey-family list sequentially, block by block.
 type ListCursor struct {
-	blk  *blockCursor
-	pc   *postCursor
-	post Posting
+	blk *blockCursor
 }
 
 // Next returns the list's next posting, or ok=false at its end. The
 // posting, its ID and its posList are only valid until the following
 // Next or Close.
-func (lc *ListCursor) Next() (*Posting, bool, error) {
-	if lc.blk != nil {
-		return lc.blk.next()
-	}
-	ok, err := lc.pc.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if err := DecodeNaiveEntry(lc.pc.body, &lc.post); err != nil {
-		return nil, false, err
-	}
-	return &lc.post, true, nil
-}
+func (lc *ListCursor) Next() (*Posting, bool, error) { return lc.blk.next() }
 
 // Count returns the total number of entries in the list.
-func (lc *ListCursor) Count() int {
-	if lc.blk != nil {
-		return int(lc.blk.count)
-	}
-	return int(lc.pc.loc.Count)
-}
+func (lc *ListCursor) Count() int { return int(lc.blk.count) }
 
 // Exhausted reports whether the cursor consumed the entire list (blocks
 // dropped by a skip call count as consumed).
-func (lc *ListCursor) Exhausted() bool {
-	if lc.blk != nil {
-		return lc.blk.exhausted()
-	}
-	return lc.pc.exhausted()
-}
+func (lc *ListCursor) Exhausted() bool { return lc.blk.exhausted() }
 
 // Close releases pinned pages. Safe to call multiple times.
-func (lc *ListCursor) Close() {
-	if lc.blk != nil {
-		lc.blk.close()
-		return
-	}
-	lc.pc.close()
-}
+func (lc *ListCursor) Close() { lc.blk.close() }
 
 // SkipBlocksBelowDoc drops every not-yet-loaded block whose entries all
-// belong to documents before doc, without reading them. A no-op on naive
-// lists; the caller owns the exactness argument (see the doc-leapfrog
-// reasoning in internal/query/merge.go).
-func (lc *ListCursor) SkipBlocksBelowDoc(doc uint32) {
-	if lc.blk != nil {
-		lc.blk.skipBlocksBelowDoc(doc)
-	}
-}
+// belong to documents before doc, without reading them. The caller owns
+// the exactness argument (see the doc-leapfrog reasoning in
+// internal/query/merge.go).
+func (lc *ListCursor) SkipBlocksBelowDoc(doc uint32) { lc.blk.skipBlocksBelowDoc(doc) }
 
 // SkipRemainingBlocks drops every not-yet-loaded block — the consumer
 // proved it will not read further (threshold-algorithm stop, top-m
-// cutoff). A no-op on naive lists.
-func (lc *ListCursor) SkipRemainingBlocks() {
-	if lc.blk != nil {
-		lc.blk.skipRemainingBlocks()
-	}
-}
+// cutoff).
+func (lc *ListCursor) SkipRemainingBlocks() { lc.blk.skipRemainingBlocks() }
 
-// RemainingBlockRefs returns the skip refs of the blocks not yet loaded
-// (nil on naive lists). Debug/test instrumentation: the pruning-soundness
-// check inspects what a skip call is about to drop.
-func (lc *ListCursor) RemainingBlockRefs() []BlockRef {
-	if lc.blk == nil {
-		return nil
-	}
-	return lc.blk.refs[lc.blk.bi:]
-}
+// RemainingBlockRefs returns the skip refs of the blocks not yet loaded.
+// Debug/test instrumentation: the pruning-soundness check inspects what a
+// skip call is about to drop.
+func (lc *ListCursor) RemainingBlockRefs() []BlockRef { return lc.blk.refs[lc.blk.bi:] }
 
 // DecodeBlockMaxRank decodes ref's block out-of-band (its own page pin,
 // no cursor state touched) and returns the true maximum rank among its
 // entries. Debug/test instrumentation for the pruning-soundness check.
 func (lc *ListCursor) DecodeBlockMaxRank(ref BlockRef) (float32, error) {
-	if lc.blk == nil {
-		return 0, fmt.Errorf("index: not a block cursor")
-	}
 	var dec blockDecoder
 	fr, err := openBlock(lc.blk.pool, lc.blk.ec, &ref, false, &dec)
 	if err != nil {
@@ -415,69 +344,3 @@ func (ix *Index) HDILRankCursor(term string) (*ListCursor, bool) {
 func (ix *Index) HDILRankCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
 	return ix.hdil.cursor(ec, term, false)
 }
-
-// NaiveIDCursor returns an element-ID-ordered scan of the term's naive
-// list.
-func (ix *Index) NaiveIDCursor(term string) (*ListCursor, bool) {
-	return ix.NaiveIDCursorExec(nil, term)
-}
-
-// NaiveIDCursorExec is NaiveIDCursor under a per-query execution context.
-func (ix *Index) NaiveIDCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	loc, ok := ix.naiveID[term]
-	if !ok {
-		return nil, false
-	}
-	return &ListCursor{pc: newPostCursor(ix.naiveIDPool, loc, ec, false)}, true
-}
-
-// NaiveRankCursor returns a rank-ordered scan of the term's naive list.
-func (ix *Index) NaiveRankCursor(term string) (*ListCursor, bool) {
-	return ix.NaiveRankCursorExec(nil, term)
-}
-
-// NaiveRankCursorExec is NaiveRankCursor under a per-query execution
-// context.
-func (ix *Index) NaiveRankCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	m, ok := ix.naiveRank[term]
-	if !ok {
-		return nil, false
-	}
-	return &ListCursor{pc: newPostCursor(ix.naiveRankPool, m.Loc, ec, false)}, true
-}
-
-// NaiveLookup probes the term's hash index for an element ID, decoding the
-// found entry (Naive-Rank's random equality lookup).
-func (ix *Index) NaiveLookup(term string, elem int32, p *Posting) (bool, error) {
-	return ix.NaiveLookupExec(nil, term, elem, p)
-}
-
-// NaiveLookupExec is NaiveLookup under a per-query execution context.
-func (ix *Index) NaiveLookupExec(ec *storage.ExecContext, term string, elem int32, p *Posting) (bool, error) {
-	m, ok := ix.naiveRank[term]
-	if !ok {
-		return false, nil
-	}
-	page, off, ok, err := hashLookup(ec, ix.naiveHashPool, m.Hash, elem)
-	if err != nil || !ok {
-		return false, err
-	}
-	fr, err := ix.naiveRankPool.GetExec(ec, page)
-	if err != nil {
-		return false, err
-	}
-	defer fr.Release()
-	if int(off)+entryLenSize > len(fr.Data) {
-		return false, fmt.Errorf("index: hash points beyond page")
-	}
-	ln := binary.LittleEndian.Uint16(fr.Data[off:])
-	start := int(off) + entryLenSize
-	end := start + int(ln)
-	if ln == padEntry || end > len(fr.Data) {
-		return false, fmt.Errorf("index: hash points at padding")
-	}
-	return true, DecodeNaiveEntry(fr.Data[start:end], p)
-}
-
-// NaiveCount returns the entry count of the term's naive list.
-func (ix *Index) NaiveCount(term string) int { return int(ix.naiveID[term].Count) }

@@ -73,27 +73,6 @@ func (w *postWriter) pad() error {
 // flush finalizes the file (pads out the last partial page).
 func (w *postWriter) flush() error { return w.pad() }
 
-// postCursor iterates a term's list sequentially, pinning one page at a
-// time. It is the scan primitive behind DIL merges and RDIL round-robin
-// reads.
-type postCursor struct {
-	pool *storage.BufferPool
-	loc  Loc
-	ec   *storage.ExecContext // per-query attribution/cancellation; may be nil
-	scan bool                 // full-list scan: pages enter the pool cold
-
-	frame *storage.Frame
-	page  storage.PageID
-	off   int
-	read  uint32 // entries consumed so far
-	told  uint32 // of those, how many ec.CountPostings has been told about
-	body  []byte // current entry body (aliases the pinned frame)
-}
-
-func newPostCursor(pool *storage.BufferPool, loc Loc, ec *storage.ExecContext, scan bool) *postCursor {
-	return &postCursor{pool: pool, loc: loc, ec: ec, scan: scan, page: loc.Page, off: int(loc.Off)}
-}
-
 // getPage pins page id for a cursor: cold for a full-list scan, LRU
 // otherwise.
 func getPage(pool *storage.BufferPool, ec *storage.ExecContext, id storage.PageID, scan bool) (*storage.Frame, error) {
@@ -102,62 +81,3 @@ func getPage(pool *storage.BufferPool, ec *storage.ExecContext, id storage.PageI
 	}
 	return pool.GetExec(ec, id)
 }
-
-// next advances to the next entry, returning false at the end of the list.
-// The returned body aliases the pinned page and is valid until the
-// following next/close call.
-func (c *postCursor) next() (bool, error) {
-	if c.read >= c.loc.Count {
-		c.close()
-		return false, nil
-	}
-	for {
-		if c.frame == nil {
-			fr, err := getPage(c.pool, c.ec, c.page, c.scan)
-			if err != nil {
-				return false, err
-			}
-			c.frame = fr
-		}
-		if c.off+entryLenSize > storage.PageSize {
-			c.advancePage()
-			continue
-		}
-		ln := binary.LittleEndian.Uint16(c.frame.Data[c.off:])
-		if ln == padEntry {
-			c.advancePage()
-			continue
-		}
-		start := c.off + entryLenSize
-		end := start + int(ln)
-		if end > storage.PageSize {
-			c.close()
-			return false, fmt.Errorf("index: corrupt entry length %d at page %d off %d", ln, c.page, c.off)
-		}
-		c.body = c.frame.Data[start:end]
-		c.off = end
-		c.read++
-		return true, nil
-	}
-}
-
-func (c *postCursor) advancePage() {
-	c.close()
-	c.page++
-	c.off = 0
-}
-
-// close releases the pinned page and reports the entries consumed since
-// the last report (once per page, so the entry loop stays lock-free).
-// Safe to call repeatedly.
-func (c *postCursor) close() {
-	if c.frame != nil {
-		c.frame.Release()
-		c.frame = nil
-	}
-	c.ec.CountPostings(int64(c.read - c.told))
-	c.told = c.read
-}
-
-// exhausted reports whether the cursor has consumed its whole list.
-func (c *postCursor) exhausted() bool { return c.read >= c.loc.Count }

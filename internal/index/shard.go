@@ -56,9 +56,9 @@ func shardDir(dir string, s int) string {
 type Sharded struct {
 	Dir string
 	// Meta aggregates across shards: NumDocs, NumElements, RankFraction,
-	// MaxPositions, HasNaive and PostingsFormat are shard-invariant and
-	// copied from shard 0; Terms is the distinct-term union; DeweyEntries,
-	// NaiveEntries and BuildMillis are sums.
+	// MaxPositions and PostingsFormat are shard-invariant and copied from
+	// shard 0; Terms is the distinct-term union; DeweyEntries and
+	// BuildMillis are sums.
 	Meta Meta
 
 	shards []*Index
@@ -67,8 +67,8 @@ type Sharded struct {
 
 // BuildSharded constructs the index in dir as shardNNN/ directories under
 // a shards.json manifest (shards < 1 is one shard). Each shard holds the
-// complete per-term structures — DIL/RDIL/HDIL postfiles, their skip
-// indexes and the naive baselines — restricted to its documents.
+// complete per-term structures — DIL/RDIL/HDIL postfiles and their skip
+// indexes — restricted to its documents.
 func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions, shards int) (*BuildStats, error) {
 	if shards < 1 {
 		shards = 1
@@ -96,7 +96,6 @@ func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildO
 			total.Meta.Terms = 0
 		}
 		total.Meta.DeweyEntries += st.Meta.DeweyEntries
-		total.Meta.NaiveEntries += st.Meta.NaiveEntries
 		total.Meta.BuildMillis += st.Meta.BuildMillis
 		total.add(st)
 	}
@@ -152,14 +151,13 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 		sh.shards = append(sh.shards, ix)
 	}
 	sh.Meta = sh.shards[0].Meta
-	sh.Meta.Terms, sh.Meta.DeweyEntries, sh.Meta.NaiveEntries, sh.Meta.BuildMillis = 0, 0, 0, 0
+	sh.Meta.Terms, sh.Meta.DeweyEntries, sh.Meta.BuildMillis = 0, 0, 0
 	vocab := make(map[string]struct{})
 	for _, ix := range sh.shards {
 		for t := range ix.dil.locs {
 			vocab[t] = struct{}{}
 		}
 		sh.Meta.DeweyEntries += ix.Meta.DeweyEntries
-		sh.Meta.NaiveEntries += ix.Meta.NaiveEntries
 		sh.Meta.BuildMillis += ix.Meta.BuildMillis
 	}
 	sh.Meta.Terms = len(vocab)
@@ -243,15 +241,6 @@ func (sh *Sharded) DILCount(term string) int {
 	n := 0
 	for _, ix := range sh.shards {
 		n += ix.DILCount(term)
-	}
-	return n
-}
-
-// NaiveCount returns the total naive-list entries for term across shards.
-func (sh *Sharded) NaiveCount(term string) int {
-	n := 0
-	for _, ix := range sh.shards {
-		n += ix.NaiveCount(term)
 	}
 	return n
 }

@@ -122,22 +122,9 @@ type Report struct {
 }
 
 // algoLabel maps the query parameter spelling to the engine's metric
-// label (Algorithm.String()).
-func algoLabel(algo string) string {
-	switch algo {
-	case "dil":
-		return "DIL"
-	case "rdil":
-		return "RDIL"
-	case "hdil":
-		return "HDIL"
-	case "naiveid":
-		return "NaiveID"
-	case "naiverank":
-		return "NaiveRank"
-	}
-	return algo
-}
+// label (Algorithm.String()), of which every served name is the lower-case
+// form (TestAlgoLabelMatchesEngine).
+func algoLabel(algo string) string { return strings.ToUpper(algo) }
 
 // BuildArmReport condenses a raw run into the published arm report.
 func BuildArmReport(res *ArmResult) ArmReport {

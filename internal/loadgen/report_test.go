@@ -8,9 +8,32 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"xrank/internal/httpapi"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestAlgoLabelMatchesEngine: the engine's latency series are labelled
+// by Algorithm.String(), so every algorithm name the HTTP API accepts
+// must map to exactly that label, or an arm's engine-side histogram delta
+// matches no series.
+func TestAlgoLabelMatchesEngine(t *testing.T) {
+	accepted := 0
+	for _, name := range []string{"hdil", "dil", "rdil", "naiveid", "naiverank", "HDIL", "bogus"} {
+		a, err := httpapi.ParseAlgo(name)
+		if err != nil {
+			continue
+		}
+		accepted++
+		if got, want := algoLabel(name), a.String(); got != want {
+			t.Errorf("algoLabel(%q) = %q, engine label %q", name, got, want)
+		}
+	}
+	if accepted != 3 {
+		t.Errorf("ParseAlgo accepted %d names, want the 3 Dewey algorithms", accepted)
+	}
+}
 
 func TestPercentile(t *testing.T) {
 	if got := Percentile(nil, 0.5); got != 0 {

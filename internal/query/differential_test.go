@@ -128,8 +128,7 @@ func truncated(rs []Result, m int) []Result {
 // TestShardedDifferentialAllAlgorithms is the property-based harness: for
 // random queries over datagen corpora, DIL, RDIL, HDIL and Disjunctive
 // must return exactly the brute-force reference ranking at every shard
-// count, and the naive pair must be shard-count-invariant and mutually
-// consistent.
+// count.
 func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		fx := newShardedFixture(t, datagenCorpus(seed),
@@ -163,13 +162,6 @@ func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantDisj = truncated(wantDisj, opts.TopM)
-			// The naive pair has its own (ancestor-including, undecayed)
-			// semantics; the flat index is their reference, and 2- and
-			// 8-shard runs must reproduce it exactly.
-			naiveWant, err := NaiveIDSharded(fx.sharded[1], q, opts, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			for _, sc := range shardCounts {
 				sh := fx.sharded[sc]
@@ -201,18 +193,6 @@ func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResults(t, name("Disjunctive"), got, wantDisj, 1e-9)
-
-				got, err = NaiveIDSharded(sh, q, opts, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, name("NaiveID"), got, naiveWant, 1e-9)
-
-				got, err = NaiveRankSharded(sh, q, opts, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, name("NaiveRank"), got, naiveWant, 1e-9)
 			}
 		}
 	}
@@ -248,10 +228,6 @@ func TestShardedDifferentialTFIDF(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantDisj = truncated(wantDisj, opts.TopM)
-		naiveWant, err := NaiveIDSharded(fx.sharded[1], q, opts, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		for _, sc := range shardCounts {
 			sh := fx.sharded[sc]
@@ -269,12 +245,55 @@ func TestShardedDifferentialTFIDF(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResults(t, name("Disjunctive"), got, wantDisj, 1e-9)
+		}
+	}
+}
 
-			got, err = NaiveIDSharded(sh, q, opts, 0)
+// TestNaiveBaselinesOnDifferentialCorpus checks the standalone naive
+// index on the differential corpora: Naive-ID's result set is exactly R0
+// (every element containing* all keywords), and Naive-Rank's threshold
+// algorithm returns Naive-ID's top-m.
+func TestNaiveBaselinesOnDifferentialCorpus(t *testing.T) {
+	for seed := int64(0); seed < 2; seed++ {
+		fx := newShardedFixture(t, datagenCorpus(seed), index.BuildOptions{}, nil)
+		nx := (&fixture{c: fx.c, ranks: fx.ranks}).naive(t)
+		vocab := corpusVocab(fx.c)
+		r := rand.New(rand.NewSource(seed*31 + 7))
+		matched := 0
+		for trial := 0; trial < 10; trial++ {
+			q := make([]string, 1+r.Intn(3))
+			for i := range q {
+				q[i] = vocab[r.Intn(len(vocab))]
+			}
+			name := fmt.Sprintf("seed%d trial%d %v", seed, trial, q)
+			r0, err := BruteForceR0(fx.c, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, name("NaiveID"), got, naiveWant, 1e-9)
+			opts := DefaultOptions()
+			opts.TopM = len(r0) + 1
+			all, err := NaiveID(nx, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameElems(t, name+" NaiveID", all, r0)
+			if len(r0) > 0 {
+				matched++
+			}
+
+			opts.TopM = 8
+			want, err := NaiveID(nx, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := NaiveRank(nx, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, name+" NaiveRank", got, want, 1e-9)
+		}
+		if matched < 5 {
+			t.Errorf("seed %d: only %d of 10 queries had results", seed, matched)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func xmarkGoldenFixture(t *testing.T) goldenFixture {
 			Seed: seed, Items: 30, People: 15, OpenAuctions: 20, ClosedAuctions: 12, Categories: 6, VocabSize: 60,
 		}))
 	}
-	sf := newShardedFixture(t, docs, index.BuildOptions{SkipNaive: true}, []int{1, 2})
+	sf := newShardedFixture(t, docs, index.BuildOptions{}, []int{1, 2})
 	fx := goldenFixture{name: "xmark", sharded: sf.sharded}
 	vocab := corpusVocab(sf.c)
 	r := rand.New(rand.NewSource(5))

@@ -131,11 +131,12 @@ func TestTFIDFRejectedByRankedAlgorithms(t *testing.T) {
 	if _, _, err := HDIL(fx.ix, []string{"xql", "language"}, opts, storage.DefaultCostModel()); err == nil {
 		t.Errorf("HDIL should reject tf-idf")
 	}
-	if _, err := NaiveRank(fx.ix, []string{"xql", "language"}, opts); err == nil {
+	nx := fx.naive(t)
+	if _, err := NaiveRank(nx, []string{"xql", "language"}, opts); err == nil {
 		t.Errorf("NaiveRank should reject tf-idf")
 	}
-	if _, err := NaiveID(fx.ix, []string{"xql", "language"}, opts); err != nil {
-		t.Errorf("NaiveID should accept tf-idf: %v", err)
+	if _, err := NaiveID(nx, []string{"xql", "language"}, opts); err == nil {
+		t.Errorf("NaiveID should reject tf-idf")
 	}
 }
 

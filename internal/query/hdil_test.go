@@ -30,7 +30,7 @@ func perfSharded(tb testing.TB, blocks, shards, poolPages int) *index.Sharded {
 		tb.Fatalf("elemrank: %v", err)
 	}
 	dir := tb.TempDir()
-	if _, err := index.BuildSharded(c, res.Scores, dir, index.BuildOptions{SkipNaive: true}, shards); err != nil {
+	if _, err := index.BuildSharded(c, res.Scores, dir, index.BuildOptions{}, shards); err != nil {
 		tb.Fatal(err)
 	}
 	sh, err := index.OpenSharded(dir, index.OpenOptions{PoolPages: poolPages})

@@ -3,71 +3,61 @@ package query
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"xrank/internal/index"
 )
 
-// NaiveID evaluates the query against the naive element-granularity
-// inverted lists ordered by element ID (Section 4.1 / 5.1, "Naive-ID"): a
-// plain n-way equality merge join. Because naive lists replicate every
-// ancestor, the result set contains every element that contains* all
-// keywords — including the spurious ancestors the Dewey algorithms
-// suppress — and ranking ignores result specificity (no decay).
-func NaiveID(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
+// The paper's naive baselines (Section 4.1 / 5.1) over the standalone
+// naive index (index.BuildNaive). They exist to be measured against the
+// Dewey algorithms in the experiment harness, so they take only what
+// those experiments need: ElemRank scoring from the stored ranks, with
+// keyword weights and proximity.
+
+// naiveOptions fills opts and rejects what the naive lists cannot answer.
+func naiveOptions(opts *Options, keywords []string) ([]string, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if !ix.Meta.HasNaive {
-		return nil, fmt.Errorf("query: index was built without the naive baselines (SkipNaive)")
+	if opts.Scoring == ScoreTFIDF || opts.Rank != nil {
+		return nil, fmt.Errorf("query: the naive baselines score by their stored ElemRanks only")
 	}
 	keywords, err := normalizeKeywords(keywords)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.checkWeights(len(keywords)); err != nil {
+	return keywords, opts.checkWeights(len(keywords))
+}
+
+// NaiveID evaluates the query against the naive element-granularity
+// inverted lists ordered by element ID ("Naive-ID"): a plain n-way
+// equality merge join. Because naive lists replicate every ancestor, the
+// result set contains every element that contains* all keywords —
+// including the spurious ancestors the Dewey algorithms suppress — and
+// ranking ignores result specificity (no decay). A result's ID is the
+// single-component global element index.
+func NaiveID(nx *index.NaiveIndex, keywords []string, opts Options) ([]Result, error) {
+	keywords, err := naiveOptions(&opts, keywords)
+	if err != nil {
 		return nil, err
 	}
 	n := len(keywords)
-	curs := make([]*index.ListCursor, n)
+	curs := make([]*index.NaiveCursor, n)
 	heads := make([]*index.Posting, n)
-	dfs := make([]int, n)
-	endOpen := opts.Exec.StartSpan("naiveid.open")
 	for i, kw := range keywords {
-		cur, ok := ix.NaiveIDCursorExec(opts.Exec, kw)
+		cur, ok := nx.IDCursor(opts.Exec, kw)
 		if !ok {
-			for j := 0; j < i; j++ {
-				curs[j].Close()
-			}
-			endOpen()
 			return nil, nil
 		}
 		curs[i] = cur
 		defer cur.Close()
-		dfs[i] = cur.Count()
 		p, ok, err := cur.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return nil, err
-		}
-		if !ok {
-			endOpen()
-			return nil, nil
 		}
 		heads[i] = p
 	}
-	endOpen()
-	base := func(_ int, p *index.Posting) float64 { return float64(p.Rank) }
-	if opts.Rank != nil {
-		rank := opts.Rank
-		base = func(_ int, p *index.Posting) float64 { return rank(p) }
-	}
-	if opts.Scoring == ScoreTFIDF {
-		base = tfidfBase(opts.numElements(ix.Meta.NumElements), opts.dfsOr(dfs))
-	}
 	h := newResultHeap(opts.TopM)
 	prox := make([][]uint32, n)
-	// The merge runs until the function returns, so a deferred end covers it.
-	defer opts.Exec.StartSpan("naiveid.merge")()
 	for iter := 0; ; iter++ {
 		if iter%cancelCheckInterval == 0 {
 			if err := opts.Exec.Err(); err != nil {
@@ -103,7 +93,7 @@ func NaiveID(ix *index.Index, keywords []string, opts Options) ([]Result, error)
 		// Match: every list holds an entry for maxElem.
 		score := 0.0
 		for i := 0; i < n; i++ {
-			score += opts.weight(i) * base(i, heads[i])
+			score += opts.weight(i) * float64(heads[i].Rank)
 			prox[i] = heads[i].Positions
 		}
 		if opts.UseProximity && n > 1 {
@@ -126,59 +116,30 @@ func NaiveID(ix *index.Index, keywords []string, opts Options) ([]Result, error)
 
 // elemResultID encodes a naive result (a global element index) as a
 // single-component pseudo Dewey ID so both families share the Result
-// type; callers translate it back with ElemFromResultID.
+// type.
 func elemResultID(elem int32) []uint32 { return []uint32{uint32(elem)} }
-
-// ElemFromResultID recovers the global element index from a naive result.
-func ElemFromResultID(r Result) (int32, error) {
-	if len(r.ID) != 1 {
-		return 0, fmt.Errorf("query: result %v is not a naive element result", r.ID)
-	}
-	return int32(r.ID[0]), nil
-}
 
 // NaiveRank evaluates the query against the rank-ordered naive lists with
 // the Threshold Algorithm, using each keyword's hash index for the random
-// equality lookups (Section 5.1, "Naive-Rank"). Requires AggMax.
-func NaiveRank(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
-	if err := opts.fill(); err != nil {
+// equality lookups ("Naive-Rank"). Requires AggMax.
+func NaiveRank(nx *index.NaiveIndex, keywords []string, opts Options) ([]Result, error) {
+	keywords, err := naiveOptions(&opts, keywords)
+	if err != nil {
 		return nil, err
-	}
-	if !ix.Meta.HasNaive {
-		return nil, fmt.Errorf("query: index was built without the naive baselines (SkipNaive)")
 	}
 	if opts.Agg != AggMax {
 		return nil, fmt.Errorf("query: NaiveRank requires AggMax for a sound stopping threshold")
 	}
-	if opts.Scoring == ScoreTFIDF {
-		return nil, fmt.Errorf("query: Naive-Rank lists are ElemRank-ordered; tf-idf scoring needs DIL or Naive-ID")
-	}
-	if opts.Rank != nil {
-		return nil, fmt.Errorf("query: Naive-Rank lists are ordered by their stored ranks; a rank override needs Naive-ID")
-	}
-	keywords, err := normalizeKeywords(keywords)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.checkWeights(len(keywords)); err != nil {
-		return nil, err
-	}
 	n := len(keywords)
-	curs := make([]*index.ListCursor, n)
-	endOpen := opts.Exec.StartSpan("naiverank.open")
+	curs := make([]*index.NaiveCursor, n)
 	for i, kw := range keywords {
-		cur, ok := ix.NaiveRankCursorExec(opts.Exec, kw)
+		cur, ok := nx.RankCursor(opts.Exec, kw)
 		if !ok {
-			for j := 0; j < i; j++ {
-				curs[j].Close()
-			}
-			endOpen()
 			return nil, nil
 		}
 		curs[i] = cur
 		defer cur.Close()
 	}
-	endOpen()
 	if n == 1 {
 		out := make([]Result, 0, opts.TopM)
 		for len(out) < opts.TopM {
@@ -210,9 +171,6 @@ func NaiveRank(ix *index.Index, keywords []string, opts Options) ([]Result, erro
 		}
 		return t
 	}
-	// The TA rounds run until the function returns, so a deferred end
-	// covers them.
-	defer opts.Exec.StartSpan("naiverank.rounds")()
 	for {
 		if err := opts.Exec.Err(); err != nil {
 			return nil, err
@@ -241,7 +199,7 @@ func NaiveRank(ix *index.Index, keywords []string, opts Options) ([]Result, erro
 				if j == i {
 					continue
 				}
-				ok, err := ix.NaiveLookupExec(opts.Exec, keywords[j], p.Elem, &lookup[j])
+				ok, err := nx.Lookup(opts.Exec, keywords[j], p.Elem, &lookup[j])
 				if err != nil {
 					return nil, err
 				}
@@ -266,9 +224,4 @@ func NaiveRank(ix *index.Index, keywords []string, opts Options) ([]Result, erro
 			return h.sorted(), nil
 		}
 	}
-}
-
-// NaiveResultString renders a naive result for diagnostics.
-func NaiveResultString(r Result) string {
-	return "elem#" + strconv.FormatInt(int64(r.ID[0]), 10)
 }

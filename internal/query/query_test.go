@@ -21,6 +21,22 @@ type fixture struct {
 	ix    *index.Index
 }
 
+// naive builds and opens the naive baseline index over the fixture's
+// collection and ranks.
+func (fx *fixture) naive(t *testing.T) *index.NaiveIndex {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := index.BuildNaive(fx.c, fx.ranks, dir, index.BuildOptions{}); err != nil {
+		t.Fatalf("BuildNaive: %v", err)
+	}
+	nx, err := index.OpenNaive(dir, index.OpenOptions{})
+	if err != nil {
+		t.Fatalf("OpenNaive: %v", err)
+	}
+	t.Cleanup(func() { nx.Close() })
+	return nx
+}
+
 func newFixture(t *testing.T, docs []string, opts index.BuildOptions) *fixture {
 	t.Helper()
 	c := xmldoc.NewCollection()
@@ -303,26 +319,11 @@ func TestNaiveIDReturnsR0(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.TopM = 1000
-	got, err := NaiveID(fx.ix, q, opts)
+	got, err := NaiveID(fx.naive(t), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(wantElems) {
-		t.Fatalf("NaiveID: %d results, want %d (R0)", len(got), len(wantElems))
-	}
-	gotSet := map[int32]bool{}
-	for _, r := range got {
-		e, err := ElemFromResultID(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSet[e] = true
-	}
-	for _, e := range wantElems {
-		if !gotSet[e] {
-			t.Errorf("NaiveID missing R0 element %d", e)
-		}
-	}
+	sameElems(t, "NaiveID", got, wantElems)
 	// The naive result set must include spurious ancestors that DIL prunes:
 	// strictly more results than Result(Q) here.
 	dil, err := DIL(fx.ix, q, opts)
@@ -337,6 +338,7 @@ func TestNaiveIDReturnsR0(t *testing.T) {
 func TestNaiveRankMatchesNaiveID(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	fx := newFixture(t, randomCorpus(r, 3), index.BuildOptions{})
+	nx := fx.naive(t)
 	for trial := 0; trial < 10; trial++ {
 		nk := 1 + r.Intn(2)
 		q := make([]string, nk)
@@ -345,15 +347,36 @@ func TestNaiveRankMatchesNaiveID(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.TopM = 5
-		a, err := NaiveID(fx.ix, q, opts)
+		a, err := NaiveID(nx, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NaiveRank(fx.ix, q, opts)
+		b, err := NaiveRank(nx, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResults(t, fmt.Sprintf("naive(%v)", q), b, a, 1e-9)
+	}
+}
+
+// sameElems checks that a naive result set is exactly the given global
+// element indexes (the single-component IDs NaiveID returns).
+func sameElems(t *testing.T, name string, got []Result, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d (R0)", name, len(got), len(want))
+	}
+	gotSet := map[int32]bool{}
+	for _, r := range got {
+		if len(r.ID) != 1 {
+			t.Fatalf("%s: result %v is not an element index", name, r.ID)
+		}
+		gotSet[int32(r.ID[0])] = true
+	}
+	for _, e := range want {
+		if !gotSet[e] {
+			t.Errorf("%s missing R0 element %d", name, e)
+		}
 	}
 }
 
@@ -370,10 +393,11 @@ func TestMissingKeywordEmptiesConjunction(t *testing.T) {
 	if rs, _, err := HDIL(fx.ix, q, DefaultOptions(), cm); err != nil || rs != nil {
 		t.Errorf("HDIL: %v %v", rs, err)
 	}
-	if rs, err := NaiveID(fx.ix, q, DefaultOptions()); err != nil || rs != nil {
+	nx := fx.naive(t)
+	if rs, err := NaiveID(nx, q, DefaultOptions()); err != nil || rs != nil {
 		t.Errorf("NaiveID: %v %v", rs, err)
 	}
-	if rs, err := NaiveRank(fx.ix, q, DefaultOptions()); err != nil || rs != nil {
+	if rs, err := NaiveRank(nx, q, DefaultOptions()); err != nil || rs != nil {
 		t.Errorf("NaiveRank: %v %v", rs, err)
 	}
 }
@@ -399,7 +423,7 @@ func TestAggSumSupport(t *testing.T) {
 	if _, _, err := HDIL(fx.ix, []string{"xql", "language"}, opts, storage.DefaultCostModel()); err == nil {
 		t.Errorf("HDIL should reject AggSum")
 	}
-	if _, err := NaiveRank(fx.ix, []string{"xql", "language"}, opts); err == nil {
+	if _, err := NaiveRank(fx.naive(t), []string{"xql", "language"}, opts); err == nil {
 		t.Errorf("NaiveRank should reject AggSum")
 	}
 }

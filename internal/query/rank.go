@@ -2,8 +2,8 @@
 // SIGMOD 2003, Section 4): the single-pass DIL Dewey-stack merge
 // (Figure 5), the RDIL threshold algorithm with Dewey probing
 // (Figure 7), the adaptive HDIL strategy (Section 4.4.2), and the two
-// naive baselines (Section 4.1 / 5.1), together with the ranking
-// functions of Section 2.3.
+// naive baselines (Section 4.1 / 5.1) over the standalone naive index,
+// together with the ranking functions of Section 2.3.
 package query
 
 import (
@@ -27,8 +27,9 @@ const (
 	// bound relies on.
 	AggMax Agg = iota
 	// AggSum adds occurrences. Supported by DIL and Naive-ID (full-scan
-	// algorithms); the threshold algorithms reject it because their
-	// stopping rule would no longer guarantee the top-m.
+	// algorithms); the threshold algorithms (RDIL, HDIL, Naive-Rank)
+	// reject it because their stopping rule would no longer guarantee the
+	// top-m.
 	AggSum
 )
 
@@ -53,8 +54,8 @@ const (
 	// entry's posList length and the keyword's document frequency — the
 	// "other ranking functions (e.g., tf-idf)" extension the paper lists
 	// as future work (Section 7). Because the rank-ordered lists are
-	// sorted by ElemRank, only the full-scan processors (DIL, Naive-ID)
-	// support it.
+	// sorted by ElemRank, only the full-scan Dewey processors (DIL,
+	// Disjunctive) support it.
 	ScoreTFIDF
 )
 
@@ -95,9 +96,9 @@ type Options struct {
 	// Rank optionally overrides the ElemRank read from each posting. A
 	// segmented engine sets it on segments whose baked ranks predate the
 	// newest ElemRank computation, substituting the current global value.
-	// Only the full-scan processors (DIL, Naive-ID, Disjunctive) accept
-	// it: the threshold algorithms traverse rank-ordered lists whose order
-	// the override would silently invalidate.
+	// Only the full-scan Dewey processors (DIL, Disjunctive) accept it:
+	// the threshold algorithms traverse rank-ordered lists whose order the
+	// override would silently invalidate.
 	Rank func(p *index.Posting) float64
 	// Exec optionally attaches a per-query execution context. Every
 	// algorithm passes it down to its cursors, probers and lookups (so

@@ -327,7 +327,7 @@ func RDIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 		return nil, fmt.Errorf("query: RDIL requires AggMax for a sound stopping threshold")
 	}
 	if opts.Scoring == ScoreTFIDF {
-		return nil, fmt.Errorf("query: RDIL lists are ElemRank-ordered; tf-idf scoring needs DIL or Naive-ID")
+		return nil, fmt.Errorf("query: RDIL lists are ElemRank-ordered; tf-idf scoring needs DIL")
 	}
 	if opts.Rank != nil {
 		return nil, fmt.Errorf("query: RDIL lists are ordered by their stored ranks; a rank override needs DIL")

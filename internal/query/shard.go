@@ -16,9 +16,8 @@ import (
 //
 //   - Scores are shard-invariant. Every scoring decision is
 //     intra-document (the Dewey-stack merge never carries state across a
-//     document boundary, RDIL/HDIL probes stay inside one document's
-//     subtree, and naive closures follow parent chains within a
-//     document), documents are partitioned whole, and shards keep the
+//     document boundary, and RDIL/HDIL probes stay inside one document's
+//     subtree), documents are partitioned whole, and shards keep the
 //     global element-ID/Dewey spaces and — via Options.DFs — the global
 //     tf-idf document frequencies. A result therefore gets the same
 //     score from its shard as it would from a monolithic index.
@@ -305,26 +304,6 @@ func HDILSharded(sh *index.Sharded, keywords []string, opts Options, workers int
 		agg.RankedEntriesRead += tr.RankedEntriesRead
 	}
 	return rs, agg, err
-}
-
-// NaiveIDSharded evaluates Naive-ID on every shard in parallel. Naive
-// closures follow parent chains within one document, so partitioning by
-// document keeps them intact.
-func NaiveIDSharded(sh *index.Sharded, keywords []string, opts Options, workers int) ([]Result, error) {
-	if err := globalDFs(&opts, keywords, sh.NaiveCount); err != nil {
-		return nil, err
-	}
-	return runSharded(sh, opts, workers, func(_ int, ix *index.Index, so Options) ([]Result, error) {
-		return NaiveID(ix, keywords, so)
-	})
-}
-
-// NaiveRankSharded evaluates Naive-Rank on every shard in parallel; the
-// per-shard TA stopping rule composes exactly as RDIL's does.
-func NaiveRankSharded(sh *index.Sharded, keywords []string, opts Options, workers int) ([]Result, error) {
-	return runSharded(sh, opts, workers, func(_ int, ix *index.Index, so Options) ([]Result, error) {
-		return NaiveRank(ix, keywords, so)
-	})
 }
 
 // DisjunctiveSharded evaluates the disjunctive processor on every shard

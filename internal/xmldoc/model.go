@@ -197,7 +197,8 @@ func IsAncestorOrSelf(a, e *Element) bool {
 
 // ContainsTerm reports whether e directly or indirectly contains the term
 // (the paper's contains* predicate). It is a reference implementation used
-// by tests and the naive query processor; indexes answer this much faster.
+// by tests and the brute-force query reference; indexes answer this much
+// faster.
 func ContainsTerm(e *Element, term string) bool {
 	for _, t := range e.Tokens {
 		if t.Term == term {

@@ -23,8 +23,6 @@ func TestQueryStatsTracePerAlgorithm(t *testing.T) {
 		{"DIL", SearchOptions{Algorithm: AlgoDIL}, "dil."},
 		{"RDIL", SearchOptions{Algorithm: AlgoRDIL}, "rdil."},
 		{"HDIL", SearchOptions{Algorithm: AlgoHDIL}, "hdil."},
-		{"NaiveID", SearchOptions{Algorithm: AlgoNaiveID}, "naiveid."},
-		{"NaiveRank", SearchOptions{Algorithm: AlgoNaiveRank}, "naiverank."},
 		{"Disjunctive", SearchOptions{Disjunctive: true}, "disj."},
 	}
 	for _, tc := range cases {

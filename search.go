@@ -26,10 +26,6 @@ const (
 	AlgoDIL
 	// AlgoRDIL is the rank-ordered threshold algorithm (Figure 7).
 	AlgoRDIL
-	// AlgoNaiveID is the element-granularity baseline merged by ID.
-	AlgoNaiveID
-	// AlgoNaiveRank is the element-granularity baseline with TA + hash.
-	AlgoNaiveRank
 )
 
 func (a Algorithm) String() string {
@@ -40,10 +36,6 @@ func (a Algorithm) String() string {
 		return "DIL"
 	case AlgoRDIL:
 		return "RDIL"
-	case AlgoNaiveID:
-		return "Naive-ID"
-	case AlgoNaiveRank:
-		return "Naive-Rank"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -78,8 +70,8 @@ type SearchOptions struct {
 	// ProximityOff disables the keyword proximity factor for this query.
 	ProximityOff bool
 	// SumAggregation uses f=sum instead of f=max over multiple keyword
-	// occurrences (Section 2.3.2.1). Only the full-scan algorithms (DIL,
-	// Naive-ID) support it; the threshold algorithms reject it.
+	// occurrences (Section 2.3.2.1). Only the full-scan algorithm (DIL)
+	// supports it; the threshold algorithms reject it.
 	SumAggregation bool
 	// Disjunctive switches to disjunctive keyword semantics (Section 2.2):
 	// elements directly containing at least one keyword, scored by the
@@ -91,7 +83,7 @@ type SearchOptions struct {
 	Weights []float64
 	// TFIDF scores occurrences by tf-idf instead of ElemRank — the
 	// "other ranking functions" extension of Section 7. Supported by
-	// AlgoDIL and AlgoNaiveID (and disjunctive queries) only.
+	// AlgoDIL (and disjunctive queries) only.
 	TFIDF bool
 }
 
@@ -528,13 +520,13 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 		qopts.ProbeInterval = time.Duration(e.cfg.ShardProbeIntervalMillis) * time.Millisecond
 
 		endExec := ec.StartSpan("execute")
-		rs, naive, err := e.runQuery(keywords, opts, qopts, stats)
+		rs, err := e.runQuery(keywords, opts, qopts, stats)
 		endExec()
 		if err != nil {
 			return nil, err
 		}
 		endMat := ec.StartSpan("materialize")
-		out, err = e.materialize(rs, naive, opts.TopM)
+		out, err = e.materialize(rs, opts.TopM)
 		endMat()
 		if err != nil {
 			return nil, err
@@ -549,12 +541,11 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 	}
 }
 
-// runQuery dispatches to the selected query processor, reporting whether
-// the results are naive (element-granularity) IDs. A fully compacted
+// runQuery dispatches to the selected query processor. A fully compacted
 // engine (one segment at the current rank version) takes the direct
 // path; otherwise the query runs against every live segment and merges
 // the per-segment top-m's (see runSegmented).
-func (e *Engine) runQuery(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, bool, error) {
+func (e *Engine) runQuery(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
 	stats.Segments = len(e.segs)
 	stats.Shards = e.segs[0].ix.NumShards()
 	if len(e.segs) == 1 && e.segs[0].rankVer == e.rankVer {
@@ -568,21 +559,16 @@ func (e *Engine) runQuery(keywords []string, opts SearchOptions, qopts query.Opt
 // that is a direct call on this goroutine; on a partitioned index
 // it fans out one merge per shard under the engine's worker-pool bound,
 // with per-shard child execution contexts derived from qopts.Exec.
-func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, bool, error) {
+func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
 	workers := e.cfg.ShardWorkers
 	if opts.Disjunctive {
-		rs, err := query.DisjunctiveSharded(ix, keywords, qopts, workers)
-		return rs, false, err
+		return query.DisjunctiveSharded(ix, keywords, qopts, workers)
 	}
-	var (
-		rs  []query.Result
-		err error
-	)
 	switch opts.Algorithm {
 	case AlgoDIL:
-		rs, err = query.DILSharded(ix, keywords, qopts, workers)
+		return query.DILSharded(ix, keywords, qopts, workers)
 	case AlgoRDIL:
-		rs, err = query.RDILSharded(ix, keywords, qopts, workers)
+		return query.RDILSharded(ix, keywords, qopts, workers)
 	case AlgoHDIL:
 		// The estimator prices the device the query is served from: the OS
 		// page cache normally, the paper's disk under its cold protocol.
@@ -590,21 +576,15 @@ func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions,
 		if opts.ColdCache {
 			cm = storage.PaperDiskCostModel()
 		}
-		var trace *query.HDILTrace
-		rs, trace, err = query.HDILSharded(ix, keywords, qopts, workers, cm)
+		rs, trace, err := query.HDILSharded(ix, keywords, qopts, workers, cm)
 		if trace.SwitchedToDIL && !stats.SwitchedToDIL {
 			stats.SwitchedToDIL, stats.SwitchReason = true, trace.SwitchReason
 		}
 		stats.RankedEntriesRead += trace.RankedEntriesRead
-	case AlgoNaiveID:
-		rs, err = query.NaiveIDSharded(ix, keywords, qopts, workers)
-	case AlgoNaiveRank:
-		rs, err = query.NaiveRankSharded(ix, keywords, qopts, workers)
+		return rs, err
 	default:
-		err = fmt.Errorf("xrank: unknown algorithm %d", opts.Algorithm)
+		return nil, fmt.Errorf("xrank: unknown algorithm %d", opts.Algorithm)
 	}
-	naive := opts.Algorithm == AlgoNaiveID || opts.Algorithm == AlgoNaiveRank
-	return rs, naive, err
 }
 
 // runSegmented runs the query against every live segment and merges the
@@ -618,25 +598,20 @@ func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions,
 // through float32, matching what a rebuild would bake). Their
 // rank-ordered lists are sorted by the outdated ranks, which makes the
 // threshold algorithms unsound there, so stale segments route RDIL and
-// HDIL to DIL and Naive-Rank to Naive-ID — same results, document-order
-// execution. TFIDF needs no rank override (it never reads the baked
-// ranks) but does need collection-global document frequencies and
-// element counts, computed here by summing per-segment list lengths.
-func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, bool, error) {
-	naive := !opts.Disjunctive && (opts.Algorithm == AlgoNaiveID || opts.Algorithm == AlgoNaiveRank)
+// HDIL to DIL — same results, document-order execution. TFIDF needs no
+// rank override (it never reads the baked ranks) but does need
+// collection-global document frequencies and element counts, computed
+// here by summing per-segment list lengths.
+func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
 	if opts.TFIDF {
 		kws, err := query.NormalizeKeywords(keywords)
 		if err != nil {
-			return nil, naive, err
+			return nil, err
 		}
 		dfs := make([]int, len(kws))
 		for i, kw := range kws {
 			for _, s := range e.segs {
-				if naive {
-					dfs[i] += s.ix.NaiveCount(kw)
-				} else {
-					dfs[i] += s.ix.DILCount(kw)
-				}
+				dfs[i] += s.ix.DILCount(kw)
 			}
 		}
 		qopts.DFs = dfs
@@ -648,25 +623,21 @@ func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query
 		sopts := opts
 		if s.rankVer != e.rankVer {
 			if !opts.TFIDF {
-				so.Rank = e.rankOverride(naive)
+				so.Rank = e.rankOverride()
 			}
-			switch {
-			case opts.Disjunctive:
-				// The disjunctive merge is document-ordered; the override
-				// alone suffices.
-			case opts.Algorithm == AlgoRDIL || opts.Algorithm == AlgoHDIL:
+			// The disjunctive merge is document-ordered; the override alone
+			// suffices.
+			if !opts.Disjunctive && (opts.Algorithm == AlgoRDIL || opts.Algorithm == AlgoHDIL) {
 				sopts.Algorithm = AlgoDIL
-			case opts.Algorithm == AlgoNaiveRank:
-				sopts.Algorithm = AlgoNaiveID
 			}
 		}
-		rs, _, err := e.runOn(s.ix, keywords, sopts, so, stats)
+		rs, err := e.runOn(s.ix, keywords, sopts, so, stats)
 		if err != nil {
-			return nil, naive, err
+			return nil, err
 		}
 		perSeg = append(perSeg, rs)
 	}
-	return query.MergeTopM(perSeg, qopts.TopM), naive, nil
+	return query.MergeTopM(perSeg, qopts.TopM), nil
 }
 
 // rankOverride returns the posting-rank substitute for stale segments:
@@ -674,16 +645,8 @@ func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query
 // float32 exactly as index building would bake it. Dewey postings resolve
 // through the documents' child-offset tables (xmldoc.Document.IndexAt),
 // never through Element pointers: this runs once per posting scanned.
-func (e *Engine) rankOverride(naive bool) func(p *index.Posting) float64 {
+func (e *Engine) rankOverride() func(p *index.Posting) float64 {
 	col, ranks := e.col, e.ranks
-	if naive {
-		return func(p *index.Posting) float64 {
-			if int(p.Elem) < 0 || int(p.Elem) >= len(ranks) {
-				return 0
-			}
-			return float64(float32(ranks[p.Elem]))
-		}
-	}
 	return func(p *index.Posting) float64 {
 		if len(p.ID) == 0 || int(p.ID[0]) >= len(col.Docs) {
 			return 0
@@ -699,20 +662,11 @@ func (e *Engine) rankOverride(naive bool) func(p *index.Posting) float64 {
 
 // materialize converts internal results to SearchResults, applying answer
 // node mapping and deduplication.
-func (e *Engine) materialize(rs []query.Result, naive bool, topM int) ([]SearchResult, error) {
+func (e *Engine) materialize(rs []query.Result, topM int) ([]SearchResult, error) {
 	out := make([]SearchResult, 0, len(rs))
 	seen := make(map[string]bool)
 	for _, r := range rs {
-		var el *xmldoc.Element
-		if naive {
-			g, err := query.ElemFromResultID(r)
-			if err != nil {
-				return nil, err
-			}
-			el = e.col.ElementByGlobalIndex(int(g))
-		} else {
-			el = e.elementAtID(r.ID)
-		}
+		el := e.elementAtID(r.ID)
 		if el == nil {
 			return nil, fmt.Errorf("xrank: result %v does not resolve to an element", r.ID)
 		}

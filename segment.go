@@ -32,8 +32,7 @@ import (
 // matching what a rebuild would bake into the postings — scores stay
 // bit-identical to a from-scratch build). Because the rank-ordered
 // lists of a stale segment are sorted by outdated ranks, the threshold
-// algorithms are unsound there; stale segments route RDIL/HDIL to DIL
-// and Naive-Rank to Naive-ID.
+// algorithms are unsound there; stale segments route RDIL/HDIL to DIL.
 //
 // Durability: every mutation — Build, AddDocs, CompactOnce, DeleteDoc —
 // writes its document-store files, versioned ranks blob and segment
@@ -175,7 +174,6 @@ func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []f
 	opts := index.BuildOptions{
 		RankFraction: e.cfg.RankFraction,
 		MaxPositions: e.cfg.MaxPositions,
-		SkipNaive:    e.cfg.SkipNaive,
 		FS:           buildFS,
 	}
 	if len(docs) < col.NumDocs() {

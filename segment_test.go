@@ -32,11 +32,8 @@ var segAlgos = []SearchOptions{
 	{Algorithm: AlgoDIL},
 	{Algorithm: AlgoRDIL},
 	{Algorithm: AlgoHDIL},
-	{Algorithm: AlgoNaiveID},
-	{Algorithm: AlgoNaiveRank},
 	{Disjunctive: true},
 	{Algorithm: AlgoDIL, TFIDF: true},
-	{Algorithm: AlgoNaiveID, TFIDF: true},
 	{Disjunctive: true, TFIDF: true},
 }
 

@@ -50,8 +50,8 @@ const suggestMagic = 0x47475553
 // DefaultSuggestK is the completion count when the caller passes k <= 0.
 const DefaultSuggestK = 8
 
-// defaultSuggestMaxK caps k when Config.SuggestMaxK is zero.
-const defaultSuggestMaxK = 50
+// suggestMaxK caps the completion count of one Suggest call.
+const suggestMaxK = 50
 
 // ErrSuggestDisabled is returned by Suggest when Config.SuggestDisabled
 // turned the subsystem off (the HTTP layer maps it to 403, like the
@@ -80,26 +80,12 @@ type SuggestStats struct {
 	WallTime time.Duration `json:"wall_ns"`
 }
 
-// suggestMaxK resolves the per-request completion cap.
-func (e *Engine) suggestMaxK() int {
-	if e.cfg.SuggestMaxK > 0 {
-		return e.cfg.SuggestMaxK
-	}
-	return defaultSuggestMaxK
-}
-
-// SetSuggestMaxK overrides the per-request completion cap (0 restores
-// the persisted config, or the default 50 if unset). Like
-// SetFailOnDegraded it is a pre-serving knob: call it before queries
-// are in flight.
-func (e *Engine) SetSuggestMaxK(k int) { e.cfg.SuggestMaxK = k }
-
 // Suggest returns the top-k completions of the prefix in q, scored by
 // ElemRank-weighted term frequency and ordered score-descending with
 // ties broken by term. q is folded through the index tokenizer
 // (text.NormalizePrefix): its last token is the prefix being completed,
 // so "ranked key" completes "key". k <= 0 selects DefaultSuggestK;
-// k above Config.SuggestMaxK (default 50) is clamped. An empty
+// k above 50 is clamped. An empty
 // normalized prefix returns the top terms of the whole dictionary.
 func (e *Engine) Suggest(q string, k int) ([]Suggestion, *SuggestStats, error) {
 	if !e.built {
@@ -111,8 +97,8 @@ func (e *Engine) Suggest(q string, k int) ([]Suggestion, *SuggestStats, error) {
 	if k <= 0 {
 		k = DefaultSuggestK
 	}
-	if max := e.suggestMaxK(); k > max {
-		k = max
+	if k > suggestMaxK {
+		k = suggestMaxK
 	}
 	prefix := text.NormalizePrefix(q)
 	t0 := time.Now()

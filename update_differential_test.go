@@ -63,8 +63,6 @@ var diffAlgos = []SearchOptions{
 	{Algorithm: AlgoDIL},
 	{Algorithm: AlgoRDIL},
 	{Algorithm: AlgoHDIL},
-	{Algorithm: AlgoNaiveID},
-	{Algorithm: AlgoNaiveRank},
 	{Disjunctive: true},
 }
 

@@ -71,7 +71,10 @@ type Config struct {
 	// the DESIGN document. Zero selects defaults (0.10, 1024).
 	RankFraction float64
 	MaxPositions int
-	// SkipNaive omits the naive baseline indexes (smaller, faster builds).
+	// Deprecated: SkipNaive is ignored. The naive baselines (Naive-ID,
+	// Naive-Rank) are never part of an engine's index; only the
+	// experiment harness builds them. The field remains so configurations
+	// that set it still decode.
 	SkipNaive bool
 	// Deprecated: BlockPostings is ignored. Every index is written and read
 	// in the one postings format, block-encoded lists with per-term skip
@@ -170,9 +173,6 @@ type Config struct {
 	// default (false) builds a per-segment radix-trie dictionary scored
 	// by ElemRank-weighted term frequency; see suggest.go.
 	SuggestDisabled bool
-	// SuggestMaxK caps the completion count a single Suggest call may
-	// request (k above it is clamped). Zero selects the default (50).
-	SuggestMaxK int
 
 	// MaxSegments bounds the live segments AddDocs leaves behind: each
 	// batch folds the trailing segments that are no larger than its new
