@@ -145,8 +145,9 @@ func indexFileBytes(t *testing.T, segDir string) int64 {
 // ingest.mixed writer policy over it: batches of 4 small documents, one
 // DeleteDoc of an earlier addition every 5 batches, and CompactOnce
 // whenever more than 4 segments are live. It returns the index pages the
-// loop wrote, how many times the policy compacted, and the loop's time.
-func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions int, elapsed time.Duration) {
+// loop wrote, how many times the policy compacted, the loop's time, and
+// the part of it the ElemRank step took.
+func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions int, elapsed, rank time.Duration) {
 	tb.Helper()
 	e := NewEngine(&Config{IndexDir: tb.TempDir(), Shards: 2})
 	defer e.Close()
@@ -166,7 +167,7 @@ func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions in
 	}
 	rng := rand.New(rand.NewSource(5))
 	var added []string
-	start, t0 := e.IOStats().Writes, time.Now()
+	start, t0, rank0 := e.IOStats().Writes, time.Now(), e.met.rankTime.Load()
 	for b := 0; b < batches; b++ {
 		add := map[string]io.Reader{}
 		for j := 0; j < 4; j++ {
@@ -191,7 +192,7 @@ func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions in
 			compactions++
 		}
 	}
-	return e.IOStats().Writes - start, compactions, time.Since(t0)
+	return e.IOStats().Writes - start, compactions, time.Since(t0), time.Duration(e.met.rankTime.Load() - rank0)
 }
 
 // TestAddDocsNeverNeedsCompaction: under the spine's writer policy AddDocs
@@ -202,7 +203,7 @@ func steadyStateWrites(tb testing.TB, batches int) (writes int64, compactions in
 // compacted 12 times.
 func TestAddDocsNeverNeedsCompaction(t *testing.T) {
 	const parentWrites = 6969
-	writes, compactions, _ := steadyStateWrites(t, 48)
+	writes, compactions, _, _ := steadyStateWrites(t, 48)
 	if compactions != 0 {
 		t.Fatalf("the writer policy compacted %d times", compactions)
 	}
@@ -341,18 +342,20 @@ func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
 
 // BenchmarkAddDocsSteadyState is the write path's steady state: 64
 // batches of 4 small XMark documents over an 8-document base under the
-// spine's writer policy, per batch.
+// spine's writer policy, per batch, with the ElemRank step's share.
 func BenchmarkAddDocsSteadyState(b *testing.B) {
 	const batches = 64
 	var writes int64
-	var elapsed time.Duration
+	var elapsed, rank time.Duration
 	for i := 0; i < b.N; i++ {
-		w, _, d := steadyStateWrites(b, batches)
+		w, _, d, r := steadyStateWrites(b, batches)
 		writes += w
 		elapsed += d
+		rank += r
 	}
 	n := float64(b.N * batches)
 	b.ReportMetric(float64(elapsed.Milliseconds())/n, "ms/batch")
+	b.ReportMetric(float64(rank.Microseconds())/1000/n, "rank-ms/batch")
 	b.ReportMetric(float64(writes)/n, "pages/batch")
 }
 

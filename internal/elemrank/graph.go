@@ -11,6 +11,8 @@
 package elemrank
 
 import (
+	"fmt"
+
 	"xrank/internal/xmldoc"
 )
 
@@ -39,49 +41,68 @@ type Graph struct {
 	DocSize []int32
 }
 
-// BuildGraph extracts the ElemRank graph from a parsed collection,
-// resolving hyperlinks. The returned LinkStats reports dropped references.
+// BuildGraph extracts the ElemRank graph of a whole parsed collection,
+// resolving hyperlinks: ComponentGraph over every document, so element v
+// of the graph is the element with global index v. The returned
+// LinkStats reports dropped references.
 func BuildGraph(c *xmldoc.Collection) (*Graph, xmldoc.LinkStats) {
-	n := c.NumElements()
-	g := &Graph{
-		N:       n,
-		Docs:    c.NumDocs(),
-		Parent:  make([]int32, n),
-		DocSize: make([]int32, n),
+	docs := make([]uint32, c.NumDocs())
+	for i := range docs {
+		docs[i] = uint32(i)
 	}
-	hout, stats := c.ResolveLinks()
+	return ComponentGraph(c, docs)
+}
 
-	// Count children to size the CSR arrays.
-	childCount := make([]int32, n)
-	totalChildren := 0
-	totalLinks := 0
-	for _, d := range c.Docs {
-		for _, e := range d.Elements {
-			gi := d.Base + int(e.Index)
-			g.DocSize[gi] = int32(len(d.Elements))
-			if e.Parent == nil {
-				g.Parent[gi] = -1
-			} else {
-				g.Parent[gi] = int32(d.Base + int(e.Parent.Index))
-			}
-			childCount[gi] = int32(len(e.Children))
-			totalChildren += len(e.Children)
-			totalLinks += len(hout[gi])
-		}
+// ComponentGraph extracts the ElemRank graph over the documents docs of
+// c, in ascending ID order: element v of the graph is the v-th element of
+// those documents taken in that order, each document's in document
+// order, and Docs is len(docs). Every hyperlink out of docs must resolve
+// back into docs, as it does for a component of c.Components(); the
+// graph is then exactly the subgraph the random surfer walks inside it.
+func ComponentGraph(c *xmldoc.Collection, docs []uint32) (*Graph, xmldoc.LinkStats) {
+	var stats xmldoc.LinkStats
+	base := make(map[uint32]int32, len(docs))
+	n := 0
+	for _, id := range docs {
+		base[id] = int32(n)
+		n += c.Docs[id].NumElements()
 	}
-	g.ChildOff = make([]int32, n+1)
-	g.ChildList = make([]int32, 0, totalChildren)
-	g.HLinkOff = make([]int32, n+1)
-	g.HLinkList = make([]int32, 0, totalLinks)
-	for _, d := range c.Docs {
+	g := &Graph{
+		N:         n,
+		Docs:      len(docs),
+		Parent:    make([]int32, n),
+		DocSize:   make([]int32, n),
+		ChildOff:  make([]int32, n+1),
+		ChildList: make([]int32, 0, n),
+		HLinkOff:  make([]int32, n+1),
+	}
+	v := 0
+	for _, id := range docs {
+		d := c.Docs[id]
+		b := base[id]
 		for _, e := range d.Elements {
-			gi := d.Base + int(e.Index)
-			g.ChildOff[gi+1] = g.ChildOff[gi] + childCount[gi]
-			for _, ch := range e.Children {
-				g.ChildList = append(g.ChildList, int32(d.Base+int(ch.Index)))
+			g.DocSize[v] = int32(len(d.Elements))
+			g.Parent[v] = -1
+			if e.Parent != nil {
+				g.Parent[v] = b + e.Parent.Index
 			}
-			g.HLinkOff[gi+1] = g.HLinkOff[gi] + int32(len(hout[gi]))
-			g.HLinkList = append(g.HLinkList, hout[gi]...)
+			for _, ch := range e.Children {
+				g.ChildList = append(g.ChildList, b+ch.Index)
+			}
+			for _, ref := range e.Refs {
+				t := c.Resolve(d, ref)
+				if !stats.Count(e, t) {
+					continue
+				}
+				tb, ok := base[t.Doc.ID]
+				if !ok {
+					panic(fmt.Sprintf("elemrank: a link from document %d leaves the component into document %d", id, t.Doc.ID))
+				}
+				g.HLinkList = append(g.HLinkList, tb+t.Index)
+			}
+			v++
+			g.ChildOff[v] = int32(len(g.ChildList))
+			g.HLinkOff[v] = int32(len(g.HLinkList))
 		}
 	}
 	return g, stats

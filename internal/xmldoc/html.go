@@ -95,7 +95,7 @@ func ParseHTML(docID uint32, name string, r io.Reader, opts *ParseOptions) (*Doc
 		root.Text = strings.Join(textParts, " ")
 	}
 	doc.NumTokens = pos
-	doc.buildKidTable()
+	doc.finish()
 	return doc, nil
 }
 

@@ -12,6 +12,7 @@ package xmldoc
 
 import (
 	"fmt"
+	"sync"
 
 	"xrank/internal/dewey"
 )
@@ -124,10 +125,21 @@ type Document struct {
 	// Element.
 	kidOff []int32
 	kids   []int32
+
+	// xlinks are the document's XLink references in document order,
+	// collected at parse time so Collection.Components partitions the
+	// collection without walking any element.
+	xlinks []Ref
+
+	// ids maps XMLID values to element indexes (the last element wins on
+	// a duplicate id); built on first use by elementByID, under idsOnce.
+	idsOnce sync.Once
+	ids     map[string]int32
 }
 
-// buildKidTable fills the child-offset table from the parsed tree.
-func (d *Document) buildKidTable() {
+// finish builds the parse-time lookup tables: the child-offset table
+// from the parsed tree, and the XLink list.
+func (d *Document) finish() {
 	d.kidOff = make([]int32, len(d.Elements)+1)
 	d.kids = make([]int32, 0, len(d.Elements))
 	for i, e := range d.Elements {
@@ -135,8 +147,29 @@ func (d *Document) buildKidTable() {
 		for _, c := range e.Children {
 			d.kids = append(d.kids, c.Index)
 		}
+		for _, r := range e.Refs {
+			if r.Kind == RefXLink {
+				d.xlinks = append(d.xlinks, r)
+			}
+		}
 	}
 	d.kidOff[len(d.Elements)] = int32(len(d.kids))
+}
+
+// elementByID returns the element whose id attribute is id, or nil.
+func (d *Document) elementByID(id string) *Element {
+	d.idsOnce.Do(func() {
+		d.ids = make(map[string]int32)
+		for _, e := range d.Elements {
+			if e.XMLID != "" {
+				d.ids[e.XMLID] = e.Index
+			}
+		}
+	})
+	if i, ok := d.ids[id]; ok {
+		return d.Elements[i]
+	}
+	return nil
 }
 
 // NumElements returns N_de for the document: the number of element nodes

@@ -171,6 +171,6 @@ func ParseXML(docID uint32, name string, r io.Reader, opts *ParseOptions) (*Docu
 		return nil, fmt.Errorf("xmldoc: parse %s: no root element", name)
 	}
 	doc.NumTokens = pos
-	doc.buildKidTable()
+	doc.finish()
 	return doc, nil
 }

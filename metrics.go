@@ -1,6 +1,7 @@
 package xrank
 
 import (
+	"sync/atomic"
 	"time"
 
 	"xrank/internal/obs"
@@ -44,6 +45,14 @@ type engineMetrics struct {
 	segments        *obs.Gauge
 	compactions     *obs.Counter
 	compactionBytes *obs.Counter
+
+	// ElemRank work: the connected components Build and AddDocs solved
+	// rather than reused, and their elements (see computeRanks).
+	componentsSolved *obs.Counter
+	elementsSolved   *obs.Counter
+	// rankTime accumulates computeRanks' wall time in nanoseconds (read
+	// by the write-path benchmarks; not exported).
+	rankTime atomic.Int64
 
 	// Result-cache and coalescing series. The xrank_cache_hits_total
 	// family above predates the result cache and counts buffer-pool page
@@ -114,6 +123,9 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		segments:        r.Gauge("xrank_segments", "Live index segments the engine merges at query time."),
 		compactions:     r.Counter("xrank_compactions_total", "Segment compactions completed."),
 		compactionBytes: r.Counter("xrank_compaction_bytes_total", "Bytes of merged index files written by compactions."),
+
+		componentsSolved: r.Counter("xrank_elemrank_components_solved_total", "Connected components whose ElemRank Build and AddDocs solved rather than reused."),
+		elementsSolved:   r.Counter("xrank_elemrank_elements_solved_total", "Elements of the connected components Build and AddDocs solved."),
 
 		resultHits:      r.Counter("xrank_cache_result_hits_total", "Queries answered from the result cache."),
 		resultMisses:    r.Counter("xrank_cache_result_misses_total", "Cacheable queries that missed the result cache."),

@@ -761,6 +761,8 @@ const snippetBytes = 160
 // to its document root (nearest first), supporting the paper's "navigate
 // up for context" interaction (Section 2.2).
 func (e *Engine) Ancestors(deweyID string) ([]SearchResult, error) {
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
 	el, err := e.elementAt(deweyID)
 	if err != nil {
 		return nil, err
@@ -783,6 +785,8 @@ func (e *Engine) Ancestors(deweyID string) ([]SearchResult, error) {
 // Text that originally interleaved with child elements is emitted before
 // them; see xmldoc.WriteXML.
 func (e *Engine) Fragment(deweyID string, maxDepth int) (string, error) {
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
 	el, err := e.elementAt(deweyID)
 	if err != nil {
 		return "", err
@@ -794,6 +798,8 @@ func (e *Engine) Fragment(deweyID string, maxDepth int) (string, error) {
 	return b.String(), nil
 }
 
+// elementAt resolves a dotted Dewey ID in the current collection. Callers
+// hold snapMu.
 func (e *Engine) elementAt(deweyID string) (*xmldoc.Element, error) {
 	id, err := dewey.Parse(deweyID)
 	if err != nil {

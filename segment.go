@@ -240,7 +240,9 @@ func isHTMLName(name string) bool {
 
 // AddDocs incrementally adds documents to a built engine: the batch is
 // parsed into the collection, global ElemRanks are recomputed (adding
-// any document moves every element's rank), and one segment covering the
+// any document moves every element's rank; only the connected components
+// the batch creates or changes are solved, the rest rescaled), and one
+// segment covering the
 // new documents plus the trailing segments the size-tiered rule folds
 // (see foldPoint; at most Config.MaxSegments stay live) is built and
 // committed via segments.json — the full index is rebuilt only once the
@@ -298,7 +300,7 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 		docs2 = append(docs2, docEntry{Name: n, HTML: html, raw: raw})
 	}
 
-	res, _, err := e.computeRanks(col2)
+	res, err := e.computeRanks(col2, e.rankComps)
 	if err != nil {
 		return err
 	}
@@ -334,6 +336,7 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 		e.mu.Unlock()
 		e.col = col2
 		e.ranks = ranks2
+		e.rankComps = res.Components
 		e.rankVer = rankVer2
 		e.docs = docs2
 	})

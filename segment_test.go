@@ -103,15 +103,37 @@ type segRun struct {
 // newSegRun builds the base engine over one document per entry of
 // baseUnits (its padded size in segUnits; 0 leaves it as generated).
 func newSegRun(t *testing.T, shards int, seed int64, baseUnits []int) *segRun {
-	h := &segRun{t: t, shards: shards, base: t.TempDir(), rng: rand.New(rand.NewSource(seed)), liveID: map[string]int{}}
-	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: shards})
+	h := startSegRun(t, shards, seed)
+	var base []segVersion
 	for _, units := range baseUnits {
-		name, c := h.freshName(), h.content(units)
-		if err := h.cur.AddXML(name, strings.NewReader(c)); err != nil {
+		base = append(base, segVersion{h.freshName(), h.content(units)})
+	}
+	h.build(base)
+	return h
+}
+
+// startSegRun returns a run with no engine yet; build makes its base.
+func startSegRun(t *testing.T, shards int, seed int64) *segRun {
+	return &segRun{t: t, shards: shards, base: t.TempDir(), rng: rand.New(rand.NewSource(seed)), liveID: map[string]int{}}
+}
+
+// build builds the base engine over the given documents (names ending
+// in .html parse as HTML, as in AddDocs).
+func (h *segRun) build(base []segVersion) {
+	t := h.t
+	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: h.shards})
+	for _, v := range base {
+		var err error
+		if isHTMLName(v.name) {
+			err = h.cur.AddHTML(v.name, strings.NewReader(v.content))
+		} else {
+			err = h.cur.AddXML(v.name, strings.NewReader(v.content))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		h.history = append(h.history, segVersion{name, c})
-		h.liveID[name] = len(h.history) - 1
+		h.history = append(h.history, v)
+		h.liveID[v.name] = len(h.history) - 1
 	}
 	if _, err := h.cur.Build(); err != nil {
 		t.Fatal(err)
@@ -119,7 +141,6 @@ func newSegRun(t *testing.T, shards int, seed int64, baseUnits []int) *segRun {
 	t.Cleanup(func() { h.cur.Close() })
 	h.check("initial build")
 	assertDecodesBlocks(t, "initial build", h.cur)
-	return h
 }
 
 // assertDecodesBlocks checks that a DIL query reads its postings block by
@@ -175,7 +196,7 @@ func (h *segRun) check(tag string) {
 		Shards:   h.shards,
 	})
 	for _, v := range h.history {
-		if err := s.addVersion(v.name, []byte(v.content), false); err != nil {
+		if err := s.addVersion(v.name, []byte(v.content), isHTMLName(v.name)); err != nil {
 			h.t.Fatal(err)
 		}
 	}
@@ -211,6 +232,13 @@ func (h *segRun) addBatch(tag string, count, units int, shadow bool) {
 	for len(batch) < count {
 		batch[h.freshName()] = h.content(units)
 	}
+	h.apply(tag, batch)
+}
+
+// apply adds batch (name -> content) in one AddDocs call, mirrors it into
+// the history, and asserts the fold invariant.
+func (h *segRun) apply(tag string, batch map[string]string) {
+	h.t.Helper()
 	readers := make(map[string]io.Reader, len(batch))
 	for n, c := range batch {
 		readers[n] = strings.NewReader(c)
@@ -380,6 +408,11 @@ func TestSegmentDifferential(t *testing.T) {
 					t.Fatalf("folds %v and %d base folds: the script must fold 1, 2 and 3 segments and the base", h.folds, h.baseFolds)
 				}
 			})
+			// XLinked documents and HTML pages: batches that merge and
+			// split connected components, a failed batch whose document
+			// IDs the next one reuses, and a reopen's cold rank cache (see
+			// segment_links_test.go).
+			t.Run("links", func(t *testing.T) { linksScript(t, shards) })
 		})
 	}
 }

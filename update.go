@@ -91,6 +91,10 @@ func (e *Engine) invalidateDocResults(name string) {
 
 // DeletedDocs returns the names of tombstoned documents.
 func (e *Engine) DeletedDocs() []string {
+	// DeleteDoc marks e.docs under updateMu alone, and AddDocs swaps the
+	// manifest and collection holding it too.
+	e.updateMu.Lock()
+	defer e.updateMu.Unlock()
 	var out []string
 	seen := make(map[string]bool)
 	for _, d := range e.docs {

@@ -250,6 +250,12 @@ type Engine struct {
 	// rankVer is the global ElemRank version; each AddDocs batch
 	// recomputes every element's rank and bumps it.
 	rankVer int
+	// rankComps are the per-component ElemRank solutions behind ranks,
+	// which the next AddDocs reuses for every component it leaves
+	// unchanged. Replaced only with the snapshot (so a failed batch, whose
+	// document IDs are reused, leaves none behind); nil after OpenEngine,
+	// which makes the first batch solve everything. Read under updateMu.
+	rankComps map[string]*elemrank.Component
 	// nextSeg is the next unused segment ID.
 	nextSeg int
 
@@ -295,9 +301,14 @@ type docEntry struct {
 // BuildInfo summarizes a Build: the ElemRank computation and the on-disk
 // index component sizes (the Table 1 measurements).
 type BuildInfo struct {
-	NumDocs            int
-	NumElements        int
-	Terms              int
+	NumDocs     int
+	NumElements int
+	Terms       int
+	// ElemRankIterations is the power-iteration count of the largest
+	// connected component (ElemRank is solved per component; see
+	// computeRanks); ElemRankConverged reports that every component
+	// converged. For a fully linked collection that is the one global
+	// solve.
 	ElemRankIterations int
 	ElemRankConverged  bool
 	ElemRankTime       time.Duration
@@ -373,10 +384,11 @@ func (e *Engine) add(name string, r io.Reader, html bool) error {
 }
 
 // computeRanks runs the configured ElemRank computation over col. Both
-// Build and AddDocs use it: ElemRank is a global fixpoint, so every
-// incremental batch recomputes it over the whole grown collection.
-func (e *Engine) computeRanks(col *xmldoc.Collection) (*elemrank.Result, xmldoc.LinkStats, error) {
-	g, linkStats := elemrank.BuildGraph(col)
+// Build and AddDocs use it: ElemRank is a global fixpoint, but it
+// decomposes exactly over the collection's connected components (see
+// elemrank.ComputeComponents), so only the components missing from prev —
+// the solutions of the last committed rank version — are solved.
+func (e *Engine) computeRanks(col *xmldoc.Collection, prev map[string]*elemrank.Component) (*elemrank.Ranking, error) {
 	p := elemrank.DefaultParams()
 	p.D1, p.D2, p.D3, p.Epsilon = e.cfg.D1, e.cfg.D2, e.cfg.D3, e.cfg.Epsilon
 	switch e.cfg.ElemRankVariant {
@@ -389,13 +401,17 @@ func (e *Engine) computeRanks(col *xmldoc.Collection) (*elemrank.Result, xmldoc.
 	case "discriminated":
 		p.Variant = elemrank.VariantDiscriminated
 	default:
-		return nil, linkStats, fmt.Errorf("xrank: unknown ElemRank variant %q", e.cfg.ElemRankVariant)
+		return nil, fmt.Errorf("xrank: unknown ElemRank variant %q", e.cfg.ElemRankVariant)
 	}
-	res, err := elemrank.Compute(g, p)
+	t0 := time.Now()
+	r, err := elemrank.ComputeComponents(col, p, prev)
 	if err != nil {
-		return nil, linkStats, err
+		return nil, err
 	}
-	return res, linkStats, nil
+	e.met.rankTime.Add(int64(time.Since(t0)))
+	e.met.componentsSolved.Add(int64(r.Solved))
+	e.met.elementsSolved.Add(int64(r.ElementsSolved))
+	return r, nil
 }
 
 // Build computes ElemRanks and commits the whole collection as segment 0:
@@ -422,16 +438,17 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	info := &BuildInfo{NumDocs: e.col.NumDocs(), NumElements: e.col.NumElements()}
 
 	t0 := time.Now()
-	res, linkStats, err := e.computeRanks(e.col)
+	res, err := e.computeRanks(e.col, nil)
 	if err != nil {
 		return nil, err
 	}
-	info.DanglingLinks = linkStats.Dangling
-	info.ResolvedLinks = linkStats.Resolved
+	info.DanglingLinks = res.Links.Dangling
+	info.ResolvedLinks = res.Links.Resolved
 	info.ElemRankTime = time.Since(t0)
 	info.ElemRankIterations = res.Iterations
 	info.ElemRankConverged = res.Converged
 	e.ranks = res.Scores
+	e.rankComps = res.Components
 
 	if err := e.writeStore(e.docs, 0, e.ranks, 0); err != nil {
 		return nil, err
@@ -522,10 +539,18 @@ func (e *Engine) IOStats() storage.Stats {
 // Collection and index accessors for the benchmark harness and tests.
 
 // NumDocs returns the number of documents.
-func (e *Engine) NumDocs() int { return e.col.NumDocs() }
+func (e *Engine) NumDocs() int {
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
+	return e.col.NumDocs()
+}
 
 // NumElements returns the number of element nodes.
-func (e *Engine) NumElements() int { return e.col.NumElements() }
+func (e *Engine) NumElements() int {
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
+	return e.col.NumElements()
+}
 
 // NumShards returns the number of index partitions every segment is
 // split into (0 before Build).
@@ -687,6 +712,8 @@ func (e *Engine) fs() storage.FS { return storage.DefaultFS(e.cfg.FS) }
 // ElemRank returns the computed ElemRank of the element identified by the
 // dotted Dewey ID (e.g. "0.2.1"), or an error if it does not exist.
 func (e *Engine) ElemRank(deweyID string) (float64, error) {
+	e.snapMu.RLock()
+	defer e.snapMu.RUnlock()
 	el, err := e.elementAt(deweyID)
 	if err != nil {
 		return 0, err
