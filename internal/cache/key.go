@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -47,53 +47,68 @@ type Spec struct {
 
 // Key renders the canonical cache key. Two Specs produce the same key
 // iff they describe the same result computation.
+//
+// Key runs on every cacheable query, hits included, so it appends into
+// one stack buffer and deduplicates small term lists without a map.
 func (s Spec) Key() string {
-	terms, weights := s.canonicalTerms()
-	var b strings.Builder
-	b.Grow(64 + 16*len(terms))
-	b.WriteString("q1|a=")
-	b.WriteString(strconv.Quote(s.Algo))
-	b.WriteString("|m=")
-	b.WriteString(strconv.Itoa(s.TopM))
-	b.WriteString("|d=")
-	b.WriteString(strconv.FormatFloat(s.Decay, 'x', -1, 64))
-	b.WriteString("|p=")
-	b.WriteString(strconv.FormatBool(s.Proximity))
-	b.WriteString("|s=")
-	b.WriteString(strconv.FormatBool(s.SumAgg))
-	b.WriteString("|t=")
-	b.WriteString(strconv.FormatBool(s.TFIDF))
-	for i, t := range terms {
-		b.WriteString("|k=")
-		b.WriteString(strconv.Quote(t))
-		if weights != nil {
-			b.WriteString(":")
-			b.WriteString(strconv.FormatFloat(weights[i], 'x', -1, 64))
+	var pairArr [8]termWeight
+	pairs, weighted := s.canonicalTerms(pairArr[:0])
+	var keyArr [256]byte
+	b := append(keyArr[:0], "q1|a="...)
+	b = strconv.AppendQuote(b, s.Algo)
+	b = append(b, "|m="...)
+	b = strconv.AppendInt(b, int64(s.TopM), 10)
+	b = append(b, "|d="...)
+	b = strconv.AppendFloat(b, s.Decay, 'x', -1, 64)
+	b = append(b, "|p="...)
+	b = strconv.AppendBool(b, s.Proximity)
+	b = append(b, "|s="...)
+	b = strconv.AppendBool(b, s.SumAgg)
+	b = append(b, "|t="...)
+	b = strconv.AppendBool(b, s.TFIDF)
+	for _, p := range pairs {
+		b = append(b, "|k="...)
+		b = strconv.AppendQuote(b, p.term)
+		if weighted {
+			b = append(b, ':')
+			b = strconv.AppendFloat(b, p.weight, 'x', -1, 64)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
+// termWeight is one distinct term and the weight aligned with it.
+type termWeight struct {
+	term   string
+	weight float64
+}
+
+// linearDedupMax is the term count up to which canonicalTerms finds
+// duplicates by scanning the pairs kept so far. Longer lists use a map:
+// the terms come from request text, and the scan is quadratic.
+const linearDedupMax = 16
+
 // canonicalTerms deduplicates (first occurrence wins, pairing each
-// distinct term with its weight) and sorts term/weight pairs by term.
-// The returned weights slice is nil when the vector is absent,
-// all-ones, or misaligned (misaligned vectors are appended verbatim by
-// Key through a sentinel term so they cannot collide).
-func (s Spec) canonicalTerms() ([]string, []float64) {
-	type tw struct {
-		term   string
-		weight float64
+// distinct term with its weight) and stably sorts the term/weight pairs
+// by term, appending them to pairs. weighted is false when the vector is
+// absent or all-ones; a misaligned vector is appended verbatim through
+// sentinel terms so it cannot collide with an aligned one.
+func (s Spec) canonicalTerms(pairs []termWeight) (_ []termWeight, weighted bool) {
+	var seen map[string]bool
+	if len(s.Terms) > linearDedupMax {
+		seen = make(map[string]bool, len(s.Terms))
 	}
-	seen := make(map[string]bool, len(s.Terms))
-	pairs := make([]tw, 0, len(s.Terms))
 	for _, t := range s.Terms {
-		if seen[t] {
+		if seen != nil {
+			if seen[t] {
+				continue
+			}
+			seen[t] = true
+		} else if slices.ContainsFunc(pairs, func(p termWeight) bool { return p.term == t }) {
 			continue
 		}
-		seen[t] = true
-		pairs = append(pairs, tw{term: t, weight: 1})
+		pairs = append(pairs, termWeight{term: t, weight: 1})
 	}
-	weighted := false
 	if len(s.Weights) == len(pairs) && len(s.Weights) > 0 {
 		for i := range pairs {
 			pairs[i].weight = s.Weights[i]
@@ -105,22 +120,11 @@ func (s Spec) canonicalTerms() ([]string, []float64) {
 		// Misaligned vector: keep it distinguishable without pretending
 		// it pairs with any term.
 		weighted = true
-		pairs = append(pairs, tw{term: "\x00misaligned", weight: float64(len(s.Weights))})
+		pairs = append(pairs, termWeight{term: "\x00misaligned", weight: float64(len(s.Weights))})
 		for i, w := range s.Weights {
-			pairs = append(pairs, tw{term: "\x00w" + strconv.Itoa(i), weight: w})
+			pairs = append(pairs, termWeight{term: "\x00w" + strconv.Itoa(i), weight: w})
 		}
 	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].term < pairs[j].term })
-	terms := make([]string, len(pairs))
-	var weights []float64
-	if weighted {
-		weights = make([]float64, len(pairs))
-	}
-	for i, p := range pairs {
-		terms[i] = p.term
-		if weighted {
-			weights[i] = p.weight
-		}
-	}
-	return terms, weights
+	slices.SortStableFunc(pairs, func(a, b termWeight) int { return strings.Compare(a.term, b.term) })
+	return pairs, weighted
 }

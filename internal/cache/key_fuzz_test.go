@@ -9,7 +9,8 @@ import (
 // FuzzCacheKey drives the canonicalizer's two contracts from random
 // inputs: semantically identical queries (terms permuted, duplicates
 // injected, weights kept aligned) must collide on one key, and flipping
-// any single option must separate the keys.
+// any single option must separate the keys. Every key must also equal
+// referenceKey's.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("xml ranked search", int64(1), 10, 0.75, true, false, false, byte(0))
 	f.Add("alpha beta alpha", int64(7), 5, 0.5, false, true, false, byte(1))
@@ -43,6 +44,9 @@ func FuzzCacheKey(f *testing.F) {
 			TopM: topM, Decay: decay, Proximity: prox, SumAgg: sum, TFIDF: tfidf,
 		}
 		want := base.Key()
+		if ref := referenceKey(base); want != ref {
+			t.Fatalf("Key drifted from the reference:\n  got %q\n want %q", want, ref)
+		}
 
 		// Equivalent variant: permute the (term, weight) pairs — the
 		// weight vector follows the new first-appearance order — and
@@ -64,6 +68,9 @@ func FuzzCacheKey(f *testing.F) {
 		if got := variant.Key(); got != want {
 			t.Fatalf("permuted/duplicated query changed key:\n base %q\n  got %q", want, got)
 		}
+		if ref := referenceKey(variant); ref != want {
+			t.Fatalf("reference disagrees on the permuted query:\n  key %q\n  ref %q", want, ref)
+		}
 
 		// Distinct options must separate.
 		fresh := "\x01new-term"
@@ -83,6 +90,9 @@ func FuzzCacheKey(f *testing.F) {
 			m.Terms = append([]string(nil), base.Terms...)
 			m.Weights = append([]float64(nil), base.Weights...)
 			mutate(&m)
+			if k, ref := m.Key(), referenceKey(m); k != ref {
+				t.Fatalf("mutation %d: Key drifted from the reference:\n  got %q\n want %q", i, k, ref)
+			}
 			if m.Key() == want {
 				t.Fatalf("mutation %d did not change the key %q", i, want)
 			}

@@ -1,6 +1,103 @@
 package cache
 
-import "testing"
+import (
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// referenceKey is Spec.Key as it was written before Key moved to one
+// append buffer and a map-free deduplication: a per-call map,
+// sort.SliceStable and a strings.Builder. The keys are part of no file
+// format, but every cached entry and coalescing flight is found by them,
+// so the rewrite must render byte-identical keys (TestKeyMatchesReference,
+// FuzzCacheKey).
+func referenceKey(s Spec) string {
+	type tw struct {
+		term   string
+		weight float64
+	}
+	seen := make(map[string]bool, len(s.Terms))
+	pairs := make([]tw, 0, len(s.Terms))
+	for _, t := range s.Terms {
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		pairs = append(pairs, tw{term: t, weight: 1})
+	}
+	weighted := false
+	if len(s.Weights) == len(pairs) && len(s.Weights) > 0 {
+		for i := range pairs {
+			pairs[i].weight = s.Weights[i]
+			if s.Weights[i] != 1 {
+				weighted = true
+			}
+		}
+	} else if len(s.Weights) > 0 {
+		weighted = true
+		pairs = append(pairs, tw{term: "\x00misaligned", weight: float64(len(s.Weights))})
+		for i, w := range s.Weights {
+			pairs = append(pairs, tw{term: "\x00w" + strconv.Itoa(i), weight: w})
+		}
+	}
+	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].term < pairs[j].term })
+
+	var b strings.Builder
+	b.WriteString("q1|a=")
+	b.WriteString(strconv.Quote(s.Algo))
+	b.WriteString("|m=")
+	b.WriteString(strconv.Itoa(s.TopM))
+	b.WriteString("|d=")
+	b.WriteString(strconv.FormatFloat(s.Decay, 'x', -1, 64))
+	b.WriteString("|p=")
+	b.WriteString(strconv.FormatBool(s.Proximity))
+	b.WriteString("|s=")
+	b.WriteString(strconv.FormatBool(s.SumAgg))
+	b.WriteString("|t=")
+	b.WriteString(strconv.FormatBool(s.TFIDF))
+	for _, p := range pairs {
+		b.WriteString("|k=")
+		b.WriteString(strconv.Quote(p.term))
+		if weighted {
+			b.WriteString(":")
+			b.WriteString(strconv.FormatFloat(p.weight, 'x', -1, 64))
+		}
+	}
+	return b.String()
+}
+
+// TestKeyMatchesReference pins Key to referenceKey on the shapes the
+// fuzzer reaches only by luck: term lists on both sides of the linear
+// deduplication bound, misaligned weight vectors, a term spelled like a
+// sentinel, and keys longer than Key's stack buffer.
+func TestKeyMatchesReference(t *testing.T) {
+	many := func(n, distinct int) []string {
+		ts := make([]string, n)
+		for i := range ts {
+			ts[i] = "t" + strconv.Itoa((i*7)%distinct)
+		}
+		return ts
+	}
+	long := strings.Repeat("päper-統計-", 40)
+	specs := []Spec{
+		baseSpec(),
+		{},
+		{Terms: []string{"b", "a", "b"}, Weights: []float64{2, 1}, Algo: "DIL", TopM: 3, Decay: 0.5},
+		{Terms: []string{"b", "a"}, Weights: []float64{2, 1, 4}, Algo: "DIL", TopM: 3},
+		{Terms: []string{"\x00w0", "a"}, Weights: []float64{1}, Algo: "HDIL", TopM: 10},
+		{Terms: many(linearDedupMax, linearDedupMax), Algo: "RDIL", TopM: 10, Decay: 0.75},
+		{Terms: many(linearDedupMax+1, 5), Algo: "RDIL", TopM: 10, Decay: 0.75},
+		{Terms: many(64, 40), Weights: make([]float64, 40), Algo: "Disjunctive", TopM: 1000, SumAgg: true, TFIDF: true},
+		{Terms: []string{long, "x\"q|k=", long}, Algo: long, TopM: -1, Decay: 1e-300},
+	}
+	for i, s := range specs {
+		if got, want := s.Key(), referenceKey(s); got != want {
+			t.Errorf("spec %d: Key\n %q\nreference\n %q", i, got, want)
+		}
+	}
+}
 
 func baseSpec() Spec {
 	return Spec{

@@ -200,10 +200,10 @@ type shardPage struct {
 type attemptClass int
 
 const (
-	classSuccess attemptClass = iota
-	classBackpressure             // 429/503/504: alive, failover without breaker charge
-	classFailure                  // transport error, timeout, 5xx, bad payload
-	classCanceled                 // hedge loser or dying request: no accounting
+	classSuccess      attemptClass = iota
+	classBackpressure              // 429/503/504: alive, failover without breaker charge
+	classFailure                   // transport error, timeout, 5xx, bad payload
+	classCanceled                  // hedge loser or dying request: no accounting
 )
 
 // attemptResult is one replica attempt's outcome.

@@ -9,7 +9,8 @@
 // Every /api/search and /api/suggest response carries a Server-Timing
 // header (queue;dur=…, search;dur=… in milliseconds) so external
 // clients can split time-in-admission-queue from time-in-engine
-// without scraping /metrics per request.
+// without scraping /metrics per request. /api/search replies also carry
+// Content-Length: the body is built whole before it is written.
 package httpapi
 
 import (
@@ -65,8 +66,12 @@ func WithRecovery(e *xrank.Engine, next http.Handler) http.Handler {
 // for an admission slot and time spent executing the query, both in
 // milliseconds per the Server-Timing spec's dur unit.
 func serverTiming(queue, search time.Duration) string {
-	return fmt.Sprintf("queue;dur=%.3f, search;dur=%.3f",
-		float64(queue.Microseconds())/1000, float64(search.Microseconds())/1000)
+	var arr [64]byte
+	b := append(arr[:0], "queue;dur="...)
+	b = strconv.AppendFloat(b, float64(queue.Microseconds())/1000, 'f', 3, 64)
+	b = append(b, ", search;dur="...)
+	b = strconv.AppendFloat(b, float64(search.Microseconds())/1000, 'f', 3, 64)
+	return string(b)
 }
 
 // NewMux builds the HTTP API behind the panic-recovery middleware.
@@ -115,13 +120,14 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 		return queued, adm.Release, true
 	}
 	mux.HandleFunc("/api/search", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
+		params := r.URL.Query()
+		q := params.Get("q")
 		if q == "" {
 			http.Error(w, `missing "q" parameter`, http.StatusBadRequest)
 			return
 		}
 		m := 10
-		if ms := r.URL.Query().Get("m"); ms != "" {
+		if ms := params.Get("m"); ms != "" {
 			v, err := strconv.Atoi(ms)
 			if err != nil || v < 1 || v > 1000 {
 				http.Error(w, `bad "m" parameter`, http.StatusBadRequest)
@@ -130,7 +136,7 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 			m = v
 		}
 		algo := xrank.AlgoHDIL
-		if as := r.URL.Query().Get("algo"); as != "" {
+		if as := params.Get("algo"); as != "" {
 			a, err := ParseAlgo(as)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
@@ -142,7 +148,7 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 		// disconnects or a timeout_ms that expires cancels the merge at
 		// its next page access instead of burning I/O on a dead request.
 		ctx := r.Context()
-		if ts := r.URL.Query().Get("timeout_ms"); ts != "" {
+		if ts := params.Get("timeout_ms"); ts != "" {
 			v, err := strconv.Atoi(ts)
 			if err != nil || v < 1 {
 				http.Error(w, `bad "timeout_ms" parameter`, http.StatusBadRequest)
@@ -153,7 +159,7 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 			defer cancel()
 		}
 		var budget int64
-		if bs := r.URL.Query().Get("budget"); bs != "" {
+		if bs := params.Get("budget"); bs != "" {
 			v, err := strconv.ParseInt(bs, 10, 64)
 			if err != nil || v < 1 {
 				http.Error(w, `bad "budget" parameter`, http.StatusBadRequest)
@@ -177,32 +183,25 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 			http.Error(w, err.Error(), SearchErrorStatus(err))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		resp := map[string]interface{}{
-			"query":      q,
-			"algorithm":  stats.Algorithm.String(),
-			"wall_us":    stats.WallTime.Microseconds(),
-			"io_reads":   stats.IO.Reads,
-			"cache_hits": stats.IO.CacheHits,
-			"shards":     stats.Shards,
-			"degraded":   stats.Degraded,
-			"cached":     stats.Cached,
-			// HDIL's adaptive strategy: whether any shard fell back to a
-			// DIL scan (and below, why), after how many rank-list entries.
-			"switched":       stats.SwitchedToDIL,
-			"ranked_entries": stats.RankedEntriesRead,
-			"results":        results,
+		// A cache hit or coalesced waiter carries its results already
+		// encoded; only a fresh execution encodes them here.
+		resultsJSON := stats.ResultsJSON
+		if resultsJSON == nil {
+			if resultsJSON, err = json.Marshal(results); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
 		}
-		if stats.SwitchedToDIL {
-			resp["switch_reason"] = stats.SwitchReason
+		buf := bodyPool.Get().(*[]byte)
+		body := appendSearchBody((*buf)[:0], q, stats, resultsJSON)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+		if cap(body) <= maxPooledBody {
+			*buf = body
+			bodyPool.Put(buf)
 		}
-		if stats.Coalesced {
-			resp["coalesced"] = true
-		}
-		if stats.Degraded {
-			resp["failed_shards"] = stats.FailedShards
-		}
-		json.NewEncoder(w).Encode(resp)
 	})
 	mux.HandleFunc("/api/suggest", func(w http.ResponseWriter, r *http.Request) {
 		// An empty q is a valid query (the top terms of the whole

@@ -37,12 +37,12 @@ func (b *BudgetFS) Open(path string) (File, error) {
 	return &budgetFile{File: f, exec: b.Exec}, nil
 }
 
-func (b *BudgetFS) ReadFile(path string) ([]byte, error) { return b.Base.ReadFile(path) }
-func (b *BudgetFS) Rename(oldpath, newpath string) error { return b.Base.Rename(oldpath, newpath) }
-func (b *BudgetFS) Remove(path string) error             { return b.Base.Remove(path) }
-func (b *BudgetFS) MkdirAll(path string) error           { return b.Base.MkdirAll(path) }
+func (b *BudgetFS) ReadFile(path string) ([]byte, error)  { return b.Base.ReadFile(path) }
+func (b *BudgetFS) Rename(oldpath, newpath string) error  { return b.Base.Rename(oldpath, newpath) }
+func (b *BudgetFS) Remove(path string) error              { return b.Base.Remove(path) }
+func (b *BudgetFS) MkdirAll(path string) error            { return b.Base.MkdirAll(path) }
 func (b *BudgetFS) Stat(path string) (os.FileInfo, error) { return b.Base.Stat(path) }
-func (b *BudgetFS) SyncDir(path string) error            { return b.Base.SyncDir(path) }
+func (b *BudgetFS) SyncDir(path string) error             { return b.Base.SyncDir(path) }
 
 type budgetFile struct {
 	File

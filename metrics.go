@@ -1,6 +1,7 @@
 package xrank
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,12 +20,19 @@ const (
 // /api/slowlog. Every handle is safe for concurrent use, so query
 // goroutines record without coordination.
 //
-// Per-algorithm and per-stage series are resolved through the registry
-// on each query (a get-or-create map lookup); the label-free handles
-// below are resolved once at construction.
+// The label-free handles below are resolved once at construction; the
+// per-algorithm, per-reason and per-stage series once per label value,
+// on that value's first use, so a series still appears in the exposition
+// only once something has been recorded into it.
 type engineMetrics struct {
 	reg  *obs.Registry
 	slow *obs.SlowLog
+
+	queries     labeled[obs.Counter]   // by algo
+	queryErrors labeled[obs.Counter]   // by algo
+	latency     labeled[obs.Histogram] // by algo
+	switches    labeled[obs.Counter]   // by reason
+	stages      labeled[obs.Histogram] // by stage
 
 	pageReads    *obs.Counter
 	seqReads     *obs.Counter
@@ -103,8 +111,25 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 	}
 	r := obs.NewRegistry()
 	m := &engineMetrics{
-		reg:          r,
-		slow:         obs.NewSlowLog(size, threshold),
+		reg:  r,
+		slow: obs.NewSlowLog(size, threshold),
+
+		queries: labeled[obs.Counter]{register: func(algo string) *obs.Counter {
+			return r.Counter(metricQueries, helpQueries, "algo", algo)
+		}},
+		queryErrors: labeled[obs.Counter]{register: func(algo string) *obs.Counter {
+			return r.Counter(metricQueryErrors, helpQueryErrors, "algo", algo)
+		}},
+		latency: labeled[obs.Histogram]{register: func(algo string) *obs.Histogram {
+			return r.Histogram(metricLatency, helpLatency, obs.DefaultLatencyBuckets(), "algo", algo)
+		}},
+		switches: labeled[obs.Counter]{register: func(reason string) *obs.Counter {
+			return r.Counter(metricSwitches, helpSwitches, "reason", reason)
+		}},
+		stages: labeled[obs.Histogram]{register: func(stage string) *obs.Histogram {
+			return r.Histogram(metricStage, helpStage, obs.DefaultLatencyBuckets(), "stage", stage)
+		}},
+
 		pageReads:    r.Counter("xrank_page_reads_total", "Device page reads attributed to queries."),
 		seqReads:     r.Counter("xrank_seq_reads_total", "Query page reads classified sequential."),
 		randReads:    r.Counter("xrank_rand_reads_total", "Query page reads classified random."),
@@ -143,9 +168,44 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 	// Both switch reasons exist from the start, so a scrape shows 0
 	// rather than a missing series.
 	for _, reason := range []string{"estimate", "prefix-exhausted"} {
-		r.Counter(metricSwitches, helpSwitches, "reason", reason)
+		m.switches.get(reason)
 	}
 	return m
+}
+
+// labeled memoizes one metric family's handles by label value. Reads are
+// a lock-free lookup in an immutable map; the first use of a value
+// registers its series and publishes a copy of the map with it added.
+type labeled[T any] struct {
+	register func(label string) *T
+	mu       sync.Mutex
+	m        atomic.Pointer[map[string]*T]
+}
+
+// get returns the handle for label, registering it on first use.
+func (l *labeled[T]) get(label string) *T {
+	if m := l.m.Load(); m != nil {
+		if h, ok := (*m)[label]; ok {
+			return h
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var old map[string]*T
+	if p := l.m.Load(); p != nil {
+		old = *p
+	}
+	if h, ok := old[label]; ok {
+		return h
+	}
+	next := make(map[string]*T, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	h := l.register(label)
+	next[label] = h
+	l.m.Store(&next)
+	return h
 }
 
 // algoLabel is the metrics label for one query's strategy. Disjunctive
@@ -166,7 +226,7 @@ func (m *engineMetrics) queryStarted() { m.inflight.Add(1) }
 // slow-query log. stats must have its WallTime/IO/Trace fields filled.
 func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err error) {
 	m.inflight.Add(-1)
-	m.reg.Counter(metricQueries, helpQueries, "algo", algo).Inc()
+	m.queries.get(algo).Inc()
 	m.pageReads.Add(stats.IO.Reads)
 	m.seqReads.Add(stats.IO.SeqReads)
 	m.randReads.Add(stats.IO.RandReads)
@@ -175,7 +235,7 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 	m.blocksSkip.Add(stats.IO.BlocksSkipped)
 	m.postings.Add(stats.IO.Postings)
 	if stats.SwitchedToDIL {
-		m.reg.Counter(metricSwitches, helpSwitches, "reason", stats.SwitchReason).Inc()
+		m.switches.get(stats.SwitchReason).Inc()
 	}
 	if stats.Degraded {
 		m.degraded.Inc()
@@ -183,17 +243,15 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 	m.shardRetries.Add(int64(stats.Retries))
 	m.shardProbes.Add(int64(stats.Probes))
 	if err != nil {
-		m.reg.Counter(metricQueryErrors, helpQueryErrors, "algo", algo).Inc()
+		m.queryErrors.get(algo).Inc()
 	} else {
 		// Latency histograms describe successful queries only: a query
 		// aborted by cancellation or budget exhaustion says nothing about
 		// how long the work takes.
-		m.reg.Histogram(metricLatency, helpLatency, obs.DefaultLatencyBuckets(), "algo", algo).
-			Observe(stats.WallTime.Seconds())
+		m.latency.get(algo).Observe(stats.WallTime.Seconds())
 	}
 	for name, d := range obs.SumByName(stats.Trace) {
-		m.reg.Histogram(metricStage, helpStage, obs.DefaultLatencyBuckets(), "stage", name).
-			Observe(d.Seconds())
+		m.stages.get(name).Observe(d.Seconds())
 	}
 	entry := obs.SlowLogEntry{
 		Time:      time.Now(),

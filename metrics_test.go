@@ -2,6 +2,8 @@ package xrank
 
 import (
 	"errors"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -178,4 +180,44 @@ func spanNames(spans []obs.Span) []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// TestReadmeMetricsTable fails when a metric family registered by the
+// engine (metrics.go) or the HTTP layer (internal/httpapi) is missing
+// from the README's tables: each name must appear in backticks in a
+// table row. Names are read from the registering sources' string
+// literals, so series registered lazily (on first error, first stage,
+// first switch reason) are covered too.
+func TestReadmeMetricsTable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	tick := regexp.MustCompile("`(xrank_[a-z0-9_]+)`")
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range tick.FindAllStringSubmatch(line, -1) {
+			documented[m[1]] = true
+		}
+	}
+	name := regexp.MustCompile(`"(xrank_[a-z0-9_]+)"`)
+	registered := 0
+	for _, src := range []string{"metrics.go", "internal/httpapi/httpapi.go"} {
+		code, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range name.FindAllStringSubmatch(string(code), -1) {
+			registered++
+			if !documented[m[1]] {
+				t.Errorf("%s registers %s, which no README table lists", src, m[1])
+			}
+		}
+	}
+	if registered < 30 {
+		t.Fatalf("found only %d registered names: has registration moved?", registered)
+	}
 }

@@ -2,8 +2,10 @@ package xrank
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -129,6 +131,14 @@ type QueryStats struct {
 	// execution, not this call). At most one of the two is set.
 	Cached    bool
 	Coalesced bool
+
+	// ResultsJSON, set only when Cached or Coalesced, is json.Marshal of
+	// the returned results, encoded once per shared entry and handed to
+	// every caller the entry serves (the HTTP API splices it into its
+	// reply instead of re-encoding). It is shared and read-only: callers
+	// must not modify it. Nil when the results were executed for this
+	// call, or when they cannot be encoded.
+	ResultsJSON []byte `json:"-"`
 
 	// Degraded reports that the query completed without some shards:
 	// transient device faults survived the retry budget, or shards already
@@ -319,10 +329,18 @@ func (e *Engine) SearchContext(ctx context.Context, q string, opts SearchOptions
 // docs lists the distinct document names the results mention, so
 // DeleteDoc can evict exactly the entries that involve the tombstoned
 // document.
+//
+// encoded is json.Marshal(results), computed by the first shared serving
+// rather than at creation, so a result that is never served again (every
+// entry on a write-heavy index) costs no encoding. results never change,
+// so the bytes can be handed to every later caller as they are.
 type flightEntry struct {
 	results []SearchResult
 	docs    []string
 	shards  int
+
+	encodeOnce sync.Once
+	encoded    []byte
 }
 
 // newFlightEntry snapshots one completed execution's results for
@@ -340,12 +358,27 @@ func newFlightEntry(out []SearchResult, shards int) *flightEntry {
 	return fv
 }
 
-// size estimates the entry's resident bytes for the cache's byte bound.
+// resultsJSON returns the entry's results encoded as JSON, encoding them
+// on the first call. It returns nil if they cannot be encoded (a
+// non-finite score); callers then encode their own copy and see the
+// error there.
+func (f *flightEntry) resultsJSON() []byte {
+	f.encodeOnce.Do(func() {
+		if b, err := json.Marshal(f.results); err == nil {
+			f.encoded = b
+		}
+	})
+	return f.encoded
+}
+
+// size estimates the entry's resident bytes for the cache's byte bound,
+// counting the JSON encoding the first hit adds: each result's strings a
+// second time plus about 96 bytes of field names, quoting and score.
 func (f *flightEntry) size(key string) int64 {
-	n := int64(len(key)) + 128 // entry, map slot and struct overhead
+	n := int64(len(key)) + 160 // entry, map slot and struct overhead
 	for i := range f.results {
 		r := &f.results[i]
-		n += int64(len(r.DeweyID)+len(r.Doc)+len(r.Path)+len(r.Tag)+len(r.Snippet)) + 64
+		n += 2*int64(len(r.DeweyID)+len(r.Doc)+len(r.Path)+len(r.Tag)+len(r.Snippet)) + 64 + 96
 	}
 	for _, d := range f.docs {
 		n += int64(len(d)) + 24
@@ -424,6 +457,8 @@ func (e *Engine) serveShared(fv *flightEntry, q string, keywords []string, opts 
 		Shards:    fv.shards,
 		Cached:    cached,
 		Coalesced: !cached,
+
+		ResultsJSON: fv.resultsJSON(),
 	}
 	e.met.queryStarted()
 	if cached {
