@@ -52,10 +52,9 @@ func TestServeDegraded(t *testing.T) {
 	const shards = 2
 	ffs := storage.NewFaultFS(nil, 31)
 	e := xrank.NewEngine(&xrank.Config{
-		IndexDir:                t.TempDir(),
-		Shards:                  shards,
-		FS:                      ffs,
-		ShardRetryBackoffMillis: 1,
+		IndexDir: t.TempDir(),
+		Shards:   shards,
+		FS:       ffs,
 	})
 	for i := 0; i < 8; i++ {
 		doc := fmt.Sprintf(`<r><t>common xml search</t><p>token%d body</p></r>`, i)

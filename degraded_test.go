@@ -33,10 +33,9 @@ func degradedCorpus(n int) map[string]string {
 func buildDegradedEngine(t *testing.T, ffs *storage.FaultFS, shards int) (*Engine, int) {
 	t.Helper()
 	e := NewEngine(&Config{
-		IndexDir:                t.TempDir(),
-		Shards:                  shards,
-		FS:                      ffs,
-		ShardRetryBackoffMillis: 1, // keep retry waits out of test time
+		IndexDir: t.TempDir(),
+		Shards:   shards,
+		FS:       ffs,
 	})
 	addCorpus(t, e, degradedCorpus(8))
 	if _, err := e.Build(); err != nil {
@@ -186,9 +185,8 @@ func TestTransientFaultRetried(t *testing.T) {
 func TestFlatIndexFaultIsFatal(t *testing.T) {
 	ffs := storage.NewFaultFS(nil, 23)
 	e := NewEngine(&Config{
-		IndexDir:                t.TempDir(),
-		FS:                      ffs,
-		ShardRetryBackoffMillis: 1,
+		IndexDir: t.TempDir(),
+		FS:       ffs,
 	})
 	addCorpus(t, e, degradedCorpus(4))
 	if _, err := e.Build(); err != nil {

@@ -214,7 +214,8 @@ func TestAddDocsNeverNeedsCompaction(t *testing.T) {
 }
 
 // TestOpenIgnoresRetiredConfigFields: an engine.json whose Config still
-// carries the background compactor's retired knobs opens and answers
+// carries retired knobs — the background compactor's, SuggestMaxK, and
+// the shard fault knobs that became constants — opens and answers
 // exactly like the directory did before.
 func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	dir := t.TempDir()
@@ -234,6 +235,12 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	man["config"]["CompactIntervalMillis"] = 250
 	man["config"]["CompactBudgetPages"] = 64
 	man["config"]["SuggestMaxK"] = 7
+	man["config"]["ShardWorkers"] = 1
+	man["config"]["ShardRetries"] = -1
+	man["config"]["ShardRetryBackoffMillis"] = 100
+	man["config"]["ShardRetrySeed"] = 42
+	man["config"]["ShardFailureThreshold"] = -1
+	man["config"]["ShardProbeIntervalMillis"] = 1000
 	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +257,14 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	if got := crashSig(t, e); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened engine answers differently")
 	}
-	if b, err := json.Marshal(e.Config()); err != nil || strings.Contains(string(b), "Compact") || strings.Contains(string(b), "SuggestMaxK") {
-		t.Fatalf("Config still has retired fields: %s (%v)", b, err)
+	b, err := json.Marshal(e.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe"} {
+		if strings.Contains(string(b), retired) {
+			t.Fatalf("Config still has retired field %s: %s", retired, b)
+		}
 	}
 	// The retired SuggestMaxK no longer lowers the clamp.
 	if sug, _, err := e.Suggest("", 50); err != nil || len(sug) <= 7 {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -47,72 +46,6 @@ func TestPlacementOrderDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(without, survivors) {
 		t.Fatalf("removing a replica reshuffled survivors: %v vs %v", without, survivors)
-	}
-}
-
-func TestBreakerThresholdAndProbe(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBreaker(3, time.Minute, clk.now)
-	u := "http://r:1"
-	errBoom := errors.New("boom")
-	for i := 0; i < 2; i++ {
-		b.Failure(u, errBoom)
-		if ok, _ := b.Allow(u); !ok {
-			t.Fatalf("breaker opened after %d failures, threshold 3", i+1)
-		}
-	}
-	b.Failure(u, errBoom)
-	if ok, _ := b.Allow(u); ok {
-		t.Fatal("breaker still closed after 3 consecutive failures")
-	}
-	if !b.Open(u) || b.OpenCount() != 1 {
-		t.Fatal("breaker state not visible as open")
-	}
-	// A success run interrupted by the threshold being reached resets
-	// nothing until a probe is admitted: within the interval the replica
-	// stays excluded.
-	clk.advance(30 * time.Second)
-	if ok, _ := b.Allow(u); ok {
-		t.Fatal("probe admitted before the interval elapsed")
-	}
-	clk.advance(31 * time.Second)
-	ok, probe := b.Allow(u)
-	if !ok || !probe {
-		t.Fatalf("interval elapsed: Allow = (%v, %v), want probe", ok, probe)
-	}
-	// The probe consumed this interval's trial.
-	if ok, _ := b.Allow(u); ok {
-		t.Fatal("second probe admitted within one interval")
-	}
-	// Probe failure re-arms; probe success closes.
-	b.Failure(u, errBoom)
-	clk.advance(61 * time.Second)
-	if ok, probe := b.Allow(u); !ok || !probe {
-		t.Fatal("probe not re-admitted after a failed probe plus interval")
-	}
-	b.Success(u)
-	if ok, probe := b.Allow(u); !ok || probe {
-		t.Fatalf("after probe success: Allow = (%v, %v), want plain admit", ok, probe)
-	}
-	h := b.Health([]string{u})
-	if !h[0].Healthy || h[0].Failures != 0 {
-		t.Fatalf("health after recovery: %+v", h[0])
-	}
-}
-
-func TestBreakerStickyWithoutInterval(t *testing.T) {
-	b := NewBreaker(1, 0, nil)
-	b.Failure("u", errors.New("x"))
-	if ok, _ := b.Allow("u"); ok {
-		t.Fatal("threshold-1 breaker did not open")
-	}
-	// No probe interval: open means open until Reset.
-	if ok, _ := b.Allow("u"); ok {
-		t.Fatal("sticky breaker admitted a probe")
-	}
-	b.Reset()
-	if ok, _ := b.Allow("u"); !ok {
-		t.Fatal("Reset did not close the breaker")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"sort"
@@ -15,9 +14,9 @@ import (
 	"sync"
 	"time"
 
+	"xrank/internal/breaker"
 	"xrank/internal/httpapi"
 	"xrank/internal/obs"
-	"xrank/internal/query"
 )
 
 // CoordinatorConfig describes one coordinator: the shard → replica-URL
@@ -43,8 +42,8 @@ type CoordinatorConfig struct {
 	Retries int
 
 	// RetryBackoff is the base of the full-jitter exponential backoff
-	// between attempts, sharing query.JitterBackoff's cap semantics:
-	// attempt k waits uniform in [0, base<<k] (default 2ms).
+	// between attempts (breaker.Backoff): attempt k waits uniform in
+	// [0, base<<k] (default 2ms).
 	RetryBackoff time.Duration
 
 	// RetrySeed makes backoff waits reproducible; 0 means seed 1,
@@ -52,8 +51,8 @@ type CoordinatorConfig struct {
 	RetrySeed int64
 
 	// FailureThreshold opens a replica's breaker after this many
-	// consecutive failed attempts (default 3 — the engine's
-	// ShardFailureThreshold default).
+	// consecutive failed attempts (default 3, the engine's fixed shard
+	// threshold).
 	FailureThreshold int
 
 	// ProbeInterval spaces half-open trials against an open breaker;
@@ -93,7 +92,7 @@ type Coordinator struct {
 	cfg        CoordinatorConfig
 	client     *http.Client
 	placements [][]string // per shard, rendezvous order
-	breaker    *Breaker
+	breaker    *breaker.Breaker[string]
 	digest     *latencyDigest
 	reg        *obs.Registry
 
@@ -150,7 +149,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:        cfg,
 		client:     client,
 		placements: placements,
-		breaker:    NewBreaker(cfg.FailureThreshold, cfg.ProbeInterval, cfg.Now),
+		breaker:    breaker.New[string](cfg.FailureThreshold, cfg.ProbeInterval, cfg.Now),
 		digest:     newLatencyDigest(),
 		reg:        reg,
 
@@ -172,8 +171,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // Metrics returns the coordinator's registry.
 func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
 
-// Breaker exposes the replica breaker (operator reset, tests).
-func (c *Coordinator) Breaker() *Breaker { return c.breaker }
+// Breaker exposes the replica breaker, keyed by replica URL (operator
+// reset, tests).
+func (c *Coordinator) Breaker() *breaker.Breaker[string] { return c.breaker }
+
+// ReplicaHealth is one replica's breaker state, for /api/cluster.
+type ReplicaHealth struct {
+	URL string `json:"url"`
+	breaker.Health
+}
 
 // wireResult mirrors xrank.SearchResult's JSON encoding; the
 // coordinator re-emits the fields verbatim after the merge.
@@ -434,7 +440,7 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 		out.err = fmt.Errorf("shard %d: all %d replicas have open breakers", shard, len(c.placements[shard]))
 		return out
 	}
-	rng := rand.New(rand.NewSource(c.cfg.RetrySeed + int64(shard)*1315423911))
+	rng := breaker.NewRand(c.cfg.RetrySeed, int64(shard))
 	maxAttempts := len(cands) * (1 + c.cfg.Retries)
 	delay, hedge := c.hedgeDelay()
 	for i := 0; i < maxAttempts; i++ {
@@ -443,16 +449,9 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 			return out
 		}
 		if i > 0 {
-			wait := query.JitterBackoff(rng, c.cfg.RetryBackoff, i-1)
-			if wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					out.err = ctx.Err()
-					return out
-				}
+			if err := breaker.Wait(ctx, breaker.Backoff(rng, c.cfg.RetryBackoff, i-1)); err != nil {
+				out.err = err
+				return out
 			}
 			c.retries.Inc()
 		}
@@ -540,9 +539,13 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/api/cluster", func(w http.ResponseWriter, r *http.Request) {
 		shards := make([]map[string]interface{}, len(c.placements))
 		for s, reps := range c.placements {
+			replicas := make([]ReplicaHealth, len(reps))
+			for i, h := range c.breaker.Health(reps) {
+				replicas[i] = ReplicaHealth{URL: reps[i], Health: h}
+			}
 			shards[s] = map[string]interface{}{
 				"shard":    s,
-				"replicas": c.breaker.Health(reps),
+				"replicas": replicas,
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

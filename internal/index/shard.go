@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"xrank/internal/breaker"
 	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
 )
@@ -62,7 +63,7 @@ type Sharded struct {
 	Meta Meta
 
 	shards []*Index
-	health []shardHealth
+	health *breaker.Breaker[int]
 }
 
 // BuildSharded constructs the index in dir as shardNNN/ directories under
@@ -141,7 +142,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	if sm.Hash != shardHashName {
 		return nil, fmt.Errorf("index: shard hash %q, this build understands %q", sm.Hash, shardHashName)
 	}
-	sh := &Sharded{Dir: dir}
+	sh := &Sharded{Dir: dir, health: breaker.New[int](shardFailureThreshold, 0, nil)}
 	for s := 0; s < sm.NumShards; s++ {
 		ix, err := Open(shardDir(dir, s), opts)
 		if err != nil {
@@ -161,7 +162,6 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 		sh.Meta.BuildMillis += ix.Meta.BuildMillis
 	}
 	sh.Meta.Terms = len(vocab)
-	sh.initHealth()
 	return sh, nil
 }
 

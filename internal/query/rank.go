@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"time"
 
 	"xrank/internal/dewey"
 	"xrank/internal/index"
@@ -108,31 +107,6 @@ type Options struct {
 	// mid-merge). Nil disables per-query control: I/O lands only in the
 	// index's engine-global counters.
 	Exec *storage.ExecContext
-	// Retries is how many times a shard execution is retried after a
-	// transient device fault (an error wrapping storage.ErrIO). 0 means
-	// the default of 2; negative disables retries. Cancellation, deadline
-	// and budget errors are never retried.
-	Retries int
-	// RetryBackoff caps the wait before the first retry; the cap doubles
-	// per attempt and the actual wait is drawn uniformly from [0, cap]
-	// (full jitter, so synchronized queries can't stampede a recovering
-	// device in lockstep). The wait aborts early if the query is
-	// cancelled. 0 means the default cap of 5ms.
-	RetryBackoff time.Duration
-	// RetrySeed seeds the jittered backoff schedule. The draw stream is
-	// deterministic per (seed, shard), so tests replay identical waits.
-	// 0 selects seed 1.
-	RetrySeed int64
-	// FailureThreshold is the consecutive post-retry failure count at
-	// which a shard is marked unhealthy and excluded from subsequent
-	// queries (until index.Sharded.ResetHealth). 0 means the default of
-	// 3; negative disables marking.
-	FailureThreshold int
-	// ProbeInterval enables half-open recovery for sticky-unhealthy
-	// shards: once per interval an unhealthy shard is granted one trial
-	// execution inside a regular query, and a successful trial revives
-	// it. 0 (the default) keeps exclusion sticky until ResetHealth.
-	ProbeInterval time.Duration
 	// Report, when non-nil, accumulates degraded-execution facts — which
 	// shards were skipped or failed, how many retries ran — across every
 	// algorithm invocation that shares it. The engine attaches one per
@@ -161,42 +135,6 @@ func (o *Options) fill() error {
 		}
 	}
 	return nil
-}
-
-// retries resolves Options.Retries (0 = default 2, negative = none).
-func (o *Options) retries() int {
-	if o.Retries < 0 {
-		return 0
-	}
-	if o.Retries == 0 {
-		return 2
-	}
-	return o.Retries
-}
-
-// retryBackoff resolves Options.RetryBackoff (0 = default 5ms).
-func (o *Options) retryBackoff() time.Duration {
-	if o.RetryBackoff <= 0 {
-		return 5 * time.Millisecond
-	}
-	return o.RetryBackoff
-}
-
-// retrySeed resolves Options.RetrySeed (0 = seed 1).
-func (o *Options) retrySeed() int64 {
-	if o.RetrySeed == 0 {
-		return 1
-	}
-	return o.RetrySeed
-}
-
-// failureThreshold resolves Options.FailureThreshold (0 = default 3;
-// negative values pass through, disabling unhealthy-marking).
-func (o *Options) failureThreshold() int {
-	if o.FailureThreshold == 0 {
-		return 3
-	}
-	return o.FailureThreshold
 }
 
 // weight returns the weight of keyword i.

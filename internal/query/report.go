@@ -16,7 +16,6 @@ type ShardReport struct {
 	mu      sync.Mutex
 	failed  map[int]string // shard → last post-retry error
 	retries int
-	probes  int
 }
 
 // noteRetries adds n retry attempts to the report.
@@ -26,16 +25,6 @@ func (r *ShardReport) noteRetries(n int) {
 	}
 	r.mu.Lock()
 	r.retries += n
-	r.mu.Unlock()
-}
-
-// noteProbe records one half-open trial granted to an unhealthy shard.
-func (r *ShardReport) noteProbe() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.probes++
 	r.mu.Unlock()
 }
 
@@ -92,16 +81,6 @@ func (r *ShardReport) Retries() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.retries
-}
-
-// Probes returns the half-open trials granted across all invocations.
-func (r *ShardReport) Probes() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.probes
 }
 
 // retryable reports whether a shard error is worth retrying or degrading

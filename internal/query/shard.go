@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"xrank/internal/breaker"
 	"xrank/internal/index"
 	"xrank/internal/storage"
 )
@@ -54,48 +55,34 @@ func shardWorkers(requested, shards int) int {
 	return w
 }
 
-// JitterBackoff returns the wait before retry attempt (0-based): a draw
-// uniform in [0, base<<attempt] — exponential cap with full jitter, so a
-// fleet of queries retrying against one recovering device spreads out
-// instead of stampeding in lockstep. The shift is clamped so the cap
-// cannot overflow. The cluster coordinator reuses the same schedule for
-// replica failover.
-func JitterBackoff(rng *rand.Rand, base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if attempt > 20 {
-		attempt = 20
-	}
-	cap := int64(base) << attempt
-	return time.Duration(rng.Int63n(cap + 1))
-}
+// The engine's shard fault policy. A transient device fault (an error
+// wrapping storage.ErrIO) is retried up to shardRetries times; retry k
+// first waits a draw uniform in [0, shardRetryBackoff<<k] from a stream
+// seeded per shard (see breaker.Backoff), so synchronized queries spread
+// out and a schedule replays exactly. The consecutive-failure threshold
+// that marks a shard unhealthy belongs to index.Sharded's breaker.
+const (
+	shardRetries      = 2
+	shardRetryBackoff = 5 * time.Millisecond
+	shardRetrySeed    = 1
+)
 
-// runShardAttempts invokes run on one shard with bounded
-// retry-with-backoff: a transient device fault (an error wrapping
-// storage.ErrIO) is retried up to opts.retries() times with seeded
-// full-jitter exponential backoff (see JitterBackoff), aborting early if
-// the query is cancelled. It returns the last result plus how many retry
-// attempts were consumed.
+// runShardAttempts invokes run on one shard under the retry policy
+// above, aborting a backoff wait early if the query is cancelled. It
+// returns the last result plus how many retry attempts were consumed.
 func runShardAttempts(s int, ix *index.Index, so Options,
 	run func(s int, ix *index.Index, so Options) ([]Result, error)) ([]Result, error, int) {
-	base := so.retryBackoff()
-	maxRetries := so.retries()
 	var rng *rand.Rand // created on first retry; most attempts never pay for it
 	for attempt := 0; ; attempt++ {
 		rs, err := run(s, ix, so)
-		if err == nil || !retryable(err) || attempt >= maxRetries {
+		if err == nil || !retryable(err) || attempt >= shardRetries {
 			return rs, err, attempt
 		}
 		if rng == nil {
-			rng = rand.New(rand.NewSource(so.retrySeed() + int64(s)*1315423911))
+			rng = breaker.NewRand(shardRetrySeed, int64(s))
 		}
-		t := time.NewTimer(JitterBackoff(rng, base, attempt))
-		select {
-		case <-so.Exec.Context().Done():
-			t.Stop()
-			return nil, so.Exec.Context().Err(), attempt
-		case <-t.C:
+		if err := breaker.Wait(so.Exec.Context(), breaker.Backoff(rng, shardRetryBackoff, attempt)); err != nil {
+			return nil, err, attempt
 		}
 	}
 }
@@ -106,23 +93,21 @@ func runShardAttempts(s int, ix *index.Index, so Options,
 // opts.Exec. With a single shard it degenerates to a direct call on the
 // caller's goroutine — no pool, no child context (retries still apply).
 //
-// Degraded mode: shards already marked unhealthy are skipped up front —
-// unless opts.ProbeInterval grants one a half-open trial, in which case
-// it executes normally and a success revives it. A shard whose execution
-// still fails with a device fault after retries is excluded from this
-// merge (and counted toward its unhealthy threshold) while the query
-// completes over the remaining shards, recording the exclusions in
-// opts.Report. Non-device errors — cancellation, deadline, budget,
-// semantic — stay fatal and poison the ExecContext family so sibling
-// shards abort promptly. Only when every shard is excluded does the
-// query fail.
+// Degraded mode: shards whose health breaker is open are skipped up
+// front. A shard whose execution still fails with a device fault after
+// retries is excluded from this merge (and charged to its breaker) while
+// the query completes over the remaining shards, recording the
+// exclusions in opts.Report; a success closes the shard's breaker.
+// Non-device errors — cancellation, deadline, budget, semantic — stay
+// fatal and poison the ExecContext family so sibling shards abort
+// promptly. Only when every shard is excluded does the query fail.
 func runSharded(sh *index.Sharded, opts Options, workers int,
 	run func(s int, ix *index.Index, so Options) ([]Result, error)) ([]Result, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	shards := sh.Shards()
-	threshold := opts.failureThreshold()
+	health := sh.Breaker()
 	if len(shards) == 1 {
 		// A one-shard index has nothing to degrade to: retry transient faults,
 		// then surface the error. Health is still recorded so /api/shards
@@ -130,9 +115,9 @@ func runSharded(sh *index.Sharded, opts Options, workers int,
 		rs, err, retries := runShardAttempts(0, shards[0], opts, run)
 		opts.Report.noteRetries(retries)
 		if err != nil && retryable(err) {
-			sh.RecordShardFailure(0, err, threshold)
+			health.Failure(0, err)
 		} else if err == nil {
-			sh.RecordShardSuccess(0)
+			health.Success(0)
 		}
 		return rs, err
 	}
@@ -146,19 +131,16 @@ func runSharded(sh *index.Sharded, opts Options, workers int,
 		excluded = map[int]error{} // shard → why it is absent from the merge
 	)
 	for s, ix := range shards {
-		probe := false
-		if !sh.ShardHealthy(s) {
-			if !sh.TryProbe(s, opts.ProbeInterval) {
-				excluded[s] = nil // skipped up front; nil marks "already unhealthy"
-				continue
-			}
-			// Half-open trial: the shard executes like any other; success
-			// below revives it, failure re-arms the probe interval.
-			probe = true
-			opts.Report.noteProbe()
+		if ok, _ := health.Allow(s); !ok {
+			// Skipped up front; nil marks "already unhealthy". Workers
+			// started earlier in this loop write excluded too.
+			mu.Lock()
+			excluded[s] = nil
+			mu.Unlock()
+			continue
 		}
 		wg.Add(1)
-		go func(s int, ix *index.Index, probe bool) {
+		go func(s int, ix *index.Index) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -182,7 +164,7 @@ func runSharded(sh *index.Sharded, opts Options, workers int,
 					// shard from this merge, count it toward the unhealthy
 					// threshold, and let the siblings finish.
 					excluded[s] = err
-					sh.RecordShardFailure(s, err, threshold)
+					health.Failure(s, err)
 					return
 				}
 				if fatalErr == nil {
@@ -193,12 +175,9 @@ func runSharded(sh *index.Sharded, opts Options, workers int,
 				opts.Exec.Fail(err)
 				return
 			}
-			if probe {
-				sh.Revive(s)
-			}
-			sh.RecordShardSuccess(s)
+			health.Success(s)
 			perShard[s] = rs
-		}(s, ix, probe)
+		}(s, ix)
 	}
 	wg.Wait()
 	if fatalErr != nil {

@@ -44,7 +44,6 @@ type engineMetrics struct {
 	slowTotal    *obs.Counter
 	degraded     *obs.Counter
 	shardRetries *obs.Counter
-	shardProbes  *obs.Counter
 	shards       *obs.Gauge
 	unhealthy    *obs.Gauge
 	inflight     *obs.Gauge
@@ -140,7 +139,6 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 		slowTotal:    r.Counter("xrank_slow_queries_total", "Queries at or above the slow-query threshold."),
 		degraded:     r.Counter("xrank_degraded_queries_total", "Queries served with at least one shard excluded."),
 		shardRetries: r.Counter("xrank_shard_retries_total", "Shard executions retried after a transient device fault."),
-		shardProbes:  r.Counter("xrank_shard_probes_total", "Half-open trial executions granted to unhealthy shards."),
 		shards:       r.Gauge("xrank_index_shards", "Index partitions the engine fans queries out over."),
 		unhealthy:    r.Gauge("xrank_shard_unhealthy", "Shards currently marked unhealthy and excluded from queries."),
 		inflight:     r.Gauge("xrank_inflight_queries", "Queries currently executing."),
@@ -241,7 +239,6 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 		m.degraded.Inc()
 	}
 	m.shardRetries.Add(int64(stats.Retries))
-	m.shardProbes.Add(int64(stats.Probes))
 	if err != nil {
 		m.queryErrors.get(algo).Inc()
 	} else {

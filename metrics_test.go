@@ -183,11 +183,12 @@ func spanNames(spans []obs.Span) []string {
 }
 
 // TestReadmeMetricsTable fails when a metric family registered by the
-// engine (metrics.go) or the HTTP layer (internal/httpapi) is missing
-// from the README's tables: each name must appear in backticks in a
-// table row. Names are read from the registering sources' string
-// literals, so series registered lazily (on first error, first stage,
-// first switch reason) are covered too.
+// engine (metrics.go), the HTTP layer (internal/httpapi) or the cluster
+// coordinator is missing from the README's tables — each name must
+// appear in backticks in a table row — and when a table row names a
+// series none of them registers. Names are read from the registering
+// sources' string literals, so series registered lazily (on first
+// error, first stage, first switch reason) are covered too.
 func TestReadmeMetricsTable(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -204,20 +205,25 @@ func TestReadmeMetricsTable(t *testing.T) {
 		}
 	}
 	name := regexp.MustCompile(`"(xrank_[a-z0-9_]+)"`)
-	registered := 0
-	for _, src := range []string{"metrics.go", "internal/httpapi/httpapi.go"} {
+	registered := map[string]bool{}
+	for _, src := range []string{"metrics.go", "internal/httpapi/httpapi.go", "internal/cluster/coordinator.go"} {
 		code, err := os.ReadFile(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range name.FindAllStringSubmatch(string(code), -1) {
-			registered++
+			registered[m[1]] = true
 			if !documented[m[1]] {
 				t.Errorf("%s registers %s, which no README table lists", src, m[1])
 			}
 		}
 	}
-	if registered < 30 {
-		t.Fatalf("found only %d registered names: has registration moved?", registered)
+	for m := range documented {
+		if !registered[m] {
+			t.Errorf("a README table lists %s, which nothing registers", m)
+		}
+	}
+	if len(registered) < 40 {
+		t.Fatalf("found only %d registered names: has registration moved?", len(registered))
 	}
 }

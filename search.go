@@ -145,13 +145,10 @@ type QueryStats struct {
 	// marked unhealthy were skipped. The results are the correct top-k of
 	// the healthy shards only. FailedShards lists the excluded shards;
 	// Retries counts the shard executions retried after transient faults
-	// (including ones that then succeeded); Probes counts the half-open
-	// trials this query granted to unhealthy shards
-	// (Config.ShardProbeIntervalMillis).
+	// (including ones that then succeeded).
 	Degraded     bool
 	FailedShards []int
 	Retries      int
-	Probes       int
 
 	// Trace holds the per-stage spans recorded while the query ran:
 	// engine stages (tokenize, execute, materialize), algorithm stages
@@ -505,7 +502,6 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 	stats.Degraded = report.Degraded()
 	stats.FailedShards = report.FailedShards()
 	stats.Retries = report.Retries()
-	stats.Probes = report.Probes()
 	e.met.unhealthy.Set(int64(e.unhealthyShards()))
 	if err == nil && stats.Degraded && e.cfg.FailOnDegraded {
 		// Strict mode: a partial answer is an error. Decided before
@@ -548,11 +544,6 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 		}
 		qopts.Exec = ec
 		qopts.Report = report
-		qopts.Retries = e.cfg.ShardRetries
-		qopts.RetryBackoff = time.Duration(e.cfg.ShardRetryBackoffMillis) * time.Millisecond
-		qopts.RetrySeed = e.cfg.ShardRetrySeed
-		qopts.FailureThreshold = e.cfg.ShardFailureThreshold
-		qopts.ProbeInterval = time.Duration(e.cfg.ShardProbeIntervalMillis) * time.Millisecond
 
 		endExec := ec.StartSpan("execute")
 		rs, err := e.runQuery(keywords, opts, qopts, stats)
@@ -592,18 +583,18 @@ func (e *Engine) runQuery(keywords []string, opts SearchOptions, qopts query.Opt
 // runOn runs one query processor against one segment's index. Every
 // processor goes through its sharded executor: on a one-shard index
 // that is a direct call on this goroutine; on a partitioned index
-// it fans out one merge per shard under the engine's worker-pool bound,
-// with per-shard child execution contexts derived from qopts.Exec.
+// it fans out one merge per shard on min(shards, GOMAXPROCS) workers
+// (workers 0), with per-shard child execution contexts derived from
+// qopts.Exec.
 func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
-	workers := e.cfg.ShardWorkers
 	if opts.Disjunctive {
-		return query.DisjunctiveSharded(ix, keywords, qopts, workers)
+		return query.DisjunctiveSharded(ix, keywords, qopts, 0)
 	}
 	switch opts.Algorithm {
 	case AlgoDIL:
-		return query.DILSharded(ix, keywords, qopts, workers)
+		return query.DILSharded(ix, keywords, qopts, 0)
 	case AlgoRDIL:
-		return query.RDILSharded(ix, keywords, qopts, workers)
+		return query.RDILSharded(ix, keywords, qopts, 0)
 	case AlgoHDIL:
 		// The estimator prices the device the query is served from: the OS
 		// page cache normally, the paper's disk under its cold protocol.
@@ -611,7 +602,7 @@ func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions,
 		if opts.ColdCache {
 			cm = storage.PaperDiskCostModel()
 		}
-		rs, trace, err := query.HDILSharded(ix, keywords, qopts, workers, cm)
+		rs, trace, err := query.HDILSharded(ix, keywords, qopts, 0, cm)
 		if trace.SwitchedToDIL && !stats.SwitchedToDIL {
 			stats.SwitchedToDIL, stats.SwitchReason = true, trace.SwitchReason
 		}

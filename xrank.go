@@ -91,9 +91,6 @@ type Config struct {
 	// tie-breaks — are identical for every shard count; see DESIGN.md.
 	// Zero means one shard.
 	Shards int
-	// ShardWorkers bounds the per-query worker pool for sharded
-	// execution. Zero means one worker per shard (clamped to GOMAXPROCS).
-	ShardWorkers int
 
 	// AnswerTags optionally restricts results to elements with these tags
 	// (the pre-defined answer nodes of Section 2.2). Each raw result is
@@ -115,32 +112,6 @@ type Config struct {
 	// (device faults, unhealthy shards). The default serves the healthy
 	// remainder with QueryStats.Degraded set.
 	FailOnDegraded bool
-	// ShardRetries is how many times a shard execution is retried after a
-	// transient device fault before the shard is excluded from the query.
-	// Zero selects the default (2); negative disables retries.
-	ShardRetries int
-	// ShardRetryBackoffMillis caps the wait before the first shard retry
-	// in milliseconds; the cap doubles per attempt and the actual wait is
-	// drawn uniformly from [0, cap] (exponential backoff with full
-	// jitter), so synchronized queries retrying against one recovering
-	// device spread out instead of stampeding. Zero selects the default
-	// cap (5).
-	ShardRetryBackoffMillis int
-	// ShardRetrySeed seeds the jittered backoff draw stream (per shard),
-	// making retry schedules reproducible in tests. Zero selects seed 1.
-	ShardRetrySeed int64
-	// ShardFailureThreshold is the consecutive post-retry failure count at
-	// which a shard is marked unhealthy and excluded from subsequent
-	// queries until ResetShardHealth. Zero selects the default (3);
-	// negative disables marking.
-	ShardFailureThreshold int
-	// ShardProbeIntervalMillis enables half-open recovery for unhealthy
-	// shards: once per interval an excluded shard is granted one trial
-	// execution inside a regular query, and a successful trial re-admits
-	// it without an operator ResetShardHealth. Each granted trial counts
-	// in xrank_shard_probes_total. Zero (the default) keeps exclusion
-	// sticky until ResetShardHealth.
-	ShardProbeIntervalMillis int
 
 	// CacheBytes bounds the in-memory query result cache: repeated
 	// queries with the same canonical fingerprint (normalized keywords +
@@ -621,7 +592,7 @@ func (e *Engine) unhealthyShards() int {
 	n := 0
 	for sh := 0; sh < e.segs[0].ix.NumShards(); sh++ {
 		for _, s := range e.segs {
-			if !s.ix.ShardHealthy(sh) {
+			if s.ix.Breaker().Open(sh) {
 				n++
 				break
 			}
