@@ -261,7 +261,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(naive.NaiveIDList), "naiveID-bytes")
 	b.ReportMetric(float64(stats.DILList), "dil-bytes")
-	b.ReportMetric(float64(stats.DILSkip+stats.RDILSkip+stats.HDILSkip), "skip-index-bytes")
+	b.ReportMetric(float64(stats.DILSkip+stats.RDILSkip), "skip-index-bytes")
 }
 
 // benchQueries measures one algorithm on one query set, reporting the

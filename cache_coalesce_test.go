@@ -2,10 +2,12 @@ package xrank
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -133,4 +135,56 @@ func TestEngineCoalesceRace(t *testing.T) {
 		cancel()
 		wg.Wait()
 	}
+}
+
+// TestCloseDuringQueries closes an engine while coalesced and uncoalesced
+// queries are in flight. Close waits for the executing ones; every query
+// either succeeds or fails with ErrClosed, and none indexes the cleared
+// segment set. Run it under -race with a high -count.
+func TestCloseDuringQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	e := NewEngine(&Config{IndexDir: t.TempDir(), CoalesceQueries: true})
+	for n := 0; n < 12; n++ {
+		if err := e.AddXML(fmt.Sprintf("doc%02d", n), strings.NewReader(diffDoc(rng, n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 8
+	var (
+		wg        sync.WaitGroup
+		succeeded atomic.Int64
+	)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := SearchOptions{Algorithm: AlgoDIL, TopM: 10}
+			if i%2 == 1 {
+				// A page-read budget keeps a query out of coalescing.
+				opts.MaxPageReads = 1 << 30
+			}
+			for k := 0; ; k++ {
+				_, _, err := e.SearchContext(context.Background(), diffQueries[k%len(diffQueries)], opts)
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("caller %d: %v", i, err)
+					return
+				}
+				succeeded.Add(1)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); succeeded.Load() < callers && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }

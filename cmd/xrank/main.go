@@ -84,8 +84,8 @@ func cmdIndex(args []string) error {
 	fmt.Printf("ElemRank: %d iterations in %v (links: %d resolved, %d dangling)\n",
 		info.ElemRankIterations, info.ElemRankTime.Round(1e6), info.ResolvedLinks, info.DanglingLinks)
 	sz := info.Sizes
-	fmt.Printf("index size: DIL %.2fMB, RDIL %.2fMB, HDIL +%.2fMB prefix, skip indexes %.2fMB\n",
-		mb(sz.DILList), mb(sz.RDILList), mb(sz.HDILRank), mb(sz.DILSkip+sz.RDILSkip+sz.HDILSkip))
+	fmt.Printf("index size: DIL %.2fMB, RDIL %.2fMB (HDIL's rank prefix: %.2fMB of it), skip indexes %.2fMB\n",
+		mb(sz.DILList), mb(sz.RDILList), mb(sz.HDILRank), mb(sz.DILSkip+sz.RDILSkip))
 	return nil
 }
 

@@ -383,9 +383,9 @@ func runCrashMatrix(t *testing.T, cfg Config, corpus func() map[string]string) {
 
 // TestCrashMatrix kills Build, Update, DeleteDoc, AddDocs and CompactOnce
 // at every write boundary: postings files, the skip indexes (dil.skip,
-// rdil.skip, hdilrank.skip, between the postings files and the
-// lexicons), lexicons, meta.json, suggest.bin and the manifests. A reopen
-// must never serve from a skip index that disagrees with its postings.
+// rdil.skip, after the postings files), meta.json, suggest.bin and the
+// manifests. A reopen must never serve from a skip index that disagrees
+// with its postings.
 func TestCrashMatrix(t *testing.T) {
 	runCrashMatrix(t, Config{Shards: 2}, crashCorpus)
 }

@@ -1,6 +1,7 @@
 package xrank
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -215,8 +217,8 @@ func TestAddDocsNeverNeedsCompaction(t *testing.T) {
 
 // TestOpenIgnoresRetiredConfigFields: an engine.json whose Config still
 // carries retired knobs — the background compactor's, SuggestMaxK, and
-// the shard fault knobs that became constants — opens and answers
-// exactly like the directory did before.
+// the shard fault knobs and RankFraction that became constants — opens
+// and answers exactly like the directory did before.
 func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	dir := t.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -241,6 +243,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	man["config"]["ShardRetrySeed"] = 42
 	man["config"]["ShardFailureThreshold"] = -1
 	man["config"]["ShardProbeIntervalMillis"] = 1000
+	man["config"]["RankFraction"] = 0.5
 	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +264,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe"} {
+	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe", "RankFraction"} {
 		if strings.Contains(string(b), retired) {
 			t.Fatalf("Config still has retired field %s: %s", retired, b)
 		}
@@ -307,50 +310,147 @@ func addRetiredNaiveFiles(tb testing.TB, e *Engine) {
 	}
 }
 
-// TestOpenSkipsRetiredNaiveFiles: a directory written while engines still
-// built the naive baselines must open and answer exactly as before, and
-// its next fold must leave no naive file behind.
-func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
-	dir := t.TempDir()
-	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
-	addCorpus(t, e, crashCorpus())
-	if _, err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	want := crashSig(t, e)
-	addRetiredNaiveFiles(t, e)
-	e.Close()
-	naiveFiles := func() []string {
-		var found []string
-		filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
-			if err == nil && strings.HasPrefix(d.Name(), "naive") {
-				found = append(found, path)
-			}
-			return err
-		})
-		return found
-	}
-	if n := len(naiveFiles()); n != 10 {
-		t.Fatalf("parent-shaped segment holds %d naive files, want 10", n)
-	}
+// retiredListFiles are the files every shard held before HDIL read its
+// rank prefix from RDIL's list and the skip indexes replaced the
+// lexicons.
+var retiredListFiles = []string{"hdil.rank", "hdilrank.skip", "dil.lex", "rdil.lex", "hdil.lex"}
 
-	e, err := OpenEngine(dir)
-	if err != nil {
-		t.Fatal(err)
+// addRetiredListFiles gives a built engine's segment 0 the shape engines
+// wrote before HDIL read its rank prefix from RDIL's list: every shard
+// also holds the five retiredListFiles, and a meta.json that records
+// them but not min_rank_prefix. Open reads nothing of a retired file but
+// its name in meta.json, so the contents are stand-ins in the retired
+// formats: the rank prefix is a copy of RDIL's list and skip index, and
+// each lexicon is an empty one.
+func addRetiredListFiles(tb testing.TB, e *Engine) {
+	tb.Helper()
+	var emptyLex []byte
+	for _, v := range []uint32{0x584C4558, 1, 0} { // "XLEX", version 1, no terms
+		emptyLex = binary.LittleEndian.AppendUint32(emptyLex, v)
 	}
-	defer e.Close()
-	if got := crashSig(t, e); !reflect.DeepEqual(got, want) {
-		t.Fatal("parent-shaped directory answers differently")
+	for s := 0; s < e.NumShards(); s++ {
+		shard := filepath.Join(e.cfg.IndexDir, segmentDirName(0), fmt.Sprintf("shard%03d", s))
+		metaPath := filepath.Join(shard, "meta.json")
+		var meta map[string]any
+		if err := storage.ReadManifest(nil, metaPath, &meta); err != nil {
+			tb.Fatal(err)
+		}
+		delete(meta, "min_rank_prefix")
+		files := meta["files"].(map[string]any)
+		for _, name := range retiredListFiles {
+			b := emptyLex
+			if src, ok := map[string]string{"hdil.rank": "rdil.post", "hdilrank.skip": "rdil.skip"}[name]; ok {
+				var err error
+				if b, err = os.ReadFile(filepath.Join(shard, src)); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(shard, name), b, 0o644); err != nil {
+				tb.Fatal(err)
+			}
+			files[name] = storage.FileSum{Size: int64(len(b)), CRC32: storage.Checksum(b)}
+		}
+		if err := storage.WriteManifestAtomic(nil, metaPath, meta); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	if err := e.AddDocs(map[string]io.Reader{"late.xml": strings.NewReader(`<book><title>late xml search</title></book>`)}); err != nil {
-		t.Fatal(err)
+}
+
+// TestOpenSkipsRetiredNaiveFiles: a directory in the shape of an older
+// engine — one that still built the naive baselines, or one that still
+// wrote HDIL's rank prefix and the lexicons beside the two lists — must
+// open and answer exactly as before under every algorithm, and its next
+// fold must leave no retired file behind: every shard directory then
+// holds exactly the two lists, their skip indexes and meta.json.
+func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		add     func(testing.TB, *Engine)
+		retired func(name string) bool
+	}{
+		{"naive", addRetiredNaiveFiles, func(name string) bool { return strings.HasPrefix(name, "naive") }},
+		{"rank-prefix-and-lexicons", addRetiredListFiles, func(name string) bool { return slices.Contains(retiredListFiles, name) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+			addCorpus(t, e, crashCorpus())
+			if _, err := e.Build(); err != nil {
+				t.Fatal(err)
+			}
+			want := algorithmSig(t, e)
+			tc.add(t, e)
+			e.Close()
+			retiredFiles := func() []string {
+				var found []string
+				filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+					if err == nil && tc.retired(d.Name()) {
+						found = append(found, path)
+					}
+					return err
+				})
+				return found
+			}
+			if n := len(retiredFiles()); n != 10 {
+				t.Fatalf("parent-shaped segment holds %d retired files, want 10", n)
+			}
+
+			e, err := OpenEngine(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if got := algorithmSig(t, e); !reflect.DeepEqual(got, want) {
+				t.Fatal("parent-shaped directory answers differently")
+			}
+			if err := e.AddDocs(map[string]io.Reader{"late.xml": strings.NewReader(`<book><title>late xml search</title></book>`)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.CompactOnce(0); err != nil {
+				t.Fatal(err)
+			}
+			if left := retiredFiles(); len(left) != 0 {
+				t.Fatalf("retired files survived the fold: %v", left)
+			}
+			shards, _ := filepath.Glob(filepath.Join(dir, "seg-*", "shard[0-9]*"))
+			if len(shards) == 0 {
+				t.Fatal("no shard directories after the fold")
+			}
+			for _, shard := range shards {
+				ents, err := os.ReadDir(shard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, ent := range ents {
+					names = append(names, ent.Name())
+				}
+				if want := []string{"dil.post", "dil.skip", "meta.json", "rdil.post", "rdil.skip"}; !slices.Equal(names, want) {
+					t.Fatalf("%s holds %v, want %v", shard, names, want)
+				}
+			}
+		})
 	}
-	if _, err := e.CompactOnce(0); err != nil {
-		t.Fatal(err)
+}
+
+// algorithmSig answers a few queries under DIL, RDIL, HDIL and the
+// disjunctive merge.
+func algorithmSig(t *testing.T, e *Engine) [][]SearchResult {
+	t.Helper()
+	var sig [][]SearchResult
+	for _, q := range []string{"xml search", "keyword retrieval", "xql language", "ranked search"} {
+		for _, opts := range []SearchOptions{
+			{Algorithm: AlgoDIL}, {Algorithm: AlgoRDIL}, {Algorithm: AlgoHDIL}, {Disjunctive: true},
+		} {
+			opts.TopM = 10
+			rs, _, err := e.SearchDetailed(q, opts)
+			if err != nil {
+				t.Fatalf("%q under %+v: %v", q, opts, err)
+			}
+			sig = append(sig, rs)
+		}
 	}
-	if left := naiveFiles(); len(left) != 0 {
-		t.Fatalf("naive files survived the fold: %v", left)
-	}
+	return sig
 }
 
 // BenchmarkAddDocsSteadyState is the write path's steady state: 64

@@ -19,10 +19,12 @@ import (
 // the opened engine is observably identical to the pristine one. The
 // pristine bytes are restored after each case so the shared directory
 // stays valid. The walked file set includes the per-term skip indexes
-// (dil.skip, rdil.skip, hdilrank.skip) — a corrupted skip index must be
-// rejected at open, never silently steer queries into the wrong blocks —
-// and, since the directory has the shape engines wrote while they still
-// built the naive baselines, the retired naive files, which open ignores.
+// (dil.skip, rdil.skip) — a corrupted skip index must be rejected at
+// open, never silently steer queries into the wrong blocks — and, since
+// the directory has the shape older engines wrote, the retired files
+// open ignores: the naive baselines' five, and the separate HDIL rank
+// prefix (hdil.rank, hdilrank.skip) and lexicons (dil.lex, rdil.lex,
+// hdil.lex).
 func FuzzOpenCorrupt(f *testing.F) {
 	dir := f.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -45,6 +47,7 @@ func FuzzOpenCorrupt(f *testing.F) {
 		f.Fatalf("reference query: %v results, %v", len(want), err)
 	}
 	addRetiredNaiveFiles(f, e)
+	addRetiredListFiles(f, e)
 	e.Close()
 
 	var files []string

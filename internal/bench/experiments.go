@@ -103,7 +103,7 @@ func E2Space(es *Engines) *Table {
 			"replication); RDIL list = DIL list; HDIL list slightly over DIL (rank-ordered prefix).\n" +
 			"Deviation: RDIL and HDIL answer their Dewey probes from DIL's skip index over dil.post instead of\n" +
 			"the paper's B+-trees, so RDIL has no private list-sized tree; each Dewey row's index is the skip\n" +
-			"indexes it reads (DIL: dil.skip; RDIL: + rdil.skip; HDIL: + hdilrank.skip).",
+			"indexes it reads (DIL: dil.skip; RDIL: + rdil.skip; HDIL: + the rdil.skip refs of its prefix in rdil.post).",
 	}
 	d, x := es.DBLPInfo.Sizes, es.XMarkInfo.Sizes
 	dn, xn := es.DBLPNaive.Sizes, es.XMarkNaive.Sizes

@@ -14,19 +14,19 @@ import (
 
 // The postings format.
 //
-// Every Dewey-family list (dil.post, rdil.post, hdil.rank) packs up to
+// Both Dewey-family lists (dil.post, rdil.post) pack up to
 // blockMaxEntries postings into one postings-file entry (a "block").
 // Within a block every posting after the first is delta-coded against
 // its predecessor (the AppendDeweyEntryCompressed wire format), and
 // blocks never span pages, so any block is decodable from its single
-// page without context. A per-term skip index — built alongside the
-// lexicon and loaded fully into memory at Open — records each block's
-// location, entry count, byte length, maximum ElemRank and first/last
-// Dewey ID. That sparse index is the only Dewey-side access structure:
-// query loops skip whole blocks with it (by document range, or the
-// remainder of a rank-ordered list once the threshold algorithm's stop
-// condition holds), and RDIL's and HDIL's Dewey probes binary-search
-// dil.skip where the paper descends a B+-tree (see Prober).
+// page without context. A per-term skip index — loaded fully into memory
+// at Open — records each block's location, entry count, byte length,
+// maximum ElemRank and first/last Dewey ID. That sparse index is the only
+// Dewey-side access structure and per-term metadata (locOf): query loops
+// skip whole blocks with it (by document range, or the remainder of a
+// rank-ordered list once the threshold algorithm's stop condition holds),
+// and RDIL's and HDIL's Dewey probes binary-search dil.skip where the
+// paper descends a B+-tree (see Prober).
 //
 // Block body layout (the bytes after the postings-file length prefix):
 //
@@ -67,6 +67,30 @@ type BlockRef struct {
 	// at build/load time: the doc-range skip test needs it without
 	// decoding.
 	LastDoc uint32
+}
+
+// locOf derives a list's entry count and encoded bytes (with length
+// prefixes) from its skip refs; Page and Off stay zero.
+func locOf(refs []BlockRef) Loc {
+	var loc Loc
+	for i := range refs {
+		loc.Count += uint32(refs[i].Count)
+		loc.Bytes += uint32(refs[i].Bytes) + entryLenSize
+	}
+	return loc
+}
+
+// rankPrefix returns the refs of the blocks holding a list's first n
+// entries, and how many of the last one's entries are among them.
+func rankPrefix(refs []BlockRef, n int) ([]BlockRef, int) {
+	for i := range refs {
+		c := int(refs[i].Count)
+		if n <= c {
+			return refs[:i+1], n
+		}
+		n -= c
+	}
+	return refs, 0
 }
 
 // blockDecoder is the one decoder of block bodies. It decodes entries
@@ -264,7 +288,6 @@ type blockListWriter struct {
 	maxRank float32
 
 	refs    []BlockRef
-	loc     Loc
 	scratch []byte
 }
 
@@ -308,9 +331,6 @@ func (bw *blockListWriter) flushBlock() error {
 	if err != nil {
 		return err
 	}
-	if len(bw.refs) == 0 {
-		bw.loc.Page, bw.loc.Off = page, off
-	}
 	bw.refs = append(bw.refs, BlockRef{
 		Page:    page,
 		Off:     off,
@@ -321,23 +341,21 @@ func (bw *blockListWriter) flushBlock() error {
 		LastID:  append([]byte(nil), bw.last...),
 		LastDoc: bw.lastDoc,
 	})
-	bw.loc.Bytes += uint32(len(bw.body))
-	bw.loc.Count += uint32(bw.n)
 	bw.n = 0
 	return nil
 }
 
-func (bw *blockListWriter) finish() (Loc, []BlockRef, error) {
+func (bw *blockListWriter) finish() ([]BlockRef, error) {
 	if err := bw.flushBlock(); err != nil {
-		return Loc{}, nil, err
+		return nil, err
 	}
-	return bw.loc, bw.refs, nil
+	return bw.refs, nil
 }
 
 // Skip-index file format ("XSKP"):
 //
 //	u32 magic, u32 version, u32 nTerms
-//	per term (lexicon order): u16 termLen, term, u32 nBlocks
+//	per term (sorted order): u16 termLen, term, u32 nBlocks
 //	per block: u32 page, u16 off, u16 count, u16 bytes, f32 maxRank,
 //	           u16 firstLen, firstID, u16 lastLen, lastID
 const (
@@ -345,16 +363,16 @@ const (
 	skipVersion = 1
 )
 
-// writeSkipIndex persists the per-term block refs with the atomic write
-// protocol, returning the file's size and checksum for meta.json.
-func writeSkipIndex(fs storage.FS, path string, terms []string, refs map[string][]BlockRef) (storage.FileSum, error) {
+// encodeSkipIndex encodes the per-term block refs of terms in the
+// skip-index file format.
+func encodeSkipIndex(terms []string, refs map[string][]BlockRef) ([]byte, error) {
 	out := make([]byte, 0, 12+len(terms)*64)
 	out = binary.LittleEndian.AppendUint32(out, skipMagic)
 	out = binary.LittleEndian.AppendUint32(out, skipVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(terms)))
 	for _, t := range terms {
 		if len(t) > 0xFFFF {
-			return storage.FileSum{}, fmt.Errorf("index: term too long (%d bytes)", len(t))
+			return nil, fmt.Errorf("index: term too long (%d bytes)", len(t))
 		}
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(t)))
 		out = append(out, t...)
@@ -373,10 +391,7 @@ func writeSkipIndex(fs storage.FS, path string, terms []string, refs map[string]
 			out = append(out, r.LastID...)
 		}
 	}
-	if err := storage.WriteFileAtomic(fs, path, out); err != nil {
-		return storage.FileSum{}, fmt.Errorf("index: write skip index %s: %w", path, err)
-	}
-	return storage.FileSum{Size: int64(len(out)), CRC32: storage.Checksum(out)}, nil
+	return out, nil
 }
 
 // decodeSkipIndex parses a skip-index file, validating every structural
@@ -385,8 +400,8 @@ func writeSkipIndex(fs storage.FS, path string, terms []string, refs map[string]
 // the underlying list's sort order: Dewey-ordered lists (dil.post) must
 // have non-decreasing IDs across and within blocks — the invariant the
 // document-range skip and the block prober rely on — while rank-ordered
-// lists (rdil.post, hdil.rank) must instead have non-increasing block
-// MaxRanks, the invariant the threshold-stop skip relies on.
+// lists (rdil.post) must instead have non-increasing block MaxRanks, the
+// invariant the threshold-stop skip relies on.
 func decodeSkipIndex(b []byte, ordered bool) (map[string][]BlockRef, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("index: %w skip index: %s", storage.ErrCorrupt, fmt.Sprintf(format, args...))
@@ -544,6 +559,9 @@ type blockCursor struct {
 	scan  bool // full-list scan: pages enter the pool cold
 	refs  []BlockRef
 	count uint32 // total entries across all blocks
+	// lastN, when non-zero, caps the entries read from the last ref's
+	// block: HDIL's rank prefix can end inside a block.
+	lastN int
 
 	bi int // next ref to load
 	// frame pins the loaded block's page until the next load or close,
@@ -559,10 +577,6 @@ type blockCursor struct {
 // decoders recycles block decoders, whose columns grow to a block's size,
 // across cursors and probes: a query opens several of each.
 var decoders = sync.Pool{New: func() any { return new(blockDecoder) }}
-
-func newBlockCursor(pool *storage.BufferPool, refs []BlockRef, count uint32, ec *storage.ExecContext, scan bool) *blockCursor {
-	return &blockCursor{pool: pool, refs: refs, count: count, ec: ec, scan: scan}
-}
 
 // inBlock reports whether the loaded block has entries left.
 func (c *blockCursor) inBlock() bool { return c.dec != nil && c.dec.decoded() < c.dec.n }
@@ -597,6 +611,9 @@ func (c *blockCursor) loadBlock(ref *BlockRef) error {
 	c.told = c.dec.decoded() // 0 unless the page could not be read
 	if err != nil {
 		return err
+	}
+	if c.lastN > 0 && c.bi == len(c.refs)-1 {
+		c.dec.n = c.lastN // the cursor ends here, never asking for more
 	}
 	c.frame = fr
 	return nil

@@ -2,9 +2,7 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"math"
 	"slices"
 	"testing"
 
@@ -73,7 +71,7 @@ func FuzzBlockDecode(f *testing.F) {
 // ordering modes: it must never panic, and every accepted input must
 // satisfy the per-mode structural invariants the cursors rely on.
 func FuzzSkipIndex(f *testing.F) {
-	valid, err := writeSkipIndexBytes([]string{"kw"}, map[string][]BlockRef{
+	valid, err := encodeSkipIndex([]string{"kw"}, map[string][]BlockRef{
 		"kw": {{Page: 0, Off: 0, Count: 3, Bytes: 64, MaxRank: 0.9,
 			FirstID: dewey.Encode(dewey.ID{0, 1}), LastID: dewey.Encode(dewey.ID{2, 0})}},
 	})
@@ -117,34 +115,6 @@ func FuzzSkipIndex(f *testing.F) {
 			}
 		}
 	})
-}
-
-// writeSkipIndexBytes is writeSkipIndex minus the file system — it
-// produces the encoded bytes for in-memory round trips.
-func writeSkipIndexBytes(terms []string, refs map[string][]BlockRef) ([]byte, error) {
-	out := make([]byte, 0, 64)
-	out = binary.LittleEndian.AppendUint32(out, skipMagic)
-	out = binary.LittleEndian.AppendUint32(out, skipVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(terms)))
-	for _, t := range terms {
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(t)))
-		out = append(out, t...)
-		rs := refs[t]
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(rs)))
-		for i := range rs {
-			r := &rs[i]
-			out = binary.LittleEndian.AppendUint32(out, uint32(r.Page))
-			out = binary.LittleEndian.AppendUint16(out, r.Off)
-			out = binary.LittleEndian.AppendUint16(out, r.Count)
-			out = binary.LittleEndian.AppendUint16(out, r.Bytes)
-			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(r.MaxRank))
-			out = binary.LittleEndian.AppendUint16(out, uint16(len(r.FirstID)))
-			out = append(out, r.FirstID...)
-			out = binary.LittleEndian.AppendUint16(out, uint16(len(r.LastID)))
-			out = append(out, r.LastID...)
-		}
-	}
-	return out, nil
 }
 
 // TestBlockRoundTrip pins encode→decode identity for a block: every

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -13,23 +14,18 @@ import (
 
 // File names inside an index directory.
 const (
-	fileDILPost      = "dil.post"
-	fileDILSkip      = "dil.skip"
-	fileDILLex       = "dil.lex"
-	fileRDILPost     = "rdil.post"
-	fileRDILSkip     = "rdil.skip"
-	fileRDILLex      = "rdil.lex"
-	fileHDILRank     = "hdil.rank"
-	fileHDILRankSkip = "hdilrank.skip"
-	fileHDILLex      = "hdil.lex"
-	fileMeta         = "meta.json"
+	fileDILPost  = "dil.post"
+	fileDILSkip  = "dil.skip"
+	fileRDILPost = "rdil.post"
+	fileRDILSkip = "rdil.skip"
+	fileMeta     = "meta.json"
 )
 
 // BuildOptions configure index construction.
 type BuildOptions struct {
-	// RankFraction is the fraction of each inverted list stored rank-
-	// ordered for HDIL (Section 4.4.1: "store only a small fraction of the
-	// inverted list sorted by rank"). Default 0.10.
+	// RankFraction is the fraction of each inverted list HDIL reads in rank
+	// order, a prefix of RDIL's list (Section 4.4.1: "store only a small
+	// fraction of the inverted list sorted by rank"). Default 0.10.
 	RankFraction float64
 	// MinRankPrefix is the minimum rank-prefix length per term (bounded by
 	// the list length). Default 64.
@@ -55,7 +51,7 @@ func (o *BuildOptions) fill() {
 		o.RankFraction = 0.10
 	}
 	if o.MinRankPrefix <= 0 {
-		o.MinRankPrefix = 64
+		o.MinRankPrefix = defaultMinRankPrefix
 	}
 	if o.MaxPositions <= 0 {
 		o.MaxPositions = MaxPositionsDefault
@@ -68,12 +64,15 @@ func (o *BuildOptions) fill() {
 // file is synced, and records each file's size and CRC-32C in Files so
 // Open can verify the whole directory before trusting any of it.
 type Meta struct {
-	NumDocs      int     `json:"num_docs"`
-	NumElements  int     `json:"num_elements"`
-	Terms        int     `json:"terms"`
-	DeweyEntries int     `json:"dewey_entries"`
-	RankFraction float64 `json:"rank_fraction"`
-	MaxPositions int     `json:"max_positions"`
+	NumDocs      int `json:"num_docs"`
+	NumElements  int `json:"num_elements"`
+	Terms        int `json:"terms"`
+	DeweyEntries int `json:"dewey_entries"`
+	// RankFraction and MinRankPrefix fix HDIL's rank prefix. A meta.json
+	// without min_rank_prefix was built with the default.
+	RankFraction  float64 `json:"rank_fraction"`
+	MinRankPrefix int     `json:"min_rank_prefix"`
+	MaxPositions  int     `json:"max_positions"`
 	// PostingsFormat is the directory's on-disk format; Open accepts only
 	// the package's PostingsFormat.
 	PostingsFormat int   `json:"postings_format"`
@@ -83,16 +82,27 @@ type Meta struct {
 	Files map[string]storage.FileSum `json:"files"`
 }
 
+// defaultMinRankPrefix is BuildOptions.MinRankPrefix's default.
+const defaultMinRankPrefix = 64
+
+// RankPrefixLen is the length of HDIL's rank-ordered prefix of a list of
+// n entries: the first ceil(RankFraction·n) entries of RDIL's list, at
+// least MinRankPrefix of them, at most n.
+func (m *Meta) RankPrefixLen(n int) int {
+	p := max(int(math.Ceil(m.RankFraction*float64(n))), cmp.Or(m.MinRankPrefix, defaultMinRankPrefix))
+	return min(p, n)
+}
+
 // BuildStats reports per-component on-disk sizes in bytes, the data for
 // Table 1.
 type BuildStats struct {
 	Meta     Meta
 	DILList  int64 // dil.post — also HDIL's full list, which RDIL's Dewey probes read too
 	RDILList int64 // rdil.post
-	HDILRank int64 // hdil.rank (rank-ordered prefix)
-	// DILSkip, RDILSkip and HDILSkip are the sparse per-block skip indexes
-	// of the three lists above (dil.skip, rdil.skip, hdilrank.skip), the
-	// only Dewey-side access structures.
+	HDILRank int64 // the rdil.post blocks holding HDIL's rank prefixes
+	// DILSkip and RDILSkip are the sparse per-block skip indexes of the two
+	// lists above, the only Dewey-side access structures; HDILSkip is what
+	// a skip index over HDILRank's blocks alone would take.
 	DILSkip  int64
 	RDILSkip int64
 	HDILSkip int64
@@ -105,8 +115,7 @@ type BuildStats struct {
 }
 
 // IndexBytes is the total size of the files the build's meta.json
-// manifests record: postings, skip indexes and lexicons alike, summed over
-// shards.
+// manifests record: postings and skip indexes alike, summed over shards.
 func (s *BuildStats) IndexBytes() int64 {
 	var n int64
 	for _, files := range s.shardFiles {
@@ -129,10 +138,10 @@ func (s *BuildStats) add(o *BuildStats) {
 	s.shardFiles = append(s.shardFiles, o.shardFiles...)
 }
 
-// Build constructs the Dewey-family lists (DIL, RDIL and HDIL's
-// rank-ordered prefix) and their skip indexes for the collection in dir,
-// which is created if needed. ranks holds ElemRank scores by global
-// element index.
+// Build constructs the Dewey-family lists — DIL, and RDIL, whose
+// rank-ordered list HDIL also reads a prefix of — and their skip indexes
+// for the collection in dir, which is created if needed. ranks holds
+// ElemRank scores by global element index.
 func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions) (*BuildStats, error) {
 	opts.fill()
 	start := time.Now()
@@ -157,12 +166,13 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 		NumElements:    c.NumElements(),
 		Terms:          len(sorted),
 		RankFraction:   opts.RankFraction,
+		MinRankPrefix:  opts.MinRankPrefix,
 		MaxPositions:   opts.MaxPositions,
 		PostingsFormat: PostingsFormat,
 	}
 	for _, term := range sorted {
 		posts := terms[term]
-		if err := b.addTerm(term, posts, opts); err != nil {
+		if err := b.addTerm(term, posts); err != nil {
 			return nil, fmt.Errorf("index: term %q: %w", term, err)
 		}
 		meta.DeweyEntries += len(posts)
@@ -187,12 +197,20 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 		Meta:       meta,
 		DILList:    size(fileDILPost),
 		RDILList:   size(fileRDILPost),
-		HDILRank:   size(fileHDILRank),
 		DILSkip:    size(fileDILSkip),
 		RDILSkip:   size(fileRDILSkip),
-		HDILSkip:   size(fileHDILRankSkip),
 		shardFiles: []map[string]storage.FileSum{files},
 	}
+	prefix := make(map[string][]BlockRef, len(sorted))
+	for t, rs := range b.dewey[1].refs {
+		prefix[t], _ = rankPrefix(rs, meta.RankPrefixLen(int(locOf(rs).Count)))
+		stats.HDILRank += int64(locOf(prefix[t]).Bytes)
+	}
+	skip, err := encodeSkipIndex(sorted, prefix)
+	if err != nil {
+		return nil, err
+	}
+	stats.HDILSkip = int64(len(skip))
 	for _, f := range b.files {
 		stats.PageWrites += f.pf.Stats().Writes
 	}
@@ -200,13 +218,12 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 }
 
 // listBuilder is one Dewey-family list under construction: its postings
-// file and, per term, the list's location and block refs, which finish
-// persists as the list's lexicon and skip index.
+// file and, per term, the list's block refs, which finish persists as the
+// list's skip index.
 type listBuilder struct {
-	skip, lex string // file names
-	w         *postWriter
-	locs      map[string]Loc
-	refs      map[string][]BlockRef
+	skip string // skip index file name
+	w    *postWriter
+	refs map[string][]BlockRef
 }
 
 // variantBuilders holds the open files and per-term metadata accumulated
@@ -217,9 +234,9 @@ type variantBuilders struct {
 	// which is also the fixed order finish syncs them in.
 	files []namedFile
 
-	// dewey holds the Dewey-ordered list, the full rank-ordered list and
-	// HDIL's rank-ordered prefix, in that (fixed) order.
-	dewey [3]*listBuilder
+	// dewey holds the Dewey-ordered list and the rank-ordered list, in
+	// that (fixed) order.
+	dewey [2]*listBuilder
 }
 
 type namedFile struct {
@@ -240,15 +257,13 @@ func newVariantBuilders(fs storage.FS, dir string) (*variantBuilders, error) {
 		}
 		return pf
 	}
-	for i, names := range [3][3]string{
-		{fileDILPost, fileDILSkip, fileDILLex},
-		{fileRDILPost, fileRDILSkip, fileRDILLex},
-		{fileHDILRank, fileHDILRankSkip, fileHDILLex},
+	for i, names := range [2][2]string{
+		{fileDILPost, fileDILSkip},
+		{fileRDILPost, fileRDILSkip},
 	} {
 		b.dewey[i] = &listBuilder{
-			skip: names[1], lex: names[2],
+			skip: names[1],
 			w:    newPostWriter(create(names[0])),
-			locs: make(map[string]Loc),
 			refs: make(map[string][]BlockRef),
 		}
 	}
@@ -266,39 +281,21 @@ func (b *variantBuilders) closeAll() {
 }
 
 // addTerm writes one term's postings into every variant.
-func (b *variantBuilders) addTerm(term string, posts []Posting, opts BuildOptions) error {
-	dil, rdil, hdil := b.dewey[0], b.dewey[1], b.dewey[2]
-
+func (b *variantBuilders) addTerm(term string, posts []Posting) error {
 	// DIL: Dewey order (the natural order postings were collected in).
-	if err := dil.add(term, posts, nil); err != nil {
+	if err := b.dewey[0].add(term, posts, nil); err != nil {
 		return err
 	}
-	// RDIL: the whole list in rank order.
-	byRank := rankOrder(posts)
-	if err := rdil.add(term, posts, byRank); err != nil {
-		return err
-	}
-	// HDIL: a rank-ordered prefix; its full list is the DIL list.
-	prefixLen := int(math.Ceil(opts.RankFraction * float64(len(posts))))
-	if prefixLen < opts.MinRankPrefix {
-		prefixLen = opts.MinRankPrefix
-	}
-	if prefixLen > len(posts) {
-		prefixLen = len(posts)
-	}
-	return hdil.add(term, posts, byRank[:prefixLen])
+	// RDIL: the whole list in rank order. HDIL's rank prefix is its head.
+	return b.dewey[1].add(term, posts, rankOrder(posts))
 }
 
 // add writes term's postings (in the order given by perm, or natural
 // order when perm is nil) as delta-coded blocks, recording the list's
-// location and block refs.
+// block refs.
 func (l *listBuilder) add(term string, posts []Posting, perm []int) error {
 	bw := blockListWriter{w: l.w}
-	n := len(posts)
-	if perm != nil {
-		n = len(perm)
-	}
-	for i := 0; i < n; i++ {
+	for i := range posts {
 		p := &posts[i]
 		if perm != nil {
 			p = &posts[perm[i]]
@@ -307,11 +304,11 @@ func (l *listBuilder) add(term string, posts []Posting, perm []int) error {
 			return err
 		}
 	}
-	loc, refs, err := bw.finish()
+	refs, err := bw.finish()
 	if err != nil {
 		return err
 	}
-	l.locs[term], l.refs[term] = loc, refs
+	l.refs[term] = refs
 	return nil
 }
 
@@ -329,10 +326,10 @@ func rankOrder(posts []Posting) []int {
 }
 
 // finish flushes all writers, syncs every page file, persists the skip
-// indexes and lexicons atomically, and returns the size+checksum of every
-// data file for the meta.json commit record. Fault injection numbers
-// write boundaries by execution order, so every step runs in a fixed
-// order: page files, then skip indexes, then lexicons.
+// indexes atomically, and returns the size+checksum of every data file
+// for the meta.json commit record. Fault injection numbers write
+// boundaries by execution order, so every step runs in a fixed order:
+// page files, then skip indexes.
 func (b *variantBuilders) finish(dir string, terms []string) (map[string]storage.FileSum, error) {
 	for _, l := range b.dewey {
 		if err := l.w.flush(); err != nil {
@@ -344,18 +341,14 @@ func (b *variantBuilders) finish(dir string, terms []string) (map[string]storage
 		return nil, err
 	}
 	for _, l := range b.dewey {
-		sum, err := writeSkipIndex(b.fs, filepath.Join(dir, l.skip), terms, l.refs)
+		out, err := encodeSkipIndex(terms, l.refs)
 		if err != nil {
 			return nil, err
 		}
-		files[l.skip] = sum
-	}
-	for _, l := range b.dewey {
-		sum, err := writeLexicon(b.fs, filepath.Join(dir, l.lex), terms, func(t string, buf []byte) []byte { return appendLoc(buf, l.locs[t]) })
-		if err != nil {
-			return nil, err
+		if err := storage.WriteFileAtomic(b.fs, filepath.Join(dir, l.skip), out); err != nil {
+			return nil, fmt.Errorf("index: write skip index %s: %w", l.skip, err)
 		}
-		files[l.lex] = sum
+		files[l.skip] = storage.FileSum{Size: int64(len(out)), CRC32: storage.Checksum(out)}
 	}
 	return files, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -134,7 +135,8 @@ func TestDecodeDeweyEntryCompressedResetsOnError(t *testing.T) {
 // TestCompressionEquivalenceAndSavings builds a deep corpus and checks,
 // for every term, that each list scans back as the reference postings in
 // its order, that its skip index summarizes its blocks exactly (entry
-// counts, first and last IDs, maximum rank, order), and that prefix
+// counts, first and last IDs, maximum rank, order), that HDIL's prefix
+// cursor yields exactly the head of the RDIL list, and that prefix
 // compression makes dil.post smaller than storing every ID in full.
 func TestCompressionEquivalenceAndSavings(t *testing.T) {
 	// A deep corpus (nested groups, like XMark): sibling entries share
@@ -153,6 +155,7 @@ func TestCompressionEquivalenceAndSavings(t *testing.T) {
 	ref := referencePostings(c)
 
 	var fullIDs int64 // dil.post's size were every ID stored in full
+	var midBlock, boundary, multiBlock bool
 	for term, want := range ref {
 		for i := range want {
 			want[i].Rank = float32(ranks[want[i].Elem])
@@ -161,7 +164,7 @@ func TestCompressionEquivalenceAndSavings(t *testing.T) {
 		for _, l := range []struct {
 			name string
 			list *deweyList
-		}{{"dil", ix.dil}, {"rdil", ix.rdil}, {"hdil", ix.hdil}} {
+		}{{"dil", ix.dil}, {"rdil", ix.rdil}} {
 			refs := l.list.refs[term]
 			cur, ok := l.list.cursor(nil, term, false)
 			if !ok {
@@ -195,14 +198,10 @@ func TestCompressionEquivalenceAndSavings(t *testing.T) {
 			}
 			cur.Close()
 			// DIL holds the reference postings in Dewey order; RDIL the same
-			// set in rank order; HDIL a rank-ordered prefix of RDIL.
+			// set in rank order.
 			wantOrder := want
 			if l.name != "dil" {
-				wantOrder = slices.Clone(want)
-				slices.SortStableFunc(wantOrder, func(a, b Posting) int { return cmp.Compare(b.Rank, a.Rank) })
-			}
-			if l.name == "hdil" && len(got) < len(wantOrder) {
-				wantOrder = wantOrder[:len(got)]
+				wantOrder = byRank(want)
 			}
 			if len(got) != len(wantOrder) {
 				t.Fatalf("%s %q: %d entries, want %d", l.name, term, len(got), len(wantOrder))
@@ -214,8 +213,151 @@ func TestCompressionEquivalenceAndSavings(t *testing.T) {
 				}
 			}
 		}
+
+		// HDIL's prefix cursor yields exactly the first n entries of the
+		// RDIL list and then reports Exhausted: for prefixes that end inside
+		// a block, on a block boundary, at the list's end, and at the
+		// RankPrefixLen HDIL uses.
+		wantRank := byRank(want)
+		refs := ix.rdil.refs[term]
+		first := int(refs[0].Count)
+		lens := []int{1, first, len(want)}
+		if first > 1 {
+			lens = append(lens, first-1)
+		}
+		if len(refs) > 1 {
+			lens = append(lens, first+1, first+int(refs[1].Count))
+			multiBlock = true
+		}
+		built := ix.Meta
+		for k, n := range append(lens, built.RankPrefixLen(len(want))) {
+			if k < len(lens) {
+				// A MinRankPrefix of n over a vanishing fraction makes the
+				// prefix n entries long.
+				ix.Meta.MinRankPrefix, ix.Meta.RankFraction = n, 1e-9
+			} else {
+				ix.Meta = built // the prefix HDIL reads
+			}
+			cur, _ := ix.HDILRankCursorExec(nil, term)
+			if n < len(want) {
+				onBoundary := prefixEndsOnBoundary(refs, n)
+				boundary = boundary || onBoundary
+				midBlock = midBlock || !onBoundary
+			}
+			if cur.Count() != n {
+				t.Fatalf("prefix %q/%d: Count %d", term, n, cur.Count())
+			}
+			for i := 0; i < n; i++ {
+				p, ok, err := cur.Next()
+				if err != nil || !ok {
+					t.Fatalf("prefix %q/%d: ends after %d entries: %v", term, n, i, err)
+				}
+				if w := wantRank[i]; !dewey.Equal(p.ID, w.ID) || p.Rank != w.Rank || !slices.Equal(p.Positions, w.Positions) {
+					t.Fatalf("prefix %q/%d entry %d: %v, want %v", term, n, i, *p, w)
+				}
+			}
+			if !cur.Exhausted() {
+				t.Fatalf("prefix %q/%d: not exhausted after its last entry", term, n)
+			}
+			if p, more, err := cur.Next(); more || err != nil {
+				t.Fatalf("prefix %q/%d: yields %v (%v) past its end", term, n, p, err)
+			}
+			cur.Close()
+		}
+		ix.Meta = built
+	}
+	if !midBlock || !boundary || !multiBlock {
+		t.Fatalf("prefix cases not covered: mid-block %v, block boundary %v, multi-block list %v", midBlock, boundary, multiBlock)
 	}
 	if st := ix.Meta.Files[fileDILPost].Size; st >= fullIDs {
 		t.Errorf("prefix-compressed dil.post (%d bytes) not smaller than full IDs (%d)", st, fullIDs)
+	}
+}
+
+// byRank returns posts in RDIL's order: descending rank, ties in Dewey
+// order.
+func byRank(posts []Posting) []Posting {
+	out := slices.Clone(posts)
+	slices.SortStableFunc(out, func(a, b Posting) int { return cmp.Compare(b.Rank, a.Rank) })
+	return out
+}
+
+// prefixEndsOnBoundary reports whether the first n entries of a list with
+// these block refs end exactly at the end of a block.
+func prefixEndsOnBoundary(refs []BlockRef, n int) bool {
+	for _, r := range refs {
+		n -= int(r.Count)
+		if n <= 0 {
+			return n == 0
+		}
+	}
+	return false
+}
+
+// TestDerivedListLocations: with no lexicon, a list's entry count and
+// encoded size are derived from its skip refs. DILCount and DILListBytes
+// (and the RDIL list's derived Loc) must equal a brute-force walk of the
+// postings file: terms are written in sorted order, each as consecutive
+// blocks, so a term's blocks are the next ones whose entry counts add up
+// to its reference posting count.
+func TestDerivedListLocations(t *testing.T) {
+	docs := bigCorpus(3000)
+	docs["small"] = smallDoc
+	c, _, ix := buildTestIndex(t, docs, BuildOptions{})
+	ref := referencePostings(c)
+	terms := make([]string, 0, len(ref))
+	for term := range ref {
+		terms = append(terms, term)
+	}
+	slices.Sort(terms)
+	for _, l := range []struct {
+		file string
+		refs map[string][]BlockRef
+	}{{fileDILPost, ix.dil.refs}, {fileRDILPost, ix.rdil.refs}} {
+		pf, err := storage.OpenPageFile(filepath.Join(ix.Dir, l.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pf.Close()
+		// Every block in file order: its u16 length prefix and entry count.
+		type block struct{ bytes, count int }
+		var blocks []block
+		page := make([]byte, storage.PageSize)
+		for id := storage.PageID(0); uint32(id) < pf.NumPages(); id++ {
+			if err := pf.ReadPage(id, page); err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off+entryLenSize <= storage.PageSize; {
+				ln := int(binary.LittleEndian.Uint16(page[off:]))
+				if ln == padEntry {
+					break
+				}
+				body := page[off+entryLenSize : off+entryLenSize+ln]
+				blocks = append(blocks, block{entryLenSize + ln, int(binary.LittleEndian.Uint16(body))})
+				off += entryLenSize + ln
+			}
+		}
+		for _, term := range terms {
+			want := Loc{Count: uint32(len(ref[term]))}
+			for n := 0; n < len(ref[term]); blocks = blocks[1:] {
+				if len(blocks) == 0 {
+					t.Fatalf("%s: file ends inside %q", l.file, term)
+				}
+				n += blocks[0].count
+				want.Bytes += uint32(blocks[0].bytes)
+			}
+			got := locOf(l.refs[term])
+			if got.Count != want.Count || got.Bytes != want.Bytes {
+				t.Fatalf("%s %q: derived %d entries in %d bytes, file holds %d in %d",
+					l.file, term, got.Count, got.Bytes, want.Count, want.Bytes)
+			}
+			if l.file == fileDILPost && (ix.DILCount(term) != int(want.Count) || ix.DILListBytes(term) != int64(want.Bytes)) {
+				t.Fatalf("%q: DILCount %d, DILListBytes %d, want %d, %d",
+					term, ix.DILCount(term), ix.DILListBytes(term), want.Count, want.Bytes)
+			}
+		}
+		if len(blocks) != 0 {
+			t.Fatalf("%s: %d blocks beyond the last term", l.file, len(blocks))
+		}
 	}
 }

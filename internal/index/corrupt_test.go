@@ -149,6 +149,7 @@ func TestOpenRejectsEditedMeta(t *testing.T) {
 		"per-entry postings":      func(m *Meta) { m.PostingsFormat = 0 },
 		"postings with B+-trees":  func(m *Meta) { m.PostingsFormat = 2 },
 		"unknown postings format": func(m *Meta) { m.PostingsFormat = PostingsFormat + 1 },
+		"term count":              func(m *Meta) { m.Terms++ },
 	} {
 		dir := buildIndexDir(t)
 		var meta Meta
@@ -163,6 +164,39 @@ func TestOpenRejectsEditedMeta(t *testing.T) {
 		if !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("%s: %v (want ErrCorrupt)", name, err)
 		}
+	}
+}
+
+// TestOpenRejectsListsFromDifferentBuilds: with no lexicon to cross-check
+// a skip index against, Open holds the two lists to each other. An RDIL
+// list and skip index from another build over the same vocabulary — both
+// files checksummed in meta.json, so verification passes — must be
+// refused, because a term's entry counts differ between the lists.
+func TestOpenRejectsListsFromDifferentBuilds(t *testing.T) {
+	_, _, a := buildTestIndex(t, map[string]string{"d": smallDoc}, BuildOptions{})
+	_, _, b := buildTestIndex(t, map[string]string{"d": strings.Replace(smallDoc, "</lib>", "<ch>blue sea</ch></lib>", 1)}, BuildOptions{})
+	if a.Meta.Terms != b.Meta.Terms {
+		t.Fatalf("vocabularies differ: %d and %d terms", a.Meta.Terms, b.Meta.Terms)
+	}
+	var meta Meta
+	if err := storage.ReadManifest(nil, filepath.Join(a.Dir, fileMeta), &meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{fileRDILPost, fileRDILSkip} {
+		raw, err := os.ReadFile(filepath.Join(b.Dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(a.Dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		meta.Files[name] = b.Meta.Files[name]
+	}
+	if err := storage.WriteManifestAtomic(nil, filepath.Join(a.Dir, fileMeta), &meta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(a.Dir, OpenOptions{}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -250,7 +250,7 @@ func TestMultiPageListAndProbers(t *testing.T) {
 	}
 
 	// HDIL rank prefix must be a strict prefix of the list.
-	hc, _ := ix.HDILRankCursor("common")
+	hc, _ := ix.HDILRankCursorExec(nil, "common")
 	if hc.Count() >= 3000 || hc.Count() < 8 {
 		t.Errorf("HDIL rank prefix = %d entries", hc.Count())
 	}
@@ -374,9 +374,10 @@ func TestColdCacheAndStats(t *testing.T) {
 	}
 }
 
-// TestBuildWritesOnlyDeweyFiles: a build writes the Dewey-family lists,
-// their skip indexes and lexicons, and meta.json; the naive baselines live
-// in a directory of their own (BuildNaive).
+// TestBuildWritesOnlyDeweyFiles: a build writes the two Dewey-family
+// lists, their skip indexes and meta.json — no lexicon, no separate HDIL
+// rank prefix; the naive baselines live in a directory of their own
+// (BuildNaive).
 func TestBuildWritesOnlyDeweyFiles(t *testing.T) {
 	c := xmldoc.NewCollection()
 	if _, err := c.AddXML("d", strings.NewReader(smallDoc), nil); err != nil {
@@ -396,10 +397,7 @@ func TestBuildWritesOnlyDeweyFiles(t *testing.T) {
 	for _, ent := range entries {
 		got = append(got, ent.Name())
 	}
-	want := []string{
-		fileDILLex, fileDILPost, fileDILSkip, fileHDILLex, fileHDILRank,
-		fileHDILRankSkip, fileMeta, fileRDILLex, fileRDILPost, fileRDILSkip,
-	}
+	want := []string{"dil.post", "dil.skip", "meta.json", "rdil.post", "rdil.skip"}
 	if !slices.Equal(got, want) {
 		t.Errorf("build wrote %v, want %v", got, want)
 	}

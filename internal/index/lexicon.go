@@ -9,14 +9,12 @@ import (
 	"xrank/internal/storage"
 )
 
-// Per-variant term metadata. Lexicons are loaded fully into memory at
-// open time, the standard arrangement for inverted-list engines (the
-// paper's size tables count inverted lists and indexes; lexicons are
-// negligible beside them). Every lexicon but Naive-Rank's maps a term to
-// the Loc of its list: the Dewey-ordered list (dil.lex), the full
-// rank-ordered list (rdil.lex), HDIL's rank-ordered prefix (hdil.lex; its
-// full list is the term's DIL list), or the baseline's naive list
-// (naiveid.lex, see naive.go).
+// Per-term metadata of the naive baselines (see naive.go). Lexicons are
+// loaded fully into memory at open time, the standard arrangement for
+// inverted-list engines (the paper's size tables count inverted lists and
+// indexes; lexicons are negligible beside them). naiveid.lex maps a term
+// to the Loc of its Naive-ID list; naiverank.lex to its Naive-Rank list's
+// Loc and hash table. The Dewey-family lists need none (see locOf).
 
 const lexMagic = 0x584C4558 // "XLEX"
 

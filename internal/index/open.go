@@ -30,9 +30,9 @@ type Index struct {
 	Meta Meta
 	pageFiles
 
-	// dil, rdil and hdil are the Dewey-ordered list, the full rank-ordered
-	// list and HDIL's rank-ordered prefix.
-	dil, rdil, hdil *deweyList
+	// dil and rdil are the Dewey-ordered list and the full rank-ordered
+	// list, whose head is HDIL's rank-ordered prefix.
+	dil, rdil *deweyList
 }
 
 // pageFiles are an opened index's page files, each behind its own buffer
@@ -74,10 +74,9 @@ func verifyFiles(fs storage.FS, dir, manifest string, files map[string]storage.F
 }
 
 // deweyList is an opened Dewey-family list: the buffer pool over its
-// postings file and, per term, the list's location and block refs.
+// postings file and, per term, the list's block refs (see locOf).
 type deweyList struct {
 	pool *storage.BufferPool
-	locs map[string]Loc
 	refs map[string][]BlockRef
 }
 
@@ -85,11 +84,11 @@ type deweyList struct {
 // cursor that reads the whole list once (see
 // storage.BufferPool.GetScanExec).
 func (l *deweyList) cursor(ec *storage.ExecContext, term string, scan bool) (*ListCursor, bool) {
-	loc, ok := l.locs[term]
+	refs, ok := l.refs[term]
 	if !ok {
 		return nil, false
 	}
-	return &ListCursor{blk: newBlockCursor(l.pool, l.refs[term], loc.Count, ec, scan)}, true
+	return &ListCursor{blk: &blockCursor{pool: l.pool, refs: refs, count: locOf(refs).Count, ec: ec, scan: scan}}, true
 }
 
 // Open opens an index directory produced by Build. The meta.json manifest
@@ -112,13 +111,10 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 			dir, storage.ErrCorrupt, f, PostingsFormat)
 	}
 	// Only the files this build reads are required and verified: a
-	// directory written with the retired naive lists beside them opens
-	// unchanged, and its next fold drops them.
-	required := []string{
-		fileDILPost, fileDILSkip, fileDILLex,
-		fileRDILPost, fileRDILSkip, fileRDILLex,
-		fileHDILRank, fileHDILRankSkip, fileHDILLex,
-	}
+	// directory written with retired files beside them (the naive lists,
+	// HDIL's separate rank prefix, the lexicons) opens unchanged, and its
+	// next fold drops them.
+	required := []string{fileDILPost, fileDILSkip, fileRDILPost, fileRDILSkip}
 	if err := verifyFiles(fs, dir, fileMeta, ix.Meta.Files, required, opts.SkipVerify); err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
@@ -129,52 +125,38 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 			ix.Close()
 		}
 	}()
-	// openList opens one Dewey-family list. Its skip index must agree with
-	// its lexicon: same terms, and per term the block counts must sum to
-	// the list's entry count. A mismatch means the directory's artifacts
-	// are from different builds — refuse rather than serve wrong data.
-	// ordered is decodeSkipIndex's: the list is Dewey-ordered.
-	openList := func(post, skip, lex string, ordered bool) (*deweyList, error) {
+	// openList opens one Dewey-family list. ordered is decodeSkipIndex's:
+	// the list is Dewey-ordered.
+	openList := func(post, skip string, ordered bool) (*deweyList, error) {
 		l := &deweyList{}
 		var err error
 		if l.pool, err = ix.open(fs, dir, post, opts.PoolPages); err != nil {
 			return nil, err
 		}
-		if l.locs, err = readLocs(fs, filepath.Join(dir, lex), ix.Meta.Terms); err != nil {
-			return nil, err
-		}
 		if l.refs, err = readSkipIndex(fs, filepath.Join(dir, skip), ordered); err != nil {
 			return nil, err
 		}
-		if len(l.refs) != len(l.locs) {
-			return nil, fmt.Errorf("index: %w %s: %d terms, lexicon has %d",
-				storage.ErrCorrupt, skip, len(l.refs), len(l.locs))
-		}
-		for term, rs := range l.refs {
-			loc, ok := l.locs[term]
-			if !ok {
-				return nil, fmt.Errorf("index: %w %s: term %q not in lexicon", storage.ErrCorrupt, skip, term)
-			}
-			total := uint32(0)
-			for i := range rs {
-				total += uint32(rs[i].Count)
-			}
-			if total != loc.Count {
-				return nil, fmt.Errorf("index: %w %s: term %q has %d entries across blocks, lexicon says %d",
-					storage.ErrCorrupt, skip, term, total, loc.Count)
-			}
+		if len(l.refs) != ix.Meta.Terms {
+			return nil, fmt.Errorf("index: %w %s: %d terms, meta.json says %d",
+				storage.ErrCorrupt, skip, len(l.refs), ix.Meta.Terms)
 		}
 		return l, nil
 	}
 	var err error
-	if ix.dil, err = openList(fileDILPost, fileDILSkip, fileDILLex, true); err != nil {
+	if ix.dil, err = openList(fileDILPost, fileDILSkip, true); err != nil {
 		return nil, err
 	}
-	if ix.rdil, err = openList(fileRDILPost, fileRDILSkip, fileRDILLex, false); err != nil {
+	if ix.rdil, err = openList(fileRDILPost, fileRDILSkip, false); err != nil {
 		return nil, err
 	}
-	if ix.hdil, err = openList(fileHDILRank, fileHDILRankSkip, fileHDILLex, false); err != nil {
-		return nil, err
+	// Both lists hold every term's postings, in two orders. A term whose
+	// counts differ means the skip indexes are from different builds —
+	// refuse rather than serve wrong data.
+	for term, refs := range ix.rdil.refs {
+		if n, m := locOf(refs).Count, locOf(ix.dil.refs[term]).Count; n != m {
+			return nil, fmt.Errorf("index: %w %s: term %q has %d entries, %s has %d",
+				storage.ErrCorrupt, fileRDILSkip, term, n, fileDILSkip, m)
+		}
 	}
 	opened = true
 	return ix, nil
@@ -229,18 +211,18 @@ func (p *pageFiles) IOStats() storage.Stats {
 
 // HasTerm reports whether term occurs anywhere in the collection.
 func (ix *Index) HasTerm(term string) bool {
-	_, ok := ix.dil.locs[term]
+	_, ok := ix.dil.refs[term]
 	return ok
 }
 
 // DILListBytes returns the encoded byte size of the term's DIL list (used
 // for DIL cost estimation in the HDIL adaptive strategy).
 func (ix *Index) DILListBytes(term string) int64 {
-	return int64(ix.dil.locs[term].Bytes)
+	return int64(locOf(ix.dil.refs[term]).Bytes)
 }
 
 // DILCount returns the number of entries in the term's DIL list.
-func (ix *Index) DILCount(term string) int { return int(ix.dil.locs[term].Count) }
+func (ix *Index) DILCount(term string) int { return int(locOf(ix.dil.refs[term]).Count) }
 
 // ListCursor decodes a Dewey-family list sequentially, block by block.
 type ListCursor struct {
@@ -333,14 +315,15 @@ func (ix *Index) RDILRankCursorExec(ec *storage.ExecContext, term string) (*List
 	return ix.rdil.cursor(ec, term, false)
 }
 
-// HDILRankCursor returns the rank-ordered *prefix* scan of the term's
-// HDIL list (shorter than the full list).
-func (ix *Index) HDILRankCursor(term string) (*ListCursor, bool) {
-	return ix.HDILRankCursorExec(nil, term)
-}
-
-// HDILRankCursorExec is HDILRankCursor under a per-query execution
-// context.
+// HDILRankCursorExec returns the rank-ordered *prefix* scan of the
+// term's list, the first Meta.RankPrefixLen entries of its RDIL list,
+// under a per-query execution context (nil for none).
 func (ix *Index) HDILRankCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
-	return ix.hdil.cursor(ec, term, false)
+	refs, ok := ix.rdil.refs[term]
+	if !ok {
+		return nil, false
+	}
+	n := ix.Meta.RankPrefixLen(int(locOf(refs).Count))
+	refs, last := rankPrefix(refs, n)
+	return &ListCursor{blk: &blockCursor{pool: ix.rdil.pool, refs: refs, count: uint32(n), lastN: last, ec: ec}}, true
 }

@@ -12,7 +12,7 @@ type Loc struct {
 	Page  storage.PageID
 	Off   uint16
 	Count uint32 // number of entries in the list
-	Bytes uint32 // total encoded bytes including length prefixes and padding skips
+	Bytes uint32 // total encoded bytes including length prefixes; page padding is not counted
 }
 
 // postWriter streams length-prefixed entries into pages of a PageFile.

@@ -57,9 +57,9 @@ func shardDir(dir string, s int) string {
 type Sharded struct {
 	Dir string
 	// Meta aggregates across shards: NumDocs, NumElements, RankFraction,
-	// MaxPositions and PostingsFormat are shard-invariant and copied from
-	// shard 0; Terms is the distinct-term union; DeweyEntries and
-	// BuildMillis are sums.
+	// MinRankPrefix, MaxPositions and PostingsFormat are shard-invariant
+	// and copied from shard 0; Terms is the distinct-term union;
+	// DeweyEntries and BuildMillis are sums.
 	Meta Meta
 
 	shards []*Index
@@ -68,8 +68,8 @@ type Sharded struct {
 
 // BuildSharded constructs the index in dir as shardNNN/ directories under
 // a shards.json manifest (shards < 1 is one shard). Each shard holds the
-// complete per-term structures — DIL/RDIL/HDIL postfiles and their skip
-// indexes — restricted to its documents.
+// complete per-term structures — the DIL and RDIL postings files and
+// their skip indexes — restricted to its documents.
 func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions, shards int) (*BuildStats, error) {
 	if shards < 1 {
 		shards = 1
@@ -155,7 +155,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	sh.Meta.Terms, sh.Meta.DeweyEntries, sh.Meta.BuildMillis = 0, 0, 0
 	vocab := make(map[string]struct{})
 	for _, ix := range sh.shards {
-		for t := range ix.dil.locs {
+		for t := range ix.dil.refs {
 			vocab[t] = struct{}{}
 		}
 		sh.Meta.DeweyEntries += ix.Meta.DeweyEntries

@@ -480,6 +480,9 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 	// snapshot.
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
+	if len(e.segs) == 0 {
+		return nil, nil, ErrClosed
+	}
 	ec := storage.NewExecContext(ctx)
 	if opts.MaxPageReads > 0 {
 		ec.SetBudget(opts.MaxPageReads)

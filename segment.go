@@ -172,7 +172,6 @@ func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []f
 	seg := &engineSegment{id: id, dir: segmentDirName(id), rankVer: rankVer, docs: docs}
 	path := filepath.Join(e.cfg.IndexDir, seg.dir)
 	opts := index.BuildOptions{
-		RankFraction: e.cfg.RankFraction,
 		MaxPositions: e.cfg.MaxPositions,
 		FS:           buildFS,
 	}

@@ -552,8 +552,8 @@ func TestIOStatsCountsIndexWrites(t *testing.T) {
 	}
 	defer e.Close()
 	// The manifests record the page files, every page of which is written
-	// once, plus the skip indexes and lexicons: whole-file writes, each
-	// far below a page here.
+	// once, plus the skip indexes: whole-file writes, each far below a
+	// page here.
 	total := info.Sizes.IndexBytes()
 	built := e.IOStats().Writes
 	if built == 0 || built*storage.PageSize > total || built < total/storage.PageSize {

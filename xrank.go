@@ -67,9 +67,8 @@ type Config struct {
 	// the paper's recommendation for highly structured datasets.
 	DisableProximity bool
 
-	// RankFraction and MaxPositions are index layout knobs; see
-	// the DESIGN document. Zero selects defaults (0.10, 1024).
-	RankFraction float64
+	// MaxPositions caps the posList stored per index entry; see the
+	// DESIGN document. Zero selects the default (1024).
 	MaxPositions int
 	// Deprecated: SkipNaive is ignored. The naive baselines (Naive-ID,
 	// Naive-Rank) are never part of an engine's index; only the
@@ -183,6 +182,9 @@ var ErrDegraded = errors.New("xrank: degraded: unhealthy shards excluded")
 // ErrCorrupt is wrapped by every checksum, size or format-version
 // mismatch OpenEngine detects in persisted state.
 var ErrCorrupt = storage.ErrCorrupt
+
+// ErrClosed is returned by a query that starts executing after Close.
+var ErrClosed = errors.New("xrank: engine closed")
 
 // Engine is an XRANK search engine over one document collection.
 //
@@ -452,8 +454,11 @@ func (e *Engine) Build() (*BuildInfo, error) {
 }
 
 // Close releases every segment's index files and removes the index
-// directory if it was a temporary one.
+// directory if it was a temporary one. It waits for executing queries; a
+// query that starts executing afterwards fails with ErrClosed.
 func (e *Engine) Close() error {
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
 	var err error
 	for _, s := range e.segs {
 		if cerr := s.ix.Close(); err == nil {
