@@ -93,15 +93,24 @@ func rankPrefix(refs []BlockRef, n int) ([]BlockRef, int) {
 	return refs, 0
 }
 
-// blockDecoder is the one decoder of block bodies. It decodes entries
-// into reusable columnar buffers — every entry's full Dewey ID back to
-// back in comps, its rank, its posList back to back in pos — so a decoded
-// entry is read as a view (at) that stays valid until the next init, and
-// the ID prefix an entry shares with its predecessor is copied once,
-// within comps. Entries are decoded on demand (next), so a consumer that
-// stops early, like a probe, pays only for what it reads.
+// blockDecoder is the one decoder of block bodies. It reads a block in
+// one of two ways, never both:
+//
+//   - next decodes entries into reusable columnar buffers — every entry's
+//     full Dewey ID back to back in comps, its rank, its posList back to
+//     back in pos — so a decoded entry is read as a view (at) that stays
+//     valid until the next init, and the ID prefix an entry shares with
+//     its predecessor is copied once, within comps. Cursors read this way.
+//   - step reads only the following entry's Dewey ID, extending id in
+//     place, and leaves its rank and posList undecoded until posting asks
+//     for them. Probes read this way: they compare IDs, and return few of
+//     the entries they pass.
+//
+// Both parse an entry's layout with head. Entries are read on demand, so
+// a consumer that stops early, like a probe, pays only for what it reads.
 type blockDecoder struct {
-	body  []byte // the undecoded remainder
+	body  []byte // the entries, after the count
+	rd    int    // offset in body of the next entry
 	n     int    // entries in the block
 	comps []uint32
 	ranks []float32
@@ -109,15 +118,33 @@ type blockDecoder struct {
 	// Entry i's ID is comps[off[i].id:off[i+1].id] and its posList
 	// pos[off[i].pos:off[i+1].pos].
 	off []entryOff
+
+	// h is the head of the entry last read. The stepping state is the
+	// last stepped entry's ID and the number of entries stepped.
+	h       entryHead
+	id      dewey.ID
+	stepped int
 }
 
 type entryOff struct{ id, pos int32 }
+
+// entryHead locates the parts of one entry (the AppendDeweyEntryCompressed
+// layout) as offsets into the block body.
+type entryHead struct {
+	lcp       int // ID components shared with the previous entry
+	suffix    int // the encoded ID suffix, up to rank
+	rank      int // the 4 rank bytes
+	positions int // the encoded posList, up to end
+	nPos      int // its length
+	end       int // where the next entry starts
+}
 
 // init starts decoding a block body.
 func (d *blockDecoder) init(body []byte) error {
 	d.comps, d.ranks, d.pos = d.comps[:0], d.ranks[:0], d.pos[:0]
 	d.off = append(d.off[:0], entryOff{})
-	d.n, d.body = 0, nil
+	d.id, d.stepped = d.id[:0], 0
+	d.n, d.body, d.rd = 0, nil, 0
 	if len(body) < 2 {
 		return fmt.Errorf("index: %w block body too short", storage.ErrCorrupt)
 	}
@@ -142,89 +169,152 @@ const minBlockEntry = entryLenSize + 1 + 1 + 4 + 1
 // decoded is the number of entries decoded so far.
 func (d *blockDecoder) decoded() int { return len(d.ranks) }
 
-// next decodes the following entry, returning false once all n are. A
-// failed entry leaves no partial state visible: decoded() is unchanged.
-func (d *blockDecoder) next() (bool, error) {
-	i := len(d.ranks)
+// head parses entry i, the next one, into h; ok is false once all n
+// entries are read. It checks the entry's length prefix against the body,
+// its lcp against prevLen (the components of its predecessor's ID), that
+// its ID suffix and rank are present, and that its posList count fits the
+// bytes left, every position taking at least one byte. It reads neither
+// the suffix, nor the rank, nor the positions.
+func (d *blockDecoder) head(i, prevLen int) (ok bool, err error) {
+	b := d.body[d.rd:]
 	if i >= d.n {
-		if len(d.body) != 0 {
+		if len(b) != 0 {
 			return false, fmt.Errorf("index: %w block has %d trailing bytes after %d entries",
-				storage.ErrCorrupt, len(d.body), d.n)
+				storage.ErrCorrupt, len(b), d.n)
 		}
 		return false, nil
 	}
-	if len(d.body) < entryLenSize {
+	if len(b) < entryLenSize {
 		return false, fmt.Errorf("index: %w block truncated at entry %d/%d", storage.ErrCorrupt, i, d.n)
 	}
-	ln := int(binary.LittleEndian.Uint16(d.body))
-	if ln == padEntry || entryLenSize+ln > len(d.body) {
+	ln := int(binary.LittleEndian.Uint16(b))
+	if ln == padEntry || entryLenSize+ln > len(b) {
 		return false, fmt.Errorf("index: %w block entry %d/%d has bad length %d",
 			storage.ErrCorrupt, i, d.n, ln)
 	}
-	if err := d.entry(d.body[entryLenSize : entryLenSize+ln]); err != nil {
-		d.comps, d.pos = d.comps[:d.off[i].id], d.pos[:d.off[i].pos]
-		return false, fmt.Errorf("index: %w block entry %d/%d: %v", storage.ErrCorrupt, i, d.n, err)
+	e := b[entryLenSize : entryLenSize+ln]
+	if len(e) < 2 {
+		return false, d.entryErr(i, fmt.Errorf("compressed dewey entry too short"))
 	}
-	d.body = d.body[entryLenSize+ln:]
+	lcp := int(e[0])
+	// The suffix length and the posList count are uvarints, nearly always
+	// of one byte: that case is read inline.
+	sl, k := uint64(e[1]), 1
+	if sl >= 0x80 {
+		if sl, k = binary.Uvarint(e[1:]); k <= 0 {
+			return false, d.entryErr(i, fmt.Errorf("compressed dewey entry suffix length corrupt"))
+		}
+	}
+	if lcp > prevLen {
+		return false, d.entryErr(i, fmt.Errorf("compressed entry lcp %d exceeds previous ID length %d", lcp, prevLen))
+	}
+	suffix := 1 + k
+	if sl > uint64(len(e)-suffix) || len(e)-suffix-int(sl) < 4 {
+		return false, d.entryErr(i, fmt.Errorf("compressed dewey entry truncated"))
+	}
+	rank := suffix + int(sl)
+	if rank+4 == len(e) {
+		return false, d.entryErr(i, fmt.Errorf("posList count missing"))
+	}
+	nPos, k := uint64(e[rank+4]), 1
+	if nPos >= 0x80 {
+		if nPos, k = binary.Uvarint(e[rank+4:]); k <= 0 {
+			return false, d.entryErr(i, fmt.Errorf("posList count corrupt"))
+		}
+	}
+	positions := rank + 4 + k
+	if nPos > uint64(len(e)-positions) {
+		return false, d.entryErr(i, fmt.Errorf("posList of %d positions in %d bytes", nPos, len(e)-positions))
+	}
+	base := d.rd + entryLenSize
+	d.h = entryHead{lcp: lcp, suffix: base + suffix, rank: base + rank,
+		positions: base + positions, nPos: int(nPos), end: base + ln}
 	return true, nil
 }
 
-// uvarint is binary.Uvarint with the one-byte case inline, the common
-// case for suffix lengths and posList counts.
-func uvarint(b []byte) (uint64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	return binary.Uvarint(b)
+// entryErr reports that entry i is corrupt.
+func (d *blockDecoder) entryErr(i int, err error) error {
+	return fmt.Errorf("index: %w block entry %d/%d: %v", storage.ErrCorrupt, i, d.n, err)
 }
 
-// entry decodes one compressed entry body (the AppendDeweyEntryCompressed
-// layout) onto the columns, its ID prefix taken from the previous entry.
-func (d *blockDecoder) entry(e []byte) error {
-	if len(e) < 2 {
-		return fmt.Errorf("compressed dewey entry too short")
-	}
-	lcp := int(e[0])
-	sl, k := uvarint(e[1:])
-	if k <= 0 {
-		return fmt.Errorf("compressed dewey entry suffix length corrupt")
-	}
-	e = e[1+k:]
+// next decodes the following entry, returning false once all n are. A
+// failed entry leaves no partial state visible: decoded() is unchanged.
+func (d *blockDecoder) next() (bool, error) {
 	i := len(d.ranks)
 	prevStart := 0
 	if i > 0 {
 		prevStart = int(d.off[i-1].id)
 	}
-	if prevLen := int(d.off[i].id) - prevStart; lcp > prevLen {
-		return fmt.Errorf("compressed entry lcp %d exceeds previous ID length %d", lcp, prevLen)
+	if ok, err := d.head(i, int(d.off[i].id)-prevStart); err != nil || !ok {
+		return false, err
 	}
-	if sl > uint64(len(e)) || len(e)-int(sl) < 4 {
-		return fmt.Errorf("compressed dewey entry truncated")
+	if err := d.entry(prevStart); err != nil {
+		d.comps, d.pos = d.comps[:d.off[i].id], d.pos[:d.off[i].pos]
+		return false, d.entryErr(i, err)
 	}
-	suffixLen := int(sl)
+	d.rd = d.h.end
+	return true, nil
+}
+
+// entry decodes the entry whose head is h onto the columns, its ID prefix
+// copied from the previous entry's, which starts at comps[prevStart].
+func (d *blockDecoder) entry(prevStart int) error {
+	h := &d.h
 	end := len(d.comps)
-	d.comps = slices.Grow(d.comps, lcp)[:end+lcp]
-	for j := range lcp { // a few components: cheaper than a memmove call
+	d.comps = slices.Grow(d.comps, h.lcp)[:end+h.lcp]
+	for j := range h.lcp { // a few components: cheaper than a memmove call
 		d.comps[end+j] = d.comps[prevStart+j]
 	}
 	var err error
-	if d.comps, err = dewey.AppendDecoded(d.comps, e[:suffixLen]); err != nil {
+	if d.comps, err = dewey.AppendDecoded(d.comps, d.body[h.suffix:h.rank]); err != nil {
 		return err
 	}
-	e = e[suffixLen:]
-	rank := math.Float32frombits(binary.LittleEndian.Uint32(e))
-	e = e[4:]
-	nPos, k := uvarint(e)
-	if k <= 0 {
-		return fmt.Errorf("posList count corrupt")
+	if d.pos, err = appendPosList(d.pos, h.nPos, d.body[h.positions:h.end]); err != nil {
+		return err
 	}
-	e = e[k:]
-	if nPos > uint64(len(e)) { // every position takes at least one byte
-		return fmt.Errorf("posList of %d positions in %d bytes", nPos, len(e))
+	d.ranks = append(d.ranks, math.Float32frombits(binary.LittleEndian.Uint32(d.body[h.rank:])))
+	d.off = append(d.off, entryOff{int32(len(d.comps)), int32(len(d.pos))})
+	return nil
+}
+
+// step reads the following entry's Dewey ID into id, returning false once
+// all n entries are read. It makes every check next makes on the bytes it
+// reads and skips the rank and posList by the entry's length. Callers stop
+// at the first error.
+func (d *blockDecoder) step() (bool, error) {
+	ok, err := d.head(d.stepped, len(d.id))
+	if err != nil || !ok {
+		return false, err
 	}
-	start := len(d.pos)
-	d.pos = slices.Grow(d.pos, int(nPos))[:start+int(nPos)]
-	ps := d.pos[start:]
+	if d.id, err = dewey.AppendDecoded(d.id[:d.h.lcp], d.body[d.h.suffix:d.h.rank]); err != nil {
+		return false, d.entryErr(d.stepped, err)
+	}
+	d.rd = d.h.end
+	d.stepped++
+	return true, nil
+}
+
+// posting points p at the last stepped entry, decoding its rank and
+// posList now. The ID and posList are capacity-capped views that stay
+// valid until the next step.
+func (d *blockDecoder) posting(p *Posting) error {
+	h := &d.h
+	var err error
+	if d.pos, err = appendPosList(d.pos[:0], h.nPos, d.body[h.positions:h.end]); err != nil {
+		return d.entryErr(d.stepped-1, err)
+	}
+	p.ID = d.id[:len(d.id):len(d.id)]
+	p.Positions = d.pos[:len(d.pos):len(d.pos)]
+	p.Rank = math.Float32frombits(binary.LittleEndian.Uint32(d.body[h.rank:]))
+	p.Elem = -1
+	return nil
+}
+
+// appendPosList decodes nPos delta-coded positions from e onto dst.
+func appendPosList(dst []uint32, nPos int, e []byte) ([]uint32, error) {
+	start := len(dst)
+	dst = slices.Grow(dst, nPos)[:start+nPos]
+	ps := dst[start:]
 	// Deltas accumulate in uint32: truncating the uint64 sum once, as
 	// decodePositions does, gives the same value.
 	prev := uint32(0)
@@ -238,16 +328,14 @@ func (d *blockDecoder) entry(e []byte) error {
 		} else {
 			delta, k := binary.Uvarint(e)
 			if k <= 0 {
-				return fmt.Errorf("posList truncated at %d/%d", j, nPos)
+				return dst[:start], fmt.Errorf("posList truncated at %d/%d", j, nPos)
 			}
 			prev += uint32(delta)
 			e = e[k:]
 		}
 		ps[j] = prev
 	}
-	d.ranks = append(d.ranks, rank)
-	d.off = append(d.off, entryOff{int32(len(d.comps)), int32(len(d.pos))})
-	return nil
+	return dst, nil
 }
 
 // at points p at decoded entry i. The ID and posList are views into the

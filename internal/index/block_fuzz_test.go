@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -64,6 +65,136 @@ func FuzzBlockDecode(f *testing.F) {
 			}
 		}
 		t.Fatalf("block decoder yielded more entries than the input has bytes")
+	})
+}
+
+// FuzzBlockStep checks the probes' ID-only step against the full
+// decoder, for any body and any seek key. The step must never panic and
+// never loop, reject only what the full decoder rejects, and wrap every
+// rejection in ErrCorrupt. On every entry the full decoder decodes, the
+// step must yield the same ID, and the posting it decodes on demand must
+// equal the full decoder's view: ID, rank bits and positions. Stepping to
+// the first ID >= key must stop at the entry decode-then-compare stops at.
+func FuzzBlockStep(f *testing.F) {
+	body := encodeBlock(fuzzPosts())
+	for _, key := range []dewey.ID{nil, {0, 1}, {0, 1, 2}, {0, 1, 3}, {1}, {2, 0}, {9}} {
+		f.Add(body, dewey.Encode(key))
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 0, 3, 0, 0, 0, 0}, []byte{0})
+	f.Fuzz(func(t *testing.T, body, keyBytes []byte) {
+		key, err := dewey.Decode(keyBytes)
+		if err != nil {
+			key = nil
+		}
+		var full blockDecoder
+		var want []Posting
+		var fullErr error
+		if fullErr = full.init(body); fullErr == nil {
+			for i := 0; ; i++ {
+				if i > len(body)+2 {
+					t.Fatalf("block decoder yielded more entries than the input has bytes")
+				}
+				ok, err := full.next()
+				if err != nil || !ok {
+					fullErr = err
+					break
+				}
+				var p Posting
+				full.at(full.decoded()-1, &p)
+				want = append(want, p)
+			}
+		}
+
+		var st blockDecoder
+		if err := st.init(body); err != nil {
+			if fullErr == nil {
+				t.Fatalf("step rejected a body the decoder accepts: %v", err)
+			}
+			return
+		}
+		var p Posting
+		stepped := 0
+		for ; ; stepped++ {
+			if stepped > len(body)+2 {
+				t.Fatalf("step yielded more entries than the input has bytes")
+			}
+			ok, err := st.step()
+			if err != nil {
+				if !errors.Is(err, storage.ErrCorrupt) {
+					t.Fatalf("rejection not wrapped in ErrCorrupt: %v", err)
+				}
+				if fullErr == nil || stepped < len(want) {
+					t.Fatalf("step rejected entry %d, the decoder accepted %d entries (%v): %v",
+						stepped, len(want), fullErr, err)
+				}
+				break
+			}
+			if !ok {
+				break
+			}
+			if stepped >= len(want) {
+				if fullErr == nil {
+					t.Fatalf("step yielded entry %d of a block the decoder read as %d", stepped, len(want))
+				}
+				// The entry the decoder rejected: only its positions, which
+				// the step does not read, can be at fault.
+				if err := st.posting(&p); stepped == len(want) && !errors.Is(err, storage.ErrCorrupt) {
+					t.Fatalf("entry %d: the decoder rejected it (%v), its stepped posting decoded (%v)",
+						stepped, fullErr, err)
+				}
+				continue
+			}
+			w := &want[stepped]
+			if !dewey.Equal(st.id, w.ID) {
+				t.Fatalf("entry %d: stepped ID %v, decoded %v", stepped, st.id, w.ID)
+			}
+			if err := st.posting(&p); err != nil {
+				t.Fatalf("entry %d: decoding a stepped entry the decoder accepted: %v", stepped, err)
+			}
+			if !dewey.Equal(p.ID, w.ID) || math.Float32bits(p.Rank) != math.Float32bits(w.Rank) ||
+				!slices.Equal(p.Positions, w.Positions) || p.Elem != w.Elem {
+				t.Fatalf("entry %d: stepped posting %+v, decoded %+v", stepped, p, *w)
+			}
+			if cap(p.ID) != len(p.ID) || cap(p.Positions) != len(p.Positions) {
+				t.Fatalf("entry %d: view capacity not capped", stepped)
+			}
+		}
+		if fullErr == nil && stepped != len(want) {
+			t.Fatalf("step yielded %d entries, the decoder %d", stepped, len(want))
+		}
+		if fullErr != nil {
+			return
+		}
+
+		// Seek: both ways of reading must stop at the same entry.
+		stop := len(want)
+		for i := range want {
+			if dewey.Compare(want[i].ID, key) >= 0 {
+				stop = i
+				break
+			}
+		}
+		if err := st.init(body); err != nil {
+			t.Fatal(err)
+		}
+		got := len(want)
+		for {
+			ok, err := st.step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if dewey.Compare(st.id, key) >= 0 {
+				got = st.stepped - 1
+				break
+			}
+		}
+		if got != stop {
+			t.Fatalf("seek %v: step stopped at entry %d, decode-then-compare at %d (of %d)", key, got, stop, len(want))
+		}
 	})
 }
 

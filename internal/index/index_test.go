@@ -223,7 +223,7 @@ func BenchmarkDILScanPerPosting(b *testing.B) {
 }
 
 func TestMultiPageListAndProbers(t *testing.T) {
-	c, _, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.05})
+	c, ranks, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.05})
 	ref := referencePostings(c)
 	want := ref["common"]
 	if len(want) != 3000 {
@@ -256,8 +256,41 @@ func TestMultiPageListAndProbers(t *testing.T) {
 	}
 	hc.Close()
 
-	// The prober must agree with the in-memory reference on LCP probes.
-	prober, _ := ix.ProberExec(nil, "common")
+	// The probers must agree with the in-memory reference, and charge the
+	// query exactly the entries they step: from the start of each block
+	// they read to the entry that stops them, or the block's end.
+	ec := storage.NewExecContext(nil)
+	prober, _ := ix.ProberExec(ec, "common")
+	var blockEnds []int // the list's block boundaries, in entries
+	end := 0
+	for _, r := range ix.dil.refs["common"] {
+		end += int(r.Count)
+		blockEnds = append(blockEnds, end)
+	}
+	// charged counts, by brute force, what a read charges that stops at
+	// entry to (len(want): runs off the list) after reading the blocks
+	// that end after entry from and start before entry to: each from its
+	// first entry up to entry to, inclusive, or to its last.
+	charged := func(from, to int) int64 {
+		n, start := 0, 0
+		for _, end := range blockEnds {
+			if end > from && start < to {
+				n += min(end, to+1) - start
+			}
+			start = end
+		}
+		return int64(n)
+	}
+	postings := func() int64 { return ec.Stats().Postings }
+	firstAtOrAfter := func(id dewey.ID) int {
+		for i := range want {
+			if dewey.Compare(want[i].ID, id) >= 0 {
+				return i
+			}
+		}
+		return len(want)
+	}
+
 	refLCP := func(target dewey.ID) int {
 		best := 0
 		for i := range want {
@@ -268,20 +301,9 @@ func TestMultiPageListAndProbers(t *testing.T) {
 		return best
 	}
 	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		var target dewey.ID
-		switch trial % 4 {
-		case 0: // exact existing ID
-			target = want[r.Intn(len(want))].ID.Clone()
-		case 1: // sibling path
-			target = want[r.Intn(len(want))].ID.Clone()
-			target[len(target)-1] += uint32(r.Intn(3)) + 1
-		case 2: // deeper path
-			target = want[r.Intn(len(want))].ID.Child(uint32(r.Intn(5)))
-		default: // other document
-			target = dewey.ID{uint32(r.Intn(3) + 5), uint32(r.Intn(4))}
-		}
+	for _, target := range lcpTargets(r, want, 200) {
 		wantLCP := refLCP(target)
+		before := postings()
 		got, err := prober.ProbeLCP(target)
 		if err != nil {
 			t.Fatal(err)
@@ -289,37 +311,50 @@ func TestMultiPageListAndProbers(t *testing.T) {
 		if got != wantLCP {
 			t.Fatalf("ProbeLCP(%v) = %d, want %d", target, got, wantLCP)
 		}
+		// The candidate block holds the entry before target; the step
+		// stops at the first entry >= target.
+		stop := firstAtOrAfter(target)
+		if n, w := postings()-before, charged(stop-1, stop); n != w {
+			t.Fatalf("ProbeLCP(%v) charged %d postings, stepped %d", target, n, w)
+		}
 	}
 
-	// ScanPrefix must agree with reference filtering.
-	for trial := 0; trial < 50; trial++ {
-		base := want[r.Intn(len(want))].ID
-		cut := 1 + r.Intn(len(base))
-		prefix := base[:cut].Clone()
-		var wantIDs []string
+	// ScanPrefix must agree with reference filtering: IDs, ranks and
+	// positions.
+	for _, prefix := range scanPrefixes(r, want, 50) {
+		var wantPosts []Posting
 		for i := range want {
 			if prefix.IsPrefixOf(want[i].ID) {
-				wantIDs = append(wantIDs, want[i].ID.String())
+				wantPosts = append(wantPosts, want[i])
 			}
 		}
-		var gotIDs []string
+		var got []Posting
+		before := postings()
 		err := prober.ScanPrefix(prefix, func(p *Posting) error {
-			gotIDs = append(gotIDs, p.ID.String())
-			if len(p.Positions) == 0 {
-				return fmt.Errorf("empty posList")
-			}
+			got = append(got, Posting{ID: p.ID.Clone(), Rank: p.Rank, Positions: slices.Clone(p.Positions)})
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("ScanPrefix: %v", err)
 		}
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("ScanPrefix(%v): %d entries, want %d", prefix, len(gotIDs), len(wantIDs))
+		if len(got) != len(wantPosts) {
+			t.Fatalf("ScanPrefix(%v): %d entries, want %d", prefix, len(got), len(wantPosts))
 		}
-		for i := range gotIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("ScanPrefix(%v)[%d]: %s != %s", prefix, i, gotIDs[i], wantIDs[i])
+		for i := range got {
+			w := &wantPosts[i]
+			if !dewey.Equal(got[i].ID, w.ID) || got[i].Rank != float32(ranks[w.Elem]) ||
+				!slices.Equal(got[i].Positions, w.Positions) {
+				t.Fatalf("ScanPrefix(%v)[%d] = %v %g %v, want %v %g %v", prefix, i,
+					got[i].ID, got[i].Rank, got[i].Positions, w.ID, float32(ranks[w.Elem]), w.Positions)
 			}
+		}
+		// The scan reads from the block holding the first entry >= prefix
+		// to the first entry past the prefix's range; a block starting
+		// past the range is not read.
+		first := firstAtOrAfter(prefix)
+		past := first + len(wantPosts)
+		if n, w := postings()-before, charged(first, past); n != w {
+			t.Fatalf("ScanPrefix(%v) charged %d postings, stepped %d", prefix, n, w)
 		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 // (RDIL's per-term tree, Section 4.3.1; HDIL's external tree over the
 // Dewey-sorted list, Section 4.4.1), a Prober binary-searches the term's
 // DIL skip index in memory — zero-copy, since bytes.Compare on the
-// order-preserving encoding equals dewey.Compare — and decodes at most
-// the candidate blocks of dil.post. The entry set is the term's DIL list,
-// which is exactly what both trees index.
+// order-preserving encoding equals dewey.Compare — and steps through the
+// Dewey IDs of at most the candidate blocks of dil.post, decoding an
+// entry's rank and posList only when ScanPrefix returns it. The entry set
+// is the term's DIL list, which is exactly what both trees index.
 type Prober struct {
 	pool    *storage.BufferPool
 	refs    []BlockRef
@@ -38,9 +39,11 @@ func (ix *Index) ProberExec(ec *storage.ExecContext, term string) (*Prober, bool
 	return &Prober{pool: ix.dil.pool, refs: refs, ec: ec}, true
 }
 
-// scanBlock decodes ref's block, calling visit with each entry (the
-// Posting is reused across calls) until visit asks to stop.
-func (pr *Prober) scanBlock(ref *BlockRef, visit func(p *Posting) (stop bool, err error)) error {
+// scanBlock steps through ref's block by Dewey ID, calling visit after
+// each entry until visit asks to stop. visit reads the entry's ID as
+// dec.id and decodes the rest (dec.posting) only if it returns the entry.
+// Every entry stepped counts as read, decoded or not.
+func (pr *Prober) scanBlock(ref *BlockRef, visit func(dec *blockDecoder) (stop bool, err error)) error {
 	dec := decoders.Get().(*blockDecoder)
 	defer decoders.Put(dec)
 	fr, err := openBlock(pr.pool, pr.ec, ref, false, dec)
@@ -48,14 +51,13 @@ func (pr *Prober) scanBlock(ref *BlockRef, visit func(p *Posting) (stop bool, er
 		return err
 	}
 	defer fr.Release()
-	defer func() { pr.ec.CountPostings(int64(dec.decoded())) }()
+	defer func() { pr.ec.CountPostings(int64(dec.stepped)) }()
 	for {
-		ok, err := dec.next()
+		ok, err := dec.step()
 		if err != nil || !ok {
 			return err
 		}
-		dec.at(dec.decoded()-1, &pr.post)
-		stop, err := visit(&pr.post)
+		stop, err := visit(dec)
 		if err != nil || stop {
 			return err
 		}
@@ -94,11 +96,11 @@ func (pr *Prober) ProbeLCP(target dewey.ID) (int, error) {
 		// predecessor or successor of target; maxing over the whole
 		// candidate block (stopping at the first entry >= target) covers
 		// both without tracking them separately.
-		err := pr.scanBlock(&pr.refs[i-1], func(p *Posting) (bool, error) {
-			if n := dewey.CommonPrefixLen(target, p.ID); n > best {
+		err := pr.scanBlock(&pr.refs[i-1], func(dec *blockDecoder) (bool, error) {
+			if n := dewey.CommonPrefixLen(target, dec.id); n > best {
 				best = n
 			}
-			return dewey.Compare(p.ID, target) >= 0, nil
+			return dewey.Compare(dec.id, target) >= 0, nil
 		})
 		if err != nil {
 			return 0, err
@@ -108,10 +110,11 @@ func (pr *Prober) ProbeLCP(target dewey.ID) (int, error) {
 }
 
 // ScanPrefix invokes fn for each entry whose Dewey ID has the given
-// prefix, in Dewey order; the *Posting is reused across calls. Only the
-// blocks whose [FirstID, LastID] range can intersect the prefix's
-// descendant range are decoded (an encoded descendant always has the
-// encoded prefix as a byte prefix), stopping at the first block past it.
+// prefix, in Dewey order; the *Posting and its views are reused across
+// calls. Only the blocks whose [FirstID, LastID] range can intersect the
+// prefix's descendant range are read (an encoded descendant always has
+// the encoded prefix as a byte prefix), stopping at the first block past
+// it.
 func (pr *Prober) ScanPrefix(prefix dewey.ID, fn func(p *Posting) error) error {
 	if len(pr.refs) == 0 {
 		return nil
@@ -132,15 +135,18 @@ func (pr *Prober) ScanPrefix(prefix dewey.ID, fn func(p *Posting) error) error {
 		if bytes.Compare(ref.FirstID, pr.key) > 0 && !bytes.HasPrefix(ref.FirstID, pr.key) {
 			break // wholly past it, as is every later block
 		}
-		err := pr.scanBlock(ref, func(p *Posting) (bool, error) {
-			if dewey.Compare(p.ID, prefix) < 0 {
+		err := pr.scanBlock(ref, func(dec *blockDecoder) (bool, error) {
+			if dewey.Compare(dec.id, prefix) < 0 {
 				return false, nil
 			}
-			if !prefix.IsPrefixOf(p.ID) {
+			if !prefix.IsPrefixOf(dec.id) {
 				done = true
 				return true, nil
 			}
-			return false, fn(p)
+			if err := dec.posting(&pr.post); err != nil {
+				return false, err
+			}
+			return false, fn(&pr.post)
 		})
 		if err != nil {
 			return err

@@ -90,3 +90,27 @@ func BenchmarkPoolGetScanThenProbe(b *testing.B) {
 	}
 	b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 }
+
+// TestStartSpanUntracedAllocs is the gate on tracing's cost when nobody
+// traces: every query opens spans (HDIL's rounds, the DIL merge), so with
+// no recorder installed, or on a nil context, StartSpan and the end
+// function it returns must not allocate.
+func TestStartSpanUntracedAllocs(t *testing.T) {
+	var nilEC *ExecContext
+	for name, ec := range map[string]*ExecContext{"nil": nilEC, "unrecorded": NewExecContext(nil)} {
+		if a := testing.AllocsPerRun(100, func() { ec.StartSpan("hdil.rounds")() }); a != 0 {
+			t.Errorf("%s context: StartSpan and its end allocated %v times", name, a)
+		}
+	}
+}
+
+// BenchmarkStartSpanUntraced is one span opened and closed on a query
+// context with no recorder installed: the price of an annotation in code
+// that runs untraced.
+func BenchmarkStartSpanUntraced(b *testing.B) {
+	ec := NewExecContext(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ec.StartSpan("hdil.rounds")()
+	}
+}

@@ -223,8 +223,9 @@ func (ec *ExecContext) CountBlocks(decoded, skipped int64) {
 	ec.mu.Unlock()
 }
 
-// CountPostings attributes n decoded inverted-list entries to this query
-// (the cost model's CPU term). Cursors and probers batch their counts —
+// CountPostings attributes n inverted-list entries read to this query
+// (the cost model's CPU term), decoded or only stepped over by a probe,
+// which prices them alike. Cursors and probers batch their counts —
 // per block, page or probe — so the posting loop itself never takes the
 // lock. A nil receiver is a no-op.
 func (ec *ExecContext) CountPostings(n int64) {

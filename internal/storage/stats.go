@@ -24,8 +24,9 @@ type Stats struct {
 	BlocksDecoded int64 // posting blocks materialized by a cursor
 	BlocksSkipped int64 // posting blocks pruned without decoding
 
-	// Postings counts inverted-list entries decoded by cursors and probers
-	// (block and naive lists alike): the CPU term of the cost model.
+	// Postings counts inverted-list entries read by cursors and probers
+	// (block and naive lists alike), whether decoded or, by a probe, only
+	// stepped over by Dewey ID: the CPU term of the cost model.
 	Postings int64
 
 	heads   [maxStreams]PageID
