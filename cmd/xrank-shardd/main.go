@@ -80,8 +80,8 @@ func main() {
 	flag.Var(shards, "shard", "shard mount as N=dir (repeatable)")
 	boots := &mountFlag{name: "bootstrap"}
 	flag.Var(boots, "bootstrap", "snapshot source as N=url: clone shard N's engine dir from a serving peer before opening (repeatable)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing searches per shard (0 = engine config; negative disables admission control)")
-	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length per shard (0 = engine config or 2x max-inflight)")
+	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing searches per shard (0 or negative disables admission control)")
+	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length per shard (0 = 2x max-inflight; negative disables queueing)")
 	metrics := flag.Bool("metrics", true, "serve Prometheus metrics at /metrics (default shard's registry)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof at /debug/pprof/")
 	failDegraded := flag.Bool("fail-on-degraded", false, "fail queries (503) instead of serving partial results when local sub-shards are excluded")
@@ -119,18 +119,9 @@ func main() {
 		}
 		defer e.Close()
 		e.SetFailOnDegraded(*failDegraded)
-		cfg := e.Config()
-		inflight := *maxInflight
-		if inflight == 0 {
-			inflight = cfg.MaxInflightQueries
-		}
-		queue := *admissionQueue
-		if queue == 0 {
-			queue = cfg.AdmissionQueue
-		}
 		var adm *cache.Admission
-		if inflight > 0 {
-			adm = cache.NewAdmission(inflight, queue)
+		if *maxInflight > 0 {
+			adm = cache.NewAdmission(*maxInflight, *admissionQueue)
 		}
 		if err := srv.Mount(id, e, dir, httpapi.Options{
 			Metrics: *metrics, Pprof: *pprofOn, Admission: adm,

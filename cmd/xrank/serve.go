@@ -39,8 +39,8 @@ func cmdServe(args []string) error {
 	failDegraded := fs.Bool("fail-on-degraded", false, "fail queries (503) instead of serving partial results when shards are excluded")
 	cacheBytes := fs.Int64("cache-bytes", -1, "result cache size in bytes (0 disables; -1 = engine config, or 32 MiB if unset)")
 	coalesce := fs.Bool("coalesce", true, "coalesce concurrent identical queries into a single execution")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing /api/search requests (0 = engine config; negative disables admission control)")
-	admissionQueue := fs.Int("admission-queue", 0, "admission wait-queue length (0 = engine config or 2x max-inflight; negative disables queueing)")
+	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing /api/search requests (0 or negative disables admission control)")
+	admissionQueue := fs.Int("admission-queue", 0, "admission wait-queue length (0 = 2x max-inflight; negative disables queueing)")
 	maxSegments := fs.Int("max-segments", 0, "live index segments AddDocs may leave before folding more (0 = engine config or 4; negative sets no count bound)")
 	fs.Parse(args)
 	if *dir == "" {
@@ -69,17 +69,9 @@ func cmdServe(args []string) error {
 	}
 	e.ConfigureResultCache(bytes)
 	e.SetCoalesceQueries(*coalesce)
-	inflight := *maxInflight
-	if inflight == 0 {
-		inflight = cfg.MaxInflightQueries
-	}
-	queue := *admissionQueue
-	if queue == 0 {
-		queue = cfg.AdmissionQueue
-	}
 	var adm *cache.Admission
-	if inflight > 0 {
-		adm = cache.NewAdmission(inflight, queue)
+	if *maxInflight > 0 {
+		adm = cache.NewAdmission(*maxInflight, *admissionQueue)
 	}
 	if *maxSegments != 0 {
 		e.SetMaxSegments(*maxSegments)

@@ -53,13 +53,16 @@ func (e *Engine) CompactOnce(budgetPages int64) (CompactionStats, error) {
 		return cs, nil
 	}
 
+	if err := e.solveRanks(); err != nil {
+		return cs, err
+	}
 	buildFS := e.cfg.FS
 	if budgetPages > 0 {
 		ec := storage.NewExecContext(nil)
 		ec.SetBudget(budgetPages)
 		buildFS = storage.NewBudgetFS(e.cfg.FS, ec)
 	}
-	seg, bytes, err := e.fold(0, nil, e.col, e.ranks, e.rankVer, e.docs, buildFS, func() {})
+	seg, bytes, err := e.fold(0, nil, e.col, e.rank, e.rankVer, e.docs, buildFS, func() {})
 	if err != nil {
 		return cs, err
 	}
@@ -110,7 +113,7 @@ func (e *Engine) foldPoint(batchBytes int64) int {
 
 // fold is the one merge-and-retire routine: it builds, through buildFS,
 // one segment over the documents of the trailing segments e.segs[keep:]
-// followed by add (documents of col, baked at ranks/rankVer), commits
+// followed by add (documents of col, baked at rank/rankVer), commits
 // segments.json with e.segs[:keep] plus that segment over docs/rankVer,
 // and publishes the new segment set — running swap, for the caller's own
 // fields, under the same snapshot write lock. Queries hold the read lock
@@ -118,21 +121,21 @@ func (e *Engine) foldPoint(batchBytes int64) int {
 // folded segments, whose directories are then retired. On error the
 // engine is unchanged. It returns the new segment and its index bytes.
 // Callers hold updateMu.
-func (e *Engine) fold(keep int, add []uint32, col *xmldoc.Collection, ranks []float64, rankVer int, docs []docEntry, buildFS storage.FS, swap func()) (*engineSegment, int64, error) {
+func (e *Engine) fold(keep int, add []uint32, col *xmldoc.Collection, rank rankState, rankVer int, docs []docEntry, buildFS storage.FS, swap func()) (*engineSegment, int64, error) {
 	folded := e.segs[keep:]
 	var segDocs []uint32
 	for _, s := range folded {
 		segDocs = append(segDocs, s.docs...)
 	}
 	segDocs = append(segDocs, add...)
-	seg, st, err := e.buildSegment(e.nextSeg, rankVer, col, ranks, segDocs, buildFS)
+	seg, st, err := e.buildSegment(e.nextSeg, rankVer, col, rank.Scores, segDocs, buildFS)
 	if err != nil {
 		return nil, 0, fmt.Errorf("xrank: build %s: %w", segmentDirName(e.nextSeg), err)
 	}
 	segs := append(append([]*engineSegment(nil), e.segs[:keep]...), seg)
 	// After this commit a reopen sees only the new segment set; before
 	// it, only the old one.
-	if err := e.commitSegments(seg.id+1, rankVer, docs, segs); err != nil {
+	if err := e.commitSegments(seg.id+1, rankVer, rank.crc, docs, segs); err != nil {
 		seg.ix.Close()
 		return nil, 0, err
 	}

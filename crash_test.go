@@ -186,10 +186,10 @@ type crashOp struct {
 	// not change.
 	toOut bool
 	// retires marks operations that end with best-effort retirement
-	// after their commit (AddDocs drops the superseded ranks blob,
-	// CompactOnce the merged-away segments): a crash landing there
-	// leaves the operation reporting success. The others have no write
-	// after the commit, so a crash at any boundary must fail them.
+	// after their commit (a folding AddDocs and CompactOnce drop the
+	// merged-away segments): a crash landing there leaves the operation
+	// reporting success. The others have no write after the commit, so a
+	// crash at any boundary must fail them.
 	retires bool
 	// minOps guards the sizing run against silently counting nothing.
 	minOps int64
@@ -220,9 +220,10 @@ var crashOps = []crashOp{
 		run: func(e *Engine, _ string) error { return e.DeleteDoc("doc2.xml") },
 	},
 	{
-		// The delta-segment flush: document-store files, the versioned
-		// ranks blob, the segment directory, and the segments.json swap.
-		name: "AddDocs", retires: true, minOps: 10,
+		// The delta-segment flush: document-store files, the segment
+		// directory, and the segments.json swap. The batch folds nothing,
+		// so nothing is written after the commit.
+		name: "AddDocs", minOps: 10,
 		run: func(e *Engine, _ string) error { return e.AddDoc("doc7.xml", strings.NewReader(segCrashDoc)) },
 	},
 	{

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -216,9 +217,10 @@ func TestAddDocsNeverNeedsCompaction(t *testing.T) {
 }
 
 // TestOpenIgnoresRetiredConfigFields: an engine.json whose Config still
-// carries retired knobs — the background compactor's, SuggestMaxK, and
-// the shard fault knobs and RankFraction that became constants — opens
-// and answers exactly like the directory did before.
+// carries retired knobs — the background compactor's, SuggestMaxK, the
+// shard fault knobs and RankFraction that became constants, SlowLogSize,
+// and the admission defaults the serve flags alone now set — opens and
+// answers exactly like the directory did before.
 func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	dir := t.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -244,6 +246,9 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	man["config"]["ShardFailureThreshold"] = -1
 	man["config"]["ShardProbeIntervalMillis"] = 1000
 	man["config"]["RankFraction"] = 0.5
+	man["config"]["SlowLogSize"] = 4
+	man["config"]["MaxInflightQueries"] = 2
+	man["config"]["AdmissionQueue"] = 3
 	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +269,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe", "RankFraction"} {
+	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe", "RankFraction", "SlowLogSize", "MaxInflightQueries", "AdmissionQueue"} {
 		if strings.Contains(string(b), retired) {
 			t.Fatalf("Config still has retired field %s: %s", retired, b)
 		}
@@ -284,7 +289,7 @@ func addRetiredNaiveFiles(tb testing.TB, e *Engine) {
 	shards := e.NumShards()
 	for s := 0; s < shards; s++ {
 		shard := filepath.Join(e.cfg.IndexDir, segmentDirName(0), fmt.Sprintf("shard%03d", s))
-		naive, err := index.BuildNaive(e.col, e.ranks, shard, index.BuildOptions{
+		naive, err := index.BuildNaive(e.col, e.rank.Scores, shard, index.BuildOptions{
 			DocFilter: func(doc uint32) bool { return index.ShardOf(doc, shards) == s },
 		})
 		if err != nil {
@@ -356,20 +361,69 @@ func addRetiredListFiles(tb testing.TB, e *Engine) {
 	}
 }
 
-// TestOpenSkipsRetiredNaiveFiles: a directory in the shape of an older
-// engine — one that still built the naive baselines, or one that still
-// wrote HDIL's rank prefix and the lexicons beside the two lists — must
-// open and answer exactly as before under every algorithm, and its next
-// fold must leave no retired file behind: every shard directory then
-// holds exactly the two lists, their skip indexes and meta.json.
-func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
+// addRetiredRanksBlob gives a built engine's directory the shape engines
+// wrote while they still stored ElemRank: segments.json without a rank
+// CRC, and the current rank version's ranks-NNNNNN.bin blob (float64
+// ranks by global element index in a checksummed "XRNK" blob) holding
+// ranks — the engine's own, unless a test wants a blob that disagrees.
+func addRetiredRanksBlob(tb testing.TB, e *Engine, ranks []float64) {
+	tb.Helper()
+	var payload []byte
+	for _, r := range ranks {
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r))
+	}
+	blob := filepath.Join(e.cfg.IndexDir, fmt.Sprintf("ranks-%06d.bin", e.RankVersion()))
+	if err := storage.WriteBlobAtomic(nil, blob, 0x584b4e52, payload); err != nil {
+		tb.Fatal(err)
+	}
+	editSegmentsManifest(tb, e.cfg.IndexDir, func(sm *segmentsManifest) { sm.RankCRC = nil })
+}
+
+// editSegmentsManifest rewrites dir's segments.json through edit.
+func editSegmentsManifest(tb testing.TB, dir string, edit func(*segmentsManifest)) {
+	tb.Helper()
+	path := filepath.Join(dir, fileSegments)
+	var sm segmentsManifest
+	if err := storage.ReadManifest(nil, path, &sm); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&sm)
+	if err := storage.WriteManifestAtomic(nil, path, &sm); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// algorithmQueries are the queries the open tests compare, over
+// crashCorpus.
+var algorithmQueries = []string{"xml search", "keyword retrieval", "xql language", "ranked search"}
+
+// TestOpenRankCRCMismatch: segments.json records the CRC of the ranks its
+// segments were baked from, or, written while ranks were stored, its
+// ranks blob vouches for them. When neither vouches for the ranks this
+// binary solves — a wrong CRC (as if a later binary's ElemRank computed
+// other bits), a blob of other ranks, no blob at all — the directory
+// opens with every segment stale, one rank version past the manifest's,
+// and answers exactly as before; the next CompactOnce re-bakes one fresh
+// segment, and its commit records a CRC that the next open accepts.
+func TestOpenRankCRCMismatch(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		add     func(testing.TB, *Engine)
-		retired func(name string) bool
+		name   string
+		doctor func(e *Engine)
 	}{
-		{"naive", addRetiredNaiveFiles, func(name string) bool { return strings.HasPrefix(name, "naive") }},
-		{"rank-prefix-and-lexicons", addRetiredListFiles, func(name string) bool { return slices.Contains(retiredListFiles, name) }},
+		{"wrong-crc", func(e *Engine) {
+			editSegmentsManifest(t, e.cfg.IndexDir, func(sm *segmentsManifest) { *sm.RankCRC ^= 1 })
+		}},
+		{"retired-blob-of-other-ranks", func(e *Engine) {
+			other := slices.Clone(e.rank.Scores)
+			other[0] /= 2
+			addRetiredRanksBlob(t, e, other)
+		}},
+		{"no-crc-no-blob", func(e *Engine) {
+			addRetiredRanksBlob(t, e, e.rank.Scores)
+			if err := os.Remove(filepath.Join(e.cfg.IndexDir, fmt.Sprintf("ranks-%06d.bin", e.RankVersion()))); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -378,7 +432,154 @@ func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
 			if _, err := e.Build(); err != nil {
 				t.Fatal(err)
 			}
-			want := algorithmSig(t, e)
+			if err := e.AddDoc("late.xml", strings.NewReader(`<book><title>late xml search</title><cite ref="1">x</cite></book>`)); err != nil {
+				t.Fatal(err)
+			}
+			want := reopenSig(t, e, algorithmQueries)
+			if want.segs[1].Stale {
+				t.Fatalf("the batch's segment is stale before the manifest is touched: %+v", want.segs)
+			}
+			tc.doctor(e)
+			e.Close()
+
+			e, err := OpenEngine(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := reopenSig(t, e, algorithmQueries)
+			if got.rankVer != want.rankVer+1 {
+				t.Fatalf("rank version %d after a CRC mismatch, want the manifest's %d + 1", got.rankVer, want.rankVer)
+			}
+			for _, s := range got.segs {
+				if !s.Stale {
+					t.Fatalf("segment %d is fresh after a CRC mismatch: %+v", s.ID, got.segs)
+				}
+			}
+			if !reflect.DeepEqual(got.ranks, want.ranks) || !reflect.DeepEqual(got.answers, want.answers) {
+				t.Fatal("a CRC mismatch changed the ranks or the answers")
+			}
+			if cs, err := e.CompactOnce(0); err != nil || !cs.Compacted {
+				t.Fatalf("CompactOnce after a CRC mismatch: %+v, %v", cs, err)
+			}
+			if segs := e.Segments(); len(segs) != 1 || segs[0].Stale {
+				t.Fatalf("segments after the compaction: %+v, want one fresh segment", segs)
+			}
+			if blobs, _ := filepath.Glob(filepath.Join(dir, "ranks-*.bin")); len(blobs) != 0 {
+				t.Fatalf("ranks blobs after the compaction: %v", blobs)
+			}
+			e.Close()
+
+			e, err = OpenEngine(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			got = reopenSig(t, e, algorithmQueries)
+			if len(got.segs) != 1 || got.segs[0].Stale {
+				t.Fatalf("segments after the compaction and a reopen: %+v, want one fresh segment", got.segs)
+			}
+			if !reflect.DeepEqual(got.ranks, want.ranks) || !reflect.DeepEqual(got.answers, want.answers) {
+				t.Fatal("the compaction changed the ranks or the answers")
+			}
+		})
+	}
+}
+
+// TestOpenDefersRanks: only queries on a stale segment read current
+// ranks, so open solves ElemRank only when a segment is stale. Over one
+// fresh segment it solves nothing and queries read the baked ranks; the
+// first ElemRank solves every component, a wrong CRC turns the segment
+// stale at that moment, and the next batch solves only the component it
+// changes.
+func TestOpenDefersRanks(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+	addCorpus(t, e, crashCorpus())
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	want := reopenSig(t, e, algorithmQueries)
+	comps := int64(len(e.col.Components()))
+	e.Close()
+	open := func(tag string, solved int64) *Engine {
+		t.Helper()
+		e, err := OpenEngine(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.SearchDetailed("xml search", SearchOptions{Algorithm: AlgoHDIL}); err != nil {
+			t.Fatal(err)
+		}
+		if c, _ := solveCounters(e); c != solved {
+			t.Fatalf("%s: open and a query solved %d components, want %d", tag, c, solved)
+		}
+		return e
+	}
+
+	e = open("fresh", 0)
+	if got := reopenSig(t, e, algorithmQueries); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh: the reopened engine differs: segments %+v, want %+v", got.segs, want.segs)
+	}
+	if c, _ := solveCounters(e); c != comps {
+		t.Fatalf("fresh: ElemRank solved %d components, want all %d", c, comps)
+	}
+	if err := e.AddDoc("late.xml", strings.NewReader(`<book><title>late xml search</title></book>`)); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := solveCounters(e); c != comps+1 {
+		t.Fatalf("fresh: the batch solved %d components, want its own 1", c-comps)
+	}
+	e.Close()
+
+	e = open("stale", comps+1)
+	if _, err := e.CompactOnce(0); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+
+	editSegmentsManifest(t, dir, func(sm *segmentsManifest) { *sm.RankCRC ^= 1 })
+	e = open("wrong-crc", 0)
+	defer e.Close()
+	if segs := e.Segments(); len(segs) != 1 || segs[0].Stale {
+		t.Fatalf("wrong-crc: segments before the first solve: %+v, want one fresh segment", segs)
+	}
+	ver := e.RankVersion()
+	if _, err := e.ElemRank("0"); err != nil {
+		t.Fatal(err)
+	}
+	if segs := e.Segments(); e.RankVersion() != ver+1 || len(segs) != 1 || !segs[0].Stale {
+		t.Fatalf("wrong-crc: rank version %d and segments %+v after the first solve, want %d and one stale segment",
+			e.RankVersion(), segs, ver+1)
+	}
+}
+
+// TestOpenSkipsRetiredNaiveFiles: a directory in the shape of an older
+// engine — one that still built the naive baselines, one that still
+// wrote HDIL's rank prefix and the lexicons beside the two lists, or one
+// that still stored ElemRank in a ranks blob — must open exactly as
+// before (ranks, segments, and answers under every algorithm), and its
+// next batch and fold must leave no retired file behind: every shard
+// directory then holds exactly the two lists, their skip indexes and
+// meta.json.
+func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		add     func(testing.TB, *Engine)
+		retired func(name string) bool
+		count   int
+	}{
+		{"naive", addRetiredNaiveFiles, func(name string) bool { return strings.HasPrefix(name, "naive") }, 10},
+		{"rank-prefix-and-lexicons", addRetiredListFiles, func(name string) bool { return slices.Contains(retiredListFiles, name) }, 10},
+		{"ranks-blob", func(tb testing.TB, e *Engine) { addRetiredRanksBlob(tb, e, e.rank.Scores) }, func(name string) bool { return strings.HasPrefix(name, "ranks-") }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := NewEngine(&Config{IndexDir: dir, Shards: 2})
+			addCorpus(t, e, crashCorpus())
+			if _, err := e.Build(); err != nil {
+				t.Fatal(err)
+			}
+			want := reopenSig(t, e, algorithmQueries)
 			tc.add(t, e)
 			e.Close()
 			retiredFiles := func() []string {
@@ -391,8 +592,8 @@ func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
 				})
 				return found
 			}
-			if n := len(retiredFiles()); n != 10 {
-				t.Fatalf("parent-shaped segment holds %d retired files, want 10", n)
+			if n := len(retiredFiles()); n != tc.count {
+				t.Fatalf("parent-shaped directory holds %d retired files, want %d", n, tc.count)
 			}
 
 			e, err := OpenEngine(dir)
@@ -400,8 +601,9 @@ func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			if got := algorithmSig(t, e); !reflect.DeepEqual(got, want) {
-				t.Fatal("parent-shaped directory answers differently")
+			if got := reopenSig(t, e, algorithmQueries); !reflect.DeepEqual(got, want) {
+				t.Fatalf("parent-shaped directory opens differently: rank version %d, segments %+v; want %d, %+v",
+					got.rankVer, got.segs, want.rankVer, want.segs)
 			}
 			if err := e.AddDocs(map[string]io.Reader{"late.xml": strings.NewReader(`<book><title>late xml search</title></book>`)}); err != nil {
 				t.Fatal(err)
@@ -431,26 +633,6 @@ func TestOpenSkipsRetiredNaiveFiles(t *testing.T) {
 			}
 		})
 	}
-}
-
-// algorithmSig answers a few queries under DIL, RDIL, HDIL and the
-// disjunctive merge.
-func algorithmSig(t *testing.T, e *Engine) [][]SearchResult {
-	t.Helper()
-	var sig [][]SearchResult
-	for _, q := range []string{"xml search", "keyword retrieval", "xql language", "ranked search"} {
-		for _, opts := range []SearchOptions{
-			{Algorithm: AlgoDIL}, {Algorithm: AlgoRDIL}, {Algorithm: AlgoHDIL}, {Disjunctive: true},
-		} {
-			opts.TopM = 10
-			rs, _, err := e.SearchDetailed(q, opts)
-			if err != nil {
-				t.Fatalf("%q under %+v: %v", q, opts, err)
-			}
-			sig = append(sig, rs)
-		}
-	}
-	return sig
 }
 
 // BenchmarkAddDocsSteadyState is the write path's steady state: 64

@@ -22,9 +22,10 @@ import (
 // (dil.skip, rdil.skip) — a corrupted skip index must be rejected at
 // open, never silently steer queries into the wrong blocks — and, since
 // the directory has the shape older engines wrote, the retired files
-// open ignores: the naive baselines' five, and the separate HDIL rank
+// open ignores: the naive baselines' five, the separate HDIL rank
 // prefix (hdil.rank, hdilrank.skip) and lexicons (dil.lex, rdil.lex,
-// hdil.lex).
+// hdil.lex), and the ranks blob (ranks-000000.bin) of an engine that
+// stored ElemRank, whose segments.json records no rank CRC.
 func FuzzOpenCorrupt(f *testing.F) {
 	dir := f.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -48,6 +49,7 @@ func FuzzOpenCorrupt(f *testing.F) {
 	}
 	addRetiredNaiveFiles(f, e)
 	addRetiredListFiles(f, e)
+	addRetiredRanksBlob(f, e, e.rank.Scores)
 	e.Close()
 
 	var files []string

@@ -8,8 +8,8 @@ import (
 	"xrank/internal/obs"
 )
 
-// Default slow-query log settings; see Config.SlowQueryMillis and
-// Config.SlowLogSize.
+// Slow-query log settings: the default threshold (see
+// Config.SlowQueryMillis) and the ring log's size.
 const (
 	defaultSlowQueryThreshold = 250 * time.Millisecond
 	defaultSlowLogSize        = 128
@@ -104,14 +104,10 @@ func newEngineMetrics(cfg *Config) *engineMetrics {
 	case cfg.SlowQueryMillis < 0:
 		threshold = -1 // disabled
 	}
-	size := cfg.SlowLogSize
-	if size <= 0 {
-		size = defaultSlowLogSize
-	}
 	r := obs.NewRegistry()
 	m := &engineMetrics{
 		reg:  r,
-		slow: obs.NewSlowLog(size, threshold),
+		slow: obs.NewSlowLog(defaultSlowLogSize, threshold),
 
 		queries: labeled[obs.Counter]{register: func(algo string) *obs.Counter {
 			return r.Counter(metricQueries, helpQueries, "algo", algo)

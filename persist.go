@@ -1,25 +1,24 @@
 package xrank
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"xrank/internal/storage"
 )
 
 // Engine persistence. An index directory always has one shape:
 //
-//	engine.json      — the Config (checksummed envelope), written once by Build
-//	segments.json    — document manifest, tombstones, rank version and the
-//	                   live segment set: the commit point of every mutation
-//	ranks-NNNNNN.bin — float64 ElemRanks by global element index for the
-//	                   current rank version (checksummed blob)
-//	docs/            — the raw source documents (sizes/CRCs in segments.json)
-//	seg-NNNNNN/      — one immutable segment each: shards.json, shardNNN/
-//	                   index directories, suggest.bin
+//	engine.json   — the Config (checksummed envelope), written once by Build
+//	segments.json — document manifest, tombstones, rank version and its
+//	                rank CRC, and the live segment set: the commit point of
+//	                every mutation
+//	docs/         — the raw source documents (sizes/CRCs in segments.json)
+//	seg-NNNNNN/   — one immutable segment each: shards.json, shardNNN/
+//	                index directories, suggest.bin
 //
 // Everything goes through the atomic-write protocol (temp file → fsync →
 // rename → parent-dir fsync), and segments.json is written last, after
@@ -29,7 +28,12 @@ import (
 //
 // OpenEngine reloads all of it, verifying every checksum up front;
 // parsing is deterministic, so the rebuilt in-memory collection has
-// identical Dewey IDs and global indexes.
+// identical Dewey IDs and global indexes. ElemRank is not stored: it is
+// re-solved from that collection, at open when a segment is stale (its
+// queries need current ranks), else at the first use of the ranks. A
+// directory written while ranks were still stored holds a
+// ranks-NNNNNN.bin blob and no rank CRC; open takes the CRC from the
+// blob, and the next commit removes it.
 
 // fileEngine holds the engine's Config.
 const fileEngine = "engine.json"
@@ -37,19 +41,17 @@ const fileEngine = "engine.json"
 // rebuildHint ends the refusal of a directory this build cannot serve.
 const rebuildHint = "rebuild with `xrank index` (the sources are in docs/)"
 
-// ranksMagic identifies a ranks blob's type ("XRNK").
-const ranksMagic = 0x584b4e52
-
 type engineManifest struct {
 	Config Config `json:"config"`
 }
 
 // OpenEngine reopens an engine previously built with IndexDir set (or a
 // still-existing temporary directory). The source documents are reparsed
-// from the directory's document store. Every persisted artifact —
-// manifests, ranks, documents, index files — is checksum-verified before
-// use: a torn or corrupted directory fails with a precise
-// "xrank: corrupt <file>" error rather than opening silently wrong.
+// from the directory's document store, and ElemRank is recomputed from
+// them (see solveRanks). Every persisted artifact — manifests, documents,
+// index files — is checksum-verified before use: a torn or corrupted
+// directory fails with a precise "xrank: corrupt <file>" error rather
+// than opening silently wrong.
 func OpenEngine(dir string) (*Engine, error) {
 	return OpenEngineFS(dir, nil)
 }
@@ -95,32 +97,35 @@ func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 			return nil, fmt.Errorf("xrank: %w docs/%s: size %d crc %08x, manifest says size %d crc %08x",
 				storage.ErrCorrupt, d.File, len(data), storage.Checksum(data), d.Size, d.CRC32)
 		}
-		if d.HTML {
-			_, err = e.col.AddHTMLVersion(d.Name, bytes.NewReader(data), nil)
-		} else {
-			_, err = e.col.AddXMLVersion(d.Name, bytes.NewReader(data), nil)
-		}
-		if err != nil {
+		if _, err := parseVersion(e.col, d.Name, data, d.HTML); err != nil {
 			return nil, fmt.Errorf("xrank: reparse %s: %w", d.File, err)
 		}
 		if d.Deleted {
-			if e.deleted == nil {
-				e.deleted = make(map[uint32]bool)
-			}
 			e.deleted[uint32(i)] = true
 		}
 	}
 	e.docs = sm.Docs
+	e.rankVer = sm.RankVer
+	if sm.RankCRC != nil {
+		e.rank.crc = *sm.RankCRC
+	} else {
+		// Written while ranks were stored: the blob's payload is the
+		// ranks' float64 bits, so its checksum is their rankCRC. With no
+		// readable blob nothing vouches for them, and the first solve
+		// finds a mismatch.
+		e.retiredRanks = fmt.Sprintf("ranks-%06d.bin", sm.RankVer)
+		if rb, err := storage.ReadBlob(fs, filepath.Join(dir, e.retiredRanks), 0x584b4e52 /* "XRNK" */); err == nil {
+			e.rank.crc = storage.Checksum(rb)
+		}
+	}
 
-	rb, err := storage.ReadBlob(fs, filepath.Join(dir, ranksFile(sm.RankVer)), ranksMagic)
-	if err != nil {
-		return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
+	if slices.ContainsFunc(sm.Segments, func(se segmentEntry) bool { return se.RankVer != e.rankVer }) {
+		// Queries on a stale segment read current ranks; over fresh
+		// segments they read only baked ones, and the solve waits.
+		if err := e.solveRanks(); err != nil {
+			return nil, fmt.Errorf("xrank: open %s: %w", dir, err)
+		}
 	}
-	if len(rb) != 8*e.col.NumElements() {
-		return nil, fmt.Errorf("xrank: %w %s: %d payload bytes for %d elements",
-			storage.ErrCorrupt, ranksFile(sm.RankVer), len(rb), e.col.NumElements())
-	}
-	e.ranks = decodeRanks(rb)
 
 	for _, se := range sm.Segments {
 		seg, err := e.openSegment(se)
@@ -132,7 +137,6 @@ func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 		}
 		e.segs = append(e.segs, seg)
 	}
-	e.rankVer = sm.RankVer
 	e.nextSeg = sm.NextSeg
 	e.built = true
 	e.met.shards.Set(int64(e.segs[0].ix.NumShards()))

@@ -675,7 +675,7 @@ func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query
 // through the documents' child-offset tables (xmldoc.Document.IndexAt),
 // never through Element pointers: this runs once per posting scanned.
 func (e *Engine) rankOverride() func(p *index.Posting) float64 {
-	col, ranks := e.col, e.ranks
+	col, ranks := e.col, e.rank.Scores
 	return func(p *index.Posting) float64 {
 		if len(p.ID) == 0 || int(p.ID[0]) >= len(col.Docs) {
 			return 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
@@ -33,14 +34,18 @@ import (
 // bit-identical to a from-scratch build). Because the rank-ordered
 // lists of a stale segment are sorted by outdated ranks, the threshold
 // algorithms are unsound there; stale segments route RDIL/HDIL to DIL.
+// The ranks themselves are derived, never stored: a reopened engine
+// re-solves them from the reparsed documents (solveRanks), and
+// segments.json records only their CRC (rankCRC), so that a binary whose
+// ElemRank computes different bits serves every segment as stale rather
+// than mixing two computations.
 //
 // Durability: every mutation — Build, AddDocs, CompactOnce, DeleteDoc —
-// writes its document-store files, versioned ranks blob and segment
-// directory first, all under fresh names (inert orphans until
-// referenced); segments.json is then atomically replaced and is the sole
-// commit point. A crash anywhere leaves the previous manifest — and thus
-// the previous engine state, or for Build no engine at all — fully
-// intact.
+// writes its document-store files and segment directory first, all
+// under fresh names (inert orphans until referenced); segments.json is
+// then atomically replaced and is the sole commit point. A crash
+// anywhere leaves the previous manifest — and thus the previous engine
+// state, or for Build no engine at all — fully intact.
 
 // fileSegments is the index directory's manifest and commit point.
 const fileSegments = "segments.json"
@@ -69,8 +74,12 @@ type segmentEntry struct {
 // engine that changes after Build (engine.json holds the Config, which
 // never does).
 type segmentsManifest struct {
-	NextSeg  int            `json:"next_seg"`
-	RankVer  int            `json:"rank_ver"`
+	NextSeg int `json:"next_seg"`
+	RankVer int `json:"rank_ver"`
+	// RankCRC is rankCRC of the rank version's ElemRanks. A manifest
+	// written while ranks were stored has none; its ranks blob vouches for
+	// them instead (see OpenEngineFS).
+	RankCRC  *uint32        `json:"rank_crc,omitempty"`
 	Docs     []docEntry     `json:"docs"`
 	Segments []segmentEntry `json:"segments"`
 }
@@ -120,11 +129,18 @@ func validateSegmentsManifest(sm *segmentsManifest) error {
 	return nil
 }
 
-// ranksFile names the ElemRank blob for one rank version. Build writes
-// version 0 and every AddDocs batch the next one, each under a fresh name
-// so the previous blob stays intact until the manifest referencing the
-// new one has committed.
-func ranksFile(ver int) string { return fmt.Sprintf("ranks-%06d.bin", ver) }
+// rankCRC is the CRC-32C of ranks' float64 bits, little-endian: the
+// fingerprint segments.json records of the ElemRanks its segments were
+// baked from.
+func rankCRC(ranks []float64) uint32 {
+	tab, crc := crc32.MakeTable(crc32.Castagnoli), uint32(0)
+	var b [8]byte
+	for _, r := range ranks {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r))
+		crc = crc32.Update(crc, tab, b[:])
+	}
+	return crc
+}
 
 func segmentDirName(id int) string { return fmt.Sprintf("seg-%06d", id) }
 
@@ -137,10 +153,9 @@ func allDocIDs(n int) []uint32 {
 	return ids
 }
 
-// writeStore persists what a new rank version needs besides its segment:
-// the document-store files of docs[from:] (filling in their manifest
-// entries) and the ranks blob of version rankVer.
-func (e *Engine) writeStore(docs []docEntry, from int, ranks []float64, rankVer int) error {
+// writeDocs persists the document-store files of docs[from:], filling in
+// their manifest entries.
+func (e *Engine) writeDocs(docs []docEntry, from int) error {
 	fs := e.fs()
 	docsDir := filepath.Join(e.cfg.IndexDir, "docs")
 	if err := fs.MkdirAll(docsDir); err != nil {
@@ -160,7 +175,7 @@ func (e *Engine) writeStore(docs []docEntry, from int, ranks []float64, rankVer 
 		d.CRC32 = storage.Checksum(d.raw)
 		d.raw = nil // the store owns the bytes now
 	}
-	return storage.WriteBlobAtomic(fs, filepath.Join(e.cfg.IndexDir, ranksFile(rankVer)), ranksMagic, encodeRanks(ranks))
+	return nil
 }
 
 // buildSegment is the one segment writer: it builds segment id's sharded
@@ -206,30 +221,30 @@ func (e *Engine) openSegmentIndex(path string) (*index.Sharded, error) {
 
 // commitSegments atomically replaces segments.json — the commit point of
 // every mutation. Before this write a reopen sees the old state; after
-// it, the given one.
-func (e *Engine) commitSegments(nextSeg, rankVer int, docs []docEntry, segs []*engineSegment) error {
-	sm := &segmentsManifest{NextSeg: nextSeg, RankVer: rankVer, Docs: docs}
+// it, the given one. crc is the rank version's rankCRC.
+func (e *Engine) commitSegments(nextSeg, rankVer int, crc uint32, docs []docEntry, segs []*engineSegment) error {
+	sm := &segmentsManifest{NextSeg: nextSeg, RankVer: rankVer, RankCRC: &crc, Docs: docs}
 	for _, s := range segs {
 		sm.Segments = append(sm.Segments, segmentEntry{ID: s.id, Dir: s.dir, RankVer: s.rankVer, Docs: s.docs})
 	}
-	return storage.WriteManifestAtomic(e.fs(), filepath.Join(e.cfg.IndexDir, fileSegments), sm)
+	if err := storage.WriteManifestAtomic(e.fs(), filepath.Join(e.cfg.IndexDir, fileSegments), sm); err != nil {
+		return err
+	}
+	if e.retiredRanks != "" {
+		// The manifest now records the rank CRC the blob stood in for.
+		e.fs().Remove(filepath.Join(e.cfg.IndexDir, e.retiredRanks))
+		e.retiredRanks = ""
+	}
+	return nil
 }
 
-// encodeRanks serializes ElemRanks for a versioned ranks blob.
-func encodeRanks(ranks []float64) []byte {
-	buf := make([]byte, 8*len(ranks))
-	for i, r := range ranks {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(r))
+// parseVersion parses raw, an HTML page if html, as the newest version
+// of name in col.
+func parseVersion(col *xmldoc.Collection, name string, raw []byte, html bool) (*xmldoc.Document, error) {
+	if html {
+		return col.AddHTMLVersion(name, bytes.NewReader(raw), nil)
 	}
-	return buf
-}
-
-func decodeRanks(rb []byte) []float64 {
-	ranks := make([]float64, len(rb)/8)
-	for i := range ranks {
-		ranks[i] = math.Float64frombits(binary.LittleEndian.Uint64(rb[i*8:]))
-	}
-	return ranks
+	return col.AddXMLVersion(name, bytes.NewReader(raw), nil)
 }
 
 func isHTMLName(name string) bool {
@@ -286,12 +301,7 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 			shadowed = append(shadowed, old.ID)
 		}
 		html := isHTMLName(n)
-		var d *xmldoc.Document
-		if html {
-			d, err = col2.AddHTMLVersion(n, bytes.NewReader(raw), nil)
-		} else {
-			d, err = col2.AddXMLVersion(n, bytes.NewReader(raw), nil)
-		}
+		d, err := parseVersion(col2, n, raw, html)
 		if err != nil {
 			return err
 		}
@@ -299,18 +309,20 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 		docs2 = append(docs2, docEntry{Name: n, HTML: html, raw: raw})
 	}
 
-	res, err := e.computeRanks(col2, e.rankComps)
+	if err := e.solveRanks(); err != nil {
+		return err
+	}
+	rank2, err := e.computeRanks(col2, e.rank.Components)
 	if err != nil {
 		return err
 	}
-	ranks2 := res.Scores
 	rankVer2 := e.rankVer + 1
 
-	// Durable but uncommitted: document-store files, the new ranks blob
-	// and the batch's segment — which covers the batch plus the trailing
-	// segments it folds, at the batch's rank version. All land under fresh
-	// names, so until segments.json flips they are invisible orphans.
-	if err := e.writeStore(docs2, len(e.docs), ranks2, rankVer2); err != nil {
+	// Durable but uncommitted: document-store files and the batch's
+	// segment — which covers the batch plus the trailing segments it
+	// folds, at the batch's rank version. All land under fresh names, so
+	// until segments.json flips they are invisible orphans.
+	if err := e.writeDocs(docs2, len(e.docs)); err != nil {
 		return err
 	}
 	var batchBytes int64
@@ -320,22 +332,17 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	for _, id := range shadowed {
 		docs2[id].Deleted = true
 	}
-	oldRankVer := e.rankVer
-	_, _, err = e.fold(e.foldPoint(batchBytes), segDocs, col2, ranks2, rankVer2, docs2, e.cfg.FS, func() {
+	_, _, err = e.fold(e.foldPoint(batchBytes), segDocs, col2, rank2, rankVer2, docs2, e.cfg.FS, func() {
 		// Queries hold the snapshot read lock end to end, so no query
 		// observes a torn mix of old and new fields (or a tombstone-free
 		// shadowed version).
 		e.mu.Lock()
-		if e.deleted == nil && len(shadowed) > 0 {
-			e.deleted = make(map[uint32]bool)
-		}
 		for _, id := range shadowed {
 			e.deleted[id] = true
 		}
 		e.mu.Unlock()
 		e.col = col2
-		e.ranks = ranks2
-		e.rankComps = res.Components
+		e.rank = rank2
 		e.rankVer = rankVer2
 		e.docs = docs2
 	})
@@ -346,9 +353,6 @@ func (e *Engine) AddDocs(add map[string]io.Reader) error {
 	// Every element's ElemRank changed, so every cached score is wrong:
 	// this is the one update that still voids the whole result cache.
 	e.gen.Add(1)
-	// Best-effort retirement of the superseded ranks blob; a crash here
-	// leaves an orphan, not an inconsistency.
-	e.fs().Remove(filepath.Join(e.cfg.IndexDir, ranksFile(oldRankVer)))
 	return nil
 }
 
@@ -413,22 +417,16 @@ func (e *Engine) RankVersion() int {
 	return e.rankVer
 }
 
-// addVersion and deleteDocID are test seams: the differential harness
-// replays an engine's full document history (including shadowed and
-// tombstoned versions, preserving document IDs) into a from-scratch
-// engine and then re-applies the tombstones by ID.
-
+// addVersion adds raw as the newest version of name before Build; add
+// refuses a second version. It and deleteDocID are also test seams: the
+// differential harness replays an engine's full document history
+// (including shadowed and tombstoned versions, preserving document IDs)
+// into a from-scratch engine and then re-applies the tombstones by ID.
 func (e *Engine) addVersion(name string, raw []byte, html bool) error {
 	if e.built {
 		return fmt.Errorf("xrank: collection is sealed after Build")
 	}
-	var err error
-	if html {
-		_, err = e.col.AddHTMLVersion(name, bytes.NewReader(raw), nil)
-	} else {
-		_, err = e.col.AddXMLVersion(name, bytes.NewReader(raw), nil)
-	}
-	if err != nil {
+	if _, err := parseVersion(e.col, name, raw, html); err != nil {
 		return err
 	}
 	e.docs = append(e.docs, docEntry{Name: name, HTML: html, raw: raw})
@@ -437,9 +435,6 @@ func (e *Engine) addVersion(name string, raw []byte, html bool) error {
 
 func (e *Engine) deleteDocID(id uint32) {
 	e.mu.Lock()
-	if e.deleted == nil {
-		e.deleted = make(map[uint32]bool)
-	}
 	e.deleted[id] = true
 	e.mu.Unlock()
 	if int(id) < len(e.docs) {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -98,6 +100,11 @@ type segRun struct {
 	// it folded; baseFolds counts the ones that folded the first segment.
 	folds     []int
 	baseFolds int
+
+	// variant is both engines' Config.ElemRankVariant.
+	variant string
+	// reopenEach reopens the engine after every step of run.
+	reopenEach bool
 }
 
 // newSegRun builds the base engine over one document per entry of
@@ -121,7 +128,7 @@ func startSegRun(t *testing.T, shards int, seed int64) *segRun {
 // in .html parse as HTML, as in AddDocs).
 func (h *segRun) build(base []segVersion) {
 	t := h.t
-	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: h.shards})
+	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: h.shards, ElemRankVariant: h.variant})
 	for _, v := range base {
 		var err error
 		if isHTMLName(v.name) {
@@ -192,8 +199,9 @@ func (h *segRun) check(tag string) {
 	h.t.Helper()
 	h.scratchN++
 	s := NewEngine(&Config{
-		IndexDir: filepath.Join(h.base, fmt.Sprintf("scratch%d", h.scratchN)),
-		Shards:   h.shards,
+		IndexDir:        filepath.Join(h.base, fmt.Sprintf("scratch%d", h.scratchN)),
+		Shards:          h.shards,
+		ElemRankVariant: h.variant,
 	})
 	for _, v := range h.history {
 		if err := s.addVersion(v.name, []byte(v.content), isHTMLName(v.name)); err != nil {
@@ -320,14 +328,57 @@ func (h *segRun) compact(tag string) {
 	}
 }
 
+// reopen closes and reopens the engine, which must come back exactly as
+// it was: see reopenSig.
 func (h *segRun) reopen(tag string) {
 	h.t.Helper()
+	want := reopenSig(h.t, h.cur, diffQueries)
 	h.cur.Close()
 	var err error
 	if h.cur, err = OpenEngine(filepath.Join(h.base, "seg")); err != nil {
 		h.t.Fatalf("%s: reopen: %v", tag, err)
 	}
+	if got := reopenSig(h.t, h.cur, diffQueries); !reflect.DeepEqual(got, want) {
+		h.t.Fatalf("%s: the reopened engine's ranks, segments or answers differ from the live one's (rank version %d, segments %+v; live %d, %+v)",
+			tag, got.rankVer, got.segs, want.rankVer, want.segs)
+	}
 	assertDecodesBlocks(h.t, tag, h.cur)
+}
+
+// engineSig is what a reopen must preserve bit for bit.
+type engineSig struct {
+	ranks   []uint64 // ElemRank of every element, by global index, as float64 bits
+	rankVer int
+	segs    []SegmentInfo // rank versions and staleness included
+	answers [][]SearchResult
+}
+
+// reopenSig reads e's ElemRank of every element through the public
+// accessor (which solves ranks an open deferred, and so settles the rank
+// version), then its segment layout and its DIL, RDIL, HDIL and
+// disjunctive answers to queries.
+func reopenSig(t *testing.T, e *Engine, queries []string) engineSig {
+	t.Helper()
+	var sig engineSig
+	for g := 0; g < e.NumElements(); g++ {
+		r, err := e.ElemRank(e.col.ElementByGlobalIndex(g).DeweyID().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig.ranks = append(sig.ranks, math.Float64bits(r))
+	}
+	sig.rankVer, sig.segs = e.RankVersion(), e.Segments()
+	for _, q := range queries {
+		for _, opts := range []SearchOptions{{Algorithm: AlgoDIL}, {Algorithm: AlgoRDIL}, {Algorithm: AlgoHDIL}, {Disjunctive: true}} {
+			opts.TopM = 25
+			rs, _, err := e.SearchDetailed(q, opts)
+			if err != nil {
+				t.Fatalf("%q under %+v: %v", q, opts, err)
+			}
+			sig.answers = append(sig.answers, rs)
+		}
+	}
+	return sig
 }
 
 type segOp struct {
@@ -341,6 +392,9 @@ func (h *segRun) run(ops []segOp) {
 		tag := fmt.Sprintf("op %d (%s)", i, op.name)
 		op.run(h, tag)
 		h.check(tag)
+		if h.reopenEach {
+			h.reopen(tag + " reopened")
+		}
 	}
 }
 
@@ -412,7 +466,7 @@ func TestSegmentDifferential(t *testing.T) {
 			// split connected components, a failed batch whose document
 			// IDs the next one reuses, and a reopen's cold rank cache (see
 			// segment_links_test.go).
-			t.Run("links", func(t *testing.T) { linksScript(t, shards) })
+			t.Run("links", func(t *testing.T) { linksScript(startSegRun(t, shards, int64(20030609*5+shards))) })
 		})
 	}
 }
@@ -439,10 +493,19 @@ func readTree(t *testing.T, dir string) map[string]string {
 	return files
 }
 
+// assertNoRanksBlob fails if dir holds a ranks-NNNNNN.bin blob.
+func assertNoRanksBlob(t *testing.T, tag, dir string) {
+	t.Helper()
+	if blobs, _ := filepath.Glob(filepath.Join(dir, "ranks-*.bin")); len(blobs) != 0 {
+		t.Fatalf("%s left ranks blobs %v", tag, blobs)
+	}
+}
+
 // TestAddDocsIncremental pins the core acceptance criterion directly:
 // AddDocs must NOT rebuild the full index. Every base-segment file is
 // byte-identical after the batch; only a new delta segment, the new
-// ranks blob, the new document-store entries and segments.json appear.
+// document-store entries and segments.json appear, and no ranks blob
+// ever does: ElemRank is derived, not stored.
 func TestAddDocsIncremental(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
@@ -458,14 +521,16 @@ func TestAddDocsIncremental(t *testing.T) {
 	defer e.Close()
 
 	before := readTree(t, dir)
+	assertNoRanksBlob(t, "Build", dir)
 
 	if err := e.AddDoc("doc03", strings.NewReader(diffDoc(rng, 3))); err != nil {
 		t.Fatal(err)
 	}
 	after := readTree(t, dir)
+	assertNoRanksBlob(t, "AddDocs", dir)
 	for rel, content := range before {
-		if rel == ranksFile(0) || rel == fileSegments {
-			continue // superseded by the next version's blob; the commit point
+		if rel == fileSegments {
+			continue // the commit point
 		}
 		got, ok := after[rel]
 		if !ok {
@@ -521,6 +586,11 @@ func TestAddDocsIncremental(t *testing.T) {
 	if rs, err := e.Search("uniq3"); err != nil || len(rs) == 0 {
 		t.Fatalf("compacted engine lost the new document: %d results, %v", len(rs), err)
 	}
+	assertNoRanksBlob(t, "CompactOnce", dir)
+	if err := e.DeleteDoc("doc00"); err != nil {
+		t.Fatal(err)
+	}
+	assertNoRanksBlob(t, "DeleteDoc", dir)
 	// Fully compacted at the current rank version: another call is a no-op.
 	cs, err = e.CompactOnce(0)
 	if err != nil {

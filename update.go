@@ -49,9 +49,6 @@ func (e *Engine) DeleteDoc(name string) error {
 	}
 	de.Deleted = true
 	e.mu.Lock()
-	if e.deleted == nil {
-		e.deleted = make(map[uint32]bool)
-	}
 	e.deleted[d.ID] = true
 	e.mu.Unlock()
 	// Evict only the cached results that mention this document — after
@@ -59,7 +56,7 @@ func (e *Engine) DeleteDoc(name string) error {
 	// on filters the document. A store racing with the eviction is
 	// caught by the serve-time liveness check (docsLive in search.go).
 	e.invalidateDocResults(name)
-	return e.commitSegments(e.nextSeg, e.rankVer, e.docs, e.segs)
+	return e.commitSegments(e.nextSeg, e.rankVer, e.rank.crc, e.docs, e.segs)
 }
 
 // invalidateDocResults drops every result-cache entry whose result set
@@ -124,6 +121,10 @@ func (e *Engine) Update(dir string, add map[string]io.Reader) (*Engine, error) {
 	if dir == e.cfg.IndexDir {
 		return nil, fmt.Errorf("xrank: Update target must differ from the current index directory")
 	}
+	// AddDocs and DeleteDoc replace the store under updateMu, so Update
+	// holds it: queries do not take it.
+	e.updateMu.Lock()
+	defer e.updateMu.Unlock()
 	cfg := e.cfg
 	cfg.IndexDir = dir
 	ne := NewEngine(&cfg)
@@ -147,12 +148,7 @@ func (e *Engine) Update(dir string, add map[string]io.Reader) (*Engine, error) {
 		if int64(len(data)) != d.Size || storage.Checksum(data) != d.CRC32 {
 			return nil, fmt.Errorf("xrank: document store: %s: %w", d.File, ErrCorrupt)
 		}
-		if d.HTML {
-			err = ne.AddHTML(d.Name, bytes.NewReader(data))
-		} else {
-			err = ne.AddXML(d.Name, bytes.NewReader(data))
-		}
-		if err != nil {
+		if err := ne.add(d.Name, bytes.NewReader(data), d.HTML); err != nil {
 			return nil, err
 		}
 	}
@@ -163,13 +159,7 @@ func (e *Engine) Update(dir string, add map[string]io.Reader) (*Engine, error) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		var err error
-		if isHTMLName(n) {
-			err = ne.AddHTML(n, add[n])
-		} else {
-			err = ne.AddXML(n, add[n])
-		}
-		if err != nil {
+		if err := ne.add(n, add[n], isHTMLName(n)); err != nil {
 			return nil, err
 		}
 	}

@@ -1,9 +1,11 @@
 package xrank
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -108,6 +110,60 @@ func TestUpdateRebuild(t *testing.T) {
 	// Same directory must be rejected.
 	if _, err := e.Update(dir1, nil); err == nil {
 		t.Errorf("Update into the same directory should fail")
+	}
+}
+
+// TestUpdateBesideMutatorsRace runs Update while another goroutine
+// deletes and re-adds a document, so that under -race an Update reading
+// the document store or the collection without the lock AddDocs and
+// DeleteDoc hold is reported. Every rebuilt engine holds the two
+// documents no mutator touches.
+func TestUpdateBesideMutatorsRace(t *testing.T) {
+	base := t.TempDir()
+	e := NewEngine(&Config{IndexDir: filepath.Join(base, "idx")})
+	for _, n := range []string{"keep0", "keep1", "churn"} {
+		if err := e.AddXML(n, strings.NewReader(`<r><a>needle `+n+`</a></r>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	const rounds = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, rounds)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := e.DeleteDoc("churn"); err != nil {
+				errs <- err
+				return
+			}
+			if err := e.AddDoc("churn", strings.NewReader(fmt.Sprintf(`<r><a>needle churn %d</a></r>`, i))); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		ne, err := e.Update(filepath.Join(base, fmt.Sprintf("update%d", i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []string{"keep0", "keep1"} {
+			if rs, err := ne.Search(n); err != nil || len(rs) != 1 {
+				t.Fatalf("update %d: %q gives %d results (%v), want 1", i, n, len(rs), err)
+			}
+		}
+		ne.Close()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -22,7 +22,6 @@
 package xrank
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -100,11 +99,9 @@ type Config struct {
 
 	// SlowQueryMillis is the slow-query log threshold in milliseconds:
 	// queries whose wall time reaches it are recorded (see Engine.SlowLog).
-	// Zero selects the default (250 ms); negative disables the log.
+	// Zero selects the default (250 ms); negative disables the log. The
+	// log keeps the last 128 entries.
 	SlowQueryMillis int
-	// SlowLogSize caps how many entries the slow-query ring log keeps
-	// (default 128); older entries are overwritten.
-	SlowLogSize int
 
 	// FailOnDegraded makes queries fail with ErrDegraded instead of
 	// returning partial results when index shards had to be excluded
@@ -127,15 +124,6 @@ type Config struct {
 	// query share one merge, each still honoring its own context
 	// deadline. Off by default; the serve command turns it on.
 	CoalesceQueries bool
-	// MaxInflightQueries and AdmissionQueue are the HTTP server's
-	// admission-control defaults (overridable by serve flags): at most
-	// MaxInflightQueries /api/search requests execute concurrently, up
-	// to AdmissionQueue more wait for a slot (0 selects 2× the inflight
-	// bound, negative disables queueing), and the rest are shed with
-	// 429 + Retry-After. Zero MaxInflightQueries disables admission
-	// control. The engine itself does not enforce these; see cmd/xrank.
-	MaxInflightQueries int
-	AdmissionQueue     int
 
 	// SuggestDisabled turns off the prefix-autosuggest subsystem: no
 	// suggest.bin dictionaries are built or persisted alongside
@@ -199,13 +187,12 @@ var ErrClosed = errors.New("xrank: engine closed")
 type Engine struct {
 	cfg     Config
 	col     *xmldoc.Collection
-	ranks   []float64
 	tempDir bool
 	built   bool
 	docs    []docEntry // document store manifest
 	met     *engineMetrics
 
-	// snapMu guards the queryable snapshot: col, ranks, docs, segs,
+	// snapMu guards the queryable snapshot: col, rank, docs, segs,
 	// rankVer and nextSeg. Queries hold the read lock for their entire
 	// execution; AddDocs and CompactOnce take the write lock only for
 	// the in-memory field swap after their manifest has committed, so
@@ -221,14 +208,17 @@ type Engine struct {
 	// empty once built). See segment.go.
 	segs []*engineSegment
 	// rankVer is the global ElemRank version; each AddDocs batch
-	// recomputes every element's rank and bumps it.
+	// recomputes every element's rank and bumps it, and so does
+	// solveRanks when the ranks it recomputes are not the ones the
+	// segments were baked from.
 	rankVer int
-	// rankComps are the per-component ElemRank solutions behind ranks,
-	// which the next AddDocs reuses for every component it leaves
-	// unchanged. Replaced only with the snapshot (so a failed batch, whose
-	// document IDs are reused, leaves none behind); nil after OpenEngine,
-	// which makes the first batch solve everything. Read under updateMu.
-	rankComps map[string]*elemrank.Component
+	// rank is the ElemRank of the current rank version. Replaced only
+	// with the snapshot, so a failed batch, whose document IDs are
+	// reused, leaves no solution behind.
+	rank rankState
+	// retiredRanks names the ranks blob that vouched for the ranks of a
+	// manifest written while ranks were stored; the next commit removes it.
+	retiredRanks string
 	// nextSeg is the next unused segment ID.
 	nextSeg int
 
@@ -298,7 +288,7 @@ func NewEngine(cfg *Config) *Engine {
 		c = *cfg
 	}
 	c.fill()
-	e := &Engine{cfg: c, col: xmldoc.NewCollection(), met: newEngineMetrics(&c)}
+	e := &Engine{cfg: c, col: xmldoc.NewCollection(), met: newEngineMetrics(&c), deleted: map[uint32]bool{}}
 	if c.CacheBytes > 0 {
 		e.rcache = cache.New(c.CacheBytes, 0)
 	}
@@ -326,12 +316,7 @@ func (e *Engine) AddFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	ext := filepath.Ext(path)
-	name := filepath.Base(path)
-	if ext == ".html" || ext == ".htm" {
-		return e.AddHTML(name, f)
-	}
-	return e.AddXML(name, f)
+	return e.add(filepath.Base(path), f, isHTMLName(path))
 }
 
 func (e *Engine) add(name string, r io.Reader, html bool) error {
@@ -344,24 +329,54 @@ func (e *Engine) add(name string, r io.Reader, html bool) error {
 	if err != nil {
 		return fmt.Errorf("xrank: read %s: %w", name, err)
 	}
-	if html {
-		_, err = e.col.AddHTML(name, bytesReader(raw), nil)
-	} else {
-		_, err = e.col.AddXML(name, bytesReader(raw), nil)
+	if e.col.DocByName(name) != nil {
+		return fmt.Errorf("xrank: duplicate document name %q", name)
 	}
+	return e.addVersion(name, raw, html)
+}
+
+// rankState is one rank version's ElemRank: the ranks by global element
+// index and the per-component solutions behind them, which the next
+// AddDocs reuses for every component it leaves unchanged, plus the
+// ranks' rankCRC. It is derived, never stored: Build and AddDocs solve
+// it, and an opened engine re-solves it (solveRanks); until then
+// Ranking is nil and crc is the one the segments were baked from.
+type rankState struct {
+	*elemrank.Ranking
+	crc uint32
+}
+
+// solveRanks solves the current rank version's ElemRank if OpenEngine
+// deferred it (every segment fresh) to its first use: ElemRank, AddDocs
+// or CompactOnce. If the ranks' CRC is not the one the segments were
+// baked from — a binary whose ElemRank computes other bits — every
+// segment turns stale, as after an AddDocs that moved the ranks: answers
+// then equal a rebuild by this binary, and the next fold re-bakes.
+// Callers hold updateMu (or own the engine, at open).
+func (e *Engine) solveRanks() error {
+	if e.rank.Ranking != nil {
+		return nil
+	}
+	r, err := e.computeRanks(e.col, nil)
 	if err != nil {
 		return err
 	}
-	e.docs = append(e.docs, docEntry{Name: name, HTML: html, raw: raw})
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	if r.crc != e.rank.crc {
+		e.rankVer++
+		e.gen.Add(1) // results cached from the baked ranks are void
+	}
+	e.rank = r
 	return nil
 }
 
-// computeRanks runs the configured ElemRank computation over col. Both
-// Build and AddDocs use it: ElemRank is a global fixpoint, but it
+// computeRanks runs the configured ElemRank computation over col. Build,
+// AddDocs and solveRanks use it: ElemRank is a global fixpoint, but it
 // decomposes exactly over the collection's connected components (see
 // elemrank.ComputeComponents), so only the components missing from prev —
 // the solutions of the last committed rank version — are solved.
-func (e *Engine) computeRanks(col *xmldoc.Collection, prev map[string]*elemrank.Component) (*elemrank.Ranking, error) {
+func (e *Engine) computeRanks(col *xmldoc.Collection, prev map[string]*elemrank.Component) (rankState, error) {
 	p := elemrank.DefaultParams()
 	p.D1, p.D2, p.D3, p.Epsilon = e.cfg.D1, e.cfg.D2, e.cfg.D3, e.cfg.Epsilon
 	switch e.cfg.ElemRankVariant {
@@ -374,21 +389,21 @@ func (e *Engine) computeRanks(col *xmldoc.Collection, prev map[string]*elemrank.
 	case "discriminated":
 		p.Variant = elemrank.VariantDiscriminated
 	default:
-		return nil, fmt.Errorf("xrank: unknown ElemRank variant %q", e.cfg.ElemRankVariant)
+		return rankState{}, fmt.Errorf("xrank: unknown ElemRank variant %q", e.cfg.ElemRankVariant)
 	}
 	t0 := time.Now()
 	r, err := elemrank.ComputeComponents(col, p, prev)
 	if err != nil {
-		return nil, err
+		return rankState{}, err
 	}
 	e.met.rankTime.Add(int64(time.Since(t0)))
 	e.met.componentsSolved.Add(int64(r.Solved))
 	e.met.elementsSolved.Add(int64(r.ElementsSolved))
-	return r, nil
+	return rankState{r, rankCRC(r.Scores)}, nil
 }
 
 // Build computes ElemRanks and commits the whole collection as segment 0:
-// documents, ranks and the segment directory first, then engine.json and
+// documents and the segment directory first, then engine.json and
 // finally segments.json, the commit point. The collection is sealed
 // afterwards; incremental AddDocs batches land in delta segments beside
 // segment 0.
@@ -411,23 +426,22 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	info := &BuildInfo{NumDocs: e.col.NumDocs(), NumElements: e.col.NumElements()}
 
 	t0 := time.Now()
-	res, err := e.computeRanks(e.col, nil)
+	rank, err := e.computeRanks(e.col, nil)
 	if err != nil {
 		return nil, err
 	}
-	info.DanglingLinks = res.Links.Dangling
-	info.ResolvedLinks = res.Links.Resolved
+	info.DanglingLinks = rank.Links.Dangling
+	info.ResolvedLinks = rank.Links.Resolved
 	info.ElemRankTime = time.Since(t0)
-	info.ElemRankIterations = res.Iterations
-	info.ElemRankConverged = res.Converged
-	e.ranks = res.Scores
-	e.rankComps = res.Components
+	info.ElemRankIterations = rank.Iterations
+	info.ElemRankConverged = rank.Converged
+	e.rank = rank
 
-	if err := e.writeStore(e.docs, 0, e.ranks, 0); err != nil {
+	if err := e.writeDocs(e.docs, 0); err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	seg, stats, err := e.buildSegment(0, 0, e.col, e.ranks, allDocIDs(e.col.NumDocs()), e.cfg.FS)
+	seg, stats, err := e.buildSegment(0, 0, e.col, rank.Scores, allDocIDs(e.col.NumDocs()), e.cfg.FS)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +452,7 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	segs := []*engineSegment{seg}
 	err = storage.WriteManifestAtomic(e.fs(), filepath.Join(dir, fileEngine), engineManifest{Config: e.cfg})
 	if err == nil {
-		err = e.commitSegments(1, 0, e.docs, segs)
+		err = e.commitSegments(1, 0, rank.crc, e.docs, segs)
 	}
 	if err != nil {
 		seg.ix.Close()
@@ -678,7 +692,7 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // Config returns a copy of the engine's effective configuration (the
-// serve command reads the admission-control defaults from it).
+// serve command reads its default result-cache size from it).
 func (e *Engine) Config() Config { return e.cfg }
 
 // fs returns the engine's file system (the real one unless Config.FS
@@ -688,13 +702,21 @@ func (e *Engine) fs() storage.FS { return storage.DefaultFS(e.cfg.FS) }
 // ElemRank returns the computed ElemRank of the element identified by the
 // dotted Dewey ID (e.g. "0.2.1"), or an error if it does not exist.
 func (e *Engine) ElemRank(deweyID string) (float64, error) {
+	if e.built {
+		e.updateMu.Lock()
+		err := e.solveRanks()
+		e.updateMu.Unlock()
+		if err != nil {
+			return 0, err
+		}
+	}
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
 	el, err := e.elementAt(deweyID)
 	if err != nil {
 		return 0, err
 	}
-	return e.ranks[e.col.GlobalIndex(el)], nil
+	return e.rank.Scores[e.col.GlobalIndex(el)], nil
 }
 
 // queryOptions converts engine config to query options.
@@ -708,5 +730,3 @@ func (e *Engine) queryOptions(topM int) query.Options {
 
 // tokenizeQuery splits a free-text query into normalized keywords.
 func tokenizeQuery(q string) []string { return text.Tokenize(q) }
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
