@@ -85,15 +85,15 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("conjunctive miss should say 'no results': %s", out)
 	}
 
-	// Extension flags: disjunctive rescues the miss; tfidf works on DIL;
+	// Extension flags: disjunctive rescues the miss; DIL answers;
 	// fragments render XML.
 	out = run(t, xrankBin, "search", "-dir", idx, "-or", "zzzznotthere", "gray")
 	if strings.Contains(out, "no results") {
 		t.Fatalf("disjunctive should match: %s", out)
 	}
-	out = run(t, xrankBin, "search", "-dir", idx, "-algo", "dil", "-tfidf", "gray")
+	out = run(t, xrankBin, "search", "-dir", idx, "-algo", "dil", "gray")
 	if !strings.Contains(out, "1.") {
-		t.Fatalf("tfidf search: %s", out)
+		t.Fatalf("dil search: %s", out)
 	}
 	out = run(t, xrankBin, "search", "-dir", idx, "-frag", "-m", "1", "gray")
 	if !strings.Contains(out, "<author>") {

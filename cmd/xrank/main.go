@@ -96,7 +96,6 @@ func cmdSearch(args []string) error {
 	algo := fs.String("algo", "hdil", "algorithm: dil, rdil, hdil")
 	stats := fs.Bool("stats", false, "print query cost statistics")
 	disjunctive := fs.Bool("or", false, "disjunctive semantics (match any keyword)")
-	tfidf := fs.Bool("tfidf", false, "tf-idf scoring instead of ElemRank (dil only)")
 	fragments := fs.Bool("frag", false, "print each result's XML fragment")
 	fs.Parse(args)
 	if *dir == "" || fs.NArg() == 0 {
@@ -122,7 +121,6 @@ func cmdSearch(args []string) error {
 		TopM:        *m,
 		Algorithm:   a,
 		Disjunctive: *disjunctive,
-		TFIDF:       *tfidf,
 	})
 	if err != nil {
 		return err

@@ -219,8 +219,13 @@ func TestAddDocsNeverNeedsCompaction(t *testing.T) {
 // TestOpenIgnoresRetiredConfigFields: an engine.json whose Config still
 // carries retired knobs — the background compactor's, SuggestMaxK, the
 // shard fault knobs and RankFraction that became constants, SlowLogSize,
-// and the admission defaults the serve flags alone now set — opens and
-// answers exactly like the directory did before.
+// the admission defaults the serve flags alone now set, and the ElemRank
+// parameters, variant and proximity switch the engine no longer varies —
+// opens and answers exactly like the directory did before. (A directory
+// whose ranks were baked under other ElemRank settings fails its rank CRC
+// instead; see TestOpenRankCRCMismatch. One that set DisableProximity
+// answers with proximity on; SearchOptions.ProximityOff turns it off per
+// query.)
 func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	dir := t.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -231,28 +236,26 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	want := crashSig(t, e)
 	e.Close()
 
-	path := filepath.Join(dir, fileEngine)
-	var man map[string]map[string]any
-	if err := storage.ReadManifest(nil, path, &man); err != nil {
-		t.Fatal(err)
-	}
-	man["config"]["CompactIntervalMillis"] = 250
-	man["config"]["CompactBudgetPages"] = 64
-	man["config"]["SuggestMaxK"] = 7
-	man["config"]["ShardWorkers"] = 1
-	man["config"]["ShardRetries"] = -1
-	man["config"]["ShardRetryBackoffMillis"] = 100
-	man["config"]["ShardRetrySeed"] = 42
-	man["config"]["ShardFailureThreshold"] = -1
-	man["config"]["ShardProbeIntervalMillis"] = 1000
-	man["config"]["RankFraction"] = 0.5
-	man["config"]["SlowLogSize"] = 4
-	man["config"]["MaxInflightQueries"] = 2
-	man["config"]["AdmissionQueue"] = 3
-	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	editEngineConfig(t, dir, func(cfg map[string]any) {
+		cfg["CompactIntervalMillis"] = 250
+		cfg["CompactBudgetPages"] = 64
+		cfg["SuggestMaxK"] = 7
+		cfg["ShardWorkers"] = 1
+		cfg["ShardRetries"] = -1
+		cfg["ShardRetryBackoffMillis"] = 100
+		cfg["ShardRetrySeed"] = 42
+		cfg["ShardFailureThreshold"] = -1
+		cfg["ShardProbeIntervalMillis"] = 1000
+		cfg["RankFraction"] = 0.5
+		cfg["SlowLogSize"] = 4
+		cfg["MaxInflightQueries"] = 2
+		cfg["AdmissionQueue"] = 3
+		cfg["D1"], cfg["D2"], cfg["D3"] = 0.5, 0.2, 0.1
+		cfg["Epsilon"] = 0.001
+		cfg["ElemRankVariant"] = "pagerank"
+		cfg["DisableProximity"] = true
+	})
+	raw, err := os.ReadFile(filepath.Join(dir, fileEngine))
 	if err != nil || !strings.Contains(string(raw), "CompactBudgetPages") {
 		t.Fatalf("engine.json does not carry the retired fields: %v", err)
 	}
@@ -269,7 +272,8 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe", "RankFraction", "SlowLogSize", "MaxInflightQueries", "AdmissionQueue"} {
+	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe", "RankFraction", "SlowLogSize", "MaxInflightQueries", "AdmissionQueue",
+		"D1", "D2", "D3", "Epsilon", "ElemRankVariant", "DisableProximity"} {
 		if strings.Contains(string(b), retired) {
 			t.Fatalf("Config still has retired field %s: %s", retired, b)
 		}
@@ -379,6 +383,21 @@ func addRetiredRanksBlob(tb testing.TB, e *Engine, ranks []float64) {
 	editSegmentsManifest(tb, e.cfg.IndexDir, func(sm *segmentsManifest) { sm.RankCRC = nil })
 }
 
+// editEngineConfig rewrites the Config object of dir's engine.json
+// through edit, keys and all, so it can add fields Config no longer has.
+func editEngineConfig(tb testing.TB, dir string, edit func(cfg map[string]any)) {
+	tb.Helper()
+	path := filepath.Join(dir, fileEngine)
+	var man map[string]map[string]any
+	if err := storage.ReadManifest(nil, path, &man); err != nil {
+		tb.Fatal(err)
+	}
+	edit(man["config"])
+	if err := storage.WriteManifestAtomic(nil, path, man); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // editSegmentsManifest rewrites dir's segments.json through edit.
 func editSegmentsManifest(tb testing.TB, dir string, edit func(*segmentsManifest)) {
 	tb.Helper()
@@ -401,11 +420,25 @@ var algorithmQueries = []string{"xml search", "keyword retrieval", "xql language
 // segments were baked from, or, written while ranks were stored, its
 // ranks blob vouches for them. When neither vouches for the ranks this
 // binary solves — a wrong CRC (as if a later binary's ElemRank computed
-// other bits), a blob of other ranks, no blob at all — the directory
-// opens with every segment stale, one rank version past the manifest's,
-// and answers exactly as before; the next CompactOnce re-bakes one fresh
-// segment, and its commit records a CRC that the next open accepts.
+// other bits), a blob of other ranks, no blob at all, or an engine.json
+// from an engine that baked its ranks under the retired ElemRank variant
+// setting — the directory opens with every segment stale, one rank
+// version past the manifest's, and answers exactly as before and as a
+// fresh Build of the same documents; the next CompactOnce re-bakes one
+// fresh segment, and its commit records a CRC that the next open accepts.
 func TestOpenRankCRCMismatch(t *testing.T) {
+	late := `<book><title>late xml search</title><cite ref="1">x</cite></book>`
+	fresh := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2})
+	addCorpus(t, fresh, crashCorpus())
+	if err := fresh.AddXML("late.xml", strings.NewReader(late)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Build(); err != nil {
+		t.Fatal(err)
+	}
+	built := reopenSig(t, fresh, algorithmQueries)
+	fresh.Close()
+
 	for _, tc := range []struct {
 		name   string
 		doctor func(e *Engine)
@@ -424,6 +457,10 @@ func TestOpenRankCRCMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"retired-variant", func(e *Engine) {
+			editEngineConfig(t, e.cfg.IndexDir, func(cfg map[string]any) { cfg["ElemRankVariant"] = "pagerank" })
+			editSegmentsManifest(t, e.cfg.IndexDir, func(sm *segmentsManifest) { *sm.RankCRC ^= 1 })
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -432,7 +469,7 @@ func TestOpenRankCRCMismatch(t *testing.T) {
 			if _, err := e.Build(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.AddDoc("late.xml", strings.NewReader(`<book><title>late xml search</title><cite ref="1">x</cite></book>`)); err != nil {
+			if err := e.AddDoc("late.xml", strings.NewReader(late)); err != nil {
 				t.Fatal(err)
 			}
 			want := reopenSig(t, e, algorithmQueries)
@@ -457,6 +494,9 @@ func TestOpenRankCRCMismatch(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.ranks, want.ranks) || !reflect.DeepEqual(got.answers, want.answers) {
 				t.Fatal("a CRC mismatch changed the ranks or the answers")
+			}
+			if !reflect.DeepEqual(got.ranks, built.ranks) || !reflect.DeepEqual(got.answers, built.answers) {
+				t.Fatal("after a CRC mismatch the ranks or the answers differ from a fresh Build's")
 			}
 			if cs, err := e.CompactOnce(0); err != nil || !cs.Compacted {
 				t.Fatalf("CompactOnce after a CRC mismatch: %+v, %v", cs, err)

@@ -41,8 +41,6 @@ type Spec struct {
 	Proximity bool
 	// SumAgg selects f=sum occurrence aggregation.
 	SumAgg bool
-	// TFIDF selects tf-idf scoring.
-	TFIDF bool
 }
 
 // Key renders the canonical cache key. Two Specs produce the same key
@@ -64,8 +62,6 @@ func (s Spec) Key() string {
 	b = strconv.AppendBool(b, s.Proximity)
 	b = append(b, "|s="...)
 	b = strconv.AppendBool(b, s.SumAgg)
-	b = append(b, "|t="...)
-	b = strconv.AppendBool(b, s.TFIDF)
 	for _, p := range pairs {
 		b = append(b, "|k="...)
 		b = strconv.AppendQuote(b, p.term)

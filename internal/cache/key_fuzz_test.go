@@ -12,11 +12,11 @@ import (
 // any single option must separate the keys. Every key must also equal
 // referenceKey's.
 func FuzzCacheKey(f *testing.F) {
-	f.Add("xml ranked search", int64(1), 10, 0.75, true, false, false, byte(0))
-	f.Add("alpha beta alpha", int64(7), 5, 0.5, false, true, false, byte(1))
-	f.Add("a", int64(42), 100, 1.0, true, false, true, byte(2))
-	f.Add("päper ünï 統計", int64(3), 25, 0.9, false, false, false, byte(3))
-	f.Fuzz(func(t *testing.T, termData string, seed int64, topM int, decay float64, prox, sum, tfidf bool, algoPick byte) {
+	f.Add("xml ranked search", int64(1), 10, 0.75, true, false, byte(0))
+	f.Add("alpha beta alpha", int64(7), 5, 0.5, false, true, byte(1))
+	f.Add("a", int64(42), 100, 1.0, true, false, byte(2))
+	f.Add("päper ünï 統計", int64(3), 25, 0.9, false, false, byte(3))
+	f.Fuzz(func(t *testing.T, termData string, seed int64, topM int, decay float64, prox, sum bool, algoPick byte) {
 		if !(decay >= 0 && decay <= 1) {
 			t.Skip("decay outside the valid range")
 		}
@@ -41,7 +41,7 @@ func FuzzCacheKey(f *testing.F) {
 		algos := []string{"HDIL", "DIL", "RDIL", "Disjunctive"}
 		base := Spec{
 			Terms: terms, Weights: weights, Algo: algos[int(algoPick)%len(algos)],
-			TopM: topM, Decay: decay, Proximity: prox, SumAgg: sum, TFIDF: tfidf,
+			TopM: topM, Decay: decay, Proximity: prox, SumAgg: sum,
 		}
 		want := base.Key()
 		if ref := referenceKey(base); want != ref {
@@ -81,7 +81,6 @@ func FuzzCacheKey(f *testing.F) {
 			func(s *Spec) { s.TopM++ },
 			func(s *Spec) { s.Proximity = !s.Proximity },
 			func(s *Spec) { s.SumAgg = !s.SumAgg },
-			func(s *Spec) { s.TFIDF = !s.TFIDF },
 			func(s *Spec) { s.Algo = s.Algo + "'" },
 			func(s *Spec) { s.Terms = append([]string{fresh}, s.Terms...) },
 		}

@@ -55,8 +55,6 @@ func referenceKey(s Spec) string {
 	b.WriteString(strconv.FormatBool(s.Proximity))
 	b.WriteString("|s=")
 	b.WriteString(strconv.FormatBool(s.SumAgg))
-	b.WriteString("|t=")
-	b.WriteString(strconv.FormatBool(s.TFIDF))
 	for _, p := range pairs {
 		b.WriteString("|k=")
 		b.WriteString(strconv.Quote(p.term))
@@ -89,7 +87,7 @@ func TestKeyMatchesReference(t *testing.T) {
 		{Terms: []string{"\x00w0", "a"}, Weights: []float64{1}, Algo: "HDIL", TopM: 10},
 		{Terms: many(linearDedupMax, linearDedupMax), Algo: "RDIL", TopM: 10, Decay: 0.75},
 		{Terms: many(linearDedupMax+1, 5), Algo: "RDIL", TopM: 10, Decay: 0.75},
-		{Terms: many(64, 40), Weights: make([]float64, 40), Algo: "Disjunctive", TopM: 1000, SumAgg: true, TFIDF: true},
+		{Terms: many(64, 40), Weights: make([]float64, 40), Algo: "Disjunctive", TopM: 1000, SumAgg: true},
 		{Terms: []string{long, "x\"q|k=", long}, Algo: long, TopM: -1, Decay: 1e-300},
 	}
 	for i, s := range specs {
@@ -148,7 +146,6 @@ func TestKeyDistinctOptionsDiffer(t *testing.T) {
 		func(s *Spec) { s.Decay = 0.5 },
 		func(s *Spec) { s.Proximity = false },
 		func(s *Spec) { s.SumAgg = true },
-		func(s *Spec) { s.TFIDF = true },
 		func(s *Spec) { s.Terms = append([]string{"extra"}, s.Terms...) },
 		func(s *Spec) { s.Weights = []float64{2, 1, 1} },
 		func(s *Spec) { s.Weights = []float64{1, 1} }, // misaligned ≠ unweighted

@@ -147,6 +147,11 @@ func TestHedgedAdmissionExactlyOnce(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// A hedge's losing attempt can still be inside a replica handler after
+	// its client request returned. Close waits for in-flight handlers, so
+	// the audit below sees every arrival's admission outcome.
+	ra.srv.Close()
+	rb.srv.Close()
 
 	for i, r := range []countedReplica{ra, rb} {
 		reg := r.engine.Metrics()

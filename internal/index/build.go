@@ -38,8 +38,8 @@ type BuildOptions struct {
 	// collection, i.e. the first Dewey component). Sharded builds pass the
 	// shard's hash predicate here. The element-ID and Dewey spaces — and
 	// Meta.NumDocs/NumElements — remain those of the FULL collection, so
-	// ranks, tf-idf normalization and result IDs are identical whether a
-	// document is scored from a shard or from a monolithic index.
+	// ranks and result IDs are identical whether a document is scored
+	// from a shard or from a monolithic index.
 	DocFilter func(doc uint32) bool
 	// FS is the file system all index files are written through (nil = the
 	// real file system). Fault-injection tests pass a storage.FaultFS.

@@ -15,10 +15,9 @@ import (
 // carries state across a document boundary, and RDIL/HDIL probe within
 // one document's Dewey subtree), so per-shard merges produce exactly the
 // scores a monolithic merge would, and a global top-k is the top-k of
-// the concatenated per-shard top-k's. Element IDs, Dewey IDs and
-// tf-idf's N stay those of the full collection (see
-// BuildOptions.DocFilter), which keeps results bit-identical across
-// shard counts.
+// the concatenated per-shard top-k's. Element IDs and Dewey IDs stay
+// those of the full collection (see BuildOptions.DocFilter), which keeps
+// results bit-identical across shard counts.
 
 const (
 	fileShards = "shards.json"
@@ -233,16 +232,6 @@ func (sh *Sharded) HasTerm(term string) bool {
 		}
 	}
 	return false
-}
-
-// DILCount returns the term's global document-frequency surrogate: the
-// total DIL entries across shards (equal to a one-shard index's DILCount).
-func (sh *Sharded) DILCount(term string) int {
-	n := 0
-	for _, ix := range sh.shards {
-		n += ix.DILCount(term)
-	}
-	return n
 }
 
 // DILListBytes returns the total encoded DIL bytes for term across

@@ -198,57 +198,6 @@ func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestShardedDifferentialTFIDF pins the global document-frequency
-// override: with tf-idf scoring, per-shard list lengths differ from the
-// collection-global dfs, so without Options.DFs the sharded runs would
-// score differently at different shard counts. The brute-force reference
-// uses global dfs by construction.
-func TestShardedDifferentialTFIDF(t *testing.T) {
-	fx := newShardedFixture(t, datagenCorpus(3),
-		index.BuildOptions{}, shardCounts)
-	vocab := corpusVocab(fx.c)
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 6; trial++ {
-		nk := 1 + r.Intn(2)
-		q := make([]string, nk)
-		for i := range q {
-			q[i] = vocab[r.Intn(len(vocab))]
-		}
-		opts := DefaultOptions()
-		opts.TopM = 8
-		opts.Scoring = ScoreTFIDF
-
-		want, err := BruteForce(fx.c, fx.ranks, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = truncated(want, opts.TopM)
-		wantDisj, err := BruteForceDisjunctive(fx.c, fx.ranks, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDisj = truncated(wantDisj, opts.TopM)
-
-		for _, sc := range shardCounts {
-			sh := fx.sharded[sc]
-			name := func(algo string) string {
-				return fmt.Sprintf("trial%d tfidf %s(%v)@%dshards", trial, algo, q, sc)
-			}
-			got, err := DILSharded(sh, q, opts, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, name("DIL"), got, want, 1e-9)
-
-			got, err = DisjunctiveSharded(sh, q, opts, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, name("Disjunctive"), got, wantDisj, 1e-9)
-		}
-	}
-}
-
 // TestNaiveBaselinesOnDifferentialCorpus checks the standalone naive
 // index on the differential corpora: Naive-ID's result set is exactly R0
 // (every element containing* all keywords), and Naive-Rank's threshold

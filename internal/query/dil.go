@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 
 	"xrank/internal/index"
 )
@@ -25,31 +24,6 @@ func normalizeKeywords(keywords []string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// NormalizeKeywords exposes the canonical keyword normalization —
-// deduplication preserving first appearance — so callers aligning
-// per-keyword data (e.g. an engine summing global document frequencies
-// across index segments for Options.DFs) index it exactly as the query
-// processors do.
-func NormalizeKeywords(keywords []string) ([]string, error) {
-	return normalizeKeywords(keywords)
-}
-
-// tfidfBase builds the per-occurrence rank function for ScoreTFIDF: a
-// sublinear term-frequency weight times the keyword's inverse element
-// frequency. df is the per-keyword list length (elements directly
-// containing the keyword); n is the collection element count.
-func tfidfBase(n int, dfs []int) func(stream int, p *index.Posting) float64 {
-	idf := make([]float64, len(dfs))
-	for i, df := range dfs {
-		if df > 0 {
-			idf[i] = math.Log(1 + float64(n)/float64(df))
-		}
-	}
-	return func(stream int, p *index.Posting) float64 {
-		return (1 + math.Log(1+float64(len(p.Positions)))) * idf[stream]
-	}
 }
 
 // DIL evaluates the query with the Dewey Inverted List algorithm
@@ -78,15 +52,13 @@ func DIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 	// Dewey-stack loop). An error abandons the in-flight span unrecorded;
 	// the engine's error counters carry that signal instead.
 	endOpen := opts.Exec.StartSpan("dil.open")
-	dfs := make([]int, len(keywords))
-	for i, kw := range keywords {
+	for _, kw := range keywords {
 		cur, ok := ix.DILCursorExec(opts.Exec, kw)
 		if !ok {
 			// A keyword absent from the corpus empties the conjunction.
 			endOpen()
 			return nil, nil
 		}
-		dfs[i] = cur.Count()
 		s := &postingStream{cur: cur}
 		streams = append(streams, s)
 		if err := s.advance(); err != nil {
@@ -101,9 +73,6 @@ func DIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 		m.init(nil, Options{}) // drop the query's streams and options
 		mergerPool.Put(m)
 	}()
-	if opts.Scoring == ScoreTFIDF {
-		m.base = tfidfBase(opts.numElements(ix.Meta.NumElements), opts.dfsOr(dfs))
-	}
 	endMerge := opts.Exec.StartSpan("dil.merge")
 	if err := m.run(h.offerCopy); err != nil {
 		return nil, err

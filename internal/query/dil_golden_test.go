@@ -33,7 +33,6 @@ var goldenVariants = []goldenVariant{
 	{"weights", func(o *Options, n int) { o.Weights = []float64{1, 0.5, 2, 1.5}[:n] }, true},
 	{"aggsum", func(o *Options, _ int) { o.Agg = AggSum }, false},
 	{"aggsum-noprox", func(o *Options, _ int) { o.Agg = AggSum; o.UseProximity = false }, false},
-	{"tfidf", func(o *Options, _ int) { o.Scoring = ScoreTFIDF }, false},
 }
 
 // formatGolden renders results as Dewey IDs with the exact bits of their
@@ -63,7 +62,7 @@ type goldenFixture struct {
 // per-query page and posting counters), and Disjunctive — to the output
 // recorded before the merge kernel was rewritten: Dewey IDs and the exact
 // float64 bits of every score, under max and sum aggregation, proximity
-// on and off, keyword weights and tf-idf, at shard counts 1 and 2.
+// on and off, and keyword weights, at shard counts 1 and 2.
 //
 // Two corpora: a Figure 11-shaped perfgen corpus (locorr keywords meet
 // only at document roots after a long run of non-result records) and an

@@ -37,17 +37,11 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 		}
 	}()
 	weights := make([]float64, 0, n)
-	dfs := make([]int, 0, n)
 	endOpen := opts.Exec.StartSpan("disj.open")
 	for i, kw := range keywords {
 		cur, ok := ix.DILCursorExec(opts.Exec, kw)
 		if !ok {
 			continue // absent keywords simply contribute nothing
-		}
-		if opts.DFs != nil {
-			dfs = append(dfs, opts.DFs[i])
-		} else {
-			dfs = append(dfs, cur.Count())
 		}
 		s := &postingStream{cur: cur}
 		streams = append(streams, s)
@@ -59,14 +53,6 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 	endOpen()
 	if len(streams) == 0 {
 		return nil, nil
-	}
-	base := func(_ int, p *index.Posting) float64 { return float64(p.Rank) }
-	if opts.Rank != nil {
-		rank := opts.Rank
-		base = func(_ int, p *index.Posting) float64 { return rank(p) }
-	}
-	if opts.Scoring == ScoreTFIDF {
-		base = tfidfBase(opts.numElements(ix.Meta.NumElements), dfs)
 	}
 
 	h := newResultHeap(opts.TopM)
@@ -104,7 +90,7 @@ func Disjunctive(ix *index.Index, keywords []string, opts Options) ([]Result, er
 			if s.p == nil || !dewey.Equal(s.p.ID, id) {
 				continue
 			}
-			score += weights[si] * base(si, s.p)
+			score += weights[si] * opts.rank(s.p)
 			pos = append(pos, s.p.Positions...)
 			ends = append(ends, len(pos))
 			if err := s.advance(); err != nil {

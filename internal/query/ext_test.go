@@ -13,8 +13,7 @@ import (
 )
 
 // Tests for the paper's extension features: keyword weights
-// (Section 2.3.2.2), tf-idf scoring (Section 7), and disjunctive
-// semantics (Section 2.2).
+// (Section 2.3.2.2) and disjunctive semantics (Section 2.2).
 
 func TestWeightsMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -73,70 +72,26 @@ func TestWeightsValidation(t *testing.T) {
 	}
 }
 
-func TestTFIDFMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	fx := newFixture(t, randomCorpus(r, 3), index.BuildOptions{})
-	for trial := 0; trial < 8; trial++ {
-		nk := 1 + r.Intn(2)
-		q := make([]string, nk)
-		for i := range q {
-			q[i] = fmt.Sprintf("v%d", r.Intn(40))
-		}
-		opts := DefaultOptions()
-		opts.TopM = 200
-		opts.Scoring = ScoreTFIDF
-		want, err := BruteForce(fx.c, fx.ranks, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DIL(fx.ix, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, fmt.Sprintf("tfidf DIL(%v)", q), got, want, 1e-9)
-	}
-}
-
-func TestTFIDFFavorsRareTerms(t *testing.T) {
-	// Two documents: "rare" occurs once in the whole corpus, "common"
-	// everywhere. Under tf-idf the rare keyword's results outrank equally
-	// placed common ones.
-	docs := []string{
-		`<r><a>rare common</a><b>common</b><c>common</c><d>common</d></r>`,
-		`<r><a>common</a><b>common</b></r>`,
-	}
-	fx := newFixture(t, docs, index.BuildOptions{})
-	opts := DefaultOptions()
-	opts.Scoring = ScoreTFIDF
-	rare, err := DIL(fx.ix, []string{"rare"}, opts)
-	if err != nil || len(rare) == 0 {
-		t.Fatalf("rare: %v %v", rare, err)
-	}
-	common, err := DIL(fx.ix, []string{"common"}, opts)
-	if err != nil || len(common) == 0 {
-		t.Fatalf("common: %v %v", common, err)
-	}
-	if rare[0].Score <= common[0].Score {
-		t.Errorf("idf should favor the rare term: %g vs %g", rare[0].Score, common[0].Score)
-	}
-}
-
-func TestTFIDFRejectedByRankedAlgorithms(t *testing.T) {
+// TestRankOverrideRejectedByRankedAlgorithms: only the Dewey-ordered
+// processors accept Options.Rank. The rank-ordered lists and the naive
+// baselines are sorted or scored by their stored ranks, so an override
+// would silently break their order.
+func TestRankOverrideRejectedByRankedAlgorithms(t *testing.T) {
 	fx := newFixture(t, []string{figure1}, index.BuildOptions{})
 	opts := DefaultOptions()
-	opts.Scoring = ScoreTFIDF
+	opts.Rank = func(*index.Posting) float64 { return 1 }
 	if _, err := RDIL(fx.ix, []string{"xql", "language"}, opts); err == nil {
-		t.Errorf("RDIL should reject tf-idf")
+		t.Errorf("RDIL should reject a rank override")
 	}
 	if _, _, err := HDIL(fx.ix, []string{"xql", "language"}, opts, storage.DefaultCostModel()); err == nil {
-		t.Errorf("HDIL should reject tf-idf")
+		t.Errorf("HDIL should reject a rank override")
 	}
 	nx := fx.naive(t)
 	if _, err := NaiveRank(nx, []string{"xql", "language"}, opts); err == nil {
-		t.Errorf("NaiveRank should reject tf-idf")
+		t.Errorf("NaiveRank should reject a rank override")
 	}
 	if _, err := NaiveID(nx, []string{"xql", "language"}, opts); err == nil {
-		t.Errorf("NaiveID should reject tf-idf")
+		t.Errorf("NaiveID should reject a rank override")
 	}
 }
 

@@ -54,9 +54,6 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 	if opts.Agg != AggMax {
 		return nil, trace, fmt.Errorf("query: HDIL requires AggMax for a sound stopping threshold")
 	}
-	if opts.Scoring == ScoreTFIDF {
-		return nil, trace, fmt.Errorf("query: HDIL's ranked lists are ElemRank-ordered; tf-idf scoring needs DIL")
-	}
 	if opts.Rank != nil {
 		return nil, trace, fmt.Errorf("query: HDIL's ranked lists are ordered by their stored ranks; a rank override needs DIL")
 	}

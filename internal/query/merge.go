@@ -100,10 +100,6 @@ type merger struct {
 	opts    Options
 	n       int
 	streams []*postingStream
-	// base computes an occurrence's undecayed rank from its entry; nil
-	// means the stored ElemRank. Options.Rank and the tf-idf scoring mode
-	// plug in a different function.
-	base func(stream int, p *index.Posting) float64
 
 	curID       dewey.ID
 	ranks       []float64
@@ -121,11 +117,7 @@ var mergerPool = sync.Pool{New: func() any { return new(merger) }}
 
 // init readies m for a merge over streams, keeping its buffers.
 func (m *merger) init(streams []*postingStream, opts Options) {
-	m.opts, m.n, m.streams, m.base = opts, len(streams), streams, nil
-	if opts.Rank != nil {
-		rank := opts.Rank
-		m.base = func(_ int, p *index.Posting) float64 { return rank(p) }
-	}
+	m.opts, m.n, m.streams = opts, len(streams), streams
 	m.pos = slices.Grow(m.pos[:0], m.n)[:m.n]
 	m.proxBuf = slices.Grow(m.proxBuf[:0], m.n)[:m.n]
 	m.reset()
@@ -257,14 +249,8 @@ func (m *merger) run(emit func(id dewey.ID, score float64)) error {
 			}
 		}
 		// Record the entry at the top (lines 29-31).
-		var r float64
-		if m.base == nil {
-			r = float64(best.Rank)
-		} else {
-			r = m.base(bestIdx, best)
-		}
 		top := (len(m.curID)-1)*m.n + bestIdx
-		m.ranks[top] = m.opts.Agg.combine(m.ranks[top], r)
+		m.ranks[top] = m.opts.Agg.combine(m.ranks[top], m.opts.rank(best))
 		m.pos[bestIdx] = append(m.pos[bestIdx], best.Positions...)
 		doc := best.ID.Doc()
 		if err := m.streams[bestIdx].advance(); err != nil {

@@ -18,7 +18,7 @@ func naiveOptions(opts *Options, keywords []string) ([]string, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if opts.Scoring == ScoreTFIDF || opts.Rank != nil {
+	if opts.Rank != nil {
 		return nil, fmt.Errorf("query: the naive baselines score by their stored ElemRanks only")
 	}
 	keywords, err := normalizeKeywords(keywords)

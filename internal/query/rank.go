@@ -42,22 +42,6 @@ func (a Agg) combine(x, y float64) float64 {
 	return x
 }
 
-// Scoring selects how an occurrence's base rank is computed.
-type Scoring int
-
-const (
-	// ScoreElemRank uses the stored ElemRank of the directly containing
-	// element (the paper's ranking, Section 2.3.2).
-	ScoreElemRank Scoring = iota
-	// ScoreTFIDF replaces ElemRank with a tf-idf weight computed from the
-	// entry's posList length and the keyword's document frequency — the
-	// "other ranking functions (e.g., tf-idf)" extension the paper lists
-	// as future work (Section 7). Because the rank-ordered lists are
-	// sorted by ElemRank, only the full-scan Dewey processors (DIL,
-	// Disjunctive) support it.
-	ScoreTFIDF
-)
-
 // Options configure query evaluation.
 type Options struct {
 	// TopM is the number of results to return (m in the paper). Default 10.
@@ -78,20 +62,6 @@ type Options struct {
 	// keywords"). When non-nil its length must equal the number of
 	// distinct keywords; nil means all 1.
 	Weights []float64
-	// Scoring selects the base rank function. Default ScoreElemRank.
-	Scoring Scoring
-	// DFs optionally overrides the per-keyword document frequencies used
-	// by ScoreTFIDF, indexed by deduplicated-keyword position. The
-	// algorithms default to each inverted list's own length, which is the
-	// right df on a monolithic index but only a shard's share of it on a
-	// partitioned one; the sharded executors pass the collection-global
-	// counts here so scores stay identical across shard counts.
-	DFs []int
-	// NumElements optionally overrides the element count N_e used by
-	// ScoreTFIDF's idf term. Defaults to the index's own Meta.NumElements;
-	// segmented engines pass the collection-global count so tf-idf scores
-	// stay identical to an unsegmented build.
-	NumElements int
 	// Rank optionally overrides the ElemRank read from each posting. A
 	// segmented engine sets it on segments whose baked ranks predate the
 	// newest ElemRank computation, substituting the current global value.
@@ -145,34 +115,21 @@ func (o *Options) weight(i int) float64 {
 	return o.Weights[i]
 }
 
-// checkWeights validates Weights and DFs against the deduplicated
-// keyword count.
+// rank returns a posting's undecayed rank: its stored ElemRank, or the
+// Rank override's value when one is set.
+func (o *Options) rank(p *index.Posting) float64 {
+	if o.Rank != nil {
+		return o.Rank(p)
+	}
+	return float64(p.Rank)
+}
+
+// checkWeights validates Weights against the deduplicated keyword count.
 func (o *Options) checkWeights(n int) error {
 	if o.Weights != nil && len(o.Weights) != n {
 		return fmt.Errorf("query: %d weights for %d distinct keywords", len(o.Weights), n)
 	}
-	if o.DFs != nil && len(o.DFs) != n {
-		return fmt.Errorf("query: %d document-frequency overrides for %d distinct keywords", len(o.DFs), n)
-	}
 	return nil
-}
-
-// dfsOr returns the caller-supplied global document frequencies when set
-// (sharded execution), else the locally observed list lengths.
-func (o *Options) dfsOr(local []int) []int {
-	if o.DFs != nil {
-		return o.DFs
-	}
-	return local
-}
-
-// numElements returns the caller-supplied global element count when set
-// (segmented execution), else the index's own.
-func (o *Options) numElements(local int) int {
-	if o.NumElements > 0 {
-		return o.NumElements
-	}
-	return local
 }
 
 // Result is one ranked query result.

@@ -326,9 +326,6 @@ func RDIL(ix *index.Index, keywords []string, opts Options) ([]Result, error) {
 	if opts.Agg != AggMax {
 		return nil, fmt.Errorf("query: RDIL requires AggMax for a sound stopping threshold")
 	}
-	if opts.Scoring == ScoreTFIDF {
-		return nil, fmt.Errorf("query: RDIL lists are ElemRank-ordered; tf-idf scoring needs DIL")
-	}
 	if opts.Rank != nil {
 		return nil, fmt.Errorf("query: RDIL lists are ordered by their stored ranks; a rank override needs DIL")
 	}

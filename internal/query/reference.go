@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math"
 	"sort"
 
 	"xrank/internal/text"
@@ -32,31 +31,6 @@ func BruteForce(c *xmldoc.Collection, ranks []float64, keywords []string, opts O
 	kwIdx := make(map[string]int, n)
 	for i, k := range kws {
 		kwIdx[text.NormalizeTerm(k)] = i
-	}
-
-	// Inverse element frequencies for the tf-idf scoring mode: df is the
-	// number of elements directly containing the keyword.
-	idfs := make([]float64, n)
-	if opts.Scoring == ScoreTFIDF {
-		dfs := make([]int, n)
-		total := 0
-		for _, d := range c.Docs {
-			total += len(d.Elements)
-			for _, e := range d.Elements {
-				seen := map[int]bool{}
-				for _, tok := range e.Tokens {
-					if i, ok := kwIdx[tok.Term]; ok && !seen[i] {
-						seen[i] = true
-						dfs[i]++
-					}
-				}
-			}
-		}
-		for i, df := range dfs {
-			if df > 0 {
-				idfs[i] = math.Log(1 + float64(total)/float64(df))
-			}
-		}
 	}
 
 	var results []Result
@@ -139,9 +113,6 @@ func BruteForce(c *xmldoc.Collection, ranks []float64, keywords []string, opts O
 				var ps []uint32
 				for _, o := range rel[i] {
 					r := o.rank
-					if opts.Scoring == ScoreTFIDF {
-						r = (1 + math.Log(1+float64(len(o.pos)))) * idfs[i]
-					}
 					for k := 0; k < o.depth; k++ {
 						r *= opts.Decay
 					}
@@ -190,31 +161,6 @@ func BruteForceDisjunctive(c *xmldoc.Collection, ranks []float64, keywords []str
 		kwIdx[text.NormalizeTerm(k)] = i
 	}
 
-	// df = elements directly containing the keyword, exactly the inverted
-	// list length the index-based processor uses on a one-shard index.
-	idfs := make([]float64, n)
-	if opts.Scoring == ScoreTFIDF {
-		dfs := make([]int, n)
-		total := 0
-		for _, d := range c.Docs {
-			total += len(d.Elements)
-			for _, e := range d.Elements {
-				seen := map[int]bool{}
-				for _, tok := range e.Tokens {
-					if i, ok := kwIdx[tok.Term]; ok && !seen[i] {
-						seen[i] = true
-						dfs[i]++
-					}
-				}
-			}
-		}
-		for i, df := range dfs {
-			if df > 0 {
-				idfs[i] = math.Log(1 + float64(total)/float64(df))
-			}
-		}
-	}
-
 	var results []Result
 	for _, d := range c.Docs {
 		for _, e := range d.Elements {
@@ -231,9 +177,6 @@ func BruteForceDisjunctive(c *xmldoc.Collection, ranks []float64, keywords []str
 					continue
 				}
 				r := float64(float32(ranks[d.Base+int(e.Index)]))
-				if opts.Scoring == ScoreTFIDF {
-					r = (1 + math.Log(1+float64(len(perKw[i])))) * idfs[i]
-				}
 				score += opts.weight(i) * r
 				prox = append(prox, perKw[i])
 			}

@@ -18,10 +18,11 @@ import (
 //   - Scores are shard-invariant. Every scoring decision is
 //     intra-document (the Dewey-stack merge never carries state across a
 //     document boundary, and RDIL/HDIL probes stay inside one document's
-//     subtree), documents are partitioned whole, and shards keep the
-//     global element-ID/Dewey spaces and — via Options.DFs — the global
-//     tf-idf document frequencies. A result therefore gets the same
-//     score from its shard as it would from a monolithic index.
+//     subtree), every scoring input (ElemRank, decay, proximity, weights)
+//     is a property of one document, documents are partitioned whole,
+//     and shards keep the global element-ID/Dewey spaces. A result
+//     therefore gets the same score from its shard as it would from a
+//     monolithic index.
 //
 //   - Top-m composes. Under the strict total order (score descending,
 //     Dewey ID ascending) the global top-m of a disjoint union is a
@@ -219,32 +220,10 @@ func MergeTopM(perShard [][]Result, topM int) []Result {
 	return all
 }
 
-// globalDFs fills opts.DFs with collection-global document frequencies
-// when tf-idf scoring would otherwise see per-shard list lengths. count
-// maps a keyword to its global list length.
-func globalDFs(opts *Options, keywords []string, count func(kw string) int) error {
-	if opts.Scoring != ScoreTFIDF || opts.DFs != nil {
-		return nil
-	}
-	kws, err := normalizeKeywords(keywords)
-	if err != nil {
-		return err
-	}
-	dfs := make([]int, len(kws))
-	for i, kw := range kws {
-		dfs[i] = count(kw)
-	}
-	opts.DFs = dfs
-	return nil
-}
-
 // DILSharded evaluates DIL on every shard in parallel and merges the
 // per-shard top-m's; see the package notes above for why the result is
 // identical to DIL over a monolithic index.
 func DILSharded(sh *index.Sharded, keywords []string, opts Options, workers int) ([]Result, error) {
-	if err := globalDFs(&opts, keywords, sh.DILCount); err != nil {
-		return nil, err
-	}
 	return runSharded(sh, opts, workers, func(_ int, ix *index.Index, so Options) ([]Result, error) {
 		return DIL(ix, keywords, so)
 	})
@@ -289,9 +268,6 @@ func HDILSharded(sh *index.Sharded, keywords []string, opts Options, workers int
 // in parallel. A keyword absent from one shard contributes nothing there
 // but still scores on the shards that hold it.
 func DisjunctiveSharded(sh *index.Sharded, keywords []string, opts Options, workers int) ([]Result, error) {
-	if err := globalDFs(&opts, keywords, sh.DILCount); err != nil {
-		return nil, err
-	}
 	return runSharded(sh, opts, workers, func(_ int, ix *index.Index, so Options) ([]Result, error) {
 		return Disjunctive(ix, keywords, so)
 	})

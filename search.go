@@ -69,7 +69,8 @@ type SearchOptions struct {
 	// (0 keeps the engine default). Decay is a query-time parameter: the
 	// index stores undecayed per-entry ElemRanks.
 	Decay float64
-	// ProximityOff disables the keyword proximity factor for this query.
+	// ProximityOff makes the keyword proximity factor constantly 1 for
+	// this query, the paper's recommendation for highly structured data.
 	ProximityOff bool
 	// SumAggregation uses f=sum instead of f=max over multiple keyword
 	// occurrences (Section 2.3.2.1). Only the full-scan algorithm (DIL)
@@ -83,10 +84,6 @@ type SearchOptions struct {
 	// Weights assigns per-keyword weights (Section 2.3.2.2), aligned with
 	// the distinct keywords of the query in order of first appearance.
 	Weights []float64
-	// TFIDF scores occurrences by tf-idf instead of ElemRank — the
-	// "other ranking functions" extension of Section 7. Supported by
-	// AlgoDIL (and disjunctive queries) only.
-	TFIDF bool
 }
 
 // SearchResult is one ranked result.
@@ -424,7 +421,6 @@ func (e *Engine) cacheKey(keywords []string, opts SearchOptions) string {
 		Decay:     decay,
 		Proximity: !opts.ProximityOff,
 		SumAgg:    opts.SumAggregation,
-		TFIDF:     opts.TFIDF,
 	}.Key()
 }
 
@@ -542,9 +538,6 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 			qopts.Agg = query.AggSum
 		}
 		qopts.Weights = opts.Weights
-		if opts.TFIDF {
-			qopts.Scoring = query.ScoreTFIDF
-		}
 		qopts.Exec = ec
 		qopts.Report = report
 
@@ -627,33 +620,14 @@ func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions,
 // through float32, matching what a rebuild would bake). Their
 // rank-ordered lists are sorted by the outdated ranks, which makes the
 // threshold algorithms unsound there, so stale segments route RDIL and
-// HDIL to DIL — same results, document-order execution. TFIDF needs no
-// rank override (it never reads the baked ranks) but does need
-// collection-global document frequencies and element counts, computed
-// here by summing per-segment list lengths.
+// HDIL to DIL — same results, document-order execution.
 func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
-	if opts.TFIDF {
-		kws, err := query.NormalizeKeywords(keywords)
-		if err != nil {
-			return nil, err
-		}
-		dfs := make([]int, len(kws))
-		for i, kw := range kws {
-			for _, s := range e.segs {
-				dfs[i] += s.ix.DILCount(kw)
-			}
-		}
-		qopts.DFs = dfs
-		qopts.NumElements = e.col.NumElements()
-	}
 	perSeg := make([][]query.Result, 0, len(e.segs))
 	for _, s := range e.segs {
 		so := qopts
 		sopts := opts
 		if s.rankVer != e.rankVer {
-			if !opts.TFIDF {
-				so.Rank = e.rankOverride()
-			}
+			so.Rank = e.rankOverride()
 			// The disjunctive merge is document-ordered; the override alone
 			// suffices.
 			if !opts.Disjunctive && (opts.Algorithm == AlgoRDIL || opts.Algorithm == AlgoHDIL) {

@@ -27,46 +27,26 @@ import (
 // segments substitute at query time, so there is no score tolerance
 // here, unlike the update-differential harness.
 
-// segAlgos is the differential algorithm matrix: every conjunctive
-// processor, disjunctive semantics, and the TF-IDF scoring variants
-// (which exercise the cross-segment global document-frequency path).
-var segAlgos = []SearchOptions{
-	{Algorithm: AlgoDIL},
-	{Algorithm: AlgoRDIL},
-	{Algorithm: AlgoHDIL},
-	{Disjunctive: true},
-	{Algorithm: AlgoDIL, TFIDF: true},
-	{Disjunctive: true, TFIDF: true},
-}
-
-func segLabel(o SearchOptions) string {
-	l := searchLabel(o)
-	if o.TFIDF {
-		l += "+tfidf"
-	}
-	return l
-}
-
 // assertSegmentsAgree compares the segmented engine against the
 // from-scratch reference result-for-result with exact equality.
 func assertSegmentsAgree(t *testing.T, tag string, seg, scratch *Engine) {
 	t.Helper()
 	for _, q := range diffQueries {
-		for _, algo := range segAlgos {
+		for _, algo := range diffAlgos {
 			opts := algo
 			opts.TopM = 25
 			ra, _, errA := seg.SearchDetailed(q, opts)
 			rb, _, errB := scratch.SearchDetailed(q, opts)
 			if errA != nil || errB != nil {
-				t.Fatalf("%s %s %q: errs %v / %v", tag, segLabel(algo), q, errA, errB)
+				t.Fatalf("%s %s %q: errs %v / %v", tag, searchLabel(algo), q, errA, errB)
 			}
 			if len(ra) != len(rb) {
-				t.Fatalf("%s %s %q: %d results vs %d from scratch", tag, segLabel(algo), q, len(ra), len(rb))
+				t.Fatalf("%s %s %q: %d results vs %d from scratch", tag, searchLabel(algo), q, len(ra), len(rb))
 			}
 			for i := range ra {
 				if ra[i] != rb[i] {
 					t.Fatalf("%s %s %q result %d not bit-identical:\nsegmented %+v\nscratch   %+v",
-						tag, segLabel(algo), q, i, ra[i], rb[i])
+						tag, searchLabel(algo), q, i, ra[i], rb[i])
 				}
 			}
 		}
@@ -101,8 +81,6 @@ type segRun struct {
 	folds     []int
 	baseFolds int
 
-	// variant is both engines' Config.ElemRankVariant.
-	variant string
 	// reopenEach reopens the engine after every step of run.
 	reopenEach bool
 }
@@ -128,7 +106,7 @@ func startSegRun(t *testing.T, shards int, seed int64) *segRun {
 // in .html parse as HTML, as in AddDocs).
 func (h *segRun) build(base []segVersion) {
 	t := h.t
-	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: h.shards, ElemRankVariant: h.variant})
+	h.cur = NewEngine(&Config{IndexDir: filepath.Join(h.base, "seg"), Shards: h.shards})
 	for _, v := range base {
 		var err error
 		if isHTMLName(v.name) {
@@ -199,9 +177,8 @@ func (h *segRun) check(tag string) {
 	h.t.Helper()
 	h.scratchN++
 	s := NewEngine(&Config{
-		IndexDir:        filepath.Join(h.base, fmt.Sprintf("scratch%d", h.scratchN)),
-		Shards:          h.shards,
-		ElemRankVariant: h.variant,
+		IndexDir: filepath.Join(h.base, fmt.Sprintf("scratch%d", h.scratchN)),
+		Shards:   h.shards,
 	})
 	for _, v := range h.history {
 		if err := s.addVersion(v.name, []byte(v.content), isHTMLName(v.name)); err != nil {

@@ -190,7 +190,7 @@ func TestDisjunctiveSearch(t *testing.T) {
 	}
 }
 
-func TestWeightedAndTFIDFSearch(t *testing.T) {
+func TestWeightedSearch(t *testing.T) {
 	e := buildEngine(t, nil)
 	plain, _, err := e.SearchDetailed("xql language", SearchOptions{TopM: 5, Algorithm: AlgoDIL})
 	if err != nil {
@@ -207,15 +207,5 @@ func TestWeightedAndTFIDFSearch(t *testing.T) {
 	}
 	if weighted[0].Score == plain[0].Score {
 		t.Errorf("weights had no effect on scores")
-	}
-	tfidf, _, err := e.SearchDetailed("xql language", SearchOptions{TopM: 5, Algorithm: AlgoDIL, TFIDF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tfidf) == 0 {
-		t.Fatalf("tfidf search empty")
-	}
-	if _, _, err := e.SearchDetailed("xql language", SearchOptions{Algorithm: AlgoRDIL, TFIDF: true}); err == nil {
-		t.Errorf("RDIL + tfidf should be rejected")
 	}
 }

@@ -47,24 +47,9 @@ type Config struct {
 	// means a fresh temporary directory (removed on Close).
 	IndexDir string
 
-	// D1, D2 and D3 are the ElemRank navigation probabilities for
-	// hyperlinks, forward containment and reverse containment
-	// (Section 3.2 defaults: 0.35, 0.25, 0.25). All zero selects the
-	// defaults.
-	D1, D2, D3 float64
-	// Epsilon is the ElemRank convergence threshold (default 0.00002).
-	Epsilon float64
-	// ElemRankVariant selects the formula from the Section 3.1 refinement
-	// series, for ablation studies: "final" (default), "pagerank",
-	// "bidirectional" or "discriminated".
-	ElemRankVariant string
-
 	// Decay is the per-level rank decay for result specificity
 	// (Section 2.3.2.1), in (0,1]. Default 0.75.
 	Decay float64
-	// DisableProximity makes the keyword proximity factor constantly 1,
-	// the paper's recommendation for highly structured datasets.
-	DisableProximity bool
 
 	// MaxPositions caps the posList stored per index entry; see the
 	// DESIGN document. Zero selects the default (1024).
@@ -147,12 +132,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.D1 == 0 && c.D2 == 0 && c.D3 == 0 {
-		c.D1, c.D2, c.D3 = 0.35, 0.25, 0.25
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.00002
-	}
 	if c.Decay == 0 {
 		c.Decay = 0.75
 	}
@@ -371,28 +350,14 @@ func (e *Engine) solveRanks() error {
 	return nil
 }
 
-// computeRanks runs the configured ElemRank computation over col. Build,
+// computeRanks runs the paper's ElemRank computation over col. Build,
 // AddDocs and solveRanks use it: ElemRank is a global fixpoint, but it
 // decomposes exactly over the collection's connected components (see
 // elemrank.ComputeComponents), so only the components missing from prev —
 // the solutions of the last committed rank version — are solved.
 func (e *Engine) computeRanks(col *xmldoc.Collection, prev map[string]*elemrank.Component) (rankState, error) {
-	p := elemrank.DefaultParams()
-	p.D1, p.D2, p.D3, p.Epsilon = e.cfg.D1, e.cfg.D2, e.cfg.D3, e.cfg.Epsilon
-	switch e.cfg.ElemRankVariant {
-	case "", "final":
-		p.Variant = elemrank.VariantFinal
-	case "pagerank":
-		p.Variant = elemrank.VariantPageRank
-	case "bidirectional":
-		p.Variant = elemrank.VariantBidirectional
-	case "discriminated":
-		p.Variant = elemrank.VariantDiscriminated
-	default:
-		return rankState{}, fmt.Errorf("xrank: unknown ElemRank variant %q", e.cfg.ElemRankVariant)
-	}
 	t0 := time.Now()
-	r, err := elemrank.ComputeComponents(col, p, prev)
+	r, err := elemrank.ComputeComponents(col, elemrank.DefaultParams(), prev)
 	if err != nil {
 		return rankState{}, err
 	}
@@ -724,7 +689,6 @@ func (e *Engine) queryOptions(topM int) query.Options {
 	o := query.DefaultOptions()
 	o.TopM = topM
 	o.Decay = e.cfg.Decay
-	o.UseProximity = !e.cfg.DisableProximity
 	return o
 }
 
