@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,13 +87,7 @@ func buildConcurrencyCorpusCfg(t *testing.T, cfg *Config, docs, recs int) *Engin
 	t.Helper()
 	e := NewEngine(cfg)
 	for d := 0; d < docs; d++ {
-		var b strings.Builder
-		b.WriteString("<proc>")
-		for i := 0; i < recs; i++ {
-			fmt.Fprintf(&b, "<rec><t>alpha beta filler%d gamma shared topic w%d</t></rec>", i%31, i%13)
-		}
-		b.WriteString("</proc>")
-		if err := e.AddXML(fmt.Sprintf("doc%d", d), strings.NewReader(b.String())); err != nil {
+		if err := e.AddXML(fmt.Sprintf("doc%d", d), strings.NewReader(concurrencyDoc(recs))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,6 +96,18 @@ func buildConcurrencyCorpusCfg(t *testing.T, cfg *Config, docs, recs int) *Engin
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// concurrencyDoc is one document of the concurrency corpus: recs records
+// that all hold "alpha beta gamma".
+func concurrencyDoc(recs int) string {
+	var b strings.Builder
+	b.WriteString("<proc>")
+	for i := 0; i < recs; i++ {
+		fmt.Fprintf(&b, "<rec><t>alpha beta filler%d gamma shared topic w%d</t></rec>", i%31, i%13)
+	}
+	b.WriteString("</proc>")
+	return b.String()
 }
 
 // TestConcurrentSearchContextAttribution runs many SearchContext queries
@@ -261,17 +268,47 @@ func TestSearchContextCancellation(t *testing.T) {
 }
 
 // TestShardedCancellationFanout checks that cancellation fans out to
-// every shard worker of a partitioned index: a countdown context that
+// every partition worker of a partitioned index: a countdown context that
 // expires mid-merge must abort the whole query with
 // context.DeadlineExceeded, and every worker — including ones blocked
-// mid-merge on other shards — must release its pinned pages. The pin
+// mid-merge on other partitions — must release its pinned pages. The pin
 // check is ColdCache: BufferPool.Reset refuses to drop a pool while any
 // page is pinned, so a successful ColdCache right after the aborted
-// query proves no shard leaked a pin. Run under -race (the CI matrix
-// covers this package).
+// query proves no partition leaked a pin. It runs on one segment and on
+// a stale base beside a fresh delta (Build, then AddDocs), where the
+// executor fans out over both segments' shards at once. Run under -race
+// (the CI matrix covers this package).
 func TestShardedCancellationFanout(t *testing.T) {
 	const shards = 5
-	e := buildConcurrencyCorpusCfg(t, &Config{Shards: shards}, 20, 600)
+	for _, tc := range []struct {
+		name  string
+		delta int // documents AddDocs adds after Build; 0 keeps one segment
+	}{
+		{"one segment", 0},
+		{"stale base and fresh delta", 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := buildConcurrencyCorpusCfg(t, &Config{Shards: shards}, 20, 600)
+			wantSegs := 1
+			if tc.delta > 0 {
+				batch := make(map[string]io.Reader, tc.delta)
+				for d := 0; d < tc.delta; d++ {
+					batch[fmt.Sprintf("delta%d", d)] = strings.NewReader(concurrencyDoc(600))
+				}
+				if err := e.AddDocs(batch); err != nil {
+					t.Fatal(err)
+				}
+				wantSegs = 2
+				if segs := e.Segments(); len(segs) != 2 || !segs[0].Stale || segs[1].Stale {
+					t.Fatalf("segments after AddDocs = %+v, want a stale base and a fresh delta", segs)
+				}
+			}
+			checkCancellationFanout(t, e, shards, wantSegs)
+		})
+	}
+}
+
+func checkCancellationFanout(t *testing.T, e *Engine, shards, segments int) {
 	opts := SearchOptions{TopM: 10, Algorithm: AlgoDIL, ColdCache: true}
 
 	// Establish that the sharded merge is large enough that 12 page
@@ -280,8 +317,8 @@ func TestShardedCancellationFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shards != shards {
-		t.Fatalf("query fanned out over %d shards, want %d", stats.Shards, shards)
+	if stats.Shards != shards || stats.Segments != segments {
+		t.Fatalf("query fanned out over %d shards of %d segments, want %d of %d", stats.Shards, stats.Segments, shards, segments)
 	}
 	if len(rs) == 0 {
 		t.Fatal("sharded corpus query returned no results")
@@ -298,15 +335,15 @@ func TestShardedCancellationFanout(t *testing.T) {
 		}); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%v: mid-merge expiry err = %v, want context.DeadlineExceeded", algo, err)
 		}
-		// Every shard worker must have unpinned its pages on the abort
-		// path; Reset would fail otherwise.
+		// Every partition worker must have unpinned its pages on the
+		// abort path; Reset would fail otherwise.
 		if err := e.ColdCache(); err != nil {
-			t.Fatalf("%v: ColdCache after aborted sharded query: %v (a shard worker leaked a pinned page)", algo, err)
+			t.Fatalf("%v: ColdCache after aborted sharded query: %v (a partition worker leaked a pinned page)", algo, err)
 		}
 	}
 
-	// The family-wide budget must also fan out: the shards draw device
-	// reads from one shared pool and abort together.
+	// The family-wide budget must also fan out: the partitions draw
+	// device reads from one shared pool and abort together.
 	_, _, err = e.SearchContext(context.Background(), "alpha beta gamma", SearchOptions{
 		TopM: 10, Algorithm: AlgoDIL, ColdCache: true, MaxPageReads: 3,
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -288,4 +289,68 @@ func TestShardHealthDuringCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSegmentWideFaultServedDegraded: when every shard of a delta
+// segment fails, the query is still served from the base segment's
+// partitions. FailedShards lists every shard, and every returned result
+// carries its healthy score bit for bit.
+func TestSegmentWideFaultServedDegraded(t *testing.T) {
+	const shards = 3
+	ffs := storage.NewFaultFS(nil, 26)
+	e, _ := buildDegradedEngine(t, ffs, shards)
+	batch := make(map[string]io.Reader)
+	wantFailed := map[int]bool{}
+	for d := 8; d < 14; d++ {
+		name := fmt.Sprintf("doc%d.xml", d)
+		batch[name] = strings.NewReader(degradedCorpus(14)[name])
+		wantFailed[index.ShardOf(uint32(d), shards)] = true
+	}
+	if len(wantFailed) != shards {
+		t.Fatalf("the delta's documents populate shards %v; every shard must hold one", wantFailed)
+	}
+	if err := e.AddDocs(batch); err != nil {
+		t.Fatal(err)
+	}
+	segs := e.Segments()
+	if len(segs) != 2 {
+		t.Fatalf("%d segments after AddDocs, want 2", len(segs))
+	}
+	opts := SearchOptions{TopM: 20, Algorithm: AlgoDIL}
+	full, stats, err := e.SearchDetailed("common", opts)
+	if err != nil || stats.Degraded || len(full) != 14 {
+		t.Fatalf("healthy query: %d results, degraded=%v, err=%v", len(full), stats != nil && stats.Degraded, err)
+	}
+
+	ffs.FailReads(func(path string) bool { return strings.Contains(path, segs[1].Dir) }, storage.ErrInjected, -1)
+	if err := e.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{AlgoDIL, AlgoRDIL, AlgoHDIL} {
+		opts.Algorithm = algo
+		res, stats, err := e.SearchDetailed("common", opts)
+		if err != nil {
+			t.Fatalf("%v: a failed delta segment failed the query: %v", algo, err)
+		}
+		if !stats.Degraded || len(stats.FailedShards) != len(wantFailed) {
+			t.Fatalf("%v: degraded=%v failed=%v, want degraded over shards %v", algo, stats.Degraded, stats.FailedShards, wantFailed)
+		}
+		for _, s := range stats.FailedShards {
+			if !wantFailed[s] {
+				t.Fatalf("%v: failed shards %v, want %v", algo, stats.FailedShards, wantFailed)
+			}
+		}
+		if len(res) != 8 {
+			t.Fatalf("%v: %d results, want the base segment's 8", algo, len(res))
+		}
+		fullScores := make(map[string]float64, len(full))
+		for _, r := range full {
+			fullScores[r.DeweyID] = r.Score
+		}
+		for _, r := range res {
+			if s, ok := fullScores[r.DeweyID]; !ok || math.Float64bits(s) != math.Float64bits(r.Score) {
+				t.Fatalf("%v: degraded result %s score %v, healthy score %v", algo, r.DeweyID, r.Score, s)
+			}
+		}
+	}
 }

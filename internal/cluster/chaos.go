@@ -25,7 +25,8 @@ const (
 	ChaosReset
 	// ChaosSlow delays the relay by the proxy's slow delay, then
 	// passes — the replica answers correctly but late, the shape that
-	// hedging exists for.
+	// hedging exists for. A client that closes during the delay is
+	// never relayed, so an abandoned request costs the replica nothing.
 	ChaosSlow
 )
 
@@ -150,14 +151,25 @@ func (p *ChaosProxy) handle(client net.Conn, mode ChaosMode) {
 	case ChaosBlackhole:
 		<-p.closed
 		return
-	case ChaosSlow:
-		t := time.NewTimer(p.SlowDelay)
-		select {
-		case <-t.C:
-		case <-p.closed:
-			t.Stop()
-			return
+	}
+	var head []byte // request bytes read during a ChaosSlow stall
+	if mode == ChaosSlow {
+		// Watch the client through the stall: a read that fails before
+		// the deadline means it closed (or the proxy did), and an
+		// abandoned request must not reach the replica.
+		client.SetReadDeadline(time.Now().Add(p.SlowDelay))
+		buf := make([]byte, 4096)
+		for {
+			n, err := client.Read(buf)
+			head = append(head, buf[:n]...)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				break
+			}
+			if err != nil {
+				return
+			}
 		}
+		client.SetReadDeadline(time.Time{})
 	}
 	upstream, err := net.Dial("tcp", p.target)
 	if err != nil {
@@ -172,6 +184,9 @@ func (p *ChaosProxy) handle(client net.Conn, mode ChaosMode) {
 		delete(p.conns, upstream)
 		p.mu.Unlock()
 	}()
+	if _, err := upstream.Write(head); err != nil {
+		return
+	}
 
 	done := make(chan struct{}, 2)
 	go func() {

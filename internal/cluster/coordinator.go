@@ -422,10 +422,14 @@ type shardOutcome struct {
 // queryShard walks the shard's breaker-admitted replicas in placement
 // order — hedging the first attempt, backing off with seeded full
 // jitter between the rest — until one attempt succeeds or the attempt
-// budget is spent.
+// budget is spent. A retry skips a replica whose breaker is open: one
+// that opened mid-request, or a half-open probe that already had its
+// trial in the first pass. Once every replica is skipped, the shard
+// fails without another attempt.
 func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Values) shardOutcome {
 	out := shardOutcome{shard: shard}
 	var cands []string
+	var probes []bool // admitted as a half-open probe, per candidate
 	for _, u := range c.placements[shard] {
 		ok, probe := c.breaker.Allow(u)
 		if !ok {
@@ -435,6 +439,7 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 			c.probes.Inc()
 		}
 		cands = append(cands, u)
+		probes = append(probes, probe)
 	}
 	if len(cands) == 0 {
 		out.err = fmt.Errorf("shard %d: all %d replicas have open breakers", shard, len(c.placements[shard]))
@@ -449,6 +454,9 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 			return out
 		}
 		if i > 0 {
+			if k := i % len(cands); c.breaker.Open(cands[k]) && (!probes[k] || i >= len(cands)) {
+				continue
+			}
 			if err := breaker.Wait(ctx, breaker.Backoff(rng, c.cfg.RetryBackoff, i-1)); err != nil {
 				out.err = err
 				return out

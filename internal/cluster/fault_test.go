@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"xrank"
 	"xrank/internal/httpapi"
 )
 
@@ -377,4 +378,125 @@ func TestBackpressurePassthrough(t *testing.T) {
 // own).
 func muxOpts() httpapi.Options {
 	return httpapi.Options{Metrics: true}
+}
+
+// TestRetrySkipsReplicaWhoseBreakerOpened: with both replicas stalled
+// and a failure threshold of 1, each replica's first timeout opens its
+// breaker, so the retry pass finds no replica left and the shard fails
+// after one attempt per replica instead of sitting through a second
+// timeout on each.
+func TestRetrySkipsReplicaWhoseBreakerOpened(t *testing.T) {
+	dir := buildShardDir(t, clusterCorpus(0, 4))
+	pA := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	pB := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	pA.SetSchedule([]ChaosMode{ChaosBlackhole})
+	pB.SetSchedule([]ChaosMode{ChaosBlackhole})
+	c, coord := startCoordinator(t, CoordinatorConfig{
+		Shards:           [][]string{{pA.URL(), pB.URL()}},
+		ReplicaTimeout:   100 * time.Millisecond,
+		RetryBackoff:     time.Millisecond,
+		FailureThreshold: 1,
+		Retries:          1,
+		HedgeDelay:       -1,
+	})
+	st, _, body := get(t, serialClient(), searchURL(coord.URL, "common"))
+	if st != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502 with every replica stalled: %s", st, body)
+	}
+	if a, b := pA.Accepted(), pB.Accepted(); a != 1 || b != 1 {
+		t.Fatalf("attempts per replica = %d and %d, want 1 each", a, b)
+	}
+	mv := func(name string) int64 { return metricValue(t, c.Metrics().WritePrometheus, name) }
+	if got := mv("xrank_replica_attempts_total"); got != 2 {
+		t.Fatalf("replica attempts = %d, want 2", got)
+	}
+	if got := mv("xrank_replica_retries_total"); got != 1 {
+		t.Fatalf("replica retries = %d, want 1 (the second replica)", got)
+	}
+}
+
+// TestChaosSlowDropsAbandonedRequest: a client that gives up during a
+// ChaosSlow stall never reaches the replica, while one that waits out
+// the stall is relayed its full request.
+func TestChaosSlowDropsAbandonedRequest(t *testing.T) {
+	dir := buildShardDir(t, clusterCorpus(0, 4))
+	e, err := xrank.OpenEngine(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	ss := NewShardServer()
+	if err := ss.Mount(0, e, dir, muxOpts()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(ss.Handler())
+	t.Cleanup(srv.Close)
+	p := proxied(t, srv)
+	p.SlowDelay = 200 * time.Millisecond
+	p.SetSchedule([]ChaosMode{ChaosSlow})
+	queries := func() int64 {
+		return metricValue(t, e.Metrics().WritePrometheus, `xrank_queries_total{algo="DIL"}`)
+	}
+	url := p.URL() + "/internal/shard/search?shard=0&q=common&m=5&algo=dil"
+
+	// Waiting out the stall: the request is relayed and answered.
+	patient := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	if st, _, body := get(t, patient, url); st != http.StatusOK {
+		t.Fatalf("patient client: status %d: %s", st, body)
+	}
+	if got := queries(); got != 1 {
+		t.Fatalf("queries after the patient request = %d, want 1", got)
+	}
+
+	// Giving up mid-stall: nothing reaches the replica, even after the
+	// stall ends.
+	hasty := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 50 * time.Millisecond}
+	if resp, err := hasty.Get(url); err == nil {
+		resp.Body.Close()
+		t.Fatal("hasty client got an answer through a 200ms stall")
+	}
+	time.Sleep(2 * p.SlowDelay)
+	p.Close()
+	srv.Close()
+	if got := queries(); got != 1 {
+		t.Fatalf("queries after the abandoned request = %d, want 1 (the proxy relayed it)", got)
+	}
+}
+
+// TestRetryKeepsHalfOpenProbe: a replica admitted as a half-open probe
+// still gets its one trial on the retry pass even though its breaker
+// reads open, so a failing primary fails over to a recovered secondary.
+func TestRetryKeepsHalfOpenProbe(t *testing.T) {
+	dir := buildShardDir(t, clusterCorpus(0, 4))
+	pA := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	pB := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	order := PlacementOrder(0, []string{pA.URL(), pB.URL()})
+	prim, sec := pA, pB
+	if order[0] == pB.URL() {
+		prim, sec = pB, pA
+	}
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	c, coord := startCoordinator(t, CoordinatorConfig{
+		Shards:           [][]string{{pA.URL(), pB.URL()}},
+		ReplicaTimeout:   time.Second,
+		RetryBackoff:     time.Millisecond,
+		FailureThreshold: 1,
+		ProbeInterval:    time.Minute,
+		HedgeDelay:       -1,
+		Now:              clk.now,
+	})
+	c.Breaker().Failure(sec.URL(), fmt.Errorf("injected"))
+	clk.advance(61 * time.Second)
+	prim.SetSchedule([]ChaosMode{ChaosRefuse})
+
+	st, _, body := get(t, serialClient(), searchURL(coord.URL, "common"))
+	if st != http.StatusOK {
+		t.Fatalf("status %d, want the probed secondary's answer: %s", st, body)
+	}
+	if a, b := prim.Accepted(), sec.Accepted(); a != 1 || b != 1 {
+		t.Fatalf("attempts: primary %d, secondary %d, want 1 each", a, b)
+	}
+	if c.Breaker().Open(sec.URL()) {
+		t.Fatal("the successful probe did not close the secondary's breaker")
+	}
 }

@@ -55,11 +55,6 @@ func shardDir(dir string, s int) string {
 // Sharded is an opened index partitioned across one or more shards.
 type Sharded struct {
 	Dir string
-	// Meta aggregates across shards: NumDocs, NumElements, RankFraction,
-	// MinRankPrefix, MaxPositions and PostingsFormat are shard-invariant
-	// and copied from shard 0; Terms is the distinct-term union;
-	// DeweyEntries and BuildMillis are sums.
-	Meta Meta
 
 	shards []*Index
 	health *breaker.Breaker[int]
@@ -150,17 +145,6 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 		}
 		sh.shards = append(sh.shards, ix)
 	}
-	sh.Meta = sh.shards[0].Meta
-	sh.Meta.Terms, sh.Meta.DeweyEntries, sh.Meta.BuildMillis = 0, 0, 0
-	vocab := make(map[string]struct{})
-	for _, ix := range sh.shards {
-		for t := range ix.dil.refs {
-			vocab[t] = struct{}{}
-		}
-		sh.Meta.DeweyEntries += ix.Meta.DeweyEntries
-		sh.Meta.BuildMillis += ix.Meta.BuildMillis
-	}
-	sh.Meta.Terms = len(vocab)
 	return sh, nil
 }
 
@@ -173,11 +157,6 @@ func (sh *Sharded) Shards() []*Index { return sh.shards }
 
 // Shard returns partition s.
 func (sh *Sharded) Shard(s int) *Index { return sh.shards[s] }
-
-// ShardFor returns the partition holding doc.
-func (sh *Sharded) ShardFor(doc uint32) *Index {
-	return sh.shards[ShardOf(doc, len(sh.shards))]
-}
 
 // Close closes every shard, returning the first error.
 func (sh *Sharded) Close() error {
@@ -222,24 +201,4 @@ func (sh *Sharded) ShardIOStats() []storage.Stats {
 		out[i] = ix.IOStats()
 	}
 	return out
-}
-
-// HasTerm reports whether term occurs anywhere in the collection.
-func (sh *Sharded) HasTerm(term string) bool {
-	for _, ix := range sh.shards {
-		if ix.HasTerm(term) {
-			return true
-		}
-	}
-	return false
-}
-
-// DILListBytes returns the total encoded DIL bytes for term across
-// shards (HDIL's cost-model input).
-func (sh *Sharded) DILListBytes(term string) int64 {
-	var n int64
-	for _, ix := range sh.shards {
-		n += ix.DILListBytes(term)
-	}
-	return n
 }

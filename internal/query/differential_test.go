@@ -63,6 +63,29 @@ func newShardedFixture(t *testing.T, docs []string, opts index.BuildOptions, cou
 	return fx
 }
 
+// execSharded runs one processor on every shard of sh through the
+// executor; dilSharded, rdilSharded and disjunctiveSharded bind it to a
+// processor.
+func execSharded(sh *index.Sharded, opts Options, run func(ix *index.Index, so Options) ([]Result, error)) ([]Result, error) {
+	rs, _, err := Execute(Partitions(sh, false), opts, func(p Partition, so Options) ([]Result, *HDILTrace, error) {
+		rs, err := run(p.Ix, so)
+		return rs, nil, err
+	})
+	return rs, err
+}
+
+func dilSharded(sh *index.Sharded, keywords []string, opts Options) ([]Result, error) {
+	return execSharded(sh, opts, func(ix *index.Index, so Options) ([]Result, error) { return DIL(ix, keywords, so) })
+}
+
+func rdilSharded(sh *index.Sharded, keywords []string, opts Options) ([]Result, error) {
+	return execSharded(sh, opts, func(ix *index.Index, so Options) ([]Result, error) { return RDIL(ix, keywords, so) })
+}
+
+func disjunctiveSharded(sh *index.Sharded, keywords []string, opts Options) ([]Result, error) {
+	return execSharded(sh, opts, func(ix *index.Index, so Options) ([]Result, error) { return Disjunctive(ix, keywords, so) })
+}
+
 // datagenCorpus produces a multi-document corpus from the DBLP generator
 // (many small documents, so shards get real spread) plus one XMark-shaped
 // document for structural depth. The vocabulary is kept small so random
@@ -168,13 +191,13 @@ func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 				name := func(algo string) string {
 					return fmt.Sprintf("seed%d trial%d %s(%v)@%dshards", seed, trial, algo, q, sc)
 				}
-				got, err := DILSharded(sh, q, opts, 0)
+				got, err := dilSharded(sh, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameResults(t, name("DIL"), got, want, 1e-9)
 
-				got, err = RDILSharded(sh, q, opts, 0)
+				got, err = rdilSharded(sh, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,7 +211,7 @@ func TestShardedDifferentialAllAlgorithms(t *testing.T) {
 					sameResults(t, name("HDIL/"+m.name), got, want, 1e-9)
 				}
 
-				got, err = DisjunctiveSharded(sh, q, opts, 0)
+				got, err = disjunctiveSharded(sh, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

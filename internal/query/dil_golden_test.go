@@ -86,14 +86,14 @@ func TestDILGoldenAtParent(t *testing.T) {
 						}
 						fmt.Fprintf(&out, "%s %s%s = %s\n", key, algo, extra, formatGolden(rs))
 					}
-					rs, err := DILSharded(sh, q, opts, 0)
+					rs, err := dilSharded(sh, q, opts)
 					line("DIL", "", rs, err)
-					rs, err = DisjunctiveSharded(sh, q, opts, 0)
+					rs, err = disjunctiveSharded(sh, q, opts)
 					line("Disjunctive", "", rs, err)
 					if !v.ranked {
 						continue
 					}
-					rs, err = RDILSharded(sh, q, opts, 0)
+					rs, err = rdilSharded(sh, q, opts)
 					line("RDIL", "", rs, err)
 					for _, m := range costModels {
 						// A cold pool per run: the serving model prices pool
@@ -185,7 +185,7 @@ func xmarkGoldenFixture(t *testing.T) goldenFixture {
 	for _, q := range fx.queries {
 		opts := DefaultOptions()
 		opts.TopM = 1 << 20
-		all, err := DILSharded(sf.sharded[1], q, opts, 0)
+		all, err := dilSharded(sf.sharded[1], q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func TestHDILStaysRankedOnHighCorrelation(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			want, err := DILSharded(sh, q, opts, 0) // the scan that used to evict the probe pages
+			want, err := dilSharded(sh, q, opts) // the scan that used to evict the probe pages
 			if err != nil {
 				t.Fatal(err)
 			}

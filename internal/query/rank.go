@@ -3,7 +3,9 @@
 // (Figure 5), the RDIL threshold algorithm with Dewey probing
 // (Figure 7), the adaptive HDIL strategy (Section 4.4.2), and the two
 // naive baselines (Section 4.1 / 5.1) over the standalone naive index,
-// together with the ranking functions of Section 2.3.
+// together with the ranking functions of Section 2.3. Each processor
+// evaluates one index; Execute runs one of them on every partition (one
+// shard of one live segment) of a query and merges their top-m's once.
 package query
 
 import (

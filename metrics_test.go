@@ -2,6 +2,7 @@ package xrank
 
 import (
 	"errors"
+	"io"
 	"os"
 	"regexp"
 	"strings"
@@ -62,6 +63,9 @@ func TestQueryStatsTracePerAlgorithm(t *testing.T) {
 	}
 }
 
+// TestQueryStatsTraceSharded checks the executor's spans: one
+// shardNN.exec per partition (one shard of one segment) and one
+// merge.topk per execution, on one segment and on a base beside a delta.
 func TestQueryStatsTraceSharded(t *testing.T) {
 	e := NewEngine(&Config{Shards: 2})
 	for _, name := range []string{"a", "b", "c"} {
@@ -74,25 +78,34 @@ func TestQueryStatsTraceSharded(t *testing.T) {
 	}
 	t.Cleanup(func() { e.Close() })
 
-	_, stats, err := e.SearchDetailed("xql language", SearchOptions{Algorithm: AlgoDIL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Shards != 2 {
-		t.Fatalf("shards = %d", stats.Shards)
-	}
-	sums := obs.SumByName(stats.Trace)
-	shardSpans := 0
-	for name := range sums {
-		if strings.HasPrefix(name, "shard") && strings.HasSuffix(name, ".exec") {
-			shardSpans++
+	for segments := 1; segments <= 2; segments++ {
+		if segments == 2 {
+			if err := e.AddDocs(map[string]io.Reader{"d": strings.NewReader(proceedings)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if shardSpans != 2 {
-		t.Errorf("per-shard spans = %d, want 2: %v", shardSpans, spanNames(stats.Trace))
-	}
-	if _, ok := sums["merge.topk"]; !ok {
-		t.Errorf("trace missing merge.topk: %v", spanNames(stats.Trace))
+		_, stats, err := e.SearchDetailed("xql language", SearchOptions{Algorithm: AlgoDIL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Shards != 2 || stats.Segments != segments {
+			t.Fatalf("shards = %d, segments = %d, want 2 and %d", stats.Shards, stats.Segments, segments)
+		}
+		shardSpans, merges := 0, 0
+		for _, s := range stats.Trace {
+			switch {
+			case strings.HasPrefix(s.Name, "shard") && strings.HasSuffix(s.Name, ".exec"):
+				shardSpans++
+			case s.Name == "merge.topk":
+				merges++
+			}
+		}
+		if want := 2 * segments; shardSpans != want {
+			t.Errorf("%d segments: per-partition spans = %d, want %d: %v", segments, shardSpans, want, spanNames(stats.Trace))
+		}
+		if merges != 1 {
+			t.Errorf("%d segments: %d merge.topk spans, want 1: %v", segments, merges, spanNames(stats.Trace))
+		}
 	}
 }
 

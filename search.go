@@ -110,15 +110,19 @@ type QueryStats struct {
 	WallTime      time.Duration
 	IO            storage.Stats
 	SimulatedTime time.Duration // under the paper's disk model (storage.PaperDiskCostModel)
-	SwitchedToDIL bool          // HDIL only: true if any shard switched
-	// SwitchReason is why the first switching shard left the ranked
-	// strategy ("estimate" or "prefix-exhausted"; empty without a switch),
-	// and RankedEntriesRead how many rank-list entries the HDIL shards
-	// consumed in total before stopping or switching.
+	SwitchedToDIL bool          // HDIL only: true if any partition switched
+	// SwitchReason is why the first switching partition, in (segment,
+	// shard) order, left the ranked strategy ("estimate" or
+	// "prefix-exhausted"; empty without a switch), and RankedEntriesRead
+	// how many rank-list entries the HDIL partitions consumed in total
+	// before stopping or switching.
 	SwitchReason      string
 	RankedEntriesRead int
-	Shards            int // index partitions the query fanned out over
-	Segments          int // live index segments merged by the query
+	// Shards is the index's shard count and Segments its live segment
+	// count: the query fanned out over Shards × Segments partitions (one
+	// shard of one segment each) and merged them once.
+	Shards   int
+	Segments int
 
 	// Cached reports the results were served from the engine's result
 	// cache: no index I/O happened on behalf of this call, and IO,
@@ -137,21 +141,23 @@ type QueryStats struct {
 	// call, or when they cannot be encoded.
 	ResultsJSON []byte `json:"-"`
 
-	// Degraded reports that the query completed without some shards:
-	// transient device faults survived the retry budget, or shards already
-	// marked unhealthy were skipped. The results are the correct top-k of
-	// the healthy shards only. FailedShards lists the excluded shards;
-	// Retries counts the shard executions retried after transient faults
-	// (including ones that then succeeded).
+	// Degraded reports that the query completed without some partitions
+	// (shards of a segment): transient device faults survived the retry
+	// budget, or shards already marked unhealthy were skipped. The
+	// results are the correct top-k of the healthy partitions only.
+	// FailedShards lists the shard numbers of the excluded partitions, in
+	// any segment; Retries counts the partition executions retried after
+	// transient faults (including ones that then succeeded).
 	Degraded     bool
 	FailedShards []int
 	Retries      int
 
 	// Trace holds the per-stage spans recorded while the query ran:
 	// engine stages (tokenize, execute, materialize), algorithm stages
-	// (e.g. dil.open, dil.merge, rdil.rounds, hdil.switch), and on a
-	// partitioned index the per-shard fan-out (shardNN.exec, merge.topk).
-	// Spans are sorted by start time; parallel shard spans overlap.
+	// (e.g. dil.open, dil.merge, rdil.rounds, hdil.switch), and, when the
+	// query fans out over more than one partition, one shardNN.exec per
+	// partition and one merge.topk. Spans are sorted by start time;
+	// parallel partition spans overlap.
 	Trace []obs.Span
 }
 
@@ -520,6 +526,12 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 // if a full raw result set still collapses below topM, it retries once
 // with a larger factor (see the overfetch constants).
 func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.ExecContext, report *query.ShardReport, stats *QueryStats) ([]SearchResult, error) {
+	parts, proc, err := e.plan(keywords, opts)
+	if err != nil {
+		return nil, err
+	}
+	stats.Segments = len(e.segs)
+	stats.Shards = e.segs[0].ix.NumShards()
 	overfetch := len(e.cfg.AnswerTags) > 0 || e.hasTombstones()
 	mult := 1
 	if overfetch {
@@ -542,11 +554,15 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 		qopts.Report = report
 
 		endExec := ec.StartSpan("execute")
-		rs, err := e.runQuery(keywords, opts, qopts, stats)
+		rs, trace, err := query.Execute(parts, qopts, proc)
 		endExec()
 		if err != nil {
 			return nil, err
 		}
+		if trace.SwitchedToDIL && !stats.SwitchedToDIL {
+			stats.SwitchedToDIL, stats.SwitchReason = true, trace.SwitchReason
+		}
+		stats.RankedEntriesRead += trace.RankedEntriesRead
 		endMat := ec.StartSpan("materialize")
 		out, err = e.materialize(rs, opts.TopM)
 		endMat()
@@ -563,84 +579,61 @@ func (e *Engine) searchLoop(keywords []string, opts SearchOptions, ec *storage.E
 	}
 }
 
-// runQuery dispatches to the selected query processor. A fully compacted
-// engine (one segment at the current rank version) takes the direct
-// path; otherwise the query runs against every live segment and merges
-// the per-segment top-m's (see runSegmented).
-func (e *Engine) runQuery(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
-	stats.Segments = len(e.segs)
-	stats.Shards = e.segs[0].ix.NumShards()
-	if len(e.segs) == 1 && e.segs[0].rankVer == e.rankVer {
-		return e.runOn(e.segs[0].ix, keywords, opts, qopts, stats)
-	}
-	return e.runSegmented(keywords, opts, qopts, stats)
-}
-
-// runOn runs one query processor against one segment's index. Every
-// processor goes through its sharded executor: on a one-shard index
-// that is a direct call on this goroutine; on a partitioned index
-// it fans out one merge per shard on min(shards, GOMAXPROCS) workers
-// (workers 0), with per-shard child execution contexts derived from
-// qopts.Exec.
-func (e *Engine) runOn(ix *index.Sharded, keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
-	if opts.Disjunctive {
-		return query.DisjunctiveSharded(ix, keywords, qopts, 0)
-	}
-	switch opts.Algorithm {
-	case AlgoDIL:
-		return query.DILSharded(ix, keywords, qopts, 0)
-	case AlgoRDIL:
-		return query.RDILSharded(ix, keywords, qopts, 0)
-	case AlgoHDIL:
-		// The estimator prices the device the query is served from: the OS
-		// page cache normally, the paper's disk under its cold protocol.
-		cm := storage.DefaultCostModel()
-		if opts.ColdCache {
-			cm = storage.PaperDiskCostModel()
-		}
-		rs, trace, err := query.HDILSharded(ix, keywords, qopts, 0, cm)
-		if trace.SwitchedToDIL && !stats.SwitchedToDIL {
-			stats.SwitchedToDIL, stats.SwitchReason = true, trace.SwitchReason
-		}
-		stats.RankedEntriesRead += trace.RankedEntriesRead
-		return rs, err
-	default:
-		return nil, fmt.Errorf("xrank: unknown algorithm %d", opts.Algorithm)
-	}
-}
-
-// runSegmented runs the query against every live segment and merges the
-// per-segment top-m's. Each document lives in exactly one segment and
-// every scoring decision is intra-document, so each segment's exact
-// top-m makes the merged result exact — identical to a from-scratch
-// rebuild over the same documents.
+// plan lists every shard of every live segment as a partition, in
+// (segment, shard) order, and returns the per-partition evaluation of
+// the query. Each document lives in exactly one partition and every
+// scoring decision is intra-document, so the merged top-m of the
+// partitions' exact top-m's is exact — identical to a from-scratch
+// rebuild over the same documents. Callers hold snapMu.
 //
-// Segments whose baked ElemRanks predate the current rank version are
-// queried with a rank override substituting the live values (rounded
-// through float32, matching what a rebuild would bake). Their
+// Partitions of a segment whose baked ElemRanks predate the current rank
+// version are queried with a rank override substituting the live values
+// (rounded through float32, matching what a rebuild would bake). Their
 // rank-ordered lists are sorted by the outdated ranks, which makes the
-// threshold algorithms unsound there, so stale segments route RDIL and
-// HDIL to DIL — same results, document-order execution.
-func (e *Engine) runSegmented(keywords []string, opts SearchOptions, qopts query.Options, stats *QueryStats) ([]query.Result, error) {
-	perSeg := make([][]query.Result, 0, len(e.segs))
-	for _, s := range e.segs {
-		so := qopts
-		sopts := opts
-		if s.rankVer != e.rankVer {
-			so.Rank = e.rankOverride()
-			// The disjunctive merge is document-ordered; the override alone
-			// suffices.
-			if !opts.Disjunctive && (opts.Algorithm == AlgoRDIL || opts.Algorithm == AlgoHDIL) {
-				sopts.Algorithm = AlgoDIL
-			}
-		}
-		rs, err := e.runOn(s.ix, keywords, sopts, so, stats)
-		if err != nil {
-			return nil, err
-		}
-		perSeg = append(perSeg, rs)
+// threshold algorithms unsound there, so stale partitions route RDIL and
+// HDIL to DIL — same results, document-order execution. The disjunctive
+// merge is document-ordered; the override alone suffices.
+func (e *Engine) plan(keywords []string, opts SearchOptions) ([]query.Partition, query.Processor, error) {
+	if opts.Algorithm < AlgoHDIL || opts.Algorithm > AlgoRDIL {
+		return nil, nil, fmt.Errorf("xrank: unknown algorithm %d", opts.Algorithm)
 	}
-	return query.MergeTopM(perSeg, qopts.TopM), nil
+	var parts []query.Partition
+	var stale func(*index.Posting) float64
+	for _, s := range e.segs {
+		isStale := s.rankVer != e.rankVer
+		if isStale && stale == nil {
+			// Built once per query, and only for a stale segment: until
+			// then an opened engine may not have solved its ranks.
+			stale = e.rankOverride()
+		}
+		parts = append(parts, query.Partitions(s.ix, isStale)...)
+	}
+	// The estimator prices the device the query is served from: the OS
+	// page cache normally, the paper's disk under its cold protocol.
+	cm := storage.DefaultCostModel()
+	if opts.ColdCache {
+		cm = storage.PaperDiskCostModel()
+	}
+	proc := func(p query.Partition, so query.Options) ([]query.Result, *query.HDILTrace, error) {
+		algo := opts.Algorithm
+		if p.Stale {
+			so.Rank, algo = stale, AlgoDIL
+		}
+		var rs []query.Result
+		var err error
+		switch {
+		case opts.Disjunctive:
+			rs, err = query.Disjunctive(p.Ix, keywords, so)
+		case algo == AlgoDIL:
+			rs, err = query.DIL(p.Ix, keywords, so)
+		case algo == AlgoRDIL:
+			rs, err = query.RDIL(p.Ix, keywords, so)
+		default:
+			return query.HDIL(p.Ix, keywords, so, cm)
+		}
+		return rs, nil, err
+	}
+	return parts, proc, nil
 }
 
 // rankOverride returns the posting-rank substitute for stale segments:
