@@ -120,10 +120,12 @@ type blockDecoder struct {
 	off []entryOff
 
 	// h is the head of the entry last read. The stepping state is the
-	// last stepped entry's ID and the number of entries stepped.
+	// last stepped entry's ID, the number of entries stepped and how many
+	// of those posting decoded.
 	h       entryHead
 	id      dewey.ID
 	stepped int
+	posted  int
 }
 
 type entryOff struct{ id, pos int32 }
@@ -143,7 +145,7 @@ type entryHead struct {
 func (d *blockDecoder) init(body []byte) error {
 	d.comps, d.ranks, d.pos = d.comps[:0], d.ranks[:0], d.pos[:0]
 	d.off = append(d.off[:0], entryOff{})
-	d.id, d.stepped = d.id[:0], 0
+	d.id, d.stepped, d.posted = d.id[:0], 0, 0
 	d.n, d.body, d.rd = 0, nil, 0
 	if len(body) < 2 {
 		return fmt.Errorf("index: %w block body too short", storage.ErrCorrupt)
@@ -305,9 +307,15 @@ func (d *blockDecoder) posting(p *Posting) error {
 	}
 	p.ID = d.id[:len(d.id):len(d.id)]
 	p.Positions = d.pos[:len(d.pos):len(d.pos)]
-	p.Rank = math.Float32frombits(binary.LittleEndian.Uint32(d.body[h.rank:]))
+	p.Rank = d.rank()
 	p.Elem = -1
+	d.posted++
 	return nil
+}
+
+// rank decodes the last stepped entry's rank alone.
+func (d *blockDecoder) rank() float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(d.body[d.h.rank:]))
 }
 
 // appendPosList decodes nPos delta-coded positions from e onto dst.
@@ -744,7 +752,7 @@ func (c *blockCursor) unpin() {
 		c.frame = nil
 	}
 	if c.dec != nil {
-		c.ec.CountPostings(int64(c.dec.decoded() - c.told))
+		c.ec.CountPostings(int64(c.dec.decoded()-c.told), 0)
 		c.told = c.dec.decoded()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
@@ -75,8 +74,7 @@ type Meta struct {
 	MaxPositions  int     `json:"max_positions"`
 	// PostingsFormat is the directory's on-disk format; Open accepts only
 	// the package's PostingsFormat.
-	PostingsFormat int   `json:"postings_format"`
-	BuildMillis    int64 `json:"build_millis"`
+	PostingsFormat int `json:"postings_format"`
 	// Files records the expected size and checksum of every data file in
 	// the directory, keyed by file name.
 	Files map[string]storage.FileSum `json:"files"`
@@ -144,7 +142,6 @@ func (s *BuildStats) add(o *BuildStats) {
 // ElemRank scores by global element index.
 func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions) (*BuildStats, error) {
 	opts.fill()
-	start := time.Now()
 	fs := storage.DefaultFS(opts.FS)
 	if len(ranks) != c.NumElements() {
 		return nil, fmt.Errorf("index: %d ranks for %d elements", len(ranks), c.NumElements())
@@ -182,7 +179,6 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 	if err != nil {
 		return nil, err
 	}
-	meta.BuildMillis = time.Since(start).Milliseconds()
 	meta.Files = files
 
 	// meta.json is the commit point: everything above is synced, so once

@@ -1,9 +1,12 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -186,23 +189,33 @@ func scanDIL(t testing.TB, ix *Index, ec *storage.ExecContext, term string) int 
 	}
 }
 
-// TestPostingsCounted pins the cost model's CPU term: a full scan
-// attributes exactly the list's length to the query, and a probe
-// attributes what it decoded (at most one block), not the list.
+// TestPostingsCounted pins the cost model's CPU terms: a full scan
+// attributes exactly the list's length to the query, all of it decoded;
+// a probe attributes what it read (at most one block), not the list, and
+// counts the entries it only stepped over by Dewey ID as stepped.
 func TestPostingsCounted(t *testing.T) {
 	_, _, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.05})
 	ec := storage.NewExecContext(nil)
 	n := scanDIL(t, ix, ec, "common")
-	if got := ec.Stats().Postings; n != 3000 || got != 3000 {
-		t.Errorf("scan of %d entries counted %d postings", n, got)
+	if st := ec.Stats(); n != 3000 || st.Postings != 3000 || st.Stepped != 0 {
+		t.Errorf("scan of %d entries counted %d postings, %d stepped", n, st.Postings, st.Stepped)
 	}
 	ec = storage.NewExecContext(nil)
 	prober, _ := ix.ProberExec(ec, "common")
 	if _, err := prober.ProbeLCP(dewey.ID{0, 1500, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ec.Stats().Postings; got < 1 || got > blockMaxEntries {
-		t.Errorf("one probe counted %d postings", got)
+	if st := ec.Stats(); st.Postings < 1 || st.Postings > blockMaxEntries || st.Stepped != st.Postings {
+		t.Errorf("one probe counted %d postings, %d stepped", st.Postings, st.Stepped)
+	}
+	ec = storage.NewExecContext(nil)
+	prober, _ = ix.ProberExec(ec, "common")
+	returned := int64(0)
+	if err := prober.ScanPrefix(dewey.ID{0, 1500}, func(*Posting) error { returned++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := ec.Stats(); returned == 0 || st.Stepped <= 0 || st.Stepped != st.Postings-returned {
+		t.Errorf("a prefix scan returned %d entries and counted %d postings, %d stepped", returned, st.Postings, st.Stepped)
 	}
 }
 
@@ -438,6 +451,45 @@ func TestBuildWritesOnlyDeweyFiles(t *testing.T) {
 	}
 }
 
+// TestBuildShardedDeterministic: two builds of one collection write
+// byte-identical directories, every manifest included, so the index's
+// size is a function of its input alone.
+func TestBuildShardedDeterministic(t *testing.T) {
+	c, ranks, _ := buildTestIndex(t, bigCorpus(3000), BuildOptions{})
+	var dirs [2]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		if _, err := BuildSharded(c, ranks, dirs[i], BuildOptions{}, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func(dir string) map[string][]byte {
+		out := map[string][]byte{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(dir, path)
+			out[rel] = b
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := files(dirs[0]), files(dirs[1])
+	if len(a) != len(b) || len(a) < 16 { // shards.json + 3 × 5 files
+		t.Fatalf("builds wrote %d and %d files", len(a), len(b))
+	}
+	for name, body := range a {
+		if !bytes.Equal(body, b[name]) {
+			t.Errorf("%s differs between two builds of one collection", name)
+		}
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	c := xmldoc.NewCollection()
 	if _, err := c.AddXML("d", strings.NewReader(smallDoc), nil); err != nil {
@@ -473,6 +525,52 @@ func TestListCursorExhaustedAndCount(t *testing.T) {
 	}
 	cur.Close()
 	cur.Close() // idempotent
+}
+
+// TestRankRuns: at any point of a rank-prefix scan, the runs the cursor
+// reports cover exactly the entries it has yet to return, each bounded by
+// its run's MaxRank, and AppendRunRanks reads those entries' ranks
+// without moving the cursor.
+func TestRankRuns(t *testing.T) {
+	_, _, ix := buildTestIndex(t, bigCorpus(3000), BuildOptions{MinRankPrefix: 8, RankFraction: 0.2})
+	for _, at := range []int{0, 1, 5, 127, 128, 129, 300, 599} {
+		cur, _ := ix.HDILRankCursorExec(nil, "common")
+		for i := 0; i < at; i++ {
+			if _, ok, err := cur.Next(); err != nil || !ok {
+				t.Fatalf("entry %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		runs := cur.AppendRankRuns(nil)
+		var ranks []float32
+		for j, r := range runs {
+			n := len(ranks)
+			var err error
+			if ranks, err = cur.AppendRunRanks(ranks, j); err != nil {
+				t.Fatal(err)
+			}
+			if len(ranks)-n != r.N {
+				t.Fatalf("after %d: run %d of %d entries read %d ranks", at, j, r.N, len(ranks)-n)
+			}
+			for _, rank := range ranks[n:] {
+				if rank > r.MaxRank {
+					t.Fatalf("after %d: run %d holds rank %g above its MaxRank %g", at, j, rank, r.MaxRank)
+				}
+			}
+		}
+		for i, want := range ranks {
+			p, ok, err := cur.Next()
+			if err != nil || !ok {
+				t.Fatalf("after %d: entry %d: ok=%v err=%v", at, i, ok, err)
+			}
+			if p.Rank != want {
+				t.Fatalf("after %d: entry %d has rank %g, its run read %g", at, i, p.Rank, want)
+			}
+		}
+		if _, ok, _ := cur.Next(); ok || at+len(ranks) != cur.Count() {
+			t.Errorf("after %d: runs cover %d entries of the %d-entry prefix", at, len(ranks), cur.Count())
+		}
+		cur.Close()
+	}
 }
 
 func ExampleAppendDeweyEntryCompressed() {

@@ -386,7 +386,7 @@ func (c *NaiveCursor) Close() {
 		c.frame.Release()
 		c.frame = nil
 	}
-	c.ec.CountPostings(int64(c.read - c.told))
+	c.ec.CountPostings(int64(c.read-c.told), 0)
 	c.told = c.read
 }
 

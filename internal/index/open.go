@@ -260,6 +260,67 @@ func (lc *ListCursor) SkipRemainingBlocks() { lc.blk.skipRemainingBlocks() }
 // skip call is about to drop.
 func (lc *ListCursor) RemainingBlockRefs() []BlockRef { return lc.blk.refs[lc.blk.bi:] }
 
+// RankRun is a run of entries a cursor has yet to return, all in one
+// block and so all ranked at most the block's MaxRank.
+type RankRun struct {
+	N       int
+	MaxRank float32
+}
+
+// AppendRankRuns appends the runs the cursor has yet to return, in list
+// order: the rest of the loaded block, then every block not yet loaded
+// (the last one cut where a rank prefix ends). On a rank-ordered list
+// the MaxRanks never rise. It reads skip refs only, so it does no I/O.
+func (lc *ListCursor) AppendRankRuns(dst []RankRun) []RankRun {
+	c := lc.blk
+	if c.inBlock() {
+		dst = append(dst, RankRun{N: c.dec.n - c.dec.decoded(), MaxRank: c.refs[c.bi-1].MaxRank})
+	}
+	for i := c.bi; i < len(c.refs); i++ {
+		n := int(c.refs[i].Count)
+		if c.lastN > 0 && i == len(c.refs)-1 {
+			n = c.lastN
+		}
+		dst = append(dst, RankRun{N: n, MaxRank: c.refs[i].MaxRank})
+	}
+	return dst
+}
+
+// AppendRunRanks appends the ranks of the entries of run j of
+// AppendRankRuns, read out of band: the cursor's position is untouched.
+// The block's page access and its entries, stepped for their ranks
+// alone, are charged to the cursor's ExecContext.
+func (lc *ListCursor) AppendRunRanks(dst []float32, j int) ([]float32, error) {
+	c := lc.blk
+	ri, skip := c.bi+j, 0
+	if c.inBlock() {
+		if ri--; j == 0 {
+			skip = c.dec.decoded()
+		}
+	}
+	n := int(c.refs[ri].Count)
+	if c.lastN > 0 && ri == len(c.refs)-1 {
+		n = c.lastN
+	}
+	dec := decoders.Get().(*blockDecoder)
+	defer decoders.Put(dec)
+	fr, err := openBlock(c.pool, c.ec, &c.refs[ri], false, dec)
+	if err != nil {
+		return dst, err
+	}
+	defer fr.Release()
+	defer func() { c.ec.CountPostings(int64(dec.stepped), int64(dec.stepped)) }()
+	for dec.stepped < n {
+		if ok, err := dec.step(); err != nil || !ok {
+			return dst, err
+		}
+		if dec.stepped > skip {
+			dst = append(dst, dec.rank())
+		}
+	}
+	return dst, nil
+}
+
 // DecodeBlockMaxRank decodes ref's block out-of-band (its own page pin,
 // no cursor state touched) and returns the true maximum rank among its
 // entries. Debug/test instrumentation for the pruning-soundness check.

@@ -42,7 +42,8 @@ func (ix *Index) ProberExec(ec *storage.ExecContext, term string) (*Prober, bool
 // scanBlock steps through ref's block by Dewey ID, calling visit after
 // each entry until visit asks to stop. visit reads the entry's ID as
 // dec.id and decodes the rest (dec.posting) only if it returns the entry.
-// Every entry stepped counts as read, decoded or not.
+// Every entry stepped counts as read; those never decoded also count as
+// stepped, which the cost model prices below a decoded entry.
 func (pr *Prober) scanBlock(ref *BlockRef, visit func(dec *blockDecoder) (stop bool, err error)) error {
 	dec := decoders.Get().(*blockDecoder)
 	defer decoders.Put(dec)
@@ -51,7 +52,7 @@ func (pr *Prober) scanBlock(ref *BlockRef, visit func(dec *blockDecoder) (stop b
 		return err
 	}
 	defer fr.Release()
-	defer func() { pr.ec.CountPostings(int64(dec.stepped)) }()
+	defer func() { pr.ec.CountPostings(int64(dec.stepped), int64(dec.stepped-dec.posted)) }()
 	for {
 		ok, err := dec.step()
 		if err != nil || !ok {

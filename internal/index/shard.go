@@ -91,7 +91,6 @@ func BuildSharded(c *xmldoc.Collection, ranks []float64, dir string, opts BuildO
 			total.Meta.Terms = 0
 		}
 		total.Meta.DeweyEntries += st.Meta.DeweyEntries
-		total.Meta.BuildMillis += st.Meta.BuildMillis
 		total.add(st)
 	}
 	total.Meta.Terms = countDistinctTerms(c, base)

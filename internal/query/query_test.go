@@ -518,7 +518,7 @@ func TestDuplicateKeywordsDeduped(t *testing.T) {
 
 // TestHDILSwitches builds a corpus with frequent-but-uncorrelated
 // keywords, where the ranked strategy cannot find m results and must
-// switch to DIL (the Figure 11 regime).
+// switch to DIL within its first round (the Figure 11 regime).
 func TestHDILSwitches(t *testing.T) {
 	var docs []string
 	var b strings.Builder
@@ -546,8 +546,8 @@ func TestHDILSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !trace.SwitchedToDIL || trace.SwitchReason == "" {
-			t.Errorf("%s model: HDIL should have switched on uncorrelated keywords (trace %+v)", m.name, trace)
+		if !trace.SwitchedToDIL || trace.SwitchReason == "" || trace.RankedEntriesRead > 2 {
+			t.Errorf("%s model: HDIL should have switched within its first round on uncorrelated keywords (trace %+v)", m.name, trace)
 		}
 		sameResults(t, "HDIL switched/"+m.name, got, want, 1e-9)
 	}

@@ -171,19 +171,6 @@ func (ta *taState) finish() {
 	}
 }
 
-// resultsAboveThreshold counts held results scoring at or above the
-// current threshold (the r of the HDIL time estimator).
-func (ta *taState) resultsAboveThreshold() int {
-	t := ta.threshold()
-	n := 0
-	for _, r := range ta.heap.items {
-		if r.Score >= t {
-			n++
-		}
-	}
-	return n
-}
-
 // step consumes one entry from source i and evaluates its deepest common
 // ancestor across all keywords (Figure 7 lines 10-25). It returns false
 // when that source is exhausted.

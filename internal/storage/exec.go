@@ -224,16 +224,17 @@ func (ec *ExecContext) CountBlocks(decoded, skipped int64) {
 }
 
 // CountPostings attributes n inverted-list entries read to this query
-// (the cost model's CPU term), decoded or only stepped over by a probe,
-// which prices them alike. Cursors and probers batch their counts —
-// per block, page or probe — so the posting loop itself never takes the
-// lock. A nil receiver is a no-op.
-func (ec *ExecContext) CountPostings(n int64) {
+// (the cost model's CPU terms), of which stepped were only stepped over
+// by a probe's Dewey IDs and the rest decoded. Cursors and probers batch
+// their counts — per block, page or probe — so the posting loop itself
+// never takes the lock. A nil receiver is a no-op.
+func (ec *ExecContext) CountPostings(n, stepped int64) {
 	if ec == nil || n == 0 {
 		return
 	}
 	ec.mu.Lock()
 	ec.stats.Postings += n
+	ec.stats.Stepped += stepped
 	ec.mu.Unlock()
 }
 

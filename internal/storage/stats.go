@@ -26,8 +26,11 @@ type Stats struct {
 
 	// Postings counts inverted-list entries read by cursors and probers
 	// (block and naive lists alike), whether decoded or, by a probe, only
-	// stepped over by Dewey ID: the CPU term of the cost model.
+	// stepped over by Dewey ID. Stepped is the subset a probe passed by
+	// Dewey ID without decoding. Together they are the CPU terms of the
+	// cost model.
 	Postings int64
+	Stepped  int64
 
 	heads   [maxStreams]PageID
 	headAge [maxStreams]int64
@@ -78,6 +81,7 @@ func (s *Stats) Add(other Stats) {
 	s.BlocksDecoded += other.BlocksDecoded
 	s.BlocksSkipped += other.BlocksSkipped
 	s.Postings += other.Postings
+	s.Stepped += other.Stepped
 }
 
 // Sub returns s minus other, for measuring an interval between snapshots.
@@ -91,6 +95,7 @@ func (s Stats) Sub(other Stats) Stats {
 		BlocksDecoded: s.BlocksDecoded - other.BlocksDecoded,
 		BlocksSkipped: s.BlocksSkipped - other.BlocksSkipped,
 		Postings:      s.Postings - other.Postings,
+		Stepped:       s.Stepped - other.Stepped,
 	}
 }
 
@@ -105,25 +110,28 @@ type CostModel struct {
 	RandRead time.Duration // cost of one random page read
 	SeqRead  time.Duration // cost of one sequential page read
 	CacheHit time.Duration // cost of a buffer-pool hit (CPU only)
-	Posting  time.Duration // cost of decoding one inverted-list entry (CPU only)
+	Posting  time.Duration // cost of decoding and consuming one inverted-list entry (CPU only)
+	Step     time.Duration // cost of a probe stepping over one entry by Dewey ID (CPU only)
 }
 
 // DefaultCostModel returns the serving model: a buffer-pool miss is one
 // 8 KiB pread from the OS page cache, so random and sequential reads cost
-// the same, and decoding postings is what a long scan mostly pays for.
-// The constants are rounded from the committed micro-benchmarks on the
-// 2-core 2.1 GHz sandbox of record (EXPERIMENTS.md, "Serving cost
+// the same, and CPU is what a query mostly pays for. A decoded posting is
+// priced as what a DIL merge spends on one — decode, Dewey-stack merge,
+// proximity, heap — and an entry a probe steps over by Dewey ID at a fifth
+// of that. The constants are rounded from the committed micro-benchmarks
+// on the 2-core 2.1 GHz sandbox of record (EXPERIMENTS.md, "Serving cost
 // model"): BenchmarkPoolGetMiss 1.0–2.1 µs per miss, BenchmarkPoolGetHit
-// 55–110 ns per hit, BenchmarkDILScanPerPosting 25–33 ns per
-// one-position posting (the benchmark spine's index.scan_ns_per_posting
-// reads ≈ 52 ns on perfgen's six-position postings). Only their ratios
-// matter to the estimator.
+// 55–110 ns per hit, BenchmarkDILLoCorr 211–269 ns per posting and
+// BenchmarkProbeLCP 44–61 ns per entry stepped. Only their ratios matter
+// to the estimator.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		RandRead: 2 * time.Microsecond,
 		SeqRead:  2 * time.Microsecond,
 		CacheHit: 100 * time.Nanosecond,
-		Posting:  50 * time.Nanosecond,
+		Posting:  250 * time.Nanosecond,
+		Step:     50 * time.Nanosecond,
 	}
 }
 
@@ -145,5 +153,6 @@ func (m CostModel) SimulatedTime(s Stats) time.Duration {
 	return time.Duration(s.RandReads)*m.RandRead +
 		time.Duration(s.SeqReads)*m.SeqRead +
 		time.Duration(s.CacheHits)*m.CacheHit +
-		time.Duration(s.Postings)*m.Posting
+		time.Duration(s.Postings-s.Stepped)*m.Posting +
+		time.Duration(s.Stepped)*m.Step
 }
