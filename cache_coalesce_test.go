@@ -188,3 +188,76 @@ func TestCloseDuringQueries(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCacheStaleNeverServed pins the invalidation protocol directly:
+// DeleteDoc evicts exactly the cached entries whose results mention the
+// victim (unrelated hot entries keep hitting), a fresh execution
+// repopulates the cache, and ColdCache still invalidates everything via
+// the generation bump.
+func TestCacheStaleNeverServed(t *testing.T) {
+	pool := make(map[string]string)
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 6; n++ {
+		pool[fmt.Sprintf("doc%02d", n)] = diffDoc(rng, n)
+	}
+	e := NewEngine(&Config{IndexDir: t.TempDir(), CacheBytes: 1 << 20})
+	for n := 0; n < 6; n++ {
+		name := fmt.Sprintf("doc%02d", n)
+		if err := e.AddXML(name, strings.NewReader(pool[name])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	search := func(tag, q string) ([]SearchResult, *QueryStats) {
+		t.Helper()
+		rs, st, err := e.SearchDetailed(q, SearchOptions{TopM: 10})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		return rs, st
+	}
+	// uniqN occurs only in docN, so "uniq1" results mention exactly doc01
+	// and "uniq2" exactly doc02.
+	if _, st := search("cold victim", "uniq1"); st.Cached {
+		t.Fatal("first query served from an empty cache")
+	}
+	if _, st := search("warm victim", "uniq1"); !st.Cached {
+		t.Fatal("repeat query missed the cache")
+	}
+	search("warm unrelated", "uniq2")
+	if _, st := search("warm unrelated", "uniq2"); !st.Cached {
+		t.Fatal("repeat unrelated query missed the cache")
+	}
+	if err := e.DeleteDoc("doc01"); err != nil {
+		t.Fatal(err)
+	}
+	rs, st := search("post-delete victim", "uniq1")
+	if st.Cached {
+		t.Fatal("stale result served across DeleteDoc of its only document")
+	}
+	if len(rs) != 0 {
+		t.Fatalf("deleted document still surfaced: %+v", rs)
+	}
+	if _, st := search("post-delete unrelated", "uniq2"); !st.Cached {
+		t.Fatal("DeleteDoc of doc01 evicted the unrelated doc02 entry")
+	}
+	if _, st := search("rewarm victim", "uniq1"); !st.Cached {
+		t.Fatal("post-delete result was not re-cached")
+	}
+	if err := e.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := search("post-coldcache", "uniq2"); st.Cached {
+		t.Fatal("stale result served across ColdCache")
+	}
+	if st := e.CacheStats(); st.Stale < 1 {
+		t.Fatalf("expected >= 1 stale drop, got %+v", st)
+	}
+	if st := e.CacheStats(); st.Evictions < 1 {
+		t.Fatalf("expected >= 1 per-document eviction, got %+v", st)
+	}
+}

@@ -255,6 +255,7 @@ func TestSearchErrorStatus(t *testing.T) {
 		{context.Canceled, http.StatusServiceUnavailable},
 		{xrank.ErrBudgetExceeded, http.StatusServiceUnavailable},
 		{fmt.Errorf("storage: %w (limit 1)", xrank.ErrBudgetExceeded), http.StatusServiceUnavailable},
+		{fmt.Errorf("%w: %q", xrank.ErrNoKeywords, "!!!"), http.StatusBadRequest},
 		{errors.New("boom"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

@@ -40,19 +40,8 @@ func crashCorpus() map[string]string {
 
 func addCorpus(t *testing.T, e *Engine, docs map[string]string) {
 	t.Helper()
-	names := make([]string, 0, len(docs))
-	for n := range docs {
-		names = append(names, n)
-	}
 	// Deterministic document IDs regardless of map order.
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, n := range names {
+	for _, n := range sortedKeys(docs) {
 		if err := e.AddXML(n, strings.NewReader(docs[n])); err != nil {
 			t.Fatal(err)
 		}

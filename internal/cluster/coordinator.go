@@ -207,6 +207,7 @@ type attemptClass int
 
 const (
 	classSuccess      attemptClass = iota
+	classRejected                  // 400: the request itself is invalid; passed through as is
 	classBackpressure              // 429/503/504: alive, failover without breaker charge
 	classFailure                   // transport error, timeout, 5xx, bad payload
 	classCanceled                  // hedge loser or dying request: no accounting
@@ -280,6 +281,11 @@ func (c *Coordinator) doAttempt(ctx context.Context, shard int, replica string, 
 				err: fmt.Errorf("shard %d via %s: bad payload: %w", shard, replica, derr), latency: lat, url: replica}
 		}
 		return attemptResult{class: classSuccess, page: &page, status: resp.StatusCode, latency: lat, url: replica}
+	case resp.StatusCode == http.StatusBadRequest:
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return attemptResult{class: classRejected, status: resp.StatusCode, body: body,
+			err:     fmt.Errorf("shard %d via %s: %s", shard, replica, resp.Status),
+			latency: lat, url: replica}
 	case backpressureStatus(resp.StatusCode):
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return attemptResult{class: classBackpressure, status: resp.StatusCode,
@@ -307,6 +313,11 @@ func (c *Coordinator) issueAccounted(ctx context.Context, shard int, replica str
 		c.attempts.Inc()
 		c.breaker.Success(replica)
 		c.digest.observe(res.latency)
+	case classRejected:
+		// The replica answered correctly: any replica would reject the
+		// same request, so it is no fault of this one.
+		c.attempts.Inc()
+		c.breaker.Success(replica)
 	case classBackpressure:
 		c.attempts.Inc()
 		c.backpressure.Inc()
@@ -348,7 +359,8 @@ func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 // itself through issueAccounted; when one branch wins the other is
 // cancelled and — arriving as classCanceled — discarded unaccounted.
 // Preference order when both complete: success > backpressure >
-// failure, so a slow success still beats a fast shed.
+// failure, so a slow success still beats a fast shed. A rejection ends
+// the race at once, like a success: every replica would reject it.
 func (c *Coordinator) hedgedIssue(ctx context.Context, shard int, primary, secondary string, delay time.Duration, params url.Values) attemptResult {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
@@ -371,12 +383,12 @@ func (c *Coordinator) hedgedIssue(ctx context.Context, shard int, primary, secon
 		select {
 		case res := <-ch:
 			outstanding--
-			if res.class == classSuccess {
+			if res.class == classSuccess || res.class == classRejected {
 				pcancel()
 				if scancel != nil {
 					scancel()
 				}
-				if res.hedged {
+				if res.hedged && res.class == classSuccess {
 					c.hedgeWins.Inc()
 				}
 				return res
@@ -417,6 +429,7 @@ type shardOutcome struct {
 	page         *shardPage
 	err          error
 	backpressure *attemptResult // last 429/503/504, for passthrough
+	rejected     *attemptResult // a 400, for passthrough
 }
 
 // queryShard walks the shard's breaker-admitted replicas in placement
@@ -472,6 +485,9 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 		switch res.class {
 		case classSuccess:
 			out.page = res.page
+			return out
+		case classRejected:
+			out.rejected, out.err = &res, res.err
 			return out
 		case classCanceled:
 			out.err = ctx.Err()
@@ -666,6 +682,16 @@ func (c *Coordinator) serveSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Ints(failed)
+	for _, o := range outcomes {
+		if o.rejected != nil {
+			// An invalid request: the client gets the replica's 400 as it
+			// is, and no replica is charged for it.
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			w.WriteHeader(o.rejected.status)
+			w.Write(o.rejected.body)
+			return
+		}
+	}
 
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		c.reqErrors.Inc()

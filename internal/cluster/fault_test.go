@@ -373,6 +373,38 @@ func TestBackpressurePassthrough(t *testing.T) {
 	}
 }
 
+// TestKeywordFreeQueryPassesThrough400: the coordinator hands a replica's
+// 400 for a keyword-free query on as it is, charging no breaker, counting
+// no failure and trying no other replica.
+func TestKeywordFreeQueryPassesThrough400(t *testing.T) {
+	dir := buildShardDir(t, clusterCorpus(0, 4))
+	pA := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	pB := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	c, coord := startCoordinator(t, CoordinatorConfig{
+		Shards:           [][]string{{pA.URL(), pB.URL()}},
+		RetryBackoff:     time.Millisecond,
+		FailureThreshold: 1,
+		HedgeDelay:       time.Second,
+	})
+	for i := 0; i < 10; i++ {
+		st, _, body := get(t, serialClient(), searchURL(coord.URL, "!!!"))
+		if st != http.StatusBadRequest || !strings.Contains(string(body), "no keywords") {
+			t.Fatalf("keyword-free query: status %d, body %q; want the replica's 400", st, body)
+		}
+	}
+	if n := c.Breaker().OpenCount(); n != 0 {
+		t.Fatalf("%d breakers open after keyword-free queries", n)
+	}
+	for _, m := range []string{"xrank_replica_failures_total", "xrank_replica_retries_total", "xrank_hedged_requests_total"} {
+		if got := metricValue(t, c.Metrics().WritePrometheus, m); got != 0 {
+			t.Fatalf("keyword-free queries: %s = %d", m, got)
+		}
+	}
+	if st, _, body := get(t, serialClient(), searchURL(coord.URL, "common")); st != http.StatusOK {
+		t.Fatalf("valid query after keyword-free ones: status %d: %s", st, body)
+	}
+}
+
 // muxOpts is the standard replica handler configuration for tests:
 // metrics on, no admission limit (admission-specific tests build their
 // own).

@@ -51,7 +51,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // edgeEngine builds a small deterministic corpus.
-func edgeEngine(t *testing.T) *xrank.Engine {
+func edgeEngine(t testing.TB) *xrank.Engine {
 	t.Helper()
 	e := xrank.NewEngine(&xrank.Config{IndexDir: t.TempDir()})
 	for i := 0; i < 4; i++ {

@@ -425,12 +425,15 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 	return WithRecovery(e, mux)
 }
 
-// SearchErrorStatus maps a query failure to an HTTP status: timeouts to
-// 504, client disconnects, exhausted budgets and degraded-mode refusals
-// (FailOnDegraded) to 503 (the service is temporarily unable to serve a
-// complete answer), everything else to 500.
+// SearchErrorStatus maps a query failure to an HTTP status: a query with
+// no keywords to 400, timeouts to 504, client disconnects, exhausted
+// budgets and degraded-mode refusals (FailOnDegraded) to 503 (the
+// service is temporarily unable to serve a complete answer), everything
+// else to 500.
 func SearchErrorStatus(err error) int {
 	switch {
+	case errors.Is(err, xrank.ErrNoKeywords):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled),

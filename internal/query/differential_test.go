@@ -1,11 +1,10 @@
 package query
 
-// The differential correctness harness for sharded execution: randomized
-// corpora from the internal/datagen generators, every query processor run
-// at shard counts 1, 2 and 8, all checked against the brute-force
-// executable specification — same result set, same tie-break order, same
-// scores within epsilon. This is the test that guards the central
-// sharding claim: shard count is invisible in query results.
+// Sharded fixtures over the internal/datagen corpora, and the executor
+// bindings the golden and HDIL tests run on them. The engine-level
+// history harness (TestHistory in the root package) checks every
+// processor against the brute-force specification at shard counts 1, 2
+// and 8.
 
 import (
 	"fmt"
@@ -20,12 +19,6 @@ import (
 	"xrank/internal/index"
 	"xrank/internal/xmldoc"
 )
-
-// shardCounts are the partition counts the harness covers. 1 is the flat
-// layout (direct call, no fan-out), 2 exercises the merge, and 8 exceeds
-// both GOMAXPROCS on small machines (worker-pool queuing) and the
-// document count of the smallest corpora (empty shards).
-var shardCounts = []int{1, 2, 8}
 
 // shardedFixture holds one collection indexed at several shard counts.
 type shardedFixture struct {
@@ -139,86 +132,6 @@ func corpusVocab(c *xmldoc.Collection) []string {
 	}
 	sort.Strings(vocab)
 	return vocab
-}
-
-func truncated(rs []Result, m int) []Result {
-	if len(rs) > m {
-		rs = rs[:m]
-	}
-	return rs
-}
-
-// TestShardedDifferentialAllAlgorithms is the property-based harness: for
-// random queries over datagen corpora, DIL, RDIL, HDIL and Disjunctive
-// must return exactly the brute-force reference ranking at every shard
-// count.
-func TestShardedDifferentialAllAlgorithms(t *testing.T) {
-	for seed := int64(0); seed < 2; seed++ {
-		fx := newShardedFixture(t, datagenCorpus(seed),
-			index.BuildOptions{MinRankPrefix: 4, RankFraction: 0.2}, shardCounts)
-		vocab := corpusVocab(fx.c)
-		if len(vocab) < 10 {
-			t.Fatalf("seed %d: only %d query-candidate terms", seed, len(vocab))
-		}
-		r := rand.New(rand.NewSource(seed*31 + 7))
-		for trial := 0; trial < 10; trial++ {
-			nk := 1 + r.Intn(3)
-			q := make([]string, nk)
-			for i := range q {
-				q[i] = vocab[r.Intn(len(vocab))]
-			}
-			if trial == 9 {
-				// One query with a keyword absent from the corpus: the
-				// conjunction must come back empty at every shard count.
-				q[0] = "zqx9absent"
-			}
-			opts := DefaultOptions()
-			opts.TopM = 8
-
-			want, err := BruteForce(fx.c, fx.ranks, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = truncated(want, opts.TopM)
-			wantDisj, err := BruteForceDisjunctive(fx.c, fx.ranks, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantDisj = truncated(wantDisj, opts.TopM)
-
-			for _, sc := range shardCounts {
-				sh := fx.sharded[sc]
-				name := func(algo string) string {
-					return fmt.Sprintf("seed%d trial%d %s(%v)@%dshards", seed, trial, algo, q, sc)
-				}
-				got, err := dilSharded(sh, q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, name("DIL"), got, want, 1e-9)
-
-				got, err = rdilSharded(sh, q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, name("RDIL"), got, want, 1e-9)
-
-				for _, m := range costModels {
-					got, _, err = HDILSharded(sh, q, opts, 0, m.cm)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, name("HDIL/"+m.name), got, want, 1e-9)
-				}
-
-				got, err = disjunctiveSharded(sh, q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, name("Disjunctive"), got, wantDisj, 1e-9)
-			}
-		}
-	}
 }
 
 // TestNaiveBaselinesOnDifferentialCorpus checks the standalone naive

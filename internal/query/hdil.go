@@ -29,10 +29,11 @@ type HDILTrace struct {
 // to k̂ — the heap's m-th score, or its best while it holds fewer than m
 // results — from the rank bounds in the prefixes' skip refs, and never
 // fewer than the heap needs to fill (stopPredictor). HDIL switches to DIL
-// when no such d exists within the prefixes, or when the time spent so
-// far t plus d more rounds at the rate so far, t + d·t/rounds, exceeds
-// the a-priori DIL estimate even after the ranks of the blocks where the
-// threshold falls have been read.
+// when no such d exists within the prefixes, or when d more rounds at the
+// rate so far, d·t/rounds, exceed the a-priori DIL estimate even after
+// the ranks of the blocks where the threshold falls have been read. The
+// time t already spent is sunk: a switch starts DIL from scratch, so it
+// weighs only the ranked work still ahead.
 // A rank prefix running out switches too, unless it was its keyword's
 // whole list: then, as in RDIL, every candidate has been seen.
 //
@@ -166,7 +167,7 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 			return switchToDIL("estimate")
 		}
 		t := cm.SimulatedTime(opts.Exec.Stats().Sub(startStats))
-		slower := func(d int) bool { return t+time.Duration(d)*t/time.Duration(rounds) > dilEstimate }
+		slower := func(d int) bool { return time.Duration(d)*t/time.Duration(rounds) > dilEstimate }
 		if slower(d) && !slower(sp.least) {
 			// The skip refs bound a block's entries by its first one's
 			// rank, so d can overshoot by up to a block: read the ranks

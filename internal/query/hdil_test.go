@@ -81,10 +81,10 @@ func nonAdjacentQueries() [][]string {
 // The non-adjacent pairs walk a few hundred entries deep before the
 // threshold falls to their ⅔-proximity scores, and there their probes
 // miss the small pools: on one shard the serving model prices the
-// hicorr0 pairs' walk within 5 % of a DIL scan, and they switch. Their
-// decisions there are recorded rather than asserted. On the benchmark's
-// 50k-record corpus with the engine's default pools they must stay
-// ranked and skip blocks.
+// hicorr0 pairs' walk within 5 % of a DIL scan, but the ranked work
+// still ahead is less; the decisions are recorded, not asserted. On the
+// benchmark's 50k-record corpus with the engine's default pools they must
+// stay ranked and skip blocks.
 //
 // Priced by the paper's disk from a cold pool every query's switch
 // decision must be the recorded one — for the adjacent groups, the one
@@ -140,7 +140,7 @@ func TestHDILStaysRankedOnHighCorrelation(t *testing.T) {
 	}
 
 	// Per round, one digit per non-adjacent pair: 1 = switched.
-	const smallPool = "110000" + "110000" + "110000"
+	const smallPool = "000000" + "000000" + "000000"
 	var small []*HDILTrace
 	for round := 0; round < 3; round++ {
 		name := fmt.Sprintf("round %d", round)

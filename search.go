@@ -223,7 +223,7 @@ func (e *Engine) SearchContext(ctx context.Context, q string, opts SearchOptions
 	if len(keywords) == 0 {
 		// A keyword-free query is an invalid request, not a served query:
 		// it never reaches the metrics.
-		return nil, nil, fmt.Errorf("xrank: query %q contains no keywords", q)
+		return nil, nil, fmt.Errorf("%w: %q", ErrNoKeywords, q)
 	}
 	if opts.TopM <= 0 {
 		opts.TopM = 10
@@ -407,8 +407,11 @@ func (e *Engine) docsLive(names []string) bool {
 	return true
 }
 
+// copyResults copies rs. An empty answer stays an empty, non-nil slice,
+// as a fresh execution returns it, so a shared serving encodes it the
+// same way ("[]", not "null").
 func copyResults(rs []SearchResult) []SearchResult {
-	return append([]SearchResult(nil), rs...)
+	return append(make([]SearchResult, 0, len(rs)), rs...)
 }
 
 // cacheKey canonicalizes one query for the result cache and the

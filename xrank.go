@@ -150,6 +150,10 @@ var ErrDegraded = errors.New("xrank: degraded: unhealthy shards excluded")
 // mismatch OpenEngine detects in persisted state.
 var ErrCorrupt = storage.ErrCorrupt
 
+// ErrNoKeywords is returned (wrapped) by SearchContext for a query
+// that tokenizes to no keywords: an invalid request, not a failure.
+var ErrNoKeywords = errors.New("xrank: query contains no keywords")
+
 // ErrClosed is returned by a query that starts executing after Close.
 var ErrClosed = errors.New("xrank: engine closed")
 
