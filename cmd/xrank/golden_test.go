@@ -16,6 +16,7 @@ import (
 
 	"xrank"
 	"xrank/internal/cache"
+	"xrank/internal/httpapi"
 )
 
 // Golden-file tests pin the HTTP API's response shapes. Timing-dependent
@@ -137,7 +138,7 @@ func TestGoldenAPI(t *testing.T) {
 	e.SlowLog().SetThreshold(0) // log every query
 	e.ConfigureResultCache(1 << 20)
 	e.SetCoalesceQueries(true)
-	mux := newMux(e, muxOptions{Metrics: true, Admission: cache.NewAdmission(4, 8)})
+	mux := httpapi.NewMux(e, httpapi.Options{Metrics: true, Admission: cache.NewAdmission(4, 8)})
 
 	// 1. A budget of one device read cannot satisfy a cold RDIL query
 	//    (B+-tree probes alone need more): deterministic 503. This must
@@ -215,7 +216,7 @@ func TestGoldenAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer adm.Release()
-	busy := newMux(e, muxOptions{Admission: adm})
+	busy := httpapi.NewMux(e, httpapi.Options{Admission: adm})
 	rec = get(t, busy, "/api/search?q=xql")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("shed request: status %d, want 429: %s", rec.Code, rec.Body)
@@ -229,14 +230,14 @@ func TestGoldenAPI(t *testing.T) {
 // TestMuxOptions checks that the opt-in endpoints stay off by default.
 func TestMuxOptions(t *testing.T) {
 	e := newTestEngine(t)
-	plain := newMux(e, muxOptions{})
+	plain := httpapi.NewMux(e, httpapi.Options{})
 	if rec := get(t, plain, "/metrics"); rec.Code != http.StatusNotFound {
 		t.Errorf("metrics off: status %d, want 404", rec.Code)
 	}
 	if rec := get(t, plain, "/debug/pprof/"); rec.Code != http.StatusNotFound {
 		t.Errorf("pprof off: status %d, want 404", rec.Code)
 	}
-	withPprof := newMux(e, muxOptions{Pprof: true})
+	withPprof := httpapi.NewMux(e, httpapi.Options{Pprof: true})
 	if rec := get(t, withPprof, "/debug/pprof/"); rec.Code != 200 {
 		t.Errorf("pprof on: status %d, want 200", rec.Code)
 	}
@@ -259,8 +260,8 @@ func TestSearchErrorStatus(t *testing.T) {
 		{errors.New("boom"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
-		if got := searchErrorStatus(tc.err); got != tc.want {
-			t.Errorf("searchErrorStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		if got := httpapi.SearchErrorStatus(tc.err); got != tc.want {
+			t.Errorf("httpapi.SearchErrorStatus(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }

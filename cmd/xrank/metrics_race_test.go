@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"xrank/internal/httpapi"
 )
 
 // TestMetricsUnderConcurrentQueries runs the serve-time access pattern
@@ -20,7 +22,7 @@ import (
 func TestMetricsUnderConcurrentQueries(t *testing.T) {
 	e := newTestEngine(t)
 	e.SlowLog().SetThreshold(0) // log every query
-	mux := newMux(e, muxOptions{Metrics: true})
+	mux := httpapi.NewMux(e, httpapi.Options{Metrics: true})
 
 	const (
 		queryGoroutines = 16

@@ -18,16 +18,6 @@ import (
 // is on by default here (the engine library keeps it opt-in).
 const serveCacheBytesDefault = 32 << 20
 
-// muxOptions and newMux alias the extracted internal/httpapi package so
-// the serve command and its tests read as before; the handler stack
-// itself now lives where in-process harnesses (xrank-loadgen -inproc)
-// can mount it too.
-type muxOptions = httpapi.Options
-
-func newMux(e *xrank.Engine, opts muxOptions) http.Handler { return httpapi.NewMux(e, opts) }
-
-func searchErrorStatus(err error) int { return httpapi.SearchErrorStatus(err) }
-
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	dir := fs.String("dir", "", "index directory (required)")
@@ -77,7 +67,7 @@ func cmdServe(args []string) error {
 		e.SetMaxSegments(*maxSegments)
 	}
 	log.Printf("xrank: serving on %s (index %s)", *addr, *dir)
-	return http.ListenAndServe(*addr, newMux(e, muxOptions{
+	return http.ListenAndServe(*addr, httpapi.NewMux(e, httpapi.Options{
 		Metrics: *metrics, Pprof: *pprofOn, Updates: *updates, Admission: adm,
 	}))
 }

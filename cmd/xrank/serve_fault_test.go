@@ -36,7 +36,7 @@ func TestServePanicRecovery(t *testing.T) {
 	}
 
 	// A healthy request through the same wrapper still works.
-	mux := newMux(e, muxOptions{Metrics: true})
+	mux := httpapi.NewMux(e, httpapi.Options{Metrics: true})
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/search?q=xml", nil))
 	if rec.Code != 200 {
@@ -66,7 +66,7 @@ func TestServeDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	mux := newMux(e, muxOptions{Metrics: true})
+	mux := httpapi.NewMux(e, httpapi.Options{Metrics: true})
 
 	fail := index.ShardOf(0, shards)
 	name := fmt.Sprintf("shard%03d", fail)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xrank"
+	"xrank/internal/httpapi"
 )
 
 func newTestEngine(t *testing.T) *xrank.Engine {
@@ -27,7 +28,7 @@ func newTestEngine(t *testing.T) *xrank.Engine {
 }
 
 func TestServeSearchAPI(t *testing.T) {
-	mux := newMux(newTestEngine(t), muxOptions{Metrics: true})
+	mux := httpapi.NewMux(newTestEngine(t), httpapi.Options{Metrics: true})
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/search?q=xql+language&m=5", nil))
@@ -73,7 +74,7 @@ func TestServeSearchAPI(t *testing.T) {
 // normalization, the empty-prefix and no-match shapes, and parameter
 // validation.
 func TestServeSuggestAPI(t *testing.T) {
-	mux := newMux(newTestEngine(t), muxOptions{Metrics: true})
+	mux := httpapi.NewMux(newTestEngine(t), httpapi.Options{Metrics: true})
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/suggest?q=xq&k=5", nil))
@@ -148,7 +149,7 @@ func TestServeSuggestDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	mux := newMux(e, muxOptions{})
+	mux := httpapi.NewMux(e, httpapi.Options{})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/suggest?q=x", nil))
 	if rec.Code != 403 {
@@ -158,7 +159,7 @@ func TestServeSuggestDisabled(t *testing.T) {
 
 func TestServeAncestorsAPI(t *testing.T) {
 	e := newTestEngine(t)
-	mux := newMux(e, muxOptions{Metrics: true})
+	mux := httpapi.NewMux(e, httpapi.Options{Metrics: true})
 	rs, err := e.Search("xql language")
 	if err != nil || len(rs) == 0 {
 		t.Fatal(err)
@@ -183,7 +184,7 @@ func TestServeAncestorsAPI(t *testing.T) {
 }
 
 func TestServeHTMLPage(t *testing.T) {
-	mux := newMux(newTestEngine(t), muxOptions{Metrics: true})
+	mux := httpapi.NewMux(newTestEngine(t), httpapi.Options{Metrics: true})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/?q=xml", nil))
 	if rec.Code != 200 {
@@ -212,7 +213,7 @@ func TestServeDocsAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	mux := newMux(e, muxOptions{Updates: true})
+	mux := httpapi.NewMux(e, httpapi.Options{Updates: true})
 
 	do := func(method, url, body string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -253,7 +254,7 @@ func TestServeDocsAPI(t *testing.T) {
 	}
 
 	// The opt-in gate: a mux without Updates refuses.
-	frozen := newMux(e, muxOptions{})
+	frozen := httpapi.NewMux(e, httpapi.Options{})
 	rec := httptest.NewRecorder()
 	frozen.ServeHTTP(rec, httptest.NewRequest("POST", "/api/docs?name=y", strings.NewReader("<d/>")))
 	if rec.Code != 403 {
@@ -264,7 +265,7 @@ func TestServeDocsAPI(t *testing.T) {
 // TestServeServerTiming checks /api/search answers carry the
 // Server-Timing header on both the success and the shed path.
 func TestServeServerTiming(t *testing.T) {
-	mux := newMux(newTestEngine(t), muxOptions{})
+	mux := httpapi.NewMux(newTestEngine(t), httpapi.Options{})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/search?q=xml", nil))
 	if rec.Code != 200 {

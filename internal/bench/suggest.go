@@ -11,7 +11,7 @@ import (
 
 	"xrank"
 	"xrank/internal/ingest"
-	"xrank/internal/loadgen"
+	"xrank/internal/obs"
 	"xrank/internal/suggest"
 )
 
@@ -121,7 +121,7 @@ func measureTrieWorkload(tries []*suggest.Trie, qs []string, k int) (p50, p99 in
 		lats = append(lats, time.Since(t0).Microseconds())
 		nodes += int64(st.NodesVisited)
 	}
-	return loadgen.Percentile(lats, 0.5), loadgen.Percentile(lats, 0.99),
+	return obs.Percentile(lats, 0.5), obs.Percentile(lats, 0.99),
 		float64(nodes) / float64(len(qs))
 }
 
@@ -223,8 +223,8 @@ func E15Suggest(baseDir string, sizes []int, k int, seed int64, fixture string) 
 		}
 	}
 	rep.FixtureQueries = len(lats)
-	rep.FixtureP50Micros = loadgen.Percentile(lats, 0.5)
-	rep.FixtureP99Micros = loadgen.Percentile(lats, 0.99)
+	rep.FixtureP50Micros = obs.Percentile(lats, 0.5)
+	rep.FixtureP99Micros = obs.Percentile(lats, 0.99)
 	t.Rows = append(t.Rows, []string{
 		fmt.Sprintf("fixture:%d", rep.FixtureTerms), "-", "-",
 		fmt.Sprintf("%d", rep.FixtureQueries),

@@ -14,8 +14,15 @@
 // reshuffles only the pairs that involve it, and every coordinator
 // computes the same order with no shared state.
 //
+// The coordinator is an httpapi.Searcher: /api/search is the
+// single-node handler (httpapi.SearchHandler) over its fan-out, so
+// parameters, errors and the reply envelope are the engine's. It merges
+// the pages by a stable sort on score over the pages in shard order,
+// which keeps each shard's own tie order: a top-m is a prefix of the
+// top-(m+1).
+//
 // Fault handling composes three layers, mirroring the intra-node
-// design (see internal/index/health.go and internal/query/shard.go):
+// design (see internal/index/health.go and internal/query/exec.go):
 //
 //   - retries with seeded full-jitter exponential backoff for
 //     transient faults (transport errors, timeouts, 500/502);

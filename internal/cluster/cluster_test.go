@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
+
+	"xrank"
 )
 
 func TestPlacementOrderDeterministic(t *testing.T) {
@@ -77,36 +80,38 @@ func TestLatencyDigestQuantile(t *testing.T) {
 	}
 }
 
-func TestDeweyLessAndMerge(t *testing.T) {
-	if !deweyLess("1.2", "1.10") {
-		t.Fatal("dewey comparison is lexicographic, want numeric")
+// TestMergeShardOrder: the merge keeps each page's order and breaks
+// score ties by shard, so it never re-sorts what a shard already cut at
+// m; a failed shard contributes nothing and is listed.
+func TestMergeShardOrder(t *testing.T) {
+	page := func(rs ...xrank.SearchResult) *shardPage { return &shardPage{Results: rs} }
+	outcomes := []shardOutcome{
+		{shard: 0, page: page(
+			xrank.SearchResult{DeweyID: "1.1", Score: 0.9, Doc: "b"},
+			xrank.SearchResult{DeweyID: "1.10", Score: 0.5, Doc: "z"},
+			xrank.SearchResult{DeweyID: "2.1", Score: 0.5, Doc: "b"},
+		)},
+		{shard: 1, err: errors.New("refused")},
+		{shard: 2, page: page(
+			xrank.SearchResult{DeweyID: "1.2", Score: 0.7, Doc: "c"},
+			xrank.SearchResult{DeweyID: "1.2", Score: 0.5, Doc: "a"},
+		)},
 	}
-	if !deweyLess("1.2", "1.2.1") {
-		t.Fatal("prefix must sort before its extension")
-	}
-	if deweyLess("2.1", "2.1") {
-		t.Fatal("deweyLess not irreflexive")
-	}
-	pages := []*shardPage{
-		{Results: []wireResult{
-			{DeweyID: "1.10", Score: 0.5, Doc: "b"},
-			{DeweyID: "1.1", Score: 0.9, Doc: "b"},
-		}},
-		{Results: []wireResult{
-			{DeweyID: "1.2", Score: 0.5, Doc: "a"},
-			{DeweyID: "1.2", Score: 0.5, Doc: "b"},
-		}},
-	}
-	got := mergeResults(pages, 3)
-	want := []wireResult{
+	got, stats := merge(outcomes, 4)
+	want := []xrank.SearchResult{
 		{DeweyID: "1.1", Score: 0.9, Doc: "b"},
-		{DeweyID: "1.2", Score: 0.5, Doc: "a"},
-		{DeweyID: "1.2", Score: 0.5, Doc: "b"},
+		{DeweyID: "1.2", Score: 0.7, Doc: "c"},
+		{DeweyID: "1.10", Score: 0.5, Doc: "z"},
+		{DeweyID: "2.1", Score: 0.5, Doc: "b"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order:\n got %+v\nwant %+v", got, want)
 	}
-	if out := mergeResults(nil, 5); out == nil || len(out) != 0 {
+	if !stats.Degraded || !reflect.DeepEqual(stats.FailedShards, []int{1}) || stats.Shards != 3 {
+		t.Fatalf("stats: degraded %v, failed %v, shards %d; want true, [1], 3",
+			stats.Degraded, stats.FailedShards, stats.Shards)
+	}
+	if out, _ := merge(nil, 5); out == nil || len(out) != 0 {
 		t.Fatalf("empty merge must be an empty array, got %#v", out)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"xrank"
 	"xrank/internal/breaker"
 	"xrank/internal/httpapi"
 	"xrank/internal/obs"
@@ -181,25 +182,17 @@ type ReplicaHealth struct {
 	breaker.Health
 }
 
-// wireResult mirrors xrank.SearchResult's JSON encoding; the
-// coordinator re-emits the fields verbatim after the merge.
-type wireResult struct {
-	DeweyID string
-	Score   float64
-	Doc     string
-	Path    string
-	Tag     string
-	Snippet string
-}
-
-// shardPage is the subset of a shard's /api/search response the
+// shardPage is the subset of a shard's /api/search reply the
 // coordinator consumes.
 type shardPage struct {
-	Results   []wireResult `json:"results"`
-	IOReads   int64        `json:"io_reads"`
-	CacheHits int64        `json:"cache_hits"`
-	Degraded  bool         `json:"degraded"`
-	Algorithm string       `json:"algorithm"`
+	Results       []xrank.SearchResult `json:"results"`
+	IOReads       int64                `json:"io_reads"`
+	CacheHits     int64                `json:"cache_hits"`
+	Cached        bool                 `json:"cached"`
+	Degraded      bool                 `json:"degraded"`
+	RankedEntries int                  `json:"ranked_entries"`
+	Switched      bool                 `json:"switched"`
+	SwitchReason  string               `json:"switch_reason"`
 }
 
 // attempt classification.
@@ -215,15 +208,13 @@ const (
 
 // attemptResult is one replica attempt's outcome.
 type attemptResult struct {
-	class      attemptClass
-	page       *shardPage
-	status     int
-	retryAfter string
-	body       []byte
-	err        error
-	latency    time.Duration
-	url        string
-	hedged     bool // produced by the hedge branch
+	class   attemptClass
+	page    *shardPage
+	reply   *httpapi.StatusError // the replica's 400 or backpressure answer, for passthrough
+	err     error
+	latency time.Duration
+	url     string
+	hedged  bool // produced by the hedge branch
 }
 
 // backpressureStatus reports whether an HTTP status means "alive but
@@ -277,24 +268,34 @@ func (c *Coordinator) doAttempt(ctx context.Context, shard int, replica string, 
 	case resp.StatusCode == http.StatusOK:
 		var page shardPage
 		if derr := json.NewDecoder(resp.Body).Decode(&page); derr != nil {
-			return attemptResult{class: classFailure, status: resp.StatusCode,
+			return attemptResult{class: classFailure,
 				err: fmt.Errorf("shard %d via %s: bad payload: %w", shard, replica, derr), latency: lat, url: replica}
 		}
-		return attemptResult{class: classSuccess, page: &page, status: resp.StatusCode, latency: lat, url: replica}
-	case resp.StatusCode == http.StatusBadRequest:
+		return attemptResult{class: classSuccess, page: &page, latency: lat, url: replica}
+	case resp.StatusCode == http.StatusBadRequest, backpressureStatus(resp.StatusCode):
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return attemptResult{class: classRejected, status: resp.StatusCode, body: body,
+		res := attemptResult{class: classRejected, reply: &httpapi.StatusError{
+			Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"), Body: body},
 			err:     fmt.Errorf("shard %d via %s: %s", shard, replica, resp.Status),
 			latency: lat, url: replica}
-	case backpressureStatus(resp.StatusCode):
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return attemptResult{class: classBackpressure, status: resp.StatusCode,
-			retryAfter: resp.Header.Get("Retry-After"), body: body,
-			err:     fmt.Errorf("shard %d via %s: %s", shard, replica, resp.Status),
-			latency: lat, url: replica}
+		if resp.StatusCode != http.StatusBadRequest {
+			// Passed on if every shard sheds, so the client keeps its
+			// retry discipline: Retry-After is floored at 1 s, and an
+			// empty body becomes a JSON error.
+			res.class = classBackpressure
+			if res.reply.RetryAfter = resp.Header.Get("Retry-After"); res.reply.RetryAfter == "" {
+				res.reply.RetryAfter = "1"
+			}
+			if len(body) == 0 {
+				res.reply.ContentType = "application/json"
+				msg, _ := json.Marshal(map[string]string{"error": res.err.Error()})
+				res.reply.Body = append(msg, '\n')
+			}
+		}
+		return res
 	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return attemptResult{class: classFailure, status: resp.StatusCode,
+		return attemptResult{class: classFailure,
 			err: fmt.Errorf("shard %d via %s: %s: %s", shard, replica, resp.Status,
 				strings.TrimSpace(string(body))),
 			latency: lat, url: replica}
@@ -428,8 +429,8 @@ type shardOutcome struct {
 	shard        int
 	page         *shardPage
 	err          error
-	backpressure *attemptResult // last 429/503/504, for passthrough
-	rejected     *attemptResult // a 400, for passthrough
+	backpressure *httpapi.StatusError // last 429/503/504, for passthrough
+	rejected     *httpapi.StatusError // a 400, for passthrough
 }
 
 // queryShard walks the shard's breaker-admitted replicas in placement
@@ -487,7 +488,7 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 			out.page = res.page
 			return out
 		case classRejected:
-			out.rejected, out.err = &res, res.err
+			out.rejected, out.err = res.reply, res.err
 			return out
 		case classCanceled:
 			out.err = ctx.Err()
@@ -496,8 +497,7 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 			}
 			return out
 		case classBackpressure:
-			bp := res
-			out.backpressure = &bp
+			out.backpressure = res.reply
 			out.err = res.err
 		case classFailure:
 			out.err = res.err
@@ -506,60 +506,53 @@ func (c *Coordinator) queryShard(ctx context.Context, shard int, params url.Valu
 	return out
 }
 
-// deweyLess orders dotted Dewey IDs numerically component by
-// component, mirroring the engine's merge order.
-func deweyLess(a, b string) bool {
-	as, bs := strings.Split(a, "."), strings.Split(b, ".")
-	for i := 0; i < len(as) && i < len(bs); i++ {
-		ai, aerr := strconv.Atoi(as[i])
-		bi, berr := strconv.Atoi(bs[i])
-		if aerr != nil || berr != nil {
-			if as[i] != bs[i] {
-				return as[i] < bs[i]
-			}
+// merge composes the shards' outcomes into one answer. Each page is its
+// shard's top-m in the engine's order: score descending, ties in the
+// shard's own document order. Shard-invariant scoring puts every global
+// top-m element in its shard's page, so a stable sort by score over the
+// pages concatenated in shard order is the exact global top-m, with
+// ties in (shard, position) order. The top-m is therefore a prefix of
+// the top-(m+1), and a one-shard cluster answers its shard's page as it
+// is. A shard without a page is listed in FailedShards and contributes
+// nothing; the stats sum the pages' I/O and HDIL counts.
+func merge(outcomes []shardOutcome, m int) ([]xrank.SearchResult, *xrank.QueryStats) {
+	stats := &xrank.QueryStats{Shards: len(outcomes)}
+	results := []xrank.SearchResult{} // JSON [] rather than null
+	cached := true
+	for _, o := range outcomes {
+		p := o.page
+		if p == nil {
+			stats.FailedShards = append(stats.FailedShards, o.shard)
 			continue
 		}
-		if ai != bi {
-			return ai < bi
+		results = append(results, p.Results...)
+		stats.IO.Reads += p.IOReads
+		stats.IO.CacheHits += p.CacheHits
+		stats.RankedEntriesRead += p.RankedEntries
+		cached = cached && p.Cached
+		// A replica that served a partial answer itself (local device
+		// trouble) makes the cluster's answer partial too.
+		stats.Degraded = stats.Degraded || p.Degraded
+		if p.Switched && !stats.SwitchedToDIL {
+			stats.SwitchedToDIL, stats.SwitchReason = true, p.SwitchReason
 		}
 	}
-	return len(as) < len(bs)
+	stats.Degraded = stats.Degraded || stats.FailedShards != nil
+	stats.Cached = cached && len(stats.FailedShards) < len(outcomes)
+	sort.SliceStable(results, func(i, j int) bool { return results[i].Score > results[j].Score })
+	if len(results) > m {
+		results = results[:m]
+	}
+	return results, stats
 }
 
-// mergeResults composes per-shard top-m pages into the global top-m.
-// Shard-invariant scoring makes this exact: every global top-m element
-// is in its shard's local top-m. The order — score descending, then
-// document name, then Dewey ID — is total and replica-independent, so
-// which replica answered never changes a byte of the response.
-func mergeResults(pages []*shardPage, m int) []wireResult {
-	var all []wireResult
-	for _, p := range pages {
-		all = append(all, p.Results...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		if all[i].Doc != all[j].Doc {
-			return all[i].Doc < all[j].Doc
-		}
-		return deweyLess(all[i].DeweyID, all[j].DeweyID)
-	})
-	if len(all) > m {
-		all = all[:m]
-	}
-	if all == nil {
-		all = []wireResult{}
-	}
-	return all
-}
-
-// Handler builds the coordinator's HTTP surface: /api/search,
+// Handler builds the coordinator's HTTP surface: /api/search (the
+// single-node handler, httpapi.SearchHandler, over the coordinator),
 // /api/cluster (topology + breaker health), /internal/health, and —
 // with cfg.Metrics — /metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/search", c.serveSearch)
+	mux.Handle("/api/search", httpapi.SearchHandler(c, nil, nil))
 	mux.HandleFunc("/api/cluster", func(w http.ResponseWriter, r *http.Request) {
 		shards := make([]map[string]interface{}, len(c.placements))
 		for s, reps := range c.placements {
@@ -594,56 +587,26 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// serveSearch validates exactly what the single-node handler
-// validates, fans out, merges, and answers with the single-node
-// response shape (plus the same degraded/failed_shards markers).
-func (c *Coordinator) serveSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		http.Error(w, `missing "q" parameter`, http.StatusBadRequest)
-		return
-	}
-	m := 10
-	if ms := r.URL.Query().Get("m"); ms != "" {
-		v, err := strconv.Atoi(ms)
-		if err != nil || v < 1 || v > 1000 {
-			http.Error(w, `bad "m" parameter`, http.StatusBadRequest)
-			return
-		}
-		m = v
-	}
-	algoName := "HDIL"
-	if as := r.URL.Query().Get("algo"); as != "" {
-		a, err := httpapi.ParseAlgo(as)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		algoName = a.String()
-	}
-	ctx := r.Context()
-	if ts := r.URL.Query().Get("timeout_ms"); ts != "" {
-		v, err := strconv.Atoi(ts)
-		if err != nil || v < 1 {
-			http.Error(w, `bad "timeout_ms" parameter`, http.StatusBadRequest)
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(v)*time.Millisecond)
-		defer cancel()
+// SearchContext fans the query out to one replica per shard and merges
+// their pages (merge). It forwards opts.TopM, opts.Algorithm and
+// opts.MaxPageReads; ctx's deadline bounds every replica attempt. Every
+// outcome other than a merged answer is an error the shared handler
+// writes out:
+//   - a replica's 400 as it is (no request is charged an error);
+//   - the request's deadline as 504;
+//   - every shard failed: the first shard's backpressure answer as it
+//     is, or else 502;
+//   - with FailOnDegraded, a partial answer as 503 (xrank.ErrDegraded).
+func (c *Coordinator) SearchContext(ctx context.Context, q string, opts xrank.SearchOptions) ([]xrank.SearchResult, *xrank.QueryStats, error) {
+	if opts.TopM <= 0 {
+		opts.TopM = 10
 	}
 	params := url.Values{}
 	params.Set("q", q)
-	params.Set("m", strconv.Itoa(m))
-	if as := r.URL.Query().Get("algo"); as != "" {
-		params.Set("algo", as)
-	}
-	if bs := r.URL.Query().Get("budget"); bs != "" {
-		if v, err := strconv.ParseInt(bs, 10, 64); err != nil || v < 1 {
-			http.Error(w, `bad "budget" parameter`, http.StatusBadRequest)
-			return
-		}
-		params.Set("budget", bs)
+	params.Set("m", strconv.Itoa(opts.TopM))
+	params.Set("algo", strings.ToLower(opts.Algorithm.String()))
+	if opts.MaxPageReads > 0 {
+		params.Set("budget", strconv.FormatInt(opts.MaxPageReads, 10))
 	}
 	c.requests.Inc()
 	t0 := time.Now()
@@ -659,108 +622,47 @@ func (c *Coordinator) serveSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	var pages []*shardPage
-	var failed []int
-	var firstBP *attemptResult
-	innerDegraded := false
-	var ioReads, cacheHits int64
-	for _, o := range outcomes {
-		if o.page != nil {
-			pages = append(pages, o.page)
-			ioReads += o.page.IOReads
-			cacheHits += o.page.CacheHits
-			if o.page.Degraded {
-				// The replica itself served a partial answer (local device
-				// trouble): the cluster response is degraded too.
-				innerDegraded = true
-			}
-			continue
-		}
-		failed = append(failed, o.shard)
-		if o.backpressure != nil && firstBP == nil {
-			firstBP = o.backpressure
-		}
-	}
-	sort.Ints(failed)
 	for _, o := range outcomes {
 		if o.rejected != nil {
-			// An invalid request: the client gets the replica's 400 as it
-			// is, and no replica is charged for it.
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(o.rejected.status)
-			w.Write(o.rejected.body)
-			return
+			// An invalid request: any replica would reject it, and no
+			// replica is charged for it.
+			return nil, nil, o.rejected
 		}
 	}
-
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		c.reqErrors.Inc()
-		http.Error(w, "cluster: request timed out", http.StatusGatewayTimeout)
-		return
+		return nil, nil, fmt.Errorf("cluster: request timed out: %w", ctx.Err())
 	}
-	if len(pages) == 0 {
+	results, stats := merge(outcomes, opts.TopM)
+	stats.Algorithm = opts.Algorithm
+	if len(stats.FailedShards) == len(outcomes) {
 		c.reqErrors.Inc()
-		if firstBP != nil {
-			// Every shard is alive but shedding: pass the backpressure
-			// through so clients keep their retry discipline.
-			ra := firstBP.retryAfter
-			if ra == "" {
-				ra = "1"
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Retry-After", ra)
-			w.WriteHeader(firstBP.status)
-			if len(firstBP.body) > 0 {
-				w.Write(firstBP.body)
-			} else {
-				json.NewEncoder(w).Encode(map[string]interface{}{"error": firstBP.err.Error()})
-			}
-			return
-		}
-		msgs := make([]string, 0, len(outcomes))
+		var msgs []string
 		for _, o := range outcomes {
+			if o.backpressure != nil {
+				// Every shard is alive but shedding: pass the backpressure
+				// through so clients keep their retry discipline.
+				return nil, nil, o.backpressure
+			}
 			if o.err != nil {
 				msgs = append(msgs, o.err.Error())
 			}
 		}
-		http.Error(w, "cluster: all shards failed: "+strings.Join(msgs, "; "), http.StatusBadGateway)
-		return
+		return nil, nil, &httpapi.StatusError{Status: http.StatusBadGateway,
+			ContentType: "text/plain; charset=utf-8",
+			Body:        []byte("cluster: all shards failed: " + strings.Join(msgs, "; ") + "\n")}
 	}
-	degraded := innerDegraded || len(failed) > 0
-	if degraded {
+	if stats.Degraded {
 		c.degradedTot.Inc()
 		if c.cfg.FailOnDegraded {
 			c.reqErrors.Inc()
-			http.Error(w, fmt.Sprintf("cluster: degraded results refused (failed shards %v)", failed),
-				http.StatusServiceUnavailable)
-			return
+			return nil, nil, fmt.Errorf("cluster: degraded results refused (failed shards %v): %w",
+				stats.FailedShards, xrank.ErrDegraded)
 		}
 	}
-	results := mergeResults(pages, m)
-	algorithm := algoName
-	for _, p := range pages {
-		if p.Algorithm != "" {
-			algorithm = p.Algorithm
-			break
-		}
-	}
-	wall := time.Since(t0)
+	stats.WallTime = time.Since(t0)
 	c.reg.Histogram("xrank_coord_latency_seconds",
 		"End-to-end wall time of successful coordinator searches.",
-		obs.DefaultLatencyBuckets()).Observe(wall.Seconds())
-	w.Header().Set("Content-Type", "application/json")
-	resp := map[string]interface{}{
-		"query":      q,
-		"algorithm":  algorithm,
-		"wall_us":    wall.Microseconds(),
-		"io_reads":   ioReads,
-		"cache_hits": cacheHits,
-		"shards":     len(c.placements),
-		"degraded":   degraded,
-		"results":    results,
-	}
-	if degraded {
-		resp["failed_shards"] = failed
-	}
-	json.NewEncoder(w).Encode(resp)
+		obs.DefaultLatencyBuckets()).Observe(stats.WallTime.Seconds())
+	return results, stats, nil
 }

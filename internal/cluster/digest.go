@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"time"
+
+	"xrank/internal/obs"
 )
 
 // latencyDigest keeps a bounded ring of recent winning-attempt
@@ -51,15 +52,8 @@ func (d *latencyDigest) quantile(q float64) (time.Duration, bool) {
 		d.mu.Unlock()
 		return 0, false
 	}
+	// Percentile sorts outside the lock, so observers never wait on it.
 	samples := append([]time.Duration(nil), d.ring[:n]...)
 	d.mu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := int(q * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return samples[idx], true
+	return obs.Percentile(samples, q), true
 }

@@ -4,7 +4,9 @@
 // Options — /metrics and /debug/pprof/. It is the one mux both `xrank
 // serve` and the in-process harnesses (tests, xrank-loadgen -inproc)
 // mount, so a load test exercises byte-for-byte the handler stack
-// production runs.
+// production runs. Its /api/search handler, SearchHandler, serves any
+// Searcher: the cluster coordinator mounts it too, so both tiers parse,
+// validate and answer a search the same way.
 //
 // Every /api/search and /api/suggest response carries a Server-Timing
 // header (queue;dur=…, search;dur=… in milliseconds) so external
@@ -29,6 +31,7 @@ import (
 
 	"xrank"
 	"xrank/internal/cache"
+	"xrank/internal/obs"
 )
 
 // maxDocBytes bounds one /api/docs upload; a document larger than this
@@ -74,52 +77,98 @@ func serverTiming(queue, search time.Duration) string {
 	return string(b)
 }
 
-// NewMux builds the HTTP API behind the panic-recovery middleware.
-func NewMux(e *xrank.Engine, opts Options) http.Handler {
-	mux := http.NewServeMux()
-	// Admission metrics live in the engine registry so one /metrics scrape
-	// covers the whole serving path.
-	admAdmitted := e.Metrics().Counter("xrank_admission_admitted_total", "Search requests admitted past the concurrency limiter.")
-	admShed := e.Metrics().Counter("xrank_admission_shed_total", "Search requests shed with 429: limiter saturated and queue full.")
-	admExpired := e.Metrics().Counter("xrank_admission_expired_total", "Search requests whose deadline expired while queued (503).")
-	admWaiting := e.Metrics().Gauge("xrank_admission_queued", "Search requests currently waiting for an execution slot.")
-	// acquire runs the admission gate shared by /api/search and
-	// /api/suggest: on success it returns the queue wait and a release
-	// to defer; on shed/expiry it writes the 429/503 JSON envelope
-	// itself and reports !ok. Callers validate parameters first so a
-	// malformed request never costs a slot.
-	acquire := func(ctx context.Context, w http.ResponseWriter) (queued time.Duration, release func(), ok bool) {
-		adm := opts.Admission
-		if adm == nil {
-			return 0, func() {}, true
-		}
-		admWaiting.Add(1)
-		t0 := time.Now()
-		err := adm.Acquire(ctx)
-		queued = time.Since(t0)
-		admWaiting.Add(-1)
-		if err != nil {
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, cache.ErrQueueFull) {
-				status = http.StatusTooManyRequests
-				admShed.Inc()
-			} else {
-				admExpired.Inc()
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Server-Timing", serverTiming(queued, 0))
-			w.WriteHeader(status)
-			json.NewEncoder(w).Encode(map[string]interface{}{
-				"error":               err.Error(),
-				"retry_after_seconds": 1,
-			})
-			return queued, nil, false
-		}
-		admAdmitted.Inc()
-		return queued, adm.Release, true
+// Searcher answers one query. *xrank.Engine satisfies it, and so does
+// the cluster coordinator: both tiers serve /api/search through
+// SearchHandler.
+type Searcher interface {
+	SearchContext(ctx context.Context, q string, opts xrank.SearchOptions) ([]xrank.SearchResult, *xrank.QueryStats, error)
+}
+
+// StatusError is a search failure that carries its whole reply: a
+// Searcher returns it to have the status, Content-Type, Retry-After
+// (when set) and body written as they are. The coordinator relays a
+// replica's 400 or backpressure answer through it, and reports every
+// shard failed as a 502.
+type StatusError struct {
+	Status      int
+	ContentType string
+	RetryAfter  string
+	Body        []byte
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("%d %s: %s", e.Status, http.StatusText(e.Status), strings.TrimSpace(string(e.Body)))
+}
+
+// gate is the admission controller /api/search and /api/suggest share,
+// with its metrics.
+type gate struct {
+	adm            *cache.Admission
+	admitted, shed *obs.Counter
+	expired        *obs.Counter
+	waiting        *obs.Gauge
+}
+
+// newGate registers the admission metrics in reg (nil: a private
+// registry) and gates on adm (nil: unbounded).
+func newGate(reg *obs.Registry, adm *cache.Admission) *gate {
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	mux.HandleFunc("/api/search", func(w http.ResponseWriter, r *http.Request) {
+	return &gate{
+		adm:      adm,
+		admitted: reg.Counter("xrank_admission_admitted_total", "Search requests admitted past the concurrency limiter."),
+		shed:     reg.Counter("xrank_admission_shed_total", "Search requests shed with 429: limiter saturated and queue full."),
+		expired:  reg.Counter("xrank_admission_expired_total", "Search requests whose deadline expired while queued (503)."),
+		waiting:  reg.Gauge("xrank_admission_queued", "Search requests currently waiting for an execution slot."),
+	}
+}
+
+// acquire waits for an execution slot: on success it returns the queue
+// wait and a release to defer; on shed/expiry it writes the 429/503 JSON
+// envelope itself and reports !ok. Callers validate parameters first so
+// a malformed request never costs a slot.
+func (g *gate) acquire(ctx context.Context, w http.ResponseWriter) (queued time.Duration, release func(), ok bool) {
+	if g.adm == nil {
+		return 0, func() {}, true
+	}
+	g.waiting.Add(1)
+	t0 := time.Now()
+	err := g.adm.Acquire(ctx)
+	queued = time.Since(t0)
+	g.waiting.Add(-1)
+	if err != nil {
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, cache.ErrQueueFull) {
+			status = http.StatusTooManyRequests
+			g.shed.Inc()
+		} else {
+			g.expired.Inc()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Server-Timing", serverTiming(queued, 0))
+		w.WriteHeader(status)
+		json.NewEncoder(w).Encode(map[string]interface{}{
+			"error":               err.Error(),
+			"retry_after_seconds": 1,
+		})
+		return queued, nil, false
+	}
+	g.admitted.Inc()
+	return queued, g.adm.Release, true
+}
+
+// SearchHandler serves /api/search over s. It validates the parameters
+// (q; m in [1,1000]; algo; timeout_ms and budget ≥ 1) with a 400 for a
+// bad one, waits at adm's gate (nil: unbounded; its metrics go to reg),
+// runs the query under the request's context and writes the reply
+// (appendSearchBody) with Content-Length and a Server-Timing header. A
+// failure is written by SearchErrorStatus, or as it is for a
+// *StatusError.
+func SearchHandler(s Searcher, reg *obs.Registry, adm *cache.Admission) http.Handler {
+	g := newGate(reg, adm)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		params := r.URL.Query()
 		q := params.Get("q")
 		if q == "" {
@@ -169,18 +218,18 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 		}
 		// Admission gate: ctx already carries the request's deadline so
 		// time queued counts against it.
-		queued, release, ok := acquire(ctx, w)
+		queued, release, ok := g.acquire(ctx, w)
 		if !ok {
 			return
 		}
 		defer release()
 		t0 := time.Now()
-		results, stats, err := e.SearchContext(ctx, q, xrank.SearchOptions{
+		results, stats, err := s.SearchContext(ctx, q, xrank.SearchOptions{
 			TopM: m, Algorithm: algo, MaxPageReads: budget,
 		})
 		w.Header().Set("Server-Timing", serverTiming(queued, time.Since(t0)))
 		if err != nil {
-			http.Error(w, err.Error(), SearchErrorStatus(err))
+			writeSearchError(w, err)
 			return
 		}
 		// A cache hit or coalesced waiter carries its results already
@@ -203,6 +252,32 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 			bodyPool.Put(buf)
 		}
 	})
+}
+
+// writeSearchError answers a failed search: a *StatusError as it is,
+// anything else as text with SearchErrorStatus's code.
+func writeSearchError(w http.ResponseWriter, err error) {
+	var se *StatusError
+	if !errors.As(err, &se) {
+		http.Error(w, err.Error(), SearchErrorStatus(err))
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", se.ContentType)
+	if se.RetryAfter != "" {
+		h.Set("Retry-After", se.RetryAfter)
+	}
+	w.WriteHeader(se.Status)
+	w.Write(se.Body)
+}
+
+// NewMux builds the HTTP API behind the panic-recovery middleware.
+func NewMux(e *xrank.Engine, opts Options) http.Handler {
+	mux := http.NewServeMux()
+	// Admission metrics live in the engine registry so one /metrics scrape
+	// covers the whole serving path.
+	g := newGate(e.Metrics(), opts.Admission)
+	mux.Handle("/api/search", SearchHandler(e, e.Metrics(), opts.Admission))
 	mux.HandleFunc("/api/suggest", func(w http.ResponseWriter, r *http.Request) {
 		// An empty q is a valid query (the top terms of the whole
 		// dictionary), so only a missing parameter is rejected.
@@ -223,7 +298,7 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 		// Completions share the search admission gate: a saturated
 		// engine sheds keystrokes before queries only in the sense that
 		// both wait in the same queue under the same limit.
-		queued, release, ok := acquire(r.Context(), w)
+		queued, release, ok := g.acquire(r.Context(), w)
 		if !ok {
 			return
 		}

@@ -91,7 +91,7 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 		t.Errorf("Terms = %d, want %d", ix.Meta.Terms, len(ref))
 	}
 	for term, want := range ref {
-		if !ix.HasTerm(term) {
+		if ix.DILCount(term) == 0 {
 			t.Fatalf("missing term %q", term)
 		}
 		cur, ok := ix.DILCursor(term)

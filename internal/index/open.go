@@ -209,12 +209,6 @@ func (p *pageFiles) IOStats() storage.Stats {
 	return s
 }
 
-// HasTerm reports whether term occurs anywhere in the collection.
-func (ix *Index) HasTerm(term string) bool {
-	_, ok := ix.dil.refs[term]
-	return ok
-}
-
 // DILListBytes returns the encoded byte size of the term's DIL list (used
 // for DIL cost estimation in the HDIL adaptive strategy).
 func (ix *Index) DILListBytes(term string) int64 {

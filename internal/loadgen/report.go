@@ -10,33 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
-)
 
-// Percentile returns the q-th percentile (q in [0,1]) of samples by
-// linear interpolation between closest ranks; samples need not be
-// sorted. Unlike the histogram estimate in internal/obs, this is exact:
-// the load harness keeps every latency sample, so nothing is lost to
-// bucket resolution.
-func Percentile(samples []int64, q float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i] + int64(frac*float64(s[i+1]-s[i]))
-}
+	"xrank/internal/obs"
+)
 
 // ArmReport is the published measurement of one arm: the slice of
 // BENCH_load.json the SLO gate compares, and one CSV row.
@@ -147,11 +123,11 @@ func BuildArmReport(res *ArmResult) ArmReport {
 		a.AchievedRPS = float64(res.Counts.Sent) / res.Wall.Seconds()
 	}
 	if n := len(res.SearchMicros); n > 0 {
-		a.P50Micros = Percentile(res.SearchMicros, 0.50)
-		a.P90Micros = Percentile(res.SearchMicros, 0.90)
-		a.P99Micros = Percentile(res.SearchMicros, 0.99)
-		a.P999Micros = Percentile(res.SearchMicros, 0.999)
-		a.MaxMicros = Percentile(res.SearchMicros, 1)
+		a.P50Micros = obs.Percentile(res.SearchMicros, 0.50)
+		a.P90Micros = obs.Percentile(res.SearchMicros, 0.90)
+		a.P99Micros = obs.Percentile(res.SearchMicros, 0.99)
+		a.P999Micros = obs.Percentile(res.SearchMicros, 0.999)
+		a.MaxMicros = obs.Percentile(res.SearchMicros, 1)
 		var sum int64
 		for _, v := range res.SearchMicros {
 			sum += v
@@ -160,7 +136,7 @@ func BuildArmReport(res *ArmResult) ArmReport {
 	}
 	if n := len(res.UpdateMicros); n > 0 {
 		a.UpdateOK = int64(n)
-		a.UpdateP99Micros = Percentile(res.UpdateMicros, 0.99)
+		a.UpdateP99Micros = obs.Percentile(res.UpdateMicros, 0.99)
 	}
 	if res.ServerTimed > 0 {
 		a.ServerQueueMeanMicros = res.ServerQueueMicros / res.ServerTimed
@@ -196,8 +172,8 @@ func BuildArmReport(res *ArmResult) ArmReport {
 			Shed429: tr.Counts.Shed429, Expired503: tr.Counts.Expired503,
 			Timeout504: tr.Counts.Timeout504, NotFound: tr.Counts.NotFound,
 			Failed:    tr.Counts.Failed,
-			P50Micros: Percentile(tr.SearchMicros, 0.50),
-			P99Micros: Percentile(tr.SearchMicros, 0.99),
+			P50Micros: obs.Percentile(tr.SearchMicros, 0.50),
+			P99Micros: obs.Percentile(tr.SearchMicros, 0.99),
 		})
 	}
 	return a

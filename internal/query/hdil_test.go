@@ -381,7 +381,7 @@ func TestStopPredictionNeverUndercounts(t *testing.T) {
 	checked := 0
 	for _, c := range corpora {
 		for _, q := range c.queries {
-			if !c.ix.HasTerm(q[0]) || !c.ix.HasTerm(q[1]) || len(q) == 3 && !c.ix.HasTerm(q[2]) {
+			if c.ix.DILCount(q[0]) == 0 || c.ix.DILCount(q[1]) == 0 || len(q) == 3 && c.ix.DILCount(q[2]) == 0 {
 				continue
 			}
 			opts := DefaultOptions()
