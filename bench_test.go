@@ -342,7 +342,7 @@ func BenchmarkQualityQueries(b *testing.B) {
 	for _, q := range []string{"gray", "author gray"} {
 		b.Run(strings.ReplaceAll(q, " ", "_"), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dblpEng.SearchTop(q, 10); err != nil {
+				if _, _, err := dblpEng.SearchDetailed(q, xrank.SearchOptions{TopM: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,10 +12,10 @@ import (
 	"xrank/internal/httpapi"
 )
 
-// serveCacheBytesDefault is the result-cache size the serve command uses
-// when neither the -cache-bytes flag nor the persisted engine config
-// picks one. Serving is exactly the workload the cache exists for, so it
-// is on by default here (the engine library keeps it opt-in).
+// serveCacheBytesDefault is the serve command's result-cache size unless
+// -cache-bytes picks one. Serving is exactly the workload the cache
+// exists for, so it is on by default here (the engine library keeps it
+// opt-in).
 const serveCacheBytesDefault = 32 << 20
 
 func cmdServe(args []string) error {
@@ -27,7 +27,7 @@ func cmdServe(args []string) error {
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof at /debug/pprof/")
 	updates := fs.Bool("updates", false, "serve POST/DELETE /api/docs (mutates the index)")
 	failDegraded := fs.Bool("fail-on-degraded", false, "fail queries (503) instead of serving partial results when shards are excluded")
-	cacheBytes := fs.Int64("cache-bytes", -1, "result cache size in bytes (0 disables; -1 = engine config, or 32 MiB if unset)")
+	cacheBytes := fs.Int64("cache-bytes", serveCacheBytesDefault, "result cache size in bytes (0 disables)")
 	coalesce := fs.Bool("coalesce", true, "coalesce concurrent identical queries into a single execution")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing /api/search requests (0 or negative disables admission control)")
 	admissionQueue := fs.Int("admission-queue", 0, "admission wait-queue length (0 = 2x max-inflight; negative disables queueing)")
@@ -49,15 +49,7 @@ func cmdServe(args []string) error {
 		}
 		e.SlowLog().SetThreshold(d)
 	}
-	cfg := e.Config()
-	bytes := *cacheBytes
-	if bytes < 0 {
-		bytes = cfg.CacheBytes
-		if bytes <= 0 {
-			bytes = serveCacheBytesDefault
-		}
-	}
-	e.ConfigureResultCache(bytes)
+	e.ConfigureResultCache(*cacheBytes)
 	e.SetCoalesceQueries(*coalesce)
 	var adm *cache.Admission
 	if *maxInflight > 0 {

@@ -138,25 +138,6 @@ func TestServeSuggestAPI(t *testing.T) {
 	}
 }
 
-// TestServeSuggestDisabled: an engine built with SuggestDisabled maps
-// ErrSuggestDisabled to 403, like the updates gate.
-func TestServeSuggestDisabled(t *testing.T) {
-	e := xrank.NewEngine(&xrank.Config{IndexDir: t.TempDir(), SuggestDisabled: true})
-	if err := e.AddXML("d", strings.NewReader("<doc><t>xml search</t></doc>")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	mux := httpapi.NewMux(e, httpapi.Options{})
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/suggest?q=x", nil))
-	if rec.Code != 403 {
-		t.Fatalf("suggest disabled: status %d, want 403: %s", rec.Code, rec.Body)
-	}
-}
-
 func TestServeAncestorsAPI(t *testing.T) {
 	e := newTestEngine(t)
 	mux := httpapi.NewMux(e, httpapi.Options{Metrics: true})

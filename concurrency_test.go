@@ -65,7 +65,7 @@ func TestConcurrentSearches(t *testing.T) {
 		t.Error(err)
 	}
 	// After the dust settles, doc7 must be gone from results.
-	rs, err := e.SearchTop("shared topic", 100)
+	rs, _, err := e.SearchDetailed("shared topic", SearchOptions{TopM: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

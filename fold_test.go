@@ -219,13 +219,17 @@ func TestAddDocsNeverNeedsCompaction(t *testing.T) {
 // TestOpenIgnoresRetiredConfigFields: an engine.json whose Config still
 // carries retired knobs — the background compactor's, SuggestMaxK, the
 // shard fault knobs and RankFraction that became constants, SlowLogSize,
-// the admission defaults the serve flags alone now set, and the ElemRank
-// parameters, variant and proximity switch the engine no longer varies —
-// opens and answers exactly like the directory did before. (A directory
-// whose ranks were baked under other ElemRank settings fails its rank CRC
-// instead; see TestOpenRankCRCMismatch. One that set DisableProximity
-// answers with proximity on; SearchOptions.ProximityOff turns it off per
-// query.)
+// the admission defaults the serve flags alone now set, the ElemRank
+// parameters, variant and proximity switch the engine no longer varies,
+// PoolPages and SlowQueryMillis — or the settings engines stored before
+// engine.json held only what defines the directory (IndexDir, the result
+// cache, coalescing, strict degraded mode) opens and answers exactly like
+// the directory did before, and serves as an engine opened without them:
+// no cache, not strict. (A directory whose ranks were baked under other
+// ElemRank settings fails its rank CRC instead; see
+// TestOpenRankCRCMismatch. One that set DisableProximity answers with
+// proximity on; SearchOptions.ProximityOff turns it off per query. One
+// that set SuggestDisabled: see TestOpenSuggestDisabledDirectory.)
 func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	dir := t.TempDir()
 	e := NewEngine(&Config{IndexDir: dir, Shards: 2})
@@ -254,13 +258,20 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 		cfg["Epsilon"] = 0.001
 		cfg["ElemRankVariant"] = "pagerank"
 		cfg["DisableProximity"] = true
+		cfg["PoolPages"] = 1
+		cfg["SlowQueryMillis"] = -1
+		cfg["IndexDir"] = filepath.Join(dir, "elsewhere")
+		cfg["FailOnDegraded"] = true
+		cfg["CacheBytes"] = 1 << 20
+		cfg["CoalesceQueries"] = true
 	})
 	raw, err := os.ReadFile(filepath.Join(dir, fileEngine))
 	if err != nil || !strings.Contains(string(raw), "CompactBudgetPages") {
 		t.Fatalf("engine.json does not carry the retired fields: %v", err)
 	}
 
-	e, err = OpenEngine(dir)
+	ffs := storage.NewFaultFS(nil, 1)
+	e, err = OpenEngineFS(dir, ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, retired := range []string{"Compact", "SuggestMaxK", "ShardWorkers", "ShardRetr", "ShardFailure", "ShardProbe", "RankFraction", "SlowLogSize", "MaxInflightQueries", "AdmissionQueue",
-		"D1", "D2", "D3", "Epsilon", "ElemRankVariant", "DisableProximity"} {
+		"D1", "D2", "D3", "Epsilon", "ElemRankVariant", "DisableProximity", "PoolPages", "SlowQueryMillis", "FailOnDegraded", "SuggestDisabled"} {
 		if strings.Contains(string(b), retired) {
 			t.Fatalf("Config still has retired field %s: %s", retired, b)
 		}
@@ -281,6 +292,31 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	// The retired SuggestMaxK no longer lowers the clamp.
 	if sug, _, err := e.Suggest("", 50); err != nil || len(sug) <= 7 {
 		t.Fatalf("Suggest(k=50) = %d completions (%v), want more than the retired cap of 7", len(sug), err)
+	}
+	// The stored path, slow-query threshold, cache and coalescing are
+	// not the reopened engine's.
+	if c := e.Config(); c.IndexDir != dir || c.CacheBytes != 0 || c.CoalesceQueries {
+		t.Fatalf("reopened Config = %+v, want IndexDir %s and no cache or coalescing", c, dir)
+	}
+	if th := e.SlowLog().Threshold(); th != defaultSlowQueryThreshold {
+		t.Fatalf("slow-query threshold %v, want the default %v", th, defaultSlowQueryThreshold)
+	}
+	for i := 0; i < 2; i++ {
+		if _, st, err := e.SearchDetailed("xml search", SearchOptions{}); err != nil || st.Cached || st.Coalesced {
+			t.Fatalf("ask %d: cached %v, coalesced %v (%v); the stored cache settings took effect", i, st.Cached, st.Coalesced, err)
+		}
+	}
+	if cs := e.CacheStats(); cs.Enabled || cs.Hits != 0 {
+		t.Fatalf("cache stats %+v, want no cache", cs)
+	}
+	// The stored FailOnDegraded is not strict mode: a query over a failed
+	// shard serves the healthy one.
+	ffs.FailReads(shardPred(0), storage.ErrInjected, -1)
+	if err := e.ColdCache(); err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := e.SearchDetailed("xml search", SearchOptions{Algorithm: AlgoDIL}); err != nil || !st.Degraded {
+		t.Fatalf("query over a failed shard: err %v, degraded %v; want partial results", err, st != nil && st.Degraded)
 	}
 }
 

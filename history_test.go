@@ -1,8 +1,10 @@
 package xrank
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -124,14 +126,15 @@ type histVersion struct {
 // CacheBytes and CoalesceQueries, and the cache oracle runs) and either
 // a script or a seeded generator's budget: documents in the base build,
 // steps after it, and how many of them may crash. reopenEach replaces
-// the engine with its reopen after every step.
+// the engine with its reopen after every step; twin feeds a second
+// engine the same history, and the twin oracle runs.
 type histRow struct {
-	name                 string
-	shards               int
-	cache, reopenEach    bool
-	seed                 int64
-	script               func(h *histRun)
-	base, steps, crashes int
+	name                    string
+	shards                  int
+	cache, reopenEach, twin bool
+	seed                    int64
+	script                  func(h *histRun)
+	base, steps, crashes    int
 }
 
 var histRows = []histRow{
@@ -162,9 +165,9 @@ var histRows = []histRow{
 	// Generated histories. At shards 1 the base is large enough that
 	// the vocabulary's lists span several blocks, so pruning has blocks
 	// to skip; shards 2 is the merge of two partitions.
-	{name: "seeded/shards=1", shards: 1, seed: 1, base: 120, steps: 14, crashes: 2},
-	{name: "seeded/shards=2", shards: 2, seed: 2, base: 24, steps: 14, crashes: 2},
-	{name: "seeded/shards=8", shards: 8, seed: 8, base: 24, steps: 14, crashes: 2},
+	{name: "seeded/shards=1", shards: 1, twin: true, seed: 1, base: 120, steps: 14, crashes: 2},
+	{name: "seeded/shards=2", shards: 2, twin: true, seed: 2, base: 24, steps: 14, crashes: 2},
+	{name: "seeded/shards=8", shards: 8, twin: true, seed: 8, base: 24, steps: 14, crashes: 2},
 	{name: "cached/shards=1", shards: 1, cache: true, seed: 11, base: 24, steps: 14, crashes: 1},
 	{name: "cached/shards=8", shards: 8, cache: true, seed: 18, base: 24, steps: 14, crashes: 1},
 }
@@ -177,8 +180,10 @@ func TestHistory(t *testing.T) {
 				liveID: map[string]int{}, frags: map[string]string{}, ops: map[string]int{}}
 			h.dir = h.freshDir()
 			t.Cleanup(func() {
-				if h.cur != nil {
-					h.cur.Close()
+				for _, e := range []*Engine{h.cur, h.twin} {
+					if e != nil {
+						e.Close()
+					}
 				}
 				h.closeRef()
 			})
@@ -209,6 +214,11 @@ type histRun struct {
 	dir  string // the engine's index directory (Update moves it)
 	rng  *rand.Rand
 	cur  *Engine
+	// twin, on twin rows, is fed the same history as cur in twinDir,
+	// whose path has another length than dir's.
+	twin    *Engine
+	twinDir string
+	twins   int // twin directories named so far
 
 	history []histVersion  // document ID == slice index, as the engine assigns them
 	liveID  map[string]int // name -> newest live version's ID
@@ -237,28 +247,59 @@ func (h *histRun) freshDir() string {
 	return filepath.Join(h.base, fmt.Sprintf("idx%d", h.dirs))
 }
 
+// twinFreshDir names the twin's next directory, one level deeper than
+// freshDir's.
+func (h *histRun) twinFreshDir() string {
+	h.twins++
+	return filepath.Join(h.base, "twin", fmt.Sprintf("idx%d", h.twins))
+}
+
+// histCacheBytes is a cache row's result-cache size.
+const histCacheBytes = 1 << 20
+
 func (h *histRun) config(dir string) *Config {
 	c := &Config{IndexDir: dir, Shards: h.row.shards, FS: histFS}
 	if h.row.cache {
-		c.CacheBytes, c.CoalesceQueries = 1<<20, true
+		c.CacheBytes, c.CoalesceQueries = histCacheBytes, true
 	}
 	return c
+}
+
+// open opens dir through fs. On a cache row it then sets the serving
+// settings engine.json does not store, as the serve command does.
+func (h *histRun) open(dir string, fs storage.FS) (*Engine, error) {
+	e, err := OpenEngineFS(dir, fs)
+	if err == nil && h.row.cache {
+		e.ConfigureResultCache(histCacheBytes)
+		e.SetCoalesceQueries(true)
+	}
+	return e, err
 }
 
 // build builds the base engine over the given documents (names ending in
 // .html parse as HTML, as in AddDocs) and checks it.
 func (h *histRun) build(base []histVersion) {
 	t := h.t
-	h.cur = NewEngine(h.config(h.dir))
-	for _, v := range base {
-		if err := h.cur.add(v.name, strings.NewReader(v.content), isHTMLName(v.name)); err != nil {
+	build := func(dir string) *Engine {
+		e := NewEngine(h.config(dir))
+		for _, v := range base {
+			if err := e.add(v.name, strings.NewReader(v.content), isHTMLName(v.name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Build(); err != nil {
 			t.Fatal(err)
 		}
+		return e
+	}
+	h.cur = build(h.dir)
+	if h.row.twin {
+		h.twinDir = h.twinFreshDir()
+		h.twin = build(h.twinDir)
+	}
+	for _, v := range base {
 		h.history = append(h.history, v)
 		h.liveID[v.name] = len(h.history) - 1
-	}
-	if _, err := h.cur.Build(); err != nil {
-		t.Fatal(err)
 	}
 	h.check("initial build", "build")
 }
@@ -535,7 +576,25 @@ func (h *histRun) mutate(tag string, m histMut) {
 		h.cur.Close()
 		h.cur, h.dir = ne, out
 	}
+	h.twinRun(tag, m)
 	m.record(h)
+}
+
+// twinRun runs m on the twin, if the row has one, as on the engine.
+func (h *histRun) twinRun(tag string, m histMut) {
+	h.t.Helper()
+	if h.twin == nil {
+		return
+	}
+	out := h.twinFreshDir()
+	ne, err := m.run(h, h.twin, out)
+	if err != nil {
+		h.t.Fatalf("%s: twin: %v", tag, err)
+	}
+	if ne != nil {
+		h.twin.Close()
+		h.twin, h.twinDir = ne, out
+	}
 }
 
 // failBatch adds a batch one of whose documents does not parse: AddDocs
@@ -548,6 +607,9 @@ func (h *histRun) failBatch(tag string, batch map[string]string) {
 	if err := h.cur.AddDocs(readers(batch)); err == nil {
 		h.t.Fatalf("%s: AddDocs accepted an unparsable document", tag)
 	}
+	if h.twin != nil && h.twin.AddDocs(readers(batch)) == nil {
+		h.t.Fatalf("%s: the twin's AddDocs accepted an unparsable document", tag)
+	}
 	c1, e1 := solveCounters(h.cur)
 	if h.cur.NumDocs() != docs || h.cur.SegmentCount() != segs || c1 != c0 || e1 != e0 {
 		h.t.Fatalf("%s: a failed AddDocs changed the engine", tag)
@@ -558,7 +620,8 @@ func (h *histRun) failBatch(tag string, batch map[string]string) {
 // fault-free run on a copy of the directory counts m's write boundaries
 // and gives the post-state; the crashed run's directory must then reopen
 // as exactly the pre- or the post-state, and the run continues from
-// whichever it got.
+// whichever it got. The twin, which does not crash, replays the state
+// the row reached.
 func (h *histRun) crash(tag string, m histMut) {
 	t := h.t
 	t.Helper()
@@ -566,7 +629,7 @@ func (h *histRun) crash(tag string, m histMut) {
 	h.cur.Close()
 	h.cur = nil
 	open := func(dir string, fs storage.FS) *Engine {
-		e, err := OpenEngineFS(dir, fs)
+		e, err := h.open(dir, fs)
 		if err != nil {
 			t.Fatalf("%s: open %s: %v", tag, dir, err)
 		}
@@ -612,6 +675,7 @@ func (h *histRun) crash(tag string, m histMut) {
 	switch got := reopenSig(t, h.cur, histQueries); {
 	case reflect.DeepEqual(got, post):
 		h.dir = dir
+		h.twinRun(tag, m)
 		m.record(h)
 	case dir == h.dir && reflect.DeepEqual(got, pre):
 		if err == nil {
@@ -769,12 +833,19 @@ var (
 		h.mutate(tag, deleteMut(names[h.rng.Intn(len(names))]))
 	}}
 	compactOp = histOp{"compact", func(h *histRun, tag string) { h.mutate(tag, compactMut) }}
-	// reopenOp continues with a reopen of the engine's directory.
+	// reopenOp continues with a reopen of the engine's directory (and
+	// of the twin's).
 	reopenOp = histOp{"reopen", func(h *histRun, tag string) {
 		h.cur.Close()
 		var err error
-		if h.cur, err = OpenEngineFS(h.dir, histFS); err != nil {
+		if h.cur, err = h.open(h.dir, histFS); err != nil {
 			h.t.Fatalf("%s: reopen: %v", tag, err)
+		}
+		if h.twin != nil {
+			h.twin.Close()
+			if h.twin, err = h.open(h.twinDir, histFS); err != nil {
+				h.t.Fatalf("%s: reopen the twin: %v", tag, err)
+			}
 		}
 	}}
 )
@@ -1011,6 +1082,7 @@ var histOracles = []struct {
 	{"brute force", checkBruteForce},
 	{"ranks", checkRanks},
 	{"reopen", checkReopen},
+	{"twin", checkTwin},
 }
 
 // check runs every oracle; a step fails with each oracle that failed.
@@ -1026,7 +1098,7 @@ func (h *histRun) check(tag, op string) {
 	}
 	s := &histStep{op: op, ref: h.ref, cur: searchAll(h.t, h.cur, histQueries), want: h.refWant}
 	var err error
-	if s.reopened, err = OpenEngineFS(h.dir, histFS); err != nil {
+	if s.reopened, err = h.open(h.dir, histFS); err != nil {
 		h.t.Fatalf("%s: reopen: %v", tag, err)
 	}
 	var fails []string
@@ -1065,7 +1137,7 @@ func (h *histRun) closeRef() {
 func (h *histRun) reference() *Engine {
 	h.t.Helper()
 	c := h.config(h.freshDir())
-	c.CacheBytes, c.CoalesceQueries, c.SuggestDisabled = 0, false, true // no oracle asks it
+	c.CacheBytes, c.CoalesceQueries = 0, false // no oracle asks it
 	s := NewEngine(c)
 	for _, v := range h.history {
 		if err := s.addVersion(v.name, []byte(v.content), isHTMLName(v.name)); err != nil {
@@ -1389,4 +1461,83 @@ func reopenSig(t *testing.T, e *Engine, queries []string) engineSig {
 	sig.rankVer, sig.segs = e.RankVersion(), e.Segments()
 	sig.answers = searchAll(t, e, queries)
 	return sig
+}
+
+// checkTwin, on twin rows: the twin, fed the same history in a directory
+// whose path has another length, holds byte-identical files, so a
+// directory is a function of its history and not of where it lives.
+// (This generalises TestBuildShardedDeterministic from one build to the
+// whole directory and every step.)
+func checkTwin(h *histRun, s *histStep) error {
+	if h.twin == nil {
+		return nil
+	}
+	if len(h.dir) == len(h.twinDir) {
+		return fmt.Errorf("the twin's path %s is as long as %s", h.twinDir, h.dir)
+	}
+	got, err := committedFiles(h.dir)
+	if err != nil {
+		return err
+	}
+	want, err := committedFiles(h.twinDir)
+	if err != nil {
+		return err
+	}
+	for _, name := range sortedKeys(got) {
+		if w, ok := want[name]; !ok {
+			return fmt.Errorf("%s is not in the twin", name)
+		} else if !bytes.Equal(got[name], w) {
+			return fmt.Errorf("%s differs from the twin's (%d against %d bytes)", name, len(got[name]), len(w))
+		}
+	}
+	for _, name := range sortedKeys(want) {
+		if _, ok := got[name]; !ok {
+			return fmt.Errorf("the twin's %s is missing", name)
+		}
+	}
+	return nil
+}
+
+// committedFiles reads every file of the index directory dir by its
+// relative path, leaving out what a crash may leave behind and no commit
+// names: temp files, and segment directories and document-store files
+// that segments.json does not list.
+func committedFiles(dir string) (map[string][]byte, error) {
+	var sm segmentsManifest
+	if err := storage.ReadManifest(histFS, filepath.Join(dir, fileSegments), &sm); err != nil {
+		return nil, err
+	}
+	named := map[string]bool{}
+	for _, d := range sm.Docs {
+		named[filepath.Join("docs", d.File)] = true
+	}
+	for _, se := range sm.Segments {
+		named[se.Dir] = true
+	}
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		parent, base := filepath.Split(rel)
+		switch {
+		case d.IsDir():
+			if parent == "" && strings.HasPrefix(base, "seg-") && !named[rel] {
+				return filepath.SkipDir
+			}
+			return nil
+		case strings.HasPrefix(base, ".") && strings.HasSuffix(base, ".tmp"):
+			return nil
+		case parent == "docs"+string(filepath.Separator) && !named[rel]:
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		files[rel] = data
+		return err
+	})
+	return files, err
 }

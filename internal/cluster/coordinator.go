@@ -154,8 +154,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		digest:     newLatencyDigest(),
 		reg:        reg,
 
-		requests:     reg.Counter("xrank_coord_requests_total", "Search requests the coordinator accepted for fan-out."),
-		reqErrors:    reg.Counter("xrank_coord_errors_total", "Coordinator search requests that ended in a non-2xx response."),
+		requests:     reg.Counter("xrank_coord_requests_total", "Search requests the coordinator received."),
+		reqErrors:    reg.Counter("xrank_coord_errors_total", "Coordinator search requests answered with a non-2xx status."),
 		degradedTot:  reg.Counter("xrank_coord_degraded_total", "Coordinator responses served with at least one shard missing."),
 		attempts:     reg.Counter("xrank_replica_attempts_total", "Replica requests issued (hedges included, cancelled losers excluded)."),
 		failures:     reg.Counter("xrank_replica_failures_total", "Replica attempts that failed (transport error, timeout, or 5xx)."),
@@ -552,7 +552,11 @@ func merge(outcomes []shardOutcome, m int) ([]xrank.SearchResult, *xrank.QuerySt
 // with cfg.Metrics — /metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/api/search", httpapi.SearchHandler(c, nil, nil))
+	search := httpapi.SearchHandler(c, nil, nil)
+	mux.HandleFunc("/api/search", func(w http.ResponseWriter, r *http.Request) {
+		c.requests.Inc()
+		search.ServeHTTP(errorCounter{w, c.reqErrors}, r)
+	})
 	mux.HandleFunc("/api/cluster", func(w http.ResponseWriter, r *http.Request) {
 		shards := make([]map[string]interface{}, len(c.placements))
 		for s, reps := range c.placements {
@@ -587,12 +591,27 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// errorCounter counts a response written with a non-2xx status, where
+// the status is written: the shared handler's own 400s, the errors it
+// writes for SearchContext, and the 400s it relays from a replica.
+type errorCounter struct {
+	http.ResponseWriter
+	errors *obs.Counter
+}
+
+func (w errorCounter) WriteHeader(code int) {
+	if code/100 != 2 {
+		w.errors.Inc()
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
 // SearchContext fans the query out to one replica per shard and merges
 // their pages (merge). It forwards opts.TopM, opts.Algorithm and
 // opts.MaxPageReads; ctx's deadline bounds every replica attempt. Every
 // outcome other than a merged answer is an error the shared handler
 // writes out:
-//   - a replica's 400 as it is (no request is charged an error);
+//   - a replica's 400 as it is (no replica is charged for it);
 //   - the request's deadline as 504;
 //   - every shard failed: the first shard's backpressure answer as it
 //     is, or else 502;
@@ -608,7 +627,6 @@ func (c *Coordinator) SearchContext(ctx context.Context, q string, opts xrank.Se
 	if opts.MaxPageReads > 0 {
 		params.Set("budget", strconv.FormatInt(opts.MaxPageReads, 10))
 	}
-	c.requests.Inc()
 	t0 := time.Now()
 
 	outcomes := make([]shardOutcome, len(c.placements))
@@ -630,13 +648,11 @@ func (c *Coordinator) SearchContext(ctx context.Context, q string, opts xrank.Se
 		}
 	}
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		c.reqErrors.Inc()
 		return nil, nil, fmt.Errorf("cluster: request timed out: %w", ctx.Err())
 	}
 	results, stats := merge(outcomes, opts.TopM)
 	stats.Algorithm = opts.Algorithm
 	if len(stats.FailedShards) == len(outcomes) {
-		c.reqErrors.Inc()
 		var msgs []string
 		for _, o := range outcomes {
 			if o.backpressure != nil {
@@ -655,7 +671,6 @@ func (c *Coordinator) SearchContext(ctx context.Context, q string, opts xrank.Se
 	if stats.Degraded {
 		c.degradedTot.Inc()
 		if c.cfg.FailOnDegraded {
-			c.reqErrors.Inc()
 			return nil, nil, fmt.Errorf("cluster: degraded results refused (failed shards %v): %w",
 				stats.FailedShards, xrank.ErrDegraded)
 		}

@@ -405,6 +405,56 @@ func TestKeywordFreeQueryPassesThrough400(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRequestAccounting: every /api/search request is
+// counted once in xrank_coord_requests_total and ends either as a success
+// (an observation of xrank_coord_latency_seconds) or as an error
+// (xrank_coord_errors_total), whatever its status class: a 200, the shared
+// handler's own 400 (m=0), a replica's 400 relayed (a keyword-free q), and
+// a 502 once every shard is down.
+func TestCoordinatorRequestAccounting(t *testing.T) {
+	dir := buildShardDir(t, clusterCorpus(0, 4))
+	p := proxied(t, startReplica(t, map[int]string{0: dir}, muxOpts()))
+	c, coord := startCoordinator(t, CoordinatorConfig{
+		Shards:       [][]string{{p.URL()}},
+		RetryBackoff: time.Millisecond,
+		HedgeDelay:   -1,
+	})
+	counts := func() (requests, successes, errors int64) {
+		write := c.Metrics().WritePrometheus
+		return metricValue(t, write, "xrank_coord_requests_total"),
+			metricValue(t, write, "xrank_coord_latency_seconds_count"),
+			metricValue(t, write, "xrank_coord_errors_total")
+	}
+	for _, tc := range []struct {
+		name, url string
+		status    int
+		chaos     ChaosMode
+	}{
+		{"success", searchURL(coord.URL, "common"), http.StatusOK, ChaosPass},
+		{"handler 400", coord.URL + "/api/search?q=common&m=0", http.StatusBadRequest, ChaosPass},
+		{"relayed 400", searchURL(coord.URL, "!!!"), http.StatusBadRequest, ChaosPass},
+		{"502", searchURL(coord.URL, "common"), http.StatusBadGateway, ChaosRefuse},
+	} {
+		p.SetSchedule([]ChaosMode{tc.chaos})
+		r0, s0, e0 := counts()
+		if st, _, body := get(t, serialClient(), tc.url); st != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, st, tc.status, body)
+		}
+		r1, s1, e1 := counts()
+		wantS, wantE := int64(0), int64(1)
+		if tc.status/100 == 2 {
+			wantS, wantE = 1, 0
+		}
+		if r1-r0 != 1 || s1-s0 != wantS || e1-e0 != wantE {
+			t.Fatalf("%s: requests +%d, successes +%d, errors +%d; want +1, +%d, +%d",
+				tc.name, r1-r0, s1-s0, e1-e0, wantS, wantE)
+		}
+		if r1 != s1+e1 {
+			t.Fatalf("%s: %d requests, %d successes + %d errors", tc.name, r1, s1, e1)
+		}
+	}
+}
+
 // muxOpts is the standard replica handler configuration for tests:
 // metrics on, no admission limit (admission-specific tests build their
 // own).

@@ -33,7 +33,7 @@ func TestGenerateParsesAndScales(t *testing.T) {
 	maxDepth := 0
 	for _, d := range c.Docs {
 		for _, e := range d.Elements {
-			if dep := e.DeweyID().Depth(); dep > maxDepth {
+			if dep := len(e.DeweyID()) - 1; dep > maxDepth {
 				maxDepth = dep
 			}
 		}

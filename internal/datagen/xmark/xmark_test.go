@@ -25,7 +25,7 @@ func TestGenerateParsesDeep(t *testing.T) {
 	}
 	maxDepth := 0
 	for _, e := range d.Elements {
-		if dep := e.DeweyID().Depth(); dep > maxDepth {
+		if dep := len(e.DeweyID()) - 1; dep > maxDepth {
 			maxDepth = dep
 		}
 	}

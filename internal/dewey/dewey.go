@@ -67,19 +67,10 @@ func CommonPrefixLen(a, b ID) int {
 	return i
 }
 
-// CommonPrefix returns the deepest common ancestor ID of a and b, which is
-// their longest common prefix. The result aliases a's backing array.
-func CommonPrefix(a, b ID) ID { return a[:CommonPrefixLen(a, b)] }
-
 // IsPrefixOf reports whether a is a (not necessarily proper) prefix of b,
 // i.e. whether the element identified by a is b's ancestor-or-self.
 func (a ID) IsPrefixOf(b ID) bool {
 	return len(a) <= len(b) && CommonPrefixLen(a, b) == len(a)
-}
-
-// IsAncestorOf reports whether a is a proper ancestor of b.
-func (a ID) IsAncestorOf(b ID) bool {
-	return len(a) < len(b) && CommonPrefixLen(a, b) == len(a)
 }
 
 // Parent returns the ID of the parent element (the ID without its last
@@ -118,15 +109,6 @@ func (a ID) Doc() uint32 {
 	return a[0]
 }
 
-// Depth returns the number of components below the document component;
-// the document root element has depth 1.
-func (a ID) Depth() int {
-	if len(a) == 0 {
-		return 0
-	}
-	return len(a) - 1
-}
-
 // String renders the ID in the paper's dotted notation, e.g. "5.0.3.0.0".
 func (a ID) String() string {
 	if len(a) == 0 {
@@ -157,20 +139,4 @@ func Parse(s string) (ID, error) {
 		id[i] = uint32(v)
 	}
 	return id, nil
-}
-
-// Min returns the smaller of a and b in document order.
-func Min(a, b ID) ID {
-	if Compare(a, b) <= 0 {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b in document order.
-func Max(a, b ID) ID {
-	if Compare(a, b) >= 0 {
-		return a
-	}
-	return b
 }

@@ -44,24 +44,17 @@ func TestCommonPrefix(t *testing.T) {
 		if got := CommonPrefixLen(c.a, c.b); got != c.want {
 			t.Errorf("CommonPrefixLen(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
-		cp := CommonPrefix(c.a, c.b)
-		if len(cp) != c.want {
-			t.Errorf("CommonPrefix(%v, %v) = %v, want length %d", c.a, c.b, cp, c.want)
-		}
 	}
 }
 
 func TestPrefixAncestor(t *testing.T) {
 	a := id(5, 0, 3)
 	d := id(5, 0, 3, 0, 1)
-	if !a.IsPrefixOf(d) || !a.IsAncestorOf(d) {
-		t.Errorf("%v should be ancestor and prefix of %v", a, d)
+	if !a.IsPrefixOf(d) {
+		t.Errorf("%v should be a prefix of %v", a, d)
 	}
 	if !a.IsPrefixOf(a) {
 		t.Errorf("ID should be prefix of itself")
-	}
-	if a.IsAncestorOf(a) {
-		t.Errorf("ID should not be proper ancestor of itself")
 	}
 	if d.IsPrefixOf(a) {
 		t.Errorf("descendant is not prefix of ancestor")
@@ -130,20 +123,7 @@ func TestDocDepth(t *testing.T) {
 	if a.Doc() != 7 {
 		t.Errorf("Doc = %d", a.Doc())
 	}
-	if a.Depth() != 2 {
-		t.Errorf("Depth = %d", a.Depth())
-	}
-	if ID(nil).Doc() != 0 || ID(nil).Depth() != 0 {
-		t.Errorf("nil Doc/Depth should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	a, b := id(1, 2), id(1, 3)
-	if !Equal(Min(a, b), a) || !Equal(Max(a, b), b) {
-		t.Errorf("Min/Max wrong")
-	}
-	if !Equal(Min(b, a), a) || !Equal(Max(b, a), b) {
-		t.Errorf("Min/Max not symmetric")
+	if ID(nil).Doc() != 0 {
+		t.Errorf("nil Doc should be 0")
 	}
 }

@@ -307,11 +307,7 @@ func NewMux(e *xrank.Engine, opts Options) http.Handler {
 		sugs, st, err := e.Suggest(q, k)
 		w.Header().Set("Server-Timing", serverTiming(queued, time.Since(t0)))
 		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, xrank.ErrSuggestDisabled) {
-				status = http.StatusForbidden
-			}
-			http.Error(w, err.Error(), status)
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		if sugs == nil {

@@ -314,7 +314,7 @@ func TestDerivedListLocations(t *testing.T) {
 		file string
 		refs map[string][]BlockRef
 	}{{fileDILPost, ix.dil.refs}, {fileRDILPost, ix.rdil.refs}} {
-		pf, err := storage.OpenPageFile(filepath.Join(ix.Dir, l.file))
+		pf, err := storage.OpenPageFileFS(nil, filepath.Join(ix.Dir, l.file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestDerivedListLocations(t *testing.T) {
 		var blocks []block
 		page := make([]byte, storage.PageSize)
 		for id := storage.PageID(0); uint32(id) < pf.NumPages(); id++ {
-			if err := pf.ReadPage(id, page); err != nil {
+			if err := pf.ReadPageExec(nil, id, page); err != nil {
 				t.Fatal(err)
 			}
 			for off := 0; off+entryLenSize <= storage.PageSize; {

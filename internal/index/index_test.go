@@ -94,7 +94,7 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 		if ix.DILCount(term) == 0 {
 			t.Fatalf("missing term %q", term)
 		}
-		cur, ok := ix.DILCursor(term)
+		cur, ok := ix.DILCursorExec(nil, term)
 		if !ok {
 			t.Fatalf("no DIL cursor for %q", term)
 		}
@@ -127,7 +127,7 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 		}
 		cur.Close()
 	}
-	if _, ok := ix.DILCursor("nonexistentterm"); ok {
+	if _, ok := ix.DILCursorExec(nil, "nonexistentterm"); ok {
 		t.Errorf("cursor for unknown term")
 	}
 }
@@ -135,7 +135,7 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 func TestRDILRankOrdered(t *testing.T) {
 	_, _, ix := buildTestIndex(t, map[string]string{"lib": smallDoc}, BuildOptions{})
 	for _, term := range []string{"sky", "blue", "book"} {
-		cur, ok := ix.RDILRankCursor(term)
+		cur, ok := ix.RDILRankCursorExec(nil, term)
 		if !ok {
 			t.Fatalf("no cursor for %q", term)
 		}
@@ -242,7 +242,7 @@ func TestMultiPageListAndProbers(t *testing.T) {
 	if len(want) != 3000 {
 		t.Fatalf("reference has %d entries", len(want))
 	}
-	cur, _ := ix.DILCursor("common")
+	cur, _ := ix.DILCursorExec(nil, "common")
 	got := 0
 	for {
 		p, ok, err := cur.Next()
@@ -377,7 +377,7 @@ func TestColdCacheAndStats(t *testing.T) {
 	if err := ix.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := ix.DILCursor("common")
+	cur, _ := ix.DILCursorExec(nil, "common")
 	for {
 		_, ok, err := cur.Next()
 		if err != nil {
@@ -396,7 +396,7 @@ func TestColdCacheAndStats(t *testing.T) {
 		t.Errorf("a DIL scan should be mostly sequential: %+v", s1)
 	}
 	// Re-scan warm: all hits, no new device reads.
-	cur, _ = ix.DILCursor("common")
+	cur, _ = ix.DILCursorExec(nil, "common")
 	for {
 		_, ok, err := cur.Next()
 		if err != nil {
@@ -502,7 +502,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestListCursorExhaustedAndCount(t *testing.T) {
 	_, _, ix := buildTestIndex(t, map[string]string{"d": smallDoc}, BuildOptions{})
-	cur, ok := ix.DILCursor("sky")
+	cur, ok := ix.DILCursorExec(nil, "sky")
 	if !ok {
 		t.Fatal("no cursor")
 	}

@@ -189,7 +189,7 @@ func TestSpaceShapeNaiveVsDIL(t *testing.T) {
 
 func newHashEnv(t *testing.T) (*storage.PageFile, *storage.BufferPool, *hashBuilder) {
 	t.Helper()
-	pf, err := storage.CreatePageFile(filepath.Join(t.TempDir(), "hash.pages"))
+	pf, err := storage.CreatePageFileFS(nil, filepath.Join(t.TempDir(), "hash.pages"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestHashEmptyTable(t *testing.T) {
 }
 
 func TestPostWriterPaddingBoundaries(t *testing.T) {
-	pf, err := storage.CreatePageFile(filepath.Join(t.TempDir(), "post.pages"))
+	pf, err := storage.CreatePageFileFS(nil, filepath.Join(t.TempDir(), "post.pages"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,29 +343,19 @@ func (lc *ListCursor) DecodeBlockMaxRank(ref BlockRef) (float32, error) {
 	return max, nil
 }
 
-// DILCursor returns a Dewey-ordered scan of the term's DIL list; ok is
-// false for unknown terms.
-func (ix *Index) DILCursor(term string) (*ListCursor, bool) {
-	return ix.DILCursorExec(nil, term)
-}
-
-// DILCursorExec is DILCursor under a per-query execution context: every
-// page the scan touches is attributed to ec and honours its cancellation,
-// deadline and read budget. A nil ec is DILCursor. The scan is the one
-// access pattern that can be longer than the pool and shares it (dil.post
+// DILCursorExec returns a Dewey-ordered scan of the term's DIL list (ok
+// is false for unknown terms) under a per-query execution context (nil
+// for none): every page the scan touches is attributed to ec and honours
+// its cancellation, deadline and read budget. The scan is the one access
+// pattern that can be longer than the pool and shares it (dil.post
 // is also what the Dewey probes read), so its pages enter the pool cold
 // and cannot evict the probe working set.
 func (ix *Index) DILCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
 	return ix.dil.cursor(ec, term, true)
 }
 
-// RDILRankCursor returns a rank-ordered scan of the term's RDIL list.
-func (ix *Index) RDILRankCursor(term string) (*ListCursor, bool) {
-	return ix.RDILRankCursorExec(nil, term)
-}
-
-// RDILRankCursorExec is RDILRankCursor under a per-query execution
-// context.
+// RDILRankCursorExec returns a rank-ordered scan of the term's RDIL list
+// under a per-query execution context (nil for none).
 func (ix *Index) RDILRankCursorExec(ec *storage.ExecContext, term string) (*ListCursor, bool) {
 	return ix.rdil.cursor(ec, term, false)
 }

@@ -191,7 +191,7 @@ func xmarkGoldenFixture(t *testing.T) goldenFixture {
 		}
 		for _, a := range all {
 			for _, d := range all {
-				if a.ID.IsAncestorOf(d.ID) {
+				if len(a.ID) < len(d.ID) && a.ID.IsPrefixOf(d.ID) {
 					nested++
 				}
 			}

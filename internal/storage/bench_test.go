@@ -13,7 +13,7 @@ const benchPoolPages = 128
 
 func newBenchPool(b *testing.B, filePages int) *BufferPool {
 	b.Helper()
-	pf, err := CreatePageFile(filepath.Join(b.TempDir(), "bench.pages"))
+	pf, err := CreatePageFileFS(nil, filepath.Join(b.TempDir(), "bench.pages"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -50,12 +50,6 @@ type PageFile struct {
 	cacheHits atomic.Int64
 }
 
-// CreatePageFile creates (truncating) a page file at path on the real
-// file system.
-func CreatePageFile(path string) (*PageFile, error) {
-	return CreatePageFileFS(nil, path)
-}
-
 // CreatePageFileFS creates (truncating) a page file at path on fs
 // (nil = the real file system).
 func CreatePageFileFS(fs FS, path string) (*PageFile, error) {
@@ -65,12 +59,6 @@ func CreatePageFileFS(fs FS, path string) (*PageFile, error) {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
 	return &PageFile{fs: fs, f: f, path: path}, nil
-}
-
-// OpenPageFile opens an existing page file read-write on the real file
-// system.
-func OpenPageFile(path string) (*PageFile, error) {
-	return OpenPageFileFS(nil, path)
 }
 
 // OpenPageFileFS opens an existing page file read-write on fs (nil = the
@@ -101,17 +89,12 @@ func (pf *PageFile) NumPages() uint32 {
 	return pf.numPages
 }
 
-// ReadPage reads page id into buf, which must be at least PageSize long.
-// The read is recorded in the file's stats as sequential if id immediately
-// follows the previously read page, random otherwise.
-func (pf *PageFile) ReadPage(id PageID, buf []byte) error {
-	return pf.ReadPageExec(nil, id, buf)
-}
-
-// ReadPageExec is ReadPage under a per-query execution context: the read
-// is additionally attributed to ec's private stats, and is refused —
-// before touching the device — when ec is cancelled, past its deadline,
-// or over its page-read budget. A nil ec behaves exactly like ReadPage.
+// ReadPageExec reads page id into buf, which must be at least PageSize
+// long. The read is recorded in the file's stats as sequential if id
+// immediately follows the previously read page, random otherwise, and is
+// also attributed to the per-query execution context ec (nil for none),
+// which refuses it — before touching the device — when ec is cancelled,
+// past its deadline, or over its page-read budget.
 func (pf *PageFile) ReadPageExec(ec *ExecContext, id PageID, buf []byte) error {
 	if len(buf) < PageSize {
 		return fmt.Errorf("storage: read buffer too small (%d)", len(buf))

@@ -12,7 +12,7 @@ import (
 
 func newTestFile(t *testing.T) *PageFile {
 	t.Helper()
-	pf, err := CreatePageFile(filepath.Join(t.TempDir(), "test.pages"))
+	pf, err := CreatePageFileFS(nil, filepath.Join(t.TempDir(), "test.pages"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPageFileAppendReadWrite(t *testing.T) {
 		t.Fatalf("ids %d %d, pages %d", id0, id1, pf.NumPages())
 	}
 	buf := make([]byte, PageSize)
-	if err := pf.ReadPage(id1, buf); err != nil {
+	if err := pf.ReadPageExec(nil, id1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, pageFilled(2)) {
@@ -51,7 +51,7 @@ func TestPageFileAppendReadWrite(t *testing.T) {
 	if err := pf.WritePage(id0, pageFilled(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.ReadPage(id0, buf); err != nil {
+	if err := pf.ReadPageExec(nil, id0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 9 {
@@ -67,7 +67,7 @@ func TestPageFileBoundsAndSizes(t *testing.T) {
 	if _, err := pf.AppendPage(make([]byte, 10)); err == nil {
 		t.Errorf("short append should fail")
 	}
-	if err := pf.ReadPage(0, make([]byte, PageSize)); err == nil {
+	if err := pf.ReadPageExec(nil, 0, make([]byte, PageSize)); err == nil {
 		t.Errorf("read beyond end should fail")
 	}
 	if err := pf.WritePage(5, pageFilled(0)); err == nil {
@@ -76,7 +76,7 @@ func TestPageFileBoundsAndSizes(t *testing.T) {
 	if _, err := pf.AppendPage(pageFilled(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.ReadPage(0, make([]byte, 16)); err == nil {
+	if err := pf.ReadPageExec(nil, 0, make([]byte, 16)); err == nil {
 		t.Errorf("short read buffer should fail")
 	}
 }
@@ -84,7 +84,7 @@ func TestPageFileBoundsAndSizes(t *testing.T) {
 func TestPageFileReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.pages")
-	pf, err := CreatePageFile(path)
+	pf, err := CreatePageFileFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPageFileReopen(t *testing.T) {
 	}
 	pf.Close()
 
-	re, err := OpenPageFile(path)
+	re, err := OpenPageFileFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestPageFileReopen(t *testing.T) {
 		t.Fatalf("reopened pages = %d", re.NumPages())
 	}
 	buf := make([]byte, PageSize)
-	if err := re.ReadPage(1, buf); err != nil || buf[0] != 8 {
+	if err := re.ReadPageExec(nil, 1, buf); err != nil || buf[0] != 8 {
 		t.Errorf("reopened read: %v, byte %d", err, buf[0])
 	}
-	if _, err := OpenPageFile(filepath.Join(dir, "missing")); err == nil {
+	if _, err := OpenPageFileFS(nil, filepath.Join(dir, "missing")); err == nil {
 		t.Errorf("open of missing file should fail")
 	}
 }
@@ -121,7 +121,7 @@ func TestStatsSeqRandClassification(t *testing.T) {
 	buf := make([]byte, PageSize)
 	// 0,1,2 = first random then two sequential; 4 = random; 0 = random.
 	for _, id := range []PageID{0, 1, 2, 4, 0} {
-		if err := pf.ReadPage(id, buf); err != nil {
+		if err := pf.ReadPageExec(nil, id, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,8 +142,8 @@ func TestStatsInterleavedStreamsAreSequential(t *testing.T) {
 	pf.ResetStats()
 	buf := make([]byte, PageSize)
 	for i := 0; i < 10; i++ {
-		pf.ReadPage(PageID(i), buf)    // stream A: 0,1,2,...
-		pf.ReadPage(PageID(20+i), buf) // stream B: 20,21,22,...
+		pf.ReadPageExec(nil, PageID(i), buf)    // stream A: 0,1,2,...
+		pf.ReadPageExec(nil, PageID(20+i), buf) // stream B: 20,21,22,...
 	}
 	s := pf.Stats()
 	if s.RandReads != 2 || s.SeqReads != 18 {
@@ -152,8 +152,8 @@ func TestStatsInterleavedStreamsAreSequential(t *testing.T) {
 	// Re-reading the same page (a rescan of a pinned region) is also
 	// sequential, not a seek.
 	pf.ResetStats()
-	pf.ReadPage(5, buf)
-	pf.ReadPage(5, buf)
+	pf.ReadPageExec(nil, 5, buf)
+	pf.ReadPageExec(nil, 5, buf)
 	if s := pf.Stats(); s.SeqReads != 1 || s.RandReads != 1 {
 		t.Errorf("same-page re-read: %+v", s)
 	}
@@ -170,9 +170,9 @@ func TestStatsStreamEviction(t *testing.T) {
 	buf := make([]byte, PageSize)
 	// Open maxStreams+1 streams, then extend the first.
 	for s := 0; s <= maxStreams; s++ {
-		pf.ReadPage(PageID(s*10), buf)
+		pf.ReadPageExec(nil, PageID(s*10), buf)
 	}
-	pf.ReadPage(PageID(0*10+1), buf) // stream 0 was evicted
+	pf.ReadPageExec(nil, PageID(0*10+1), buf) // stream 0 was evicted
 	st := pf.Stats()
 	if st.SeqReads != 0 || st.RandReads != int64(maxStreams+2) {
 		t.Errorf("eviction: %+v", st)

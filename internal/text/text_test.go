@@ -77,31 +77,6 @@ func TestNormalizePrefix(t *testing.T) {
 	}
 }
 
-func TestVocabulary(t *testing.T) {
-	v := NewVocabulary()
-	a := v.Intern("alpha")
-	b := v.Intern("beta")
-	if a == b {
-		t.Fatalf("distinct terms shared an ID")
-	}
-	if got := v.Intern("alpha"); got != a {
-		t.Errorf("re-intern changed ID: %d != %d", got, a)
-	}
-	if v.Len() != 2 {
-		t.Errorf("Len = %d", v.Len())
-	}
-	if v.Term(a) != "alpha" || v.Term(b) != "beta" {
-		t.Errorf("Term round trip failed")
-	}
-	if _, ok := v.Lookup("gamma"); ok {
-		t.Errorf("Lookup of unknown term succeeded")
-	}
-	terms := v.Terms()
-	if !reflect.DeepEqual(terms, []string{"alpha", "beta"}) {
-		t.Errorf("Terms = %v", terms)
-	}
-}
-
 func TestQuickTokenizeLowercaseNoSeparators(t *testing.T) {
 	f := func(s string) bool {
 		for _, tok := range Tokenize(s) {

@@ -8,8 +8,8 @@ import (
 	"xrank/internal/obs"
 )
 
-// Slow-query log settings: the default threshold (see
-// Config.SlowQueryMillis) and the ring log's size.
+// Slow-query log settings: the default threshold (SlowLog().SetThreshold
+// changes it) and the ring log's size.
 const (
 	defaultSlowQueryThreshold = 250 * time.Millisecond
 	defaultSlowLogSize        = 128
@@ -96,18 +96,11 @@ const (
 	helpSwitches    = "HDIL queries where at least one shard switched to DIL, by the first switching shard's reason."
 )
 
-func newEngineMetrics(cfg *Config) *engineMetrics {
-	threshold := time.Duration(cfg.SlowQueryMillis) * time.Millisecond
-	switch {
-	case cfg.SlowQueryMillis == 0:
-		threshold = defaultSlowQueryThreshold
-	case cfg.SlowQueryMillis < 0:
-		threshold = -1 // disabled
-	}
+func newEngineMetrics() *engineMetrics {
 	r := obs.NewRegistry()
 	m := &engineMetrics{
 		reg:  r,
-		slow: obs.NewSlowLog(defaultSlowLogSize, threshold),
+		slow: obs.NewSlowLog(defaultSlowLogSize, defaultSlowQueryThreshold),
 
 		queries: labeled[obs.Counter]{register: func(algo string) *obs.Counter {
 			return r.Counter(metricQueries, helpQueries, "algo", algo)
@@ -277,9 +270,10 @@ func (m *engineMetrics) queryFinished(algo, q string, stats *QueryStats, err err
 func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 
 // SlowLog returns the engine's bounded slow-query log. Queries whose
-// wall time reaches Config.SlowQueryMillis are recorded — query text,
-// algorithm, shard fan-out, I/O, and the per-stage span trace. Never
-// nil; with a negative threshold the log stays empty.
+// wall time reaches its threshold (250 ms until SetThreshold changes
+// it) are recorded — query text, algorithm, shard fan-out, I/O, and the
+// per-stage span trace. Never nil; with a negative threshold the log
+// stays empty.
 func (e *Engine) SlowLog() *obs.SlowLog { return e.met.slow }
 
 // QueryLatency returns a snapshot of the engine's query-latency

@@ -178,7 +178,8 @@ func TestEngineMetricsAndSlowLog(t *testing.T) {
 }
 
 func TestSlowLogThresholdConfig(t *testing.T) {
-	e := buildEngine(t, &Config{SlowQueryMillis: -1})
+	e := buildEngine(t, nil)
+	e.SlowLog().SetThreshold(-1)
 	if _, _, err := e.SearchDetailed("xql language", SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}

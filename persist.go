@@ -12,7 +12,9 @@ import (
 
 // Engine persistence. An index directory always has one shape:
 //
-//	engine.json   — the Config (checksummed envelope), written once by Build
+//	engine.json   — the settings that define the directory (storedConfig:
+//	                decay, answer nodes, posList cap, shard count and fold
+//	                bound; checksummed envelope), written once by Build
 //	segments.json — document manifest, tombstones, rank version and its
 //	                rank CRC, and the live segment set: the commit point of
 //	                every mutation
@@ -35,18 +37,40 @@ import (
 // ranks-NNNNNN.bin blob and no rank CRC; open takes the CRC from the
 // blob, and the next commit removes it.
 
-// fileEngine holds the engine's Config.
+// fileEngine holds the settings that define the directory.
 const fileEngine = "engine.json"
 
 // rebuildHint ends the refusal of a directory this build cannot serve.
 const rebuildHint = "rebuild with `xrank index` (the sources are in docs/)"
 
+// engineManifest is engine.json's payload. Its settings stay under
+// "config", where earlier engines stored their whole Config, so every
+// engine.json decodes; the keys storedConfig does not name (IndexDir, the
+// serving settings, retired knobs) are ignored.
 type engineManifest struct {
-	Config Config `json:"config"`
+	Config storedConfig `json:"config"`
+}
+
+// storedConfig is what defines an index directory: its ranking (Decay,
+// AnswerTags) and its layout (MaxPositions, Shards, MaxSegments). Where
+// the directory lives, its file system and how it is served are the
+// opener's, so the directory's bytes are a function of its history alone.
+type storedConfig struct {
+	Decay        float64
+	MaxPositions int
+	Shards       int
+	AnswerTags   []string
+	MaxSegments  int
+	// SuggestDisabled is read, never written: a directory built with the
+	// retired knob set has segments without a suggest.bin (openSegment).
+	SuggestDisabled bool `json:",omitempty"`
 }
 
 // OpenEngine reopens an engine previously built with IndexDir set (or a
-// still-existing temporary directory). The source documents are reparsed
+// still-existing temporary directory) under the settings its engine.json
+// stores; the result cache, query coalescing, the slow-query threshold
+// and strict degraded mode start at their defaults (off, off, 250 ms,
+// off) and are set on the engine. The source documents are reparsed
 // from the directory's document store, and ElemRank is recomputed from
 // them (see solveRanks). Every persisted artifact — manifests, documents,
 // index files — is checksum-verified before use: a torn or corrupted
@@ -77,9 +101,9 @@ func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 	if err := validateSegmentsManifest(&sm); err != nil {
 		return nil, fmt.Errorf("xrank: %w %s: %v; %s", storage.ErrCorrupt, fileSegments, err, rebuildHint)
 	}
-	man.Config.IndexDir = dir
-	man.Config.FS = fs
-	e := NewEngine(&man.Config)
+	sc := man.Config
+	e := NewEngine(&Config{IndexDir: dir, FS: fs, Decay: sc.Decay, MaxPositions: sc.MaxPositions,
+		Shards: sc.Shards, AnswerTags: sc.AnswerTags, MaxSegments: sc.MaxSegments})
 	// Reparse every document-store entry in manifest order — including
 	// tombstoned and shadowed versions. Document IDs are positional, so
 	// dropping a dead entry would renumber every later document and
@@ -128,7 +152,7 @@ func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 	}
 
 	for _, se := range sm.Segments {
-		seg, err := e.openSegment(se)
+		seg, err := e.openSegment(se, sc.SuggestDisabled)
 		if err != nil {
 			for _, s := range e.segs {
 				s.ix.Close()
@@ -146,7 +170,10 @@ func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 }
 
 // openSegment opens one committed segment's index and suggest dictionary.
-func (e *Engine) openSegment(se segmentEntry) (*engineSegment, error) {
+// noSuggest marks a directory built with suggestions disabled: a segment
+// written then has no suggest.bin and gives no completions, one a later
+// fold wrote has its dictionary.
+func (e *Engine) openSegment(se segmentEntry, noSuggest bool) (*engineSegment, error) {
 	path := filepath.Join(e.cfg.IndexDir, se.Dir)
 	ix, err := e.openSegmentIndex(path)
 	if err != nil {
@@ -163,11 +190,9 @@ func (e *Engine) openSegment(se segmentEntry) (*engineSegment, error) {
 		return nil, err
 	}
 	seg := &engineSegment{id: se.ID, dir: se.Dir, rankVer: se.RankVer, docs: se.Docs, ix: ix}
-	if !e.cfg.SuggestDisabled {
-		if seg.sug, err = loadSegmentSuggest(e.fs(), path); err != nil {
-			ix.Close()
-			return nil, err
-		}
+	if seg.sug, err = loadSegmentSuggest(e.fs(), path, noSuggest); err != nil {
+		ix.Close()
+		return nil, err
 	}
 	return seg, nil
 }

@@ -168,12 +168,6 @@ func (e *Engine) Search(q string) ([]SearchResult, error) {
 	return res, err
 }
 
-// SearchTop runs the query returning the top-m results.
-func (e *Engine) SearchTop(q string, m int) ([]SearchResult, error) {
-	res, _, err := e.SearchDetailed(q, SearchOptions{TopM: m})
-	return res, err
-}
-
 // SearchDetailed runs the query with explicit options and returns cost
 // statistics alongside the results. It is SearchContext with a background
 // context: no cancellation and no deadline.
@@ -511,7 +505,7 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 	stats.FailedShards = report.FailedShards()
 	stats.Retries = report.Retries()
 	e.met.unhealthy.Set(int64(e.unhealthyShards()))
-	if err == nil && stats.Degraded && e.cfg.FailOnDegraded {
+	if err == nil && stats.Degraded && e.failOnDegraded {
 		// Strict mode: a partial answer is an error. Decided before
 		// queryFinished so the metrics and slow log see the failure.
 		err = fmt.Errorf("%w (shards %v)", ErrDegraded, stats.FailedShards)

@@ -57,8 +57,8 @@ type engineSegment struct {
 	rankVer int    // ElemRank version the postings were baked under
 	docs    []uint32
 	ix      *index.Sharded
-	// sug is the segment's autosuggest dictionary (nil when suggest is
-	// disabled or the segment predates the artifact); see suggest.go.
+	// sug is the segment's autosuggest dictionary (nil for a segment of a
+	// directory built with suggestions disabled); see suggest.go.
 	sug *suggestTrie
 }
 
@@ -205,18 +205,16 @@ func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []f
 	if seg.ix, err = e.openSegmentIndex(path); err != nil {
 		return nil, nil, err
 	}
-	if !e.cfg.SuggestDisabled {
-		seg.sug = buildSegmentSuggest(col, ranks, docs)
-		if err := e.writeSegmentSuggest(path, seg.sug); err != nil {
-			seg.ix.Close()
-			return nil, nil, err
-		}
+	seg.sug = buildSegmentSuggest(col, ranks, docs)
+	if err := e.writeSegmentSuggest(path, seg.sug); err != nil {
+		seg.ix.Close()
+		return nil, nil, err
 	}
 	return seg, st, nil
 }
 
 func (e *Engine) openSegmentIndex(path string) (*index.Sharded, error) {
-	return index.OpenSharded(path, index.OpenOptions{PoolPages: e.cfg.PoolPages, FS: e.cfg.FS})
+	return index.OpenSharded(path, index.OpenOptions{FS: e.cfg.FS})
 }
 
 // commitSegments atomically replaces segments.json — the commit point of

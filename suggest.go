@@ -53,11 +53,6 @@ const DefaultSuggestK = 8
 // suggestMaxK caps the completion count of one Suggest call.
 const suggestMaxK = 50
 
-// ErrSuggestDisabled is returned by Suggest when Config.SuggestDisabled
-// turned the subsystem off (the HTTP layer maps it to 403, like the
-// updates endpoints).
-var ErrSuggestDisabled = errors.New("xrank: suggest is disabled")
-
 // Suggestion is one autosuggest completion.
 type Suggestion = suggest.Suggestion
 
@@ -90,9 +85,6 @@ type SuggestStats struct {
 func (e *Engine) Suggest(q string, k int) ([]Suggestion, *SuggestStats, error) {
 	if !e.built {
 		return nil, nil, fmt.Errorf("xrank: Suggest before Build")
-	}
-	if e.cfg.SuggestDisabled {
-		return nil, nil, ErrSuggestDisabled
 	}
 	if k <= 0 {
 		k = DefaultSuggestK
@@ -129,8 +121,8 @@ func (e *Engine) Suggest(q string, k int) ([]Suggestion, *SuggestStats, error) {
 	return res, st, nil
 }
 
-// SuggestTerms returns the merged dictionary size (0 when suggest is
-// disabled or the engine predates the suggest artifact).
+// SuggestTerms returns the merged dictionary size (segments without a
+// dictionary count 0; see openSegment).
 func (e *Engine) SuggestTerms() int {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
@@ -167,13 +159,17 @@ func (e *Engine) writeSegmentSuggest(segPath string, tr *suggest.Trie) error {
 }
 
 // loadSegmentSuggest reopens a segment's trie, verifying the blob
-// envelope and every structural invariant. Every segment of an engine
-// with suggestions enabled is committed with its suggest.bin, so a
-// missing file is corruption like a damaged one.
-func loadSegmentSuggest(fs storage.FS, segPath string) (*suggest.Trie, error) {
+// envelope and every structural invariant. Every segment is committed
+// with its suggest.bin, so a missing file is corruption like a damaged
+// one, unless optional: a directory built with suggestions disabled
+// (openSegment), whose segment then has no dictionary (nil).
+func loadSegmentSuggest(fs storage.FS, segPath string, optional bool) (*suggest.Trie, error) {
 	payload, err := storage.ReadBlob(fs, filepath.Join(segPath, fileSuggest), suggestMagic)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
+			if optional {
+				return nil, nil
+			}
 			return nil, fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
 		}
 		return nil, err

@@ -1,7 +1,6 @@
 package xrank
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -33,31 +32,6 @@ func TestSuggestNormalization(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lower, upper) {
 		t.Fatalf("case folding diverged: %v vs %v", lower, upper)
-	}
-}
-
-func TestSuggestDisabled(t *testing.T) {
-	dir := t.TempDir()
-	e := NewEngine(&Config{IndexDir: dir, SuggestDisabled: true})
-	addCorpus(t, e, crashCorpus())
-	if _, err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.Suggest("x", 5); !errors.Is(err, ErrSuggestDisabled) {
-		t.Fatalf("Suggest on a disabled engine: %v", err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The persisted config keeps it disabled across reopen, and no
-	// suggest.bin was ever written.
-	re, err := OpenEngine(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, _, err := re.Suggest("x", 5); !errors.Is(err, ErrSuggestDisabled) {
-		t.Fatalf("Suggest after reopen: %v", err)
 	}
 }
 

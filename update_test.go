@@ -93,7 +93,7 @@ func TestUpdateRebuild(t *testing.T) {
 	}
 	defer ne.Close()
 
-	rs, err := ne.SearchTop("topic", 10)
+	rs, _, err := ne.SearchDetailed("topic", SearchOptions{TopM: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,10 @@ import (
 )
 
 // Config tunes an Engine. The zero value (or nil) selects the paper's
-// experimental settings.
+// experimental settings. Build stores the settings that define the
+// index directory — Decay, MaxPositions, Shards, AnswerTags and
+// MaxSegments — in its engine.json, and OpenEngine reads them back; the
+// others are the caller's on every open.
 type Config struct {
 	// IndexDir is where the index files and document store live. Empty
 	// means a fresh temporary directory (removed on Close).
@@ -64,8 +67,6 @@ type Config struct {
 	// indexes; the field remains so configurations that set it still
 	// decode.
 	BlockPostings bool
-	// PoolPages is the per-file buffer pool capacity in pages (default 128).
-	PoolPages int
 
 	// Shards partitions the index by the Dewey document-ID component:
 	// each document's postings live entirely in shard
@@ -82,18 +83,6 @@ type Config struct {
 	// answer node.
 	AnswerTags []string
 
-	// SlowQueryMillis is the slow-query log threshold in milliseconds:
-	// queries whose wall time reaches it are recorded (see Engine.SlowLog).
-	// Zero selects the default (250 ms); negative disables the log. The
-	// log keeps the last 128 entries.
-	SlowQueryMillis int
-
-	// FailOnDegraded makes queries fail with ErrDegraded instead of
-	// returning partial results when index shards had to be excluded
-	// (device faults, unhealthy shards). The default serves the healthy
-	// remainder with QueryStats.Degraded set.
-	FailOnDegraded bool
-
 	// CacheBytes bounds the in-memory query result cache: repeated
 	// queries with the same canonical fingerprint (normalized keywords +
 	// algorithm + k + ranking options) are answered from memory without
@@ -102,20 +91,15 @@ type Config struct {
 	// evicts only the entries mentioning the deleted document, so a
 	// stale result is never served. Zero (the default) disables the cache;
 	// the serve command enables a 32 MiB cache unless told otherwise.
-	// Degraded (partial-shard) results are never cached.
+	// Degraded (partial-shard) results are never cached. Not stored: a
+	// reopened engine sets it with ConfigureResultCache.
 	CacheBytes int64
 	// CoalesceQueries collapses concurrent identical queries into one
 	// execution (singleflight): N callers asking the same canonical
 	// query share one merge, each still honoring its own context
-	// deadline. Off by default; the serve command turns it on.
+	// deadline. Off by default; the serve command turns it on. Not
+	// stored: a reopened engine sets it with SetCoalesceQueries.
 	CoalesceQueries bool
-
-	// SuggestDisabled turns off the prefix-autosuggest subsystem: no
-	// suggest.bin dictionaries are built or persisted alongside
-	// segments, and Engine.Suggest fails with ErrSuggestDisabled. The
-	// default (false) builds a per-segment radix-trie dictionary scored
-	// by ElemRank-weighted term frequency; see suggest.go.
-	SuggestDisabled bool
 
 	// MaxSegments bounds the live segments AddDocs leaves behind: each
 	// batch folds the trailing segments that are no larger than its new
@@ -127,7 +111,7 @@ type Config struct {
 
 	// FS is the file system every persisted artifact goes through (nil =
 	// the real file system). Fault-injection and crash-simulation tests
-	// substitute a storage.FaultFS. Not persisted in the manifest.
+	// substitute a storage.FaultFS.
 	FS storage.FS `json:"-"`
 }
 
@@ -142,7 +126,7 @@ func (c *Config) fill() {
 var ErrBudgetExceeded = storage.ErrBudgetExceeded
 
 // ErrDegraded is returned (wrapped) by SearchContext when index shards
-// had to be excluded from the query and Config.FailOnDegraded demands
+// had to be excluded from the query and SetFailOnDegraded demanded
 // all-or-nothing answers.
 var ErrDegraded = errors.New("xrank: degraded: unhealthy shards excluded")
 
@@ -160,7 +144,7 @@ var ErrClosed = errors.New("xrank: engine closed")
 // Engine is an XRANK search engine over one document collection.
 //
 // Once built, an Engine serves queries concurrently: any number of
-// Search/SearchTop/SearchDetailed/SearchContext calls may run in
+// Search/SearchDetailed/SearchContext calls may run in
 // parallel, and DeleteDoc may interleave with them. Each query runs
 // under a private storage.ExecContext, so its QueryStats.IO is exactly
 // its own page traffic regardless of concurrency. The engine-global
@@ -229,6 +213,9 @@ type Engine struct {
 	// pageWrites counts the index pages every segment build so far wrote
 	// (Build, AddDocs, compaction); IOStats reports it as Writes.
 	pageWrites atomic.Int64
+
+	// failOnDegraded is SetFailOnDegraded's strict mode.
+	failOnDegraded bool
 }
 
 type docEntry struct {
@@ -271,7 +258,7 @@ func NewEngine(cfg *Config) *Engine {
 		c = *cfg
 	}
 	c.fill()
-	e := &Engine{cfg: c, col: xmldoc.NewCollection(), met: newEngineMetrics(&c), deleted: map[uint32]bool{}}
+	e := &Engine{cfg: c, col: xmldoc.NewCollection(), met: newEngineMetrics(), deleted: map[uint32]bool{}}
 	if c.CacheBytes > 0 {
 		e.rcache = cache.New(c.CacheBytes, 0)
 	}
@@ -419,7 +406,9 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	info.Terms = stats.Meta.Terms
 
 	segs := []*engineSegment{seg}
-	err = storage.WriteManifestAtomic(e.fs(), filepath.Join(dir, fileEngine), engineManifest{Config: e.cfg})
+	c := e.cfg
+	err = storage.WriteManifestAtomic(e.fs(), filepath.Join(dir, fileEngine), engineManifest{Config: storedConfig{
+		Decay: c.Decay, MaxPositions: c.MaxPositions, Shards: c.Shards, AnswerTags: c.AnswerTags, MaxSegments: c.MaxSegments}})
 	if err == nil {
 		err = e.commitSegments(1, 0, rank.crc, e.docs, segs)
 	}
@@ -589,10 +578,12 @@ func (e *Engine) unhealthyShards() int {
 	return n
 }
 
-// SetFailOnDegraded flips Config.FailOnDegraded at runtime (the serve
-// command's -fail-on-degraded flag overrides the persisted config). Call
-// before serving queries; it is not synchronized with in-flight searches.
-func (e *Engine) SetFailOnDegraded(v bool) { e.cfg.FailOnDegraded = v }
+// SetFailOnDegraded makes queries fail with ErrDegraded instead of
+// returning partial results when index shards had to be excluded
+// (device faults, unhealthy shards). The default serves the healthy
+// remainder with QueryStats.Degraded set. Call before serving queries;
+// it is not synchronized with in-flight searches.
+func (e *Engine) SetFailOnDegraded(v bool) { e.failOnDegraded = v }
 
 // ConfigureResultCache replaces the query result cache with one bounded
 // to the given byte size (<= 0 disables it), discarding all cached
@@ -607,8 +598,8 @@ func (e *Engine) ConfigureResultCache(bytes int64) {
 	}
 }
 
-// SetCoalesceQueries flips Config.CoalesceQueries at runtime (the serve
-// command's -coalesce flag). Call before serving queries.
+// SetCoalesceQueries sets Config.CoalesceQueries (the serve command's
+// -coalesce flag). Call before serving queries.
 func (e *Engine) SetCoalesceQueries(v bool) { e.cfg.CoalesceQueries = v }
 
 // Generation returns the engine's cache-invalidation generation. Build,
@@ -660,8 +651,7 @@ func (e *Engine) CacheStats() CacheStats {
 	return st
 }
 
-// Config returns a copy of the engine's effective configuration (the
-// serve command reads its default result-cache size from it).
+// Config returns a copy of the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
 // fs returns the engine's file system (the real one unless Config.FS
