@@ -115,7 +115,7 @@ func concurrencyDoc(recs int) string {
 // is attributed to exactly that query: its page-access total (device
 // reads + buffer-pool hits) equals the total the same query performs
 // solo, its read classification is internally consistent, and the
-// engine-global counters equal the sum of the per-query ones.
+// engine's IOStats totals equal the sum of the per-query ones.
 func TestConcurrentSearchContextAttribution(t *testing.T) {
 	e := buildConcurrencyCorpus(t, 8, 60)
 

@@ -279,7 +279,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	if got := crashSig(t, e); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened engine answers differently")
 	}
-	b, err := json.Marshal(e.Config())
+	b, err := json.Marshal(e.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestOpenIgnoresRetiredConfigFields(t *testing.T) {
 	}
 	// The stored path, slow-query threshold, cache and coalescing are
 	// not the reopened engine's.
-	if c := e.Config(); c.IndexDir != dir || c.CacheBytes != 0 || c.CoalesceQueries {
+	if c := e.cfg; c.IndexDir != dir || c.CacheBytes != 0 || c.CoalesceQueries {
 		t.Fatalf("reopened Config = %+v, want IndexDir %s and no cache or coalescing", c, dir)
 	}
 	if th := e.SlowLog().Threshold(); th != defaultSlowQueryThreshold {

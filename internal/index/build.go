@@ -104,8 +104,9 @@ type BuildStats struct {
 	DILSkip  int64
 	RDILSkip int64
 	HDILSkip int64
-	// PageWrites counts the pages written to the page files above; the
-	// engine folds it into its IOStats.
+	// PageWrites counts the pages written to the page files above: the
+	// pages they hold, since the build appends each page once. The engine
+	// reports it as IOStats().Writes.
 	PageWrites int64
 
 	// shardFiles holds the Files record of every shard's meta.json.
@@ -208,7 +209,7 @@ func Build(c *xmldoc.Collection, ranks []float64, dir string, opts BuildOptions)
 	}
 	stats.HDILSkip = int64(len(skip))
 	for _, f := range b.files {
-		stats.PageWrites += f.pf.Stats().Writes
+		stats.PageWrites += int64(f.pf.NumPages())
 	}
 	return stats, nil
 }

@@ -199,14 +199,3 @@ func TestOpenRejectsListsFromDifferentBuilds(t *testing.T) {
 		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }
-
-// TestSkipVerifyStillOpens: the verification pass is skippable for
-// tooling that wants a fast open of a trusted directory.
-func TestSkipVerifyStillOpens(t *testing.T) {
-	dir := buildIndexDir(t)
-	ix, err := Open(dir, OpenOptions{SkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Close()
-}

@@ -377,48 +377,38 @@ func TestColdCacheAndStats(t *testing.T) {
 	if err := ix.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := ix.DILCursorExec(nil, "common")
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
+	scan := func() storage.Stats {
+		t.Helper()
+		ec := storage.NewExecContext(nil)
+		cur, _ := ix.DILCursorExec(ec, "common")
+		defer cur.Close()
+		for {
+			_, ok, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return ec.Stats()
+			}
 		}
 	}
-	cur.Close()
-	s1 := ix.IOStats()
+	s1 := scan()
 	if s1.Reads == 0 {
 		t.Fatalf("no reads recorded")
 	}
 	if s1.SeqReads < s1.RandReads {
 		t.Errorf("a DIL scan should be mostly sequential: %+v", s1)
 	}
-	// Re-scan warm: all hits, no new device reads.
-	cur, _ = ix.DILCursorExec(nil, "common")
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	// Re-scan warm: all hits, no device reads.
+	if s2 := scan(); s2.Reads != 0 || s2.CacheHits == 0 {
+		t.Errorf("warm re-scan: %d device reads, %d cache hits; want 0 and some", s2.Reads, s2.CacheHits)
 	}
-	cur.Close()
-	s2 := ix.IOStats()
-	if s2.Reads != s1.Reads {
-		t.Errorf("warm re-scan hit the device: %d -> %d", s1.Reads, s2.Reads)
-	}
-	if s2.CacheHits == s1.CacheHits {
-		t.Errorf("warm re-scan produced no cache hits")
-	}
+	// Cold again: the scan reads what it read the first time.
 	if err := ix.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
-	if s := ix.IOStats(); s.Reads != 0 {
-		t.Errorf("ColdCache did not reset stats: %+v", s)
+	if s3 := scan(); s3.Reads != s1.Reads {
+		t.Errorf("ColdCache did not empty the pools: %d reads after it, %d cold", s3.Reads, s1.Reads)
 	}
 }
 

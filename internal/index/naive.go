@@ -267,7 +267,7 @@ func OpenNaive(dir string, opts OpenOptions) (*NaiveIndex, error) {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
 	required := []string{fileNaiveIDPost, fileNaiveIDLex, fileNaiveRankPost, fileNaiveRankHash, fileNaiveRankLex}
-	if err := verifyFiles(fs, dir, fileNaiveMeta, nx.Meta.Files, required, opts.SkipVerify); err != nil {
+	if err := verifyFiles(fs, dir, fileNaiveMeta, nx.Meta.Files, required); err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
 	opened := false

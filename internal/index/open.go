@@ -17,10 +17,6 @@ type OpenOptions struct {
 	// FS is the file system the index is read through (nil = the real
 	// file system). Fault-injection tests pass a storage.FaultFS.
 	FS storage.FS
-	// SkipVerify disables the up-front size/checksum verification of every
-	// data file against meta.json. Verification costs one sequential pass
-	// over the index; leave it on anywhere correctness matters.
-	SkipVerify bool
 }
 
 // Index is an opened on-disk index directory with one buffer pool per
@@ -55,16 +51,12 @@ func (p *pageFiles) open(fs storage.FS, dir, name string, poolPages int) (*stora
 }
 
 // verifyFiles checks that the manifest's Files record holds a checksum
-// for every required file and, unless skip, that each file in dir matches
-// it.
-func verifyFiles(fs storage.FS, dir, manifest string, files map[string]storage.FileSum, required []string, skip bool) error {
+// for every required file and that each file in dir matches it.
+func verifyFiles(fs storage.FS, dir, manifest string, files map[string]storage.FileSum, required []string) error {
 	for _, name := range required {
 		sum, ok := files[name]
 		if !ok {
 			return fmt.Errorf("%w %s: no checksum recorded for %s", storage.ErrCorrupt, manifest, name)
-		}
-		if skip {
-			continue
 		}
 		if err := storage.VerifyFile(fs, filepath.Join(dir, name), sum); err != nil {
 			return err
@@ -115,7 +107,7 @@ func Open(dir string, opts OpenOptions) (*Index, error) {
 	// HDIL's separate rank prefix, the lexicons) opens unchanged, and its
 	// next fold drops them.
 	required := []string{fileDILPost, fileDILSkip, fileRDILPost, fileRDILSkip}
-	if err := verifyFiles(fs, dir, fileMeta, ix.Meta.Files, required, opts.SkipVerify); err != nil {
+	if err := verifyFiles(fs, dir, fileMeta, ix.Meta.Files, required); err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
 
@@ -174,39 +166,20 @@ func (p *pageFiles) Close() error {
 	return first
 }
 
-// ColdCache drops every buffer pool and zeroes I/O statistics, simulating
-// the paper's cold-operating-system-cache measurement setup.
+// ColdCache drops every buffer pool, simulating the paper's
+// cold-operating-system-cache measurement setup.
 //
-// ColdCache is engine-global, not per-query: it empties pools shared by
-// every in-flight query and resets the global counters. It is a
-// single-tenant measurement knob — concurrent queries see their pools
-// vanish mid-merge (correct but slow) and the global counters lose the
-// prefix of their I/O. Per-query measurement under concurrency uses
-// storage.ExecContext instead, which is unaffected by ColdCache.
+// ColdCache is not per-query: it empties pools shared by every in-flight
+// query, which then see their pages vanish mid-merge (correct but slow).
+// A query's I/O is counted only by its storage.ExecContext, which
+// ColdCache leaves alone.
 func (p *pageFiles) ColdCache() error {
 	for _, bp := range p.pools {
 		if err := bp.Reset(); err != nil {
 			return err
 		}
 	}
-	for _, pf := range p.files {
-		pf.ResetStats()
-	}
 	return nil
-}
-
-// IOStats aggregates I/O statistics across all component files. These are
-// the engine-global counters: they sum the traffic of every query since
-// the last ColdCache. Diffing two snapshots around a query is only
-// meaningful when the index serves one query at a time; concurrent
-// queries attribute their I/O through a per-query storage.ExecContext
-// passed to the *Exec cursor and prober constructors.
-func (p *pageFiles) IOStats() storage.Stats {
-	var s storage.Stats
-	for _, pf := range p.files {
-		s.Add(pf.Stats())
-	}
-	return s
 }
 
 // DILListBytes returns the encoded byte size of the term's DIL list (used

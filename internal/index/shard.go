@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"xrank/internal/breaker"
 	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
 )
@@ -57,7 +56,6 @@ type Sharded struct {
 	Dir string
 
 	shards []*Index
-	health *breaker.Breaker[int]
 }
 
 // BuildSharded constructs the index in dir as shardNNN/ directories under
@@ -135,7 +133,7 @@ func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
 	if sm.Hash != shardHashName {
 		return nil, fmt.Errorf("index: shard hash %q, this build understands %q", sm.Hash, shardHashName)
 	}
-	sh := &Sharded{Dir: dir, health: breaker.New[int](shardFailureThreshold, 0, nil)}
+	sh := &Sharded{Dir: dir}
 	for s := 0; s < sm.NumShards; s++ {
 		ix, err := Open(shardDir(dir, s), opts)
 		if err != nil {
@@ -170,34 +168,4 @@ func (sh *Sharded) Close() error {
 	}
 	sh.shards = nil
 	return first
-}
-
-// ColdCache drops every shard's buffer pools and zeroes their I/O
-// statistics; see Index.ColdCache for the single-tenant caveats.
-func (sh *Sharded) ColdCache() error {
-	for _, ix := range sh.shards {
-		if err := ix.ColdCache(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IOStats sums the engine-global counters across all shards.
-func (sh *Sharded) IOStats() storage.Stats {
-	var s storage.Stats
-	for _, ix := range sh.shards {
-		s.Add(ix.IOStats())
-	}
-	return s
-}
-
-// ShardIOStats returns the engine-global counters per shard, in shard
-// order (the HTTP server's per-shard stats endpoint).
-func (sh *Sharded) ShardIOStats() []storage.Stats {
-	out := make([]storage.Stats, len(sh.shards))
-	for i, ix := range sh.shards {
-		out[i] = ix.IOStats()
-	}
-	return out
 }

@@ -60,7 +60,7 @@ func newShardedFixture(t *testing.T, docs []string, opts index.BuildOptions, cou
 // executor; dilSharded, rdilSharded and disjunctiveSharded bind it to a
 // processor.
 func execSharded(sh *index.Sharded, opts Options, run func(ix *index.Index, so Options) ([]Result, error)) ([]Result, error) {
-	rs, _, err := Execute(Partitions(sh, false), opts, func(p Partition, so Options) ([]Result, *HDILTrace, error) {
+	rs, _, err := Execute(Partitions(sh, false, NewHealth()), opts, func(p Partition, so Options) ([]Result, *HDILTrace, error) {
 		rs, err := run(p.Ix, so)
 		return rs, nil, err
 	})
@@ -179,6 +179,16 @@ func TestNaiveBaselinesOnDifferentialCorpus(t *testing.T) {
 		}
 		if matched < 5 {
 			t.Errorf("seed %d: only %d of 10 queries had results", seed, matched)
+		}
+	}
+}
+
+// coldCache empties every shard's buffer pools.
+func coldCache(t testing.TB, sh *index.Sharded) {
+	t.Helper()
+	for _, ix := range sh.Shards() {
+		if err := ix.ColdCache(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

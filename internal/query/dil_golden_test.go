@@ -98,9 +98,7 @@ func TestDILGoldenAtParent(t *testing.T) {
 					for _, m := range costModels {
 						// A cold pool per run: the serving model prices pool
 						// hits, so the decision must not depend on test order.
-						if err := sh.ColdCache(); err != nil {
-							t.Fatal(err)
-						}
+						coldCache(t, sh)
 						o := opts
 						o.Exec = storage.NewExecContext(nil)
 						rs, tr, err := HDILSharded(sh, q, o, 0, m.cm)

@@ -43,8 +43,8 @@ import (
 type Partition struct {
 	Ix *index.Index
 	// Shard is the partition's shard number. It seeds the retry backoff,
-	// keys Health and the query's ShardReport, and names the partition's
-	// shardNN.exec span.
+	// keys Health and the query's ShardReport (its faults and its I/O),
+	// and names the partition's shardNN.exec span.
 	Shard int
 	// Stale marks a segment whose baked ElemRanks predate the current
 	// ones, so the processor substitutes the live values (Options.Rank).
@@ -53,11 +53,11 @@ type Partition struct {
 }
 
 // Partitions lists the shards of one segment's index as partitions, in
-// shard order.
-func Partitions(sh *index.Sharded, stale bool) []Partition {
+// shard order, admitted through and recording into health (NewHealth).
+func Partitions(sh *index.Sharded, stale bool, health *breaker.Breaker[int]) []Partition {
 	parts := make([]Partition, sh.NumShards())
 	for s, ix := range sh.Shards() {
-		parts[s] = Partition{Ix: ix, Shard: s, Stale: stale, Health: sh.Breaker()}
+		parts[s] = Partition{Ix: ix, Shard: s, Stale: stale, Health: health}
 	}
 	return parts
 }
@@ -70,14 +70,25 @@ type Processor func(p Partition, opts Options) ([]Result, *HDILTrace, error)
 // error wrapping storage.ErrIO) is retried up to shardRetries times;
 // retry k first waits a draw uniform in [0, shardRetryBackoff<<k] from a
 // stream seeded per shard number (see breaker.Backoff), so synchronized
-// queries spread out and a schedule replays exactly. The
-// consecutive-failure threshold that marks a shard unhealthy belongs to
-// index.Sharded's breaker.
+// queries spread out and a schedule replays exactly. After
+// shardFailureThreshold consecutive post-retry failures a shard's
+// breaker opens and later queries skip it. There are no half-open
+// probes: exclusion is sticky until a Reset (after an operator replaces
+// the device), or until a success lands anyway — a query admitted before
+// the breaker opened, or the only shard of a one-shard layout, which is
+// never skipped.
 const (
-	shardRetries      = 2
-	shardRetryBackoff = 5 * time.Millisecond
-	shardRetrySeed    = 1
+	shardRetries          = 2
+	shardRetryBackoff     = 5 * time.Millisecond
+	shardRetrySeed        = 1
+	shardFailureThreshold = 3
 )
+
+// NewHealth returns a per-shard breaker under the policy above, every
+// shard healthy.
+func NewHealth() *breaker.Breaker[int] {
+	return breaker.New[int](shardFailureThreshold, 0, nil)
+}
 
 // partitionRun is one partition's outcome.
 type partitionRun struct {
@@ -109,12 +120,14 @@ func attempt(p Partition, opts Options, proc Processor) ([]Result, *HDILTrace, e
 }
 
 // Execute runs proc on every partition and merges the per-partition
-// top-m's into the query's top-opts.TopM. Partitions run on one pool of
-// min(partitions, GOMAXPROCS) workers, each under a shardNN.exec span
-// and a child of opts.Exec (sharing its cancellation, deadline and
-// page-read budget, and adding its I/O to the parent's), followed by one
+// top-m's into the query's top-opts.TopM. Every partition runs under its
+// own child of opts.Exec (sharing its cancellation, deadline and
+// page-read budget, and adding its I/O to the parent's), and that I/O is
+// added to opts.Report under the partition's shard, failed partitions
+// included. Several partitions run on one pool of min(partitions,
+// GOMAXPROCS) workers, each under a shardNN.exec span, followed by one
 // merge.topk span; a single partition runs on the caller's goroutine
-// under opts.Exec itself. The returned trace aggregates HDIL's:
+// without spans. The returned trace aggregates HDIL's:
 // SwitchedToDIL if any partition switched, SwitchReason from the first
 // that did in partition order, and RankedEntriesRead summed.
 //
@@ -155,12 +168,13 @@ func Execute(parts []Partition, opts Options, proc Processor) ([]Result, *HDILTr
 			return // skipped up front, or no new work for a failed query
 		}
 		so := opts
+		so.Exec = opts.Exec.Child()
 		if fanOut {
-			so.Exec = opts.Exec.Child()
 			defer so.Exec.StartSpan(fmt.Sprintf("shard%02d.exec", p.Shard))()
 		}
 		var err error
 		r.rs, r.trace, err = attempt(p, so, proc)
+		opts.Report.noteIO(p.Shard, so.Exec.Stats())
 		switch {
 		case err == nil:
 			p.Health.Success(p.Shard)
@@ -259,10 +273,11 @@ func MergeTopM(perPart [][]Result, topM int) []Result {
 	return all
 }
 
-// HDILSharded evaluates HDIL on every shard of sh through Execute.
-// workers is ignored: the executor sizes its own pool.
+// HDILSharded evaluates HDIL on every shard of sh through Execute, under
+// a breaker of its own. workers is ignored: the executor sizes its own
+// pool.
 func HDILSharded(sh *index.Sharded, keywords []string, opts Options, workers int, cm storage.CostModel) ([]Result, *HDILTrace, error) {
-	return Execute(Partitions(sh, false), opts, func(p Partition, so Options) ([]Result, *HDILTrace, error) {
+	return Execute(Partitions(sh, false, NewHealth()), opts, func(p Partition, so Options) ([]Result, *HDILTrace, error) {
 		return HDIL(p.Ix, keywords, so, cm)
 	})
 }

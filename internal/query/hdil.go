@@ -67,8 +67,8 @@ func HDIL(ix *index.Index, keywords []string, opts Options, cm storage.CostModel
 		return nil, trace, err
 	}
 	if opts.Exec == nil {
-		// The estimator meters this query's own page and posting counts;
-		// the index-global counters would mix in every concurrent query.
+		// The estimator meters this query's own page and posting counts,
+		// which only an ExecContext keeps.
 		opts.Exec = storage.NewExecContext(nil)
 	}
 	if len(keywords) == 1 {

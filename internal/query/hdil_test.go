@@ -175,9 +175,7 @@ func TestHDILStaysRankedOnHighCorrelation(t *testing.T) {
 	const golden = "111111111" + "111111"
 	var paper []*HDILTrace
 	for _, q := range append(hicorrQueries(), nonAdjacentQueries()...) {
-		if err := sh.ColdCache(); err != nil {
-			t.Fatal(err)
-		}
+		coldCache(t, sh)
 		_, trace, err := HDILSharded(sh, q, opts, 0, storage.PaperDiskCostModel())
 		if err != nil {
 			t.Fatal(err)

@@ -570,6 +570,7 @@ func TestRDILStopsEarly(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.TopM = 5
+	opts.Exec = storage.NewExecContext(nil)
 	rs, err := RDIL(fx.ix, []string{"gamma", "delta"}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -577,16 +578,17 @@ func TestRDILStopsEarly(t *testing.T) {
 	if len(rs) != 5 {
 		t.Fatalf("RDIL returned %d results", len(rs))
 	}
-	rdilStats := fx.ix.IOStats()
+	rdilStats := opts.Exec.Stats()
 
 	if err := fx.ix.ColdCache(); err != nil {
 		t.Fatal(err)
 	}
+	opts.Exec = storage.NewExecContext(nil)
 	want, err := DIL(fx.ix, []string{"gamma", "delta"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dilStats := fx.ix.IOStats()
+	dilStats := opts.Exec.Stats()
 	sameResults(t, "rdil-early", rs, want, 1e-9)
 	if rdilStats.Reads >= dilStats.Reads {
 		t.Errorf("on correlated keywords RDIL (%d reads) should touch fewer pages than DIL (%d)",

@@ -76,13 +76,14 @@ type Options struct {
 	// the query's I/O is attributed to exactly this query even under
 	// concurrency) and checks it at merge-loop boundaries (so a
 	// cancelled, deadline-expired or over-budget query aborts promptly
-	// mid-merge). Nil disables per-query control: I/O lands only in the
-	// index's engine-global counters.
+	// mid-merge). Nil disables per-query control, and the query's I/O is
+	// then counted nowhere.
 	Exec *storage.ExecContext
 	// Report, when non-nil, accumulates degraded-execution facts — which
-	// shards were skipped or failed, how many retries ran — across every
-	// algorithm invocation that shares it. The engine attaches one per
-	// query and surfaces it as QueryStats.Degraded.
+	// shards were skipped or failed, how many retries ran — and each
+	// shard's I/O across every Execute call that shares it. The engine
+	// attaches one per query, surfaces it as QueryStats.Degraded and adds
+	// its I/O to the engine's per-shard totals.
 	Report *ShardReport
 }
 

@@ -2,20 +2,48 @@ package query
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
 	"xrank/internal/storage"
 )
 
-// ShardReport accumulates degraded-execution facts across the algorithm
-// invocations that share it (the engine's over-fetch loop can run the
-// same query several times). All methods are safe for concurrent use and
-// nil-safe, so call sites never need to guard.
+// ShardReport accumulates degraded-execution facts and page traffic by
+// shard across the algorithm invocations that share it (the engine's
+// over-fetch loop can run the same query several times). All methods are
+// safe for concurrent use and nil-safe, so call sites never need to
+// guard.
 type ShardReport struct {
 	mu      sync.Mutex
 	failed  map[int]string // shard → last post-retry error
 	retries int
+	io      []storage.Stats // by shard
+}
+
+// noteIO adds one partition run's I/O to shard s.
+func (r *ShardReport) noteIO(s int, st storage.Stats) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	for len(r.io) <= s {
+		r.io = append(r.io, storage.Stats{})
+	}
+	r.io[s].Add(st)
+	r.mu.Unlock()
+}
+
+// ShardIO returns the I/O of every partition run so far, summed by
+// shard and indexed by shard number (shorter than the shard count when
+// the highest shards never ran).
+func (r *ShardReport) ShardIO() []storage.Stats {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.io)
 }
 
 // noteRetries adds n retry attempts to the report.

@@ -23,7 +23,8 @@ type Frame struct {
 }
 
 // Release unpins the frame, making it eligible for eviction once no other
-// pins remain. Release is idempotent per pin: call it exactly once per Get.
+// pins remain. Release is idempotent per pin: call it exactly once per
+// GetExec or GetScanExec.
 func (fr *Frame) Release() {
 	fr.pool.release(fr)
 }
@@ -34,7 +35,7 @@ func (fr *Frame) Release() {
 // RDIL probe decodes) and release them as the cursor moves on.
 //
 // Unpinned pages wait in one of two LRU rings. Pages touched by point
-// accesses (Get/GetExec: probes, tree descents, hash lookups) are hot;
+// accesses (GetExec: probes, tree descents, hash lookups) are hot;
 // a page first brought in by a sequential scan (GetScanExec) is cold
 // until a point access promotes it. Eviction takes the least recently
 // used cold page, and a hot page only when no cold one is left: a scan
@@ -46,8 +47,7 @@ type BufferPool struct {
 	pf        *PageFile
 	capacity  int
 	frames    map[PageID]*Frame
-	hot, cold Frame // ring sentinels: next is the most recently used frame, prev the least
-	hits      int64
+	hot, cold Frame  // ring sentinels: next is the most recently used frame, prev the least
 	spare     []byte // the last evicted frame's buffer, reused by the next miss
 }
 
@@ -84,18 +84,14 @@ func unlink(fr *Frame) {
 	fr.prev, fr.next = nil, nil
 }
 
-// Get returns a pinned frame for page id, reading it from the file on a
-// miss. The caller must Release the frame.
-func (bp *BufferPool) Get(id PageID) (*Frame, error) {
-	return bp.GetExec(nil, id)
-}
-
-// GetExec is Get under a per-query execution context: both hits and
-// misses are attributed to ec's private stats, and any page access fails
-// once ec is cancelled, past its deadline, or over its read budget.
-// Because every page a query touches flows through here, this is the
-// uniform cancellation checkpoint for disk-backed cursors, Dewey probes
-// and hash lookups alike. A nil ec behaves exactly like Get.
+// GetExec returns a pinned frame for page id, reading it from the file on
+// a miss; the caller must Release the frame. Hits and misses alike are
+// attributed to the per-query execution context ec (nil for none), and
+// any page access fails once ec is cancelled, past its deadline, or over
+// its read budget. Because every page a query touches flows through
+// here, this is the uniform cancellation checkpoint for disk-backed
+// cursors, Dewey probes and hash lookups alike. The pool itself counts
+// nothing.
 func (bp *BufferPool) GetExec(ec *ExecContext, id PageID) (*Frame, error) {
 	return bp.get(ec, id, false)
 }
@@ -114,8 +110,6 @@ func (bp *BufferPool) get(ec *ExecContext, id PageID, scan bool) (*Frame, error)
 		if err := ec.cacheHit(); err != nil {
 			return nil, err
 		}
-		bp.hits++
-		bp.pf.cacheHits.Add(1)
 		fr.pins++
 		if fr.next != nil {
 			unlink(fr)
@@ -180,13 +174,6 @@ func (bp *BufferPool) release(fr *Frame) {
 	}
 }
 
-// Hits returns the number of pool hits since creation or the last Reset.
-func (bp *BufferPool) Hits() int64 {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.hits
-}
-
 // Reset empties the pool, simulating a cold cache (Section 5.1: "results
 // were obtained using a cold operating system cache"). It fails if any
 // page is still pinned.
@@ -200,7 +187,6 @@ func (bp *BufferPool) Reset() error {
 	}
 	bp.frames = make(map[PageID]*Frame, bp.capacity)
 	bp.emptyRings()
-	bp.hits = 0
 	return nil
 }
 

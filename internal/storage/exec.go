@@ -21,8 +21,8 @@ var ErrBudgetExceeded = errors.New("storage: page-read budget exceeded")
 //     deadline-expired query aborts promptly mid-merge;
 //   - a private Stats accumulator, so the I/O of one query is attributed
 //     to exactly that query even when many queries run concurrently
-//     against the same index (the engine-global counters only report
-//     aggregate traffic). The accumulator carries its own
+//     against the same index (the engine's totals are sums of these
+//     accumulators). The accumulator carries its own
 //     sequential/random stream classifier: a query's reads are classified
 //     by the query's own access pattern, not by how concurrent queries
 //     happen to interleave on the shared file;

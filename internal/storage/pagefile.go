@@ -37,17 +37,14 @@ const InvalidPage = PageID(^uint32(0))
 var ErrIO = errors.New("I/O error")
 
 // PageFile is a file organized as an array of fixed-size pages. It is safe
-// for concurrent use.
+// for concurrent use. It keeps no I/O counters: a read is charged to the
+// ExecContext of the query that makes it.
 type PageFile struct {
-	mu       sync.Mutex
+	mu       sync.Mutex // serializes appends
 	fs       FS
 	f        File
 	path     string
-	numPages uint32
-	stats    Stats
-	// cacheHits is Stats.CacheHits, kept outside mu so a buffer-pool hit
-	// never contends with the device reads mu serializes.
-	cacheHits atomic.Int64
+	numPages atomic.Uint32
 }
 
 // CreatePageFileFS creates (truncating) a page file at path on fs
@@ -76,25 +73,22 @@ func OpenPageFileFS(fs FS, path string) (*PageFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
-	return &PageFile{fs: fs, f: f, path: path, numPages: uint32(st.Size() / PageSize)}, nil
+	pf := &PageFile{fs: fs, f: f, path: path}
+	pf.numPages.Store(uint32(st.Size() / PageSize))
+	return pf, nil
 }
 
 // Path returns the file path.
 func (pf *PageFile) Path() string { return pf.path }
 
 // NumPages returns the current number of pages.
-func (pf *PageFile) NumPages() uint32 {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.numPages
-}
+func (pf *PageFile) NumPages() uint32 { return pf.numPages.Load() }
 
 // ReadPageExec reads page id into buf, which must be at least PageSize
-// long. The read is recorded in the file's stats as sequential if id
-// immediately follows the previously read page, random otherwise, and is
-// also attributed to the per-query execution context ec (nil for none),
-// which refuses it — before touching the device — when ec is cancelled,
-// past its deadline, or over its page-read budget.
+// long. The read is attributed to the per-query execution context ec
+// (nil for none), which classifies it as sequential or random and
+// refuses it — before touching the device — when ec is cancelled, past
+// its deadline, or over its page-read budget.
 func (pf *PageFile) ReadPageExec(ec *ExecContext, id PageID, buf []byte) error {
 	if len(buf) < PageSize {
 		return fmt.Errorf("storage: read buffer too small (%d)", len(buf))
@@ -102,13 +96,9 @@ func (pf *PageFile) ReadPageExec(ec *ExecContext, id PageID, buf []byte) error {
 	if err := ec.pageRead(id); err != nil {
 		return err
 	}
-	pf.mu.Lock()
-	if uint32(id) >= pf.numPages {
-		pf.mu.Unlock()
-		return fmt.Errorf("storage: read of page %d beyond end (%d pages)", id, pf.numPages)
+	if n := pf.NumPages(); uint32(id) >= n {
+		return fmt.Errorf("storage: read of page %d beyond end (%d pages)", id, n)
 	}
-	pf.stats.recordRead(id)
-	pf.mu.Unlock()
 	_, err := pf.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
 	if err != nil {
 		return fmt.Errorf("storage: read page %d of %s: %w: %w", id, pf.path, ErrIO, err)
@@ -116,26 +106,8 @@ func (pf *PageFile) ReadPageExec(ec *ExecContext, id PageID, buf []byte) error {
 	return nil
 }
 
-// WritePage writes buf (at least PageSize bytes) to page id, which must
-// already exist. Stats count the write only if it succeeds.
-func (pf *PageFile) WritePage(id PageID, buf []byte) error {
-	if len(buf) < PageSize {
-		return fmt.Errorf("storage: write buffer too small (%d)", len(buf))
-	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	if uint32(id) >= pf.numPages {
-		return fmt.Errorf("storage: write of page %d beyond end (%d pages)", id, pf.numPages)
-	}
-	if _, err := pf.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d of %s: %w: %w", id, pf.path, ErrIO, err)
-	}
-	pf.stats.Writes++
-	return nil
-}
-
 // AppendPage appends buf as a new page and returns its ID. The page count
-// (and write stats) advance only after the write succeeds, so a failed
+// advances only after the write succeeds, so a failed
 // append leaves no phantom page behind — the file size stays a multiple
 // of PageSize and a reopen sees exactly the pages that were written.
 func (pf *PageFile) AppendPage(buf []byte) (PageID, error) {
@@ -144,30 +116,12 @@ func (pf *PageFile) AppendPage(buf []byte) (PageID, error) {
 	}
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
-	id := PageID(pf.numPages)
+	id := PageID(pf.numPages.Load())
 	if _, err := pf.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
 		return 0, fmt.Errorf("storage: append page to %s: %w: %w", pf.path, ErrIO, err)
 	}
-	pf.numPages++
-	pf.stats.Writes++
+	pf.numPages.Add(1)
 	return id, nil
-}
-
-// Stats returns a snapshot of the file's I/O statistics.
-func (pf *PageFile) Stats() Stats {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	st := pf.stats
-	st.CacheHits = pf.cacheHits.Load()
-	return st
-}
-
-// ResetStats zeroes the I/O statistics (the sequential-read tracker too).
-func (pf *PageFile) ResetStats() {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	pf.stats = Stats{}
-	pf.cacheHits.Store(0)
 }
 
 // Size returns the file size in bytes.

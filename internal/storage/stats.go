@@ -6,7 +6,8 @@ import "time"
 // The distinction drives the cost model: DIL scans inverted lists
 // sequentially while RDIL performs random Dewey probes, and that
 // difference — not CPU time — is what separates them on the paper's
-// cold-cache hardware.
+// cold-cache hardware. An ExecContext is the one place reads and hits
+// are counted; page files and buffer pools keep no counters of their own.
 //
 // Sequentiality is detected per stream, the way operating-system
 // readahead does: the tracker remembers the heads of the most recent
@@ -17,7 +18,7 @@ type Stats struct {
 	Reads     int64 // total page reads reaching the device
 	SeqReads  int64 // reads extending one of the recent access streams
 	RandReads int64 // all other reads
-	Writes    int64 // page writes
+	Writes    int64 // page writes (the engine's index builds; no query writes)
 	CacheHits int64 // reads absorbed by a buffer pool (no device access)
 
 	// Posting-block accounting (Dewey-family lists, see internal/index).

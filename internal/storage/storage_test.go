@@ -48,14 +48,11 @@ func TestPageFileAppendReadWrite(t *testing.T) {
 	if !bytes.Equal(buf, pageFilled(2)) {
 		t.Errorf("page 1 contents wrong")
 	}
-	if err := pf.WritePage(id0, pageFilled(9)); err != nil {
-		t.Fatal(err)
-	}
 	if err := pf.ReadPageExec(nil, id0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf[0] != 9 {
-		t.Errorf("overwrite not visible")
+	if !bytes.Equal(buf, pageFilled(1)) {
+		t.Errorf("page 0 contents wrong")
 	}
 	if pf.Size() != 2*PageSize {
 		t.Errorf("Size = %d", pf.Size())
@@ -69,9 +66,6 @@ func TestPageFileBoundsAndSizes(t *testing.T) {
 	}
 	if err := pf.ReadPageExec(nil, 0, make([]byte, PageSize)); err == nil {
 		t.Errorf("read beyond end should fail")
-	}
-	if err := pf.WritePage(5, pageFilled(0)); err == nil {
-		t.Errorf("write beyond end should fail")
 	}
 	if _, err := pf.AppendPage(pageFilled(0)); err != nil {
 		t.Fatal(err)
@@ -117,15 +111,15 @@ func TestStatsSeqRandClassification(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pf.AppendPage(pageFilled(byte(i)))
 	}
-	pf.ResetStats()
+	ec := NewExecContext(nil)
 	buf := make([]byte, PageSize)
 	// 0,1,2 = first random then two sequential; 4 = random; 0 = random.
 	for _, id := range []PageID{0, 1, 2, 4, 0} {
-		if err := pf.ReadPageExec(nil, id, buf); err != nil {
+		if err := pf.ReadPageExec(ec, id, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := pf.Stats()
+	s := ec.Stats()
 	if s.Reads != 5 || s.SeqReads != 2 || s.RandReads != 3 {
 		t.Errorf("stats = %+v", s)
 	}
@@ -139,22 +133,22 @@ func TestStatsInterleavedStreamsAreSequential(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		pf.AppendPage(pageFilled(byte(i)))
 	}
-	pf.ResetStats()
+	ec := NewExecContext(nil)
 	buf := make([]byte, PageSize)
 	for i := 0; i < 10; i++ {
-		pf.ReadPageExec(nil, PageID(i), buf)    // stream A: 0,1,2,...
-		pf.ReadPageExec(nil, PageID(20+i), buf) // stream B: 20,21,22,...
+		pf.ReadPageExec(ec, PageID(i), buf)    // stream A: 0,1,2,...
+		pf.ReadPageExec(ec, PageID(20+i), buf) // stream B: 20,21,22,...
 	}
-	s := pf.Stats()
+	s := ec.Stats()
 	if s.RandReads != 2 || s.SeqReads != 18 {
 		t.Errorf("interleaved streams: %+v, want 2 random + 18 sequential", s)
 	}
 	// Re-reading the same page (a rescan of a pinned region) is also
 	// sequential, not a seek.
-	pf.ResetStats()
-	pf.ReadPageExec(nil, 5, buf)
-	pf.ReadPageExec(nil, 5, buf)
-	if s := pf.Stats(); s.SeqReads != 1 || s.RandReads != 1 {
+	ec = NewExecContext(nil)
+	pf.ReadPageExec(ec, 5, buf)
+	pf.ReadPageExec(ec, 5, buf)
+	if s := ec.Stats(); s.SeqReads != 1 || s.RandReads != 1 {
 		t.Errorf("same-page re-read: %+v", s)
 	}
 }
@@ -166,14 +160,14 @@ func TestStatsStreamEviction(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		pf.AppendPage(pageFilled(byte(i)))
 	}
-	pf.ResetStats()
+	ec := NewExecContext(nil)
 	buf := make([]byte, PageSize)
 	// Open maxStreams+1 streams, then extend the first.
 	for s := 0; s <= maxStreams; s++ {
-		pf.ReadPageExec(nil, PageID(s*10), buf)
+		pf.ReadPageExec(ec, PageID(s*10), buf)
 	}
-	pf.ReadPageExec(nil, PageID(0*10+1), buf) // stream 0 was evicted
-	st := pf.Stats()
+	pf.ReadPageExec(ec, PageID(0*10+1), buf) // stream 0 was evicted
+	st := ec.Stats()
 	if st.SeqReads != 0 || st.RandReads != int64(maxStreams+2) {
 		t.Errorf("eviction: %+v", st)
 	}
@@ -228,10 +222,10 @@ func TestBufferPoolHitAndEvict(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pf.AppendPage(pageFilled(byte(i)))
 	}
-	pf.ResetStats()
+	ec := NewExecContext(nil)
 	bp := NewBufferPool(pf, 2)
 
-	f0, err := bp.Get(0)
+	f0, err := bp.GetExec(ec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,26 +234,26 @@ func TestBufferPoolHitAndEvict(t *testing.T) {
 	}
 	f0.Release()
 	// Second Get of page 0 must hit.
-	f0b, _ := bp.Get(0)
+	f0b, _ := bp.GetExec(ec, 0)
 	f0b.Release()
-	if bp.Hits() != 1 {
-		t.Errorf("hits = %d", bp.Hits())
+	if h := ec.Stats().CacheHits; h != 1 {
+		t.Errorf("hits = %d", h)
 	}
-	if pf.Stats().Reads != 1 {
-		t.Errorf("device reads = %d, want 1", pf.Stats().Reads)
+	if r := ec.Stats().Reads; r != 1 {
+		t.Errorf("device reads = %d, want 1", r)
 	}
 	// Fill beyond capacity; page 0 (LRU) must be evicted.
-	g1, _ := bp.Get(1)
+	g1, _ := bp.GetExec(ec, 1)
 	g1.Release()
-	g2, _ := bp.Get(2)
+	g2, _ := bp.GetExec(ec, 2)
 	g2.Release()
-	f0c, _ := bp.Get(0)
+	f0c, _ := bp.GetExec(ec, 0)
 	f0c.Release()
-	if pf.Stats().Reads != 4 { // 0, 1, 2, 0-again
-		t.Errorf("device reads = %d, want 4 (page 0 should have been evicted)", pf.Stats().Reads)
+	if r := ec.Stats().Reads; r != 4 { // 0, 1, 2, 0-again
+		t.Errorf("device reads = %d, want 4 (page 0 should have been evicted)", r)
 	}
-	if pf.Stats().CacheHits != 1 {
-		t.Errorf("cache hits on stats = %d", pf.Stats().CacheHits)
+	if h := ec.Stats().CacheHits; h != 1 {
+		t.Errorf("cache hits on stats = %d", h)
 	}
 }
 
@@ -269,13 +263,13 @@ func TestBufferPoolPinPreventsEviction(t *testing.T) {
 		pf.AppendPage(pageFilled(byte(i)))
 	}
 	bp := NewBufferPool(pf, 2)
-	a, _ := bp.Get(0) // pinned
-	b, _ := bp.Get(1) // pinned
-	if _, err := bp.Get(2); err == nil {
+	a, _ := bp.GetExec(nil, 0) // pinned
+	b, _ := bp.GetExec(nil, 1) // pinned
+	if _, err := bp.GetExec(nil, 2); err == nil {
 		t.Errorf("Get with all frames pinned should fail")
 	}
 	b.Release()
-	c, err := bp.Get(2) // evicts 1, keeps pinned 0
+	c, err := bp.GetExec(nil, 2) // evicts 1, keeps pinned 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +284,7 @@ func TestBufferPoolReset(t *testing.T) {
 	pf := newTestFile(t)
 	pf.AppendPage(pageFilled(1))
 	bp := NewBufferPool(pf, 4)
-	fr, _ := bp.Get(0)
+	fr, _ := bp.GetExec(nil, 0)
 	if err := bp.Reset(); err == nil {
 		t.Errorf("Reset with pinned page should fail")
 	}
@@ -298,10 +292,10 @@ func TestBufferPoolReset(t *testing.T) {
 	if err := bp.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	pf.ResetStats()
-	fr2, _ := bp.Get(0)
+	ec := NewExecContext(nil)
+	fr2, _ := bp.GetExec(ec, 0)
 	fr2.Release()
-	if pf.Stats().Reads != 1 {
+	if ec.Stats().Reads != 1 {
 		t.Errorf("after Reset, Get should reach the device")
 	}
 }
@@ -321,9 +315,10 @@ func TestPoolScanResistance(t *testing.T) {
 		}
 	}
 	bp := NewBufferPool(pf, capacity)
+	ec := NewExecContext(nil)
 	touch := func(get func(*ExecContext, PageID) (*Frame, error), id PageID) {
 		t.Helper()
-		fr, err := get(nil, id)
+		fr, err := get(ec, id)
 		if err != nil {
 			t.Fatalf("page %d: %v", id, err)
 		}
@@ -352,11 +347,11 @@ func TestPoolScanResistance(t *testing.T) {
 	}()
 	wg.Wait()
 
-	pf.ResetStats()
+	ec = NewExecContext(nil)
 	for id := PageID(0); id < probeSet; id++ {
 		touch(bp.GetExec, id)
 	}
-	if st := pf.Stats(); st.Reads != 0 || st.CacheHits != probeSet {
+	if st := ec.Stats(); st.Reads != 0 || st.CacheHits != probeSet {
 		t.Errorf("after a scan of %d pages through a %d-page pool the %d probe pages cost %d reads, %d hits; want 0 and %d",
 			5*capacity, capacity, probeSet, st.Reads, st.CacheHits, probeSet)
 	}
@@ -367,9 +362,9 @@ func TestPoolScanResistance(t *testing.T) {
 	for id := PageID(probeSet); id < last; id++ {
 		touch(bp.GetScanExec, id)
 	}
-	pf.ResetStats()
+	ec = NewExecContext(nil)
 	touch(bp.GetExec, last)
-	if st := pf.Stats(); st.Reads != 0 {
+	if st := ec.Stats(); st.Reads != 0 {
 		t.Errorf("a probed page was evicted by a scan (%d reads)", st.Reads)
 	}
 
@@ -377,9 +372,9 @@ func TestPoolScanResistance(t *testing.T) {
 	if err := bp.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	pf.ResetStats()
+	ec = NewExecContext(nil)
 	touch(bp.GetExec, 0)
-	if st := pf.Stats(); st.Reads != 1 {
+	if st := ec.Stats(); st.Reads != 1 {
 		t.Errorf("after Reset page 0 cost %d reads, want 1", st.Reads)
 	}
 	var pinned []*Frame
@@ -405,7 +400,7 @@ func TestBufferPoolDoubleReleasePanics(t *testing.T) {
 	pf := newTestFile(t)
 	pf.AppendPage(pageFilled(1))
 	bp := NewBufferPool(pf, 2)
-	fr, _ := bp.Get(0)
+	fr, _ := bp.GetExec(nil, 0)
 	fr.Release()
 	defer func() {
 		if recover() == nil {
@@ -428,7 +423,7 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := PageID((i*7 + w) % 32)
-				fr, err := bp.Get(id)
+				fr, err := bp.GetExec(nil, id)
 				if err != nil {
 					t.Errorf("Get(%d): %v", id, err)
 					return
@@ -452,8 +447,8 @@ func TestExecContextAttribution(t *testing.T) {
 	}
 	bp := NewBufferPool(pf, 4)
 
-	ecA := NewExecContext(context.Background())
-	ecB := NewExecContext(context.Background())
+	root := NewExecContext(context.Background())
+	ecA, ecB := root.Child(), root.Child()
 	// A reads pages 0-3 sequentially (cold), B re-reads 0-1 (hits) and
 	// 4-5 (cold). Each context must see only its own traffic.
 	for i := 0; i < 4; i++ {
@@ -483,10 +478,10 @@ func TestExecContextAttribution(t *testing.T) {
 	if b.Reads != 2 || b.CacheHits != 2 {
 		t.Errorf("ecB stats = %+v, want 2 reads, 2 hits", b)
 	}
-	// The global file counters aggregate both queries.
-	g := pf.Stats()
+	// Their parent aggregates both branches.
+	g := root.Stats()
 	if g.Reads != a.Reads+b.Reads || g.CacheHits != a.CacheHits+b.CacheHits {
-		t.Errorf("global %+v != sum of per-query %+v + %+v", g, a, b)
+		t.Errorf("parent %+v != sum of branches %+v + %+v", g, a, b)
 	}
 	// A nil ExecContext stays inert.
 	var nilEC *ExecContext
@@ -549,7 +544,7 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 	bp := NewBufferPool(pf, 2)
 	// Warm the pool so the cancelled access would be a pure cache hit.
-	fr, err := bp.Get(0)
+	fr, err := bp.GetExec(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package xrank
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,4 +156,95 @@ func TestOpenRefusesOtherShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// legacyQueries are asked of testdata/legacy under every algorithm.
+var legacyQueries = []string{"keyword search", "dewey inverted lists", "ranked xml", "correlated keywords", "evaluation"}
+
+// TestOpenCommittedLegacyDirectory: testdata/legacy/index is a directory
+// written by `xrank index -shards 2` at commit 9884ddc over
+// testdata/legacy/src, in every retired shape at once: each shard holds
+// the three lexicons and HDIL's separate rank prefix (hdil.rank,
+// hdilrank.skip), ranks-000000.bin stores ElemRank while segments.json
+// has no rank CRC, and engine.json carries IndexDir, the ElemRank
+// parameters and variant, DisableProximity, PoolPages and
+// SlowQueryMillis. A copy of it opens and answers bit-identically to a
+// fresh build of the same documents under every algorithm, and stays so
+// through AddDocs, DeleteDoc, CompactOnce and a reopen; after the
+// compaction no lexicon, retired rank prefix or ranks blob is left.
+func TestOpenCommittedLegacyDirectory(t *testing.T) {
+	const fixture = "testdata/legacy"
+	old := t.TempDir()
+	copyDir(t, filepath.Join(fixture, "index"), old)
+	for _, name := range []string{"ranks-000000.bin", "seg-000000/shard001/dil.lex", "seg-000000/shard001/hdil.rank"} {
+		if _, err := os.Stat(filepath.Join(old, name)); err != nil {
+			t.Fatalf("the fixture lost its retired %s: %v", name, err)
+		}
+	}
+	legacy, err := OpenEngine(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2})
+	for _, name := range []string{"alpha.xml", "beta.xml", "gamma.xml"} {
+		src, err := os.ReadFile(filepath.Join(fixture, "src", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.AddXML(name, strings.NewReader(string(src))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fresh.Build(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { legacy.Close(); fresh.Close() }()
+	same := func(step string) {
+		t.Helper()
+		got, want := searchAll(t, legacy, legacyQueries), searchAll(t, fresh, legacyQueries)
+		for i := range want {
+			if err := sameAnswer(got[i], want[i]); err != nil {
+				t.Fatalf("%s: %s %q: %v", step, searchLabel(diffAlgos[i%len(diffAlgos)]), legacyQueries[i/len(diffAlgos)], err)
+			}
+		}
+	}
+	both := func(step string, op func(e *Engine) error) {
+		t.Helper()
+		for _, e := range []*Engine{legacy, fresh} {
+			if err := op(e); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+		same(step)
+	}
+
+	same("open")
+	both("AddDocs", func(e *Engine) error {
+		return e.AddDocs(map[string]io.Reader{"delta.xml": strings.NewReader(
+			`<note><t>ranked keyword search revisited</t><link href="alpha.xml#c1">keyword retrieval</link></note>`)})
+	})
+	both("DeleteDoc", func(e *Engine) error { return e.DeleteDoc("beta.xml") })
+	both("CompactOnce", func(e *Engine) error {
+		_, err := e.CompactOnce(0)
+		return err
+	})
+	err = filepath.WalkDir(old, func(path string, d iofs.DirEntry, err error) error {
+		if err == nil && (strings.HasSuffix(path, ".lex") || d.Name() == "hdil.rank" || d.Name() == "hdilrank.skip" || strings.HasPrefix(d.Name(), "ranks-")) {
+			err = fmt.Errorf("%s is left after the compaction", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []**Engine{&legacy, &fresh} {
+		dir := (*e).cfg.IndexDir
+		if err := (*e).Close(); err != nil {
+			t.Fatal(err)
+		}
+		if *e, err = OpenEngine(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("reopen")
 }

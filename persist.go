@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"xrank/internal/query"
 	"xrank/internal/storage"
 )
 
@@ -164,6 +165,7 @@ func OpenEngineFS(dir string, fs storage.FS) (*Engine, error) {
 	e.nextSeg = sm.NextSeg
 	e.built = true
 	e.met.shards.Set(int64(e.segs[0].ix.NumShards()))
+	e.shardIO = make([]storage.Stats, e.segs[0].ix.NumShards())
 	e.met.segments.Set(int64(len(e.segs)))
 	e.updateSuggestGauge()
 	return e, nil
@@ -189,7 +191,7 @@ func (e *Engine) openSegment(se segmentEntry, noSuggest bool) (*engineSegment, e
 		}
 		return nil, err
 	}
-	seg := &engineSegment{id: se.ID, dir: se.Dir, rankVer: se.RankVer, docs: se.Docs, ix: ix}
+	seg := &engineSegment{id: se.ID, dir: se.Dir, rankVer: se.RankVer, docs: se.Docs, ix: ix, health: query.NewHealth()}
 	if seg.sug, err = loadSegmentSuggest(e.fs(), path, noSuggest); err != nil {
 		ix.Close()
 		return nil, err

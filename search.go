@@ -52,12 +52,13 @@ type SearchOptions struct {
 	// ColdCache empties the buffer pools before the query, mimicking the
 	// paper's measurement protocol; HDIL's switch estimator then prices
 	// the query with the paper's disk (storage.PaperDiskCostModel) instead
-	// of the serving model. The pools and their counters are
-	// engine-global, so ColdCache is a single-tenant measurement knob:
-	// emptying them while other queries are in flight is safe (the race
-	// detector is clean) but yanks cached pages out from under those
-	// queries and corrupts any global-counter measurements. Per-query
-	// I/O attribution (QueryStats.IO) is unaffected.
+	// of the serving model. It also zeroes Engine.IOStats and
+	// ShardIOStats. The pools are shared by every query, so ColdCache is
+	// a single-tenant measurement knob: emptying them while other queries
+	// are in flight is safe (the race detector is clean) but yanks cached
+	// pages out from under those queries, which then pay device reads
+	// that a solo run would not. Per-query I/O attribution
+	// (QueryStats.IO) stays exact.
 	ColdCache bool
 	// MaxPageReads caps the number of device page reads this query may
 	// perform; once exceeded the query aborts with an error wrapping
@@ -495,10 +496,11 @@ func (e *Engine) executeQuery(ctx context.Context, q string, keywords []string, 
 
 	// The single finish point: successful and failed queries alike get
 	// their wall time, I/O attribution, span trace and degradation facts,
-	// and are recorded into the engine's metrics registry and slow-query
-	// log.
+	// and are recorded into the engine's I/O totals, metrics registry and
+	// slow-query log.
 	stats.WallTime = time.Since(start)
 	stats.IO = ec.Stats()
+	e.countShardIO(report.ShardIO())
 	stats.SimulatedTime = storage.PaperDiskCostModel().SimulatedTime(stats.IO)
 	stats.Trace = trace.Spans()
 	stats.Degraded = report.Degraded()
@@ -603,7 +605,7 @@ func (e *Engine) plan(keywords []string, opts SearchOptions) ([]query.Partition,
 			// then an opened engine may not have solved its ranks.
 			stale = e.rankOverride()
 		}
-		parts = append(parts, query.Partitions(s.ix, isStale)...)
+		parts = append(parts, query.Partitions(s.ix, isStale, s.health)...)
 	}
 	// The estimator prices the device the query is served from: the OS
 	// page cache normally, the paper's disk under its cold protocol.

@@ -11,7 +11,9 @@ import (
 	"sort"
 	"strings"
 
+	"xrank/internal/breaker"
 	"xrank/internal/index"
+	"xrank/internal/query"
 	"xrank/internal/storage"
 	"xrank/internal/xmldoc"
 )
@@ -57,6 +59,9 @@ type engineSegment struct {
 	rankVer int    // ElemRank version the postings were baked under
 	docs    []uint32
 	ix      *index.Sharded
+	// health is the segment's per-shard breaker (query.NewHealth): a new
+	// segment starts with every shard healthy.
+	health *breaker.Breaker[int]
 	// sug is the segment's autosuggest dictionary (nil for a segment of a
 	// directory built with suggestions disabled); see suggest.go.
 	sug *suggestTrie
@@ -184,7 +189,7 @@ func (e *Engine) writeDocs(docs []docEntry, from int) error {
 // Everything lands inside the fresh seg-NNNNNN directory, an orphan until
 // a commitSegments names it.
 func (e *Engine) buildSegment(id, rankVer int, col *xmldoc.Collection, ranks []float64, docs []uint32, buildFS storage.FS) (*engineSegment, *index.BuildStats, error) {
-	seg := &engineSegment{id: id, dir: segmentDirName(id), rankVer: rankVer, docs: docs}
+	seg := &engineSegment{id: id, dir: segmentDirName(id), rankVer: rankVer, docs: docs, health: query.NewHealth()}
 	path := filepath.Join(e.cfg.IndexDir, seg.dir)
 	opts := index.BuildOptions{
 		MaxPositions: e.cfg.MaxPositions,

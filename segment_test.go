@@ -1,6 +1,8 @@
 package xrank
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	iofs "io/fs"
 	"math"
@@ -185,6 +187,114 @@ func TestIOStatsCountsIndexWrites(t *testing.T) {
 	}
 	if compacted := e.IOStats().Writes; compacted <= added {
 		t.Fatalf("Writes = %d after CompactOnce, %d before", compacted, added)
+	}
+}
+
+// TestIOStatsSumsQueriesAcrossFolds: between two ColdCache calls
+// IOStats' and every shard's ShardIOStats' reads and cache hits never
+// decrease — not across the AddDocs folds, DeleteDoc and CompactOnce that
+// retire the segments the queries read — and IOStats equals the sum of
+// every query's QueryStats.IO since the last ColdCache, as does the sum
+// over the shards. A query that fails still counts: a budget-aborted one
+// adds exactly its budget of device reads.
+func TestIOStatsSumsQueriesAcrossFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	e := NewEngine(&Config{IndexDir: t.TempDir(), Shards: 2})
+	for n := 0; n < 4; n++ {
+		if err := e.AddXML(fmt.Sprintf("doc%02d", n), strings.NewReader(diffDoc(rng, n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	var want, last storage.Stats // since the last ColdCache
+	var lastShards []storage.Stats
+	check := func(step string) {
+		t.Helper()
+		got, per := e.IOStats(), e.ShardIOStats()
+		if got.Reads != want.Reads || got.CacheHits != want.CacheHits {
+			t.Fatalf("%s: IOStats %d reads, %d hits; the queries' QueryStats.IO sum to %d, %d",
+				step, got.Reads, got.CacheHits, want.Reads, want.CacheHits)
+		}
+		if got.Reads < last.Reads || got.CacheHits < last.CacheHits {
+			t.Fatalf("%s: IOStats ran backwards: %d reads, %d hits after %d, %d", step, got.Reads, got.CacheHits, last.Reads, last.CacheHits)
+		}
+		var sum storage.Stats
+		for s, st := range per {
+			if s < len(lastShards) && (st.Reads < lastShards[s].Reads || st.CacheHits < lastShards[s].CacheHits) {
+				t.Fatalf("%s: shard %d ran backwards: %+v after %+v", step, s, st, lastShards[s])
+			}
+			if st.Reads != st.SeqReads+st.RandReads {
+				t.Fatalf("%s: shard %d classifies %d of %d reads", step, s, st.SeqReads+st.RandReads, st.Reads)
+			}
+			sum.Add(st)
+		}
+		if len(per) != 2 || sum.Reads != got.Reads || sum.CacheHits != got.CacheHits {
+			t.Fatalf("%s: %d shards summing to %d reads, %d hits; IOStats %d, %d", step, len(per), sum.Reads, sum.CacheHits, got.Reads, got.CacheHits)
+		}
+		last, lastShards = got, per
+	}
+	coldCache := func() {
+		t.Helper()
+		if err := e.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		want, last, lastShards = storage.Stats{}, storage.Stats{}, nil
+		check("ColdCache")
+	}
+	queries := func(step string) {
+		t.Helper()
+		for i, q := range diffQueries {
+			_, st, err := e.SearchContext(context.Background(), q, SearchOptions{Algorithm: Algorithm(i % 3)})
+			if err != nil {
+				t.Fatalf("%s: %q: %v", step, q, err)
+			}
+			want.Add(st.IO)
+			check(fmt.Sprintf("%s, query %q", step, q))
+		}
+	}
+
+	queries("build")
+	folds := 0
+	for n := 4; n < 10; n++ {
+		before := e.SegmentCount()
+		if err := e.AddDoc(fmt.Sprintf("doc%02d", n), strings.NewReader(diffDoc(rng, n))); err != nil {
+			t.Fatal(err)
+		}
+		if e.SegmentCount() <= before {
+			folds++
+		}
+		check(fmt.Sprintf("AddDoc %d", n))
+		queries(fmt.Sprintf("after AddDoc %d", n))
+		if n%3 == 0 {
+			coldCache()
+			queries(fmt.Sprintf("cold after AddDoc %d", n))
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no AddDoc folded a segment")
+	}
+	if err := e.DeleteDoc("doc03"); err != nil {
+		t.Fatal(err)
+	}
+	queries("DeleteDoc")
+	if cs, err := e.CompactOnce(0); err != nil || !cs.Compacted {
+		t.Fatalf("CompactOnce: %+v, %v", cs, err)
+	}
+	check("CompactOnce")
+	queries("CompactOnce")
+
+	coldCache()
+	const budget = 1
+	before := e.IOStats()
+	if _, _, err := e.SearchContext(context.Background(), "alpha beta", SearchOptions{Algorithm: AlgoDIL, MaxPageReads: budget}); !errors.Is(err, storage.ErrBudgetExceeded) {
+		t.Fatalf("budgeted query: %v, want ErrBudgetExceeded", err)
+	}
+	if got := e.IOStats().Reads - before.Reads; got != budget {
+		t.Fatalf("a query aborted at a budget of %d reads added %d reads", budget, got)
 	}
 }
 

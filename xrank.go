@@ -27,10 +27,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xrank/internal/breaker"
 	"xrank/internal/cache"
 	"xrank/internal/elemrank"
 	"xrank/internal/index"
@@ -147,9 +149,9 @@ var ErrClosed = errors.New("xrank: engine closed")
 // Search/SearchDetailed/SearchContext calls may run in
 // parallel, and DeleteDoc may interleave with them. Each query runs
 // under a private storage.ExecContext, so its QueryStats.IO is exactly
-// its own page traffic regardless of concurrency. The engine-global
-// facilities — ColdCache, IOStats, the shared buffer pools — are
-// intentionally not per-query: see their docs for what they mean while
+// its own page traffic regardless of concurrency; IOStats and
+// ShardIOStats sum those. ColdCache and the shared buffer pools are
+// intentionally not per-query: see ColdCache for what it means while
 // queries are in flight.
 type Engine struct {
 	cfg     Config
@@ -213,6 +215,11 @@ type Engine struct {
 	// pageWrites counts the index pages every segment build so far wrote
 	// (Build, AddDocs, compaction); IOStats reports it as Writes.
 	pageWrites atomic.Int64
+	// shardIO is the I/O of every query executed since the last
+	// ColdCache, by shard (ShardIOStats; nil before Build), guarded by
+	// ioMu.
+	ioMu    sync.Mutex
+	shardIO []storage.Stats
 
 	// failOnDegraded is SetFailOnDegraded's strict mode.
 	failOnDegraded bool
@@ -419,6 +426,7 @@ func (e *Engine) Build() (*BuildInfo, error) {
 	e.segs, e.rankVer, e.nextSeg = segs, 0, 1
 	e.built = true
 	e.met.shards.Set(int64(seg.ix.NumShards()))
+	e.shardIO = make([]storage.Stats, seg.ix.NumShards())
 	e.met.segments.Set(1)
 	e.updateSuggestGauge()
 	e.gen.Add(1) // anything cached against the pre-build engine is void
@@ -444,11 +452,12 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// ColdCache drops all index buffer pools and I/O counters, simulating the
-// paper's cold-operating-system-cache measurement protocol. It is an
-// engine-global, single-tenant measurement knob: calling it while other
-// queries run is race-free but evicts their cached pages and resets the
-// global counters mid-flight (per-query QueryStats.IO is unaffected).
+// ColdCache drops all index buffer pools and zeroes IOStats and
+// ShardIOStats, simulating the paper's cold-operating-system-cache
+// measurement protocol. It is an engine-wide, single-tenant measurement
+// knob: calling it while other queries run is race-free but evicts their
+// cached pages, and a query in flight across it is counted in full when
+// it finishes (its own QueryStats.IO is unaffected).
 func (e *Engine) ColdCache() error {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
@@ -460,28 +469,49 @@ func (e *Engine) ColdCache() error {
 	e.gen.Add(1)
 	var err error
 	for _, s := range e.segs {
-		if cerr := s.ix.ColdCache(); err == nil {
-			err = cerr
+		for _, ix := range s.ix.Shards() {
+			if cerr := ix.ColdCache(); err == nil {
+				err = cerr
+			}
 		}
 	}
+	e.ioMu.Lock()
+	clear(e.shardIO)
+	e.ioMu.Unlock()
 	return err
 }
 
-// IOStats returns cumulative page-level I/O statistics: reads and hits
-// since the last ColdCache, summed across every query served, and as
-// Writes the index pages written by every segment build (Build, AddDocs,
-// compaction) over the engine's lifetime. For a single query's I/O under
-// concurrency, use the QueryStats returned by SearchContext instead of
-// diffing IOStats snapshots.
+// IOStats returns cumulative page-level I/O statistics: as reads, hits
+// and the rest the sum of every executed query's QueryStats.IO since the
+// last ColdCache (failed queries and segments folded since included;
+// result-cache hits and coalesced waiters read nothing), and as Writes
+// the index pages written by every segment build (Build, AddDocs,
+// compaction) over the engine's lifetime. Between two ColdCache calls no
+// count ever decreases.
 func (e *Engine) IOStats() storage.Stats {
-	e.snapMu.RLock()
-	defer e.snapMu.RUnlock()
+	e.ioMu.Lock()
+	defer e.ioMu.Unlock()
 	var st storage.Stats
-	for _, s := range e.segs {
-		st.Add(s.ix.IOStats())
+	for _, s := range e.shardIO {
+		st.Add(s)
 	}
-	st.Writes += e.pageWrites.Load()
+	st.Writes = e.pageWrites.Load()
 	return st
+}
+
+// countShardIO adds one query's I/O by shard (query.ShardReport.ShardIO)
+// to the engine's totals. Build sizes them to the first segment's shard
+// count; a later segment with more shards (only a hand-edited directory
+// has one) extends them.
+func (e *Engine) countShardIO(per []storage.Stats) {
+	e.ioMu.Lock()
+	defer e.ioMu.Unlock()
+	if n := len(per) - len(e.shardIO); n > 0 {
+		e.shardIO = append(e.shardIO, make([]storage.Stats, n)...)
+	}
+	for s, st := range per {
+		e.shardIO[s].Add(st)
+	}
 }
 
 // Collection and index accessors for the benchmark harness and tests.
@@ -511,23 +541,22 @@ func (e *Engine) NumShards() int {
 	return e.segs[0].ix.NumShards()
 }
 
-// ShardIOStats returns cumulative page-level I/O statistics per shard,
-// summed over the live segments, since the last ColdCache, in shard
-// order (nil before Build). Like IOStats, these are engine-global
-// counters summed over every query.
+// ShardIOStats returns IOStats' reads and hits per shard, in shard
+// order (nil before Build): every executed query's partitions of that
+// shard since the last ColdCache, in whichever segment they ran, each
+// read classified as sequential or random within its own partition's
+// access stream. Summed over the shards they are IOStats less its Writes.
 func (e *Engine) ShardIOStats() []storage.Stats {
-	e.snapMu.RLock()
-	defer e.snapMu.RUnlock()
-	var out []storage.Stats
-	for _, s := range e.segs {
-		for i, st := range s.ix.ShardIOStats() {
-			if i == len(out) {
-				out = append(out, storage.Stats{})
-			}
-			out[i].Add(st)
-		}
-	}
-	return out
+	e.ioMu.Lock()
+	defer e.ioMu.Unlock()
+	return slices.Clone(e.shardIO)
+}
+
+// ShardHealth is a snapshot of one shard's availability, surfaced through
+// the /api/shards endpoint.
+type ShardHealth struct {
+	Shard int `json:"shard"`
+	breaker.Health
 }
 
 // ShardHealth returns every shard's availability snapshot, in shard
@@ -535,16 +564,22 @@ func (e *Engine) ShardIOStats() []storage.Stats {
 // consecutive-failure streak, and the last error that excluded it. Each
 // segment tracks its own shards; a shard reads as its worst segment
 // (unhealthy before healthy, then the longer failure streak).
-func (e *Engine) ShardHealth() []index.ShardHealth {
+func (e *Engine) ShardHealth() []ShardHealth {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
-	var out []index.ShardHealth
+	if len(e.segs) == 0 {
+		return nil
+	}
+	keys := make([]int, e.segs[0].ix.NumShards())
+	out := make([]ShardHealth, len(keys))
+	for i := range keys {
+		keys[i] = i
+		out[i] = ShardHealth{i, breaker.Health{Healthy: true}}
+	}
 	for _, s := range e.segs {
-		for i, h := range s.ix.Health() {
-			if i == len(out) {
-				out = append(out, h)
-			} else if w := &out[i]; (w.Healthy && !h.Healthy) || (w.Healthy == h.Healthy && h.Failures > w.Failures) {
-				*w = h
+		for i, h := range s.health.Health(keys) {
+			if w := &out[i]; (w.Healthy && !h.Healthy) || (w.Healthy == h.Healthy && h.Failures > w.Failures) {
+				w.Health = h
 			}
 		}
 	}
@@ -558,7 +593,7 @@ func (e *Engine) ResetShardHealth() {
 	e.snapMu.RLock()
 	defer e.snapMu.RUnlock()
 	for _, s := range e.segs {
-		s.ix.ResetHealth()
+		s.health.Reset()
 	}
 	e.met.unhealthy.Set(0)
 }
@@ -569,7 +604,7 @@ func (e *Engine) unhealthyShards() int {
 	n := 0
 	for sh := 0; sh < e.segs[0].ix.NumShards(); sh++ {
 		for _, s := range e.segs {
-			if s.ix.Breaker().Open(sh) {
+			if s.health.Open(sh) {
 				n++
 				break
 			}
@@ -650,9 +685,6 @@ func (e *Engine) CacheStats() CacheStats {
 	st.Evictions = cs.Evictions
 	return st
 }
-
-// Config returns a copy of the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // fs returns the engine's file system (the real one unless Config.FS
 // substitutes a faulty double).
